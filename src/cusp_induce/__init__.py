@@ -80,7 +80,6 @@ from .distortion import (
     sup_inf_abs_df,
     variation_bound,
     variation_exact,
-    omega_variation,
     summability_report,
     bv_selftest,
 )

@@ -13,7 +13,7 @@ from . import expr as ex
 
 try:
     import numba
-except ImportError:            # pragma: no cover - numba ships in the env
+except ImportError:            # numba is optional; the kernel runs as python
     numba = None
 
 

@@ -516,9 +516,7 @@ def _add_map_flags(sp):
 
 def _add_common_flags(sp):
     sp.add_argument("--out", help="directory for artifacts")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
 
 
 def _add_scale_flags(sp):
@@ -618,6 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("scan", help="cheap-stage survey over a parameter "
                         "grid")
     _add_common_flags(sp)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
+    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--family", required=True)
     sp.add_argument("--grid", action="append", metavar="KEY=V1,V2,...",
                     help="parameter axis (repeatable; cartesian product)")

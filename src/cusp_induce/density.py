@@ -53,90 +53,77 @@ class UlamTable:
         }
 
 
-def _forced_values(m, itinerary, x: np.ndarray) -> np.ndarray:
-    """Composition of branch maps along a fixed itinerary."""
-    with np.errstate(all="ignore"):
-        for i in itinerary:
-            x = m.branches[i].values(x)
-    return x
+def _transfer_matrix(m, edges: np.ndarray, groups):
+    """Row-normalized transfer matrix of branches cut at edge preimages.
 
-
-def _invert_induced(m, br, targets: np.ndarray, iters: int = 30) -> np.ndarray:
-    """Preimages of target values under one induced branch.
-
-    A forward grid seeds brackets one grid step wide (the induced map is
-    monotone on the branch), then bisection polishes each preimage; thirty
-    halvings of a sub-1e-4 bracket land well under 1e-12.
+    groups yields (itin, a, b, preimages): branch k of a group runs over
+    [a[k], b[k]] along itinerary row k, and preimages[k] holds the points it
+    maps onto cell edges.  Cut there and at the edges, each piece carries
+    its width from the cell of its midpoint into the cell of the midpoint's
+    image.  Rows without resolved mass are dead and stay zero.  Returns
+    (csr matrix, coverage, dead mask).
     """
-    if targets.size == 0:
-        return targets
-    K = max(16, 2 * targets.size)
-    xs = np.linspace(br.a, br.b, K + 1)
-    ys = _forced_values(m, br.itinerary, xs)
-    if br.orientation < 0:
-        ys = ys[::-1]
-        xs = xs[::-1]
-    pos = np.clip(np.searchsorted(ys, targets), 1, K)
-    lo = np.minimum(xs[pos - 1], xs[pos])
-    hi = np.maximum(xs[pos - 1], xs[pos])
-    increasing = br.orientation > 0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        v = _forced_values(m, br.itinerary, mid)
-        go_up = (v < targets) if increasing else (v > targets)
-        lo = np.where(go_up, mid, lo)
-        hi = np.where(go_up, hi, mid)
-    return 0.5 * (lo + hi)
+    lo, m_cells = edges[0], edges.size - 1
+    cw = (edges[-1] - lo) / m_cells
+
+    def cell(x):
+        return np.clip(((x - lo) / cw).astype(np.int64), 0, m_cells - 1)
+
+    empty = np.empty(0, dtype=np.int64)
+    rows, cols, mass = [empty], [empty], [np.empty(0)]
+    for itin, a, b, preimages in groups:
+        cuts = [np.unique(np.concatenate(
+            [[u], pre, edges[(edges > u) & (edges < v)], [v]]))
+            for u, v, pre in zip(a, b, preimages)]
+        mids = np.concatenate([0.5 * (c[:-1] + c[1:]) for c in cuts])
+        owner = np.repeat(np.arange(len(cuts)), [c.size - 1 for c in cuts])
+        rows.append(cell(mids))
+        cols.append(cell(_vec.forced_forward(m, itin, owner, mids)))
+        mass.append(np.concatenate([np.diff(c) for c in cuts]))
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    mass = np.concatenate(mass)
+    coverage = np.bincount(rows, weights=mass, minlength=m_cells) / cw
+    mat = sparse.coo_matrix((mass / cw, (rows, cols)),
+                            shape=(m_cells, m_cells)).tocsr()
+    dead = coverage <= 1e-12
+    scale = np.zeros(m_cells)
+    scale[~dead] = 1.0 / coverage[~dead]
+    return (sparse.diags(scale) @ mat).tocsr(), coverage, dead
 
 
 def ulam_matrix(m, partition, m_cells: int = 4096) -> UlamTable:
     """Row-stochastic transfer matrix of the induced map on a uniform grid.
 
     Entry (i, j) holds the fraction of cell i carried into cell j by the
-    induced map, assembled branch by branch from bisected preimages of the
-    cell boundaries.  Rows overlapping the unresolved set are renormalized
-    and flagged; rows with no resolved mass at all fall back to a uniform
-    distribution and are reported as dead.
+    induced map, assembled from preimages of the cell boundaries, bisected
+    along the branch itineraries a group of branches at a time.  Rows
+    overlapping the unresolved set are renormalized and flagged; rows with
+    no resolved mass at all fall back to a uniform distribution and are
+    reported as dead.
     """
     if m_cells < 1:
         raise ValueError("m_cells must be >= 1")
     lo, hi = partition.lo, partition.hi
     edges = np.linspace(lo, hi, m_cells + 1)
     cw = (hi - lo) / m_cells
-    rows, cols, mass = [], [], []
-    for br in partition.branches:
-        img_lo, img_hi = br.image
-        interior_targets = edges[(edges > img_lo) & (edges < img_hi)]
-        cuts_from_image = _invert_induced(m, br, interior_targets)
-        inner = edges[(edges > br.a) & (edges < br.b)]
-        cuts = np.unique(np.concatenate(
-            [[br.a], cuts_from_image, inner, [br.b]]))
-        widths = np.diff(cuts)
-        mids = 0.5 * (cuts[:-1] + cuts[1:])
-        keep = widths > 0
-        mids, widths = mids[keep], widths[keep]
-        ymid = _forced_values(m, br.itinerary, mids)
-        i_idx = np.clip(((mids - lo) / cw).astype(np.int64), 0, m_cells - 1)
-        j_idx = np.clip(((ymid - lo) / cw).astype(np.int64), 0, m_cells - 1)
-        rows.append(i_idx)
-        cols.append(j_idx)
-        mass.append(widths)
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        mass = np.concatenate(mass)
-    else:
-        rows = np.empty(0, dtype=np.int64)
-        cols = np.empty(0, dtype=np.int64)
-        mass = np.empty(0)
-    coverage = np.bincount(rows, weights=mass, minlength=m_cells) / cw
-    mat = sparse.coo_matrix((mass / cw, (rows, cols)),
-                            shape=(m_cells, m_cells)).tocsr()
-    dead = coverage <= 1e-12
-    flagged = (~dead) & (np.abs(coverage - 1.0) > 1e-12)
-    scale = np.ones(m_cells)
-    scale[~dead] = 1.0 / coverage[~dead]
-    mat = (sparse.diags(scale) @ mat).tocsr()
+    branches = partition.branches
+    # the grid pass of forced_inverse holds 2n + 17 points for n targets
+    images = np.array([br.image for br in branches]).reshape(-1, 2)
+    sizes = 17 + 2 * np.diff(np.searchsorted(edges, images), axis=1).ravel()
+
+    def groups():
+        for s, e in _vec.chunk_ranges(sizes):
+            group = branches[s:e]
+            itin = _vec.itinerary_matrix([br.itinerary for br in group])
+            a = [br.a for br in group]
+            b = [br.b for br in group]
+            targets = [edges[(edges > br.image[0]) & (edges < br.image[1])]
+                       for br in group]
+            yield itin, a, b, _vec.forced_inverse(
+                m, itin, a, b, [br.orientation > 0 for br in group], targets)
+
+    mat, coverage, dead = _transfer_matrix(m, edges, groups())
     dead_idx = np.nonzero(dead)[0]
     if dead_idx.size:
         r2 = np.repeat(dead_idx, m_cells)
@@ -146,6 +133,7 @@ def ulam_matrix(m, partition, m_cells: int = 4096) -> UlamTable:
             (v2, (r2, c2)), shape=(m_cells, m_cells)).tocsr()).tocsr()
         _LOG.warning("ulam matrix has %d dead rows (unresolved cells)",
                      dead_idx.size)
+    flagged = (~dead) & (np.abs(coverage - 1.0) > 1e-12)
     return UlamTable(matrix=mat, m=m_cells, edges=edges, cell_width=cw,
                      coverage=coverage, flagged_rows=flagged, dead_rows=dead)
 
@@ -201,22 +189,32 @@ def pull_back(m, partition, h_induced: np.ndarray, m_cells: int = 4096
     cw = (hi - lo) / m_cells
     cw_in = (hi - lo) / h_induced.size
     out = np.zeros(m_cells)
-    for br in partition.branches:
-        width = br.b - br.a
+    branches = partition.branches
+
+    def chunk_count(br):
         sup = br.sup_df if np.isfinite(br.sup_df) else 1e7
-        K = int(np.clip(4.0 * width * min(sup, 1e7) / cw, 16, 8192))
-        xs = br.a + (np.arange(K) + 0.5) * (width / K)
+        return int(np.clip(4.0 * br.width * min(sup, 1e7) / cw, 16, 8192))
+
+    sizes = [chunk_count(br) for br in branches]
+    for s, e in _vec.chunk_ranges(sizes):
+        group = branches[s:e]
+        K = sizes[s:e]
+        xs = np.concatenate([br.a + (np.arange(k) + 0.5) * (br.width / k)
+                             for br, k in zip(group, K)])
         src = np.clip(((xs - lo) / cw_in).astype(np.int64),
                       0, h_induced.size - 1)
-        chunk_mass = h_induced[src] * (width / K)
-        cur = xs
-        with np.errstate(all="ignore"):
-            for step in br.itinerary:
-                idx = np.clip(((cur - lo) / cw).astype(np.int64),
-                              0, m_cells - 1)
-                out += np.bincount(idx, weights=chunk_mass,
-                                   minlength=m_cells)
-                cur = m.branches[step].values(cur)
+        chunk_w = np.repeat([br.width / k for br, k in zip(group, K)], K)
+        mass = h_induced[src] * chunk_w
+
+        def bin_mass(live, pos):
+            nonlocal out
+            idx = np.clip(((pos[live] - lo) / cw).astype(np.int64),
+                          0, m_cells - 1)
+            out += np.bincount(idx, weights=mass[live], minlength=m_cells)
+
+        _vec.forced_forward(
+            m, _vec.itinerary_matrix([br.itinerary for br in group]),
+            np.repeat(np.arange(len(group)), K), xs, visit=bin_mass)
     total = out.sum()
     if total <= 0:
         raise RuntimeError("pullback produced no mass")
@@ -240,31 +238,12 @@ def invariance_residual(m, h_map: np.ndarray, m_cells: int | None = None
     lo, hi = m.lo, m.hi
     edges = np.linspace(lo, hi, m_cells + 1)
     cw = (hi - lo) / m_cells
-    rows, cols, mass = [], [], []
-    for b_i, br in enumerate(m.branches):
-        sols, ok = _vec.invert_branch(m, b_i, edges)
-        inner = edges[(edges > br.a) & (edges < br.b)]
-        cuts = np.unique(np.concatenate([[br.a], sols[ok], inner, [br.b]]))
-        widths = np.diff(cuts)
-        mids = 0.5 * (cuts[:-1] + cuts[1:])
-        keep = widths > 0
-        mids, widths = mids[keep], widths[keep]
-        with np.errstate(all="ignore"):
-            ymid = br.values(mids)
-        i_idx = np.clip(((mids - lo) / cw).astype(np.int64), 0, m_cells - 1)
-        j_idx = np.clip(((ymid - lo) / cw).astype(np.int64), 0, m_cells - 1)
-        rows.append(i_idx)
-        cols.append(j_idx)
-        mass.append(widths)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    mass = np.concatenate(mass)
-    coverage = np.bincount(rows, weights=mass, minlength=m_cells) / cw
-    scale = np.where(coverage > 1e-12, 1.0 / np.maximum(coverage, 1e-300),
-                     0.0)
-    P = sparse.coo_matrix((mass / cw, (rows, cols)),
-                          shape=(m_cells, m_cells)).tocsr()
-    P = sparse.diags(scale) @ P
+    n = len(m.branches)
+    inverses = [_vec.invert_branch(m, i, edges) for i in range(n)]
+    group = (_vec.itinerary_matrix([(i,) for i in range(n)]),
+             [br.a for br in m.branches], [br.b for br in m.branches],
+             [sols[ok] for sols, ok in inverses])
+    P, _coverage, _dead = _transfer_matrix(m, edges, [group])
     p = h_map * cw
     tot = p.sum()
     if tot <= 0:

@@ -288,40 +288,19 @@ def variation_exact(m, interval, l: int, epsabs: float = 1e-12,
     return val
 
 
-def omega_variation(m, partition, branch) -> float:
-    """Variation over the whole domain of the branch density term.
-
-    The term is 1/|Df^tau| extended by zero off the branch, so its total
-    variation is the interior variation plus twice the boundary supremum;
-    the stored certified infimum of |Df-hat| gives the boundary term.
-    """
-    var_term = variation_exact(m, (branch.a, branch.b), branch.tau)
-    return var_term + 2.0 / branch.inf_df
-
-
 # ---------------------------------------------------------------------------
 # batched variation over a whole partition
 
 
-def _forced_chain_nodes(m, branches, nodes, weights, node_branch, taus):
+def _forced_chain_nodes(m, branches, nodes, weights, node_branch):
     """Integrand accumulation for many branches at once.
 
     nodes/weights are flat arrays grouped by branch (node_branch gives the
-    owner); the jet chain (value, Df^j, D2f^j) advances with positional
-    branch dispatch, which is exact for interior quadrature nodes.
+    owner); the jet chain (value, Df^j, D2f^j) advances along each owner's
+    itinerary.
     """
-    pos = nodes.copy()
-    P = np.ones_like(pos)
-    S = np.zeros_like(pos)
-    node_tau = taus[node_branch]
-    for j in range(int(node_tau.max(initial=0))):
-        live = node_tau > j
-        if not live.any():
-            break
-        v, d1, d2 = _vec.step_with_jets(m, pos[live])
-        S[live] = d2 * P[live] ** 2 + d1 * S[live]
-        P[live] = d1 * P[live]
-        pos[live] = np.clip(v, m.lo, m.hi)
+    itin = _vec.itinerary_matrix([br.itinerary for br in branches])
+    _pos, P, S = _vec.forced_forward(m, itin, node_branch, nodes, jets=True)
     with np.errstate(all="ignore"):
         vals = weights * np.abs(S) / P ** 2
     return vals
@@ -348,7 +327,7 @@ def _batched_variation(m, branches, panels: int = 4, order: int = 16):
     weights = (half[:, :, None] * gw).reshape(B, -1)
     node_branch = np.repeat(np.arange(B), panels * order)
     vals = _forced_chain_nodes(m, branches, nodes.ravel(), weights.ravel(),
-                               node_branch, taus)
+                               node_branch)
     out = np.add.reduceat(vals, np.arange(B) * panels * order)
 
     # branches whose endpoint orbit grazes the critical set carry an

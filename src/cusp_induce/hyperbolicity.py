@@ -17,6 +17,7 @@ import numpy as np
 
 from . import _vec
 from .critical_orbit import orbit_records
+from .distortion import sup_inf_abs_df
 from .inducing import binding_period
 from .map_model import MapValidationError, _check_delta, evaluate
 
@@ -211,10 +212,12 @@ def choose_delta(m, candidates, margin: float = 10.0,
     """Largest candidate neighborhood size passing the fixing conditions.
 
     Conditions, per candidate delta: (1) the one-sided neighborhoods are
-    pairwise disjoint and their images stay clear of the union; (2) gamma_n
-    stays strictly below 1/2 from h(delta) on; (3) the derivative growth
-    D_(n-1)^(1/(2l-1)) clears margin * 2/kappa from h(delta) on, with kappa
-    taken as the most pessimistic estimate across all candidates.  Returns
+    pairwise disjoint and their images stay clear of the union; (2) |Df|
+    stays at least 2 on the neighborhoods of singular points, whose bound
+    pieces are single steps; (3) gamma_n stays strictly below 1/2 from
+    h(delta) on; (4) the derivative growth D_(n-1)^(1/(2l-1)) clears
+    margin * 2/kappa from h(delta) on, with kappa taken as the most
+    pessimistic estimate across all candidates.  Returns
     (delta, ExpansionReport); raises DeltaSelectionError with per-candidate
     diagnostics when nothing passes.
     """
@@ -238,9 +241,9 @@ def choose_delta(m, candidates, margin: float = 10.0,
         except MapValidationError as err:
             diagnostics[d] = f"geometry: {err}"
             continue
-        overlap = _image_overlap(m, d)
-        if overlap is not None:
-            diagnostics[d] = overlap
+        defect = _neighborhood_defect(m, d)
+        if defect is not None:
+            diagnostics[d] = defect
             continue
         try:
             h = compute_h_delta(m, d, grid=grid, p_max=p_max,
@@ -306,8 +309,9 @@ def choose_delta(m, candidates, margin: float = 10.0,
         diagnostics={repr(k): v for k, v in diagnostics.items()})
 
 
-def _image_overlap(m, delta: float):
-    """None if every neighborhood image avoids the union, else a reason."""
+def _neighborhood_defect(m, delta: float):
+    """None if every neighborhood image avoids the union and |Df| >= 2 on
+    every singular neighborhood (a one-step bound piece), else a reason."""
     spans = []
     for cp in m.critical_points:
         c = cp.location
@@ -323,4 +327,10 @@ def _image_overlap(m, delta: float):
                 return (f"image of the neighborhood at ({cp.location}, "
                         f"{cp.side}) meets the neighborhood at "
                         f"({cp2.location}, {cp2.side})")
+    for lo, hi, cp in spans:
+        inf_df = sup_inf_abs_df(m, (lo, hi))[1] if cp.order < 1.0 else 2.0
+        if inf_df < 2.0:
+            return (f"expansion: inf |Df| = {inf_df!r} < 2 on the "
+                    f"neighborhood at ({cp.location}, {cp.side})")
     return None
+

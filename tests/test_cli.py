@@ -179,3 +179,10 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["nondegeneracy"]["passed"] is True
+
+
+@pytest.mark.parametrize("flag", [("--jobs", "2"), ("--format", "csv")])
+def test_scan_only_flags_rejected_elsewhere(flag):
+    with pytest.raises(SystemExit) as exc:
+        run("pipeline", "--family", "lorenz", *flag)
+    assert exc.value.code == 2

@@ -82,6 +82,16 @@ def test_choose_delta_rejects_fixed_singular_point(singular):
         hy.choose_delta(singular, [0.2, 0.1, 0.05, 0.01, 1e-3])
 
 
+def test_choose_delta_rejects_weak_singular_expansion():
+    # |Df| = a*s*delta^(s-1) at the outer edge: 1.987 at 0.2, 2.28 at 0.1
+    m = mm.lorenz_map(a=1.8, s=0.8)
+    delta, _ = hy.choose_delta(m, [0.2, 0.1])
+    assert delta == 0.1
+    with pytest.raises(hy.DeltaSelectionError) as exc:
+        hy.choose_delta(m, [0.2])
+    assert "expansion" in exc.value.diagnostics[repr(0.2)]
+
+
 def test_pipeline_scale_choices_are_stable(cheb_scales, lorenz_scales):
     assert cheb_scales == (0.01, 7)
     assert lorenz_scales == (0.2, 5)
