@@ -516,10 +516,10 @@ def _add_map_flags(sp):
 
 def _add_common_flags(sp):
     sp.add_argument("--out", help="directory for artifacts")
-    sp.add_argument("--seed", type=int, default=0)
 
 
 def _add_scale_flags(sp):
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--delta", type=float, default=None,
                     help="neighborhood radius (chosen automatically if absent)")
     sp.add_argument("--q0", type=int, default=None,
@@ -568,6 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "neighborhood-radius selection")
     _add_map_flags(sp)
     _add_common_flags(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--delta-candidates", type=float, nargs="*", default=None)
     sp.add_argument("--delta", type=float, default=None,
                     help="restrict the candidate list to this value")
@@ -627,6 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("selftest", help="numeric selftests (jets, bounded "
                         "variation, inversion)")
     _add_common_flags(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_selftest)
     return ap
 

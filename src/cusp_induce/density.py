@@ -262,32 +262,37 @@ def birkhoff_histogram(m, seed_count: int = 10, n_steps: int = 10**7,
                        seed: int = 0) -> np.ndarray:
     """Occupation histogram of long random orbits, as a density.
 
-    Orbits restart from a pre-drawn pool on escape or on an exact hit of a
-    critical location; each seed gets an independent child stream.  Raises
-    if every orbit point was discarded.
+    Each of the seed_count child streams of SeedSequence(seed) draws W start
+    points and then its restart pool, W = min(_fastmap.WALKERS,
+    n_steps - burn_in).  All walkers step in lockstep: each takes burn_in
+    unbinned steps, then ceil((n_steps - burn_in) / W) binned ones, so a
+    stream bins about n_steps - burn_in points.  A walker restarts from its
+    stream's pool on escape or on an exact hit of a critical location, and
+    the restarted point is not binned.  Raises if burn_in leaves no step to
+    bin or every binned step was a restart.
     """
-    stepper = _fastmap.get_stepper(m)
-    children = np.random.SeedSequence(seed).spawn(seed_count)
+    counted = int(n_steps) - int(burn_in)
+    if counted <= 0:
+        raise RuntimeError("burn-in discards every orbit point")
+    walkers = min(_fastmap.WALKERS, counted)
+    starts, pools = [], []
+    for child in np.random.SeedSequence(seed).spawn(seed_count):
+        rng = np.random.default_rng(child)
+        starts.append(rng.uniform(m.lo, m.hi, walkers))
+        pools.append(rng.uniform(m.lo, m.hi, _fastmap.POOL))
     cw = (m.hi - m.lo) / m_cells
     hist = np.zeros(m_cells, dtype=np.int64)
-    total_escapes = 0
-    total_restarts = 0
-    for child in children:
-        rng = np.random.default_rng(child)
-        x0 = float(rng.uniform(m.lo, m.hi))
-        pool = rng.uniform(m.lo, m.hi, 1024)
-        part = np.zeros(m_cells, dtype=np.int64)
-        escapes, restarts = stepper(x0, int(n_steps), int(burn_in),
-                                    part, pool)
-        total_escapes += escapes
-        total_restarts += restarts
-        hist += part
+    stepper = _fastmap.get_stepper(m)
+    escapes, restarts = stepper(
+        np.reshape(starts, (seed_count, walkers)),
+        np.reshape(pools, (seed_count, _fastmap.POOL)),
+        int(burn_in), -(-counted // walkers), hist)
     count = hist.sum()
     if count == 0:
         raise RuntimeError("all orbit points escaped or were discarded")
-    if total_escapes or total_restarts:
+    if escapes or restarts:
         _LOG.info("birkhoff orbits: %d escapes, %d critical restarts",
-                  total_escapes, total_restarts)
+                  escapes, restarts)
     return hist / (count * cw)
 
 

@@ -51,7 +51,6 @@ __all__ = [
     "eval_value",
     "eval_array",
     "derivative",
-    "value_source",
 ]
 
 
@@ -653,34 +652,3 @@ def derivative(e):
         return Const(0.0)
     raise TypeError(f"not an expression node: {e!r}")
 
-
-# ---------------------------------------------------------------------------
-# code generation (plain-python source; numba-friendly)
-
-def value_source(e, params=None, var: str = "x") -> str:
-    """Emit a python expression string computing ``e`` with params inlined."""
-    if isinstance(e, Const):
-        return repr(float(e.value))
-    if isinstance(e, Var):
-        return var
-    if isinstance(e, Param):
-        return repr(_param_value(params, e.name))
-    if isinstance(e, Neg):
-        return f"(-{value_source(e.arg, params, var)})"
-    if isinstance(e, Add):
-        return f"({value_source(e.left, params, var)} + {value_source(e.right, params, var)})"
-    if isinstance(e, Sub):
-        return f"({value_source(e.left, params, var)} - {value_source(e.right, params, var)})"
-    if isinstance(e, Mul):
-        return f"({value_source(e.left, params, var)}*{value_source(e.right, params, var)})"
-    if isinstance(e, Div):
-        return f"({value_source(e.left, params, var)}/{value_source(e.right, params, var)})"
-    if isinstance(e, Pow):
-        r = const_value(e.exponent, params)
-        return f"({value_source(e.base, params, var)}**{r!r})"
-    if isinstance(e, Abs):
-        return f"abs({value_source(e.arg, params, var)})"
-    if isinstance(e, Sign):
-        inner = value_source(e.arg, params, var)
-        return f"(1.0 if {inner} > 0.0 else (-1.0 if {inner} < 0.0 else 0.0))"
-    raise TypeError(f"not an expression node: {e!r}")

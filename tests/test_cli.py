@@ -186,3 +186,11 @@ def test_scan_only_flags_rejected_elsewhere(flag):
     with pytest.raises(SystemExit) as exc:
         run("pipeline", "--family", "lorenz", *flag)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "orbit", "star-check",
+                                     "scan"])
+def test_seed_rejected_where_unused(command):
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--family", "chebyshev", "--seed", "1")
+    assert exc.value.code == 2

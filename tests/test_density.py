@@ -1,8 +1,11 @@
 """Transfer-operator discretization, stationary densities, orbit histograms."""
 
+import logging
+
 import numpy as np
 import pytest
 
+from cusp_induce import _fastmap, map_model
 from cusp_induce import density as de
 
 
@@ -73,6 +76,67 @@ def test_birkhoff_histogram_deterministic_per_seed(cheb):
     b1 = de.birkhoff_histogram(cheb, **kw)
     b2 = de.birkhoff_histogram(cheb, **kw)
     assert np.array_equal(b1, b2)
+
+
+def _birkhoff_reference(m, seed_count, n_steps, m_cells, burn_in, seed):
+    """Walker-by-walker scalar loop following the documented orbit rules.
+
+    Returns (density, escapes, restarts)."""
+    counted = n_steps - burn_in
+    walkers = min(_fastmap.WALKERS, counted)
+    xs, pools = [], []
+    for child in np.random.SeedSequence(seed).spawn(seed_count):
+        rng = np.random.default_rng(child)
+        xs.append(list(rng.uniform(m.lo, m.hi, walkers)))
+        pools.append(rng.uniform(m.lo, m.hi, 1024))
+    crit = {cp.location for cp in m.critical_points}
+    used = [0] * seed_count
+    hist = np.zeros(m_cells, dtype=np.int64)
+    escapes = restarts = 0
+    for k in range(burn_in + -(-counted // walkers)):
+        for s in range(seed_count):
+            for w in range(walkers):
+                x = xs[s][w]
+                br = m.branches[m.branch_index(x)]
+                with np.errstate(all="ignore"):
+                    v = float(br.values(np.array([x]))[0])
+                escaped = not m.lo - 1e-9 <= v <= m.hi + 1e-9
+                v = min(max(v, m.lo), m.hi)
+                if escaped or v in crit:
+                    escapes += escaped
+                    restarts += not escaped
+                    xs[s][w] = pools[s][used[s] % 1024]
+                    used[s] += 1
+                    continue
+                xs[s][w] = v
+                if k >= burn_in:
+                    idx = int((v - m.lo) / (m.hi - m.lo) * m_cells)
+                    hist[min(max(idx, 0), m_cells - 1)] += 1
+    return hist / (hist.sum() * ((m.hi - m.lo) / m_cells)), escapes, restarts
+
+
+@pytest.mark.parametrize("gain", [1.0, 1.01])
+def test_birkhoff_histogram_matches_scalar_reference(caplog, monkeypatch,
+                                                      gain):
+    # float orbits of the tent map land exactly on its critical point 0;
+    # scaled by 1.01 its values leave [-1, 1] about once in 100 steps
+    tent = map_model.unimodal_map(a=2.0, ell=1.0)
+    if gain != 1.0:
+        values = map_model.Branch.values
+        monkeypatch.setattr(map_model.Branch, "values",
+                            lambda br, x: gain * values(br, x))
+    kw = dict(seed_count=2, n_steps=5000, m_cells=256, burn_in=100, seed=0)
+    with caplog.at_level(logging.INFO, logger=de.__name__):
+        h = de.birkhoff_histogram(tent, **kw)
+    ref, escapes, restarts = _birkhoff_reference(tent, **kw)
+    assert (restarts if gain == 1.0 else escapes) > 0
+    assert np.array_equal(h, ref)
+    assert caplog.records[-1].args == (escapes, restarts)
+
+
+def test_birkhoff_histogram_rejects_burn_in_past_the_orbit(cheb):
+    with pytest.raises(RuntimeError):
+        de.birkhoff_histogram(cheb, seed_count=2, n_steps=500, burn_in=500)
 
 
 def test_density_pipeline_end_to_end(lorenz, lorenz_partition):
