@@ -22,12 +22,11 @@ def branch_indices(m, x: np.ndarray) -> np.ndarray:
     return np.minimum(idx, len(m.branches) - 1)
 
 
-def _per_branch(m, x, evaluators, idx=None):
-    """Evaluators of branch idx[k] at x[k]; other entries stay unset."""
+def _per_branch(m, x, evaluators):
+    """Evaluators of the branch containing x[k], at x[k]."""
     x = np.asarray(x, dtype=float)
     outs = [np.empty(x.shape, dtype=float) for _ in evaluators]
-    if idx is None:
-        idx = branch_indices(m, x)
+    idx = branch_indices(m, x)
     with np.errstate(all="ignore"):
         for i, br in enumerate(m.branches):
             sel = idx == i
@@ -126,6 +125,39 @@ def chunk_ranges(sizes) -> list:
     return runs
 
 
+def _dispatch(m, itin, owner) -> list:
+    """Per step of a forced pass of the points owned by itin rows owner:
+    the live mask and the (branch, point indices) pairs.  Passes over the
+    same points (the bisection of forced_inverse) share one dispatch."""
+    plan = []
+    for col in itin.T:
+        ids = col[owner]
+        parts = [(br, np.flatnonzero(ids == i))
+                 for i, br in enumerate(m.branches)]
+        plan.append((ids >= 0, [p for p in parts if p[1].size]))
+    return plan
+
+
+def _forced_pass(plan, x, jets: bool = False, visit=None):
+    """forced_forward over a dispatch plan from _dispatch."""
+    pos = np.array(x, dtype=float)
+    if jets:
+        P = np.ones_like(pos)
+        S = np.zeros_like(pos)
+    with np.errstate(all="ignore"):
+        for live, parts in plan:
+            if visit is not None:
+                visit(live, pos)
+            for br, sel in parts:
+                xv = pos[sel]
+                if jets:
+                    d1, Pv = br.d1_values(xv), P[sel]
+                    S[sel] = br.d2_values(xv) * Pv ** 2 + d1 * S[sel]
+                    P[sel] = d1 * Pv
+                pos[sel] = br.values(xv)
+    return (pos, P, S) if jets else pos
+
+
 def forced_forward(m, itin, owner, x, jets: bool = False, visit=None):
     """Push points along fixed itineraries: point k follows row owner[k].
 
@@ -134,25 +166,7 @@ def forced_forward(m, itin, owner, x, jets: bool = False, visit=None):
     visit(live, pos), when given, sees the positions before every step.
     Returns f^tau(x), or (f^tau, Df^tau, D2f^tau) when jets is set.
     """
-    pos = np.array(x, dtype=float)
-    names = ("values", "d1_values", "d2_values") if jets else ("values",)
-    if jets:
-        P = np.ones_like(pos)
-        S = np.zeros_like(pos)
-    steps = np.ascontiguousarray(itin.T)
-    for j in range(steps.shape[0]):
-        ids = steps[j][owner]
-        live = ids >= 0
-        if visit is not None:
-            visit(live, pos)
-        outs = _per_branch(m, pos, names, ids)
-        if jets:
-            _v, d1, d2 = outs
-            with np.errstate(all="ignore"):
-                np.copyto(S, d2 * P ** 2 + d1 * S, where=live)
-                np.copyto(P, d1 * P, where=live)
-        np.copyto(pos, outs[0], where=live)
-    return (pos, P, S) if jets else pos
+    return _forced_pass(_dispatch(m, itin, owner), x, jets, visit)
 
 
 def forced_inverse(m, itin, a, b, increasing, targets) -> list:
@@ -181,9 +195,10 @@ def forced_inverse(m, itin, a, b, increasing, targets) -> list:
     t = np.concatenate(targets)
     lo, hi = np.concatenate(lo), np.concatenate(hi)
     up = np.asarray(increasing, dtype=bool)[owner]
+    plan = _dispatch(m, itin, owner)
     for _ in range(30):
         mid = 0.5 * (lo + hi)
-        v = forced_forward(m, itin, owner, mid)
+        v = _forced_pass(plan, mid)
         go_up = np.where(up, v < t, v > t)
         lo = np.where(go_up, mid, lo)
         hi = np.where(go_up, hi, mid)

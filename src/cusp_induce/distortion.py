@@ -20,7 +20,7 @@ from scipy import integrate
 from . import _vec
 from . import expr as ex
 from .critical_orbit import orbit_records
-from .map_model import critical_distance, evaluate
+from .map_model import evaluate
 
 
 class NotDiffeomorphismError(ValueError):
@@ -258,13 +258,27 @@ def _chain_jet(m, x: float, l: int):
     return v, P, S
 
 
-def variation_exact(m, interval, l: int, epsabs: float = 1e-12,
-                    epsrel: float = 1e-9) -> float:
+# Tolerances and leaf budget shared by variation_exact and the batched rule.
+VAR_EPSABS = 1e-12
+VAR_EPSREL = 1e-9
+VAR_LIMIT = 400
+
+
+def _accepted(val, err):
+    """Acceptance test of a variation quadrature: a finite value whose error
+    estimate is within max(1e-8, 1e-3 |value|)."""
+    return np.isfinite(val) & (err <= np.maximum(1e-8, 1e-3 * np.abs(val)))
+
+
+def variation_exact(m, interval, l: int, epsabs: float = VAR_EPSABS,
+                    epsrel: float = VAR_EPSREL) -> float:
     """Variation of 1/|Df^l| over the interval by adaptive quadrature.
 
     On an interval where f^l is a diffeomorphism the variation equals the
     integral of |D2f^l| / (Df^l)^2; endpoint blowups of integrable order
-    (singular touch) are left to the adaptive rule.
+    (singular touch) are left to the adaptive rule.  A divergent integral
+    (an endpoint orbit landing on a critical point of order > 1) raises
+    RuntimeError.
     """
     if l < 0:
         raise ValueError("l must be >= 0")
@@ -279,74 +293,162 @@ def variation_exact(m, interval, l: int, epsabs: float = 1e-12,
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        val, err = integrate.quad(integrand, u, v, epsabs=epsabs,
-                                  epsrel=epsrel, limit=400)
-    if not math.isfinite(val) or err > max(1e-8, 1e-3 * abs(val)):
+        val, err, _info, *msg = integrate.quad(
+            integrand, u, v, epsabs=epsabs, epsrel=epsrel, limit=VAR_LIMIT,
+            full_output=1)
+    # QUADPACK's ier = 5 comes back only as its message
+    if msg and "divergent" in msg[0]:
         raise RuntimeError(
-            f"variation quadrature did not converge: value={val!r} err={err!r}"
-        )
+            f"variation quadrature diverges: value={val!r} err={err!r}")
+    if val < 0.0 or not _accepted(val, err):
+        raise RuntimeError("variation quadrature did not converge: "
+                           f"value={val!r} err={err!r}")
     return val
 
 
 # ---------------------------------------------------------------------------
 # batched variation over a whole partition
 
+# QUADPACK's 7-point Gauss / 15-point Kronrod pair on [-1, 1]: the positive
+# Kronrod nodes with their weights, and the Gauss weights of the odd ones.
+_XGK = np.array([0.991455371120812639206854697526329,
+                 0.949107912342758524526189684047851,
+                 0.864864423359769072789712788640926,
+                 0.741531185599394439863864773280788,
+                 0.586087235467691130294144845693013,
+                 0.405845151377397166906606412076961,
+                 0.207784955007898467600689403773245, 0.0])
+_WGK = np.array([0.022935322010529224963732008058970,
+                 0.063092092629978553290700663189204,
+                 0.104790010322250183839876322541518,
+                 0.140653259715525918745189590510238,
+                 0.169004726639267902826583426598550,
+                 0.190350578064785409913256402421014,
+                 0.204432940075298892414161999234649,
+                 0.209482141084727828012999174891714])
+_WG = np.array([0.129484966168869693270611432679082,
+                0.279705391489276667901467771423780,
+                0.381830050505118944950369775488975,
+                0.417959183673469387755102040816327])
+_GK_X = np.concatenate([-_XGK, _XGK[-2::-1]])
+_GK_WK = np.concatenate([_WGK, _WGK[-2::-1]])
+_GK_WG = np.zeros(_GK_X.size)
+_GK_WG[1::2] = np.concatenate([_WG, _WG[-2::-1]])
+_MIN_REL_WIDTH = 100.0 * np.finfo(float).eps
 
-def _forced_chain_nodes(m, branches, nodes, weights, node_branch):
-    """Integrand accumulation for many branches at once.
 
-    nodes/weights are flat arrays grouped by branch (node_branch gives the
-    owner); the jet chain (value, Df^j, D2f^j) advances along each owner's
-    itinerary.
-    """
-    itin = _vec.itinerary_matrix([br.itinerary for br in branches])
-    _pos, P, S = _vec.forced_forward(m, itin, node_branch, nodes, jets=True)
+def _gk15(m, itin, owner, lo, hi):
+    """Kronrod value and QUADPACK error estimate of the variation integrand
+    of branch owner[k] over the leaf [lo[k], hi[k]], for every k."""
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_X
+    f = np.empty_like(x)
+    step = _vec.CHUNK_POINTS // _GK_X.size
+    for s in range(0, lo.size, step):
+        e = min(s + step, lo.size)
+        _y, P, S = _vec.forced_forward(
+            m, itin, np.repeat(owner[s:e], _GK_X.size), x[s:e].ravel(),
+            jets=True)
+        with np.errstate(all="ignore"):
+            f[s:e] = (np.abs(S) / P ** 2).reshape(e - s, -1)
     with np.errstate(all="ignore"):
-        vals = weights * np.abs(S) / P ** 2
-    return vals
+        resk = f @ _GK_WK
+        resasc = half * (np.abs(f - 0.5 * resk[:, None]) @ _GK_WK)
+        err = np.abs(half * (resk - f @ _GK_WG))
+        resk *= half
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+        err = np.where((resasc > 0.0) & (err > 0.0), scaled, err)
+        # f >= 0, so the Kronrod value is also QUADPACK's resabs
+        err = np.maximum(err, 50.0 * np.finfo(float).eps * resk)
+    return resk, err
 
 
-def _batched_variation(m, branches, panels: int = 4, order: int = 16):
-    """Fixed-order composite Gauss-Legendre variation per branch.
+def _batched_variation(m, branches):
+    """Variation of 1/|Df^tau| over every branch, with its error estimate.
 
-    Branches whose step images touch a critical location get an adaptive
-    re-evaluation (the integrand has an integrable endpoint blowup there
-    that a fixed rule underresolves).
+    Globally adaptive G7/K15 bisection for all branches at once, with
+    variation_exact's tolerances and leaf budget.  Each round takes, in
+    every unconverged branch, its largest-error leaves until the rest would
+    meet the tolerance, bisects them, and evaluates only the new leaves in
+    one forced jet pass along their itineraries.  Leaves at a branch end
+    carry an Aitken tail for an integrable endpoint singularity (a singular
+    touch).  A leaf at most 100 ulps wide, or whose children are not
+    finite, is frozen.  Returns (values, error estimates); a branch that
+    fails variation_exact's acceptance test raises RuntimeError.
     """
     B = len(branches)
-    if B == 0:
-        return np.empty(0)
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    a = np.array([br.a for br in branches])
-    b = np.array([br.b for br in branches])
-    taus = np.array([br.tau for br in branches], dtype=np.int64)
-    edges = a[:, None] + (b - a)[:, None] * np.arange(panels + 1) / panels
-    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-    midp = 0.5 * (edges[:, 1:] + edges[:, :-1])
-    nodes = (midp[:, :, None] + half[:, :, None] * gx).reshape(B, -1)
-    weights = (half[:, :, None] * gw).reshape(B, -1)
-    node_branch = np.repeat(np.arange(B), panels * order)
-    vals = _forced_chain_nodes(m, branches, nodes.ravel(), weights.ravel(),
-                               node_branch)
-    out = np.add.reduceat(vals, np.arange(B) * panels * order)
-
-    # branches whose endpoint orbit grazes the critical set carry an
-    # integrable integrand blowup: re-evaluate those adaptively
-    ends = np.concatenate([a, b])
-    end_tau = np.concatenate([taus, taus])
-    touch = np.zeros(2 * B, dtype=bool)
-    pos = ends.copy()
-    for j in range(int(taus.max(initial=0))):
-        live = end_tau > j
-        if not live.any():
+    itin = _vec.itinerary_matrix([br.itinerary for br in branches])
+    a = np.array([br.a for br in branches], dtype=float)
+    b = np.array([br.b for br in branches], dtype=float)
+    owner, lo, hi = np.arange(B), a.copy(), b.copy()
+    val, err = _gk15(m, itin, owner, lo, hi)
+    frozen = ~np.isfinite(val + err)
+    tail = np.zeros(B)
+    gain = np.full(B, np.nan)
+    while True:
+        total = np.bincount(owner, val + tail, minlength=B)
+        total_err = np.bincount(owner, err, minlength=B)
+        tol = np.maximum(VAR_EPSABS, VAR_EPSREL * np.abs(total))
+        room = VAR_LIMIT - np.bincount(owner, minlength=B)
+        stuck = np.bincount(owner, np.where(frozen, err, 0.0), minlength=B)
+        active = (total_err > tol) & (room > 0) & ~(stuck > tol)
+        cand = np.flatnonzero(active[owner] & ~frozen)
+        cand = cand[np.lexsort((-err[cand], owner[cand]))]
+        k, e = owner[cand], err[cand]
+        first = np.searchsorted(k, k)
+        before = np.cumsum(e) - e
+        before -= before[first]
+        sel = cand[(total_err[k] - before > tol[k])
+                   & (np.arange(k.size) - first < room[k])]
+        if sel.size == 0:
             break
-        touch[live] |= critical_distance(m, pos[live]) < 1e-9
-        pos[live] = np.clip(_vec.step_values(m, pos[live]), m.lo, m.hi)
-    flagged = touch[:B] | touch[B:]
-    for k in np.nonzero(flagged | ~np.isfinite(out))[0]:
-        br = branches[k]
-        out[k] = variation_exact(m, (br.a, br.b), br.tau)
-    return out
+        # QUADPACK's small-interval test: within 100 ulps the integrand is
+        # rounding noise, and splitting would spend the budget on nothing
+        scale = np.maximum(np.abs(lo[sel]), np.abs(hi[sel]))
+        splits = hi[sel] - lo[sel] > _MIN_REL_WIDTH * scale
+        mid = 0.5 * (lo[sel] + hi[sel])
+        frozen[sel[~splits]] = True
+        sel, mid = sel[splits], mid[splits]
+        v2, e2 = _gk15(m, itin, np.tile(owner[sel], 2),
+                       np.concatenate([lo[sel], mid]),
+                       np.concatenate([mid, hi[sel]]))
+        v2, e2 = v2.reshape(2, -1), e2.reshape(2, -1)
+        left = np.flatnonzero(np.isfinite(v2 + e2).all(0))
+        frozen[np.delete(sel, left)] = True
+        sel, mid, v2, e2 = sel[left], mid[left], v2[:, left], e2[:, left]
+        # A child at a branch end continues its parent's halving chain
+        # there.  An integrable endpoint singularity makes the gains of
+        # that chain geometric, so an Aitken tail extrapolates the rest;
+        # the change of the extrapolated value over the parent's interval
+        # is its error, used where it beats the Kronrod estimate.
+        g = v2.sum(0) - val[sel]
+        at_end = np.stack([lo[sel] == a[owner[sel]], hi[sel] == b[owner[sel]]])
+        with np.errstate(all="ignore"):
+            r = g / gain[sel]
+            t = np.where((r > 0.0) & (r < 1.0), g * r / (1.0 - r), np.nan)
+        e_ext = np.abs(g + t - tail[sel])
+        extrap = at_end & (e_ext < e2)
+        t2 = np.where(extrap, t, 0.0)
+        e2 = np.where(extrap, e_ext, e2)
+        g2 = np.where(at_end, g, np.nan)
+        lo = np.concatenate([lo, mid])
+        hi = np.concatenate([hi, hi[sel]])
+        hi[sel] = mid
+        columns = []
+        for arr, new in ((val, v2), (err, e2), (tail, t2), (gain, g2)):
+            arr[sel] = new[0]
+            columns.append(np.concatenate([arr, new[1]]))
+        val, err, tail, gain = columns
+        owner = np.concatenate([owner, owner[sel]])
+        frozen = np.concatenate([frozen, np.zeros(sel.size, dtype=bool)])
+    bad = np.flatnonzero(~_accepted(total, total_err))
+    if bad.size:
+        br = branches[bad[0]]
+        raise RuntimeError(
+            f"variation quadrature did not converge on {bad.size} branch(es), "
+            f"first ({br.a!r}, {br.b!r}) tau={br.tau}: "
+            f"value={total[bad[0]]!r} err={total_err[bad[0]]!r}")
+    return total, total_err
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +464,7 @@ class SummabilityReport:
     unresolved_measure: float
     domain_length: float
     total_var: float
+    total_var_error: float
     total_tau_len: float
     tail_var: float
     tail_tau_len: float
@@ -384,6 +487,7 @@ class SummabilityReport:
             "unresolved_measure": self.unresolved_measure,
             "domain_length": self.domain_length,
             "total_var": self.total_var,
+            "total_var_error": self.total_var_error,
             "total_tau_len": self.total_tau_len,
             "tail_var": self.tail_var,
             "tail_tau_len": self.tail_tau_len,
@@ -407,8 +511,9 @@ class SummabilityReport:
     def describe(self) -> str:
         lines = [
             "tau rows: %d (horizon %d)" % (len(self.rows), self.horizon),
-            "sum var omega = %.6g (last-decade increment %.3g)" % (
-                self.total_var, self.tail_var),
+            "sum var omega = %.6g +- %.2g quadrature (last-decade "
+            "increment %.3g)" % (self.total_var, self.total_var_error,
+                                 self.tail_var),
             "sum tau*len   = %.6g (last-decade increment %.3g)" % (
                 self.total_tau_len, self.tail_tau_len),
             "unresolved measure = %.3g (budget %.3g of %.3g)" % (
@@ -429,12 +534,13 @@ def summability_report(m, partition, epsilon: float = 1e-4,
     increments over the last ten tau values of the computed horizon
     (q0 + p_max) against epsilon times the running totals, and require the
     unresolved measure to stay within its budget.  Per-tau rows also carry
-    the a-priori gap-term bound evaluated from the critical orbit data.
+    the a-priori gap-term bound evaluated from the critical orbit data;
+    total_var_error sums the quadrature error estimates of the variations.
     """
     branches = sorted(partition.branches, key=lambda br: (br.tau, br.a))
     if records is None:
         records = orbit_records(m, partition.p_max + 1)
-    var_int = _batched_variation(m, branches)
+    var_int, var_err = _batched_variation(m, branches)
     domain_length = m.hi - m.lo
 
     # interior variation + boundary sup term, per branch
@@ -503,6 +609,7 @@ def summability_report(m, partition, epsilon: float = 1e-4,
         unresolved_measure=unres,
         domain_length=domain_length,
         total_var=total_var,
+        total_var_error=float(var_err.sum()),
         total_tau_len=total_len,
         tail_var=tail_var,
         tail_tau_len=tail_len,

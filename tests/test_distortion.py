@@ -1,7 +1,9 @@
 """Generalized distortion, variation bounds, partition-level summability."""
 
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from cusp_induce import distortion as di
@@ -69,6 +71,36 @@ def test_variation_exact_closed_forms(cheb):
         expected, rel=1e-6)
 
 
+@pytest.mark.parametrize("interval", [(0.0, 0.1), (-0.2, 0.0), (0.0, 0.3)])
+def test_variation_exact_rejects_divergent_integrals(cheb, interval):
+    # 1/|Df| = 1/(4|x|) is unbounded at the turning point: no finite variation
+    with pytest.raises(RuntimeError):
+        di.variation_exact(cheb, interval, 1)
+
+
+def test_batched_variation_matches_variation_exact(cheb, cheb_partition,
+                                                   lorenz, lorenz_partition):
+    # every lorenz branch, many with a singular touch at an end; and free
+    # chebyshev branches on which a fixed 4x16-point Gauss rule is off by
+    # 1.6e-5 to 8.1e-4
+    free7 = [br for br in cheb_partition.branches
+             if br.kind == "free" and br.tau == 7][::8]
+    for m, branches in ((lorenz, lorenz_partition.branches), (cheb, free7)):
+        vals, errs = di._batched_variation(m, branches)
+        exact = np.array([di.variation_exact(m, (br.a, br.b), br.tau)
+                          for br in branches])
+        np.testing.assert_allclose(vals, exact, rtol=1e-6, atol=0.0)
+        assert np.all((errs > 0.0) & (errs <= 1e-6 * vals))
+
+
+def test_batched_variation_raises_on_divergent_integral(cheb):
+    # (0, 0.1) ends on the order-2 turning point, as in the test above
+    br = SimpleNamespace(a=0.0, b=0.1, tau=1,
+                         itinerary=(cheb.branch_index(0.05),))
+    with pytest.raises(RuntimeError):
+        di._batched_variation(cheb, [br])
+
+
 def test_variation_bound_dominates_exact(cheb):
     for interval in [(0.2, 0.3), (0.45, 0.5), (0.62, 0.7)]:
         for l in (1, 2, 3):
@@ -118,6 +150,9 @@ def test_summability_report_on_singular_fixture(lorenz, lorenz_partition):
     counts = sum(r["count"] for r in rep.rows)
     assert counts == len(lorenz_partition.branches)
     assert "summable-so-far" in rep.describe()
+    assert 0.0 < rep.total_var_error <= 1e-6 * rep.total_var
+    assert rep.to_dict()["total_var_error"] == rep.total_var_error
+    assert "%.2g quadrature" % rep.total_var_error in rep.describe()
 
 
 def test_summability_csv(tmp_path, lorenz, lorenz_partition):
