@@ -16,6 +16,10 @@ import numpy as np
 # working arrays of the Ulam assembly and the pullback (peak memory).
 CHUNK_POINTS = 1 << 14
 
+# Halvings of a branch interval in invert_branch: 60 take any double-width
+# branch down to its last bits.
+BISECTION_STEPS = 60
+
 
 def branch_indices(m, x: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(m.interior_boundaries, x, side="right")
@@ -61,7 +65,7 @@ def in_delta(m, x, delta: float) -> np.ndarray:
     return out
 
 
-def invert_branch(m, i: int, targets, iters: int = 60):
+def invert_branch(m, i: int, targets):
     """Preimages under branch i by monotone bisection.
 
     Returns (solutions, ok); solutions has the shape of targets with NaN
@@ -77,7 +81,7 @@ def invert_branch(m, i: int, targets, iters: int = 60):
     hi = np.full(tt.shape, br.b, dtype=float)
     increasing = m.monotone_signs[i] > 0
     with np.errstate(all="ignore"):
-        for _ in range(iters):
+        for _ in range(BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
             v = br.values(mid)
             up = (v < tt) if increasing else (v > tt)
@@ -88,11 +92,11 @@ def invert_branch(m, i: int, targets, iters: int = 60):
     return out, ok
 
 
-def preimages(m, targets, iters: int = 60) -> np.ndarray:
+def preimages(m, targets) -> np.ndarray:
     """All f-preimages of the targets, concatenated over branches."""
     out = []
     for i in range(len(m.branches)):
-        sol, ok = invert_branch(m, i, targets, iters)
+        sol, ok = invert_branch(m, i, targets)
         if ok.any():
             out.append(sol[ok])
     if not out:

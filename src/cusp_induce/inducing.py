@@ -11,6 +11,7 @@ construction relies on.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ from .distortion import branch_d2_zeros, generalized_distortion
 from .map_model import _check_delta, critical_distance, evaluate
 
 _EDGE_EPS = 1e-14
+_LOG = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -369,16 +371,6 @@ class InducedPartition:
         return d
 
 
-def _cell_itinerary(m, x: float, steps: int):
-    itin = []
-    y = float(x)
-    for _ in range(steps):
-        itin.append(m.branch_index(y))
-        y = _scalar_step(m, y, "cell itinerary").value
-        y = min(max(y, m.lo), m.hi)
-    return itin, y
-
-
 def _endpoint_track(m, x: float, approach: float, itinerary):
     """One-sided forward orbit of a branch endpoint along a known itinerary.
 
@@ -460,33 +452,9 @@ def _branch_geometry(m, a: float, b: float, itinerary, refine_below: float,
     return image, orient, inf_bound, sup_bound
 
 
-def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
-                    resolution: float = 1e-10, records=None
-                    ) -> InducedPartition:
-    """Partition the domain into maximal induced-map branches.
-
-    Free-region breakpoints are the pullbacks (through fewer than q0 steps)
-    of the branch endpoints and neighborhood endpoints; inside each
-    neighborhood, constant-binding pieces come from a grid scan with jump
-    bisection.  Cells whose classification cannot be pinned down at the
-    requested resolution land in the unresolved set with a reason.
-    """
-    delta = m.delta if delta is None else float(delta)
-    if q0 is None:
-        raise ValueError("q0 is required")
-    q0 = int(q0)
-    if q0 < 1:
-        raise ValueError("q0 must be >= 1")
-    _check_delta(m, delta)
-    if records is None:
-        records = orbit_records(m, p_max + 1)
-
-    piece_tables = {}
-    for cp in m.critical_points:
-        piece_tables[(cp.location, cp.side)] = _binding_piece_table(
-            m, cp, delta, records, p_max, resolution)
-
-    # stage 1: free-region breakpoints
+def _free_breakpoints(m, delta: float, q0: int) -> np.ndarray:
+    """Stage 1: branch and neighborhood endpoints with their pullbacks
+    through fewer than q0 steps, sorted, deduplicated, spanning [lo, hi]."""
     seeds = {m.lo, m.hi}
     seeds.update(float(t) for t in m.interior_boundaries)
     for cp in m.critical_points:
@@ -503,104 +471,226 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
     cuts = cuts[keep]
     cuts[0] = m.lo
     cuts[-1] = m.hi
+    return cuts
 
+
+def _endpoint_images(m, itin, u, v):
+    """Images of the cell ends u (from the right) and v (from the left)
+    along the itinerary rows of their cells, by one forced pass.
+
+    A row whose orbit sits exactly on an end of its step's branch, or turns
+    non-finite, is redone with the scalar one-sided track, whose limits the
+    array evaluation may miss there.  Returns (f^l(u+), f^l(v-), rows
+    redone), l being each row's itinerary length.
+    """
+    n = u.size
+    owner = np.concatenate((np.arange(n), np.arange(n)))
+    x0 = np.concatenate((u, v))
+    ends = np.array([(br.a, br.b) for br in m.branches])
+    redo = np.zeros(2 * n, dtype=bool)
+    columns = iter(itin.T)
+
+    def visit(live, pos):
+        ids = next(columns)[owner[live]]
+        x = pos[live]
+        redo[live] |= ((x == ends[ids, 0]) | (x == ends[ids, 1])
+                       | ~np.isfinite(x))
+
+    y = _vec.forced_forward(m, itin, owner, x0, visit=visit)
+    redo |= ~np.isfinite(y)
+    rows = np.flatnonzero(redo)
+    for k in rows.tolist():
+        path = itin[owner[k]]
+        y[k] = _endpoint_track(m, x0[k], 1.0 if k < n else -1.0,
+                               path[path >= 0].tolist())[-1].value
+    return y[:n], y[n:], rows.size
+
+
+def _piece_lookup(table, y):
+    """Row of table = [(lo, hi, payload)] (sorted) holding each y, else -1;
+    tries the searchsorted row kk, then kk + 1 and kk - 1."""
+    hit = np.full(y.shape, -1, dtype=np.int64)
+    if not table:
+        return hit
+    lows = np.array([t[0] for t in table])
+    highs = np.array([t[1] for t in table])
+    kk = np.searchsorted(lows, y, side="right") - 1
+    for cand in (kk, kk + 1, kk - 1):
+        row = np.clip(cand, 0, len(table) - 1)
+        ok = ((hit < 0) & (cand >= 0) & (cand < len(table))
+              & (lows[row] <= y) & (y <= highs[row]))
+        hit[ok] = cand[ok]
+    return hit
+
+
+def _classify_cells(m, cuts, delta: float, q0: int, piece_tables):
+    """Stage 2: first-entry classification of the cells between the
+    (strictly increasing) cuts.
+
+    Every cell follows its midpoint's itinerary.  Cells that never enter a
+    neighborhood within q0 - 1 steps are free.  A bound cell entering at
+    step l0 is pushed forward by f^l0 onto the piece table of the side it
+    enters; the piece and gap edges strictly inside its image are pulled
+    back through the same itinerary and cut it into sub-cells, each
+    classified by where its midpoint lands.  All cells, targets and
+    sub-cells move together, one forced pass per stage.  Cells whose
+    midpoint orbit lands exactly on an interior boundary (or turns
+    non-finite) before entry are left unresolved.
+
+    Returns (raw, unresolved, counts): raw rows (a, b, kind, l0, p0, key)
+    in no particular order, unresolved rows (a, b, reason) and stage counts.
+    """
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     n_cells = mids.size
-
-    # stage 2: first-entry classification of the cells
     entry = np.full(n_cells, -1, dtype=np.int64)
+    itin = np.full((n_cells, max(q0 - 1, 0)), -1, dtype=np.int64)
+    landed = np.zeros(n_cells, dtype=bool)
     pos = mids.copy()
     entry[_vec.in_delta(m, pos, delta)] = 0
     for j in range(1, q0):
         live = np.nonzero(entry < 0)[0]
         if live.size == 0:
             break
-        stepped = np.clip(_vec.step_values(m, pos[live]), m.lo, m.hi)
+        x = pos[live]
+        itin[live, j - 1] = _vec.branch_indices(m, x)
+        y = _vec.step_values(m, x)
+        landed[live] |= np.isin(x, m.interior_boundaries) | ~np.isfinite(y)
+        stepped = np.clip(y, m.lo, m.hi)
         pos[live] = stepped
-        hit = _vec.in_delta(m, stepped, delta)
-        entry[live[hit]] = j
+        entry[live[_vec.in_delta(m, stepped, delta)]] = j
 
-    raw = []        # (a, b, kind, l0, p0, cp_key)
-    unresolved = []  # (a, b, reason)
+    free = np.flatnonzero(entry < 0)
+    raw = [(a, b, "free", None, None, None)
+           for a, b in zip(cuts[free].tolist(), cuts[free + 1].tolist())]
 
-    def add_unresolved(a, b, reason):
-        if b - a > 0.0:
-            unresolved.append((float(a), float(b), reason))
+    # the neighborhood each bound cell enters (first declared match), and
+    # its piece table: (lo, hi, ("piece", p) or ("gap", reason)) rows
+    bound = np.flatnonzero(entry >= 0)
+    keys = [(cp.location, cp.side) for cp in m.critical_points]
+    tables = [sorted(
+        [(lo_t, hi_t, ("piece", pl)) for lo_t, hi_t, pl in pieces]
+        + [(lo_t, hi_t, ("gap", r)) for lo_t, hi_t, r in gaps])
+        for pieces, gaps in (piece_tables[key] for key in keys)]
+    entered = np.full(bound.size, -1, dtype=np.int64)
+    y_mid = pos[bound]
+    for s, (c, sgn) in enumerate(keys):
+        inside = ((y_mid > c) & (y_mid < c + delta) if sgn == "+"
+                  else (y_mid > c - delta) & (y_mid < c))
+        entered[(entered < 0) & inside] = s
+    lost = landed[bound] | (entered < 0)
+    unresolved = [(a, b, "boundary-unlocated") for a, b in zip(
+        cuts[bound[lost]].tolist(), cuts[bound[lost] + 1].tolist())]
+    cells, entered = bound[~lost], entered[~lost]
+    l0 = entry[cells]
+    it = itin[cells]
+    u, v = cuts[cells], cuts[cells + 1]
 
-    for k in range(n_cells):
-        u, v = float(cuts[k]), float(cuts[k + 1])
-        if v - u <= 0.0:
-            continue
-        l0 = int(entry[k])
-        if l0 < 0:
-            raw.append((u, v, "free", None, None, None))
-            continue
-        # bound cell: image under f^l0 and overlay of the piece table
-        try:
-            itin, y_mid = _cell_itinerary(m, mids[k], l0)
-        except ValueError:
-            add_unresolved(u, v, "boundary-unlocated")
-            continue
-        cp = _point_delta(m, y_mid, delta)
-        if cp is None:
-            add_unresolved(u, v, "boundary-unlocated")
-            continue
-        key = (cp.location, cp.side)
-        pieces, gaps = piece_tables[key]
-        if l0 == 0:
-            j_lo, j_hi = u, v
-        else:
-            ja = _endpoint_track(m, u, +1.0, itin)[-1].value
-            jb = _endpoint_track(m, v, -1.0, itin)[-1].value
-            j_lo, j_hi = min(ja, jb), max(ja, jb)
-        span = j_hi - j_lo
-        targets = []
-        for lo_t, hi_t, _pl in pieces + gaps:
-            for t in (lo_t, hi_t):
-                if j_lo + _EDGE_EPS * max(1.0, abs(j_lo)) < t < \
-                        j_hi - _EDGE_EPS * max(1.0, abs(j_hi)):
-                    targets.append(t)
-        targets = sorted(set(targets))
-        if targets and l0 > 0:
-            xs = np.asarray(targets, dtype=float)
-            for i in reversed(itin):
-                img_lo, img_hi = m.branch_images[i]
-                xs, _ok = _vec.invert_branch(
-                    m, i, np.clip(xs, img_lo, img_hi))
-            xs = np.clip(np.sort(xs), u, v)
-        elif targets:
-            xs = np.asarray(targets, dtype=float)
-        else:
-            xs = np.empty(0)
-        sub = np.unique(np.concatenate(([u], xs, [v])))
-        # classify each sub-cell by where its midpoint lands
-        table = sorted(
-            [(lo_t, hi_t, ("piece", pl)) for lo_t, hi_t, pl in pieces]
-            + [(lo_t, hi_t, ("gap", r)) for lo_t, hi_t, r in gaps])
-        lows = [t[0] for t in table]
-        for su, sv in zip(sub[:-1], sub[1:]):
-            if sv - su <= 0.0:
+    # images of the cells under f^l0
+    j_lo, j_hi = u.copy(), v.copy()
+    moved = np.flatnonzero(l0 > 0)
+    ja, jb, n_fallback = _endpoint_images(m, it[moved], u[moved], v[moved])
+    j_lo[moved] = np.where(jb < ja, jb, ja)
+    j_hi[moved] = np.where(jb > ja, jb, ja)
+
+    # piece and gap edges strictly inside each image
+    t_owner, t_val = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for s, table in enumerate(tables):
+        edges = np.unique([t for row in table for t in row[:2]])
+        sel = np.flatnonzero(entered == s)
+        a, b = j_lo[sel], j_hi[sel]
+        above = a + _EDGE_EPS * np.maximum(1.0, np.abs(a))
+        below = b - _EDGE_EPS * np.maximum(1.0, np.abs(b))
+        first = np.searchsorted(edges, above, side="right")
+        count = np.searchsorted(edges, below, side="left") - first
+        count[(count < 0) | np.isnan(above) | np.isnan(below)] = 0
+        starts = np.repeat(first - np.cumsum(count) + count, count)
+        t_owner.append(np.repeat(sel, count))
+        t_val.append(edges[starts + np.arange(starts.size)])
+    t_owner, xs = np.concatenate(t_owner), np.concatenate(t_val)
+
+    # pull the targets back through the itinerary, last step first
+    t_l0 = l0[t_owner]
+    for j in range(int(t_l0.max(initial=0)) - 1, -1, -1):
+        ids = it[t_owner, j]
+        for i in np.unique(ids[ids >= 0]).tolist():
+            sel = np.flatnonzero(ids == i)
+            img_lo, img_hi = m.branch_images[i]
+            xs[sel] = _vec.invert_branch(
+                m, i, np.clip(xs[sel], img_lo, img_hi))[0]
+    back = t_l0 > 0
+    xs[back] = np.clip(xs[back], u[t_owner[back]], v[t_owner[back]])
+
+    # sub-cells between the sorted distinct cuts of each cell
+    k_cells = np.arange(cells.size)
+    c_owner = np.concatenate((k_cells, t_owner, k_cells))
+    c_val = np.concatenate((u, xs, v))
+    order = np.lexsort((c_val, c_owner))
+    c_owner, c_val = c_owner[order], c_val[order]
+    keep = np.ones(c_val.size, dtype=bool)
+    keep[1:] = (c_owner[1:] != c_owner[:-1]) | (c_val[1:] != c_val[:-1])
+    c_owner, c_val = c_owner[keep], c_val[keep]
+    su, sv = c_val[:-1], c_val[1:]
+    pair = (c_owner[1:] == c_owner[:-1]) & (sv - su > 0.0)
+    su, sv, s_owner = su[pair], sv[pair], c_owner[:-1][pair]
+    ym = _vec.forced_forward(m, it, s_owner, 0.5 * (su + sv))
+
+    su, sv = su.tolist(), sv.tolist()
+    s_l0 = l0[s_owner].tolist()
+    for s, (key, table) in enumerate(zip(keys, tables)):
+        sel = np.flatnonzero(entered[s_owner] == s)
+        for k, row in zip(sel.tolist(),
+                          _piece_lookup(table, ym[sel]).tolist()):
+            if row < 0:
+                unresolved.append((su[k], sv[k], "boundary-unlocated"))
                 continue
-            sm = 0.5 * (su + sv)
-            ym = sm
-            for i in itin:
-                ym = float(m.branches[i].value(ym))
-            kk = int(np.searchsorted(lows, ym, side="right")) - 1
-            hit_row = None
-            for cand in (kk, kk + 1, kk - 1):
-                if 0 <= cand < len(table):
-                    lo_t, hi_t, payload = table[cand]
-                    if lo_t <= ym <= hi_t:
-                        hit_row = payload
-                        break
-            if hit_row is None:
-                add_unresolved(su, sv, "boundary-unlocated")
-            elif hit_row[0] == "gap":
-                add_unresolved(su, sv, hit_row[1])
+            kind, payload = table[row][2]
+            if kind == "gap":
+                unresolved.append((su[k], sv[k], payload))
             else:
-                raw.append((float(su), float(sv), "bound", l0,
-                            int(hit_row[1]), key))
+                raw.append((su[k], sv[k], "bound", s_l0[k], int(payload),
+                            key))
 
+    counts = {"cells": n_cells, "free": free.size, "bound": bound.size,
+              "boundary_landed": int(landed[bound].sum()),
+              "targets_inverted": int(back.sum()), "sub_cells": len(su),
+              "endpoint_fallbacks": n_fallback}
+    return raw, unresolved, counts
+
+
+def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
+                    resolution: float = 1e-10, records=None
+                    ) -> InducedPartition:
+    """Partition the domain into maximal induced-map branches.
+
+    Free-region breakpoints are the pullbacks (through fewer than q0 steps)
+    of the branch endpoints and neighborhood endpoints; inside each
+    neighborhood, constant-binding pieces come from a grid scan with jump
+    bisection.  First-entry classification of the cells between the
+    breakpoints runs as batched forced passes over all cells at once (see
+    _classify_cells); only cell ends whose orbit sits exactly on a branch
+    end, or turns non-finite, take the scalar one-sided jets.  Adjacent
+    cells with the same itinerary and binding merge into one branch.  Cells
+    whose classification cannot be pinned down at the requested resolution
+    land in the unresolved set with a reason.  The stage counts and the
+    unresolved measure per reason are logged at INFO.
+    """
+    delta = m.delta if delta is None else float(delta)
+    if q0 is None:
+        raise ValueError("q0 is required")
+    q0 = int(q0)
+    if q0 < 1:
+        raise ValueError("q0 must be >= 1")
+    _check_delta(m, delta)
+    if records is None:
+        records = orbit_records(m, p_max + 1)
+
+    piece_tables = {}
+    for cp in m.critical_points:
+        piece_tables[(cp.location, cp.side)] = _binding_piece_table(
+            m, cp, delta, records, p_max, resolution)
+    cuts = _free_breakpoints(m, delta, q0)
+    raw, unresolved, counts = _classify_cells(m, cuts, delta, q0,
+                                              piece_tables)
     raw.sort(key=lambda r: r[0])
 
     # stage 3: itineraries, then merge of adjacent identical cells
@@ -651,6 +741,17 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
         else:
             merged_unres.append((a, b, reason))
     unres_measure = float(sum(b - a for a, b, _r in merged_unres))
+    by_reason = {}
+    for a, b, reason in merged_unres:
+        by_reason[reason] = by_reason.get(reason, 0.0) + (b - a)
+    _LOG.info(
+        "build_partition: %d cells (%d free, %d bound, %d boundary-landed), "
+        "%d targets inverted, %d sub-cells, %d scalar endpoint fallbacks, "
+        "%d raw cells -> %d branches, unresolved measure by reason %s",
+        counts["cells"], counts["free"], counts["bound"],
+        counts["boundary_landed"], counts["targets_inverted"],
+        counts["sub_cells"], counts["endpoint_fallbacks"], len(raw),
+        len(branches), {r: by_reason[r] for r in sorted(by_reason)})
 
     covered = sum(br.width for br in branches) + unres_measure
     if abs(covered - (m.hi - m.lo)) > 1e-9:

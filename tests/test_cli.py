@@ -165,6 +165,31 @@ def test_pipeline_artifacts_and_determinism(tmp_path):
     assert mismatch == [] and errors == []
 
 
+def test_progress_log_leaves_stdout_and_artifacts_unchanged(tmp_path):
+    runs = []
+    for level in (None, "info"):
+        env = dict(os.environ)
+        env.pop("CUSP_INDUCE_LOG", None)
+        if level:
+            env["CUSP_INDUCE_LOG"] = level
+        out = str(tmp_path / f"log-{level}")
+        proc = subprocess.run(
+            [sys.executable, "-m", "cusp_induce.cli", "pipeline",
+             "--family", "lorenz", "--m", "256", "--out", out],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        runs.append((proc, out))
+    (quiet, out1), (logged, out2) = runs
+    assert "build_partition:" not in quiet.stderr
+    assert "build_partition:" in logged.stderr
+    assert logged.stdout == quiet.stdout
+    names = sorted(os.listdir(out1))
+    assert sorted(os.listdir(out2)) == names
+    match, mismatch, errors = filecmp.cmpfiles(out1, out2, names,
+                                               shallow=False)
+    assert mismatch == [] and errors == []
+
+
 def test_pipeline_reports_failed_stage():
     code, doc = run_json("pipeline", "--family", "singular_unimodal",
                          "--m", "128")
