@@ -26,16 +26,29 @@ def branch_indices(m, x: np.ndarray) -> np.ndarray:
     return np.minimum(idx, len(m.branches) - 1)
 
 
+def _formula_parts(m, g) -> list:
+    """(evaluating branch, points) per formula group, from group ids g.
+
+    Branches with one formula form a group (m.formula_groups) and share
+    one evaluation; the points are ``...`` when one group holds them all,
+    so the caller works on whole arrays with no fancy-index gather and
+    scatter.  Id -1 (a finished itinerary) belongs to no group.
+    """
+    firsts = m.formula_groups[1]
+    first = g.flat[0] if g.size else -1
+    if first >= 0 and (g == first).all():
+        return [(firsts[first], ...)]
+    parts = [(br, np.flatnonzero(g == k)) for k, br in enumerate(firsts)]
+    return [p for p in parts if p[1].size]
+
+
 def _per_branch(m, x, evaluators):
     """Evaluators of the branch containing x[k], at x[k]."""
     x = np.asarray(x, dtype=float)
     outs = [np.empty(x.shape, dtype=float) for _ in evaluators]
-    idx = branch_indices(m, x)
+    groups = m.formula_groups[0][branch_indices(m, x)]
     with np.errstate(all="ignore"):
-        for i, br in enumerate(m.branches):
-            sel = idx == i
-            if not sel.any():
-                continue
+        for br, sel in _formula_parts(m, groups):
             xv = x[sel]
             for out, name in zip(outs, evaluators):
                 out[sel] = getattr(br, name)(xv)
@@ -131,14 +144,13 @@ def chunk_ranges(sizes) -> list:
 
 def _dispatch(m, itin, owner) -> list:
     """Per step of a forced pass of the points owned by itin rows owner:
-    the live mask and the (branch, point indices) pairs.  Passes over the
-    same points (the bisection of forced_inverse) share one dispatch."""
+    the live mask and the (branch, points) pairs of _formula_parts.  Passes
+    over the same points (the bisection of forced_inverse) share one
+    dispatch."""
     plan = []
-    for col in itin.T:
-        ids = col[owner]
-        parts = [(br, np.flatnonzero(ids == i))
-                 for i, br in enumerate(m.branches)]
-        plan.append((ids >= 0, [p for p in parts if p[1].size]))
+    for col in m.formula_groups[0][itin].T:
+        groups = col[owner]
+        plan.append((groups >= 0, _formula_parts(m, groups)))
     return plan
 
 

@@ -111,8 +111,10 @@ def ulam_matrix(m, partition, m_cells: int = 4096) -> UlamTable:
     # the grid pass of forced_inverse holds 2n + 17 points for n targets
     images = np.array([br.image for br in branches]).reshape(-1, 2)
     sizes = 17 + 2 * np.diff(np.searchsorted(edges, images), axis=1).ravel()
+    n_targets = 0
 
     def groups():
+        nonlocal n_targets
         for s, e in _vec.chunk_ranges(sizes):
             group = branches[s:e]
             itin = _vec.itinerary_matrix([br.itinerary for br in group])
@@ -120,6 +122,7 @@ def ulam_matrix(m, partition, m_cells: int = 4096) -> UlamTable:
             b = [br.b for br in group]
             targets = [edges[(edges > br.image[0]) & (edges < br.image[1])]
                        for br in group]
+            n_targets += sum(t.size for t in targets)
             yield itin, a, b, _vec.forced_inverse(
                 m, itin, a, b, [br.orientation > 0 for br in group], targets)
 
@@ -134,6 +137,9 @@ def ulam_matrix(m, partition, m_cells: int = 4096) -> UlamTable:
         _LOG.warning("ulam matrix has %d dead rows (unresolved cells)",
                      dead_idx.size)
     flagged = (~dead) & (np.abs(coverage - 1.0) > 1e-12)
+    _LOG.info("ulam_matrix: %d branches, %d targets inverted, %d nonzeros, "
+              "%d dead rows, %d flagged rows", len(branches), n_targets,
+              mat.nnz, dead_idx.size, int(flagged.sum()))
     return UlamTable(matrix=mat, m=m_cells, edges=edges, cell_width=cw,
                      coverage=coverage, flagged_rows=flagged, dead_rows=dead)
 
@@ -150,13 +156,17 @@ def stationary_density(table: UlamTable, tol: float = 1e-10,
     v = np.full(table.m, 1.0 / table.m)
     prev = None
     averaged = False
-    for _ in range(int(max_iters)):
+    for it in range(1, int(max_iters) + 1):
         w = np.asarray(v @ P).ravel()
         s = w.sum()
         if s <= 0:
             raise RuntimeError("transfer matrix lost all mass")
         w /= s
-        if np.abs(w - v).sum() < tol:
+        step = np.abs(w - v).sum()
+        if step < tol:
+            _LOG.info("stationary_density: %d iterations, final L1 step "
+                      "%.3g, period-2 averaging %s", it, step,
+                      "ran" if averaged else "not needed")
             return w / table.cell_width
         if prev is not None and np.abs(w - prev).sum() < tol:
             if averaged:

@@ -4,7 +4,9 @@ Expressions are small arithmetic formulas in one variable ``x`` plus named
 parameters, with ``abs`` and ``sign`` as the only functions and ``^`` limited
 to constant real exponents.  They are evaluated either as plain values, as
 order-2 jets (value, d1, d2) for derivative-exact work, or vectorized over
-numpy arrays for sampling-heavy callers.
+numpy arrays for sampling-heavy callers.  Hot callers :func:`compile` a tree
+once into closures for the array and jet forms; :func:`eval_jet` stays the
+reference walk they are tested against.
 
 Grammar (documented in README as well)::
 
@@ -23,7 +25,9 @@ minus, so ``-x^2`` parses as ``-(x^2)``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,6 +54,8 @@ __all__ = [
     "eval_jet",
     "eval_value",
     "eval_array",
+    "Compiled",
+    "compile",
     "derivative",
 ]
 
@@ -128,27 +134,31 @@ def _jet_sign(u: Jet2) -> Jet2:
 
 
 def _jet_pow(u: Jet2, r: float) -> Jet2:
-    if u.value == 0.0:
+    return Jet2(*_pow_jet(u.value, u.d1, u.d2, r))
+
+
+def _pow_jet(v0: float, d1: float, d2: float, r: float) -> tuple:
+    """Power rule on a jet given as (value, d1, d2), with the domain checks."""
+    if v0 == 0.0:
         if r < 0.0:
             raise EvalDomainError("0 raised to a negative exponent")
         if r != int(r) and r < 2.0:
             raise NonDifferentiableError(
                 f"jet of u^{r} at u=0 has an infinite derivative"
             )
-    if u.value < 0.0 and r != int(r):
+    if v0 < 0.0 and r != int(r):
         raise EvalDomainError(
-            f"negative base {u.value!r} with non-integer exponent {r!r}; "
+            f"negative base {v0!r} with non-integer exponent {r!r}; "
             "compose with abs() instead"
         )
-    v = u.value ** r
-    if u.value == 0.0:
+    v = v0 ** r
+    if v0 == 0.0:
         # here r is an integer >= 0 or a real >= 2, so d1/d2 are 0 unless r in {1,2}
-        d1 = u.d1 if r == 1.0 else 0.0
-        d2 = u.d2 if r == 1.0 else (2.0 * u.d1 * u.d1 if r == 2.0 else 0.0)
-        return Jet2(v, d1, d2)
-    p1 = r * u.value ** (r - 1.0)
-    p2 = r * (r - 1.0) * u.value ** (r - 2.0)
-    return Jet2(v, p1 * u.d1, p2 * u.d1 * u.d1 + p1 * u.d2)
+        return (v, d1 if r == 1.0 else 0.0,
+                d2 if r == 1.0 else (2.0 * d1 * d1 if r == 2.0 else 0.0))
+    p1 = r * v0 ** (r - 1.0)
+    p2 = r * (r - 1.0) * v0 ** (r - 2.0)
+    return v, p1 * d1, p2 * d1 * d1 + p1 * d2
 
 
 # ---------------------------------------------------------------------------
@@ -544,31 +554,173 @@ def eval_array(e, x: np.ndarray, params=None) -> np.ndarray:
 
     No kink/domain checking: callers keep points strictly inside open
     branch intervals.  Fractional powers of negative bases yield NaN.
+    Builds the closures of :func:`compile` on every call; hot callers keep
+    the compiled form instead.
     """
-    if isinstance(e, Const):
-        return np.full_like(x, e.value, dtype=float)
+    return compile(e, params).array(x)
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation: nested closures built once per tree, no generated code
+
+
+class Compiled(NamedTuple):
+    """A tree with its parameters bound, as two closures.
+
+    ``array(x)`` evaluates over a numpy array, bit for bit as the numpy
+    expression walk would: constant subtrees and ``Pow`` exponents are
+    folded once, with the same numpy operations.  ``jet(x)`` returns the
+    :class:`Jet2` that :func:`eval_jet` returns and raises what it raises.
+    """
+
+    array: Callable
+    jet: Callable
+
+
+def compile(e, params=None) -> Compiled:
+    """Compile tree ``e`` with ``params`` bound (see :class:`Compiled`)."""
+    f, c = _array_node(e, params)
+    if f is None:
+        def array(x):
+            return np.full_like(x, c, dtype=float)
+    else:
+        def array(x):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                return f(np.asarray(x, dtype=float))
+    g = _jet_node(e, params)
+
+    def jet(x):
+        return Jet2(*g(float(x)))
+    return Compiled(array, jet)
+
+
+def _raising(err):
+    """A closure that raises err (without its old traceback) when called."""
+    def f(*_):
+        raise err.with_traceback(None)
+    return f
+
+
+_ARRAY_UNARY = {Neg: operator.neg, Abs: np.abs, Sign: np.sign}
+_ARRAY_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+                 Div: operator.truediv}
+
+
+def _fold(op, *consts) -> float:
+    """op applied as the array walk applies it, on one-point arrays."""
+    with np.errstate(all="ignore"):
+        return float(op(*(np.full(1, c, dtype=float) for c in consts))[0])
+
+
+def _array_node(e, params):
+    """(closure, None) for a subtree in x, (None, value) for a folded one."""
     if isinstance(e, Var):
-        return np.asarray(x, dtype=float)
+        return (lambda x: x), None
+    if isinstance(e, Const):
+        return None, e.value
     if isinstance(e, Param):
-        return np.full_like(x, _param_value(params, e.name), dtype=float)
-    if isinstance(e, Neg):
-        return -eval_array(e.arg, x, params)
-    if isinstance(e, Add):
-        return eval_array(e.left, x, params) + eval_array(e.right, x, params)
-    if isinstance(e, Sub):
-        return eval_array(e.left, x, params) - eval_array(e.right, x, params)
-    if isinstance(e, Mul):
-        return eval_array(e.left, x, params) * eval_array(e.right, x, params)
-    if isinstance(e, Div):
-        return eval_array(e.left, x, params) / eval_array(e.right, x, params)
+        try:
+            return None, _param_value(params, e.name)
+        except EvalDomainError as err:
+            return _raising(err), None
     if isinstance(e, Pow):
-        r = const_value(e.exponent, params)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return eval_array(e.base, x, params) ** r
-    if isinstance(e, Abs):
-        return np.abs(eval_array(e.arg, x, params))
-    if isinstance(e, Sign):
-        return np.sign(eval_array(e.arg, x, params))
+        try:
+            r = const_value(e.exponent, params)
+        except EvalDomainError as err:
+            return _raising(err), None
+        f, c = _array_node(e.base, params)
+        if f is None:
+            return None, _fold(lambda b: b ** r, c)
+        return (lambda x: f(x) ** r), None
+    op = _ARRAY_UNARY.get(type(e))
+    if op is not None:
+        f, c = _array_node(e.arg, params)
+        if f is None:
+            return None, _fold(op, c)
+        return (lambda x: op(f(x))), None
+    op = _ARRAY_BINARY.get(type(e))
+    if op is None:
+        raise TypeError(f"not an expression node: {e!r}")
+    f, a = _array_node(e.left, params)
+    g, b = _array_node(e.right, params)
+    if f is None and g is None:
+        return None, _fold(op, a, b)
+    if f is None:
+        return (lambda x: op(a, g(x))), None
+    if g is None:
+        return (lambda x: op(f(x), b)), None
+    return (lambda x: op(f(x), g(x))), None
+
+
+def _jet_node(e, params):
+    """Closure x -> (value, d1, d2), with the arithmetic of eval_jet."""
+    if isinstance(e, Var):
+        return lambda x: (x, 1.0, 0.0)
+    if not contains_var(e):
+        try:
+            j = eval_jet(e, 0.0, params)
+        except (ExprError, ArithmeticError) as err:
+            return _raising(err)
+        t = (j.value, j.d1, j.d2)
+        return lambda x: t
+    if isinstance(e, Pow):
+        f = _jet_node(e.base, params)
+        try:
+            r = const_value(e.exponent, params)
+        except EvalDomainError as err:
+            fail = _raising(err)
+            return lambda x: fail(f(x))
+        return lambda x: _pow_jet(*f(x), r)
+    if isinstance(e, (Neg, Abs, Sign)):
+        f = _jet_node(e.arg, params)
+        if isinstance(e, Neg):
+            def neg(x):
+                v, d1, d2 = f(x)
+                return -v, -d1, -d2
+            return neg
+        if isinstance(e, Sign):
+            # sign(0) = 0 by convention; locally constant elsewhere.
+            return lambda x: (float(np.sign(f(x)[0])), 0.0, 0.0)
+
+        def abs_(x):
+            v, d1, d2 = f(x)
+            if v > 0.0:
+                return v, d1, d2
+            if v < 0.0:
+                return -v, -d1, -d2
+            raise NonDifferentiableError("jet of abs evaluated exactly at its kink")
+        return abs_
+    f = _jet_node(e.left, params)
+    g = _jet_node(e.right, params)
+    if isinstance(e, Add):
+        def add(x):
+            uv, u1, u2 = f(x)
+            vv, v1, v2 = g(x)
+            return uv + vv, u1 + v1, u2 + v2
+        return add
+    if isinstance(e, Sub):
+        def sub(x):
+            uv, u1, u2 = f(x)
+            vv, v1, v2 = g(x)
+            return uv - vv, u1 - v1, u2 - v2
+        return sub
+    if isinstance(e, Mul):
+        def mul(x):
+            uv, u1, u2 = f(x)
+            vv, v1, v2 = g(x)
+            return (uv * vv, u1 * vv + uv * v1,
+                    u2 * vv + 2.0 * u1 * v1 + uv * v2)
+        return mul
+    if isinstance(e, Div):
+        def div(x):
+            uv, u1, u2 = f(x)
+            vv, v1, v2 = g(x)
+            if vv == 0.0:
+                raise EvalDomainError("division by zero")
+            w = uv / vv
+            d1 = (u1 - w * v1) / vv
+            return w, d1, (u2 - w * v2 - 2.0 * d1 * v1) / vv
+        return div
     raise TypeError(f"not an expression node: {e!r}")
 
 

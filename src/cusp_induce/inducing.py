@@ -657,6 +657,25 @@ def _classify_cells(m, cuts, delta: float, q0: int, piece_tables):
     return raw, unresolved, counts
 
 
+def _merge_cells(raw, it_mat) -> list:
+    """Stage 3: merge runs of adjacent raw cells whose records agree past
+    (a, b) and whose itinerary rows of it_mat (padded with -1 past their
+    end) are equal.  Rows compare as arrays; itinerary tuples are built for
+    the merged runs only.  Returns (record, itinerary) per run."""
+    same_itin = np.ones(len(raw), dtype=bool)
+    same_itin[1:] = (it_mat[1:] == it_mat[:-1]).all(axis=1)
+    runs = []       # (first raw index of the run, merged record)
+    for k, rec in enumerate(raw):
+        if runs and same_itin[k]:
+            prev = runs[-1][1]
+            if prev[1] == rec[0] and prev[2:] == rec[2:]:
+                runs[-1] = (runs[-1][0], (prev[0], rec[1]) + prev[2:])
+                continue
+        runs.append((k, rec))
+    return [(rec, tuple(t for t in it_mat[k].tolist() if t >= 0))
+            for k, rec in runs]
+
+
 def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
                     resolution: float = 1e-10, records=None
                     ) -> InducedPartition:
@@ -694,32 +713,16 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
     raw.sort(key=lambda r: r[0])
 
     # stage 3: itineraries, then merge of adjacent identical cells
-    if raw:
-        r_mid = np.array([0.5 * (r[0] + r[1]) for r in raw])
-        r_tau = np.array([q0 if r[2] == "free" else r[3] + r[4]
-                          for r in raw], dtype=np.int64)
-        max_tau = int(r_tau.max())
-        it_mat = np.full((len(raw), max_tau), -1, dtype=np.int64)
-        posr = r_mid.copy()
-        for j in range(max_tau):
-            live = np.nonzero(r_tau > j)[0]
-            if live.size == 0:
-                break
-            it_mat[live, j] = _vec.branch_indices(m, posr[live])
-            posr[live] = np.clip(_vec.step_values(m, posr[live]), m.lo, m.hi)
-        itins = [tuple(int(t) for t in it_mat[i, :r_tau[i]])
-                 for i in range(len(raw))]
-    else:
-        itins = []
-
-    merged = []
-    for rec, itin in zip(raw, itins):
-        if merged:
-            prev, pit = merged[-1]
-            if (prev[1] == rec[0] and prev[2:] == rec[2:] and pit == itin):
-                merged[-1] = ((prev[0], rec[1]) + prev[2:], pit)
-                continue
-        merged.append((rec, itin))
+    r_tau = np.array([q0 if r[2] == "free" else r[3] + r[4] for r in raw],
+                     dtype=np.int64)
+    it_mat = np.full((len(raw), int(r_tau.max(initial=0))), -1,
+                     dtype=np.int64)
+    posr = np.array([0.5 * (r[0] + r[1]) for r in raw])
+    for j in range(it_mat.shape[1]):
+        live = np.nonzero(r_tau > j)[0]
+        it_mat[live, j] = _vec.branch_indices(m, posr[live])
+        posr[live] = np.clip(_vec.step_values(m, posr[live]), m.lo, m.hi)
+    merged = _merge_cells(raw, it_mat)
 
     # stage 4: per-branch geometry and certified derivative bounds
     branches = []

@@ -91,13 +91,13 @@ class Branch:
     params: dict
 
     def jet(self, x: float) -> ex.Jet2:
-        return ex.eval_jet(self.tree, x, self.params)
+        return self._compiled.jet(x)
 
     def value(self, x: float) -> float:
         return ex.eval_value(self.tree, x, self.params)
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        return ex.eval_array(self.tree, x, self.params)
+        return self._compiled.array(x)
 
     @cached_property
     def d1_tree(self):
@@ -108,10 +108,23 @@ class Branch:
         return ex.derivative(self.d1_tree)
 
     def d1_values(self, x: np.ndarray) -> np.ndarray:
-        return ex.eval_array(self.d1_tree, x, self.params)
+        return self._d1_array(x)
 
     def d2_values(self, x: np.ndarray) -> np.ndarray:
-        return ex.eval_array(self.d2_tree, x, self.params)
+        return self._d2_array(x)
+
+    # each expression is compiled once, on first use
+    @cached_property
+    def _compiled(self) -> ex.Compiled:
+        return ex.compile(self.tree, self.params)
+
+    @cached_property
+    def _d1_array(self):
+        return ex.compile(self.d1_tree, self.params).array
+
+    @cached_property
+    def _d2_array(self):
+        return ex.compile(self.d2_tree, self.params).array
 
 
 @dataclass
@@ -133,6 +146,24 @@ class MapSpec:
     def critical_locations(self) -> np.ndarray:
         locs = sorted({cp.location for cp in self.critical_points})
         return np.array(locs, dtype=float)
+
+    @cached_property
+    def formula_groups(self) -> tuple:
+        """Branches that share one formula (equal tree and params).
+
+        Returns (group id of each branch, with a trailing -1 so that an
+        itinerary's -1 padding maps to -1; the first branch of each group).
+        The first branch evaluates for its whole group at once.
+        """
+        ids, firsts = [], []
+        for br in self.branches:
+            g = next((k for k, f in enumerate(firsts)
+                      if f.tree == br.tree and f.params == br.params),
+                     len(firsts))
+            if g == len(firsts):
+                firsts.append(br)
+            ids.append(g)
+        return np.array(ids + [-1], dtype=np.int64), tuple(firsts)
 
     @cached_property
     def monotone_signs(self) -> tuple:

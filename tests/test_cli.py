@@ -180,8 +180,9 @@ def test_progress_log_leaves_stdout_and_artifacts_unchanged(tmp_path):
         assert proc.returncode == 0
         runs.append((proc, out))
     (quiet, out1), (logged, out2) = runs
-    assert "build_partition:" not in quiet.stderr
-    assert "build_partition:" in logged.stderr
+    for stage in ("build_partition:", "ulam_matrix:", "stationary_density:"):
+        assert stage not in quiet.stderr
+        assert stage in logged.stderr
     assert logged.stdout == quiet.stdout
     names = sorted(os.listdir(out1))
     assert sorted(os.listdir(out2)) == names

@@ -4,6 +4,7 @@ import logging
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from cusp_induce import _fastmap, map_model
 from cusp_induce import density as de
@@ -41,6 +42,40 @@ def test_stationary_density_is_fixed_point(lorenz, lorenz_partition):
     p = h / h.sum()
     residual = np.abs(p @ table.matrix - p).sum()
     assert residual < 1e-8
+
+
+def test_ulam_and_stationary_vector_log_their_counts(caplog, lorenz,
+                                                     lorenz_partition):
+    with caplog.at_level(logging.INFO, logger=de.__name__):
+        table = de.ulam_matrix(lorenz, lorenz_partition, m_cells=512)
+        de.stationary_density(table)
+    ulam, stationary = [r.getMessage() for r in caplog.records]
+    d = table.to_dict()
+    assert ulam.startswith(
+        f"ulam_matrix: {len(lorenz_partition.branches)} branches, ")
+    assert ulam.endswith(f"targets inverted, {d['nnz']} nonzeros, "
+                         f"{d['dead_rows']} dead rows, "
+                         f"{d['flagged_rows']} flagged rows")
+    assert "iterations, final L1 step" in stationary
+    assert stationary.endswith("period-2 averaging not needed")
+    # the benchmark reads "escapes" lines with two arguments as orbit counts
+    assert not any("escapes" in r.getMessage() for r in caplog.records)
+
+
+def test_stationary_vector_logs_period_2_averaging(caplog):
+    # cells 0 and 1 swap and cell 2 empties into 0: from the uniform start
+    # the vector oscillates between (2, 1, 0)/3 and (1, 2, 0)/3
+    P = sparse.csr_matrix(np.array([[0, 1, 0], [1, 0, 0], [1, 0, 0]], float))
+    table = de.UlamTable(matrix=P, m=3, edges=np.linspace(0, 3, 4),
+                         cell_width=1.0, coverage=np.ones(3),
+                         flagged_rows=np.zeros(3, bool),
+                         dead_rows=np.zeros(3, bool))
+    with caplog.at_level(logging.INFO, logger=de.__name__):
+        h = de.stationary_density(table)
+    assert h.tolist() == [0.5, 0.5, 0.0]
+    assert caplog.records[-1].getMessage().startswith(
+        "stationary_density: 4 iterations")
+    assert caplog.records[-1].getMessage().endswith("averaging ran")
 
 
 def test_pull_back_produces_probability_density(lorenz, lorenz_partition):

@@ -183,3 +183,24 @@ def test_write_partition_csv(tmp_path, lorenz_partition):
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(lorenz_partition.branches)
     assert float(rows[0]["a"]) == lorenz_partition.branches[0].a
+
+
+def test_merge_cells_joins_adjacent_cells_with_one_class_and_itinerary():
+    key = (0.0, "+")
+    raw = [(0.0, 0.1, "free", None, None, None),
+           (0.1, 0.2, "free", None, None, None),      # joins the first
+           (0.2, 0.3, "free", None, None, None),      # other itinerary
+           (0.35, 0.4, "free", None, None, None),     # not adjacent
+           (0.4, 0.5, "bound", 1, 2, key),            # other class
+           (0.5, 0.6, "bound", 1, 2, key)]            # joins the fifth
+    it_mat = np.array([[0, 1, 1], [0, 1, 1], [0, 1, 0], [0, 1, 0],
+                       [1, 1, 0], [1, 1, 0]])
+    it_mat[4:, 2] = -1
+    merged = ind._merge_cells(raw, it_mat)
+    assert merged == [
+        ((0.0, 0.2, "free", None, None, None), (0, 1, 1)),
+        ((0.2, 0.3, "free", None, None, None), (0, 1, 0)),
+        ((0.35, 0.4, "free", None, None, None), (0, 1, 0)),
+        ((0.4, 0.6, "bound", 1, 2, key), (1, 1))]
+    assert all(type(t) is int for _, it in merged for t in it)
+    assert ind._merge_cells([], np.empty((0, 0), dtype=np.int64)) == []
