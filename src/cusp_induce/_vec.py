@@ -1,8 +1,11 @@
 """Vectorized map kernels shared by the sampling and partition machinery.
 
-Branch dispatch is positional (searchsorted over the interior boundaries,
-ties resolved to the right-hand branch, matching MapSpec.branch_index),
-except in the forced passes, where each point follows a fixed itinerary.
+One forward pass (_forced_pass) and one bisection (_bisect) run on step
+plans.  Forced plans (_dispatch) follow fixed itineraries, so a point on a
+branch boundary keeps its itinerary.  One-step plans apply branch ids[k] to
+point k, with ids from positional dispatch (searchsorted over the interior
+boundaries, ties to the right-hand branch, as MapSpec.branch_index) or from
+the caller of branch_inverse.
 Expression evaluation never raises here; exact landings on kinks or blowup
 points come back as non-finite entries for the caller to mask out.
 """
@@ -16,8 +19,8 @@ import numpy as np
 # working arrays of the Ulam assembly and the pullback (peak memory).
 CHUNK_POINTS = 1 << 14
 
-# Halvings of a branch interval in invert_branch: 60 take any double-width
-# branch down to its last bits.
+# Halvings of a whole-branch bracket in branch_inverse: 60 take any
+# double-width branch down to its last bits.
 BISECTION_STEPS = 60
 
 
@@ -42,27 +45,21 @@ def _formula_parts(m, g) -> list:
     return [p for p in parts if p[1].size]
 
 
-def _per_branch(m, x, evaluators):
-    """Evaluators of the branch containing x[k], at x[k]."""
-    x = np.asarray(x, dtype=float)
-    outs = [np.empty(x.shape, dtype=float) for _ in evaluators]
-    groups = m.formula_groups[0][branch_indices(m, x)]
-    with np.errstate(all="ignore"):
-        for br, sel in _formula_parts(m, groups):
-            xv = x[sel]
-            for out, name in zip(outs, evaluators):
-                out[sel] = getattr(br, name)(xv)
-    return outs
+def _one_step_plan(m, ids) -> list:
+    """Plan of one step that applies branch ids[k] to point k."""
+    return [(None, _formula_parts(m, m.formula_groups[0][ids]))]
 
 
 def step_values(m, x: np.ndarray) -> np.ndarray:
     """f(x) elementwise."""
-    return _per_branch(m, x, ("values",))[0]
+    x = np.asarray(x, dtype=float)
+    return _forced_pass(_one_step_plan(m, branch_indices(m, x)), x)
 
 
 def step_with_derivative(m, x: np.ndarray):
     """(f(x), Df(x)) elementwise."""
-    return tuple(_per_branch(m, x, ("values", "d1_values")))
+    x = np.asarray(x, dtype=float)
+    return _forced_pass(_one_step_plan(m, branch_indices(m, x)), x, order=1)
 
 
 def in_delta(m, x, delta: float) -> np.ndarray:
@@ -78,43 +75,26 @@ def in_delta(m, x, delta: float) -> np.ndarray:
     return out
 
 
-def invert_branch(m, i: int, targets):
-    """Preimages under branch i by monotone bisection.
+def branch_inverse(m, ids, targets) -> np.ndarray:
+    """Preimage of targets[k] under branch ids[k], each target clamped onto
+    the branch image first: BISECTION_STEPS halvings of the whole branch."""
+    ids = np.asarray(ids, dtype=np.int64)
+    ends = np.array([(br.a, br.b) for br in m.branches])[ids]
+    images = np.array(m.branch_images)[ids]
+    t = np.clip(np.asarray(targets, dtype=float), images[:, 0], images[:, 1])
+    up = np.array(m.monotone_signs)[ids] > 0
+    return _bisect(_one_step_plan(m, ids), ends[:, 0], ends[:, 1], t, up,
+                   BISECTION_STEPS)
 
-    Returns (solutions, ok); solutions has the shape of targets with NaN
-    where ok is False.  ok marks targets inside the branch image (with a
-    1e-12 slack; such targets are clamped onto the image first).
-    """
-    br = m.branches[i]
-    img_lo, img_hi = m.branch_images[i]
+
+def preimages(m, targets):
+    """All f-preimages of the targets, as (branch ids, preimages), branch by
+    branch; a branch takes the targets within 1e-12 of its image."""
     t = np.asarray(targets, dtype=float)
-    ok = (t >= img_lo - 1e-12) & (t <= img_hi + 1e-12)
-    tt = np.clip(t[ok], img_lo, img_hi)
-    lo = np.full(tt.shape, br.a, dtype=float)
-    hi = np.full(tt.shape, br.b, dtype=float)
-    increasing = m.monotone_signs[i] > 0
-    with np.errstate(all="ignore"):
-        for _ in range(BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            v = br.values(mid)
-            up = (v < tt) if increasing else (v > tt)
-            lo = np.where(up, mid, lo)
-            hi = np.where(up, hi, mid)
-    out = np.full(t.shape, np.nan)
-    out[ok] = 0.5 * (lo + hi)
-    return out, ok
-
-
-def preimages(m, targets) -> np.ndarray:
-    """All f-preimages of the targets, concatenated over branches."""
-    out = []
-    for i in range(len(m.branches)):
-        sol, ok = invert_branch(m, i, targets)
-        if ok.any():
-            out.append(sol[ok])
-    if not out:
-        return np.empty(0, dtype=float)
-    return np.concatenate(out)
+    images = np.array(m.branch_images)
+    ids, k = np.nonzero((t >= images[:, :1] - 1e-12)
+                        & (t <= images[:, 1:] + 1e-12))
+    return ids, branch_inverse(m, ids, t[k])
 
 
 # ---------------------------------------------------------------------------
@@ -154,24 +134,28 @@ def _dispatch(m, itin, owner) -> list:
     return plan
 
 
-def _forced_pass(plan, x, jets: bool = False, visit=None):
-    """forced_forward over a dispatch plan from _dispatch."""
+def _forced_pass(plan, x, order: int = 0, visit=None):
+    """Push x through a plan (from _dispatch or _one_step_plan).
+
+    Returns the image, or with derivative order 1 or 2 the tuple of the
+    image and its first (and second) derivatives.
+    """
     pos = np.array(x, dtype=float)
-    if jets:
-        P = np.ones_like(pos)
-        S = np.zeros_like(pos)
+    P = np.ones_like(pos) if order else None
+    S = np.zeros_like(pos) if order > 1 else None
     with np.errstate(all="ignore"):
         for live, parts in plan:
             if visit is not None:
                 visit(live, pos)
             for br, sel in parts:
                 xv = pos[sel]
-                if jets:
+                if order:
                     d1, Pv = br.d1_values(xv), P[sel]
-                    S[sel] = br.d2_values(xv) * Pv ** 2 + d1 * S[sel]
+                    if order > 1:
+                        S[sel] = br.d2_values(xv) * Pv ** 2 + d1 * S[sel]
                     P[sel] = d1 * Pv
                 pos[sel] = br.values(xv)
-    return (pos, P, S) if jets else pos
+    return (pos, P, S)[:order + 1] if order else pos
 
 
 def forced_forward(m, itin, owner, x, jets: bool = False, visit=None):
@@ -182,7 +166,20 @@ def forced_forward(m, itin, owner, x, jets: bool = False, visit=None):
     visit(live, pos), when given, sees the positions before every step.
     Returns f^tau(x), or (f^tau, Df^tau, D2f^tau) when jets is set.
     """
-    return _forced_pass(_dispatch(m, itin, owner), x, jets, visit)
+    return _forced_pass(_dispatch(m, itin, owner), x, 2 if jets else 0,
+                        visit)
+
+
+def _bisect(plan, lo, hi, t, up, steps):
+    """Midpoints of [lo, hi] after steps halvings toward the preimages of t
+    under the plan, increasing where up is set and decreasing elsewhere."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        v = _forced_pass(plan, mid)
+        go_up = np.where(up, v < t, v > t)
+        lo = np.where(go_up, mid, lo)
+        hi = np.where(go_up, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def forced_inverse(m, itin, a, b, increasing, targets) -> list:
@@ -208,14 +205,7 @@ def forced_inverse(m, itin, a, b, increasing, targets) -> list:
         hi.append(np.maximum(xs[pos - 1], xs[pos]))
     counts = [t.size for t in targets]
     owner = np.repeat(np.arange(len(targets)), counts)
-    t = np.concatenate(targets)
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
     up = np.asarray(increasing, dtype=bool)[owner]
-    plan = _dispatch(m, itin, owner)
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        v = _forced_pass(plan, mid)
-        go_up = np.where(up, v < t, v > t)
-        lo = np.where(go_up, mid, lo)
-        hi = np.where(go_up, hi, mid)
-    return np.split(0.5 * (lo + hi), np.cumsum(counts)[:-1])
+    x = _bisect(_dispatch(m, itin, owner), np.concatenate(lo),
+                np.concatenate(hi), np.concatenate(targets), up, 30)
+    return np.split(x, np.cumsum(counts)[:-1])

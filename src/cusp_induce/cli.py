@@ -110,16 +110,19 @@ def _parse_params(pairs):
 
 def _get_map(args) -> map_model.MapSpec:
     if getattr(args, "config", None):
-        if getattr(args, "family", None):
-            raise map_model.MapConfigError(
-                "--config and --family are mutually exclusive")
-        return map_model.load_map(args.config)
-    if getattr(args, "family", None):
+        for flag in ("family", "param"):
+            if getattr(args, flag, None):
+                raise map_model.MapConfigError(
+                    f"--config and --{flag} are mutually exclusive")
+        with open(args.config, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    elif getattr(args, "family", None):
         cfg = {"family": args.family, "params": _parse_params(args.param)}
-        if getattr(args, "delta", None) is not None:
-            cfg["delta"] = args.delta
-        return map_model.build_map(cfg)
-    raise map_model.MapConfigError("need --config FILE or --family NAME")
+    else:
+        raise map_model.MapConfigError("need --config FILE or --family NAME")
+    if getattr(args, "delta", None) is not None and isinstance(cfg, dict):
+        cfg["delta"] = args.delta
+    return map_model.build_map(cfg)
 
 
 def _inducing_scales(m, args):
@@ -454,9 +457,9 @@ def cmd_selftest(args) -> int:
     checks["jets_vs_finite_differences"] = {"passed": jets_ok,
                                             "worst_rel_error": worst}
     m = map_model.build_map({"family": "chebyshev"})
-    sol, ok = _vec.invert_branch(m, 0, np.array([0.0]))
+    ids, sol = _vec.preimages(m, np.array([0.0]))
     residual = float(m.branches[0].value(sol[0]))
-    inv_ok = bool(ok[0]) and abs(residual) < 1e-10
+    inv_ok = ids[:1].tolist() == [0] and abs(residual) < 1e-10
     checks["branch_inversion"] = {"passed": inv_ok, "residual": residual}
     passed = bv.passed and jets_ok and inv_ok
     _emit({"passed": passed, "checks": checks}, args, "selftest.json")

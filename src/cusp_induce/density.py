@@ -249,10 +249,10 @@ def invariance_residual(m, h_map: np.ndarray, m_cells: int | None = None
     edges = np.linspace(lo, hi, m_cells + 1)
     cw = (hi - lo) / m_cells
     n = len(m.branches)
-    inverses = [_vec.invert_branch(m, i, edges) for i in range(n)]
+    ids, pre = _vec.preimages(m, edges)
     group = (_vec.itinerary_matrix([(i,) for i in range(n)]),
              [br.a for br in m.branches], [br.b for br in m.branches],
-             [sols[ok] for sols, ok in inverses])
+             [pre[ids == i] for i in range(n)])
     P, _coverage, _dead = _transfer_matrix(m, edges, [group])
     p = h_map * cw
     tot = p.sum()

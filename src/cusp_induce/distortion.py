@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from . import _vec
 from . import expr as ex
@@ -280,6 +279,8 @@ def variation_exact(m, interval, l: int, epsabs: float = VAR_EPSABS,
     (an endpoint orbit landing on a critical point of order > 1) raises
     RuntimeError.
     """
+    from scipy import integrate   # imported here: it slows every CLI start
+
     if l < 0:
         raise ValueError("l must be >= 0")
     if l == 0:

@@ -462,7 +462,7 @@ def _free_breakpoints(m, delta: float, q0: int) -> np.ndarray:
     level = np.array(sorted(seeds))
     collected = [level]
     for _ in range(1, q0):
-        level = _vec.preimages(m, level)
+        level = _vec.preimages(m, level)[1]
         collected.append(level)
     cuts = np.concatenate(collected)
     cuts = cuts[(cuts >= m.lo) & (cuts <= m.hi)]
@@ -612,11 +612,8 @@ def _classify_cells(m, cuts, delta: float, q0: int, piece_tables):
     t_l0 = l0[t_owner]
     for j in range(int(t_l0.max(initial=0)) - 1, -1, -1):
         ids = it[t_owner, j]
-        for i in np.unique(ids[ids >= 0]).tolist():
-            sel = np.flatnonzero(ids == i)
-            img_lo, img_hi = m.branch_images[i]
-            xs[sel] = _vec.invert_branch(
-                m, i, np.clip(xs[sel], img_lo, img_hi))[0]
+        live = ids >= 0
+        xs[live] = _vec.branch_inverse(m, ids[live], xs[live])
     back = t_l0 > 0
     xs[back] = np.clip(xs[back], u[t_owner[back]], v[t_owner[back]])
 

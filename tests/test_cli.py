@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from cusp_induce import cli
+from cusp_induce.map_model import family_config
 
 
 def run(*args):
@@ -54,6 +55,24 @@ def test_config_and_family_are_mutually_exclusive():
                          "--config", "x.json")
     assert code == 2
     assert "mutually exclusive" in doc["error"]["message"]
+
+
+def test_config_and_param_are_mutually_exclusive(tmp_path):
+    path = tmp_path / "cheb.json"
+    path.write_text(json.dumps(family_config("chebyshev")))
+    code, doc = run_json("validate", "--config", str(path), "--param", "a=1")
+    assert code == 2
+    assert "mutually exclusive" in doc["error"]["message"]
+
+
+def test_delta_applies_to_a_config_map_as_to_a_family_map(tmp_path):
+    path = tmp_path / "cheb.json"
+    path.write_text(json.dumps(family_config("chebyshev")))
+    code, out = run("validate", "--config", str(path), "--delta", "0.01")
+    assert code == 0
+    assert out != run("validate", "--config", str(path))[1]
+    assert (code, out) == run("validate", "--family", "chebyshev",
+                              "--delta", "0.01")
 
 
 def test_orbit_writes_artifacts(tmp_path):

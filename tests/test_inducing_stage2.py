@@ -44,6 +44,28 @@ def _scalar_endpoint_track(m, x, approach, itinerary):
     return ys
 
 
+def _invert_branch(m, i, targets):
+    """Preimages under branch i: 60 halvings of the whole branch."""
+    br = m.branches[i]
+    img_lo, img_hi = m.branch_images[i]
+    t = np.asarray(targets, dtype=float)
+    ok = (t >= img_lo - 1e-12) & (t <= img_hi + 1e-12)
+    tt = np.clip(t[ok], img_lo, img_hi)
+    lo = np.full(tt.shape, br.a, dtype=float)
+    hi = np.full(tt.shape, br.b, dtype=float)
+    increasing = m.monotone_signs[i] > 0
+    with np.errstate(all="ignore"):
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            v = br.values(mid)
+            up = (v < tt) if increasing else (v > tt)
+            lo = np.where(up, mid, lo)
+            hi = np.where(up, hi, mid)
+    out = np.full(t.shape, np.nan)
+    out[ok] = 0.5 * (lo + hi)
+    return out, ok
+
+
 def per_cell_stage2(m, cuts, delta, q0, piece_tables):
     """(raw, unresolved) of stage 2, one cell at a time."""
     eps = 1e-14
@@ -104,7 +126,7 @@ def per_cell_stage2(m, cuts, delta, q0, piece_tables):
             xs = np.asarray(targets, dtype=float)
             for i in reversed(itin):
                 img_lo, img_hi = m.branch_images[i]
-                xs, _ok = _vec.invert_branch(
+                xs, _ok = _invert_branch(
                     m, i, np.clip(xs, img_lo, img_hi))
             xs = np.clip(np.sort(xs), u, v)
         elif targets:

@@ -1,9 +1,127 @@
-"""Forced passes along induced-branch itineraries against step-by-step maps."""
+"""One-step and forced passes of _vec against step-by-step references.
+
+The per-branch bisection and the positional dispatch that the one-step
+plans replaced are kept below as references; the plans must match them
+bit for bit.
+"""
 
 import numpy as np
 import pytest
 
 from cusp_induce import _vec
+from cusp_induce import map_model as mm
+
+
+# ---------------------------------------------------------------------------
+# references: whole-branch bisection one branch at a time, and positional
+# dispatch branch by branch
+
+
+def ref_invert_branch(m, i, targets):
+    br = m.branches[i]
+    img_lo, img_hi = m.branch_images[i]
+    t = np.asarray(targets, dtype=float)
+    ok = (t >= img_lo - 1e-12) & (t <= img_hi + 1e-12)
+    tt = np.clip(t[ok], img_lo, img_hi)
+    lo = np.full(tt.shape, br.a, dtype=float)
+    hi = np.full(tt.shape, br.b, dtype=float)
+    increasing = m.monotone_signs[i] > 0
+    with np.errstate(all="ignore"):
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            v = br.values(mid)
+            up = (v < tt) if increasing else (v > tt)
+            lo = np.where(up, mid, lo)
+            hi = np.where(up, hi, mid)
+    out = np.full(t.shape, np.nan)
+    out[ok] = 0.5 * (lo + hi)
+    return out, ok
+
+
+def ref_per_branch(m, x, evaluators):
+    x = np.asarray(x, dtype=float)
+    outs = [np.empty(x.shape, dtype=float) for _ in evaluators]
+    groups = m.formula_groups[0][_vec.branch_indices(m, x)]
+    with np.errstate(all="ignore"):
+        for br, sel in _vec._formula_parts(m, groups):
+            xv = x[sel]
+            for out, name in zip(outs, evaluators):
+                out[sel] = getattr(br, name)(xv)
+    return outs
+
+
+ONE_STEP_MAPS = {
+    "chebyshev": mm.chebyshev_map,
+    "lorenz(1.9,0.4)": lambda: mm.lorenz_map(1.9, 0.4, 0.1),
+    "lorenz(1.8,0.5)": lambda: mm.lorenz_map(1.8, 0.5, 0.1),
+    "singular_unimodal": mm.singular_unimodal_map,
+}
+
+
+@pytest.fixture(params=sorted(ONE_STEP_MAPS), scope="module")
+def one_step_map(request):
+    return ONE_STEP_MAPS[request.param]()
+
+
+def _image_end_targets(m):
+    """Each image end, and points 1e-12 (kept) and 2e-12 (dropped)
+    outside it."""
+    out = []
+    for lo, hi in m.branch_images:
+        out += [lo, hi, lo - 1e-12, hi + 1e-12, lo - 2e-12, hi + 2e-12]
+    return np.array(out)
+
+
+def test_preimages_match_per_branch_bisection(one_step_map):
+    m = one_step_map
+    rng = np.random.default_rng(11)
+    t = np.concatenate((np.linspace(m.lo, m.hi, 1025),
+                        rng.uniform(m.lo, m.hi, 2000), _image_end_targets(m)))
+    ids, pre = _vec.preimages(m, t)
+    ref = [ref_invert_branch(m, i, t) for i in range(len(m.branches))]
+    want_ids = np.concatenate([np.full(int(ok.sum()), i)
+                               for i, (_sol, ok) in enumerate(ref)])
+    want = np.concatenate([sol[ok] for sol, ok in ref])
+    assert np.asarray(ids, dtype=np.int64).tobytes() == want_ids.tobytes()
+    assert pre.tobytes() == want.tobytes()
+
+
+def test_branch_inverse_matches_per_branch_bisection_on_mixed_ids(
+        one_step_map):
+    m = one_step_map
+    rng = np.random.default_rng(12)
+    n = len(m.branches)
+    ends = _image_end_targets(m)
+    t = np.concatenate((rng.uniform(m.lo, m.hi, 3000), ends))
+    ids = np.concatenate((rng.integers(0, n, 3000),
+                          np.repeat(np.arange(n), 6)))
+    got = _vec.branch_inverse(m, ids, t)
+    want = np.empty_like(t)
+    for i in range(n):
+        sel = np.flatnonzero(ids == i)
+        lo, hi = m.branch_images[i]
+        want[sel] = ref_invert_branch(m, i, np.clip(t[sel], lo, hi))[0]
+    assert got.tobytes() == want.tobytes()
+
+
+def test_positional_steps_match_per_branch_dispatch(one_step_map):
+    m = one_step_map
+    rng = np.random.default_rng(13)
+    x = np.concatenate((rng.uniform(m.lo, m.hi, 3000),
+                        m.interior_boundaries, [m.lo, m.hi, np.nan]))
+    v, d1 = _vec.step_with_derivative(m, x)
+    want_v, want_d1 = ref_per_branch(m, x, ("values", "d1_values"))
+    assert _vec.step_values(m, x).tobytes() == want_v.tobytes()
+    assert v.tobytes() == want_v.tobytes()
+    assert d1.tobytes() == want_d1.tobytes()
+    # a point on an interior boundary steps with the right-hand branch
+    for i, b in enumerate(m.interior_boundaries, 1):
+        right = m.branches[i]
+        with np.errstate(all="ignore"):
+            assert _vec.step_values(m, np.array([b])).tobytes() == \
+                right.values(np.array([b])).tobytes()
+            assert _vec.step_with_derivative(m, np.array([b]))[1].tobytes() \
+                == right.d1_values(np.array([b])).tobytes()
 
 
 @pytest.fixture(params=["cheb", "lorenz"])
