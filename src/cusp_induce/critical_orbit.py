@@ -209,14 +209,17 @@ class StarReport:
                 f"{self.tail_increment:.3g}")
 
 
-def _tail_verdict(label, terms, N, epsilon, diagnostic=False) -> StarReport:
+def _tail_verdict(label, terms, record, epsilon, diagnostic=False
+                  ) -> StarReport:
+    N = record.N
     terms = np.asarray(terms, dtype=float)
     partials = np.cumsum(terms)
     total = float(partials[-1]) if len(partials) else 0.0
     finite = np.all(np.isfinite(terms))
     # final 10 indices of the horizon; absolute threshold
     tail = float(np.sum(terms[max(0, N - 10):])) if len(terms) else 0.0
-    if not finite:
+    # an orbit that hits the critical set ends early, with an empty window
+    if not finite or record.hit_critical_at is not None:
         verdict = "fail"
     elif tail < epsilon:
         verdict = "summable-so-far"
@@ -235,7 +238,7 @@ def star_sum(record: OrbitRecord, epsilon: float = 1e-6) -> StarReport:
     if record.order <= 1.0:
         return StarReport("star", record.N, np.array([]), np.array([]),
                           math.nan, math.nan, epsilon, "not-applicable")
-    return _tail_verdict("star", record.star_terms, record.N, epsilon)
+    return _tail_verdict("star", record.star_terms, record, epsilon)
 
 
 def star_star_sum(record: OrbitRecord, epsilon: float = 1e-6) -> StarReport:
@@ -246,8 +249,8 @@ def star_star_sum(record: OrbitRecord, epsilon: float = 1e-6) -> StarReport:
     if record.order <= 1.0:
         return StarReport("starstar", record.N, np.array([]), np.array([]),
                           math.nan, math.nan, epsilon, "not-applicable", True)
-    return _tail_verdict("starstar", record.starstar_terms, record.N,
-                         epsilon, diagnostic=True)
+    return _tail_verdict("starstar", record.starstar_terms, record, epsilon,
+                         diagnostic=True)
 
 
 @dataclass

@@ -190,8 +190,8 @@ def pull_back(m, partition, h_induced: np.ndarray, m_cells: int = 4096
 
     Each resolved branch contributes its measure at every orbit step before
     the inducing time.  Masses ride on midpoint chunks sized against the
-    certified derivative supremum of the branch so image binning stays near
-    cell scale; mass on the unresolved set is dropped.  The total is
+    branch's sup |Df-hat| bound (rounded to nearest, capped) so image
+    binning stays near cell scale; mass on the unresolved set is dropped.  The total is
     normalized to a density on a uniform grid.
     """
     h_induced = np.asarray(h_induced, dtype=float)

@@ -80,58 +80,69 @@ def _containing_branch(m, u: float, v: float) -> int:
     return i
 
 
+def end_orbits(m, interval, n: int, itinerary=None):
+    """Follow both ends of an interval through n steps of the map.
+
+    Step j applies branch itinerary[j] or, without an itinerary, the branch
+    holding the step interval (NotDiffeomorphismError when none does).  Both
+    ends are clamped onto that branch and taken as one-sided limits from
+    inside the interval, so branch ends and singular locations are exact.
+    Returns (steps, image): steps are (u, v, branch, jet at u from the
+    right, jet at v from the left) with u <= v, image the interval after n
+    steps.
+    """
+    u, v = sorted((float(interval[0]), float(interval[1])))
+    steps = []
+    for j in range(n):
+        i = _containing_branch(m, u, v) if itinerary is None else itinerary[j]
+        br = m.branches[i]
+        u, v = max(u, br.a), min(v, br.b)
+        left = m.endpoint_jet(i, u, "+")
+        right = m.endpoint_jet(i, v, "-")
+        steps.append((u, v, i, left, right))
+        u, v = left.value, right.value
+        if not u <= v:
+            u, v = v, u
+    return steps, (u, v)
+
+
+def abs_df_extrema(m, i: int, xs, abs_d1):
+    """(inf, sup) arrays of |Df| on branch i between consecutive positions.
+
+    abs_d1 holds |Df| at the positions xs; each pair's extrema take in the
+    interior zeros of D2f (branch_d2_zeros) strictly between its ends, so
+    they are exact for the declared expression.
+    """
+    xs, d = np.asarray(xs, dtype=float), np.asarray(abs_d1, dtype=float)
+    lo = np.fmin(d[:-1], d[1:])
+    hi = np.fmax(d[:-1], d[1:])
+    for z in branch_d2_zeros(m, i):
+        hit = (np.fmin(xs[:-1], xs[1:]) < z) & (z < np.fmax(xs[:-1], xs[1:]))
+        if hit.any():
+            dz = abs(m.branches[i].jet(z).d1)
+            lo[hit] = np.fmin(lo[hit], dz)
+            hi[hit] = np.fmax(hi[hit], dz)
+    return lo, hi
+
+
+def step_sup_inf(m, step) -> tuple:
+    """(sup, inf) of |Df| over one step interval of end_orbits."""
+    u, v, i, left, right = step
+    lo, hi = abs_df_extrema(m, i, (u, v), (abs(left.d1), abs(right.d1)))
+    return float(hi[0]), float(lo[0])
+
+
 def sup_inf_abs_df(m, interval) -> tuple:
     """(sup, inf) of |Df| over an interval inside one branch.
 
-    Candidates are the two one-sided endpoint derivatives plus any interior
-    zeros of D2f, so the result is exact for the declared expression (an
-    endpoint touching a singular location contributes an inf sentinel).
+    One step of end_orbits: an endpoint touching a singular location
+    contributes an inf sentinel.
     """
     u, v = float(interval[0]), float(interval[1])
     if not u < v:
         raise ValueError("empty interval")
-    i = _containing_branch(m, u, v)
-    br = m.branches[i]
-    uu, vv = max(u, br.a), min(v, br.b)
-    cands = [
-        abs(m.endpoint_jet(i, uu, "+").d1),
-        abs(m.endpoint_jet(i, vv, "-").d1),
-    ]
-    for z in branch_d2_zeros(m, i):
-        if uu < z < vv:
-            cands.append(abs(br.jet(z).d1))
-    return max(cands), min(cands)
-
-
-def _interval_orbit(m, interval, n: int, with_bounds: bool = True):
-    """Track the first n step images of an interval endpoint-exactly.
-
-    Returns (steps, final) where each step is (u, v, branch, sup, inf) and
-    final is the image after n steps.  Endpoint values are one-sided limits
-    so branch boundaries and singular locations are handled exactly.
-    """
-    u, v = sorted((float(interval[0]), float(interval[1])))
-    su, sv = 1.0, -1.0
-    steps = []
-    for _ in range(n):
-        i = _containing_branch(m, u, v)
-        if with_bounds:
-            sup_df, inf_df = sup_inf_abs_df(m, (u, v))
-        else:
-            sup_df = inf_df = math.nan
-        steps.append((u, v, i, sup_df, inf_df))
-        br = m.branches[i]
-        ju = m.endpoint_jet(i, max(u, br.a), "+" if su > 0 else "-")
-        jv = m.endpoint_jet(i, min(v, br.b), "+" if sv > 0 else "-")
-        sgn = m.monotone_signs[i]
-        su *= sgn
-        sv *= sgn
-        u2, v2 = ju.value, jv.value
-        if u2 <= v2:
-            u, v = u2, v2
-        else:
-            u, v, su, sv = v2, u2, sv, su
-    return steps, (u, v)
+    (step,), _ = end_orbits(m, (u, v), 1)
+    return step_sup_inf(m, step)
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +180,10 @@ def generalized_distortion(m, interval, n: int) -> DistortionResult:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    steps, final = _interval_orbit(m, interval, n, with_bounds=True)
-    sups = [s[3] for s in steps]
-    infs = [s[4] for s in steps]
+    steps, final = end_orbits(m, interval, n)
+    bounds = [step_sup_inf(m, step) for step in steps]
+    sups = [s for s, _i in bounds]
+    infs = [i for _s, i in bounds]
     ratios = [s / i if i > 0 else math.inf for s, i in zip(sups, infs)]
     value = 1.0
     for r in ratios:
@@ -224,25 +236,26 @@ def _inv_distance_integral(m, u: float, v: float) -> float:
 def variation_bound(m, interval, l: int) -> float:
     """Upper bound for var of 1/|Df^l| over the interval.
 
-    The bound is the generalized distortion divided by a certified lower
-    bound for inf |Df^l| (the product of per-step infima), times the sum of
-    inverse-distance integrals over the step images.  Substituting the
-    product lower bound only enlarges the bound, so it stays valid.
+    The bound is the generalized distortion divided by a lower bound for
+    inf |Df^l| (the product of per-step infima, rounded to nearest), times
+    the sum of inverse-distance integrals over the step images.
+    Substituting the product lower bound only enlarges the bound.
     """
     if l < 0:
         raise ValueError("l must be >= 0")
     if l == 0:
         return 0.0
-    steps, _ = _interval_orbit(m, interval, l, with_bounds=True)
+    steps, _ = end_orbits(m, interval, l)
     dist = 1.0
     inf_total = 1.0
     acc = 0.0
-    for u, v, _i, sup_df, inf_df in steps:
+    for step in steps:
+        sup_df, inf_df = step_sup_inf(m, step)
         if inf_df <= 0.0:
             raise InfiniteIntegralError("derivative infimum vanishes on a step")
         dist *= sup_df / inf_df
         inf_total *= inf_df
-        acc += _inv_distance_integral(m, u, v)
+        acc += _inv_distance_integral(m, step[0], step[1])
     return (dist / inf_total) * acc
 
 
@@ -554,9 +567,9 @@ def summability_report(m, partition, epsilon: float = 1e-4,
         if br.kind != "free":
             continue
         free_tau_len += br.tau * (br.b - br.a)
-        steps, _ = _interval_orbit(m, (br.a, br.b), br.tau, with_bounds=False)
+        steps, _ = end_orbits(m, (br.a, br.b), br.tau, br.itinerary)
         acc = 0.0
-        for u, v, _i, _s, _in in steps:
+        for u, v, *_jets in steps:
             acc += _inv_distance_integral(m, u, v)
         d_hat = max(d_hat, acc)
 

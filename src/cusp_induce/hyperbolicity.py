@@ -11,15 +11,15 @@ growth-margin conditions all hold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _vec
 from .critical_orbit import orbit_records
-from .distortion import sup_inf_abs_df
+from .distortion import end_orbits, step_sup_inf
 from .inducing import binding_period
-from .map_model import MapValidationError, _check_delta, evaluate
+from .map_model import MapValidationError, _check_delta
 
 
 class ExpansionFailure(RuntimeError):
@@ -40,6 +40,7 @@ class KappaEstimate:
     segments: int       # number of completed first-entry segments
     n_samples: int
     n_max: int
+    envelope: list = field(default_factory=list, repr=False)  # min log|Df^n|
 
     @property
     def applicable(self) -> bool:
@@ -126,13 +127,15 @@ def estimate_kappa(m, delta, n_samples: int = 10000, n_max: int = 64,
 
     Segments start outside the union of neighborhoods and end at the first
     step that lands inside; a sample set producing no such segment yields a
-    NaN value flagged non-applicable rather than an error.
+    NaN value flagged non-applicable rather than an error.  The sweep's
+    envelope is kept for the expansion fit.
     """
     xs = _sample_points(m, n_samples, seed)
-    _m_of_n, kappa_log, segments = _expansion_sweep(m, delta, xs, n_max)
+    m_of_n, kappa_log, segments = _expansion_sweep(m, delta, xs, n_max)
     value = math.exp(kappa_log) if segments > 0 else math.nan
     return KappaEstimate(value=value, segments=segments,
-                         n_samples=int(n_samples), n_max=int(n_max))
+                         n_samples=int(n_samples), n_max=int(n_max),
+                         envelope=m_of_n)
 
 
 def estimate_expansion(m, delta, n_samples: int = 10000, n_max: int = 64,
@@ -143,8 +146,12 @@ def estimate_expansion(m, delta, n_samples: int = 10000, n_max: int = 64,
     1e-6 after requiring positivity) and log c_hat is chosen so the line
     c_hat * exp(lambda_hat * n) supports the envelope from below.
     """
-    xs = _sample_points(m, n_samples, seed)
-    m_of_n, _kl, _segs = _expansion_sweep(m, delta, xs, n_max)
+    return _fit_expansion(estimate_kappa(m, delta, n_samples, n_max, seed))
+
+
+def _fit_expansion(kappa: KappaEstimate):
+    """estimate_expansion's fit, on the envelope a kappa estimate kept."""
+    m_of_n = kappa.envelope
     if not m_of_n:
         raise ExpansionFailure("no orbit segments stayed outside the "
                                "neighborhoods; cannot fit expansion")
@@ -282,9 +289,9 @@ def choose_delta(m, candidates, margin: float = 10.0,
         if not gamma_ok or not growth_ok:
             diagnostics[d] = why
             continue
-        c_hat, lam = estimate_expansion(m, d, n_samples, n_max, seed)
-        q0 = choose_q0(c_hat, lam)
         kap = kappa_by_delta[d]
+        c_hat, lam = _fit_expansion(kap)    # from the same sweep
+        q0 = choose_q0(c_hat, lam)
         report = ExpansionReport(
             delta=d,
             kappa_hat=kappa_proxy,
@@ -316,21 +323,17 @@ def _neighborhood_defect(m, delta: float):
     for cp in m.critical_points:
         c = cp.location
         lo, hi = (c, c + delta) if cp.side == "+" else (c - delta, c)
-        spans.append((lo, hi, cp))
-    for lo, hi, cp in spans:
-        v_at_c = evaluate(m, cp.location, cp.side).value
-        outer = hi if cp.side == "+" else lo
-        v_out = evaluate(m, outer, "-" if cp.side == "+" else "+").value
-        img_lo, img_hi = min(v_at_c, v_out), max(v_at_c, v_out)
-        for lo2, hi2, cp2 in spans:
+        (step,), image = end_orbits(m, (lo, hi), 1)
+        spans.append((lo, hi, cp, step, image))
+    for _lo, _hi, cp, _step, (img_lo, img_hi) in spans:
+        for lo2, hi2, cp2, _s, _i in spans:
             if img_lo < hi2 and lo2 < img_hi:
                 return (f"image of the neighborhood at ({cp.location}, "
                         f"{cp.side}) meets the neighborhood at "
                         f"({cp2.location}, {cp2.side})")
-    for lo, hi, cp in spans:
-        inf_df = sup_inf_abs_df(m, (lo, hi))[1] if cp.order < 1.0 else 2.0
+    for _lo, _hi, cp, step, _image in spans:
+        inf_df = step_sup_inf(m, step)[1] if cp.order < 1.0 else 2.0
         if inf_df < 2.0:
             return (f"expansion: inf |Df| = {inf_df!r} < 2 on the "
                     f"neighborhood at ({cp.location}, {cp.side})")
     return None
-

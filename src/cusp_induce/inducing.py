@@ -20,7 +20,7 @@ import numpy as np
 from . import _vec
 from . import expr as ex
 from .critical_orbit import compute_orbit, orbit_records
-from .distortion import branch_d2_zeros, generalized_distortion
+from .distortion import abs_df_extrema, end_orbits, generalized_distortion
 from .map_model import _check_delta, critical_distance, evaluate
 
 _EDGE_EPS = 1e-14
@@ -371,79 +371,43 @@ class InducedPartition:
         return d
 
 
-def _endpoint_track(m, x: float, approach: float, itinerary):
-    """One-sided forward orbit of a branch endpoint along a known itinerary.
-
-    approach is +1 when the endpoint is approached from the right (a left
-    endpoint) and -1 from the left.  Returns the list of successive one-sided
-    jets; values are exact limits, derivative entries may be inf sentinels.
-    """
-    ys = []
-    y = float(x)
-    s = approach
-    for i in itinerary:
-        jet = m.endpoint_jet(i, y, "+" if s > 0 else "-")
-        ys.append(jet)
-        y = jet.value
-        s *= m.monotone_signs[i]
-    return ys
-
-
 def _branch_geometry(m, a: float, b: float, itinerary, refine_below: float,
                      k_start: int = 1, k_cap: int = 512):
-    """Image, orientation, and certified |Df-hat| bounds for one branch.
+    """Image, orientation, and |Df-hat| bounds for one branch.
 
-    The bounds multiply per-step derivative extrema over sub-intervals; the
-    subdivision count doubles until the infimum bound clears refine_below or
-    the cap is reached, and every refinement stays a certified enclosure.
+    The bounds multiply per-step |Df| extrema (abs_df_extrema) over k
+    sub-intervals whose k + 1 edges move along the itinerary: the branch
+    ends by their one-sided orbits (end_orbits), the inner edges by plain
+    evaluation.  k grows eightfold until the infimum bound clears
+    refine_below or reaches k_cap.  The products are rounded to nearest,
+    not outward, so they are estimates rather than enclosures.
     """
-    tau = len(itinerary)
-    jets_a = _endpoint_track(m, a, +1.0, itinerary)
-    jets_b = _endpoint_track(m, b, -1.0, itinerary)
-    orient = 1
-    for i in itinerary:
-        orient *= 1 if m.monotone_signs[i] > 0 else -1
-    image = (min(jets_a[-1].value, jets_b[-1].value),
-             max(jets_a[-1].value, jets_b[-1].value))
-
-    end_d1_a = [abs(j.d1) for j in jets_a]
-    end_d1_b = [abs(j.d1) for j in jets_b]
-
+    steps, image = end_orbits(m, (a, b), len(itinerary), itinerary)
+    orient = math.prod(m.monotone_signs[i] for i in itinerary)
     k = k_start
     while True:
         log_inf = np.zeros(k)
         log_sup = np.zeros(k)
-        # col_pos holds the k+1 propagated edge positions at the current
-        # step; the extreme columns follow the exact one-sided orbits
-        col_pos = np.linspace(a, b, k + 1)
-        for j in range(tau):
-            br = m.branches[itinerary[j]]
+        # pos holds the k+1 edge positions at the current step, ascending;
+        # a decreasing step reverses them together with the log sums
+        pos = np.linspace(a, b, k + 1)
+        for u, v, i, left, right in steps:
+            br = m.branches[i]
+            pos[0], pos[-1] = u, v
             col = np.empty(k + 1)
-            col[0] = end_d1_a[j]
-            col[-1] = end_d1_b[j]
+            col[0], col[-1] = abs(left.d1), abs(right.d1)
+            nxt = np.empty(k + 1)
             if k > 1:
                 with np.errstate(all="ignore"):
-                    col[1:-1] = np.abs(br.d1_values(col_pos[1:-1]))
-            lo_j = np.fmin(col[:-1], col[1:])
-            hi_j = np.fmax(col[:-1], col[1:])
-            left = np.fmin(col_pos[:-1], col_pos[1:])
-            right = np.fmax(col_pos[:-1], col_pos[1:])
-            for z in branch_d2_zeros(m, itinerary[j]):
-                hit = (left < z) & (z < right)
-                if hit.any():
-                    dz = abs(br.jet(z).d1)
-                    lo_j[hit] = np.fmin(lo_j[hit], dz)
-                    hi_j[hit] = np.fmax(hi_j[hit], dz)
+                    col[1:-1] = np.abs(br.d1_values(pos[1:-1]))
+                    nxt[1:-1] = br.values(pos[1:-1])
+            lo_j, hi_j = abs_df_extrema(m, i, pos, col)
             with np.errstate(divide="ignore"):
                 log_inf += np.log(lo_j)
                 log_sup += np.log(hi_j)
-            nxt = np.empty(k + 1)
-            nxt[0] = jets_a[j].value
-            nxt[-1] = jets_b[j].value
-            if k > 1:
-                with np.errstate(all="ignore"):
-                    nxt[1:-1] = br.values(col_pos[1:-1])
-            col_pos = nxt
+            pos = nxt
+            if m.monotone_signs[i] < 0:
+                pos, log_inf, log_sup = pos[::-1], log_inf[::-1], log_sup[::-1]
         inf_bound = float(np.exp(np.min(log_inf)))
         sup_bound = float(np.exp(np.max(log_sup)))
         if inf_bound >= refine_below or k >= k_cap:
@@ -479,8 +443,8 @@ def _endpoint_images(m, itin, u, v):
     along the itinerary rows of their cells, by one forced pass.
 
     A row whose orbit sits exactly on an end of its step's branch, or turns
-    non-finite, is redone with the scalar one-sided track, whose limits the
-    array evaluation may miss there.  Returns (f^l(u+), f^l(v-), rows
+    non-finite, is redone with the scalar one-sided end_orbits, whose limits
+    the array evaluation may miss there.  Returns (f^l(u+), f^l(v-), rows
     redone), l being each row's itinerary length.
     """
     n = u.size
@@ -498,12 +462,14 @@ def _endpoint_images(m, itin, u, v):
 
     y = _vec.forced_forward(m, itin, owner, x0, visit=visit)
     redo |= ~np.isfinite(y)
-    rows = np.flatnonzero(redo)
-    for k in rows.tolist():
-        path = itin[owner[k]]
-        y[k] = _endpoint_track(m, x0[k], 1.0 if k < n else -1.0,
-                               path[path >= 0].tolist())[-1].value
-    return y[:n], y[n:], rows.size
+    for c in np.unique(owner[redo]).tolist():
+        path = itin[c][itin[c] >= 0].tolist()
+        ends = end_orbits(m, (u[c], v[c]), len(path), path)[1]
+        if math.prod(m.monotone_signs[i] for i in path) < 0:
+            ends = ends[::-1]                   # (f^l(u+), f^l(v-))
+        rows = [c, c + n]
+        y[rows] = np.where(redo[rows], ends, y[rows])
+    return y[:n], y[n:], int(redo.sum())
 
 
 def _piece_lookup(table, y):
@@ -721,7 +687,7 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
         posr[live] = np.clip(_vec.step_values(m, posr[live]), m.lo, m.hi)
     merged = _merge_cells(raw, it_mat)
 
-    # stage 4: per-branch geometry and certified derivative bounds
+    # stage 4: per-branch geometry and derivative bounds
     branches = []
     for (a, b, kind, l0, p0, key), itin in merged:
         tau = q0 if kind == "free" else l0 + p0
@@ -747,11 +713,13 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
     _LOG.info(
         "build_partition: %d cells (%d free, %d bound, %d boundary-landed), "
         "%d targets inverted, %d sub-cells, %d scalar endpoint fallbacks, "
-        "%d raw cells -> %d branches, unresolved measure by reason %s",
+        "%d raw cells -> %d branches (%d with unbounded sup |Df-hat|), "
+        "unresolved measure by reason %s",
         counts["cells"], counts["free"], counts["bound"],
         counts["boundary_landed"], counts["targets_inverted"],
         counts["sub_cells"], counts["endpoint_fallbacks"], len(raw),
-        len(branches), {r: by_reason[r] for r in sorted(by_reason)})
+        len(branches), sum(br.sup_df == math.inf for br in branches),
+        {r: by_reason[r] for r in sorted(by_reason)})
 
     covered = sum(br.width for br in branches) + unres_measure
     if abs(covered - (m.hi - m.lo)) > 1e-9:
@@ -845,7 +813,7 @@ def verify_binding_lemmas(m, partition: InducedPartition,
     empirical expansion margin |Df^p(x)| over D_(p-1)^(1/(2l-1)) is
     reported; the constant-binding pieces sandwich the critical distance
     between powers of the derivative growth; and every resolved branch has
-    certified |Df-hat| infimum at least 2.
+    an |Df-hat| infimum bound (round-to-nearest) of at least 2.
     """
     if records is None:
         records = orbit_records(m, partition.p_max + 1)

@@ -6,13 +6,22 @@ delta ladder the command-line pipeline uses, so tests exercise partitions
 at the exact parameters a user would get.
 """
 
+import os
+
 import pytest
 
+import cusp_induce
 from cusp_induce import critical_orbit as co
 from cusp_induce import hyperbolicity as hy
 from cusp_induce import inducing as ind
 from cusp_induce import map_model as mm
 from cusp_induce.cli import _DELTA_LADDER
+
+# Tests that start `python -m cusp_induce.cli` must reach the package
+# imported here, also from a checkout where it is not installed.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    os.path.dirname(os.path.dirname(cusp_induce.__file__)),
+    os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session")
@@ -47,16 +56,14 @@ def lorenz_records(lorenz):
 
 @pytest.fixture(scope="session")
 def cheb_scales(cheb):
-    delta, _ = hy.choose_delta(cheb, _DELTA_LADDER)
-    c_hat, lambda_hat = hy.estimate_expansion(cheb, delta)
-    return delta, hy.choose_q0(c_hat, lambda_hat)
+    delta, rep = hy.choose_delta(cheb, _DELTA_LADDER)
+    return delta, rep.q0
 
 
 @pytest.fixture(scope="session")
 def lorenz_scales(lorenz):
-    delta, _ = hy.choose_delta(lorenz, _DELTA_LADDER)
-    c_hat, lambda_hat = hy.estimate_expansion(lorenz, delta)
-    return delta, hy.choose_q0(c_hat, lambda_hat)
+    delta, rep = hy.choose_delta(lorenz, _DELTA_LADDER)
+    return delta, rep.q0
 
 
 @pytest.fixture(scope="session")

@@ -95,6 +95,16 @@ def test_star_check_passes_and_fails():
     assert doc["passed"] is False
 
 
+def test_star_check_fails_an_orbit_that_hits_the_critical_set():
+    # the critical orbit lands within 1e-13 of the turning point at n = 2,
+    # long before the horizon, so the tail window of the record is empty
+    code, doc = run_json("star-check", "--family", "unimodal",
+                         "--param", "a=1.00000000000005")
+    assert code == 1
+    assert doc["passed"] is False
+    assert {p["star_verdict"] for p in doc["points"].values()} == {"fail"}
+
+
 def test_hyperbolicity_chooses_scales():
     code, doc = run_json("hyperbolicity", "--family", "chebyshev")
     assert code == 0

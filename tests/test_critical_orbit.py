@@ -108,6 +108,17 @@ def test_periodic_window_parameter_fails_summability():
     assert verdicts == {"fail"}
 
 
+def test_an_orbit_hitting_the_critical_set_fails_both_sums():
+    from cusp_induce.map_model import unimodal_map
+
+    recs = co.orbit_records(unimodal_map(a=1.00000000000005), 40)
+    for rec in recs.values():
+        assert rec.hit_critical_at == 2
+        assert np.all(np.isfinite(rec.star_terms))
+        assert co.star_sum(rec).verdict == "fail"
+        assert co.star_star_sum(rec).verdict == "fail"
+
+
 def test_write_orbit_csv_round_trip(tmp_path, cheb_records):
     import csv
 

@@ -1,0 +1,277 @@
+"""One tracker for the one-sided orbits of interval ends.
+
+distortion.end_orbits and abs_df_extrema replaced two trackers: a
+positional one with per-step |Df| extrema (behind generalized_distortion,
+variation_bound and sup_inf_abs_df) and an unclamped one along a known
+itinerary (behind stage 4 of build_partition).  Their bodies are kept below
+as references.  The positional callers must reproduce them bit for bit;
+stage 4 may differ only where the unclamped end orbit crossed the cusp.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from cusp_induce import distortion as di
+from cusp_induce import inducing as ind
+from cusp_induce import map_model as mm
+
+
+# ---------------------------------------------------------------------------
+# references: the two trackers end_orbits replaced
+
+
+def ref_sup_inf_abs_df(m, interval):
+    u, v = float(interval[0]), float(interval[1])
+    if not u < v:
+        raise ValueError("empty interval")
+    i = di._containing_branch(m, u, v)
+    br = m.branches[i]
+    uu, vv = max(u, br.a), min(v, br.b)
+    cands = [
+        abs(m.endpoint_jet(i, uu, "+").d1),
+        abs(m.endpoint_jet(i, vv, "-").d1),
+    ]
+    for z in di.branch_d2_zeros(m, i):
+        if uu < z < vv:
+            cands.append(abs(br.jet(z).d1))
+    return max(cands), min(cands)
+
+
+def ref_interval_orbit(m, interval, n):
+    """Steps (u, v, branch, sup, inf) by position, and the final image."""
+    u, v = sorted((float(interval[0]), float(interval[1])))
+    su, sv = 1.0, -1.0
+    steps = []
+    for _ in range(n):
+        i = di._containing_branch(m, u, v)
+        sup_df, inf_df = ref_sup_inf_abs_df(m, (u, v))
+        steps.append((u, v, i, sup_df, inf_df))
+        br = m.branches[i]
+        ju = m.endpoint_jet(i, max(u, br.a), "+" if su > 0 else "-")
+        jv = m.endpoint_jet(i, min(v, br.b), "+" if sv > 0 else "-")
+        sgn = m.monotone_signs[i]
+        su *= sgn
+        sv *= sgn
+        u2, v2 = ju.value, jv.value
+        if u2 <= v2:
+            u, v = u2, v2
+        else:
+            u, v, su, sv = v2, u2, sv, su
+    return steps, (u, v)
+
+
+def ref_generalized_distortion(m, interval, n):
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    steps, final = ref_interval_orbit(m, interval, n)
+    sups = [s[3] for s in steps]
+    infs = [s[4] for s in steps]
+    ratios = [s / i if i > 0 else math.inf for s, i in zip(sups, infs)]
+    value = 1.0
+    for r in ratios:
+        value *= r
+    return di.DistortionResult(
+        interval=(float(interval[0]), float(interval[1])), n=n,
+        sup_df=sups, inf_df=infs, ratios=ratios, value=value, image=final)
+
+
+def ref_variation_bound(m, interval, l):
+    if l < 0:
+        raise ValueError("l must be >= 0")
+    if l == 0:
+        return 0.0
+    steps, _ = ref_interval_orbit(m, interval, l)
+    dist = 1.0
+    inf_total = 1.0
+    acc = 0.0
+    for u, v, _i, sup_df, inf_df in steps:
+        if inf_df <= 0.0:
+            raise di.InfiniteIntegralError(
+                "derivative infimum vanishes on a step")
+        dist *= sup_df / inf_df
+        inf_total *= inf_df
+        acc += di._inv_distance_integral(m, u, v)
+    return (dist / inf_total) * acc
+
+
+def ref_endpoint_track(m, x, approach, itinerary):
+    """Unclamped one-sided jets of one end along the itinerary."""
+    ys = []
+    y = float(x)
+    s = approach
+    for i in itinerary:
+        jet = m.endpoint_jet(i, y, "+" if s > 0 else "-")
+        ys.append(jet)
+        y = jet.value
+        s *= m.monotone_signs[i]
+    return ys
+
+
+def ref_branch_geometry(m, a, b, itinerary, refine_below, k_start=1,
+                        k_cap=512):
+    tau = len(itinerary)
+    jets_a = ref_endpoint_track(m, a, +1.0, itinerary)
+    jets_b = ref_endpoint_track(m, b, -1.0, itinerary)
+    orient = 1
+    for i in itinerary:
+        orient *= 1 if m.monotone_signs[i] > 0 else -1
+    image = (min(jets_a[-1].value, jets_b[-1].value),
+             max(jets_a[-1].value, jets_b[-1].value))
+    end_d1_a = [abs(j.d1) for j in jets_a]
+    end_d1_b = [abs(j.d1) for j in jets_b]
+    k = k_start
+    while True:
+        log_inf = np.zeros(k)
+        log_sup = np.zeros(k)
+        col_pos = np.linspace(a, b, k + 1)
+        for j in range(tau):
+            br = m.branches[itinerary[j]]
+            col = np.empty(k + 1)
+            col[0] = end_d1_a[j]
+            col[-1] = end_d1_b[j]
+            if k > 1:
+                with np.errstate(all="ignore"):
+                    col[1:-1] = np.abs(br.d1_values(col_pos[1:-1]))
+            lo_j = np.fmin(col[:-1], col[1:])
+            hi_j = np.fmax(col[:-1], col[1:])
+            left = np.fmin(col_pos[:-1], col_pos[1:])
+            right = np.fmax(col_pos[:-1], col_pos[1:])
+            for z in di.branch_d2_zeros(m, itinerary[j]):
+                hit = (left < z) & (z < right)
+                if hit.any():
+                    dz = abs(br.jet(z).d1)
+                    lo_j[hit] = np.fmin(lo_j[hit], dz)
+                    hi_j[hit] = np.fmax(hi_j[hit], dz)
+            with np.errstate(divide="ignore"):
+                log_inf += np.log(lo_j)
+                log_sup += np.log(hi_j)
+            nxt = np.empty(k + 1)
+            nxt[0] = jets_a[j].value
+            nxt[-1] = jets_b[j].value
+            if k > 1:
+                with np.errstate(all="ignore"):
+                    nxt[1:-1] = br.values(col_pos[1:-1])
+            col_pos = nxt
+        inf_bound = float(np.exp(np.min(log_inf)))
+        sup_bound = float(np.exp(np.max(log_sup)))
+        if inf_bound >= refine_below or k >= k_cap:
+            break
+        k *= 8
+    return image, orient, inf_bound, sup_bound
+
+
+# ---------------------------------------------------------------------------
+# helpers
+
+
+MAPS = {
+    "chebyshev": mm.chebyshev_map,
+    "lorenz(1.9,0.4)": lambda: mm.lorenz_map(1.9, 0.4, 0.1),
+    "lorenz(1.8,0.5)": lambda: mm.lorenz_map(1.8, 0.5, 0.1),
+    "singular_unimodal": mm.singular_unimodal_map,
+}
+
+
+def random_cases(m, n, seed):
+    """(interval, steps) pairs: widths from 1e-5 to 0.3 of the domain."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        steps = int(rng.integers(0, 7))
+        w = float(10.0 ** rng.uniform(-5.0, -0.5) * (m.hi - m.lo) / 2.0)
+        x = float(rng.uniform(m.lo, m.hi - w))
+        yield (x, x + w), steps
+
+
+def outcome(f, *args):
+    """repr of the result, or the exception type."""
+    try:
+        return repr(f(*args))
+    except Exception as err:  # noqa: BLE001 - compared by type
+        return type(err)
+
+
+@pytest.fixture(scope="module")
+def lorenz_cusp_partition():
+    m = mm.lorenz_map(1.9, 0.4, 0.1)
+    return m, ind.build_partition(m, delta=0.1, q0=13)
+
+
+def crossed_the_cusp(m, br):
+    """True if an unclamped end orbit of the branch leaves a step's branch."""
+    for x, side in ((br.a, 1.0), (br.b, -1.0)):
+        ys = [x] + [j.value for j in
+                    ref_endpoint_track(m, x, side, br.itinerary)]
+        for y, i in zip(ys, br.itinerary):
+            if not m.branches[i].a <= y <= m.branches[i].b:
+                return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_positional_callers_match_the_reference_bit_for_bit(name):
+    m = MAPS[name]()
+    raised = 0
+    for interval, n in random_cases(m, 300, seed=7):
+        pairs = (
+            (outcome(lambda: di.generalized_distortion(m, interval, n)
+                     .to_dict()),
+             outcome(lambda: ref_generalized_distortion(m, interval, n)
+                     .to_dict())),
+            (outcome(di.variation_bound, m, interval, n),
+             outcome(ref_variation_bound, m, interval, n)),
+            (outcome(di.sup_inf_abs_df, m, interval),
+             outcome(ref_sup_inf_abs_df, m, interval)),
+        )
+        for got, ref in pairs:
+            assert got == ref, (interval, n)
+            raised += isinstance(ref, type)
+    assert raised > 0      # the cases reach the exception paths too
+
+
+def test_stage4_matches_the_reference_on_chebyshev(cheb, cheb_partition):
+    for br in cheb_partition.branches:
+        ref = ref_branch_geometry(cheb, br.a, br.b, br.itinerary, 4.0)
+        assert (br.image, br.orientation, br.inf_df, br.sup_df) == ref
+
+
+def test_stage4_differs_only_where_an_end_orbit_crossed_the_cusp(
+        lorenz_cusp_partition):
+    m, part = lorenz_cusp_partition
+    changed, crossed = 0, 0
+    for br in part.branches:
+        ref = ref_branch_geometry(m, br.a, br.b, br.itinerary, 4.0)
+        got = (br.image, br.orientation, br.inf_df, br.sup_df)
+        cross = crossed_the_cusp(m, br)
+        crossed += cross
+        if repr(got) != repr(ref):
+            changed += 1
+            assert cross, (br.a, br.b)
+            assert (br.orientation, br.inf_df) == ref[1:3]
+        if cross:
+            # the clamped end sits on the cusp, where |Df| is infinite
+            assert br.sup_df == math.inf, (br.a, br.b)
+    assert changed > 0 and crossed >= changed
+
+
+def test_every_branch_is_followed_along_its_itinerary(lorenz_cusp_partition):
+    m, part = lorenz_cusp_partition
+    for br in part.branches:
+        steps, image = di.end_orbits(m, (br.a, br.b), br.tau, br.itinerary)
+        assert [s[2] for s in steps] == list(br.itinerary)
+        for u, v, i, _left, _right in steps:
+            assert m.branches[i].a <= u <= v <= m.branches[i].b
+        assert image == br.image
+
+
+def test_without_an_itinerary_a_straddling_step_raises(cheb):
+    with pytest.raises(di.NotDiffeomorphismError):
+        di.end_orbits(cheb, (-0.1, 0.1), 1)
+    steps, image = di.end_orbits(cheb, (0.2, 0.3), 2)
+    assert [s[2] for s in steps] == [1, 1]
+    assert image == pytest.approx((-0.6928, -0.3448), rel=1e-12)

@@ -7,6 +7,7 @@ cell, and a scalar forward walk per sub-cell.
 """
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -288,7 +289,9 @@ def test_build_partition_logs_its_stage_counts(singular, caplog):
     assert len(msgs) == 1
     msg = msgs[0]
     assert "boundary-landed" in msg and "scalar endpoint fallbacks" in msg
-    assert f"-> {len(part.branches)} branches" in msg
+    unbounded = sum(br.sup_df == math.inf for br in part.branches)
+    assert (f"-> {len(part.branches)} branches ({unbounded} with unbounded "
+            "sup |Df-hat|)") in msg
     for reason in part.summary()["unresolved_reasons"]:
         assert repr(reason) in msg
     assert part.unresolved_measure > 0.0
