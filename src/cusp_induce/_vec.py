@@ -23,6 +23,11 @@ CHUNK_POINTS = 1 << 14
 # double-width branch down to its last bits.
 BISECTION_STEPS = 60
 
+# Steps of the root finder of forced_inverse before it gives up.  Targets
+# on brackets a few ulps wide, at the rounding floor of narrow branches,
+# take the most: about 60.
+ROOT_STEPS = 200
+
 
 def branch_indices(m, x: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(m.interior_boundaries, x, side="right")
@@ -182,30 +187,140 @@ def _bisect(plan, lo, hi, t, up, steps):
     return 0.5 * (lo + hi)
 
 
-def forced_inverse(m, itin, a, b, increasing, targets) -> list:
+def _step(x1, x2, x3, f1, f2, f3, tol, gap):
+    """Chandrupatla's step as a fraction of x2 - x1: inverse quadratic
+    through the three points where his xi/phi test passes (x3 lies beyond
+    x1), a halving elsewhere, kept max(tol / 2, gap) inside the bracket."""
+    span = x2 - x1
+    d12, d32 = f1 - f2, f3 - f2
+    xi = span / (x2 - x3)
+    phi = d12 / d32
+    iqi = f1 / d32 * (f3 / d12 + (x3 - x1) / span * f2 / (f3 - f1))
+    ok = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+    tl = np.minimum(np.maximum(0.5 * tol, gap) / np.abs(span), 0.5)
+    return np.maximum(np.minimum(np.where(ok, iqi, 0.5), 1.0 - tl), tl)
+
+
+def _chandrupatla(plan_of, t, x1, x2, x3, f1, f2, f3, xatol, stats=None):
+    """Roots of F(x) = t on the brackets [x1, x2], with residuals f1, f2
+    and a third point x3 beyond x1 (residual f3, or NaN for none).
+
+    F is the forced pass of plan_of(sel), the plan of the points sel.
+    Each step is Chandrupatla's (Adv. Eng. Software 28, 1997; _step).  gap
+    is twice the widest run of equal residuals last seen: where F is flat
+    at the rounding floor, a step next to the flat end would land on the
+    flat run again.  A point stops at the bracket end of smaller
+    |residual| once that residual is zero or the bracket is narrower than
+    tol = 4 eps |x| + xatol; the seeding brackets also stop there when
+    both ends share a sign.  A non-finite residual stops a point at the
+    bracket end of finite residual.  Finished points idle until half the
+    working set has finished; then the set is compacted and its plan
+    rebuilt.  More than ROOT_STEPS steps raise RuntimeError.  stats, when
+    given, gains the evaluations, the targets, the largest step count
+    ("max_steps") and the points stopped on a non-finite residual
+    ("nonfinite").
+    """
+    n = t.size
+    out = np.empty(n)
+    steps = np.zeros(n, dtype=np.int64)
+    eps4 = 4.0 * np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        fin1, fin2 = np.isfinite(f1), np.isfinite(f2)
+        first = np.abs(f1) <= np.abs(f2)
+        out[:] = np.where(fin1 & (first | ~fin2), x1,
+                          np.where(fin2, x2, 0.5 * (x1 + x2)))
+        nonfinite = n - int((fin1 & fin2).sum())
+        tol = eps4 * np.abs(out) + xatol
+        done = (~(fin1 & fin2) | (np.minimum(np.abs(f1), np.abs(f2)) == 0.0)
+                | ((f1 < 0) == (f2 < 0)) | (np.abs(x2 - x1) < tol))
+        gap = np.where(f1 == f3, 2.0 * np.abs(x1 - x3), 0.0)
+        state = (np.arange(n), t, x1, x2, f1, f2,
+                 _step(x1, x2, x3, f1, f2, f3, tol, gap), xatol, gap)
+        plan = None
+        for k in range(ROOT_STEPS + 1):
+            if plan is None or 2 * done.sum() >= done.size:
+                state = tuple(v[~done] for v in state)
+                done = done[~done]
+                if not done.size:
+                    break
+                plan = plan_of(state[0])
+            if k == ROOT_STEPS:
+                raise RuntimeError(
+                    f"root finder did not converge on {done.size - done.sum()}"
+                    f" target(s) in {ROOT_STEPS} steps")
+            work, t, x1, x2, f1, f2, step, xatol, gap = state
+            x = x1 + step * (x2 - x1)
+            f = _forced_pass(plan, x) - t
+            fin = np.isfinite(f)
+            if not fin.all():
+                # the current ends both have finite residuals
+                bad = ~fin & ~done
+                out[work[bad]] = np.where(np.abs(f1) <= np.abs(f2),
+                                          x1, x2)[bad]
+                steps[work[bad]] = k + 1
+                nonfinite += int(bad.sum())
+                done |= bad
+                f = np.where(fin, f, f1)
+            same = (f < 0) == (f1 < 0)
+            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+            x1, f1 = x, f
+            a1, a2 = np.abs(f1), np.abs(f2)
+            xmin = np.where(a1 <= a2, x1, x2)
+            tol = eps4 * np.abs(xmin) + xatol
+            stop = ((np.minimum(a1, a2) == 0.0) | (np.abs(x2 - x1) < tol)) \
+                & ~done
+            if stop.any():
+                out[work[stop]] = xmin[stop]
+                steps[work[stop]] = k + 1
+                done |= stop
+            gap = np.where(f1 == f3, 2.0 * np.abs(x1 - x3), gap)
+            state = (work, t, x1, x2, f1, f2,
+                     _step(x1, x2, x3, f1, f2, f3, tol, gap), xatol, gap)
+    if stats is not None:
+        for key, v in (("evaluations", int(steps.sum())), ("targets", n),
+                       ("nonfinite", nonfinite)):
+            stats[key] = stats.get(key, 0) + v
+        stats["max_steps"] = max(stats.get("max_steps", 0),
+                                 int(steps.max(initial=0)))
+    return out
+
+
+def forced_inverse(m, itin, a, b, increasing, targets, stats=None) -> list:
     """Preimages of targets[k] under the forced composition of itin row k.
 
     Row k is monotone on [a[k], b[k]] in the sense increasing[k], and
-    targets[k] is ascending.  A forward grid of max(16, 2 n) cells per row
-    seeds brackets one cell wide, then bisection polishes each preimage;
-    thirty halvings of a sub-1e-4 bracket land well under 1e-12.
+    targets[k] is ascending.  A forward grid of max(16, n) cells per row
+    seeds brackets one cell wide with the residuals at both ends, then
+    _chandrupatla polishes each preimage to within 4 eps |x| plus 2**-31
+    of the row's grid cell, no looser than thirty halvings.  stats, when
+    given, gains the root finder's counts (_chandrupatla).
     """
-    grids = [np.linspace(u, v, max(16, 2 * t.size) + 1)
+    grids = [np.linspace(u, v, max(16, t.size) + 1)
              for u, v, t in zip(a, b, targets)]
-    sizes = [g.size for g in grids]
-    ys = forced_forward(m, itin, np.repeat(np.arange(len(grids)), sizes),
-                        np.concatenate(grids))
-    lo, hi = [], []
-    for xs, y, t, inc in zip(grids, np.split(ys, np.cumsum(sizes)[:-1]),
-                             targets, increasing):
-        if not inc:
-            xs, y = xs[::-1], y[::-1]
-        pos = np.clip(np.searchsorted(y, t), 1, xs.size - 1)
-        lo.append(np.minimum(xs[pos - 1], xs[pos]))
-        hi.append(np.maximum(xs[pos - 1], xs[pos]))
+    sizes = np.array([g.size for g in grids])
+    starts = np.cumsum(sizes) - sizes
+    xs = np.concatenate(grids)
+    ys = forced_forward(m, itin, np.repeat(np.arange(len(grids)), sizes), xs)
+    pos = [np.searchsorted(y if inc else y[::-1], t)
+           for y, t, inc in zip(np.split(ys, starts[1:]), targets,
+                                increasing)]
     counts = [t.size for t in targets]
     owner = np.repeat(np.arange(len(targets)), counts)
+    size, start = sizes[owner], starts[owner]
+    pos = np.clip(np.concatenate(pos), 1, size - 1)
     up = np.asarray(increasing, dtype=bool)[owner]
-    x = _bisect(_dispatch(m, itin, owner), np.concatenate(lo),
-                np.concatenate(hi), np.concatenate(targets), up, 30)
+    t = np.concatenate(targets)
+
+    def node(i):
+        """Node i of the row in its order of increasing image."""
+        return start + np.where(up, i, size - 1 - i)
+
+    # x1 and x2 bracket the target; x3 is the node beyond x1, if any
+    i1, i2, i3 = node(pos - 1), node(pos), node(np.maximum(pos - 2, 0))
+    none = np.where(pos > 1, 0.0, np.nan)
+    x = _chandrupatla(lambda sel: _dispatch(m, itin, owner[sel]), t,
+                      xs[i1], xs[i2], xs[i3] + none, ys[i1] - t, ys[i2] - t,
+                      ys[i3] - t + none,
+                      (xs[start + 1] - xs[start]) * 2.0 ** -31, stats)
     return np.split(x, np.cumsum(counts)[:-1])

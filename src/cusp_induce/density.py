@@ -19,6 +19,9 @@ from . import _fastmap, _vec
 
 _LOG = logging.getLogger(__name__)
 
+# Most midpoint chunks pull_back gives one branch.
+PULL_BACK_CAP = 8192
+
 
 def l1_distance(h1, h2, cell_width: float) -> float:
     """L1 distance between two piecewise-constant densities on one grid."""
@@ -53,36 +56,89 @@ class UlamTable:
         }
 
 
-def _transfer_matrix(m, edges: np.ndarray, groups):
+def _pieces(edges, a, b, preimages, increasing, first):
+    """The pieces of branches cut at edge preimages and at the edges.
+
+    Branch k runs over [a[k], b[k]], monotone in the sense increasing[k],
+    and preimages[k] holds the points it maps onto the consecutive cell
+    edges from edges[first[k]] upwards.  A piece between consecutive cuts
+    maps into the cell read from the number s of preimages at or left of
+    its left cut: first - 1 + s for an increasing branch and
+    first - 1 + n - s for a decreasing one, n the branch's preimage count.
+    Returns (owner, midpoint, width, column) per piece.
+    """
+    B = len(a)
+    n_pre = np.array([p.size for p in preimages], dtype=np.int64)
+    e_lo = np.searchsorted(edges, a, side="right")
+    n_edge = np.maximum(np.searchsorted(edges, b, side="left") - e_lo, 0)
+    starts = np.repeat(e_lo - np.cumsum(n_edge) + n_edge, n_edge)
+    x = np.concatenate([a, b, *preimages,
+                        edges[starts + np.arange(starts.size)]])
+    rows = np.arange(B)
+    owner = np.concatenate([rows, rows, np.repeat(rows, n_pre),
+                            np.repeat(rows, n_edge)])
+    is_pre = np.zeros(x.size, dtype=np.int64)
+    is_pre[2 * B:2 * B + n_pre.sum()] = 1
+    order = np.lexsort((x, owner))
+    x, owner = x[order], owner[order]
+    below = np.cumsum(is_pre[order])
+    # the last of each run of equal cuts counts every preimage there
+    last = np.ones(x.size, dtype=bool)
+    last[:-1] = (x[1:] != x[:-1]) | (owner[1:] != owner[:-1])
+    x, owner, below = x[last], owner[last], below[last]
+    left = np.flatnonzero(owner[1:] == owner[:-1])
+    k = owner[left]
+    s = below[left] - (np.cumsum(n_pre) - n_pre)[k]
+    col = np.asarray(first)[k] - 1 + np.where(
+        np.asarray(increasing, dtype=bool)[k], s, n_pre[k] - s)
+    col = np.clip(col, 0, edges.size - 2)
+    return k, 0.5 * (x[left] + x[left + 1]), x[left + 1] - x[left], col
+
+
+def _piece_bound(edges, a, b, n_targets) -> int:
+    """Most pieces branches [a[k], b[k]] with n_targets[k] preimages can
+    have: one per cut at a preimage or at an edge inside (a, b), plus one."""
+    inside = np.searchsorted(edges, b) - np.searchsorted(edges, a, "right")
+    return int((np.asarray(n_targets) + 1 + np.maximum(inside, 0)).sum())
+
+
+def _map_group(m, edges):
+    """The arguments of _pieces for the branches of the map itself, and
+    their piece bound.  A branch takes the edges within 1e-12 of its image
+    (_vec.preimages), a run starting at edges[first]."""
+    ids, pre = _vec.preimages(m, edges)
+    a = np.array([br.a for br in m.branches])
+    b = np.array([br.b for br in m.branches])
+    first = np.searchsorted(edges, np.array(m.branch_images)[:, 0] - 1e-12)
+    pre = [pre[ids == i] for i in range(len(m.branches))]
+    group = (a, b, pre, np.array(m.monotone_signs) > 0, first)
+    return group, _piece_bound(edges, a, b, [p.size for p in pre])
+
+
+def _transfer_matrix(edges: np.ndarray, groups, n_pieces: int):
     """Row-normalized transfer matrix of branches cut at edge preimages.
 
-    groups yields (itin, a, b, preimages): branch k of a group runs over
-    [a[k], b[k]] along itinerary row k, and preimages[k] holds the points it
-    maps onto cell edges.  Cut there and at the edges, each piece carries
-    its width from the cell of its midpoint into the cell of the midpoint's
-    image.  Rows without resolved mass are dead and stay zero.  Returns
-    (csr matrix, coverage, dead mask).
+    groups yields the arguments of _pieces, one group of branches at a
+    time; n_pieces bounds their total piece count.  Each piece carries its
+    width from the cell of its midpoint into the cell of its image.  Rows
+    without resolved mass are dead and stay zero.  Returns (csr matrix,
+    coverage, dead mask).
     """
     lo, m_cells = edges[0], edges.size - 1
     cw = (edges[-1] - lo) / m_cells
-
-    def cell(x):
-        return np.clip(((x - lo) / cw).astype(np.int64), 0, m_cells - 1)
-
-    empty = np.empty(0, dtype=np.int64)
-    rows, cols, mass = [empty], [empty], [np.empty(0)]
-    for itin, a, b, preimages in groups:
-        cuts = [np.unique(np.concatenate(
-            [[u], pre, edges[(edges > u) & (edges < v)], [v]]))
-            for u, v, pre in zip(a, b, preimages)]
-        mids = np.concatenate([0.5 * (c[:-1] + c[1:]) for c in cuts])
-        owner = np.repeat(np.arange(len(cuts)), [c.size - 1 for c in cuts])
-        rows.append(cell(mids))
-        cols.append(cell(_vec.forced_forward(m, itin, owner, mids)))
-        mass.append(np.concatenate([np.diff(c) for c in cuts]))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    mass = np.concatenate(mass)
+    rows = np.empty(n_pieces, dtype=np.int64)
+    cols = np.empty(n_pieces, dtype=np.int64)
+    mass = np.empty(n_pieces)
+    n = 0
+    for group in groups:
+        _owner, mids, widths, col = _pieces(edges, *group)
+        k = n + mids.size
+        rows[n:k] = np.clip(((mids - lo) / cw).astype(np.int64),
+                            0, m_cells - 1)
+        cols[n:k] = col
+        mass[n:k] = widths
+        n = k
+    rows, cols, mass = rows[:n], cols[:n], mass[:n]
     coverage = np.bincount(rows, weights=mass, minlength=m_cells) / cw
     mat = sparse.coo_matrix((mass / cw, (rows, cols)),
                             shape=(m_cells, m_cells)).tocsr()
@@ -108,25 +164,27 @@ def ulam_matrix(m, partition, m_cells: int = 4096) -> UlamTable:
     edges = np.linspace(lo, hi, m_cells + 1)
     cw = (hi - lo) / m_cells
     branches = partition.branches
-    # the grid pass of forced_inverse holds 2n + 17 points for n targets
+    a = np.array([br.a for br in branches])
+    b = np.array([br.b for br in branches])
     images = np.array([br.image for br in branches]).reshape(-1, 2)
-    sizes = 17 + 2 * np.diff(np.searchsorted(edges, images), axis=1).ravel()
-    n_targets = 0
+    # targets: the edges strictly inside each image, from edges[first] on
+    first = np.searchsorted(edges, images[:, 0], side="right")
+    counts = np.maximum(np.searchsorted(edges, images[:, 1]) - first, 0)
+    n_pieces = _piece_bound(edges, a, b, counts)
+    stats = {}
 
     def groups():
-        nonlocal n_targets
-        for s, e in _vec.chunk_ranges(sizes):
+        # the grid pass of forced_inverse holds n + 17 points for n targets
+        for s, e in _vec.chunk_ranges(17 + counts):
             group = branches[s:e]
-            itin = _vec.itinerary_matrix([br.itinerary for br in group])
-            a = [br.a for br in group]
-            b = [br.b for br in group]
-            targets = [edges[(edges > br.image[0]) & (edges < br.image[1])]
-                       for br in group]
-            n_targets += sum(t.size for t in targets)
-            yield itin, a, b, _vec.forced_inverse(
-                m, itin, a, b, [br.orientation > 0 for br in group], targets)
+            up = [br.orientation > 0 for br in group]
+            targets = [edges[j:j + n] for j, n in zip(first[s:e],
+                                                      counts[s:e])]
+            yield a[s:e], b[s:e], _vec.forced_inverse(
+                m, _vec.itinerary_matrix([br.itinerary for br in group]),
+                a[s:e], b[s:e], up, targets, stats), up, first[s:e]
 
-    mat, coverage, dead = _transfer_matrix(m, edges, groups())
+    mat, coverage, dead = _transfer_matrix(edges, groups(), n_pieces)
     dead_idx = np.nonzero(dead)[0]
     if dead_idx.size:
         r2 = np.repeat(dead_idx, m_cells)
@@ -137,9 +195,14 @@ def ulam_matrix(m, partition, m_cells: int = 4096) -> UlamTable:
         _LOG.warning("ulam matrix has %d dead rows (unresolved cells)",
                      dead_idx.size)
     flagged = (~dead) & (np.abs(coverage - 1.0) > 1e-12)
+    n_targets = int(counts.sum())
     _LOG.info("ulam_matrix: %d branches, %d targets inverted, %d nonzeros, "
-              "%d dead rows, %d flagged rows", len(branches), n_targets,
-              mat.nnz, dead_idx.size, int(flagged.sum()))
+              "%d dead rows, %d flagged rows; root finder: %d evaluations "
+              "(%.2f per target), at most %d steps, %d stopped on a "
+              "non-finite residual", len(branches), n_targets, mat.nnz,
+              dead_idx.size, int(flagged.sum()), stats.get("evaluations", 0),
+              stats.get("evaluations", 0) / max(n_targets, 1),
+              stats.get("max_steps", 0), stats.get("nonfinite", 0))
     return UlamTable(matrix=mat, m=m_cells, edges=edges, cell_width=cw,
                      coverage=coverage, flagged_rows=flagged, dead_rows=dead)
 
@@ -203,9 +266,17 @@ def pull_back(m, partition, h_induced: np.ndarray, m_cells: int = 4096
 
     def chunk_count(br):
         sup = br.sup_df if np.isfinite(br.sup_df) else 1e7
-        return int(np.clip(4.0 * br.width * min(sup, 1e7) / cw, 16, 8192))
+        return int(np.clip(4.0 * br.width * min(sup, 1e7) / cw, 16,
+                           PULL_BACK_CAP))
 
     sizes = [chunk_count(br) for br in branches]
+    steps = np.array([len(br.itinerary) for br in branches]) * sizes
+    unbounded = np.array([not np.isfinite(br.sup_df) for br in branches])
+    _LOG.info("pull_back: %d branches, %d points, %d point-steps, %d "
+              "branches at the %d-chunk cap, %.3f of the point-steps on "
+              "branches with unbounded sup |Df-hat|", len(branches),
+              sum(sizes), steps.sum(), sizes.count(PULL_BACK_CAP),
+              PULL_BACK_CAP, steps[unbounded].sum() / max(steps.sum(), 1))
     for s, e in _vec.chunk_ranges(sizes):
         group = branches[s:e]
         K = sizes[s:e]
@@ -248,12 +319,8 @@ def invariance_residual(m, h_map: np.ndarray, m_cells: int | None = None
     lo, hi = m.lo, m.hi
     edges = np.linspace(lo, hi, m_cells + 1)
     cw = (hi - lo) / m_cells
-    n = len(m.branches)
-    ids, pre = _vec.preimages(m, edges)
-    group = (_vec.itinerary_matrix([(i,) for i in range(n)]),
-             [br.a for br in m.branches], [br.b for br in m.branches],
-             [pre[ids == i] for i in range(n)])
-    P, _coverage, _dead = _transfer_matrix(m, edges, [group])
+    group, n_pieces = _map_group(m, edges)
+    P, _coverage, _dead = _transfer_matrix(edges, [group], n_pieces)
     p = h_map * cw
     tot = p.sum()
     if tot <= 0:

@@ -10,6 +10,7 @@ over the computed horizon.
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -20,6 +21,8 @@ from . import _vec
 from . import expr as ex
 from .critical_orbit import orbit_records
 from .map_model import evaluate
+
+_LOG = logging.getLogger(__name__)
 
 
 class NotDiffeomorphismError(ValueError):
@@ -274,6 +277,10 @@ def _chain_jet(m, x: float, l: int):
 VAR_EPSABS = 1e-12
 VAR_EPSREL = 1e-9
 VAR_LIMIT = 400
+# Rounds of splits in a row that leave a branch's error estimate no lower
+# before the batched rule stops refining it: its integrand is then rounding
+# noise.  One such round also happens on the way to the tolerance.
+VAR_FLOOR_ROUNDS = 3
 
 
 def _accepted(val, err):
@@ -377,7 +384,7 @@ def _gk15(m, itin, owner, lo, hi):
     return resk, err
 
 
-def _batched_variation(m, branches):
+def _batched_variation(m, branches, stats=None):
     """Variation of 1/|Df^tau| over every branch, with its error estimate.
 
     Globally adaptive G7/K15 bisection for all branches at once, with
@@ -387,8 +394,13 @@ def _batched_variation(m, branches):
     one forced jet pass along their itineraries.  Leaves at a branch end
     carry an Aitken tail for an integrable endpoint singularity (a singular
     touch).  A leaf at most 100 ulps wide, or whose children are not
-    finite, is frozen.  Returns (values, error estimates); a branch that
-    fails variation_exact's acceptance test raises RuntimeError.
+    finite, is frozen.  A branch whose error estimate a round of splits did
+    not lower has reached the rounding floor of its integrand and is
+    refined no further (VAR_FLOOR_ROUNDS such rounds).  Returns (values,
+    error estimates); a branch that fails variation_exact's acceptance
+    test raises RuntimeError.  stats, when given, gains the leaves
+    evaluated ("leaves") and the indices of the branches stopped at the
+    floor ("floored").
     """
     B = len(branches)
     itin = _vec.itinerary_matrix([br.itinerary for br in branches])
@@ -396,16 +408,25 @@ def _batched_variation(m, branches):
     b = np.array([br.b for br in branches], dtype=float)
     owner, lo, hi = np.arange(B), a.copy(), b.copy()
     val, err = _gk15(m, itin, owner, lo, hi)
+    leaves = B
     frozen = ~np.isfinite(val + err)
     tail = np.zeros(B)
     gain = np.full(B, np.nan)
+    last_err = np.full(B, np.inf)
+    flat_rounds = np.zeros(B, dtype=np.int64)
+    refined = np.zeros(B, dtype=bool)
     while True:
         total = np.bincount(owner, val + tail, minlength=B)
         total_err = np.bincount(owner, err, minlength=B)
         tol = np.maximum(VAR_EPSABS, VAR_EPSREL * np.abs(total))
         room = VAR_LIMIT - np.bincount(owner, minlength=B)
         stuck = np.bincount(owner, np.where(frozen, err, 0.0), minlength=B)
-        active = (total_err > tol) & (room > 0) & ~(stuck > tol)
+        flat_rounds = np.where(refined, np.where(
+            total_err >= last_err, flat_rounds + 1, 0), flat_rounds)
+        last_err = total_err
+        floored = flat_rounds >= VAR_FLOOR_ROUNDS
+        active = ((total_err > tol) & (room > 0) & ~(stuck > tol)
+                  & ~floored)
         cand = np.flatnonzero(active[owner] & ~frozen)
         cand = cand[np.lexsort((-err[cand], owner[cand]))]
         k, e = owner[cand], err[cand]
@@ -427,9 +448,11 @@ def _batched_variation(m, branches):
                        np.concatenate([lo[sel], mid]),
                        np.concatenate([mid, hi[sel]]))
         v2, e2 = v2.reshape(2, -1), e2.reshape(2, -1)
+        leaves += v2.size
         left = np.flatnonzero(np.isfinite(v2 + e2).all(0))
         frozen[np.delete(sel, left)] = True
         sel, mid, v2, e2 = sel[left], mid[left], v2[:, left], e2[:, left]
+        refined = np.bincount(owner[sel], minlength=B) > 0
         # A child at a branch end continues its parent's halving chain
         # there.  An integrable endpoint singularity makes the gains of
         # that chain geometric, so an Aitken tail extrapolates the rest;
@@ -462,6 +485,9 @@ def _batched_variation(m, branches):
             f"variation quadrature did not converge on {bad.size} branch(es), "
             f"first ({br.a!r}, {br.b!r}) tau={br.tau}: "
             f"value={total[bad[0]]!r} err={total_err[bad[0]]!r}")
+    if stats is not None:
+        stats["leaves"] = stats.get("leaves", 0) + leaves
+        stats["floored"] = np.flatnonzero(floored & (total_err > tol))
     return total, total_err
 
 
@@ -554,7 +580,11 @@ def summability_report(m, partition, epsilon: float = 1e-4,
     branches = sorted(partition.branches, key=lambda br: (br.tau, br.a))
     if records is None:
         records = orbit_records(m, partition.p_max + 1)
-    var_int, var_err = _batched_variation(m, branches)
+    stats = {}
+    var_int, var_err = _batched_variation(m, branches, stats)
+    _LOG.info("summability_report: %d branches, %d quadrature leaves, %d "
+              "stopped at the rounding floor", len(branches), stats["leaves"],
+              stats["floored"].size)
     domain_length = m.hi - m.lo
 
     # interior variation + boundary sup term, per branch

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from cusp_induce import _fastmap, map_model
+from cusp_induce import _fastmap, _vec, map_model
 from cusp_induce import density as de
+
+EPS4 = 4.0 * np.finfo(float).eps
 
 
 def arcsine_density(m_cells):
@@ -53,9 +55,16 @@ def test_ulam_and_stationary_vector_log_their_counts(caplog, lorenz,
     d = table.to_dict()
     assert ulam.startswith(
         f"ulam_matrix: {len(lorenz_partition.branches)} branches, ")
-    assert ulam.endswith(f"targets inverted, {d['nnz']} nonzeros, "
-                         f"{d['dead_rows']} dead rows, "
-                         f"{d['flagged_rows']} flagged rows")
+    n_targets, evaluations, per_target, max_steps, nonfinite = \
+        caplog.records[0].args[1], *caplog.records[0].args[5:]
+    assert ulam.endswith(
+        f"targets inverted, {d['nnz']} nonzeros, {d['dead_rows']} dead rows, "
+        f"{d['flagged_rows']} flagged rows; root finder: {evaluations} "
+        f"evaluations ({per_target:.2f} per target), at most {max_steps} "
+        f"steps, {nonfinite} stopped on a non-finite residual")
+    assert 0 < evaluations <= max_steps * n_targets
+    assert per_target == evaluations / n_targets
+    assert 1 < max_steps <= _vec.ROOT_STEPS and nonfinite == 0
     assert "iterations, final L1 step" in stationary
     assert stationary.endswith("period-2 averaging not needed")
     # the benchmark reads "escapes" lines with two arguments as orbit counts
@@ -78,6 +87,70 @@ def test_stationary_vector_logs_period_2_averaging(caplog):
     assert caplog.records[-1].getMessage().endswith("averaging ran")
 
 
+def _forward_columns(m, itin, edges, owner, mids):
+    """The cells of the images of piece midpoints, by a forward pass."""
+    y = _vec.forced_forward(m, itin, owner, mids)
+    cw = (edges[-1] - edges[0]) / (edges.size - 1)
+    return np.clip(((y - edges[0]) / cw).astype(np.int64), 0, edges.size - 2)
+
+
+FIVE_MAPS = {
+    "chebyshev": map_model.chebyshev_map,
+    "unimodal": map_model.unimodal_map,
+    "lorenz(1.9,0.4)": lambda: map_model.lorenz_map(1.9, 0.4, 0.1),
+    "lorenz(1.8,0.5)": lambda: map_model.lorenz_map(1.8, 0.5, 0.1),
+    "singular_unimodal": map_model.singular_unimodal_map,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIVE_MAPS))
+def test_one_step_columns_follow_the_order_of_the_preimages(name):
+    # a piece maps where its midpoint's forward image lies, except where
+    # the piece is narrower than the bisection's last bracket plus the
+    # x-resolution of f there: then f may round onto the cell edge itself
+    m = FIVE_MAPS[name]()
+    edges = np.linspace(m.lo, m.hi, 4097)
+    group, bound = de._map_group(m, edges)
+    owner, mids, widths, cols = de._pieces(edges, *group)
+    assert mids.size <= bound
+    itin = _vec.itinerary_matrix([(i,) for i in range(len(m.branches))])
+    fwd = _forward_columns(m, itin, edges, owner, mids)
+    _y, d1 = _vec.step_with_derivative(m, mids)
+    tol = (EPS4 * (np.abs(mids) + 1.0 / np.abs(d1))
+           + ((group[1] - group[0]) * 2.0 ** -_vec.BISECTION_STEPS)[owner])
+    off = np.flatnonzero(cols != fwd)
+    assert np.all(widths[off] <= tol[off])
+    assert np.all(np.abs(cols[off] - fwd[off]) == 1)
+    assert off.size <= 25
+    np.testing.assert_allclose(widths.sum(), m.hi - m.lo, rtol=1e-14)
+
+
+@pytest.mark.parametrize("which", ["cheb", "lorenz"])
+def test_ulam_columns_follow_the_order_of_the_preimages(request, which):
+    # as above, with preimages from forced_inverse: a mismatched piece is
+    # narrower than the root finder's tolerance
+    m = request.getfixturevalue(which)
+    branches = request.getfixturevalue(which + "_partition").branches
+    edges = np.linspace(-1.0, 1.0, 4097)
+    images = np.array([br.image for br in branches])
+    first = np.searchsorted(edges, images[:, 0], side="right")
+    counts = np.searchsorted(edges, images[:, 1]) - first
+    itin = _vec.itinerary_matrix([br.itinerary for br in branches])
+    a = np.array([br.a for br in branches])
+    b = np.array([br.b for br in branches])
+    up = [br.orientation > 0 for br in branches]
+    pre = _vec.forced_inverse(m, itin, a, b, up,
+                              [edges[j:j + n] for j, n in zip(first, counts)])
+    owner, mids, widths, cols = de._pieces(edges, a, b, pre, up, first)
+    assert mids.size <= de._piece_bound(edges, a, b, counts)
+    fwd = _forward_columns(m, itin, edges, owner, mids)
+    tol = EPS4 * np.abs(mids) + ((b - a) / np.maximum(16, counts)
+                                 * 2.0 ** -31)[owner]
+    off = np.flatnonzero(cols != fwd)
+    assert np.all(widths[off] <= tol[off])
+    assert off.size <= 1e-4 * mids.size
+
+
 def test_pull_back_produces_probability_density(lorenz, lorenz_partition):
     table = de.ulam_matrix(lorenz, lorenz_partition, m_cells=512)
     h_ind = de.stationary_density(table)
@@ -85,6 +158,23 @@ def test_pull_back_produces_probability_density(lorenz, lorenz_partition):
     w = 2.0 / 512
     assert np.all(h_map >= 0)
     assert h_map.sum() * w == pytest.approx(1.0, rel=1e-9)
+
+
+def test_pull_back_logs_its_chunk_totals(caplog, lorenz, lorenz_partition):
+    branches = lorenz_partition.branches
+    with caplog.at_level(logging.INFO, logger=de.__name__):
+        de.pull_back(lorenz, lorenz_partition, np.ones(512), m_cells=512)
+    (record,) = caplog.records
+    _n, points, point_steps, capped, cap, share = record.args
+    assert record.getMessage() == (
+        f"pull_back: {len(branches)} branches, {points} points, "
+        f"{point_steps} point-steps, {capped} branches at the {cap}-chunk "
+        f"cap, {share:.3f} of the point-steps on branches with unbounded "
+        f"sup |Df-hat|")
+    assert cap == de.PULL_BACK_CAP
+    assert 16 * len(branches) <= points <= cap * len(branches)
+    assert points <= point_steps <= points * max(br.tau for br in branches)
+    assert 0 <= capped <= len(branches) and 0.0 <= share <= 1.0
 
 
 def test_invariance_residual_detects_the_right_density(cheb):

@@ -1,5 +1,6 @@
 """Generalized distortion, variation bounds, partition-level summability."""
 
+import logging
 import math
 from types import SimpleNamespace
 
@@ -93,6 +94,26 @@ def test_batched_variation_matches_variation_exact(cheb, cheb_partition,
         assert np.all((errs > 0.0) & (errs <= 1e-6 * vals))
 
 
+def test_batched_variation_stops_at_the_rounding_floor(monkeypatch, cheb,
+                                                      cheb_partition):
+    # narrow tau >= 19 chebyshev branches have integrands of rounding noise
+    # and never reach the 1e-9 tolerance; the reference refines them until
+    # the leaf budget or the small-leaf test stops it
+    branches = sorted(cheb_partition.branches, key=lambda br: (br.tau, br.a))
+    stats, ref_stats = {}, {}
+    vals, errs = di._batched_variation(cheb, branches, stats)
+    monkeypatch.setattr(di, "VAR_FLOOR_ROUNDS", di.VAR_LIMIT + 1)
+    ref, _ref_errs = di._batched_variation(cheb, branches, ref_stats)
+    assert ref_stats["floored"].size == 0
+    assert stats["leaves"] <= 0.75 * ref_stats["leaves"]
+    floored = stats["floored"]
+    assert floored.size > 0
+    assert all(branches[k].tau >= 19 for k in floored)
+    assert np.all(di._accepted(vals[floored], errs[floored]))
+    assert np.all(errs[floored] > di.VAR_EPSREL * vals[floored])
+    assert np.all(np.abs(vals - ref) < errs)
+
+
 def test_batched_variation_raises_on_divergent_integral(cheb):
     # (0, 0.1) ends on the order-2 turning point, as in the test above
     br = SimpleNamespace(a=0.0, b=0.1, tau=1,
@@ -153,6 +174,21 @@ def test_summability_report_on_singular_fixture(lorenz, lorenz_partition):
     assert 0.0 < rep.total_var_error <= 1e-6 * rep.total_var
     assert rep.to_dict()["total_var_error"] == rep.total_var_error
     assert "%.2g quadrature" % rep.total_var_error in rep.describe()
+
+
+def test_summability_report_logs_its_quadrature(caplog, cheb,
+                                                cheb_partition):
+    with caplog.at_level(logging.INFO, logger=di.__name__):
+        di.summability_report(cheb, cheb_partition)
+    stats = {}
+    di._batched_variation(
+        cheb, sorted(cheb_partition.branches, key=lambda br: (br.tau, br.a)),
+        stats)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"summability_report: {len(cheb_partition.branches)} branches, "
+        f"{stats['leaves']} quadrature leaves, {stats['floored'].size} "
+        f"stopped at the rounding floor"]
+    assert stats["floored"].size > 0
 
 
 def test_summability_csv(tmp_path, lorenz, lorenz_partition):

@@ -2,7 +2,8 @@
 
 The per-branch bisection and the positional dispatch that the one-step
 plans replaced are kept below as references; the plans must match them
-bit for bit.
+bit for bit.  The grid-seeded bisection that forced_inverse ran before its
+root finder is kept as the reference for the preimage tolerance.
 """
 
 import numpy as np
@@ -48,6 +49,40 @@ def ref_per_branch(m, x, evaluators):
             for out, name in zip(outs, evaluators):
                 out[sel] = getattr(br, name)(xv)
     return outs
+
+
+def ref_forced_inverse(m, itin, a, b, increasing, targets):
+    """forced_inverse as a grid of max(16, 2 n) cells per row and thirty
+    halvings of each bracket, with the row's grid cell per preimage."""
+    grids = [np.linspace(u, v, max(16, 2 * t.size) + 1)
+             for u, v, t in zip(a, b, targets)]
+    sizes = [g.size for g in grids]
+    ys = _vec.forced_forward(m, itin, np.repeat(np.arange(len(grids)), sizes),
+                             np.concatenate(grids))
+    lo, hi = [], []
+    for xs, y, t, inc in zip(grids, np.split(ys, np.cumsum(sizes)[:-1]),
+                             targets, increasing):
+        if not inc:
+            xs, y = xs[::-1], y[::-1]
+        pos = np.clip(np.searchsorted(y, t), 1, xs.size - 1)
+        lo.append(np.minimum(xs[pos - 1], xs[pos]))
+        hi.append(np.maximum(xs[pos - 1], xs[pos]))
+    counts = [t.size for t in targets]
+    owner = np.repeat(np.arange(len(targets)), counts)
+    up = np.asarray(increasing, dtype=bool)[owner]
+    plan = _vec._dispatch(m, itin, owner)
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    t = np.concatenate(targets)
+    with np.errstate(all="ignore"):
+        for _ in range(30):
+            mid = 0.5 * (lo + hi)
+            v = _vec._forced_pass(plan, mid)
+            go_up = np.where(up, v < t, v > t)
+            lo = np.where(go_up, mid, lo)
+            hi = np.where(go_up, hi, mid)
+    cell = np.repeat([(v - u) / (g.size - 1) for u, v, g in
+                      zip(a, b, grids)], counts)
+    return 0.5 * (lo + hi), cell
 
 
 ONE_STEP_MAPS = {
@@ -188,6 +223,110 @@ def test_forced_inverse_brackets_targets_within_1e_12(map_and_branches):
     y_lo = _vec.forced_forward(m, itin, owner, sols - 1e-12)
     y_hi = _vec.forced_forward(m, itin, owner, sols + 1e-12)
     assert np.all((np.fmin(y_lo, y_hi) <= t) & (t <= np.fmax(y_lo, y_hi)))
+
+
+def _ulam_targets(branches, m_cells=4096):
+    edges = np.linspace(-1.0, 1.0, m_cells + 1)
+    return [edges[(edges > br.image[0]) & (edges < br.image[1])]
+            for br in branches]
+
+
+def _inverse_args(branches):
+    return (_vec.itinerary_matrix([br.itinerary for br in branches]),
+            [br.a for br in branches], [br.b for br in branches],
+            [br.orientation > 0 for br in branches])
+
+
+def _check_against_reference(m, branches):
+    # both brackets hold the sign change of the residual: the root finder's
+    # to within 4 eps |x| + 2**-31 of its grid cell (max(16, n) cells per
+    # row), the reference's to within 2**-31 of its twice finer cell
+    targets = _ulam_targets(branches)
+    args = _inverse_args(branches)
+    stats = {}
+    got = np.concatenate(_vec.forced_inverse(m, *args, targets, stats))
+    want, ref_cell = ref_forced_inverse(m, *args, targets)
+    counts = [t.size for t in targets]
+    owner = np.repeat(np.arange(len(branches)), counts)
+    a, b = np.array(args[1])[owner], np.array(args[2])[owner]
+    assert np.all((a <= got) & (got <= b))
+    tol = (4.0 * np.finfo(float).eps * np.abs(got)
+           + (b - a) / np.maximum(16, np.array(counts))[owner] * 2.0 ** -31)
+    assert np.all(np.abs(got - want) <= tol + ref_cell * 2.0 ** -31)
+    assert stats["targets"] == got.size
+    assert 0 < stats["evaluations"] <= _vec.ROOT_STEPS * got.size
+    assert stats["nonfinite"] == 0
+
+
+def test_root_finder_matches_the_halving_reference(map_and_branches):
+    _check_against_reference(*map_and_branches)
+
+
+def test_root_finder_on_decreasing_branches(cheb, cheb_partition):
+    # the lorenz compositions all increase; chebyshev has both orientations
+    by_tau = {}
+    for br in cheb_partition.branches:
+        if br.orientation < 0:
+            by_tau.setdefault(br.tau, br)
+    assert len(by_tau) > 3
+    _check_against_reference(cheb, [by_tau[t] for t in sorted(by_tau)])
+
+
+def test_a_target_on_a_grid_node_returns_that_node(map_and_branches):
+    # the images of a row's interior grid nodes, as targets, have a zero
+    # residual on the seeding grid of 16 cells
+    m, branches = map_and_branches
+    args = _inverse_args(branches)
+    grids = [np.linspace(br.a, br.b, 17)[1:-1] for br in branches]
+    images = [_vec.forced_forward(m, args[0][k:k + 1],
+                                  np.zeros(g.size, dtype=np.int64), g)
+              for k, g in enumerate(grids)]
+    targets = [y if up else y[::-1] for y, up in zip(images, args[3])]
+    got = _vec.forced_inverse(m, *args, targets)
+    for g, x, up in zip(grids, got, args[3]):
+        assert (x if up else x[::-1]).tobytes() == g.tobytes()
+
+
+class _NanAbove:
+    """A one-step branch x -> x that is not finite above a threshold."""
+
+    def __init__(self, threshold):
+        self.threshold = threshold
+
+    def values(self, x):
+        return np.where(x > self.threshold, np.nan, x)
+
+
+def _root_finder(branch, t, x1, x2, stats=None):
+    t, x1, x2 = (np.asarray(v, dtype=float) for v in (t, x1, x2))
+    f1, f2 = branch.values(x1) - t, branch.values(x2) - t
+    none = np.full(t.size, np.nan)
+    return _vec._chandrupatla(lambda sel: [(None, [(branch, ...)])], t, x1,
+                              x2, none, f1, f2, none, np.full(t.size, 1e-18),
+                              stats)
+
+
+def test_a_non_finite_residual_stops_inside_the_bracket():
+    # point 0: the seeding bracket's upper end is not finite; point 1: the
+    # first halving lands above the threshold; point 2: no residual is
+    # finite, and the midpoint stands
+    stats = {}
+    x1, x2 = np.array([0.0, 0.0, 0.6]), np.array([1.0, 0.5, 0.8])
+    got = _root_finder(_NanAbove(0.5 - 1e-3), [0.3, 0.3, 0.7], x1, x2, stats)
+    assert np.all((x1 <= got) & (got <= x2))
+    assert got[0] == 0.0 and got[2] == 0.7
+    assert stats["nonfinite"] == 3
+    # a finite bracket still converges to the root
+    assert _root_finder(_NanAbove(2.0), [0.3], [0.0], [1.0]) == \
+        pytest.approx(0.3, abs=1e-15)
+
+
+def test_root_finder_raises_at_its_step_cap(monkeypatch, map_and_branches):
+    m, branches = map_and_branches
+    monkeypatch.setattr(_vec, "ROOT_STEPS", 2)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        _vec.forced_inverse(m, *_inverse_args(branches),
+                            _ulam_targets(branches))
 
 
 def test_chunk_ranges_close_runs_at_the_budget():
