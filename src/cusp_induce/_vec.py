@@ -1,11 +1,13 @@
 """Vectorized map kernels shared by the sampling and partition machinery.
 
-One forward pass (_forced_pass) and one bisection (_bisect) run on step
-plans.  Forced plans (_dispatch) follow fixed itineraries, so a point on a
-branch boundary keeps its itinerary.  One-step plans apply branch ids[k] to
-point k, with ids from positional dispatch (searchsorted over the interior
-boundaries, ties to the right-hand branch, as MapSpec.branch_index) or from
-the caller of branch_inverse.
+One forward pass (_forced_pass) runs on step plans, and two inverses run
+on it: a bisection (_bisect) for branch_inverse and a Chandrupatla root
+finder (_chandrupatla) for forced_inverse, the preimages of the Ulam
+assembly.  Forced plans (_dispatch) follow fixed itineraries, so a point on
+a branch boundary keeps its itinerary.  One-step plans apply branch ids[k]
+to point k, with ids from positional dispatch (searchsorted over the
+interior boundaries, ties to the right-hand branch, as MapSpec.branch_index)
+or from the caller of branch_inverse.
 Expression evaluation never raises here; exact landings on kinks or blowup
 points come back as non-finite entries for the caller to mask out.
 """
@@ -24,8 +26,8 @@ CHUNK_POINTS = 1 << 14
 BISECTION_STEPS = 60
 
 # Steps of the root finder of forced_inverse before it gives up.  Targets
-# on brackets a few ulps wide, at the rounding floor of narrow branches,
-# take the most: about 60.
+# where the composition is flat at the rounding floor take the most: 23 on
+# the lorenz(1.9, 0.4) benchmark partition, 37 on the chebyshev one.
 ROOT_STEPS = 200
 
 
@@ -130,8 +132,8 @@ def chunk_ranges(sizes) -> list:
 def _dispatch(m, itin, owner) -> list:
     """Per step of a forced pass of the points owned by itin rows owner:
     the live mask and the (branch, points) pairs of _formula_parts.  Passes
-    over the same points (the bisection of forced_inverse) share one
-    dispatch."""
+    over the same points (the steps of forced_inverse's root finder, until
+    it compacts its working set) share one dispatch."""
     plan = []
     for col in m.formula_groups[0][itin].T:
         groups = col[owner]
@@ -189,7 +191,7 @@ def _bisect(plan, lo, hi, t, up, steps):
 
 def _step(x1, x2, x3, f1, f2, f3, tol, gap):
     """Chandrupatla's step as a fraction of x2 - x1: inverse quadratic
-    through the three points where his xi/phi test passes (x3 lies beyond
+    through the three points where the xi/phi test passes (x3 lies beyond
     x1), a halving elsewhere, kept max(tol / 2, gap) inside the bracket."""
     span = x2 - x1
     d12, d32 = f1 - f2, f3 - f2
@@ -207,76 +209,58 @@ def _chandrupatla(plan_of, t, x1, x2, x3, f1, f2, f3, xatol, stats=None):
 
     F is the forced pass of plan_of(sel), the plan of the points sel.
     Each step is Chandrupatla's (Adv. Eng. Software 28, 1997; _step).  gap
-    is twice the widest run of equal residuals last seen: where F is flat
-    at the rounding floor, a step next to the flat end would land on the
-    flat run again.  A point stops at the bracket end of smaller
-    |residual| once that residual is zero or the bracket is narrower than
-    tol = 4 eps |x| + xatol; the seeding brackets also stop there when
-    both ends share a sign.  A non-finite residual stops a point at the
-    bracket end of finite residual.  Finished points idle until half the
-    working set has finished; then the set is compacted and its plan
-    rebuilt.  More than ROOT_STEPS steps raise RuntimeError.  stats, when
-    given, gains the evaluations, the targets, the largest step count
-    ("max_steps") and the points stopped on a non-finite residual
-    ("nonfinite").
+    is twice the last run of equal residuals seen: where F is flat at the
+    rounding floor, a step next to the flat end would land on it again.
+    A point stops at the bracket end of smaller finite |residual| once
+    that residual is zero, the bracket is narrower than tol = 4 eps |x| +
+    xatol, or the other residual is not finite or has the same sign.
+    Finished points idle until half the working set has finished; then
+    the set is compacted and its plan rebuilt.  More than ROOT_STEPS steps
+    raise RuntimeError.  stats, when given, gains the evaluations, the
+    targets, the largest step count ("max_steps") and the points stopped
+    on a non-finite residual ("nonfinite").
     """
     n = t.size
     out = np.empty(n)
     steps = np.zeros(n, dtype=np.int64)
+    nonfinite = 0
     eps4 = 4.0 * np.finfo(float).eps
+    state = (np.arange(n), t, x1, x2, x3, f1, f2, f3, xatol, np.zeros(n))
+    done = np.zeros(n, dtype=bool)
+    plan = None
     with np.errstate(all="ignore"):
-        fin1, fin2 = np.isfinite(f1), np.isfinite(f2)
-        first = np.abs(f1) <= np.abs(f2)
-        out[:] = np.where(fin1 & (first | ~fin2), x1,
-                          np.where(fin2, x2, 0.5 * (x1 + x2)))
-        nonfinite = n - int((fin1 & fin2).sum())
-        tol = eps4 * np.abs(out) + xatol
-        done = (~(fin1 & fin2) | (np.minimum(np.abs(f1), np.abs(f2)) == 0.0)
-                | ((f1 < 0) == (f2 < 0)) | (np.abs(x2 - x1) < tol))
-        gap = np.where(f1 == f3, 2.0 * np.abs(x1 - x3), 0.0)
-        state = (np.arange(n), t, x1, x2, f1, f2,
-                 _step(x1, x2, x3, f1, f2, f3, tol, gap), xatol, gap)
-        plan = None
         for k in range(ROOT_STEPS + 1):
+            work, t, x1, x2, x3, f1, f2, f3, xatol, gap = state
+            a1, a2 = np.abs(f1), np.abs(f2)
+            small = np.fmin(a1, a2)
+            xmin = np.where(a1 == small, x1, x2)
+            tol = eps4 * np.abs(xmin) + xatol
+            finite = np.isfinite(a1 + a2)
+            stop = ~done & ((small == 0.0) | (np.abs(x2 - x1) < tol)
+                            | ~finite | ((f1 < 0) == (f2 < 0)))
+            if stop.any():
+                out[work[stop]] = xmin[stop]
+                steps[work[stop]] = k
+                nonfinite += int((stop & ~finite).sum())
+                done |= stop
             if plan is None or 2 * done.sum() >= done.size:
                 state = tuple(v[~done] for v in state)
-                done = done[~done]
+                tol, done = tol[~done], done[~done]
                 if not done.size:
                     break
                 plan = plan_of(state[0])
+                work, t, x1, x2, x3, f1, f2, f3, xatol, gap = state
             if k == ROOT_STEPS:
                 raise RuntimeError(
                     f"root finder did not converge on {done.size - done.sum()}"
                     f" target(s) in {ROOT_STEPS} steps")
-            work, t, x1, x2, f1, f2, step, xatol, gap = state
-            x = x1 + step * (x2 - x1)
+            x = x1 + _step(x1, x2, x3, f1, f2, f3, tol, gap) * (x2 - x1)
             f = _forced_pass(plan, x) - t
-            fin = np.isfinite(f)
-            if not fin.all():
-                # the current ends both have finite residuals
-                bad = ~fin & ~done
-                out[work[bad]] = np.where(np.abs(f1) <= np.abs(f2),
-                                          x1, x2)[bad]
-                steps[work[bad]] = k + 1
-                nonfinite += int(bad.sum())
-                done |= bad
-                f = np.where(fin, f, f1)
             same = (f < 0) == (f1 < 0)
             x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
             x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-            x1, f1 = x, f
-            a1, a2 = np.abs(f1), np.abs(f2)
-            xmin = np.where(a1 <= a2, x1, x2)
-            tol = eps4 * np.abs(xmin) + xatol
-            stop = ((np.minimum(a1, a2) == 0.0) | (np.abs(x2 - x1) < tol)) \
-                & ~done
-            if stop.any():
-                out[work[stop]] = xmin[stop]
-                steps[work[stop]] = k + 1
-                done |= stop
-            gap = np.where(f1 == f3, 2.0 * np.abs(x1 - x3), gap)
-            state = (work, t, x1, x2, f1, f2,
-                     _step(x1, x2, x3, f1, f2, f3, tol, gap), xatol, gap)
+            gap = np.where(f == f3, 2.0 * np.abs(x - x3), gap)
+            state = (work, t, x, x2, x3, f, f2, f3, xatol, gap)
     if stats is not None:
         for key, v in (("evaluations", int(steps.sum())), ("targets", n),
                        ("nonfinite", nonfinite)):
@@ -291,9 +275,10 @@ def forced_inverse(m, itin, a, b, increasing, targets, stats=None) -> list:
 
     Row k is monotone on [a[k], b[k]] in the sense increasing[k], and
     targets[k] is ascending.  A forward grid of max(16, n) cells per row
-    seeds brackets one cell wide with the residuals at both ends, then
-    _chandrupatla polishes each preimage to within 4 eps |x| plus 2**-31
-    of the row's grid cell, no looser than thirty halvings.  stats, when
+    seeds brackets one cell wide, with the residuals at both ends and at
+    the node beyond one end; _chandrupatla polishes each preimage to within
+    4 eps |x| plus 2**-31 of the row's grid cell, no looser than thirty
+    halvings.  stats, when
     given, gains the root finder's counts (_chandrupatla).
     """
     grids = [np.linspace(u, v, max(16, t.size) + 1)

@@ -152,11 +152,11 @@ def ulam_matrix(m, partition, m_cells: int = 4096) -> UlamTable:
     """Row-stochastic transfer matrix of the induced map on a uniform grid.
 
     Entry (i, j) holds the fraction of cell i carried into cell j by the
-    induced map, assembled from preimages of the cell boundaries, bisected
-    along the branch itineraries a group of branches at a time.  Rows
-    overlapping the unresolved set are renormalized and flagged; rows with
-    no resolved mass at all fall back to a uniform distribution and are
-    reported as dead.
+    induced map, assembled from preimages of the cell boundaries, found by
+    _vec.forced_inverse's root finder along the branch itineraries a group
+    of branches at a time.  Rows overlapping the unresolved set are
+    renormalized and flagged; rows with no resolved mass at all fall back
+    to a uniform distribution and are reported as dead.
     """
     if m_cells < 1:
         raise ValueError("m_cells must be >= 1")

@@ -394,13 +394,13 @@ def _batched_variation(m, branches, stats=None):
     one forced jet pass along their itineraries.  Leaves at a branch end
     carry an Aitken tail for an integrable endpoint singularity (a singular
     touch).  A leaf at most 100 ulps wide, or whose children are not
-    finite, is frozen.  A branch whose error estimate a round of splits did
-    not lower has reached the rounding floor of its integrand and is
-    refined no further (VAR_FLOOR_ROUNDS such rounds).  Returns (values,
-    error estimates); a branch that fails variation_exact's acceptance
-    test raises RuntimeError.  stats, when given, gains the leaves
-    evaluated ("leaves") and the indices of the branches stopped at the
-    floor ("floored").
+    finite, is frozen.  A branch whose error estimate VAR_FLOOR_ROUNDS
+    rounds of splits in a row did not lower has reached the rounding floor
+    of its integrand and is refined no further.  Returns (values, error
+    estimates); a branch that fails variation_exact's acceptance test
+    raises RuntimeError.  stats, when given, gets the leaves evaluated
+    ("leaves") and the indices of the branches stopped short of the
+    tolerance at the floor ("floored").
     """
     B = len(branches)
     itin = _vec.itinerary_matrix([br.itinerary for br in branches])
@@ -486,7 +486,7 @@ def _batched_variation(m, branches, stats=None):
             f"first ({br.a!r}, {br.b!r}) tau={br.tau}: "
             f"value={total[bad[0]]!r} err={total_err[bad[0]]!r}")
     if stats is not None:
-        stats["leaves"] = stats.get("leaves", 0) + leaves
+        stats["leaves"] = leaves
         stats["floored"] = np.flatnonzero(floored & (total_err > tol))
     return total, total_err
 

@@ -272,6 +272,20 @@ def test_root_finder_on_decreasing_branches(cheb, cheb_partition):
     _check_against_reference(cheb, [by_tau[t] for t in sorted(by_tau)])
 
 
+def test_flat_residuals_take_fewer_steps_than_the_halvings(cheb,
+                                                          cheb_partition):
+    # near the turning point 1 - 2 x^2 rounds to the same value over runs
+    # of x far wider than the tolerance; a step next to such a run's end
+    # lands on it again, and without the gap rule the tau = 9 preimages
+    # take up to 60 steps
+    branches = [br for br in cheb_partition.branches if br.tau == 9]
+    stats = {}
+    _vec.forced_inverse(cheb, *_inverse_args(branches),
+                        _ulam_targets(branches), stats)
+    assert stats["targets"] > 10000
+    assert stats["max_steps"] < 30
+
+
 def test_a_target_on_a_grid_node_returns_that_node(map_and_branches):
     # the images of a row's interior grid nodes, as targets, have a zero
     # residual on the seeding grid of 16 cells
@@ -287,14 +301,17 @@ def test_a_target_on_a_grid_node_returns_that_node(map_and_branches):
         assert (x if up else x[::-1]).tobytes() == g.tobytes()
 
 
-class _NanAbove:
-    """A one-step branch x -> x that is not finite above a threshold."""
+class _NanOn:
+    """A one-step branch x -> x that is not finite on open intervals."""
 
-    def __init__(self, threshold):
-        self.threshold = threshold
+    def __init__(self, *intervals):
+        self.intervals = intervals
 
     def values(self, x):
-        return np.where(x > self.threshold, np.nan, x)
+        off = np.zeros(x.shape, dtype=bool)
+        for lo, hi in self.intervals:
+            off |= (lo < x) & (x < hi)
+        return np.where(off, np.nan, x)
 
 
 def _root_finder(branch, t, x1, x2, stats=None):
@@ -308,17 +325,19 @@ def _root_finder(branch, t, x1, x2, stats=None):
 
 def test_a_non_finite_residual_stops_inside_the_bracket():
     # point 0: the seeding bracket's upper end is not finite; point 1: the
-    # first halving lands above the threshold; point 2: no residual is
-    # finite, and the midpoint stands
+    # first step, a halving, lands on (0.2, 0.3); point 2: no residual is
+    # finite
     stats = {}
-    x1, x2 = np.array([0.0, 0.0, 0.6]), np.array([1.0, 0.5, 0.8])
-    got = _root_finder(_NanAbove(0.5 - 1e-3), [0.3, 0.3, 0.7], x1, x2, stats)
+    x1, x2 = np.array([0.0, 0.0, 0.95]), np.array([1.0, 0.5, 1.0])
+    got = _root_finder(_NanOn((0.2, 0.3), (0.9, 2.0)), [0.3, 0.4, 0.97],
+                       x1, x2, stats)
     assert np.all((x1 <= got) & (got <= x2))
-    assert got[0] == 0.0 and got[2] == 0.7
+    assert got[:2].tolist() == [0.0, 0.0]
     assert stats["nonfinite"] == 3
-    # a finite bracket still converges to the root
-    assert _root_finder(_NanAbove(2.0), [0.3], [0.0], [1.0]) == \
-        pytest.approx(0.3, abs=1e-15)
+    assert stats["evaluations"] == 1 and stats["max_steps"] == 1
+    # a bracket clear of them converges to the root
+    assert _root_finder(_NanOn((0.2, 0.3)), [0.6], [0.5], [1.0]) == \
+        pytest.approx(0.6, abs=1e-15)
 
 
 def test_root_finder_raises_at_its_step_cap(monkeypatch, map_and_branches):
