@@ -8,6 +8,9 @@ a branch boundary keeps its itinerary.  One-step plans apply branch ids[k]
 to point k, with ids from positional dispatch (searchsorted over the
 interior boundaries, ties to the right-hand branch, as MapSpec.branch_index)
 or from the caller of branch_inverse.
+Each formula group makes one Branch.values call per step: the value alone,
+or with derivative order 1 or 2 the value and its derivatives from one
+array jet, which the pass chains into Df and D2f of the composition.
 Expression evaluation never raises here; exact landings on kinks or blowup
 points come back as non-finite entries for the caller to mask out.
 """
@@ -57,16 +60,11 @@ def _one_step_plan(m, ids) -> list:
     return [(None, _formula_parts(m, m.formula_groups[0][ids]))]
 
 
-def step_values(m, x: np.ndarray) -> np.ndarray:
-    """f(x) elementwise."""
+def step_values(m, x: np.ndarray, order: int = 0):
+    """f(x) elementwise, or with derivative order 1 or 2 the tuple of f(x)
+    and its first (and second) derivatives, as _forced_pass."""
     x = np.asarray(x, dtype=float)
-    return _forced_pass(_one_step_plan(m, branch_indices(m, x)), x)
-
-
-def step_with_derivative(m, x: np.ndarray):
-    """(f(x), Df(x)) elementwise."""
-    x = np.asarray(x, dtype=float)
-    return _forced_pass(_one_step_plan(m, branch_indices(m, x)), x, order=1)
+    return _forced_pass(_one_step_plan(m, branch_indices(m, x)), x, order)
 
 
 def in_delta(m, x, delta: float) -> np.ndarray:
@@ -155,26 +153,27 @@ def _forced_pass(plan, x, order: int = 0, visit=None):
             if visit is not None:
                 visit(live, pos)
             for br, sel in parts:
-                xv = pos[sel]
+                out = br.values(pos[sel], order)
                 if order:
-                    d1, Pv = br.d1_values(xv), P[sel]
+                    Pv = P[sel]
                     if order > 1:
-                        S[sel] = br.d2_values(xv) * Pv ** 2 + d1 * S[sel]
-                    P[sel] = d1 * Pv
-                pos[sel] = br.values(xv)
+                        S[sel] = out[2] * Pv ** 2 + out[1] * S[sel]
+                    P[sel] = out[1] * Pv
+                    out = out[0]
+                pos[sel] = out
     return (pos, P, S)[:order + 1] if order else pos
 
 
-def forced_forward(m, itin, owner, x, jets: bool = False, visit=None):
+def forced_forward(m, itin, owner, x, order: int = 0, visit=None):
     """Push points along fixed itineraries: point k follows row owner[k].
 
     Step j applies branch itin[owner, j] wherever the point sits, so a point
     on a branch boundary keeps its itinerary; a -1 entry ends the orbit.
     visit(live, pos), when given, sees the positions before every step.
-    Returns f^tau(x), or (f^tau, Df^tau, D2f^tau) when jets is set.
+    Returns f^tau(x), or with derivative order 1 or 2 the tuple of f^tau
+    and its first (and second) derivatives, as _forced_pass.
     """
-    return _forced_pass(_dispatch(m, itin, owner), x, 2 if jets else 0,
-                        visit)
+    return _forced_pass(_dispatch(m, itin, owner), x, order, visit)
 
 
 def _bisect(plan, lo, hi, t, up, steps):

@@ -369,7 +369,7 @@ def _gk15(m, itin, owner, lo, hi):
         e = min(s + step, lo.size)
         _y, P, S = _vec.forced_forward(
             m, itin, np.repeat(owner[s:e], _GK_X.size), x[s:e].ravel(),
-            jets=True)
+            order=2)
         with np.errstate(all="ignore"):
             f[s:e] = (np.abs(S) / P ** 2).reshape(e - s, -1)
     with np.errstate(all="ignore"):

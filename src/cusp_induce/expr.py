@@ -5,8 +5,9 @@ parameters, with ``abs`` and ``sign`` as the only functions and ``^`` limited
 to constant real exponents.  They are evaluated either as plain values, as
 order-2 jets (value, d1, d2) for derivative-exact work, or vectorized over
 numpy arrays for sampling-heavy callers.  Hot callers :func:`compile` a tree
-once into closures for the array and jet forms; :func:`eval_jet` stays the
-reference walk they are tested against.
+once into closures: one array jet, which returns the value, d1 and d2 up to
+a requested order with the rules of the scalar jets, and one scalar jet
+form; :func:`eval_jet` stays the reference walk they are tested against.
 
 Grammar (documented in README as well)::
 
@@ -53,10 +54,8 @@ __all__ = [
     "to_source",
     "eval_jet",
     "eval_value",
-    "eval_array",
     "Compiled",
     "compile",
-    "derivative",
 ]
 
 
@@ -549,17 +548,6 @@ def eval_value(e, x: float, params=None) -> float:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def eval_array(e, x: np.ndarray, params=None) -> np.ndarray:
-    """Vectorized value evaluation over a numpy array.
-
-    No kink/domain checking: callers keep points strictly inside open
-    branch intervals.  Fractional powers of negative bases yield NaN.
-    Builds the closures of :func:`compile` on every call; hot callers keep
-    the compiled form instead.
-    """
-    return compile(e, params).array(x)
-
-
 # ---------------------------------------------------------------------------
 # compiled evaluation: nested closures built once per tree, no generated code
 
@@ -567,10 +555,14 @@ def eval_array(e, x: np.ndarray, params=None) -> np.ndarray:
 class Compiled(NamedTuple):
     """A tree with its parameters bound, as two closures.
 
-    ``array(x)`` evaluates over a numpy array, bit for bit as the numpy
-    expression walk would: constant subtrees and ``Pow`` exponents are
-    folded once, with the same numpy operations.  ``jet(x)`` returns the
-    :class:`Jet2` that :func:`eval_jet` returns and raises what it raises.
+    ``array(x, order=0)`` evaluates over a numpy array: f(x) at order 0,
+    the tuple (f, Df) at order 1 and (f, Df, D2f) at order 2, with the
+    product, quotient and power rules of :func:`eval_jet`.  It never raises
+    on x; kinks and undefined points come back as NaN or inf.  Constant
+    subtrees and ``Pow`` exponents are folded once, with the numpy
+    operations the walk would apply, and derivative parts that are
+    structurally 0 or 1 are left out of the rules instead of multiplied.  ``jet(x)`` returns the :class:`Jet2` that
+    :func:`eval_jet` returns and raises what it raises.
     """
 
     array: Callable
@@ -579,14 +571,19 @@ class Compiled(NamedTuple):
 
 def compile(e, params=None) -> Compiled:
     """Compile tree ``e`` with ``params`` bound (see :class:`Compiled`)."""
-    f, c = _array_node(e, params)
+    f, c = _array_jet(e, params)
     if f is None:
-        def array(x):
-            return np.full_like(x, c, dtype=float)
-    else:
-        def array(x):
-            with np.errstate(invalid="ignore", divide="ignore"):
-                return f(np.asarray(x, dtype=float))
+        f = _constant(c)
+
+    def array(x, order=0):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = f(x, order)
+        if not order:
+            return out if isinstance(out, np.ndarray) else np.full_like(x, out)
+        return tuple(p if isinstance(p, np.ndarray)
+                     else np.full_like(x, 0.0 if p is None else p)
+                     for p in out)
     g = _jet_node(e, params)
 
     def jet(x):
@@ -601,21 +598,103 @@ def _raising(err):
     return f
 
 
-_ARRAY_UNARY = {Neg: operator.neg, Abs: np.abs, Sign: np.sign}
-_ARRAY_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
-                 Div: operator.truediv}
-
-
 def _fold(op, *consts) -> float:
     """op applied as the array walk applies it, on one-point arrays."""
     with np.errstate(all="ignore"):
         return float(op(*(np.full(1, c, dtype=float) for c in consts))[0])
 
 
-def _array_node(e, params):
-    """(closure, None) for a subtree in x, (None, value) for a folded one."""
+# Parts of an array jet: None stands for a structural 0 (the derivatives of
+# an x-free subtree or of sign, d2/dx2 x) and _ONE for the structural 1 of
+# d/dx x; the rules leave them out of products and sums.
+_ONE = np.float64(1.0)
+
+
+def _times(a, b):
+    if a is None or b is None:
+        return None
+    return b if a is _ONE else a if b is _ONE else a * b
+
+
+def _plus(a, b):
+    return b if a is None else a if b is None else a + b
+
+
+def _minus(a, b):
+    return a if b is None else -b if a is None else a - b
+
+
+def _over(a, b):
+    return None if a is None else a / b
+
+
+# Rules for orders k = 1, 2: the parts (f, Df, D2f)[:k + 1] of a node from
+# those of its arguments.  Order 0 applies the node's operation alone.
+
+def _abs_rule(u, k):
+    s = np.sign(u[0])
+    return (np.abs(u[0]),) + tuple(_times(s, p) for p in u[1:])
+
+
+def _mul_rule(u, v, k):
+    w = u[0] * v[0]
+    d1 = _plus(_times(u[1], v[0]), _times(u[0], v[1]))
+    if k == 1:
+        return w, d1
+    return w, d1, _plus(_plus(_times(u[2], v[0]),
+                              _times(_times(2.0, u[1]), v[1])),
+                        _times(u[0], v[2]))
+
+
+def _div_rule(u, v, k):
+    w = u[0] / v[0]
+    d1 = _over(_minus(u[1], _times(w, v[1])), v[0])
+    if k == 1:
+        return w, d1
+    return w, d1, _over(_minus(_minus(u[2], _times(w, v[2])),
+                               _times(_times(2.0, d1), v[1])), v[0])
+
+
+def _pow_rule(u, k, r):
+    # each power's temporaries are dropped before the next power, so that
+    # large arrays reuse freed memory instead of fresh pages
+    if k == 1:
+        d1 = _times(r * u[0] ** (r - 1.0), u[1])
+        return u[0] ** r, d1
+    p1 = r * u[0] ** (r - 1.0)
+    d2 = _plus(_times(_times(r * (r - 1.0) * u[0] ** (r - 2.0), u[1]), u[1]),
+               _times(p1, u[2]))
+    d1 = _times(p1, u[1])
+    del p1
+    return u[0] ** r, d1, d2
+
+
+# node type -> (its operation, its rule)
+_RULES = {
+    Neg: (operator.neg, lambda u, k: tuple(_minus(None, p) for p in u)),
+    Abs: (np.abs, _abs_rule),
+    # sign(0) = 0 by convention; locally constant elsewhere.
+    Sign: (np.sign, lambda u, k: (np.sign(u[0]), None, None)[:k + 1]),
+    Add: (operator.add, lambda u, v, k: tuple(map(_plus, u, v))),
+    Sub: (operator.sub, lambda u, v, k: tuple(map(_minus, u, v))),
+    Mul: (operator.mul, _mul_rule),
+    Div: (operator.truediv, _div_rule),
+}
+
+
+def _constant(c):
+    t = (c, None, None)
+    return lambda x, k: t[:k + 1] if k else c
+
+
+def _array_jet(e, params):
+    """(closure, None) for a subtree in x, (None, value) for a folded one.
+
+    The closure maps (x, 0) to f(x) and (x, k) to the tuple of the k + 1
+    parts of (f, Df, D2f).
+    """
     if isinstance(e, Var):
-        return (lambda x: x), None
+        return (lambda x, k: (x, _ONE, None)[:k + 1] if k else x), None
     if isinstance(e, Const):
         return None, e.value
     if isinstance(e, Param):
@@ -628,28 +707,26 @@ def _array_node(e, params):
             r = const_value(e.exponent, params)
         except EvalDomainError as err:
             return _raising(err), None
-        f, c = _array_node(e.base, params)
+        f, c = _array_jet(e.base, params)
         if f is None:
             return None, _fold(lambda b: b ** r, c)
-        return (lambda x: f(x) ** r), None
-    op = _ARRAY_UNARY.get(type(e))
-    if op is not None:
-        f, c = _array_node(e.arg, params)
+        return (lambda x, k: _pow_rule(f(x, k), k, r) if k
+                else f(x, 0) ** r), None
+    if type(e) not in _RULES:
+        raise TypeError(f"not an expression node: {e!r}")
+    op, rule = _RULES[type(e)]
+    if isinstance(e, (Neg, Abs, Sign)):
+        f, c = _array_jet(e.arg, params)
         if f is None:
             return None, _fold(op, c)
-        return (lambda x: op(f(x))), None
-    op = _ARRAY_BINARY.get(type(e))
-    if op is None:
-        raise TypeError(f"not an expression node: {e!r}")
-    f, a = _array_node(e.left, params)
-    g, b = _array_node(e.right, params)
+        return (lambda x, k: rule(f(x, k), k) if k else op(f(x, 0))), None
+    f, a = _array_jet(e.left, params)
+    g, b = _array_jet(e.right, params)
     if f is None and g is None:
         return None, _fold(op, a, b)
-    if f is None:
-        return (lambda x: op(a, g(x))), None
-    if g is None:
-        return (lambda x: op(f(x), b)), None
-    return (lambda x: op(f(x), g(x))), None
+    f, g = f or _constant(a), g or _constant(b)
+    return (lambda x, k: rule(f(x, k), g(x, k), k) if k
+            else op(f(x, 0), g(x, 0))), None
 
 
 def _jet_node(e, params):
@@ -722,85 +799,3 @@ def _jet_node(e, params):
             return w, d1, (u2 - w * v2 - 2.0 * d1 * v1) / vv
         return div
     raise TypeError(f"not an expression node: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# symbolic derivative (used for vectorized |Df| sampling; jets stay the
-# reference implementation)
-
-def _is_const(e, v=None) -> bool:
-    return isinstance(e, Const) and (v is None or e.value == v)
-
-
-def _add(a, b):
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
-        return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    return Add(a, b)
-
-
-def _sub(a, b):
-    if _is_const(b, 0.0):
-        return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
-    if _is_const(a, 0.0):
-        return Neg(b)
-    return Sub(a, b)
-
-
-def _mul(a, b):
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return Const(0.0)
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
-    return Mul(a, b)
-
-
-def _div(a, b):
-    if _is_const(a, 0.0):
-        return Const(0.0)
-    if _is_const(b, 1.0):
-        return a
-    return Div(a, b)
-
-
-def derivative(e):
-    """Symbolic d/dx of an expression tree (a.e.; sign' taken as 0)."""
-    if isinstance(e, (Const, Param)):
-        return Const(0.0)
-    if isinstance(e, Var):
-        return Const(1.0)
-    if isinstance(e, Neg):
-        d = derivative(e.arg)
-        return Const(0.0) if _is_const(d, 0.0) else Neg(d)
-    if isinstance(e, Add):
-        return _add(derivative(e.left), derivative(e.right))
-    if isinstance(e, Sub):
-        return _sub(derivative(e.left), derivative(e.right))
-    if isinstance(e, Mul):
-        return _add(
-            _mul(derivative(e.left), e.right), _mul(e.left, derivative(e.right))
-        )
-    if isinstance(e, Div):
-        num = _sub(
-            _mul(derivative(e.left), e.right), _mul(e.left, derivative(e.right))
-        )
-        return _div(num, Mul(e.right, e.right))
-    if isinstance(e, Pow):
-        r = e.exponent
-        shifted = Const(r.value - 1.0) if isinstance(r, Const) else _sub(r, Const(1.0))
-        return _mul(_mul(r, Pow(e.base, shifted)), derivative(e.base))
-    if isinstance(e, Abs):
-        return _mul(Sign(e.arg), derivative(e.arg))
-    if isinstance(e, Sign):
-        return Const(0.0)
-    raise TypeError(f"not an expression node: {e!r}")
-

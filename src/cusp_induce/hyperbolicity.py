@@ -101,7 +101,7 @@ def _expansion_sweep(m, delta: float, xs: np.ndarray, n_max: int):
     for _n in range(1, n_max + 1):
         if pos.size == 0:
             break
-        v, d1 = _vec.step_with_derivative(m, pos)
+        v, d1 = _vec.step_values(m, pos, 1)
         with np.errstate(all="ignore"):
             step = np.log(np.abs(d1))
         good = np.isfinite(v) & np.isfinite(step)

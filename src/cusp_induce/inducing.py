@@ -399,8 +399,8 @@ def _branch_geometry(m, a: float, b: float, itinerary, refine_below: float,
             nxt = np.empty(k + 1)
             if k > 1:
                 with np.errstate(all="ignore"):
-                    col[1:-1] = np.abs(br.d1_values(pos[1:-1]))
-                    nxt[1:-1] = br.values(pos[1:-1])
+                    nxt[1:-1], d1 = br.values(pos[1:-1], 1)
+                    col[1:-1] = np.abs(d1)
             lo_j, hi_j = abs_df_extrema(m, i, pos, col)
             with np.errstate(divide="ignore"):
                 log_inf += np.log(lo_j)
@@ -769,37 +769,40 @@ def write_partition_csv(partition: InducedPartition, path) -> None:
 class BindingLemmaReport:
     n_samples: int
     ratio_max: float
-    ratio_ok: bool
     gamma_hat: float
-    gamma_finite: bool
     margin_ratio: float
     sandwich_c1: float
     sandwich_c2: float
-    sandwich_ok: bool
     sandwich_rows: list
     empty_piece_p: list
     min_inf_df: float
-    expansion_ok: bool
+    # "segment_ratio", "distortion", "sandwich", "expansion" -> "passed",
+    # "failed" or "not-applicable" (nothing was there to check)
+    checks: dict
     witnesses: list
 
     @property
     def passed(self) -> bool:
-        return (self.ratio_ok and self.gamma_finite and self.sandwich_ok
-                and self.expansion_ok)
+        """Whether every applicable check passed."""
+        return "failed" not in self.checks.values()
 
     def to_dict(self) -> dict:
         return {
             "n_samples": self.n_samples,
-            "ratio_max": self.ratio_max, "ratio_ok": self.ratio_ok,
-            "gamma_hat": self.gamma_hat, "gamma_finite": self.gamma_finite,
+            "ratio_max": self.ratio_max, "gamma_hat": self.gamma_hat,
             "margin_ratio": self.margin_ratio,
             "sandwich_c1": self.sandwich_c1, "sandwich_c2": self.sandwich_c2,
-            "sandwich_ok": self.sandwich_ok,
             "sandwich_rows": [list(r) for r in self.sandwich_rows],
             "empty_piece_p": list(self.empty_piece_p),
-            "min_inf_df": self.min_inf_df, "expansion_ok": self.expansion_ok,
+            "min_inf_df": self.min_inf_df, "checks": dict(self.checks),
             "witnesses": list(self.witnesses), "passed": self.passed,
         }
+
+
+def _status(checked: int, ok: bool) -> str:
+    if not checked:
+        return "not-applicable"
+    return "passed" if ok else "failed"
 
 
 def verify_binding_lemmas(m, partition: InducedPartition,
@@ -813,7 +816,10 @@ def verify_binding_lemmas(m, partition: InducedPartition,
     empirical expansion margin |Df^p(x)| over D_(p-1)^(1/(2l-1)) is
     reported; the constant-binding pieces sandwich the critical distance
     between powers of the derivative growth; and every resolved branch has
-    an |Df-hat| infimum bound (round-to-nearest) of at least 2.
+    an |Df-hat| infimum bound (round-to-nearest) of at least 2.  A check
+    with no sample, segment or piece to check (the first three when no
+    critical point has order > 1) is not applicable: it neither passes nor
+    fails.
     """
     if records is None:
         records = orbit_records(m, partition.p_max + 1)
@@ -825,6 +831,7 @@ def verify_binding_lemmas(m, partition: InducedPartition,
     ratio_max = 0.0
     gamma_hat = 1.0
     gamma_finite = True
+    n_segments = n_distortions = 0
     margin_ratio = math.inf
     if crit:
         per = max(1, n_samples // len(crit))
@@ -845,6 +852,7 @@ def verify_binding_lemmas(m, partition: InducedPartition,
                     continue
                 rows = (res.trajectory if res.truncated
                         else res.trajectory[:-1])
+                n_segments += len(rows)
                 for j, sep, gd, seg_d in rows:
                     g_j = rec.gamma[j - 1]
                     r = (sep / seg_d) / (2.0 * g_j) if seg_d > 0 else math.inf
@@ -858,6 +866,7 @@ def verify_binding_lemmas(m, partition: InducedPartition,
                     fx = evaluate(m, x).value
                     seg = (min(fx, c1), max(fx, c1))
                     if seg[1] - seg[0] > 0:
+                        n_distortions += 1
                         try:
                             g = generalized_distortion(m, seg, res.p - 1)
                             gamma_hat = max(gamma_hat, g.value)
@@ -893,12 +902,11 @@ def verify_binding_lemmas(m, partition: InducedPartition,
         c1_min = min(c1_min, c1)
         c2_max = max(c2_max, c2)
         seen_p.add(br.p0)
+    sandwich_ok = c1_min > 0.0 and math.isfinite(c2_max)
     if sandwich_rows:
-        sandwich_ok = c1_min > 0.0 and math.isfinite(c2_max)
         p_lo, p_hi = min(seen_p), max(seen_p)
         empty = [p for p in range(p_lo, p_hi + 1) if p not in seen_p]
     else:
-        sandwich_ok = True
         c1_min, c2_max = math.nan, math.nan
         empty = []
 
@@ -913,16 +921,18 @@ def verify_binding_lemmas(m, partition: InducedPartition,
     return BindingLemmaReport(
         n_samples=n_samples,
         ratio_max=float(ratio_max),
-        ratio_ok=bool(ratio_max <= 1.0 + 1e-9),
         gamma_hat=float(gamma_hat),
-        gamma_finite=gamma_finite,
         margin_ratio=float(margin_ratio),
         sandwich_c1=float(c1_min),
         sandwich_c2=float(c2_max),
-        sandwich_ok=sandwich_ok,
         sandwich_rows=sandwich_rows,
         empty_piece_p=empty,
         min_inf_df=float(min_inf),
-        expansion_ok=expansion_ok,
+        checks={
+            "segment_ratio": _status(n_segments, ratio_max <= 1.0 + 1e-9),
+            "distortion": _status(n_distortions, gamma_finite),
+            "sandwich": _status(len(sandwich_rows), sandwich_ok),
+            "expansion": "passed" if expansion_ok else "failed",
+        },
         witnesses=witnesses,
     )

@@ -96,35 +96,20 @@ class Branch:
     def value(self, x: float) -> float:
         return ex.eval_value(self.tree, x, self.params)
 
-    def values(self, x: np.ndarray) -> np.ndarray:
-        return self._compiled.array(x)
-
-    @cached_property
-    def d1_tree(self):
-        return ex.derivative(self.tree)
-
-    @cached_property
-    def d2_tree(self):
-        return ex.derivative(self.d1_tree)
+    def values(self, x: np.ndarray, order: int = 0):
+        """f(x), or the tuple (f, Df) at order 1 and (f, Df, D2f) at 2."""
+        return self._compiled.array(x, order)
 
     def d1_values(self, x: np.ndarray) -> np.ndarray:
-        return self._d1_array(x)
+        return self._compiled.array(x, 1)[1]
 
     def d2_values(self, x: np.ndarray) -> np.ndarray:
-        return self._d2_array(x)
+        return self._compiled.array(x, 2)[2]
 
     # each expression is compiled once, on first use
     @cached_property
     def _compiled(self) -> ex.Compiled:
         return ex.compile(self.tree, self.params)
-
-    @cached_property
-    def _d1_array(self):
-        return ex.compile(self.d1_tree, self.params).array
-
-    @cached_property
-    def _d2_array(self):
-        return ex.compile(self.d2_tree, self.params).array
 
 
 @dataclass

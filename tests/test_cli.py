@@ -192,6 +192,17 @@ def test_pipeline_artifacts_and_determinism(tmp_path):
     match, mismatch, errors = filecmp.cmpfiles(out1, out2, names,
                                                shallow=False)
     assert mismatch == [] and errors == []
+    # lorenz has no critical point of order > 1: three lemma checks have
+    # nothing to check and say so, in stdout and in pipeline.json alike
+    with open(os.path.join(out1, "pipeline.json")) as fh:
+        saved = json.load(fh)
+    for doc in (doc1, saved):
+        lemmas = doc["stages"]["lemmas"]
+        assert lemmas["checks"] == {"segment_ratio": "not-applicable",
+                                    "distortion": "not-applicable",
+                                    "sandwich": "not-applicable",
+                                    "expansion": "passed"}
+        assert lemmas["passed"] is True
 
 
 def test_progress_log_leaves_stdout_and_artifacts_unchanged(tmp_path):

@@ -1,9 +1,10 @@
 """Compiled branch formulas against the recursive walkers they replace.
 
-The array form must match the recursive numpy walk bit for bit, NaN and inf
-positions included, and the jet form must return the Jet2 that eval_jet
-returns or raise the same exception.  Forced passes that let branches with
-one formula share an evaluation must match step-by-step Branch calls.
+The array jet must match an unfolded array walk with eval_jet's rules at
+orders 0, 1 and 2, NaN and inf positions included, and the jet form must
+return the Jet2 that eval_jet returns or raise the same exception.  Forced
+passes that let branches with one formula share an evaluation must match
+step-by-step Branch calls.
 """
 
 import math
@@ -16,33 +17,79 @@ from cusp_induce import expr as ex
 from cusp_induce import map_model as mm
 
 
-def walk_array(e, x, params=None):
-    """The recursive array walker the compiled form replaced (reference)."""
-    if isinstance(e, ex.Const):
-        return np.full_like(x, e.value, dtype=float)
+def _mul(a, b):
+    return None if a is None or b is None else a * b
+
+
+def _add(*terms):
+    """Sum from the left; None is a structural zero and drops out."""
+    terms = [t for t in terms if t is not None]
+    if not terms:
+        return None
+    out = terms[0]
+    for t in terms[1:]:
+        out = out + t
+    return out
+
+
+def _neg(a):
+    return None if a is None else -a
+
+
+def walk_jet(e, x, params=None):
+    """[f, Df, D2f] over x by an unfolded array walk with eval_jet's rules.
+
+    Every node, constants included, is evaluated over the whole array, and
+    d/dx x is an array of ones.  The derivatives of an x-free subtree, of
+    sign and the second derivative of x are structural zeros: None, which
+    drops out of every sum and product rather than turning inf into NaN.
+    """
+    if isinstance(e, (ex.Const, ex.Param)):
+        c = e.value if isinstance(e, ex.Const) else \
+            ex._param_value(params, e.name)
+        return [np.full_like(x, c, dtype=float), None, None]
     if isinstance(e, ex.Var):
-        return np.asarray(x, dtype=float)
-    if isinstance(e, ex.Param):
-        return np.full_like(x, ex._param_value(params, e.name), dtype=float)
-    if isinstance(e, ex.Neg):
-        return -walk_array(e.arg, x, params)
-    if isinstance(e, ex.Add):
-        return walk_array(e.left, x, params) + walk_array(e.right, x, params)
-    if isinstance(e, ex.Sub):
-        return walk_array(e.left, x, params) - walk_array(e.right, x, params)
-    if isinstance(e, ex.Mul):
-        return walk_array(e.left, x, params) * walk_array(e.right, x, params)
-    if isinstance(e, ex.Div):
-        return walk_array(e.left, x, params) / walk_array(e.right, x, params)
+        return [np.asarray(x, dtype=float), np.ones_like(x, dtype=float), None]
     if isinstance(e, ex.Pow):
         r = ex.const_value(e.exponent, params)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return walk_array(e.base, x, params) ** r
-    if isinstance(e, ex.Abs):
-        return np.abs(walk_array(e.arg, x, params))
-    if isinstance(e, ex.Sign):
-        return np.sign(walk_array(e.arg, x, params))
+        b, b1, b2 = walk_jet(e.base, x, params)
+        if b1 is None and b2 is None:
+            return [b ** r, None, None]
+        p1 = r * b ** (r - 1.0)
+        p2 = r * (r - 1.0) * b ** (r - 2.0)
+        return [b ** r, _mul(p1, b1), _add(_mul(_mul(p2, b1), b1),
+                                           _mul(p1, b2))]
+    if isinstance(e, (ex.Neg, ex.Abs, ex.Sign)):
+        u = walk_jet(e.arg, x, params)
+        if isinstance(e, ex.Neg):
+            return [_neg(p) for p in u]
+        if isinstance(e, ex.Sign):
+            return [np.sign(u[0]), None, None]
+        s = np.sign(u[0])
+        return [np.abs(u[0]), _mul(s, u[1]), _mul(s, u[2])]
+    (uv, u1, u2), (vv, v1, v2) = (walk_jet(e.left, x, params),
+                                  walk_jet(e.right, x, params))
+    if isinstance(e, ex.Add):
+        return [uv + vv, _add(u1, v1), _add(u2, v2)]
+    if isinstance(e, ex.Sub):
+        return [uv - vv, _add(u1, _neg(v1)), _add(u2, _neg(v2))]
+    if isinstance(e, ex.Mul):
+        return [uv * vv, _add(_mul(u1, vv), _mul(uv, v1)),
+                _add(_mul(u2, vv), _mul(_mul(2.0, u1), v1), _mul(uv, v2))]
+    if isinstance(e, ex.Div):
+        w = uv / vv
+        d1 = _add(u1, _neg(_mul(w, v1)))
+        d1 = None if d1 is None else d1 / vv
+        d2 = _add(u2, _neg(_mul(w, v2)), _neg(_mul(_mul(2.0, d1), v1)))
+        return [w, d1, None if d2 is None else d2 / vv]
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def walk(e, x, params=None):
+    """walk_jet with its structural zeros as arrays of zeros."""
+    with np.errstate(all="ignore"):
+        return [np.zeros_like(x, dtype=float) if p is None else p
+                for p in walk_jet(e, x, params)]
 
 
 MAPS = {
@@ -64,7 +111,10 @@ EXTRA = [
     ("-x^3 + 2 - -x", {}),
     ("a*b^2 - 3", {"a": 2.0, "b": -1.5}),
     ("x", {}),
+    ("x*x/(3 - x) + abs(2*x)", {}),
 ]
+
+SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 5e-324, np.nextafter(0.0, -1)]
 
 
 def kinks(m):
@@ -83,15 +133,15 @@ def sample_points(m, size):
     x = rng.uniform(m.lo, m.hi, size)
     k = kinks(m)
     x[:len(k)] = k
-    x[len(k):len(k) + 4] = [1e-300, -1e-300, 5e-324, np.nextafter(0.0, -1)]
+    x[len(k):len(k) + len(SPECIAL)] = SPECIAL
     return x
 
 
-def trees(m):
-    for br in m.branches:
-        yield br.tree, br.params
-        yield br.d1_tree, br.params
-        yield br.d2_tree, br.params
+def extra_points(size):
+    x = np.linspace(-1.0, 1.0, size) if size > 1 else np.array([-0.3])
+    if size == 4096:
+        x[:11] = [0.25, 0.5, -1.0, 3.0, 1.0] + SPECIAL
+    return x
 
 
 def same_bits(a, b):
@@ -99,61 +149,96 @@ def same_bits(a, b):
         and a.tobytes() == b.tobytes()
 
 
+def same_numbers(a, b):
+    """== everywhere (a zero may change sign), NaN where the other is."""
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and np.array_equal(a, b, equal_nan=True)
+
+
+def assert_matches_walk(fn, tree, x, params):
+    """fn(x, order) against the walk at every order; f bit for bit."""
+    want = walk(tree, x, params)
+    with np.errstate(over="ignore"):
+        got = fn(x, 0)
+        jets = [fn(x, 1), fn(x, 2)]
+    assert isinstance(got, np.ndarray) and same_bits(got, want[0])
+    for order, got in ((1, jets[0]), (2, jets[1])):
+        assert isinstance(got, tuple) and len(got) == order + 1
+        assert same_bits(got[0], want[0])
+        for g, w in zip(got[1:], want[1:]):
+            assert same_numbers(g, w)
+
+
 @pytest.mark.parametrize("name", sorted(MAPS))
 @pytest.mark.parametrize("size", [1, 8, 4096])
 def test_array_form_matches_the_walker_bit_for_bit(name, size):
     m = MAPS[name]()
     x = sample_points(m, size)
-    with np.errstate(all="ignore"):
-        for tree, params in trees(m):
-            got = ex.compile(tree, params).array(x)
-            assert same_bits(got, walk_array(tree, x, params))
-        for br in m.branches:
-            for method, tree in (("values", br.tree), ("d1_values", br.d1_tree),
-                                 ("d2_values", br.d2_tree)):
-                assert same_bits(getattr(br, method)(x),
-                                 walk_array(tree, x, br.params))
+    for br in m.branches:
+        assert_matches_walk(ex.compile(br.tree, br.params).array, br.tree, x,
+                            br.params)
+        assert_matches_walk(br.values, br.tree, x, br.params)
+        want = walk(br.tree, x, br.params)
+        with np.errstate(over="ignore"):
+            assert same_numbers(br.d1_values(x), want[1])
+            assert same_numbers(br.d2_values(x), want[2])
 
 
 @pytest.mark.parametrize("size", [1, 8, 4096])
 def test_array_form_of_extra_formulas(size):
-    x = np.linspace(-1.0, 1.0, size) if size > 1 else np.array([-0.3])
-    if size == 4096:
-        x[:5] = [0.0, -0.0, 0.25, 0.5, -1.0]
+    x = extra_points(size)
     for source, params in EXTRA:
         tree = ex.parse(source, params)
-        for t in (tree, ex.derivative(tree), ex.derivative(ex.derivative(tree))):
-            with np.errstate(all="ignore"):
-                want = walk_array(t, x, params)
-            assert same_bits(ex.compile(t, params).array(x), want)
-            assert same_bits(ex.eval_array(t, x, params), want)
+        assert_matches_walk(ex.compile(tree, params).array, tree, x, params)
+
+
+@pytest.mark.parametrize("size", [1, 8, 4096])
+def test_lower_orders_are_the_leading_parts_of_order_2(size):
+    cases = [(ex.parse(s, p), p) for s, p in EXTRA]
+    for name in sorted(MAPS):
+        cases += [(br.tree, br.params) for br in MAPS[name]().branches]
+    x = extra_points(size)
+    for tree, params in cases:
+        array = ex.compile(tree, params).array
+        with np.errstate(over="ignore"):
+            full, low = array(x, 2), (array(x), array(x, 1))
+        assert same_bits(low[0], full[0])
+        assert all(same_bits(a, b) for a, b in zip(low[1], full[:2]))
 
 
 def test_kinks_give_the_walkers_nan_and_inf_positions():
     m = mm.lorenz_map(1.9, 0.4)
+    br = m.branches[1]
     x = np.array(kinks(m))
-    d1 = m.branches[1].d1_values(x)
-    assert not np.isfinite(d1).all()
-    with np.errstate(all="ignore"):
-        want = walk_array(m.branches[1].d1_tree, x, m.branches[1].params)
-    np.testing.assert_array_equal(np.isnan(d1), np.isnan(want))
-    np.testing.assert_array_equal(np.isinf(d1), np.isinf(want))
+    got = br.values(x, 2)
+    assert not np.isfinite(got[1]).all() and not np.isfinite(got[2]).all()
+    for g, w in zip(got, walk(br.tree, x, br.params)):
+        np.testing.assert_array_equal(np.isnan(g), np.isnan(w))
+        np.testing.assert_array_equal(np.isinf(g), np.isinf(w))
 
 
 def test_constant_trees_return_arrays_of_the_input_shape():
-    # chebyshev's D2f is -4*x^0; "a*b^2 - 3" holds no x at all and folds
-    br = mm.chebyshev_map().branches[0]
+    # "a*b^2 - 3" holds no x at all and folds; so do the second derivative
+    # of "2*x - 1" and both derivatives of "sign(x)"
     const = ex.parse("a*b^2 - 3", {"a", "b"})
-    forms = [(br.d2_values, br.d2_tree, {}),
-             (ex.compile(const, {"a": 2.0, "b": -1.5}).array, const,
-              {"a": 2.0, "b": -1.5})]
+    params = {"a": 2.0, "b": -1.5}
+    forms = [(ex.compile(const, params).array, const, params)]
+    for source in ("2*x - 1", "sign(x)"):
+        tree = ex.parse(source)
+        forms.append((ex.compile(tree).array, tree, {}))
     for x in (np.zeros(1), np.linspace(-1, 1, 8), np.zeros((3, 4))):
-        for fn, tree, params in forms:
-            got = fn(x)
-            assert isinstance(got, np.ndarray) and got.shape == x.shape
-            assert same_bits(got, walk_array(tree, x, params))
-            assert np.unique(got).size == 1
-    assert forms[1][0](np.zeros(2)).tolist() == [1.5, 1.5]
+        for fn, tree, p in forms:
+            want = walk(tree, x, p)
+            for order in (0, 1, 2):
+                got = fn(x, order)
+                got = got if order else (got,)
+                for g, w in zip(got, want):
+                    assert isinstance(g, np.ndarray) and g.shape == x.shape
+                    assert same_numbers(g, w)
+    assert forms[0][0](np.zeros(2)).tolist() == [1.5, 1.5]
+    assert [p.tolist() for p in forms[0][0](np.zeros(2), 2)] == \
+        [[1.5, 1.5], [0.0, 0.0], [0.0, 0.0]]
+    assert forms[1][0](np.zeros(2), 2)[1].tolist() == [2.0, 2.0]
 
 
 def test_missing_parameter_raises_when_evaluated():
@@ -179,7 +264,8 @@ def test_jet_form_matches_eval_jet(name):
     xs = [float(v) for v in sample_points(m, 4096)[::16]]
     xs += kinks(m) + [1e-300, -1e-300, 5e-324, math.inf, math.nan]
     outcomes = set()
-    for tree, params in trees(m):
+    for br in m.branches:
+        tree, params = br.tree, br.params
         forms = ex.compile(tree, params)
         for x in xs:
             want = jet_outcome(ex.eval_jet, tree, x, params)
@@ -263,7 +349,7 @@ def test_forced_pass_matches_step_by_step_branch_calls(family, some_dead):
     x[:3] = [0.0, m.lo, m.hi]
     seen = []
     y, d1, d2 = _vec.forced_forward(
-        m, itin, owner, x, jets=True,
+        m, itin, owner, x, order=2,
         visit=lambda live, pos: seen.append((live.copy(), pos.copy())))
     assert len(seen) == itin.shape[1]
     assert same_bits(_vec.forced_forward(m, itin, owner, x), y)
@@ -277,7 +363,7 @@ def test_forced_pass_matches_step_by_step_branch_calls(family, some_dead):
         assert not any(live[k] for live, _ in seen[len(want[3]):])
     mixed = np.concatenate([x, x[::-1]])
     for got, want in ((_vec.step_values(m, mixed), "values"),
-                      (_vec.step_with_derivative(m, mixed)[1], "d1_values")):
+                      (_vec.step_values(m, mixed, 1)[1], "d1_values")):
         ref = np.array([getattr(m.branches[m.branch_index(v)], want)(
             np.array([v]))[0] for v in mixed])
         assert got.tobytes() == ref.tobytes()

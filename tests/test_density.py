@@ -115,7 +115,7 @@ def test_one_step_columns_follow_the_order_of_the_preimages(name):
     assert mids.size <= bound
     itin = _vec.itinerary_matrix([(i,) for i in range(len(m.branches))])
     fwd = _forward_columns(m, itin, edges, owner, mids)
-    _y, d1 = _vec.step_with_derivative(m, mids)
+    _y, d1 = _vec.step_values(m, mids, 1)
     tol = (EPS4 * (np.abs(mids) + 1.0 / np.abs(d1))
            + ((group[1] - group[0]) * 2.0 ** -_vec.BISECTION_STEPS)[owner])
     off = np.flatnonzero(cols != fwd)
@@ -249,7 +249,7 @@ def test_birkhoff_histogram_matches_scalar_reference(caplog, monkeypatch,
     if gain != 1.0:
         values = map_model.Branch.values
         monkeypatch.setattr(map_model.Branch, "values",
-                            lambda br, x: gain * values(br, x))
+                            lambda br, x, order=0: gain * values(br, x))
     kw = dict(seed_count=2, n_steps=5000, m_cells=256, burn_in=100, seed=0)
     with caplog.at_level(logging.INFO, logger=de.__name__):
         h = de.birkhoff_histogram(tent, **kw)

@@ -1,5 +1,7 @@
 """Binding periods, first-entry times, and the induced partition."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,28 @@ def test_binding_lemma_replay(cheb, cheb_partition, cheb_records):
     assert rep.ratio_max <= 1.0 + 1e-9
     assert rep.min_inf_df >= 2.0
     assert 0 < rep.sandwich_c1 <= rep.sandwich_c2
+
+
+def test_binding_lemma_checks_with_nothing_to_check_are_not_applicable(
+        cheb, cheb_partition, cheb_records, lorenz, lorenz_partition,
+        lorenz_records):
+    names = ["segment_ratio", "distortion", "sandwich", "expansion"]
+    cheb_rep = ind.verify_binding_lemmas(cheb, cheb_partition, n_samples=300,
+                                         records=cheb_records)
+    assert cheb_rep.checks == dict.fromkeys(names, "passed")
+    # lorenz has no critical point of order > 1: no binding segment, no
+    # first-segment distortion and no constant-binding piece to check
+    rep = ind.verify_binding_lemmas(lorenz, lorenz_partition, n_samples=300,
+                                    records=lorenz_records)
+    assert rep.checks == {"segment_ratio": "not-applicable",
+                          "distortion": "not-applicable",
+                          "sandwich": "not-applicable",
+                          "expansion": "passed"}
+    assert rep.passed and rep.to_dict()["checks"] == rep.checks
+    # a failed check fails the report; a not-applicable one does not
+    failed = dataclasses.replace(rep, checks=dict(rep.checks,
+                                                  expansion="failed"))
+    assert not failed.passed and failed.to_dict()["passed"] is False
 
 
 def test_write_partition_csv(tmp_path, lorenz_partition):
