@@ -18,7 +18,7 @@ import numpy as np
 from . import _vec
 from .critical_orbit import orbit_records
 from .distortion import end_orbits, step_sup_inf
-from .inducing import binding_period
+from .inducing import binding_periods
 from .map_model import MapValidationError, _check_delta
 
 
@@ -191,25 +191,18 @@ def compute_h_delta(m, delta, grid: int = 64, p_max: int = 60,
     (where the period is smallest); a singular or flat-linear side pins the
     minimum at 1 immediately.
     """
-    if records is None:
-        records = orbit_records(m, p_max + 1)
-    best = None
+    periods = []
     for cp in m.critical_points:
         if cp.order <= 1.0:
             return 1
         sgn = 1.0 if cp.side == "+" else -1.0
-        for k in range(grid):
-            d = delta * (1.0 - 1e-9) * 2.0 ** (-k)
-            try:
-                res = binding_period(m, cp.location + sgn * d, delta,
-                                     records, p_max)
-            except (ValueError, RuntimeError):
-                continue
-            if best is None or res.p < best:
-                best = res.p
-    if best is None:
+        d = np.ldexp(delta * (1.0 - 1e-9), -np.arange(grid))
+        p = binding_periods(m, cp, cp.location + sgn * d, delta, records,
+                            p_max).p
+        periods += p[p >= 0].tolist()   # failure codes are negative
+    if not periods:
         raise RuntimeError("binding period could not be evaluated anywhere")
-    return int(best)
+    return min(periods)
 
 
 def choose_delta(m, candidates, margin: float = 10.0,

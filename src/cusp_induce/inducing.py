@@ -2,7 +2,8 @@
 
 A point inside a one-sided neighborhood of a critical point binds to the
 critical orbit until its separation first exceeds the gamma-scaled critical
-distance; outside the neighborhoods, orbits run freely for at most q0 steps.
+distance, a test that binding_periods alone applies; outside the
+neighborhoods, orbits run freely for at most q0 steps.
 The partition builder turns this into maximal intervals on which the induced
 map f-hat = f^tau is a diffeomorphism, together with an explicit unresolved
 set, and the lemma checker replays the geometric inequalities the
@@ -13,12 +14,12 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _vec
-from . import expr as ex
 from .critical_orbit import compute_orbit, orbit_records
 from .distortion import abs_df_extrema, end_orbits, generalized_distortion
 from .map_model import _check_delta, critical_distance, evaluate
@@ -40,31 +41,74 @@ class BindingResult:
     truncated: bool
     df_p: float
 
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "critical_point": [self.critical_point.location,
-                               self.critical_point.side],
-            "p": self.p,
-            "truncated": self.truncated,
-            "df_p": self.df_p,
-            "trajectory": [list(r) for r in self.trajectory],
-        }
+
+# Failure codes of binding_periods, in place of a period (binding_period
+# raises ValueError for the first four, RuntimeError for the last).
+OUTSIDE, UNDEFINED, FLAT, ESCAPED, RECORD_SHORT = -1, -2, -3, -4, -5
+FAILURES = {OUTSIDE: "outside", UNDEFINED: "undefined", FLAT: "flat",
+            ESCAPED: "escaped", RECORD_SHORT: "record-short"}
 
 
-def _point_delta(m, x: float, delta: float):
-    for cp in m.critical_points:
-        if cp.contains(x, delta):
-            return cp
-    return None
+BindingPeriods = namedtuple("BindingPeriods",
+                            "p truncated df_p sep tube seg_d")
 
 
-def _scalar_step(m, x: float, what: str):
-    try:
-        return evaluate(m, x)
-    except ex.EvalDomainError as err:
-        raise ValueError(f"{what} landed on a branch boundary at x={x!r}")\
-            from err
+def binding_periods(m, cp, xs, delta=None, records=None, p_max: int = 60
+                    ) -> BindingPeriods:
+    """The binding rule for an array of points xs on cp's side (order > 1).
+
+    Each point follows the critical orbit c_j of cp, one batched order-1
+    step at a time, until |f^j(x) - c_j| first exceeds tube[j - 1] =
+    gamma_j * d(c_j): that j is its period p, else p is a failure code
+    (FAILURES).  A point still bound after p_max steps is truncated at
+    p = p_max.  df_p = |Df^p| is exp of the summed math.log |Df|, as the
+    orbit record sums its log D_n (NaN on failures).  The rows sep and
+    seg_d hold |f^j(x) - c_j| and min(d(f^j(x)), d(c_j)) for j = 1..p, NaN
+    past p.  cp's record comes from records, recomputed when it is missing
+    or shorter than p_max.
+    """
+    delta = m.delta if delta is None else float(delta)
+    rec = None if records is None else records.get((cp.location, cp.side))
+    if rec is None or rec.N < p_max:
+        rec = compute_orbit(m, cp, p_max + 1)
+    x = np.array(xs, dtype=float)
+    c = cp.location
+    inside = ((x > c) & (x < c + delta) if cp.side == "+"
+              else (x > c - delta) & (x < c))
+    p = np.where(inside, p_max, OUTSIDE)
+    steps = min(p_max, rec.n_filled)
+    tube = rec.gamma[:steps] * rec.d[:steps]
+    sep, seg_d = np.full((2, x.size, steps), np.nan)
+    log_df = np.zeros(x.size)
+    live = np.flatnonzero(inside)           # the points still bound
+    y = x[live]
+    for j in range(1, min(p_max, rec.n_filled + 1) + 1):
+        v, d1 = _vec.step_values(m, y, 1)
+        a = np.abs(d1)
+        # the first failure that applies wins: a non-finite value or Df,
+        # Df = 0, an escape, then the end of the critical record.  No step
+        # starts on a branch boundary: boundaries are critical locations,
+        # which a bound point keeps d(c_j) / 2 away from while d(c_j) > 0.
+        fail = np.where((v < m.lo - 1e-9) | (v > m.hi + 1e-9), ESCAPED,
+                        RECORD_SHORT if j > rec.n_filled else 0)
+        fail[a == 0.0] = FLAT
+        fail[~np.isfinite(v + a)] = UNDEFINED
+        ok = fail == 0
+        p[live[~ok]] = fail[~ok]
+        live, y, a = live[ok], np.clip(v[ok], m.lo, m.hi), a[ok]
+        if not live.size:
+            break
+        log_df[live] += np.fromiter(map(math.log, a.tolist()), float, a.size)
+        sep[live, j - 1] = s = np.abs(y - rec.c[j - 1])
+        seg_d[live, j - 1] = np.minimum(critical_distance(m, y), rec.d[j - 1])
+        ended = s > tube[j - 1]
+        p[live[ended]] = j
+        live, y = live[~ended], y[~ended]
+    truncated = np.zeros(x.size, dtype=bool)
+    truncated[live] = True
+    df_p = np.where(p >= 0, np.fromiter(map(math.exp, log_df.tolist()),
+                                        float, x.size), np.nan)
+    return BindingPeriods(p, truncated, df_p, sep, tube, seg_d)
 
 
 def binding_period(m, x, delta=None, records=None, p_max: int = 60
@@ -74,92 +118,46 @@ def binding_period(m, x, delta=None, records=None, p_max: int = 60
     x must lie inside one of the one-sided critical neighborhoods.  Points
     on the singular side (order <= 1) take p = 1 by convention, with no
     comparisons.  If every step up to p_max stays bound, the result is
-    truncated at p_max.
+    truncated at p_max.  Otherwise this is the one-point case of
+    binding_periods, raising for its failure codes.
     """
     delta = m.delta if delta is None else float(delta)
     x = float(x)
-    cp = _point_delta(m, x, delta)
+    cp = next((c for c in m.critical_points if c.contains(x, delta)), None)
     if cp is None:
         raise ValueError(f"x={x!r} is not inside any critical neighborhood")
     if cp.order <= 1.0:
-        return BindingResult(x, cp, 1, [], False,
-                             abs(_scalar_step(m, x, "binding orbit").d1))
-    rec = None
-    if records is not None:
-        rec = records.get((cp.location, cp.side))
-    if rec is None or rec.N < p_max:
-        rec = compute_orbit(m, cp, p_max + 1)
-
-    y = x
-    log_p = 0.0
-    rows = []
-    p = p_max
-    truncated = True
-    for j in range(1, p_max + 1):
-        jet = _scalar_step(m, y, "binding orbit")
-        log_p += math.log(abs(jet.d1))
-        y = jet.value
-        if y < m.lo - 1e-9 or y > m.hi + 1e-9:
-            raise ValueError(f"binding orbit of {x!r} left the domain")
-        y = min(max(y, m.lo), m.hi)
-        if j - 1 >= rec.n_filled:
-            raise RuntimeError(
-                "critical orbit reaches the critical set before the binding "
-                f"of x={x!r} resolves")
-        c_j = rec.c[j - 1]
-        d_j = rec.d[j - 1]
-        g_j = rec.gamma[j - 1]
-        sep = abs(y - c_j)
-        seg_d = min(float(critical_distance(m, y)), d_j)
-        rows.append((j, sep, g_j * d_j, seg_d))
-        if sep > g_j * d_j:
-            p = j
-            truncated = False
-            break
-    return BindingResult(x, cp, p, rows, truncated, math.exp(log_p))
-
-
-def _binding_periods_batch(m, xs, rec, delta: float, p_max: int):
-    """Binding periods for an array of same-side points; -1 marks failures."""
-    y = np.asarray(xs, dtype=float).copy()
-    n = y.size
-    p = np.full(n, -1, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
-    for j in range(1, p_max + 1):
-        if not alive.any():
-            break
-        if j - 1 >= rec.n_filled:
-            break
-        idx = np.nonzero(alive)[0]
-        v = _vec.step_values(m, y[idx])
-        bad = ~np.isfinite(v) | (v < m.lo - 1e-9) | (v > m.hi + 1e-9)
-        if bad.any():
-            alive[idx[bad]] = False
-            idx = idx[~bad]
-            v = v[~bad]
-        y[idx] = np.clip(v, m.lo, m.hi)
-        sep = np.abs(y[idx] - rec.c[j - 1])
-        ended = sep > rec.gamma[j - 1] * rec.d[j - 1]
-        p[idx[ended]] = j
-        alive[idx[ended]] = False
-    # points still bound when the critical record ran out stay undecided
-    p[alive] = p_max if rec.n_filled >= p_max else -1
-    return p
+        return BindingResult(x, cp, 1, [], False, abs(evaluate(m, x).d1))
+    b = binding_periods(m, cp, [x], delta, records, p_max)
+    p = int(b.p[0])
+    if p < 0:
+        error = RuntimeError if p == RECORD_SHORT else ValueError
+        raise error(f"binding orbit of x={x!r} failed: {FAILURES[p]}")
+    rows = list(zip(range(1, p + 1), b.sep[0, :p].tolist(),
+                    b.tube[:p].tolist(), b.seg_d[0, :p].tolist()))
+    return BindingResult(x, cp, p, rows, bool(b.truncated[0]),
+                         float(b.df_p[0]))
 
 
 # ---------------------------------------------------------------------------
 # first entry and inducing time
 
 
-def first_entry(m, x, delta, q0: int):
-    """Smallest l in [0, q0) with f^l(x) inside a neighborhood, else None."""
+def _free_orbit(m, x, delta, q0: int):
+    """(l, f^l(x)) for l = first_entry(m, x, delta, q0), or (None, f^q0(x));
+    each step is clamped to the domain."""
     y = float(x)
     for l in range(int(q0)):
-        if _point_delta(m, y, delta) is not None:
-            return l
-        y = _scalar_step(m, y, "free orbit").value
+        if any(cp.contains(y, delta) for cp in m.critical_points):
+            return l, y
+        y = evaluate(m, y).value
         y = min(max(y, m.lo), m.hi)
-    return None
+    return None, y
+
+
+def first_entry(m, x, delta, q0: int):
+    """Smallest l in [0, q0) with f^l(x) inside a neighborhood, else None."""
+    return _free_orbit(m, x, delta, q0)[0]
 
 
 def inducing_time(m, x, delta=None, q0: int = None, records=None,
@@ -172,12 +170,9 @@ def inducing_time(m, x, delta=None, q0: int = None, records=None,
     delta = m.delta if delta is None else float(delta)
     if q0 is None:
         raise ValueError("q0 is required")
-    l0 = first_entry(m, x, delta, q0)
+    l0, y = _free_orbit(m, x, delta, q0)
     if l0 is None:
         return int(q0)
-    y = float(x)
-    for _ in range(l0):
-        y = _scalar_step(m, y, "free orbit").value
     return l0 + binding_period(m, y, delta, records, p_max).p
 
 
@@ -198,14 +193,11 @@ def _binding_piece_table(m, cp, delta: float, records, p_max: int,
     if cp.order <= 1.0:
         lo, hi = (c, c + delta) if sgn > 0 else (c - delta, c)
         return [(lo, hi, 1)], []
-    rec = records[(cp.location, cp.side)]
 
-    def pb(d):
-        try:
-            r = binding_period(m, c + sgn * d, delta, records, p_max)
-        except (ValueError, RuntimeError):
-            return None
-        return r.p
+    def periods(ds):                    # -1 for every failure
+        xs = c + sgn * np.asarray(ds, dtype=float)
+        b = binding_periods(m, cp, xs, delta, records, p_max)
+        return np.maximum(b.p, -1).tolist()
 
     floor = max(resolution, 1e-13)
     grid = delta * np.arange(4095, 0, -1) / 4096.0
@@ -216,48 +208,44 @@ def _binding_piece_table(m, cp, delta: float, records, p_max: int,
         samples.append(d)
         d *= 0.5
 
-    # evaluate outward-in, stopping once p_max is reached
+    # scan outward-in, stopping at a failure or once p_max is reached
     svals = []
-    stop_reason = None
-    ps = _binding_periods_batch(
-        m, c + sgn * np.asarray(samples), rec, delta, p_max)
-    for dcur, p in zip(samples, ps):
-        p = int(p)
+    stop_reason = "boundary-unlocated"  # also when the floor is reached
+    for dcur, p in zip(samples, periods(samples)):
         if p < 0:
-            stop_reason = "boundary-unlocated"
             break
         svals.append((dcur, p))
         if p >= p_max:
             stop_reason = "p_max-exceeded"
             break
-    if stop_reason is None:
-        stop_reason = "boundary-unlocated"  # distance floor reached
     inner_d = svals[-1][0] if svals else delta
 
+    # bisect every jump of p between neighboring samples, one level of all
+    # open jumps per pass; a jump to a failure or narrower than 1e-12 cuts
+    # at its midpoint
     cuts = []
-
-    def refine(d_in, p_in, d_out, p_out):
-        if p_in == p_out:
-            return
-        if p_in is None or p_out is None or d_out - d_in <= 1e-12:
-            cuts.append(0.5 * (d_in + d_out))
-            return
-        dm = 0.5 * (d_in + d_out)
-        pm = pb(dm)
-        refine(dm, pm, d_out, p_out)
-        refine(d_in, p_in, dm, pm)
-
-    for (d_out, p_out), (d_in, p_in) in zip(svals[:-1], svals[1:]):
-        refine(d_in, p_in, d_out, p_out)
+    jumps = [(d_in, p_in, d_out, p_out) for (d_out, p_out), (d_in, p_in)
+             in zip(svals[:-1], svals[1:]) if p_in != p_out]
+    while jumps:
+        split = []
+        for d_in, p_in, d_out, p_out in jumps:
+            if p_in < 0 or p_out < 0 or d_out - d_in <= 1e-12:
+                cuts.append(0.5 * (d_in + d_out))
+            else:
+                split.append((d_in, p_in, 0.5 * (d_in + d_out), d_out, p_out))
+        jumps = [half for (d_in, p_in, dm, d_out, p_out), pm in
+                 zip(split, periods([s[2] for s in split]))
+                 for half in ((dm, pm, d_out, p_out), (d_in, p_in, dm, pm))
+                 if half[1] != half[3]]
     cuts.sort()
 
     pieces, gaps = [], []
     bounds = [inner_d] + cuts + [delta]
-    for d_lo, d_hi in zip(bounds[:-1], bounds[1:]):
-        if d_hi - d_lo <= 0.0:
-            continue
-        p = pb(0.5 * (d_lo + d_hi))
-        if p is None:
+    spans = [(d_lo, d_hi) for d_lo, d_hi in zip(bounds[:-1], bounds[1:])
+             if d_hi - d_lo > 0.0]
+    for (d_lo, d_hi), p in zip(
+            spans, periods([0.5 * (d_lo + d_hi) for d_lo, d_hi in spans])):
+        if p < 0:
             gaps.append((d_lo, d_hi, "boundary-unlocated"))
         elif p >= p_max:
             gaps.append((d_lo, d_hi, "p_max-exceeded"))
@@ -743,7 +731,7 @@ def eval_induced(m, partition: InducedPartition, x: float):
     y = float(x)
     prod = 1.0
     for _ in range(br.tau):
-        jet = _scalar_step(m, y, "induced orbit")
+        jet = evaluate(m, y)
         prod *= jet.d1
         y = jet.value
     return y, abs(prod), br.tau
@@ -832,55 +820,66 @@ def verify_binding_lemmas(m, partition: InducedPartition,
     gamma_hat = 1.0
     gamma_finite = True
     n_segments = n_distortions = 0
-    margin_ratio = math.inf
-    if crit:
-        per = max(1, n_samples // len(crit))
-        for cp in crit:
-            rec = records[(cp.location, cp.side)]
-            sgn = 1.0 if cp.side == "+" else -1.0
-            dists = np.concatenate([
-                rng.uniform(0.0, delta, per // 2),
-                delta * 2.0 ** -rng.uniform(0.0, 30.0, per - per // 2)])
-            dists = dists[dists > 0]
-            expo = 1.0 / (2.0 * cp.order - 1.0)
-            for d in dists:
-                x = cp.location + sgn * float(d)
+    margin_ratio = math.inf if crit else math.nan
+    per = max(1, n_samples // len(crit)) if crit else 0
+    sides = []
+    for cp in crit:
+        rec = records[(cp.location, cp.side)]
+        sgn = 1.0 if cp.side == "+" else -1.0
+        dists = np.concatenate([
+            rng.uniform(0.0, delta, per // 2),
+            delta * 2.0 ** -rng.uniform(0.0, 30.0, per - per // 2)])
+        xs = cp.location + sgn * dists[dists > 0]
+        b = binding_periods(m, cp, xs, delta, records, partition.p_max)
+        ok = b.p >= 0
+        bound = ok & ~b.truncated
+
+        # segment ratios over the bound steps (all p of a truncated binding,
+        # else the first p - 1), a witness where a new maximum exceeds 1
+        steps = b.sep.shape[1]
+        last = np.where(b.truncated, b.p, b.p - 1)[:, None]
+        rows = ok[:, None] & (np.arange(1, steps + 1) <= last)
+        n_segments += int(rows.sum())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = b.sep / b.seg_d / (2.0 * rec.gamma[:steps])
+        r = np.where(rows, np.where(b.seg_d > 0, r, np.inf), -np.inf).ravel()
+        run = np.maximum.accumulate(np.concatenate(([ratio_max], r)))
+        ratio_max = run[-1]
+        new_max = np.flatnonzero((r > run[:-1]) & (r > 1.0 + 1e-9))
+        witnesses.extend(["segment-ratio", float(xs[k // steps]),
+                          k % steps + 1, float(r[k])]
+                         for k in new_max.tolist())
+
+        # first-segment distortion, one binding with p >= 2 at a time
+        n_checks = 0
+        for k in np.flatnonzero(bound & (b.p >= 2)).tolist():
+            x, p = float(xs[k]), int(b.p[k])
+            fx = evaluate(m, x).value
+            seg = (min(fx, rec.c[0]), max(fx, rec.c[0]))
+            if seg[1] - seg[0] > 0:
+                n_checks += 1
                 try:
-                    res = binding_period(m, x, delta, records,
-                                         partition.p_max)
-                except (ValueError, RuntimeError):
-                    continue
-                rows = (res.trajectory if res.truncated
-                        else res.trajectory[:-1])
-                n_segments += len(rows)
-                for j, sep, gd, seg_d in rows:
-                    g_j = rec.gamma[j - 1]
-                    r = (sep / seg_d) / (2.0 * g_j) if seg_d > 0 else math.inf
-                    if r > ratio_max:
-                        ratio_max = r
-                        if r > 1.0 + 1e-9:
-                            witnesses.append(
-                                ["segment-ratio", x, j, float(r)])
-                if not res.truncated and res.p >= 2:
-                    c1 = rec.c[0]
-                    fx = evaluate(m, x).value
-                    seg = (min(fx, c1), max(fx, c1))
-                    if seg[1] - seg[0] > 0:
-                        n_distortions += 1
-                        try:
-                            g = generalized_distortion(m, seg, res.p - 1)
-                            gamma_hat = max(gamma_hat, g.value)
-                            if not math.isfinite(g.value):
-                                gamma_finite = False
-                        except ValueError as err:
-                            gamma_finite = False
-                            witnesses.append(
-                                ["distortion", x, res.p, str(err)])
-                if not res.truncated:
-                    denom = rec.D_at(res.p - 1) ** expo
-                    margin_ratio = min(margin_ratio, res.df_p / denom)
-    else:
-        margin_ratio = math.nan
+                    g = generalized_distortion(m, seg, p - 1)
+                    gamma_hat = max(gamma_hat, g.value)
+                    if not math.isfinite(g.value):
+                        gamma_finite = False
+                except ValueError as err:
+                    gamma_finite = False
+                    witnesses.append(["distortion", x, p, str(err)])
+        n_distortions += n_checks
+
+        # expansion margin |Df^p| / D_(p-1)^(1/(2l-1)) of the bindings
+        expo = 1.0 / (2.0 * cp.order - 1.0)
+        denom = [rec.D_at(p - 1) ** expo for p in b.p[bound].tolist()]
+        margin_ratio = float(np.fmin.reduce(b.df_p[bound] / denom,
+                                            initial=margin_ratio))
+
+        dropped = dict(Counter(FAILURES[c] for c in b.p[~ok].tolist()))
+        sides.append(f"({cp.location!r}, {cp.side!r}) {xs.size} replayed, "
+                     f"dropped {dropped}, {b.truncated.sum()} truncated, "
+                     f"{n_checks} distortion checks")
+    _LOG.info("verify_binding_lemmas: samples per critical side of order "
+              "> 1: %s", "; ".join(sides) or "none")
 
     # sandwich constants over the level-0 constant-binding pieces
     sandwich_rows = []

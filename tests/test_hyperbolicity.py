@@ -5,7 +5,9 @@ import math
 import pytest
 
 from cusp_induce import hyperbolicity as hy
+from cusp_induce import inducing as ind
 from cusp_induce import map_model as mm
+from cusp_induce.critical_orbit import orbit_records
 
 
 def brute_q0(c_hat, lambda_hat):
@@ -44,6 +46,25 @@ def test_expansion_estimate_positive(cheb):
 def test_minimum_binding_horizon_values(cheb):
     assert hy.compute_h_delta(cheb, 0.2) == 3
     assert hy.compute_h_delta(cheb, 0.01) == 6
+
+
+@pytest.mark.parametrize("family, delta", [("cheb", 0.2), ("cheb", 0.01),
+                                           ("unimodal23", 0.05)])
+def test_minimum_binding_horizon_is_the_least_one_point_period(family, delta,
+                                                               cheb):
+    m = cheb if family == "cheb" else mm.unimodal_map(2.0, 3.0, delta)
+    records = orbit_records(m, 61)
+    periods = []
+    for cp in m.critical_points:
+        sgn = 1.0 if cp.side == "+" else -1.0
+        for k in range(24):
+            x = cp.location + sgn * delta * (1.0 - 1e-9) * 2.0 ** (-k)
+            try:
+                periods.append(ind.binding_period(m, x, delta, records).p)
+            except (ValueError, RuntimeError):
+                pass
+    assert hy.compute_h_delta(m, delta, grid=24,
+                              records=records) == min(periods)
 
 
 def test_minimum_binding_horizon_monotone(cheb):

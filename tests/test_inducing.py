@@ -1,12 +1,358 @@
-"""Binding periods, first-entry times, and the induced partition."""
+"""Binding periods, first-entry times, and the induced partition.
+
+binding_period is the one-point case of the batched binding_periods.  A
+scalar loop, one jet per step, is kept below as the reference, with a
+recursive jump bisection for the piece tables and a per-sample lemma replay.
+"""
 
 import dataclasses
+import logging
+import math
+import re
 
 import numpy as np
 import pytest
 
+from cusp_induce import _vec
 from cusp_induce import inducing as ind
-from cusp_induce.map_model import evaluate
+from cusp_induce import map_model as mm
+from cusp_induce.critical_orbit import compute_orbit, orbit_records
+from cusp_induce.distortion import generalized_distortion
+from cusp_induce.map_model import critical_distance, evaluate
+
+
+# ---------------------------------------------------------------------------
+# reference: the scalar binding loop and the recursive piece-table refine
+
+
+def scalar_binding_period(m, x, delta, records, p_max=60):
+    """(p, truncated, rows, df_p) of x, one scalar jet per step; raises
+    ValueError or RuntimeError where the loop met a failure."""
+    x = float(x)
+    cp = next((c for c in m.critical_points if c.contains(x, delta)), None)
+    if cp is None:
+        raise ValueError(f"x={x!r} is not inside any critical neighborhood")
+    rec = records.get((cp.location, cp.side))
+    if rec is None or rec.N < p_max:
+        rec = compute_orbit(m, cp, p_max + 1)
+    y = x
+    log_p = 0.0
+    rows = []
+    p = p_max
+    truncated = True
+    for j in range(1, p_max + 1):
+        jet = evaluate(m, y)          # raises on an interior boundary
+        log_p += math.log(abs(jet.d1))
+        y = jet.value
+        if y < m.lo - 1e-9 or y > m.hi + 1e-9:
+            raise ValueError(f"binding orbit of {x!r} left the domain")
+        y = min(max(y, m.lo), m.hi)
+        if j - 1 >= rec.n_filled:
+            raise RuntimeError("critical orbit reaches the critical set")
+        c_j, d_j, g_j = rec.c[j - 1], rec.d[j - 1], rec.gamma[j - 1]
+        sep = abs(y - c_j)
+        seg_d = min(float(critical_distance(m, y)), d_j)
+        rows.append((j, sep, g_j * d_j, seg_d))
+        if sep > g_j * d_j:
+            p = j
+            truncated = False
+            break
+    return p, truncated, rows, math.exp(log_p)
+
+
+def recursive_piece_table(m, cp, delta, records, p_max=60, resolution=1e-10):
+    """_binding_piece_table with a recursive bisection of each jump, whose
+    probes take the scalar reference."""
+    c = cp.location
+    sgn = 1.0 if cp.side == "+" else -1.0
+    if cp.order <= 1.0:
+        lo, hi = (c, c + delta) if sgn > 0 else (c - delta, c)
+        return [(lo, hi, 1)], []
+
+    def pb(d):
+        try:
+            return scalar_binding_period(m, c + sgn * d, delta, records,
+                                         p_max)[0]
+        except (ValueError, RuntimeError):
+            return None
+
+    floor = max(resolution, 1e-13)
+    samples = [delta * (1.0 - 1e-9)]
+    samples.extend(float(d) for d in delta * np.arange(4095, 0, -1) / 4096.0)
+    d = delta / 8192.0
+    while d > floor:
+        samples.append(d)
+        d *= 0.5
+    ps = ind.binding_periods(m, cp, c + sgn * np.asarray(samples), delta,
+                             records, p_max).p
+    svals, stop_reason = [], "boundary-unlocated"
+    for dcur, p in zip(samples, ps.tolist()):
+        if p < 0:
+            break
+        svals.append((dcur, p))
+        if p >= p_max:
+            stop_reason = "p_max-exceeded"
+            break
+    inner_d = svals[-1][0] if svals else delta
+    cuts = []
+
+    def refine(d_in, p_in, d_out, p_out):
+        if p_in == p_out:
+            return
+        if p_in is None or p_out is None or d_out - d_in <= 1e-12:
+            cuts.append(0.5 * (d_in + d_out))
+            return
+        dm = 0.5 * (d_in + d_out)
+        pm = pb(dm)
+        refine(dm, pm, d_out, p_out)
+        refine(d_in, p_in, dm, pm)
+
+    for (d_out, p_out), (d_in, p_in) in zip(svals[:-1], svals[1:]):
+        refine(d_in, p_in, d_out, p_out)
+    cuts.sort()
+    pieces, gaps = [], []
+    bounds = [inner_d] + cuts + [delta]
+    for d_lo, d_hi in zip(bounds[:-1], bounds[1:]):
+        if d_hi - d_lo <= 0.0:
+            continue
+        p = pb(0.5 * (d_lo + d_hi))
+        if p is None:
+            gaps.append((d_lo, d_hi, "boundary-unlocated"))
+        elif p >= p_max:
+            gaps.append((d_lo, d_hi, "p_max-exceeded"))
+        else:
+            pieces.append((d_lo, d_hi, p))
+    if inner_d > 0.0:
+        gaps.append((0.0, inner_d, stop_reason))
+
+    def oriented(items):
+        return sorted(tuple(sorted((c + sgn * lo_d, c + sgn * hi_d)))
+                      + (payload,) for lo_d, hi_d, payload in items)
+
+    return oriented(pieces), oriented(gaps)
+
+
+def _steps_agree(m, x, p):
+    """Whether the array step equals the scalar jet (value and Df) at each
+    of the first p points of the scalar orbit of x."""
+    y = float(x)
+    for _ in range(p):
+        jet = evaluate(m, y)
+        v, d1 = _vec.step_values(m, np.array([y]), 1)
+        if v[0] != jet.value or d1[0] != jet.d1:
+            return False
+        y = min(max(jet.value, m.lo), m.hi)
+    return True
+
+
+def assert_matches_scalar_reference(m, cp, xs, delta, records):
+    """binding_periods over xs, and binding_period at every 16th point,
+    against the scalar reference.  p, the truncation flag and the exception
+    type must agree everywhere; the rows and df_p bit for bit, except on
+    orbits where the array step and the scalar jet round differently
+    (the power of numpy's ufunc and of libm's pow)."""
+    b = ind.binding_periods(m, cp, xs, delta, records)
+    for k, x in enumerate(xs.tolist()):
+        code = int(b.p[k])
+        try:
+            p, truncated, rows, df_p = scalar_binding_period(m, x, delta,
+                                                             records)
+        except RuntimeError:
+            assert code == ind.RECORD_SHORT
+            continue
+        except ValueError:
+            assert code < 0 and code != ind.RECORD_SHORT
+            continue
+        assert (code, bool(b.truncated[k])) == (p, truncated), x
+        got = list(zip(range(1, p + 1), b.sep[k, :p].tolist(),
+                       b.tube[:p].tolist(), b.seg_d[k, :p].tolist()))
+        if got != rows or b.df_p[k] != df_p:
+            assert not _steps_agree(m, x, p), x
+        if k % 16 == 0:
+            res = ind.binding_period(m, x, delta, records)
+            assert (res.p, res.truncated, res.trajectory) == (
+                code, bool(b.truncated[k]), got)
+            assert res.df_p == b.df_p[k] and res.critical_point is cp
+
+
+REFERENCE_MAPS = {
+    "chebyshev": lambda: (mm.chebyshev_map(0.01), 0.01),
+    "unimodal(1.9, 2)": lambda: (mm.unimodal_map(1.9, 2.0, 0.05), 0.05),
+    "unimodal(2, 3)": lambda: (mm.unimodal_map(2.0, 3.0, 0.05), 0.05),
+    "singular_unimodal": lambda: (mm.singular_unimodal_map(delta=0.02), 0.02),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MAPS))
+def test_binding_periods_match_the_scalar_reference(name, monkeypatch):
+    m, delta = REFERENCE_MAPS[name]()
+    records = orbit_records(m, 61)
+    rng = np.random.default_rng(11)
+    batched = ind.binding_periods
+    calls = []
+
+    def recording(m, cp, xs, *args):
+        calls.append(np.array(xs, dtype=float))
+        return batched(m, cp, xs, *args)
+
+    sides = 0
+    for cp in m.critical_points:
+        if cp.order <= 1.0:
+            continue
+        # every third point the piece table probes next to the jumps of p:
+        # its batched calls after the first, the sample scan
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(ind, "binding_periods", recording)
+            ind._binding_piece_table(m, cp, delta, records, 60, 1e-10)
+        sgn = 1.0 if cp.side == "+" else -1.0
+        grid = cp.location + sgn * np.concatenate(
+            [delta * np.arange(1, 32) / 32.0, rng.uniform(0.0, delta, 16),
+             delta * 2.0 ** -rng.uniform(0.0, 40.0, 16)])
+        xs = np.concatenate([grid] + [x[::3] for x in calls[1:]])
+        assert_matches_scalar_reference(m, cp, xs, delta, records)
+        sides += 1
+    assert sides >= 2
+
+
+def test_binding_periods_return_the_failure_codes_where_binding_period_raises(
+        cheb, cheb_records):
+    key = (0.0, "+")
+    cp = cheb.declared(*key)
+    # a point outside every neighborhood
+    with pytest.raises(ValueError, match="not inside"):
+        ind.binding_period(cheb, 0.5, delta=0.2, records=cheb_records)
+    assert ind.binding_periods(cheb, cp, [0.5, -0.1], 0.2,
+                               cheb_records).p.tolist() == [ind.OUTSIDE] * 2
+    # an orbit that leaves the domain: here the domain stops short of the
+    # critical value 1, which f(1e-3) = 0.999998 passes
+    cut = dataclasses.replace(cheb, hi=0.9999)
+    with pytest.raises(ValueError, match="escaped"):
+        ind.binding_period(cut, 1e-3, delta=0.2, records=cheb_records)
+    b = ind.binding_periods(cut, cp, [1e-3], 0.2, cheb_records)
+    assert b.p.tolist() == [ind.ESCAPED] and math.isnan(b.df_p[0])
+    # a critical record that ends before the binding resolves
+    rec = cheb_records[key]
+    short = {key: dataclasses.replace(rec, c=rec.c[:3], d=rec.d[:3],
+                                      gamma=rec.gamma[:3])}
+    assert short[key].n_filled == 3 and short[key].N >= 60
+    with pytest.raises(RuntimeError, match="record-short"):
+        ind.binding_period(cheb, 1e-6, delta=0.2, records=short)
+    assert ind.binding_period(cheb, 0.19, delta=0.2, records=short).p == 3
+    b = ind.binding_periods(cheb, cp, [0.19, 1e-6], 0.2, short)
+    assert b.p.tolist() == [3, ind.RECORD_SHORT]
+    assert b.truncated.tolist() == [False, False]
+    with pytest.raises(ValueError):
+        scalar_binding_period(cheb, 0.5, 0.2, cheb_records)
+    with pytest.raises(ValueError):
+        scalar_binding_period(cut, 1e-3, 0.2, cheb_records)
+    with pytest.raises(RuntimeError):
+        scalar_binding_period(cheb, 1e-6, 0.2, short)
+
+
+def test_a_separation_equal_to_the_tube_stays_bound(cheb, cheb_records):
+    # f(0.5) = 0.5 exactly, so |f(0.5) - c_1| = 0.5 = gamma_1 * d(c_1)
+    res = ind.binding_period(cheb, 0.5, delta=0.6, records=cheb_records)
+    assert res.trajectory[0][1:3] == (0.5, 0.5)
+    assert (res.p, res.truncated) == (2, False)
+    assert scalar_binding_period(cheb, 0.5, 0.6, cheb_records)[:2] == (2,
+                                                                       False)
+
+
+def test_an_orbit_within_1e_9_past_the_domain_is_clamped(cheb, cheb_records):
+    # f(1e-6) = 1 - 2e-12 lies past hi = 1 - 1e-10, but within 1e-9
+    cut = dataclasses.replace(cheb, hi=1.0 - 1e-10)
+    res = ind.binding_period(cut, 1e-6, delta=0.2, records=cheb_records)
+    p, truncated, rows, df_p = scalar_binding_period(cut, 1e-6, 0.2,
+                                                     cheb_records)
+    assert rows[0][1] == abs(cut.hi - 1.0)
+    assert (res.p, res.truncated, res.trajectory, res.df_p) == (
+        p, truncated, rows, df_p)
+    # 2e-12 past hi = 1 - 2e-9 is past the tolerance: the orbit escapes
+    cut = dataclasses.replace(cheb, hi=1.0 - 2e-9)
+    with pytest.raises(ValueError, match="escaped"):
+        ind.binding_period(cut, 1e-6, delta=0.2, records=cheb_records)
+
+
+def reference_lemma_replay(m, delta, p_max, records, n_samples=1000, seed=0):
+    """(ratio_max, gamma_hat, margin_ratio, segments, distortion checks)
+    of verify_binding_lemmas' sample replay, one scalar binding per sample."""
+    rng = np.random.default_rng(seed)
+    crit = [cp for cp in m.critical_points if cp.order > 1.0]
+    ratio_max, gamma_hat, margin = 0.0, 1.0, math.inf
+    n_segments = n_distortions = 0
+    per = max(1, n_samples // len(crit))
+    for cp in crit:
+        rec = records[(cp.location, cp.side)]
+        sgn = 1.0 if cp.side == "+" else -1.0
+        dists = np.concatenate([
+            rng.uniform(0.0, delta, per // 2),
+            delta * 2.0 ** -rng.uniform(0.0, 30.0, per - per // 2)])
+        expo = 1.0 / (2.0 * cp.order - 1.0)
+        for d in dists[dists > 0]:
+            x = cp.location + sgn * float(d)
+            try:
+                p, truncated, rows, df_p = scalar_binding_period(
+                    m, x, delta, records, p_max)
+            except (ValueError, RuntimeError):
+                continue
+            rows = rows if truncated else rows[:-1]
+            n_segments += len(rows)
+            for j, sep, _tube, seg_d in rows:
+                r = (sep / seg_d) / (2.0 * rec.gamma[j - 1])
+                ratio_max = max(ratio_max, r)
+            if truncated:
+                continue
+            fx = evaluate(m, x).value
+            if p >= 2 and fx != rec.c[0]:
+                n_distortions += 1
+                g = generalized_distortion(
+                    m, (min(fx, rec.c[0]), max(fx, rec.c[0])), p - 1)
+                gamma_hat = max(gamma_hat, g.value)
+            margin = min(margin, df_p / rec.D_at(p - 1) ** expo)
+    return ratio_max, gamma_hat, margin, n_segments, n_distortions
+
+
+def test_binding_lemma_replay_matches_the_per_sample_reference(
+        cheb, cheb_partition, cheb_records, caplog):
+    with caplog.at_level(logging.INFO, logger="cusp_induce.inducing"):
+        rep = ind.verify_binding_lemmas(cheb, cheb_partition, n_samples=300,
+                                        records=cheb_records)
+    ratio_max, gamma_hat, margin, n_segments, n_distortions = \
+        reference_lemma_replay(cheb, cheb_partition.delta,
+                               cheb_partition.p_max, cheb_records, 300)
+    assert (rep.ratio_max, rep.gamma_hat, rep.margin_ratio) == (
+        ratio_max, gamma_hat, margin)
+    assert n_segments > 0 and n_distortions > 0
+    msg, = [r.getMessage() for r in caplog.records
+            if r.name == "cusp_induce.inducing"]
+    checks = re.findall(r"(\d+) distortion checks", msg)
+    assert len(checks) == 2 and sum(map(int, checks)) == n_distortions
+
+
+STAGE2_CONFIGS = {
+    "chebyshev": lambda: (mm.chebyshev_map(), 0.01),
+    "lorenz": lambda: (mm.lorenz_map(), 0.2),
+    "lorenz(1.8, 0.5)": lambda: (mm.lorenz_map(1.8, 0.5, 0.1), 0.1),
+    "lorenz(1.9, 0.4)": lambda: (mm.lorenz_map(1.9, 0.4, 0.1), 0.1),
+    "lorenz(1.8, 0.5) undefined end": lambda: (_undefined_end_lorenz(), 0.1),
+    "singular_unimodal": lambda: (mm.singular_unimodal_map(), 0.02),
+}
+
+
+def _undefined_end_lorenz():
+    cfg = mm.family_config("lorenz", {"a": 1.8, "s": 0.5}, delta=0.1)
+    cfg["branches"][0]["expr"] = "(1 - a*abs(x)^s)*abs(x + 1)/(x + 1)"
+    return mm.build_map(cfg)
+
+
+@pytest.mark.parametrize("name", sorted(STAGE2_CONFIGS))
+def test_piece_tables_match_the_recursive_refine(name):
+    m, delta = STAGE2_CONFIGS[name]()
+    records = orbit_records(m, 61)
+    for cp in m.critical_points:
+        got = ind._binding_piece_table(m, cp, delta, records, 60, 1e-10)
+        assert got == recursive_piece_table(m, cp, delta, records)
 
 
 def quad(x):
@@ -196,6 +542,39 @@ def test_binding_lemma_checks_with_nothing_to_check_are_not_applicable(
     failed = dataclasses.replace(rep, checks=dict(rep.checks,
                                                   expansion="failed"))
     assert not failed.passed and failed.to_dict()["passed"] is False
+
+
+def test_binding_lemma_replay_logs_its_sample_counts(
+        cheb, cheb_partition, cheb_records, lorenz, lorenz_partition,
+        lorenz_records, caplog):
+    def replay_log(m, part, records):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="cusp_induce.inducing"):
+            ind.verify_binding_lemmas(m, part, n_samples=300,
+                                      records=records)
+        msgs = [r.getMessage() for r in caplog.records
+                if r.name == "cusp_induce.inducing"]
+        assert len(msgs) == 1 and msgs[0].startswith("verify_binding_lemmas")
+        return msgs[0]
+
+    msg = replay_log(cheb, cheb_partition, cheb_records)
+    for side in "-+":
+        assert f"(0.0, {side!r}) 150 replayed, dropped {{}}, " in msg
+    assert msg.count("distortion checks") == 2
+    # a critical record cut after three steps drops every sample whose
+    # binding is longer, by its failure code; none is left truncated
+    short = {key: dataclasses.replace(rec, c=rec.c[:3], d=rec.d[:3],
+                                      gamma=rec.gamma[:3])
+             for key, rec in cheb_records.items()}
+    delta = cheb_partition.delta
+    for cp in cheb.critical_points:
+        sgn = 1.0 if cp.side == "+" else -1.0
+        b = ind.binding_periods(cheb, cp, [sgn * delta / 2], delta, short)
+        assert b.p.tolist() == [ind.RECORD_SHORT]
+    msg = replay_log(cheb, cheb_partition, short)
+    assert "dropped {'record-short': " in msg and " 0 truncated" in msg
+    assert "samples per critical side of order > 1: none" in replay_log(
+        lorenz, lorenz_partition, lorenz_records)
 
 
 def test_write_partition_csv(tmp_path, lorenz_partition):
