@@ -60,11 +60,14 @@ def _one_step_plan(m, ids) -> list:
     return [(None, _formula_parts(m, m.formula_groups[0][ids]))]
 
 
-def step_values(m, x: np.ndarray, order: int = 0):
+def step_values(m, x: np.ndarray, order: int = 0, ids=None):
     """f(x) elementwise, or with derivative order 1 or 2 the tuple of f(x)
-    and its first (and second) derivatives, as _forced_pass."""
+    and its first (and second) derivatives, as _forced_pass.  Point k takes
+    branch ids[k], by default the branch holding it (branch_indices)."""
     x = np.asarray(x, dtype=float)
-    return _forced_pass(_one_step_plan(m, branch_indices(m, x)), x, order)
+    if ids is None:
+        ids = branch_indices(m, x)
+    return _forced_pass(_one_step_plan(m, ids), x, order)
 
 
 def in_delta(m, x, delta: float) -> np.ndarray:

@@ -109,29 +109,80 @@ def end_orbits(m, interval, n: int, itinerary=None):
     return steps, (u, v)
 
 
-def abs_df_extrema(m, i: int, xs, abs_d1):
-    """(inf, sup) arrays of |Df| on branch i between consecutive positions.
+def array_end_orbits(m, itin, u, v, visit):
+    """Array form of end_orbits: the ends u[k] <= v[k] of interval k follow
+    row k of the itinerary matrix itin (padded with -1 past its end).
 
-    abs_d1 holds |Df| at the positions xs; each pair's extrema take in the
-    interior zeros of D2f (branch_d2_zeros) strictly between its ends, so
-    they are exact for the declared expression.
+    Each step clamps both ends onto the step's branch, as end_orbits does,
+    and pushes all rows by one order-1 evaluation per formula group.  An
+    end that sits exactly on an end of the step's branch, or whose value or
+    Df comes out non-finite, takes the scalar one-sided endpoint_jet
+    instead; elsewhere the array evaluation rounds as the scalar jets do.
+    visit(live, ids, u, v, du, dv) sees every step: the rows still moving,
+    their branch ids, the clamped ends and |Df| at them.
+    Returns (u, v, scalar): the ascending ends of the images and the number
+    of end steps that took endpoint_jet, each (branch, end, side) computed
+    once.
     """
-    xs, d = np.asarray(xs, dtype=float), np.asarray(abs_d1, dtype=float)
-    lo = np.fmin(d[:-1], d[1:])
-    hi = np.fmax(d[:-1], d[1:])
-    for z in branch_d2_zeros(m, i):
-        hit = (np.fmin(xs[:-1], xs[1:]) < z) & (z < np.fmax(xs[:-1], xs[1:]))
-        if hit.any():
-            dz = abs(m.branches[i].jet(z).d1)
-            lo[hit] = np.fmin(lo[hit], dz)
-            hi[hit] = np.fmax(hi[hit], dz)
+    u = np.array(u, dtype=float)
+    v = np.array(v, dtype=float)
+    ends = np.array([(br.a, br.b) for br in m.branches])
+    scalar, jets = 0, {}        # jets: endpoint_jet by (branch, x, side)
+    for col in np.asarray(itin).T:
+        live = np.flatnonzero(col >= 0)
+        if not live.size:
+            break
+        n, ids = live.size, np.tile(col[live], 2)
+        lo, hi = ends[ids, 0], ends[ids, 1]
+        x = np.concatenate((u[live], v[live]))
+        # max(u, a) and min(v, b) as end_orbits takes them, NaN included
+        x[:n] = np.where(lo[:n] > x[:n], lo[:n], x[:n])
+        x[n:] = np.where(hi[n:] < x[n:], hi[n:], x[n:])
+        y, d1 = _vec.step_values(m, x, 1, ids)
+        redo = np.flatnonzero((x == lo) | (x == hi)
+                              | ~(np.isfinite(y) & np.isfinite(d1)))
+        for k in redo.tolist():
+            key = (int(ids[k]), float(x[k]), "+" if k < n else "-")
+            if key not in jets:
+                jets[key] = m.endpoint_jet(*key)
+            y[k], d1[k] = jets[key].value, jets[key].d1
+        scalar += redo.size
+        d1 = np.abs(d1)
+        visit(live, ids[:n], x[:n], x[n:], d1[:n], d1[n:])
+        swap = ~(y[:n] <= y[n:])
+        u[live] = np.where(swap, y[n:], y[:n])
+        v[live] = np.where(swap, y[:n], y[n:])
+    return u, v, scalar
+
+
+def abs_df_extrema(m, ids, u, v, du, dv):
+    """(inf, sup) arrays of |Df| between u and v on branch ids, elementwise
+    (the arguments broadcast), with du, dv the |Df| at u and v.
+
+    The extrema take in the interior zeros of D2f (branch_d2_zeros)
+    strictly between u and v, so they are exact for the declared
+    expression.
+    """
+    ids, u, v = np.asarray(ids), np.asarray(u), np.asarray(v)
+    lo = np.fmin(du, dv)
+    hi = np.fmax(du, dv)
+    left, right = np.fmin(u, v), np.fmax(u, v)
+    for i in np.unique(ids).tolist():
+        for z in branch_d2_zeros(m, i):
+            hit = (ids == i) & (left < z) & (z < right)
+            if hit.any():
+                dz = abs(m.branches[i].jet(z).d1)
+                lo[hit] = np.fmin(lo[hit], dz)
+                hi[hit] = np.fmax(hi[hit], dz)
     return lo, hi
 
 
 def step_sup_inf(m, step) -> tuple:
-    """(sup, inf) of |Df| over one step interval of end_orbits."""
+    """(sup, inf) of |Df| over one step interval of end_orbits: a one-row
+    abs_df_extrema."""
     u, v, i, left, right = step
-    lo, hi = abs_df_extrema(m, i, (u, v), (abs(left.d1), abs(right.d1)))
+    lo, hi = abs_df_extrema(m, [i], [u], [v], [abs(left.d1)],
+                            [abs(right.d1)])
     return float(hi[0]), float(lo[0])
 
 

@@ -136,6 +136,23 @@ def _jet_pow(u: Jet2, r: float) -> Jet2:
     return Jet2(*_pow_jet(u.value, u.d1, u.d2, r))
 
 
+def _power(b: float, r: float) -> float:
+    """b ** r by numpy's power ufunc, which the array forms apply, so that
+    scalar and array jets round alike (Python's ** calls libm's pow, which
+    differs in the last bit).  ** still runs first for its errors: it
+    raises OverflowError where the ufunc returns inf with a warning.  The
+    exponents 2, 1 and 0 skip the ufunc's 1 us call: it returns their exact
+    results b * b, b and 1."""
+    b ** r
+    if r == 2.0:
+        return b * b
+    if r == 1.0:
+        return b
+    if r == 0.0:
+        return 1.0
+    return float(np.power(b, r))
+
+
 def _pow_jet(v0: float, d1: float, d2: float, r: float) -> tuple:
     """Power rule on a jet given as (value, d1, d2), with the domain checks."""
     if v0 == 0.0:
@@ -150,13 +167,13 @@ def _pow_jet(v0: float, d1: float, d2: float, r: float) -> tuple:
             f"negative base {v0!r} with non-integer exponent {r!r}; "
             "compose with abs() instead"
         )
-    v = v0 ** r
+    v = _power(v0, r)
     if v0 == 0.0:
         # here r is an integer >= 0 or a real >= 2, so d1/d2 are 0 unless r in {1,2}
         return (v, d1 if r == 1.0 else 0.0,
                 d2 if r == 1.0 else (2.0 * d1 * d1 if r == 2.0 else 0.0))
-    p1 = r * v0 ** (r - 1.0)
-    p2 = r * (r - 1.0) * v0 ** (r - 2.0)
+    p1 = r * _power(v0, r - 1.0)
+    p2 = r * (r - 1.0) * _power(v0, r - 2.0)
     return v, p1 * d1, p2 * d1 * d1 + p1 * d2
 
 
@@ -540,7 +557,7 @@ def eval_value(e, x: float, params=None) -> float:
             )
         if b == 0.0 and r < 0.0:
             raise EvalDomainError("0 raised to a negative exponent")
-        return b ** r
+        return _power(b, r)
     if isinstance(e, Abs):
         return abs(eval_value(e.arg, x, params))
     if isinstance(e, Sign):

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import _vec
 from .critical_orbit import compute_orbit, orbit_records
-from .distortion import abs_df_extrema, end_orbits, generalized_distortion
+from .distortion import (abs_df_extrema, array_end_orbits, end_orbits,
+                         generalized_distortion)
 from .map_model import _check_delta, critical_distance, evaluate
 
 _EDGE_EPS = 1e-14
@@ -180,6 +181,11 @@ def inducing_time(m, x, delta=None, q0: int = None, records=None,
 # constant-binding piece tables inside the neighborhoods
 
 
+# Points per binding_periods call of a piece table: its rows take 2 x 8 x
+# p_max bytes a point, which the tables never read.
+_PERIOD_POINTS = 1024
+
+
 def _binding_piece_table(m, cp, delta: float, records, p_max: int,
                          resolution: float):
     """Tile one one-sided neighborhood by constant-binding pieces.
@@ -196,8 +202,10 @@ def _binding_piece_table(m, cp, delta: float, records, p_max: int,
 
     def periods(ds):                    # -1 for every failure
         xs = c + sgn * np.asarray(ds, dtype=float)
-        b = binding_periods(m, cp, xs, delta, records, p_max)
-        return np.maximum(b.p, -1).tolist()
+        p = [binding_periods(m, cp, xs[s:s + _PERIOD_POINTS], delta, records,
+                             p_max).p
+             for s in range(0, xs.size, _PERIOD_POINTS)]
+        return np.maximum(np.concatenate(p or [[]]), -1).tolist()
 
     floor = max(resolution, 1e-13)
     grid = delta * np.arange(4095, 0, -1) / 4096.0
@@ -359,49 +367,78 @@ class InducedPartition:
         return d
 
 
-def _branch_geometry(m, a: float, b: float, itinerary, refine_below: float,
-                     k_start: int = 1, k_cap: int = 512):
-    """Image, orientation, and |Df-hat| bounds for one branch.
+def _bounds_pass(m, itin, a, b, k: int):
+    """One stage-4 pass with k sub-intervals per branch, the branch from
+    a[r] to b[r] following itinerary row r of itin.
 
-    The bounds multiply per-step |Df| extrema (abs_df_extrema) over k
-    sub-intervals whose k + 1 edges move along the itinerary: the branch
-    ends by their one-sided orbits (end_orbits), the inner edges by plain
-    evaluation.  k grows eightfold until the infimum bound clears
-    refine_below or reaches k_cap.  The products are rounded to nearest,
-    not outward, so they are estimates rather than enclosures.
+    The k + 1 edges move along the itinerary: the branch ends by their
+    one-sided orbits (array_end_orbits), the inner edges by plain
+    evaluation.  Each sub-interval sums, in step order, the logs of the
+    per-step |Df| extrema between its edges (abs_df_extrema).  Returns
+    (image ends, inf, sup, scalar end jets): inf and sup are exp of the
+    least and largest log sum.
     """
-    steps, image = end_orbits(m, (a, b), len(itinerary), itinerary)
-    orient = math.prod(m.monotone_signs[i] for i in itinerary)
-    k = k_start
-    while True:
-        log_inf = np.zeros(k)
-        log_sup = np.zeros(k)
-        # pos holds the k+1 edge positions at the current step, ascending;
-        # a decreasing step reverses them together with the log sums
-        pos = np.linspace(a, b, k + 1)
-        for u, v, i, left, right in steps:
-            br = m.branches[i]
-            pos[0], pos[-1] = u, v
-            col = np.empty(k + 1)
-            col[0], col[-1] = abs(left.d1), abs(right.d1)
-            nxt = np.empty(k + 1)
-            if k > 1:
-                with np.errstate(all="ignore"):
-                    nxt[1:-1], d1 = br.values(pos[1:-1], 1)
-                    col[1:-1] = np.abs(d1)
-            lo_j, hi_j = abs_df_extrema(m, i, pos, col)
-            with np.errstate(divide="ignore"):
-                log_inf += np.log(lo_j)
-                log_sup += np.log(hi_j)
-            pos = nxt
-            if m.monotone_signs[i] < 0:
-                pos, log_inf, log_sup = pos[::-1], log_inf[::-1], log_sup[::-1]
-        inf_bound = float(np.exp(np.min(log_inf)))
-        sup_bound = float(np.exp(np.max(log_sup)))
-        if inf_bound >= refine_below or k >= k_cap:
-            break
-        k *= 8
-    return image, orient, inf_bound, sup_bound
+    signs = np.array(m.monotone_signs)
+    # edge positions at the current step, ascending; a decreasing step
+    # reverses them together with the log sums
+    pos = np.linspace(a, b, k + 1, axis=1)
+    log_inf, log_sup = np.zeros((2, a.size, k))
+
+    def visit(live, ids, u, v, du, dv):
+        p, d = pos[live], np.empty((live.size, k + 1))
+        p[:, 0], p[:, -1], d[:, 0], d[:, -1] = u, v, du, dv
+        if k > 1:
+            nxt, d1 = _vec.step_values(m, p[:, 1:-1].ravel(), 1,
+                                       np.repeat(ids, k - 1))
+            d[:, 1:-1] = np.abs(d1).reshape(-1, k - 1)
+        lo, hi = abs_df_extrema(m, ids[:, None], p[:, :-1], p[:, 1:],
+                                d[:, :-1], d[:, 1:])
+        with np.errstate(divide="ignore"):
+            li = log_inf[live] + np.log(lo)
+            ls = log_sup[live] + np.log(hi)
+        if k > 1:
+            p[:, 1:-1] = nxt.reshape(-1, k - 1)
+        flip = signs[ids] < 0
+        for arr in (p, li, ls):
+            arr[flip] = arr[flip, ::-1]
+        pos[live], log_inf[live], log_sup[live] = p, li, ls
+
+    u, v, scalar = array_end_orbits(m, itin, a, b, visit)
+    return (u, v), np.exp(log_inf.min(axis=1)), \
+        np.exp(log_sup.max(axis=1)), scalar
+
+
+def _branch_bounds(m, a, b, itin, refine_below: float, k_cap: int = 512):
+    """Stage 4: image, orientation and |Df-hat| bounds of every branch, the
+    branch from a[r] to b[r] following itinerary row r of itin.
+
+    All branches take one pass (_bounds_pass) with k = 1; those whose
+    infimum bound is below refine_below go again with k eightfold, all of
+    one k together in runs of about _vec.CHUNK_POINTS edges, until k
+    reaches k_cap.  The products are rounded to nearest, not outward, so
+    they are estimates rather than enclosures.  Returns (image ends,
+    orientations, inf, sup, stats): stats counts the end steps that took
+    the scalar endpoint_jet ("scalar") and the branches finishing at each k
+    ("levels").
+    """
+    signs = np.array(m.monotone_signs)
+    orient = np.where(itin >= 0, signs[itin], 1).prod(axis=1)
+    image = np.empty((2, a.size))
+    inf_df, sup_df = np.empty(a.size), np.empty(a.size)
+    stats = {"scalar": 0, "levels": {}}
+    todo, k = np.arange(a.size), 1
+    while todo.size:
+        for s, e in _vec.chunk_ranges([k + 1] * todo.size):
+            rows = todo[s:e]
+            ends, inf_df[rows], sup_df[rows], scalar = _bounds_pass(
+                m, itin[rows], a[rows], b[rows], k)
+            stats["scalar"] += scalar
+            if k == 1:
+                image[:, rows] = ends
+        done = (inf_df[todo] >= refine_below) | (k >= k_cap)
+        stats["levels"][k] = int(done.sum())
+        todo, k = todo[~done], 8 * k
+    return image.T, orient, inf_df, sup_df, stats
 
 
 def _free_breakpoints(m, delta: float, q0: int) -> np.ndarray:
@@ -639,10 +676,14 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
     breakpoints runs as batched forced passes over all cells at once (see
     _classify_cells); only cell ends whose orbit sits exactly on a branch
     end, or turns non-finite, take the scalar one-sided jets.  Adjacent
-    cells with the same itinerary and binding merge into one branch.  Cells
-    whose classification cannot be pinned down at the requested resolution
-    land in the unresolved set with a reason.  The stage counts and the
-    unresolved measure per reason are logged at INFO.
+    cells with the same itinerary and binding merge into one branch.  The
+    images and |Df-hat| bounds of all branches come from one batched pass
+    along their itineraries (_branch_bounds), with the same scalar fallback
+    for branch ends.  Cells whose classification cannot be pinned down at
+    the requested resolution land in the unresolved set with a reason.  The
+    stage counts (stage 4: the scalar end jets and the branches finishing at
+    each refinement level) and the unresolved measure per reason are logged
+    at INFO.
     """
     delta = m.delta if delta is None else float(delta)
     if q0 is None:
@@ -675,16 +716,19 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
         posr[live] = np.clip(_vec.step_values(m, posr[live]), m.lo, m.hi)
     merged = _merge_cells(raw, it_mat)
 
-    # stage 4: per-branch geometry and derivative bounds
-    branches = []
-    for (a, b, kind, l0, p0, key), itin in merged:
-        tau = q0 if kind == "free" else l0 + p0
-        image, orient, inf_df, sup_df = _branch_geometry(
-            m, a, b, itin, refine_below=4.0)
-        branches.append(InducedBranch(
-            a=a, b=b, kind=kind, l0=l0, p0=p0, tau=tau,
-            critical_point=key, itinerary=itin, image=image,
-            inf_df=inf_df, sup_df=sup_df, orientation=orient))
+    # stage 4: images and derivative bounds of all branches at once
+    image, orient, inf_df, sup_df, geo = _branch_bounds(
+        m, np.array([rec[0] for rec, _it in merged]),
+        np.array([rec[1] for rec, _it in merged]),
+        _vec.itinerary_matrix([it for _rec, it in merged]), refine_below=4.0)
+    branches = [InducedBranch(
+        a=a, b=b, kind=kind, l0=l0, p0=p0,
+        tau=q0 if kind == "free" else l0 + p0, critical_point=key,
+        itinerary=itin, image=tuple(img), inf_df=lo, sup_df=hi,
+        orientation=o)
+        for ((a, b, kind, l0, p0, key), itin), img, o, lo, hi in zip(
+            merged, image.tolist(), orient.tolist(), inf_df.tolist(),
+            sup_df.tolist())]
 
     unresolved.sort()
     merged_unres = []
@@ -702,11 +746,13 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
         "build_partition: %d cells (%d free, %d bound, %d boundary-landed), "
         "%d targets inverted, %d sub-cells, %d scalar endpoint fallbacks, "
         "%d raw cells -> %d branches (%d with unbounded sup |Df-hat|), "
-        "unresolved measure by reason %s",
+        "stage 4: %d scalar end jets, branches finishing per refinement k "
+        "%s, unresolved measure by reason %s",
         counts["cells"], counts["free"], counts["bound"],
         counts["boundary_landed"], counts["targets_inverted"],
         counts["sub_cells"], counts["endpoint_fallbacks"], len(raw),
         len(branches), sum(br.sup_df == math.inf for br in branches),
+        geo["scalar"], geo["levels"],
         {r: by_reason[r] for r in sorted(by_reason)})
 
     covered = sum(br.width for br in branches) + unres_measure
@@ -820,7 +866,7 @@ def verify_binding_lemmas(m, partition: InducedPartition,
     gamma_hat = 1.0
     gamma_finite = True
     n_segments = n_distortions = 0
-    margin_ratio = math.inf if crit else math.nan
+    margin_ratio, n_margins = math.inf, 0
     per = max(1, n_samples // len(crit)) if crit else 0
     sides = []
     for cp in crit:
@@ -873,6 +919,7 @@ def verify_binding_lemmas(m, partition: InducedPartition,
         denom = [rec.D_at(p - 1) ** expo for p in b.p[bound].tolist()]
         margin_ratio = float(np.fmin.reduce(b.df_p[bound] / denom,
                                             initial=margin_ratio))
+        n_margins += len(denom)
 
         dropped = dict(Counter(FAILURES[c] for c in b.p[~ok].tolist()))
         sides.append(f"({cp.location!r}, {cp.side!r}) {xs.size} replayed, "
@@ -921,7 +968,7 @@ def verify_binding_lemmas(m, partition: InducedPartition,
         n_samples=n_samples,
         ratio_max=float(ratio_max),
         gamma_hat=float(gamma_hat),
-        margin_ratio=float(margin_ratio),
+        margin_ratio=float(margin_ratio) if n_margins else math.nan,
         sandwich_c1=float(c1_min),
         sandwich_c2=float(c2_max),
         sandwich_rows=sandwich_rows,

@@ -220,8 +220,9 @@ def test_progress_log_leaves_stdout_and_artifacts_unchanged(tmp_path):
         assert proc.returncode == 0
         runs.append((proc, out))
     (quiet, out1), (logged, out2) = runs
-    for stage in ("build_partition:", "verify_binding_lemmas:",
-                  "ulam_matrix:", "stationary_density:"):
+    for stage in ("build_partition:", "scalar end jets",
+                  "verify_binding_lemmas:", "ulam_matrix:",
+                  "stationary_density:"):
         assert stage not in quiet.stderr
         assert stage in logged.stderr
     assert logged.stdout == quiet.stdout

@@ -278,6 +278,23 @@ def test_jet_form_matches_eval_jet(name):
     assert bytes in outcomes
 
 
+@pytest.mark.parametrize("name", ["chebyshev", "lorenz(1.9,0.4)", "unimodal",
+                                  "singular_unimodal"])
+def test_scalar_jets_round_as_the_array_jet(name):
+    # both forms take their powers from numpy's power ufunc; Python's **
+    # (libm) differs in the last bit, even for x^2.0, where the array form
+    # squares exactly
+    m = MAPS[name]()
+    rng = np.random.default_rng(11)
+    for br in m.branches:
+        forms = ex.compile(br.tree, br.params)
+        x = rng.uniform(br.a, br.b, 20000)
+        value, d1 = forms.array(x, 1)
+        jets = np.array([(j.value, j.d1) for j in map(forms.jet, x.tolist())])
+        assert jets[:, 0].tobytes() == value.tobytes()
+        assert jets[:, 1].tobytes() == d1.tobytes()
+
+
 def test_jet_form_raises_what_eval_jet_raises():
     cases = [("abs(x)", 0.0), ("x^0.5", 0.0), ("x^0.5", -1.0), ("x^-1", 0.0),
              ("1/x", 0.0), ("abs(x)^-1.6", 1e-300), ("(0 - 0)^-1 + x", 1.0),

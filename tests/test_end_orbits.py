@@ -6,6 +6,10 @@ variation_bound and sup_inf_abs_df) and an unclamped one along a known
 itinerary (behind stage 4 of build_partition).  Their bodies are kept below
 as references.  The positional callers must reproduce them bit for bit;
 stage 4 may differ only where the unclamped end orbit crossed the cusp.
+Stage 4 now runs batched (array_end_orbits, the row form of
+abs_df_extrema); the per-branch loop it replaced, on the scalar
+end_orbits, is kept as a reference too, and the batched stage must match it
+bit for bit.
 """
 
 import math
@@ -162,6 +166,55 @@ def ref_branch_geometry(m, a, b, itinerary, refine_below, k_start=1,
     return image, orient, inf_bound, sup_bound
 
 
+def ref_abs_df_extrema(m, i, xs, abs_d1):
+    """Per-step |Df| extrema between consecutive positions xs on branch i."""
+    xs, d = np.asarray(xs, dtype=float), np.asarray(abs_d1, dtype=float)
+    lo = np.fmin(d[:-1], d[1:])
+    hi = np.fmax(d[:-1], d[1:])
+    for z in di.branch_d2_zeros(m, i):
+        hit = (np.fmin(xs[:-1], xs[1:]) < z) & (z < np.fmax(xs[:-1], xs[1:]))
+        if hit.any():
+            dz = abs(m.branches[i].jet(z).d1)
+            lo[hit] = np.fmin(lo[hit], dz)
+            hi[hit] = np.fmax(hi[hit], dz)
+    return lo, hi
+
+
+def per_branch_stage4(m, a, b, itinerary, refine_below, k_cap=512):
+    """The per-branch loop batched stage 4 replaced: clamped one-sided end
+    orbits (end_orbits), inner edges by plain evaluation, k eightfold until
+    the infimum bound clears refine_below or reaches k_cap."""
+    steps, image = di.end_orbits(m, (a, b), len(itinerary), itinerary)
+    orient = math.prod(m.monotone_signs[i] for i in itinerary)
+    k = 1
+    while True:
+        log_inf = np.zeros(k)
+        log_sup = np.zeros(k)
+        pos = np.linspace(a, b, k + 1)
+        for u, v, i, left, right in steps:
+            pos[0], pos[-1] = u, v
+            col = np.empty(k + 1)
+            col[0], col[-1] = abs(left.d1), abs(right.d1)
+            nxt = np.empty(k + 1)
+            if k > 1:
+                with np.errstate(all="ignore"):
+                    nxt[1:-1], d1 = m.branches[i].values(pos[1:-1], 1)
+                    col[1:-1] = np.abs(d1)
+            lo_j, hi_j = ref_abs_df_extrema(m, i, pos, col)
+            with np.errstate(divide="ignore"):
+                log_inf += np.log(lo_j)
+                log_sup += np.log(hi_j)
+            pos = nxt
+            if m.monotone_signs[i] < 0:
+                pos, log_inf, log_sup = pos[::-1], log_inf[::-1], log_sup[::-1]
+        inf_bound = float(np.exp(np.min(log_inf)))
+        sup_bound = float(np.exp(np.max(log_sup)))
+        if inf_bound >= refine_below or k >= k_cap:
+            break
+        k *= 8
+    return image, orient, inf_bound, sup_bound
+
+
 # ---------------------------------------------------------------------------
 # helpers
 
@@ -190,6 +243,22 @@ def outcome(f, *args):
         return repr(f(*args))
     except Exception as err:  # noqa: BLE001 - compared by type
         return type(err)
+
+
+def _undefined_end_lorenz():
+    cfg = mm.family_config("lorenz", {"a": 1.8, "s": 0.5}, delta=0.1)
+    cfg["branches"][0]["expr"] = "(1 - a*abs(x)^s)*abs(x + 1)/(x + 1)"
+    return mm.build_map(cfg)
+
+
+# the stage-2 configs besides chebyshev, as (map, delta, q0); "lorenz" is
+# the session fixture's map at its pipeline scales
+STAGE2_CONFIGS = {
+    "lorenz(1.8,0.5)": lambda: (mm.lorenz_map(1.8, 0.5, 0.1), 0.1, 10),
+    "lorenz(1.8,0.5) undefined end": lambda: (_undefined_end_lorenz(), 0.1,
+                                              10),
+    "singular_unimodal": lambda: (mm.singular_unimodal_map(), 0.02, 8),
+}
 
 
 @pytest.fixture(scope="module")
@@ -275,3 +344,111 @@ def test_without_an_itinerary_a_straddling_step_raises(cheb):
     steps, image = di.end_orbits(cheb, (0.2, 0.3), 2)
     assert [s[2] for s in steps] == [1, 1]
     assert image == pytest.approx((-0.6928, -0.3448), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["lorenz", "lorenz(1.9,0.4)"]
+                         + sorted(STAGE2_CONFIGS))
+def test_stage4_matches_the_per_branch_loop(name, request):
+    if name == "lorenz":
+        m = request.getfixturevalue("lorenz")
+        part = request.getfixturevalue("lorenz_partition")
+    elif name == "lorenz(1.9,0.4)":
+        m, part = request.getfixturevalue("lorenz_cusp_partition")
+    else:
+        m, delta, q0 = STAGE2_CONFIGS[name]()
+        part = ind.build_partition(m, delta=delta, q0=q0)
+    crossed = 0
+    for br in part.branches:
+        got = repr((br.image, br.orientation, br.inf_df, br.sup_df))
+        assert got == repr(per_branch_stage4(m, br.a, br.b, br.itinerary,
+                                             4.0)), (br.a, br.b)
+        if crossed_the_cusp(m, br):
+            crossed += 1
+        else:
+            assert got == repr(ref_branch_geometry(m, br.a, br.b,
+                                                   br.itinerary, 4.0))
+    assert crossed < len(part.branches)
+
+
+def test_array_end_orbits_step_as_end_orbits(lorenz_cusp_partition):
+    m, part = lorenz_cusp_partition
+    a = np.array([br.a for br in part.branches])
+    b = np.array([br.b for br in part.branches])
+    itin = ind._vec.itinerary_matrix([br.itinerary for br in part.branches])
+    seen = [[] for _ in part.branches]
+
+    def visit(live, ids, u, v, du, dv):
+        for row in zip(live.tolist(), ids.tolist(), u.tolist(), v.tolist(),
+                       du.tolist(), dv.tolist()):
+            seen[row[0]].append(row[1:])
+
+    u, v, scalar = di.array_end_orbits(m, itin, a, b, visit)
+    for br, lo, hi, steps in zip(part.branches, u.tolist(), v.tolist(), seen):
+        ref, image = di.end_orbits(m, (br.a, br.b), br.tau, br.itinerary)
+        assert (lo, hi) == image == br.image
+        assert steps == [(i, x, y, abs(left.d1), abs(right.d1))
+                         for x, y, i, left, right in ref]
+    # the end orbits that crossed the cusp sit on it, clamped, and take the
+    # scalar one-sided jets there
+    assert scalar > 0
+    assert any(crossed_the_cusp(m, br) for br in part.branches)
+
+
+def test_array_end_orbits_take_the_scalar_jets_where_the_array_cannot():
+    # at the branch end 0 the array rule of abs(x) gives the mean of the
+    # one-sided derivatives, 0.25 in place of -0.25 and 0.75; and
+    # 0*abs(x - 0.3)^-1 is 0 * inf = NaN at 0.3, inside branch 1
+    m = mm.build_map({
+        "name": "kinked", "domain": [-1.0, 1.0], "delta": 0.05,
+        "branches": [
+            {"interval": [-1.0, 0.0], "expr": "0.5*abs(x) + 0.25*x"},
+            {"interval": [0.0, 1.0],
+             "expr": "0.5*abs(x) + 0.25*x + 0*abs(x - 0.3)^-1"}],
+        "critical_points": [{"location": 0.0, "side": "-", "order": 1.0},
+                            {"location": 0.0, "side": "+", "order": 1.0}]})
+    with np.errstate(all="ignore"):
+        value, d1 = m.branches[1].values(np.array([0.0, 0.3]), 1)
+    assert d1[0] == 0.25 and np.isnan(value[1])
+    intervals = [(-0.5, 0.0), (0.0, 0.5), (0.3, 0.6)]
+    itin = np.array([[0], [1], [1]])
+    seen = []
+    u, v, scalar = di.array_end_orbits(
+        m, itin, *np.array(intervals).T,
+        lambda live, ids, u, v, du, dv: seen.extend(zip(u, v, du, dv)))
+    assert scalar == 3
+    for (a, b), row, got, lo, hi in zip(intervals, itin.tolist(), seen,
+                                        u.tolist(), v.tolist()):
+        (step,), image = di.end_orbits(m, (a, b), 1, row)
+        assert got == (step[0], step[1], abs(step[3].d1), abs(step[4].d1))
+        assert (lo, hi) == image
+    assert [d for _u, _v, du, dv in seen for d in (du, dv)][:4] == \
+        pytest.approx([0.25, 0.25, 0.75, 0.75])
+
+
+def test_row_form_abs_df_extrema_takes_in_interior_d2_zeros():
+    # x^3 - 0.75 x has D2f = 6x, which vanishes inside its branch; the
+    # families' branches have no such zero
+    m = mm.build_map({
+        "name": "cubic", "domain": [-0.5, 1.0], "delta": 0.05,
+        "branches": [{"interval": [-0.5, 0.5], "expr": "x^3 - 0.75*x"},
+                     {"interval": [0.5, 1.0], "expr": "x^2 - 0.75"}],
+        "critical_points": [{"location": 0.5, "side": "-", "order": 2.0},
+                            {"location": 0.5, "side": "+", "order": 1.0}]})
+    (z,) = di.branch_d2_zeros(m, 0)
+    assert abs(z) < 1e-12 and di.branch_d2_zeros(m, 1) == ()
+    rng = np.random.default_rng(3)
+    ids = rng.integers(0, 2, 2000)
+    ends = np.array([(br.a, br.b) for br in m.branches])[ids]
+    u, v = rng.uniform(ends[:, 0], ends[:, 1], (2, ids.size))
+    u[:50], v[50:100] = z, z                 # an end on the zero itself
+    du, dv = (np.array([abs(m.branches[i].jet(x).d1)
+                        for i, x in zip(ids.tolist(), xs.tolist())])
+              for xs in (u, v))
+    lo, hi = di.abs_df_extrema(m, ids, u, v, du, dv)
+    for k in range(ids.size):
+        want = ref_abs_df_extrema(m, ids[k], (u[k], v[k]), (du[k], dv[k]))
+        assert (lo[k], hi[k]) == (want[0][0], want[1][0])
+    inside = (ids == 0) & (np.fmin(u, v) < z) & (z < np.fmax(u, v))
+    assert inside.sum() > 100
+    assert np.all(hi[inside] == abs(m.branches[0].jet(z).d1))
+    assert np.all(hi[~inside] == np.fmax(du, dv)[~inside])

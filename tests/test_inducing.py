@@ -200,10 +200,11 @@ def test_binding_periods_match_the_scalar_reference(name, monkeypatch):
         if cp.order <= 1.0:
             continue
         # every third point the piece table probes next to the jumps of p:
-        # its batched calls after the first, the sample scan
+        # its batched calls after the first, the sample scan (in one call)
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(ind, "binding_periods", recording)
+            patch.setattr(ind, "_PERIOD_POINTS", 1 << 30)
             ind._binding_piece_table(m, cp, delta, records, 60, 1e-10)
         sgn = 1.0 if cp.side == "+" else -1.0
         grid = cp.location + sgn * np.concatenate(
@@ -353,6 +354,25 @@ def test_piece_tables_match_the_recursive_refine(name):
     for cp in m.critical_points:
         got = ind._binding_piece_table(m, cp, delta, records, 60, 1e-10)
         assert got == recursive_piece_table(m, cp, delta, records)
+
+
+def test_piece_tables_call_binding_periods_in_chunks(monkeypatch):
+    m, delta = STAGE2_CONFIGS["chebyshev"]()
+    records = orbit_records(m, 61)
+    cp = m.critical_points[0]
+    sizes = []
+    batched = ind.binding_periods
+
+    def recording(m, cp, xs, *args):
+        sizes.append(len(xs))
+        return batched(m, cp, xs, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ind, "binding_periods", recording)
+        got = ind._binding_piece_table(m, cp, delta, records, 60, 1e-10)
+    assert max(sizes) == ind._PERIOD_POINTS and sum(sizes) > 4096
+    monkeypatch.setattr(ind, "_PERIOD_POINTS", 1 << 30)
+    assert got == ind._binding_piece_table(m, cp, delta, records, 60, 1e-10)
 
 
 def quad(x):
@@ -542,6 +562,21 @@ def test_binding_lemma_checks_with_nothing_to_check_are_not_applicable(
     failed = dataclasses.replace(rep, checks=dict(rep.checks,
                                                   expansion="failed"))
     assert not failed.passed and failed.to_dict()["passed"] is False
+
+
+def test_margin_ratio_is_nan_when_no_sample_resolves(singular):
+    # on this partition every replayed binding is still bound at p_max = 60
+    part = ind.build_partition(singular, delta=0.02, q0=8)
+    rep = ind.verify_binding_lemmas(singular, part)
+    assert math.isnan(rep.margin_ratio)
+    assert rep.checks["distortion"] == "not-applicable"
+    records = orbit_records(singular, part.p_max + 1)
+    for cp in singular.critical_points:
+        if cp.order > 1.0:
+            sgn = 1.0 if cp.side == "+" else -1.0
+            b = ind.binding_periods(singular, cp, cp.location + sgn * np.array(
+                [0.5, 1e-3, 1e-6]) * part.delta, part.delta, records)
+            assert b.truncated.all()
 
 
 def test_binding_lemma_replay_logs_its_sample_counts(

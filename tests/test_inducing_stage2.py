@@ -6,13 +6,16 @@ cell, scalar one-sided endpoint tracks, a chain of branch inversions per
 cell, and a scalar forward walk per sub-cell.
 """
 
+import ast
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
 
 from cusp_induce import _vec
+from cusp_induce import distortion as di
 from cusp_induce import inducing as ind
 from cusp_induce import map_model as mm
 from cusp_induce.critical_orbit import orbit_records
@@ -295,3 +298,17 @@ def test_build_partition_logs_its_stage_counts(singular, caplog):
     for reason in part.summary()["unresolved_reasons"]:
         assert repr(reason) in msg
     assert part.unresolved_measure > 0.0
+    # stage 4: the end steps that took the scalar one-sided jets (at least
+    # those of the first pass over all branches), and the branches finishing
+    # at each k; a branch whose infimum bound stays below 4 runs to k = 512
+    found = re.search(r"stage 4: (\d+) scalar end jets, branches finishing "
+                      r"per refinement k (\{[^}]*\})", msg)
+    levels = ast.literal_eval(found[2])
+    assert sorted(levels) == [1, 8, 64, 512]
+    assert sum(levels.values()) == len(part.branches)
+    assert levels[512] >= sum(br.inf_df < 4.0 for br in part.branches) > 0
+    first_pass = di.array_end_orbits(
+        singular, _vec.itinerary_matrix([br.itinerary for br in part.branches]),
+        np.array([br.a for br in part.branches]),
+        np.array([br.b for br in part.branches]), lambda *step: None)[2]
+    assert int(found[1]) >= first_pass > 0
