@@ -2,8 +2,13 @@
 
 Every seed stream contributes WALKERS orbits (fewer when the counted steps
 are fewer), and the orbits of all streams step together through
-`_vec.step_values`: positional dispatch, ties to the right-hand branch.
-Each walker takes its burn-in steps unbinned, then bins every counted step.
+`_vec.step_values`: positional dispatch, ties to the right-hand branch, and
+one evaluation of the whole array on a map with one formula.  Each walker
+takes its burn-in steps unbinned, then bins every counted step.  Around the
+map evaluation a step does only a few whole-array operations: the escape
+test, the clip (np.maximum and np.minimum in place, as np.clip), one
+comparison per critical location and the binning; the restart gathers run
+only on a step with a restart.
 
 A step restarts its walker from the stream's pool of POOL points when it
 escapes (NaN, or a value outside [lo - 1e-9, hi + 1e-9], tested before the
@@ -37,7 +42,7 @@ def _step_ensemble(m, starts, pools, burn_in, n_counted, hist):
     lo, hi = m.lo, m.hi
     width = hi - lo
     n_cells = hist.shape[0]
-    crit = np.array([cp.location for cp in m.critical_points])
+    crit = m.critical_locations.tolist()
     n_streams, walkers = starts.shape
     stream = np.repeat(np.arange(n_streams), walkers)
     used = np.zeros(n_streams, dtype=np.int64)
@@ -46,12 +51,17 @@ def _step_ensemble(m, starts, pools, burn_in, n_counted, hist):
     for k in range(burn_in + n_counted):
         v = _vec.step_values(m, x)
         escaped = ~((v >= lo - 1e-9) & (v <= hi + 1e-9))
-        np.clip(v, lo, hi, out=v)
-        hit = np.isin(v, crit) & ~escaped
-        bad = escaped | hit
-        if bad.any():
-            escapes += int(escaped.sum())
-            restarts += int(hit.sum())
+        # np.clip(v, lo, hi): with the bound first, a tie keeps v's zero sign
+        np.maximum(lo, v, out=v)
+        np.minimum(hi, v, out=v)
+        bad = escaped
+        for c in crit:
+            bad = bad | (v == c)
+        restarted = bad.any()
+        if restarted:
+            n_escaped = int(escaped.sum())
+            escapes += n_escaped
+            restarts += int(bad.sum()) - n_escaped
             # rank of each restart among its stream's restarts this step
             s = stream[bad]
             rank = np.arange(s.size) - np.searchsorted(s, s)
@@ -59,9 +69,11 @@ def _step_ensemble(m, starts, pools, burn_in, n_counted, hist):
             used += np.bincount(s, minlength=n_streams)
         x = v
         if k >= burn_in:
-            idx = ((x[~bad] - lo) / width * n_cells).astype(np.int64)
-            hist += np.bincount(np.clip(idx, 0, n_cells - 1),
-                                minlength=n_cells)
+            # x >= lo after the clip, so only the top cell needs the bound
+            idx = (((x[~bad] if restarted else x) - lo) / width
+                   * n_cells).astype(np.int64)
+            np.minimum(idx, n_cells - 1, out=idx)
+            hist += np.bincount(idx, minlength=n_cells)
     return escapes, restarts
 
 

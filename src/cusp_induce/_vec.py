@@ -5,9 +5,12 @@ on it: a bisection (_bisect) for branch_inverse and a Chandrupatla root
 finder (_chandrupatla) for forced_inverse, the preimages of the Ulam
 assembly.  Forced plans (_dispatch) follow fixed itineraries, so a point on
 a branch boundary keeps its itinerary.  One-step plans apply branch ids[k]
-to point k, with ids from positional dispatch (searchsorted over the
-interior boundaries, ties to the right-hand branch, as MapSpec.branch_index)
-or from the caller of branch_inverse.
+to point k, with ids from positional dispatch (branch_indices: comparisons
+against the interior boundaries, ties to the right-hand branch, as
+MapSpec.branch_index) or from the caller; on a map whose branches share one
+formula, step_values skips the ids and evaluates the whole array at once,
+and branch_inverse orders its targets so that each formula group is one
+contiguous slice.
 Each formula group makes one Branch.values call per step: the value alone,
 or with derivative order 1 or 2 the value and its derivatives from one
 array jet, which the pass chains into Df and D2f of the composition.
@@ -35,8 +38,14 @@ ROOT_STEPS = 200
 
 
 def branch_indices(m, x: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(m.interior_boundaries, x, side="right")
-    return np.minimum(idx, len(m.branches) - 1)
+    """The branch holding each x: the count of interior boundaries b with
+    not x < b.  Ties go to the right-hand branch and NaN to the last, as
+    searchsorted(side="right") and MapSpec.branch_index; on the few
+    boundaries of a map the comparisons cost less than the search."""
+    idx = np.zeros(np.shape(x), dtype=np.intp)
+    for b in m.interior_boundaries.tolist():
+        idx += ~(x < b)
+    return idx
 
 
 def _formula_parts(m, g) -> list:
@@ -51,7 +60,7 @@ def _formula_parts(m, g) -> list:
     first = g.flat[0] if g.size else -1
     if first >= 0 and (g == first).all():
         return [(firsts[first], ...)]
-    parts = [(br, np.flatnonzero(g == k)) for k, br in enumerate(firsts)]
+    parts = [(br, (g == k).nonzero()[0]) for k, br in enumerate(firsts)]
     return [p for p in parts if p[1].size]
 
 
@@ -63,8 +72,14 @@ def _one_step_plan(m, ids) -> list:
 def step_values(m, x: np.ndarray, order: int = 0, ids=None):
     """f(x) elementwise, or with derivative order 1 or 2 the tuple of f(x)
     and its first (and second) derivatives, as _forced_pass.  Point k takes
-    branch ids[k], by default the branch holding it (branch_indices)."""
+    branch ids[k], by default the branch holding it (branch_indices).  On a
+    map whose branches share one formula the ids change nothing, so none
+    are computed: one Branch.values call takes the whole array (none an
+    empty one, as with ids)."""
     x = np.asarray(x, dtype=float)
+    firsts = m.formula_groups[1]
+    if len(firsts) == 1 and x.size:
+        return _forced_pass([(None, [(firsts[0], ...)])], x, order)
     if ids is None:
         ids = branch_indices(m, x)
     return _forced_pass(_one_step_plan(m, ids), x, order)
@@ -85,14 +100,27 @@ def in_delta(m, x, delta: float) -> np.ndarray:
 
 def branch_inverse(m, ids, targets) -> np.ndarray:
     """Preimage of targets[k] under branch ids[k], each target clamped onto
-    the branch image first: BISECTION_STEPS halvings of the whole branch."""
-    ids = np.asarray(ids, dtype=np.int64)
+    the branch image first: BISECTION_STEPS halvings of the whole branch.
+
+    The targets are ordered by formula group, so that each group's
+    evaluation takes a contiguous slice, and the preimages are returned
+    in the order given."""
+    group_of, firsts = m.formula_groups
+    groups = group_of[np.asarray(ids, dtype=np.int64)]
+    order = np.argsort(groups, kind="stable")
+    cuts = np.searchsorted(groups[order], np.arange(len(firsts) + 1))
+    plan = [(None, [(br, slice(a, b)) for br, a, b
+                    in zip(firsts, cuts[:-1], cuts[1:]) if b > a])]
+    ids = np.asarray(ids, dtype=np.int64)[order]
     ends = np.array([(br.a, br.b) for br in m.branches])[ids]
     images = np.array(m.branch_images)[ids]
-    t = np.clip(np.asarray(targets, dtype=float), images[:, 0], images[:, 1])
+    t = np.clip(np.asarray(targets, dtype=float)[order], images[:, 0],
+                images[:, 1])
     up = np.array(m.monotone_signs)[ids] > 0
-    return _bisect(_one_step_plan(m, ids), ends[:, 0], ends[:, 1], t, up,
-                   BISECTION_STEPS)
+    out = np.empty(ids.size)
+    out[order] = _bisect(plan, ends[:, 0], ends[:, 1], t, up,
+                         BISECTION_STEPS)
+    return out
 
 
 def preimages(m, targets):

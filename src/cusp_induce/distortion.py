@@ -40,8 +40,12 @@ class InfiniteIntegralError(ValueError):
 def branch_d2_zeros(m, i: int, grid: int = 1024) -> tuple:
     """Interior zeros of D2f on branch i (sign scan plus bisection).
 
-    Cached on the map instance: the zero set is a property of the branch
-    expression, not of any interval query.
+    A sign change between adjacent samples is bisected.  A run of samples
+    where D2f is exactly 0 counts as one zero, at its middle sample, only
+    where D2f changes sign across it; so a D2f that is 0 on the whole
+    scan (a linear branch) has no zeros.  Cached on the map instance: the
+    zero set is a property of the branch expression, not of any interval
+    query.
     """
     cache = m.__dict__.setdefault("_d2_zero_cache", {})
     if i in cache:
@@ -53,8 +57,14 @@ def branch_d2_zeros(m, i: int, grid: int = 1024) -> tuple:
         d2 = br.d2_values(xs)
     d2 = np.where(np.isfinite(d2), d2, np.nan)
     sgn = np.sign(d2)
-    zeros = [float(xs[k]) for k in np.nonzero(sgn == 0.0)[0]]
-    for k in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
+    # consecutive samples where D2f is not 0 (NaN included), and whether
+    # D2f changes sign from one to the next
+    nonzero = np.flatnonzero(sgn != 0.0)
+    a, b = nonzero[:-1], nonzero[1:]
+    change = sgn[a] * sgn[b] < 0
+    run = b > a + 1
+    zeros = [float(xs[k]) for k in (a + b)[change & run] // 2]
+    for k in a[change & ~run]:
         lo, hi = float(xs[k]), float(xs[k + 1])
         flo = float(d2[k])
         for _ in range(60):

@@ -543,8 +543,8 @@ def _classify_cells(m, cuts, delta: float, q0: int, piece_tables):
         if live.size == 0:
             break
         x = pos[live]
-        itin[live, j - 1] = _vec.branch_indices(m, x)
-        y = _vec.step_values(m, x)
+        ids = itin[live, j - 1] = _vec.branch_indices(m, x)
+        y = _vec.step_values(m, x, ids=ids)
         landed[live] |= np.isin(x, m.interior_boundaries) | ~np.isfinite(y)
         stepped = np.clip(y, m.lo, m.hi)
         pos[live] = stepped
@@ -712,8 +712,9 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
     posr = np.array([0.5 * (r[0] + r[1]) for r in raw])
     for j in range(it_mat.shape[1]):
         live = np.nonzero(r_tau > j)[0]
-        it_mat[live, j] = _vec.branch_indices(m, posr[live])
-        posr[live] = np.clip(_vec.step_values(m, posr[live]), m.lo, m.hi)
+        x = posr[live]
+        ids = it_mat[live, j] = _vec.branch_indices(m, x)
+        posr[live] = np.clip(_vec.step_values(m, x, ids=ids), m.lo, m.hi)
     merged = _merge_cells(raw, it_mat)
 
     # stage 4: images and derivative bounds of all branches at once

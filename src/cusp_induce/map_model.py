@@ -412,12 +412,18 @@ def _validate(m: MapSpec):
                 cp.location, cp.side,
             )
 
-    # monotone, twice differentiable on each open branch
+    # monotone, twice differentiable on each open branch: one array jet,
+    # then scalar jets from the first sample where it finds a non-finite
+    # part or Df = 0, so that each failure raises as the scalar jet raises
     for i, br in enumerate(brs):
         width = br.b - br.a
         xs = np.linspace(br.a + 1e-9 * width, br.b - 1e-9 * width, 1024)
-        signs = set()
-        for x in xs:
+        with np.errstate(all="ignore"):
+            v, d1, d2 = br.values(xs, 2)
+        ok = np.isfinite(v) & np.isfinite(d1) & np.isfinite(d2) & (d1 != 0.0)
+        first = int(np.argmin(ok)) if not ok.all() else xs.size
+        signs = set(np.sign(d1[:first]).tolist())
+        for x in xs[first:]:
             try:
                 j = br.jet(float(x))
             except (ex.NonDifferentiableError, ex.EvalDomainError) as err:

@@ -259,6 +259,67 @@ def test_birkhoff_histogram_matches_scalar_reference(caplog, monkeypatch,
     assert caplog.records[-1].args == (escapes, restarts)
 
 
+def _step_ensemble_reference(m, starts, pools, burn_in, n_counted, hist):
+    """The ensemble step before its lean form: searchsorted dispatch
+    through the one-step plan, np.clip and np.isin."""
+    lo, hi = m.lo, m.hi
+    width = hi - lo
+    n_cells = hist.shape[0]
+    crit = np.array([cp.location for cp in m.critical_points])
+    n_streams, walkers = starts.shape
+    stream = np.repeat(np.arange(n_streams), walkers)
+    used = np.zeros(n_streams, dtype=np.int64)
+    x = starts.ravel()
+    escapes = restarts = 0
+    for k in range(burn_in + n_counted):
+        ids = np.minimum(np.searchsorted(m.interior_boundaries, x,
+                                         side="right"), len(m.branches) - 1)
+        v = _vec._forced_pass(_vec._one_step_plan(m, ids), x)
+        escaped = ~((v >= lo - 1e-9) & (v <= hi + 1e-9))
+        np.clip(v, lo, hi, out=v)
+        hit = np.isin(v, crit) & ~escaped
+        bad = escaped | hit
+        if bad.any():
+            escapes += int(escaped.sum())
+            restarts += int(hit.sum())
+            s = stream[bad]
+            rank = np.arange(s.size) - np.searchsorted(s, s)
+            v[bad] = pools[s, (used[s] + rank) % pools.shape[1]]
+            used += np.bincount(s, minlength=n_streams)
+        x = v
+        if k >= burn_in:
+            idx = ((x[~bad] - lo) / width * n_cells).astype(np.int64)
+            hist += np.bincount(np.clip(idx, 0, n_cells - 1),
+                                minlength=n_cells)
+    return escapes, restarts
+
+
+@pytest.mark.parametrize("family, gain", [("chebyshev", 1.0),
+                                          ("lorenz", 1.0),
+                                          ("tent", 1.0), ("tent", 1.01)])
+def test_ensemble_step_matches_its_reference(monkeypatch, family, gain):
+    # chebyshev and the tent map have one formula, lorenz two; the tent
+    # map's orbits land on its critical point, and scaled by 1.01 they
+    # escape
+    m = (map_model.unimodal_map(a=2.0, ell=1.0) if family == "tent"
+         else map_model.build_map({"family": family}))
+    if gain != 1.0:
+        values = map_model.Branch.values
+        monkeypatch.setattr(map_model.Branch, "values",
+                            lambda br, x, order=0: gain * values(br, x))
+    rng = np.random.default_rng(17)
+    starts = rng.uniform(m.lo, m.hi, (3, 512))
+    pools = rng.uniform(m.lo, m.hi, (3, _fastmap.POOL))
+    got, want = np.zeros((2, 300), dtype=np.int64)
+    counts = _fastmap.get_stepper(m)(starts, pools, 50, 40, got)
+    assert counts == _step_ensemble_reference(m, starts, pools, 50, 40, want)
+    assert np.array_equal(got, want)
+    if family == "tent":
+        assert counts[gain == 1.0] > 0   # restarts at gain 1, escapes above
+    else:
+        assert counts == (0, 0) and got.sum() == 3 * 512 * 40
+
+
 def test_birkhoff_histogram_rejects_burn_in_past_the_orbit(cheb):
     with pytest.raises(RuntimeError):
         de.birkhoff_histogram(cheb, seed_count=2, n_steps=500, burn_in=500)

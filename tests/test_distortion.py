@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cusp_induce import distortion as di
+from cusp_induce import map_model as mm
 
 
 # |Df| = 4|x| away from the turning point, so sup/inf sit at interval
@@ -145,6 +146,43 @@ def test_bounded_variation_inequality_selftest():
 def test_no_second_derivative_zeros_on_quadratic_branches(cheb):
     for i in range(len(cheb.branches)):
         assert di.branch_d2_zeros(cheb, i) == ()
+
+
+def test_d2_zero_sets_of_the_families_and_of_a_linear_branch():
+    # no family branch has a D2f zero inside; the cubic's D2f = 6x has
+    # one, and D2f = 0 on all of the linear branch x - 0.75 is none
+    for m in (mm.chebyshev_map(), mm.unimodal_map(), mm.lorenz_map(),
+              mm.lorenz_map(1.9, 0.4), mm.singular_unimodal_map(),
+              mm.unimodal_map(a=2.0, ell=1.0)):
+        assert all(di.branch_d2_zeros(m, i) == ()
+                   for i in range(len(m.branches)))
+    m = mm.build_map({
+        "name": "cubic", "domain": [-0.5, 1.0], "delta": 0.05,
+        "branches": [{"interval": [-0.5, 0.5], "expr": "x^3 - 0.75*x"},
+                     {"interval": [0.5, 1.0], "expr": "x - 0.75"}],
+        "critical_points": [{"location": 0.5, "side": "-", "order": 2.0},
+                            {"location": 0.5, "side": "+", "order": 1.0}]})
+    (z,) = di.branch_d2_zeros(m, 0)
+    assert abs(z) < 1e-12 and di.branch_d2_zeros(m, 1) == ()
+
+
+def test_a_run_of_exact_d2_zeros_counts_once_across_a_sign_change():
+    xs = np.linspace(1e-9, 1.0 - 1e-9, 1024)
+
+    def zeros(d2):
+        br = SimpleNamespace(a=0.0, b=1.0, d2_values=lambda x: d2)
+        return di.branch_d2_zeros(SimpleNamespace(branches=[br]), 0)
+
+    step = np.where(xs < 0.3, -1.0, np.where(xs > 0.6, 1.0, 0.0))
+    run = np.flatnonzero(step == 0.0)
+    assert zeros(step) == (xs[(run[0] + run[-1]) // 2],)
+    assert zeros(np.abs(step)) == ()
+    assert zeros(np.zeros(1024)) == ()
+    one = np.where(xs < xs[500], -1.0, 1.0)
+    one[500] = 0.0
+    assert zeros(one) == (xs[500],)
+    one[499] = np.nan          # no sign seen on the left
+    assert zeros(one) == ()
 
 
 def test_variation_constant_deterministic(cheb):

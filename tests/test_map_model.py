@@ -147,3 +147,129 @@ def test_load_map_round_trip(tmp_path, cheb):
     m = mm.load_map(str(path))
     assert len(m.branches) == len(cheb.branches)
     assert mm.evaluate(m, 0.25).value == mm.evaluate(cheb, 0.25).value
+
+
+# ---------------------------------------------------------------------------
+# every error of map validation; the monotonicity scan against the scalar
+# loop it replaced
+
+
+def _scalar_scan_error(config, i):
+    """The monotonicity scan of branch i as one scalar jet per sample:
+    (error type, message) of its first failure, or None."""
+    rb = config["branches"][i]
+    br = mm.Branch(*rb["interval"], rb["expr"],
+                   ex.parse(rb["expr"], rb.get("params", {})),
+                   rb.get("params", {}))
+    width = br.b - br.a
+    signs = set()
+    for x in np.linspace(br.a + 1e-9 * width, br.b - 1e-9 * width, 1024):
+        try:
+            j = br.jet(float(x))
+        except (ex.NonDifferentiableError, ex.EvalDomainError) as err:
+            return (type(err),
+                    f"branch {i} expression invalid at x={x!r}: {err}")
+        if j.d1 == 0.0 or not math.isfinite(j.d1):
+            return (None, f"branch {i} has non-monotone or non-finite "
+                          f"derivative at x={x!r}")
+        signs.add(1 if j.d1 > 0 else -1)
+    if len(signs) != 1:
+        return None, f"branch {i} is not strictly monotone"
+    return None
+
+
+def _two_branch_config(right_expr, params=None):
+    """Chebyshev's left branch beside right_expr on [0, 1]."""
+    cfg = mm.family_config("chebyshev")
+    cfg["branches"][1] = {"interval": [0.0, 1.0], "expr": right_expr,
+                          "params": params or {}}
+    return cfg
+
+
+def _sample(k):
+    """Sample k of the monotonicity scan of a branch on [0, 1]."""
+    return float(np.linspace(1e-9, 1.0 - 1e-9, 1024)[k])
+
+
+@pytest.mark.parametrize("expr, params, cause", [
+    # negative base under a fractional power from the middle of the scan
+    ("(0.5 - x)^1.5", {}, ex.EvalDomainError),
+    # a kink exactly on sample 700
+    ("-2*abs(x - c)", {"c": _sample(700)}, ex.NonDifferentiableError),
+    # a kink on sample 300 under a power: the array jet's value and Df
+    # stay finite there, its D2f does not
+    ("-abs(x - c)^1.5 - 2*x", {"c": _sample(300)},
+     ex.NonDifferentiableError),
+    # Df = 0 on sample 400 of a monotone cubic
+    ("-(x - c)^3", {"c": _sample(400)}, None),
+    # Df overflows to inf for x > 0.9
+    ("-1e308*x^2", {}, None),
+    # Df changes sign
+    ("1 - 8*(x - 0.5)^2", {}, None),
+])
+def test_monotonicity_errors_match_the_scalar_scan(expr, params, cause):
+    cfg = _two_branch_config(expr, params)
+    want = _scalar_scan_error(cfg, 1)
+    assert want is not None and want[0] is cause
+    with pytest.raises(mm.MapValidationError) as info:
+        mm.build_map(cfg)
+    assert str(info.value) == want[1]
+    assert type(info.value.__cause__) is (cause or type(None))
+
+
+def test_validation_scans_with_no_scalar_jets(monkeypatch):
+    # the scan takes one array jet per branch; the few scalar jets left
+    # come from the branch signs and the one-sided image limits
+    calls = []
+    jet = mm.Branch.jet
+    monkeypatch.setattr(mm.Branch, "jet",
+                        lambda br, x: calls.append(x) or jet(br, x))
+    for family in ("chebyshev", "lorenz", "singular_unimodal"):
+        calls.clear()
+        mm.build_map({"family": family})
+        assert len(calls) < 20
+
+
+def _cfg_with(**changes):
+    """The chebyshev config with the given top-level keys replaced."""
+    return {**mm.family_config("chebyshev"), **changes}
+
+
+_CHEB_LEFT = {"interval": [-1.0, 0.0], "expr": "1 - 2*x^2"}
+_THREE_BRANCHES = dict(
+    branches=[_CHEB_LEFT, {"interval": [0.0, 0.5], "expr": "1 - 4*x"},
+              {"interval": [0.5, 1.0], "expr": "4*x - 3"}],
+    critical_points=[{"location": c, "side": side, "order": order}
+                     for c, order in ((0.0, 2.0), (0.5, 1.0))
+                     for side in "-+"])
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (_cfg_with(branches=[{"interval": [-1.0, -0.1], "expr": "1 - 2*x^2"},
+                         {"interval": [0.0, 1.0], "expr": "1 - 2*x^2"}]),
+     "gap between branches 0 and 1: -0.1 vs 0.0"),
+    (_cfg_with(branches=[_CHEB_LEFT,
+                         {"interval": [-0.2, 1.0], "expr": "1 - 2*x^2"}]),
+     "overlap between branches 0 and 1: 0.0 vs -0.2"),
+    (_cfg_with(domain=[-1.0, 1.5]), "branches do not span the domain"),
+    (_cfg_with(critical_points=[
+        {"location": 0.25, "side": "-", "order": 2.0}]),
+     "critical point at 0.25 is not an interior branch boundary"),
+    (_cfg_with(critical_points=[
+        {"location": 0.0, "side": side, "order": 2.0} for side in "--+"]),
+     "duplicate critical point declarations"),
+    (_cfg_with(critical_points=[
+        {"location": 0.0, "side": "-", "order": 2.0}]),
+     "interior boundaries lack declared orders on sides: [(0.0, '+')]"),
+    (_two_branch_config("1 - 3*x^2"),
+     "branch 1 image (-2.0, 1.0) leaves the domain"),
+    (_cfg_with(delta=1.5), "delta=1.5 exceeds the branch left of 0.0"),
+    (_cfg_with(delta=0.75, **_THREE_BRANCHES),
+     "delta=0.75 exceeds the branch right of 0.0"),
+    (_cfg_with(delta=0.3, **_THREE_BRANCHES),
+     "delta=0.3 makes neighborhoods of 0.0 and 0.5 overlap"),
+])
+def test_each_validation_error_names_its_cause(cfg, message):
+    with pytest.raises(mm.MapValidationError) as info:
+        mm.build_map(cfg)
+    assert str(info.value) == message

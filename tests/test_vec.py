@@ -85,11 +85,24 @@ def ref_forced_inverse(m, itin, a, b, increasing, targets):
     return 0.5 * (lo + hi), cell
 
 
+def four_lines():
+    """A config map of four linear branches, each with its own formula,
+    on three interior boundaries, one of them 0."""
+    exprs = ("4*x + 3", "-4*x - 1", "4*x - 1", "3 - 4*x")
+    return mm.build_map({
+        "name": "four lines", "domain": [-1.0, 1.0], "delta": 0.05,
+        "branches": [{"interval": [a, a + 0.5], "expr": e}
+                     for a, e in zip((-1.0, -0.5, 0.0, 0.5), exprs)],
+        "critical_points": [{"location": c, "side": side, "order": 1.0}
+                            for c in (-0.5, 0.0, 0.5) for side in "-+"]})
+
+
 ONE_STEP_MAPS = {
     "chebyshev": mm.chebyshev_map,
     "lorenz(1.9,0.4)": lambda: mm.lorenz_map(1.9, 0.4, 0.1),
     "lorenz(1.8,0.5)": lambda: mm.lorenz_map(1.8, 0.5, 0.1),
     "singular_unimodal": mm.singular_unimodal_map,
+    "four lines": four_lines,
 }
 
 
@@ -137,6 +150,23 @@ def test_branch_inverse_matches_per_branch_bisection_on_mixed_ids(
         lo, hi = m.branch_images[i]
         want[sel] = ref_invert_branch(m, i, np.clip(t[sel], lo, hi))[0]
     assert got.tobytes() == want.tobytes()
+
+
+def test_branch_indices_match_searchsorted(one_step_map):
+    # NaN goes to the last branch, a point on a boundary to the right-hand
+    # branch, -0.0 as 0.0
+    m = one_step_map
+    b = m.interior_boundaries
+    x = np.concatenate((b, -b, np.nextafter(b, -np.inf),
+                        np.nextafter(b, np.inf),
+                        [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0,
+                         m.lo, m.hi],
+                        np.random.default_rng(14).uniform(m.lo - 0.5,
+                                                          m.hi + 0.5, 1000)))
+    want = np.searchsorted(b, x, side="right")
+    got = _vec.branch_indices(m, x)
+    assert got.dtype.kind == "i" and np.array_equal(got, want)
+    assert [m.branch_index(v) for v in x.tolist()] == want.tolist()
 
 
 def test_positional_steps_match_per_branch_dispatch(one_step_map):
