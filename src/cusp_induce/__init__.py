@@ -16,8 +16,6 @@ from .expr import (
     Jet2,
     parse,
     to_source,
-    eval_jet,
-    eval_value,
 )
 from .map_model import (
     MapConfigError,

@@ -2,12 +2,18 @@
 
 Expressions are small arithmetic formulas in one variable ``x`` plus named
 parameters, with ``abs`` and ``sign`` as the only functions and ``^`` limited
-to constant real exponents.  They are evaluated either as plain values, as
-order-2 jets (value, d1, d2) for derivative-exact work, or vectorized over
-numpy arrays for sampling-heavy callers.  Hot callers :func:`compile` a tree
-once into closures: one array jet, which returns the value, d1 and d2 up to
-a requested order with the rules of the scalar jets, and one scalar jet
-form; :func:`eval_jet` stays the reference walk they are tested against.
+to constant real exponents.  :func:`compile` turns a tree, once, into one
+tree of closures that every evaluation runs: over a numpy array for the
+value, Df and D2f up to a requested order, at one point for a value or an
+order-2 :class:`Jet2`.  A call at one point raises at the first fault a
+walk of the tree meets; over an array the same checks can mark a mask.
+
+- Order 0 (a value): a divisor of 0, 0 to a negative power and a negative
+  base under a non-integer power raise :class:`EvalDomainError`; a finite,
+  nonzero base whose power overflows raises ``OverflowError``.
+- Order 2 (a jet) adds :class:`NonDifferentiableError` for ``abs`` of 0 or
+  NaN and for 0 under a non-integer power below 2, and checks the powers
+  r - 1 and r - 2 of the power rule for overflow too.
 
 Grammar (documented in README as well)::
 
@@ -25,8 +31,8 @@ minus, so ``-x^2`` parses as ``-(x^2)``.
 
 from __future__ import annotations
 
-import math
-import operator
+import errno
+import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -52,8 +58,6 @@ __all__ = [
     "Sign",
     "parse",
     "to_source",
-    "eval_jet",
-    "eval_value",
     "Compiled",
     "compile",
 ]
@@ -81,9 +85,6 @@ class EvalDomainError(ExprError):
     """Value undefined: negative base with fractional power, 0^negative, x/0."""
 
 
-# ---------------------------------------------------------------------------
-# jets
-
 @dataclass(frozen=True)
 class Jet2:
     """Order-2 jet: function value and first two derivatives at a point."""
@@ -91,90 +92,6 @@ class Jet2:
     value: float
     d1: float
     d2: float
-
-    def __add__(self, other: "Jet2") -> "Jet2":
-        return Jet2(self.value + other.value, self.d1 + other.d1, self.d2 + other.d2)
-
-    def __sub__(self, other: "Jet2") -> "Jet2":
-        return Jet2(self.value - other.value, self.d1 - other.d1, self.d2 - other.d2)
-
-    def __mul__(self, other: "Jet2") -> "Jet2":
-        u, v = self, other
-        return Jet2(
-            u.value * v.value,
-            u.d1 * v.value + u.value * v.d1,
-            u.d2 * v.value + 2.0 * u.d1 * v.d1 + u.value * v.d2,
-        )
-
-    def __truediv__(self, other: "Jet2") -> "Jet2":
-        u, v = self, other
-        if v.value == 0.0:
-            raise EvalDomainError("division by zero")
-        w = u.value / v.value
-        d1 = (u.d1 - w * v.d1) / v.value
-        d2 = (u.d2 - w * v.d2 - 2.0 * d1 * v.d1) / v.value
-        return Jet2(w, d1, d2)
-
-    def __neg__(self) -> "Jet2":
-        return Jet2(-self.value, -self.d1, -self.d2)
-
-
-def _jet_abs(u: Jet2) -> Jet2:
-    if u.value > 0.0:
-        return u
-    if u.value < 0.0:
-        return -u
-    raise NonDifferentiableError("jet of abs evaluated exactly at its kink")
-
-
-def _jet_sign(u: Jet2) -> Jet2:
-    # sign(0) = 0 by convention; locally constant elsewhere.
-    return Jet2(float(np.sign(u.value)), 0.0, 0.0)
-
-
-def _jet_pow(u: Jet2, r: float) -> Jet2:
-    return Jet2(*_pow_jet(u.value, u.d1, u.d2, r))
-
-
-def _power(b: float, r: float) -> float:
-    """b ** r by numpy's power ufunc, which the array forms apply, so that
-    scalar and array jets round alike (Python's ** calls libm's pow, which
-    differs in the last bit).  ** still runs first for its errors: it
-    raises OverflowError where the ufunc returns inf with a warning.  The
-    exponents 2, 1 and 0 skip the ufunc's 1 us call: it returns their exact
-    results b * b, b and 1."""
-    b ** r
-    if r == 2.0:
-        return b * b
-    if r == 1.0:
-        return b
-    if r == 0.0:
-        return 1.0
-    return float(np.power(b, r))
-
-
-def _pow_jet(v0: float, d1: float, d2: float, r: float) -> tuple:
-    """Power rule on a jet given as (value, d1, d2), with the domain checks."""
-    if v0 == 0.0:
-        if r < 0.0:
-            raise EvalDomainError("0 raised to a negative exponent")
-        if r != int(r) and r < 2.0:
-            raise NonDifferentiableError(
-                f"jet of u^{r} at u=0 has an infinite derivative"
-            )
-    if v0 < 0.0 and r != int(r):
-        raise EvalDomainError(
-            f"negative base {v0!r} with non-integer exponent {r!r}; "
-            "compose with abs() instead"
-        )
-    v = _power(v0, r)
-    if v0 == 0.0:
-        # here r is an integer >= 0 or a real >= 2, so d1/d2 are 0 unless r in {1,2}
-        return (v, d1 if r == 1.0 else 0.0,
-                d2 if r == 1.0 else (2.0 * d1 * d1 if r == 2.0 else 0.0))
-    p1 = r * _power(v0, r - 1.0)
-    p2 = r * (r - 1.0) * _power(v0, r - 2.0)
-    return v, p1 * d1, p2 * d1 * d1 + p1 * d2
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +398,16 @@ def _print(e) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: a node's closure maps (x, k, check) to f(x) at order k = 0 and
+# to the parts (f, Df, D2f)[:k + 1] at k = 1, 2.  check is None in a plain
+# call; in a checked call, check(fault, error, *operands) raises
+# error(*operands) at one point (x a float) where fault(*operands) holds, or
+# marks the points of an array where it holds.
+
+def _at_point(fault, error, *operands):
+    if fault(*operands):
+        raise error(*operands)
+
 
 def _param_value(params, name: str) -> float:
     if params is None or name not in params:
@@ -490,122 +416,70 @@ def _param_value(params, name: str) -> float:
 
 
 def const_value(e, params=None) -> float:
-    """Evaluate an x-free subtree (e.g. a Pow exponent) to a float."""
+    """Evaluate an x-free subtree (e.g. a Pow exponent) to a float,
+    raising at a fault as a value does."""
     if contains_var(e):
         raise EvalDomainError("expected a constant subtree, found x")
-    return eval_value(e, 0.0, params)
-
-
-def eval_jet(e, x: float, params=None) -> Jet2:
-    """Evaluate the order-2 jet of ``e`` at ``x``.
-
-    Raises :class:`NonDifferentiableError` exactly at kinks and
-    :class:`EvalDomainError` on undefined values.
-    """
-    if isinstance(e, Const):
-        return Jet2(e.value, 0.0, 0.0)
-    if isinstance(e, Var):
-        return Jet2(float(x), 1.0, 0.0)
-    if isinstance(e, Param):
-        return Jet2(_param_value(params, e.name), 0.0, 0.0)
-    if isinstance(e, Neg):
-        return -eval_jet(e.arg, x, params)
-    if isinstance(e, Add):
-        return eval_jet(e.left, x, params) + eval_jet(e.right, x, params)
-    if isinstance(e, Sub):
-        return eval_jet(e.left, x, params) - eval_jet(e.right, x, params)
-    if isinstance(e, Mul):
-        return eval_jet(e.left, x, params) * eval_jet(e.right, x, params)
-    if isinstance(e, Div):
-        return eval_jet(e.left, x, params) / eval_jet(e.right, x, params)
-    if isinstance(e, Pow):
-        return _jet_pow(eval_jet(e.base, x, params), const_value(e.exponent, params))
-    if isinstance(e, Abs):
-        return _jet_abs(eval_jet(e.arg, x, params))
-    if isinstance(e, Sign):
-        return _jet_sign(eval_jet(e.arg, x, params))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def eval_value(e, x: float, params=None) -> float:
-    """Value-only evaluation.  Defined at kinks (abs(0)=0, sign(0)=0)."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return float(x)
-    if isinstance(e, Param):
-        return _param_value(params, e.name)
-    if isinstance(e, Neg):
-        return -eval_value(e.arg, x, params)
-    if isinstance(e, Add):
-        return eval_value(e.left, x, params) + eval_value(e.right, x, params)
-    if isinstance(e, Sub):
-        return eval_value(e.left, x, params) - eval_value(e.right, x, params)
-    if isinstance(e, Mul):
-        return eval_value(e.left, x, params) * eval_value(e.right, x, params)
-    if isinstance(e, Div):
-        d = eval_value(e.right, x, params)
-        if d == 0.0:
-            raise EvalDomainError("division by zero")
-        return eval_value(e.left, x, params) / d
-    if isinstance(e, Pow):
-        b = eval_value(e.base, x, params)
-        r = const_value(e.exponent, params)
-        if b < 0.0 and r != int(r):
-            raise EvalDomainError(
-                f"negative base {b!r} with non-integer exponent {r!r}"
-            )
-        if b == 0.0 and r < 0.0:
-            raise EvalDomainError("0 raised to a negative exponent")
-        return _power(b, r)
-    if isinstance(e, Abs):
-        return abs(eval_value(e.arg, x, params))
-    if isinstance(e, Sign):
-        return float(np.sign(eval_value(e.arg, x, params)))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# compiled evaluation: nested closures built once per tree, no generated code
+    return compile(e, params).value(0.0)
 
 
 class Compiled(NamedTuple):
-    """A tree with its parameters bound, as two closures.
+    """A tree with its parameters bound, as one tree of closures.
 
-    ``array(x, order=0)`` evaluates over a numpy array: f(x) at order 0,
-    the tuple (f, Df) at order 1 and (f, Df, D2f) at order 2, with the
-    product, quotient and power rules of :func:`eval_jet`.  It never raises
-    on x; kinks and undefined points come back as NaN or inf.  Constant
-    subtrees and ``Pow`` exponents are folded once, with the numpy
-    operations the walk would apply, and derivative parts that are
-    structurally 0 or 1 are left out of the rules instead of multiplied.  ``jet(x)`` returns the :class:`Jet2` that
-    :func:`eval_jet` returns and raises what it raises.
+    - ``array(x, order=0)``: f(x) over a numpy array at order 0, the
+      tuple (f, Df) at order 1 and (f, Df, D2f) at order 2.  It never
+      raises on x; faults come back as NaN or inf.  Derivative parts that
+      are structurally 0 or 1 are left out of the rules, not multiplied.
+    - ``jet(x)`` and ``value(x)``: the :class:`Jet2` and the value at one
+      point; both raise at a fault (see the module docstring).
+    - ``checked(x, order)``: ``jet`` (order 2) or ``value`` (order 0) over
+      an array, bit for bit but for the signs of NaNs, with a boolean mask
+      of the points where they raise.
+
+    Checked calls keep a scalar jet's arithmetic: derivative parts that
+    are 0 or 1 are the numbers 0.0 and 1.0, so 0 * inf gives NaN, and a
+    power at a zero base takes its exact derivatives.  Constant subtrees
+    and ``Pow`` exponents are folded once, through the same nodes.
     """
 
     array: Callable
+    checked: Callable
     jet: Callable
+    value: Callable
 
 
 def compile(e, params=None) -> Compiled:
     """Compile tree ``e`` with ``params`` bound (see :class:`Compiled`)."""
-    f, c = _array_jet(e, params)
-    if f is None:
-        f = _constant(c)
+    f = _array_jet(e, params)
 
     def array(x, order=0):
         x = np.asarray(x, dtype=float)
         with np.errstate(invalid="ignore", divide="ignore"):
-            out = f(x, order)
-        if not order:
-            return out if isinstance(out, np.ndarray) else np.full_like(x, out)
-        return tuple(p if isinstance(p, np.ndarray)
-                     else np.full_like(x, 0.0 if p is None else p)
-                     for p in out)
-    g = _jet_node(e, params)
+            return _shaped(f(x, order, None), x, order)
 
-    def jet(x):
-        return Jet2(*g(float(x)))
-    return Compiled(array, jet)
+    def checked(x, order=0):
+        x = np.asarray(x, dtype=float)
+        mask = np.zeros(x.shape, dtype=bool)
+
+        def mark(fault, error, *operands):
+            np.logical_or(mask, fault(*operands), out=mask)
+        with np.errstate(all="ignore"):
+            return _shaped(f(x, order, mark), x, order), mask
+
+    def at_point(x, order):
+        with np.errstate(all="ignore"):
+            return f(float(x), order, _at_point)
+    return Compiled(array, checked,
+                    lambda x: Jet2(*map(float, at_point(x, 2))),
+                    lambda x: float(at_point(x, 0)))
+
+
+def _shaped(out, x, order):
+    """The parts of out as arrays of x's shape."""
+    def filled(p):
+        return p if isinstance(p, np.ndarray) else \
+            np.full_like(x, 0.0 if p is None else p)
+    return tuple(map(filled, out)) if order else filled(out)
 
 
 def _raising(err):
@@ -615,13 +489,7 @@ def _raising(err):
     return f
 
 
-def _fold(op, *consts) -> float:
-    """op applied as the array walk applies it, on one-point arrays."""
-    with np.errstate(all="ignore"):
-        return float(op(*(np.full(1, c, dtype=float) for c in consts))[0])
-
-
-# Parts of an array jet: None stands for a structural 0 (the derivatives of
+# Parts in a plain call: None stands for a structural 0 (the derivatives of
 # an x-free subtree or of sign, d2/dx2 x) and _ONE for the structural 1 of
 # d/dx x; the rules leave them out of products and sums.
 _ONE = np.float64(1.0)
@@ -645,15 +513,42 @@ def _over(a, b):
     return None if a is None else a / b
 
 
-# Rules for orders k = 1, 2: the parts (f, Df, D2f)[:k + 1] of a node from
-# those of its arguments.  Order 0 applies the node's operation alone.
+def _where(cond, a, b):
+    """a where cond holds, else b, at one point or over an array."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
 
-def _abs_rule(u, k):
+
+def _is_zero(a):
+    return a == 0.0
+
+
+# Rules for orders k = 0, 1, 2: f, or the parts (f, Df, D2f)[:k + 1], of a
+# node from those of its arguments.
+
+def _abs_rule(u, k, check):
+    if not k:
+        return abs(u)
+    if check is not None:                   # u at 0 or NaN
+        kink = "jet of abs evaluated exactly at its kink"
+        check(lambda a: (a == 0.0) | (a != a),
+              lambda _: NonDifferentiableError(kink), u[0])
     s = np.sign(u[0])
     return (np.abs(u[0]),) + tuple(_times(s, p) for p in u[1:])
 
 
-def _mul_rule(u, v, k):
+def _sign_rule(u, k, check):
+    # sign(0) = 0 by convention; locally constant elsewhere.
+    if not k:
+        return np.sign(u)
+    zero = None if check is None else 0.0
+    return (np.sign(u[0]), zero, zero)[:k + 1]
+
+
+def _mul_rule(u, v, k, check):
+    if not k:
+        return u * v
     w = u[0] * v[0]
     d1 = _plus(_times(u[1], v[0]), _times(u[0], v[1]))
     if k == 1:
@@ -663,7 +558,12 @@ def _mul_rule(u, v, k):
                         _times(u[0], v[2]))
 
 
-def _div_rule(u, v, k):
+def _div_rule(u, v, k, check):
+    if check is not None:
+        check(_is_zero, lambda _: EvalDomainError("division by zero"),
+              v[0] if k else v)
+    if not k:
+        return u / v
     w = u[0] / v[0]
     d1 = _over(_minus(u[1], _times(w, v[1])), v[0])
     if k == 1:
@@ -672,147 +572,140 @@ def _div_rule(u, v, k):
                                _times(_times(2.0, d1), v[1])), v[0])
 
 
-def _pow_rule(u, k, r):
+def _raised(b, s, check):
+    """b ** s.  A scalar b and a checked call take numpy's power ufunc
+    (exact for s = 2, 1, 0), which array ** follows bit for bit and Python's
+    ** does not; a checked call faults as float's ** where b ** s overflows."""
+    if check is None:
+        return b ** s if isinstance(b, np.ndarray) else np.power(b, s)
+    if s == 1.0 or s == 0.0:
+        return b if s else 1.0
+    w = b * b if s == 2.0 else np.power(b, s)
+    check(_overflows, _overflow, b, w)
+    return w
+
+
+def _overflows(b, w):
+    return (abs(b) < np.inf) & (b != 0.0) & (abs(w) == np.inf)
+
+
+def _overflow(*_):
+    # what float's ** raises
+    return OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+
+
+def _pow_rule(u, k, r, check):
     # each power's temporaries are dropped before the next power, so that
     # large arrays reuse freed memory instead of fresh pages
-    if k == 1:
-        d1 = _times(r * u[0] ** (r - 1.0), u[1])
-        return u[0] ** r, d1
-    p1 = r * u[0] ** (r - 1.0)
-    d2 = _plus(_times(_times(r * (r - 1.0) * u[0] ** (r - 2.0), u[1]), u[1]),
-               _times(p1, u[2]))
+    b = u[0] if k else u
+    if check is not None:
+        # b = 0 under r < 0, or in a jet a non-integer r < 2; b < 0 under a
+        # non-integer r
+        fractional = not r.is_integer()
+        if r < 0.0:
+            check(_is_zero, lambda _: EvalDomainError(
+                "0 raised to a negative exponent"), b)
+        elif k and fractional and r < 2.0:
+            check(_is_zero, lambda _: NonDifferentiableError(
+                f"jet of u^{r} at u=0 has an infinite derivative"), b)
+        if fractional:
+            check(lambda b: b < 0.0, lambda b: EvalDomainError(
+                f"negative base {float(b)!r} with non-integer exponent {r!r}"
+                + ("; compose with abs() instead" if k else "")), b)
+    if not k:
+        return _raised(b, r, check)
+    p1 = r * _raised(b, r - 1.0, check)
+    d2 = None if k == 1 else _plus(_times(_times(
+        r * (r - 1.0) * _raised(b, r - 2.0, check), u[1]), u[1]),
+        _times(p1, u[2]))
     d1 = _times(p1, u[1])
     del p1
-    return u[0] ** r, d1, d2
+    if check is not None:
+        # the exact derivatives at b = 0, r an integer >= 0 or a real >= 2
+        zero = b == 0.0
+        d1 = _where(zero, u[1] if r == 1.0 else 0.0, d1)
+        d2 = _where(zero, u[2] if r == 1.0 else 2.0 * u[1] * u[1]
+                    if r == 2.0 else 0.0, d2) if k == 2 else None
+    return (_raised(b, r, check), d1, d2)[:k + 1]
 
 
-# node type -> (its operation, its rule)
-_RULES = {
-    Neg: (operator.neg, lambda u, k: tuple(_minus(None, p) for p in u)),
-    Abs: (np.abs, _abs_rule),
-    # sign(0) = 0 by convention; locally constant elsewhere.
-    Sign: (np.sign, lambda u, k: (np.sign(u[0]), None, None)[:k + 1]),
-    Add: (operator.add, lambda u, v, k: tuple(map(_plus, u, v))),
-    Sub: (operator.sub, lambda u, v, k: tuple(map(_minus, u, v))),
-    Mul: (operator.mul, _mul_rule),
-    Div: (operator.truediv, _div_rule),
-}
+def _rule(e):
+    """The rule of node e other than Pow; looked up when a tree is built."""
+    return {
+        Neg: lambda u, k, check: (tuple(_minus(None, p) for p in u) if k
+                                  else -u),
+        Abs: _abs_rule,
+        Sign: _sign_rule,
+        Add: lambda u, v, k, check: tuple(map(_plus, u, v)) if k else u + v,
+        Sub: lambda u, v, k, check: tuple(map(_minus, u, v)) if k else u - v,
+        Mul: _mul_rule,
+        Div: _div_rule,
+    }.get(type(e))
 
 
-def _constant(c):
-    t = (c, None, None)
-    return lambda x, k: t[:k + 1] if k else c
+def _leaf(value, at0, at2):
+    """Closure of a folded x-free subtree: its value, a numpy scalar, in plain
+    calls; in checked ones, at0 or at2, what a call at one point gives at
+    order 0 or 2 (the value, the parts, or the fault that it raises)."""
+    plain = (value, None, None)
+
+    def leaf(x, k, check):
+        if check is None:
+            return plain[:k + 1] if k else value
+        at = at2 if k else at0
+        if isinstance(at, Exception):
+            check(lambda: True, lambda: at.with_traceback(None))
+            at = (value, 0.0, 0.0) if k else value  # at marked points only
+        return at[:k + 1] if k else at
+    return leaf
+
+
+def _fold(f):
+    """The leaf of the closure f of an x-free subtree, from calls at one
+    point; a parameter without a value raises in every call."""
+    outcomes = []
+    for k, check in ((0, None), (0, _at_point), (2, _at_point)):
+        try:
+            with np.errstate(all="ignore"):
+                outcomes.append(f(0.0, k, check))
+        except (ExprError, ArithmeticError) as err:
+            if check is None:
+                return _raising(err)
+            outcomes.append(err)
+    return _leaf(*outcomes)
 
 
 def _array_jet(e, params):
-    """(closure, None) for a subtree in x, (None, value) for a folded one.
-
-    The closure maps (x, 0) to f(x) and (x, k) to the tuple of the k + 1
-    parts of (f, Df, D2f).
-    """
+    """The closure of e, with its x-free subtrees folded into leaves."""
     if isinstance(e, Var):
-        return (lambda x, k: (x, _ONE, None)[:k + 1] if k else x), None
-    if isinstance(e, Const):
-        return None, e.value
-    if isinstance(e, Param):
+        return lambda x, k, check: ((x, _ONE, None) if check is None else
+                                    (x, 1.0, 0.0))[:k + 1] if k else x
+    if isinstance(e, (Const, Param)):
         try:
-            return None, _param_value(params, e.name)
+            c = e.value if isinstance(e, Const) else \
+                _param_value(params, e.name)
         except EvalDomainError as err:
-            return _raising(err), None
-    if isinstance(e, Pow):
-        try:
-            r = const_value(e.exponent, params)
-        except EvalDomainError as err:
-            return _raising(err), None
-        f, c = _array_jet(e.base, params)
-        if f is None:
-            return None, _fold(lambda b: b ** r, c)
-        return (lambda x, k: _pow_rule(f(x, k), k, r) if k
-                else f(x, 0) ** r), None
-    if type(e) not in _RULES:
-        raise TypeError(f"not an expression node: {e!r}")
-    op, rule = _RULES[type(e)]
-    if isinstance(e, (Neg, Abs, Sign)):
-        f, c = _array_jet(e.arg, params)
-        if f is None:
-            return None, _fold(op, c)
-        return (lambda x, k: rule(f(x, k), k) if k else op(f(x, 0))), None
-    f, a = _array_jet(e.left, params)
-    g, b = _array_jet(e.right, params)
-    if f is None and g is None:
-        return None, _fold(op, a, b)
-    f, g = f or _constant(a), g or _constant(b)
-    return (lambda x, k: rule(f(x, k), g(x, k), k) if k
-            else op(f(x, 0), g(x, 0))), None
-
-
-def _jet_node(e, params):
-    """Closure x -> (value, d1, d2), with the arithmetic of eval_jet."""
-    if isinstance(e, Var):
-        return lambda x: (x, 1.0, 0.0)
-    if not contains_var(e):
-        try:
-            j = eval_jet(e, 0.0, params)
-        except (ExprError, ArithmeticError) as err:
             return _raising(err)
-        t = (j.value, j.d1, j.d2)
-        return lambda x: t
+        return _leaf(np.float64(c), c, (c, 0.0, 0.0))
+    rule = _rule(e)
     if isinstance(e, Pow):
-        f = _jet_node(e.base, params)
+        g, h = _array_jet(e.base, params), _array_jet(e.exponent, params)
         try:
-            r = const_value(e.exponent, params)
-        except EvalDomainError as err:
-            fail = _raising(err)
-            return lambda x: fail(f(x))
-        return lambda x: _pow_jet(*f(x), r)
-    if isinstance(e, (Neg, Abs, Sign)):
-        f = _jet_node(e.arg, params)
-        if isinstance(e, Neg):
-            def neg(x):
-                v, d1, d2 = f(x)
-                return -v, -d1, -d2
-            return neg
-        if isinstance(e, Sign):
-            # sign(0) = 0 by convention; locally constant elsewhere.
-            return lambda x: (float(np.sign(f(x)[0])), 0.0, 0.0)
+            r = float(h(0.0, 0, None))
+        except ExprError:           # a parameter without a value
+            return lambda x, k, check: h(g(x, k, check))
 
-        def abs_(x):
-            v, d1, d2 = f(x)
-            if v > 0.0:
-                return v, d1, d2
-            if v < 0.0:
-                return -v, -d1, -d2
-            raise NonDifferentiableError("jet of abs evaluated exactly at its kink")
-        return abs_
-    f = _jet_node(e.left, params)
-    g = _jet_node(e.right, params)
-    if isinstance(e, Add):
-        def add(x):
-            uv, u1, u2 = f(x)
-            vv, v1, v2 = g(x)
-            return uv + vv, u1 + v1, u2 + v2
-        return add
-    if isinstance(e, Sub):
-        def sub(x):
-            uv, u1, u2 = f(x)
-            vv, v1, v2 = g(x)
-            return uv - vv, u1 - v1, u2 - v2
-        return sub
-    if isinstance(e, Mul):
-        def mul(x):
-            uv, u1, u2 = f(x)
-            vv, v1, v2 = g(x)
-            return (uv * vv, u1 * vv + uv * v1,
-                    u2 * vv + 2.0 * u1 * v1 + uv * v2)
-        return mul
-    if isinstance(e, Div):
-        def div(x):
-            uv, u1, u2 = f(x)
-            vv, v1, v2 = g(x)
-            if vv == 0.0:
-                raise EvalDomainError("division by zero")
-            w = uv / vv
-            d1 = (u1 - w * v1) / vv
-            return w, d1, (u2 - w * v2 - 2.0 * d1 * v1) / vv
-        return div
-    raise TypeError(f"not an expression node: {e!r}")
+        def f(x, k, check):
+            u = g(x, k, check)
+            if check is not None:   # the exponent, a value, after the base
+                h(x, 0, check)
+            return _pow_rule(u, k, r, check)
+    elif isinstance(e, (Neg, Abs, Sign)):
+        g = _array_jet(e.arg, params)
+        f = lambda x, k, check: rule(g(x, k, check), k, check)
+    elif rule is not None:
+        g, h = _array_jet(e.left, params), _array_jet(e.right, params)
+        f = lambda x, k, check: rule(g(x, k, check), h(x, k, check), k, check)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    return f if contains_var(e) else _fold(f)

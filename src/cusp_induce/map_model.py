@@ -94,7 +94,7 @@ class Branch:
         return self._compiled.jet(x)
 
     def value(self, x: float) -> float:
-        return ex.eval_value(self.tree, x, self.params)
+        return self._compiled.value(x)
 
     def values(self, x: np.ndarray, order: int = 0):
         """f(x), or the tuple (f, Df) at order 1 and (f, Df, D2f) at 2."""
@@ -412,31 +412,27 @@ def _validate(m: MapSpec):
                 cp.location, cp.side,
             )
 
-    # monotone, twice differentiable on each open branch: one array jet,
-    # then scalar jets from the first sample where it finds a non-finite
-    # part or Df = 0, so that each failure raises as the scalar jet raises
+    # monotone, twice differentiable on each open branch: one checked jet
+    # over the samples; the first sample where a jet raises or gives Df = 0
+    # or a non-finite Df fails the branch
     for i, br in enumerate(brs):
         width = br.b - br.a
         xs = np.linspace(br.a + 1e-9 * width, br.b - 1e-9 * width, 1024)
-        with np.errstate(all="ignore"):
-            v, d1, d2 = br.values(xs, 2)
-        ok = np.isfinite(v) & np.isfinite(d1) & np.isfinite(d2) & (d1 != 0.0)
-        first = int(np.argmin(ok)) if not ok.all() else xs.size
-        signs = set(np.sign(d1[:first]).tolist())
-        for x in xs[first:]:
+        (_, d1, _), fault = br._compiled.checked(xs, 2)
+        bad = fault | (d1 == 0.0) | ~np.isfinite(d1)
+        if bad.any():
+            x = xs[np.argmax(bad)].item()
             try:
-                j = br.jet(float(x))
+                br.jet(x)
             except (ex.NonDifferentiableError, ex.EvalDomainError) as err:
                 raise MapValidationError(
                     f"branch {i} expression invalid at x={x!r}: {err}"
                 ) from err
-            if j.d1 == 0.0 or not math.isfinite(j.d1):
-                raise MapValidationError(
-                    f"branch {i} has non-monotone or non-finite derivative "
-                    f"at x={x!r}"
-                )
-            signs.add(1 if j.d1 > 0 else -1)
-        if len(signs) != 1:
+            raise MapValidationError(
+                f"branch {i} has non-monotone or non-finite derivative "
+                f"at x={x!r}"
+            )
+        if len(set(np.sign(d1).tolist())) != 1:
             raise MapValidationError(f"branch {i} is not strictly monotone")
 
     # one-sided images stay in the domain

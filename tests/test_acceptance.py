@@ -77,10 +77,8 @@ def test_criterion_1_jets_match_finite_differences(capsys):
     worst_d1 = 0.0
     worst_d2 = 0.0
     for src, kinks in generated_expressions(rng):
-        tree = ex.parse(src)
-
-        def f(x, tree=tree):
-            return ex.eval_value(tree, x)
+        forms = ex.compile(ex.parse(src))
+        f = forms.value
 
         pts = []
         while len(pts) < 100:
@@ -88,7 +86,7 @@ def test_criterion_1_jets_match_finite_differences(capsys):
             if all(abs(x - t) >= 0.05 for t in kinks):
                 pts.append(x)
         for x in pts:
-            jet = ex.eval_jet(tree, x)
+            jet = forms.jet(x)
             e1 = abs(jet.d1 - fd_first(f, x)) / max(1.0, abs(jet.d1))
             e2 = abs(jet.d2 - fd_second(f, x)) / max(1.0, abs(jet.d2))
             worst_d1 = max(worst_d1, e1)

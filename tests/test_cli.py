@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from cusp_induce import cli
+from cusp_induce import expr as ex
 from cusp_induce.map_model import family_config
 
 
@@ -169,6 +170,31 @@ def test_scan_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("family,a,")
     assert len(lines) == 2
+
+
+def test_selftest_passes():
+    code, doc = run_json("selftest")
+    assert code == 0 and doc["passed"] is True
+    jets = doc["checks"]["jets_vs_finite_differences"]
+    assert jets["passed"] is True and jets["worst_rel_error"] < 1e-4
+
+
+def test_selftest_fails_on_a_product_rule_without_its_cross_term(
+        monkeypatch):
+    mul_rule = ex._mul_rule
+
+    def without_cross_term(u, v, k, check):
+        # D2(uv) = u''v + 2u'v' + uv'' with the 2u'v' term dropped
+        if k < 2:
+            return mul_rule(u, v, k, check)
+        w, d1, _ = mul_rule(u, v, k, check)
+        return w, d1, ex._plus(ex._times(u[2], v[0]), ex._times(u[0], v[2]))
+
+    monkeypatch.setattr(ex, "_mul_rule", without_cross_term)
+    code, doc = run_json("selftest")
+    assert code == 1 and doc["passed"] is False
+    jets = doc["checks"]["jets_vs_finite_differences"]
+    assert jets["passed"] is False and jets["worst_rel_error"] > 1e-2
 
 
 def test_unknown_subcommand_rejected():

@@ -1,10 +1,12 @@
-"""Compiled branch formulas against the recursive walkers they replace.
+"""Compiled branch formulas against reference walks of the tree.
 
-The array jet must match an unfolded array walk with eval_jet's rules at
-orders 0, 1 and 2, NaN and inf positions included, and the jet form must
-return the Jet2 that eval_jet returns or raise the same exception.  Forced
-passes that let branches with one formula share an evaluation must match
-step-by-step Branch calls.
+The array form must match an unfolded array walk with the jet rules at
+orders 0, 1 and 2, NaN and inf positions included.  Calls at one point
+must return the Jet2 or value that the scalar walks of reference_walk
+return, bit for bit, or raise the same exception with the same message,
+and the checked form must mark exactly the points where they raise.
+Forced passes that let branches with one formula share an evaluation must
+match step-by-step Branch calls.
 """
 
 import math
@@ -15,6 +17,8 @@ import pytest
 from cusp_induce import _vec
 from cusp_induce import expr as ex
 from cusp_induce import map_model as mm
+
+from reference_walk import eval_jet, eval_value
 
 
 def _mul(a, b):
@@ -37,7 +41,7 @@ def _neg(a):
 
 
 def walk_jet(e, x, params=None):
-    """[f, Df, D2f] over x by an unfolded array walk with eval_jet's rules.
+    """[f, Df, D2f] over x by an unfolded array walk with the jet rules.
 
     Every node, constants included, is evaluated over the whole array, and
     d/dx x is an array of ones.  The derivatives of an x-free subtree, of
@@ -250,10 +254,12 @@ def test_missing_parameter_raises_when_evaluated():
 
 
 def jet_outcome(fn, *args):
+    """The bytes of the Jet2 that fn returns, or the type and message of
+    what it raises."""
     try:
         j = fn(*args)
     except (ex.ExprError, ArithmeticError) as err:
-        return type(err)
+        return type(err), str(err)
     assert isinstance(j, ex.Jet2)
     return np.array([j.value, j.d1, j.d2]).tobytes()
 
@@ -268,13 +274,13 @@ def test_jet_form_matches_eval_jet(name):
         tree, params = br.tree, br.params
         forms = ex.compile(tree, params)
         for x in xs:
-            want = jet_outcome(ex.eval_jet, tree, x, params)
+            want = jet_outcome(eval_jet, tree, x, params)
             assert jet_outcome(forms.jet, x) == want
-            outcomes.add(want if isinstance(want, type) else bytes)
+            outcomes.add(want[0] if isinstance(want, tuple) else bytes)
     for br in m.branches:
         for x in xs:
             assert jet_outcome(br.jet, x) == \
-                jet_outcome(ex.eval_jet, br.tree, x, br.params)
+                jet_outcome(eval_jet, br.tree, x, br.params)
     assert bytes in outcomes
 
 
@@ -303,11 +309,84 @@ def test_jet_form_raises_what_eval_jet_raises():
     seen = set()
     for source, x in cases:
         tree = ex.parse(source)
-        want = jet_outcome(ex.eval_jet, tree, x)
+        want = jet_outcome(eval_jet, tree, x)
         assert jet_outcome(ex.compile(tree).jet, x) == want
-        seen.add(want if isinstance(want, type) else bytes)
+        seen.add(want[0] if isinstance(want, tuple) else bytes)
     assert {ex.NonDifferentiableError, ex.EvalDomainError, OverflowError,
             bytes} <= seen
+
+
+# formulas at the edges of the rules: zero bases under integer powers,
+# powers that overflow only in a derivative, products that overflow, and
+# constant subtrees that fault at order 2 only or after a fault in x
+EDGES = ["x^1", "x^0", "(-x)^2", "x^3", "x^2.5", "x^1.5", "-2*x",
+         "(x - 1)^-2", "abs(x)^1", "1/(1e-300*x)", "(x*1e200)^2",
+         "-(x + 1)^1100", "1/x + (0 - 0)^-1", "x - 0.25*abs(x - 0.3)",
+         "(-1)^0.5 + x", "x^(2^0.5)", "x*1e300*1e300 + x", "abs(0)*x"]
+EDGE_X = [0.0, -0.0, 0.3, 0.5, 1.0, -1.0, 1e-300, -1e-300, 5e-324, -5e-324,
+          1e-160, 1e308, math.inf, -math.inf, math.nan]
+
+
+def one_point_cases():
+    cases = [(ex.parse(s, p), p) for s, p in EXTRA]
+    cases += [(ex.parse(s), {}) for s in EDGES]
+    for name in sorted(MAPS):
+        cases += [(br.tree, br.params) for br in MAPS[name]().branches]
+    return cases
+
+
+def value_outcome(fn, *args):
+    try:
+        v = fn(*args)
+    except (ex.ExprError, ArithmeticError) as err:
+        return type(err), str(err)
+    assert type(v) is float
+    return np.array([v]).tobytes()
+
+
+def nan_signs_aside(outcome):
+    """outcome with each NaN made one NaN: the sign of a NaN from two NaN
+    operands depends on the order the machine code takes them in, which
+    differs between Python's float operations and numpy's."""
+    if isinstance(outcome, tuple):
+        return outcome
+    a = np.frombuffer(outcome)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+def test_one_point_calls_match_the_scalar_walks():
+    xs = EDGE_X + np.linspace(-1.5, 1.5, 61).tolist()
+    seen = set()
+    for tree, params in one_point_cases():
+        forms = ex.compile(tree, params)
+        for x in xs:
+            for call, walk_, outcome in ((forms.jet, eval_jet, jet_outcome),
+                                         (forms.value, eval_value,
+                                          value_outcome)):
+                want = nan_signs_aside(outcome(walk_, tree, x, params))
+                assert nan_signs_aside(outcome(call, x)) == want
+                seen.add(want[0] if isinstance(want, tuple) else outcome)
+    assert {ex.NonDifferentiableError, ex.EvalDomainError, OverflowError,
+            jet_outcome, value_outcome} <= seen
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_checked_form_is_the_one_point_calls_over_an_array(order):
+    x = np.array(EDGE_X + np.linspace(-1.5, 1.5, 61).tolist())
+    call, outcome = ("jet", jet_outcome) if order else ("value",
+                                                        value_outcome)
+    marked = 0
+    for tree, params in one_point_cases():
+        forms = ex.compile(tree, params)
+        got, mask = forms.checked(x, order)
+        got = np.stack(got if order else (got,), axis=1)
+        for k, v in enumerate(x.tolist()):
+            want = nan_signs_aside(outcome(getattr(forms, call), v))
+            assert mask[k] == isinstance(want, tuple)
+            if not mask[k]:
+                assert nan_signs_aside(got[k].tobytes()) == want
+        marked += mask.sum()
+    assert marked > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Expression grammar, second-order jets, and symbolic derivatives."""
+"""Expression grammar, and the jets and values of compiled expressions at
+one point and over arrays."""
 
 import math
 
@@ -22,13 +23,13 @@ def test_parse_round_trip_evaluates_identically():
         e = ex.parse(src)
         e2 = ex.parse(ex.to_source(e))
         for x in xs:
-            assert ex.eval_value(e2, x) == ex.eval_value(e, x)
+            assert ex.compile(e2).value(x) == ex.compile(e).value(x)
 
 
 def test_polynomial_jet_matches_closed_form():
     e = ex.parse("x^2 + 3*x - 1")
     for x in np.linspace(-2, 2, 21):
-        j = ex.eval_jet(e, x)
+        j = ex.compile(e).jet(x)
         assert j.value == pytest.approx(x * x + 3 * x - 1, rel=1e-14)
         assert j.d1 == pytest.approx(2 * x + 3, rel=1e-14)
         assert j.d2 == pytest.approx(2.0, rel=1e-14)
@@ -39,7 +40,7 @@ def test_fractional_power_jet_matches_closed_form():
     r = 1.7
     e = ex.parse("abs(x)^1.7")
     for x in [-1.3, -0.4, 0.2, 0.9]:
-        j = ex.eval_jet(e, x)
+        j = ex.compile(e).jet(x)
         s = math.copysign(1.0, x)
         assert j.value == pytest.approx(abs(x) ** r, rel=1e-13)
         assert j.d1 == pytest.approx(r * s * abs(x) ** (r - 1), rel=1e-13)
@@ -49,7 +50,7 @@ def test_fractional_power_jet_matches_closed_form():
 def test_quotient_jet_matches_closed_form():
     e = ex.parse("1/(2 + x^2)")
     for x in [-1.0, 0.0, 0.7]:
-        j = ex.eval_jet(e, x)
+        j = ex.compile(e).jet(x)
         den = 2 + x * x
         assert j.value == pytest.approx(1 / den, rel=1e-14)
         assert j.d1 == pytest.approx(-2 * x / den**2, rel=1e-13, abs=1e-15)
@@ -59,13 +60,13 @@ def test_quotient_jet_matches_closed_form():
 def test_jet_at_abs_kink_raises_but_value_works():
     e = ex.parse("abs(x)")
     with pytest.raises(ex.NonDifferentiableError):
-        ex.eval_jet(e, 0.0)
-    assert ex.eval_value(e, 0.0) == 0.0
+        ex.compile(e).jet(0.0)
+    assert ex.compile(e).value(0.0) == 0.0
 
 
 def test_sign_is_locally_constant_in_jets():
     e = ex.parse("sign(x - 2)*(x - 2)^2")
-    j = ex.eval_jet(e, 1.0)
+    j = ex.compile(e).jet(1.0)
     assert j.value == -1.0
     assert j.d1 == pytest.approx(2.0)
     assert j.d2 == pytest.approx(-2.0)
@@ -89,16 +90,16 @@ def test_dangling_operator_rejected():
 
 def test_domain_errors():
     with pytest.raises(ex.EvalDomainError):
-        ex.eval_value(ex.parse("x^-1"), 0.0)
+        ex.compile(ex.parse("x^-1")).value(0.0)
     with pytest.raises(ex.EvalDomainError):
-        ex.eval_value(ex.parse("1/x"), 0.0)
+        ex.compile(ex.parse("1/x")).value(0.0)
 
 
 def test_parameters_bind_and_missing_param_raises():
     e = ex.parse("a*x^2 + b", params=("a", "b"))
-    assert ex.eval_value(e, 2.0, {"a": 3.0, "b": 1.0}) == 13.0
+    assert ex.compile(e, {"a": 3.0, "b": 1.0}).value(2.0) == 13.0
     with pytest.raises(ex.EvalDomainError):
-        ex.eval_value(e, 2.0, {"a": 3.0})
+        ex.compile(e, {"a": 3.0}).value(2.0)
 
 
 def test_array_jet_matches_scalar_jet():
@@ -108,7 +109,7 @@ def test_array_jet_matches_scalar_jet():
         e = ex.parse(src)
         _v, d1, d2 = ex.compile(e).array(xs, 2)
         for x, a1, a2 in zip(xs, d1, d2):
-            j = ex.eval_jet(e, float(x))
+            j = ex.compile(e).jet(float(x))
             assert a1 == pytest.approx(j.d1, rel=1e-12, abs=1e-14)
             assert a2 == pytest.approx(j.d2, rel=1e-12, abs=1e-14)
 
@@ -118,10 +119,14 @@ def test_array_values_agree_with_scalar_eval():
     xs = np.linspace(-1, 1, 101)
     arr = ex.compile(e).array(xs)
     for x, v in zip(xs, arr):
-        assert v == pytest.approx(ex.eval_value(e, float(x)), rel=1e-14)
+        assert v == pytest.approx(ex.compile(e).value(float(x)), rel=1e-14)
 
 
 def test_const_value_folds_numbers():
     assert ex.const_value(ex.parse("2*3 + 1")) == 7.0
+    # a value: abs needs no derivative at its kink, a divisor of 0 faults
+    assert ex.const_value(ex.parse("abs(0) - 2^0.5")) == -2.0 ** 0.5
+    with pytest.raises(ex.EvalDomainError, match="division by zero"):
+        ex.const_value(ex.parse("1/(2 - 2)"))
     assert ex.contains_var(ex.parse("x + 1"))
     assert not ex.contains_var(ex.parse("4 - 2"))

@@ -9,6 +9,8 @@ import pytest
 from cusp_induce import expr as ex
 from cusp_induce import map_model as mm
 
+from reference_walk import eval_jet
+
 
 def test_chebyshev_structure(cheb):
     assert (cheb.lo, cheb.hi) == (-1.0, 1.0)
@@ -155,17 +157,17 @@ def test_load_map_round_trip(tmp_path, cheb):
 
 
 def _scalar_scan_error(config, i):
-    """The monotonicity scan of branch i as one scalar jet per sample:
-    (error type, message) of its first failure, or None."""
+    """The monotonicity scan of branch i as one scalar jet of the reference
+    walk per sample: (error type, message) of its first failure, or None."""
     rb = config["branches"][i]
-    br = mm.Branch(*rb["interval"], rb["expr"],
-                   ex.parse(rb["expr"], rb.get("params", {})),
-                   rb.get("params", {}))
-    width = br.b - br.a
+    a, b = rb["interval"]
+    params = rb.get("params", {})
+    tree = ex.parse(rb["expr"], params)
+    width = b - a
     signs = set()
-    for x in np.linspace(br.a + 1e-9 * width, br.b - 1e-9 * width, 1024):
+    for x in np.linspace(a + 1e-9 * width, b - 1e-9 * width, 1024).tolist():
         try:
-            j = br.jet(float(x))
+            j = eval_jet(tree, x, params)
         except (ex.NonDifferentiableError, ex.EvalDomainError) as err:
             return (type(err),
                     f"branch {i} expression invalid at x={x!r}: {err}")
@@ -191,6 +193,9 @@ def _sample(k):
     return float(np.linspace(1e-9, 1.0 - 1e-9, 1024)[k])
 
 
+_BUILDS = "builds"
+
+
 @pytest.mark.parametrize("expr, params, cause", [
     # negative base under a fractional power from the middle of the scan
     ("(0.5 - x)^1.5", {}, ex.EvalDomainError),
@@ -206,10 +211,25 @@ def _sample(k):
     ("-1e308*x^2", {}, None),
     # Df changes sign
     ("1 - 8*(x - 0.5)^2", {}, None),
+    # the kink on sample 700 in a sum with a slope: value, Df and D2f of
+    # the array jet stay finite there, with Df != 0
+    ("-0.5*x - 0.25*abs(x - c)", {"c": _sample(700)},
+     ex.NonDifferentiableError),
+    # that kink strictly between samples 700 and 701: no sample sees it
+    ("-0.5*x - 0.25*abs(x - c)",
+     {"c": 0.5 * (_sample(700) + _sample(701))}, _BUILDS),
+    # an exponent that faults at every sample
+    ("x^(1/0)", {}, ex.EvalDomainError),
+    # Df overflows to -inf past x = 0.8954 while the value stays finite
+    ("-(x + 1)^1100", {}, None),
 ])
 def test_monotonicity_errors_match_the_scalar_scan(expr, params, cause):
     cfg = _two_branch_config(expr, params)
     want = _scalar_scan_error(cfg, 1)
+    if cause is _BUILDS:
+        assert want is None
+        mm.build_map(cfg)
+        return
     assert want is not None and want[0] is cause
     with pytest.raises(mm.MapValidationError) as info:
         mm.build_map(cfg)
