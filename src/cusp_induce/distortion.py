@@ -6,6 +6,11 @@ bounds for the variation of 1/|Df^l| driven by inverse-distance integrals,
 quadrature evaluation of that variation, and the bookkeeping that decides
 whether the induced-map variation and inducing-time series look summable
 over the computed horizon.
+
+One tracker, array_end_orbits, follows the one-sided orbits of interval
+ends here and in the partition builder, many intervals at once, each step
+on a fixed itinerary's branch or on the branch holding the step interval;
+the one-interval functions are its one-row calls.
 """
 
 from __future__ import annotations
@@ -83,69 +88,53 @@ def branch_d2_zeros(m, i: int, grid: int = 1024) -> tuple:
     return out
 
 
-def _containing_branch(m, u: float, v: float) -> int:
-    i = m.branch_index(0.5 * (u + v))
-    br = m.branches[i]
-    if u < br.a - 1e-12 or v > br.b + 1e-12:
-        raise NotDiffeomorphismError(
-            f"interval ({u!r}, {v!r}) straddles a branch boundary"
-        )
-    return i
-
-
-def end_orbits(m, interval, n: int, itinerary=None):
-    """Follow both ends of an interval through n steps of the map.
-
-    Step j applies branch itinerary[j] or, without an itinerary, the branch
-    holding the step interval (NotDiffeomorphismError when none does).  Both
-    ends are clamped onto that branch and taken as one-sided limits from
-    inside the interval, so branch ends and singular locations are exact.
-    Returns (steps, image): steps are (u, v, branch, jet at u from the
-    right, jet at v from the left) with u <= v, image the interval after n
-    steps.
-    """
-    u, v = sorted((float(interval[0]), float(interval[1])))
-    steps = []
-    for j in range(n):
-        i = _containing_branch(m, u, v) if itinerary is None else itinerary[j]
-        br = m.branches[i]
-        u, v = max(u, br.a), min(v, br.b)
-        left = m.endpoint_jet(i, u, "+")
-        right = m.endpoint_jet(i, v, "-")
-        steps.append((u, v, i, left, right))
-        u, v = left.value, right.value
-        if not u <= v:
-            u, v = v, u
-    return steps, (u, v)
+# Itinerary entry of array_end_orbits for a step on the branch that holds
+# the step interval.
+POSITIONAL = -2
 
 
 def array_end_orbits(m, itin, u, v, visit):
-    """Array form of end_orbits: the ends u[k] <= v[k] of interval k follow
-    row k of the itinerary matrix itin (padded with -1 past its end).
+    """The one-sided orbits of the ends of intervals u[k] <= v[k], all
+    rows together: step j of row k applies branch itin[k, j] or, where that
+    is POSITIONAL, the branch of the step interval's midpoint (ties to the
+    right, as MapSpec.branch_index); -1 pads a row past its last step.
 
-    Each step clamps both ends onto the step's branch, as end_orbits does,
-    and pushes all rows by one order-1 evaluation per formula group.  An
-    end that sits exactly on an end of the step's branch, or whose value or
-    Df comes out non-finite, takes the scalar one-sided endpoint_jet
-    instead; elsewhere the array evaluation rounds as the scalar jets do.
-    visit(live, ids, u, v, du, dv) sees every step: the rows still moving,
-    their branch ids, the clamped ends and |Df| at them.
-    Returns (u, v, scalar): the ascending ends of the images and the number
-    of end steps that took endpoint_jet, each (branch, end, side) computed
-    once.
+    Each step clamps both ends onto its branch and takes them as limits
+    from inside the interval, pushing all rows by one order-1 evaluation
+    per formula group; an end that sits exactly on an end of the step's
+    branch, or whose value or Df comes out non-finite, takes the scalar
+    one-sided endpoint_jet, each (branch, end, side) computed once.  A row
+    stops at a positional step whose interval overhangs its branch by more
+    than 1e-12 (NotDiffeomorphismError), or where endpoint_jet raises a
+    ValueError.  visit(live, ids, u, v, du, dv) sees every step: the rows
+    still moving, their branch ids, the clamped ends and |Df| at them.
+    Returns (u, v, scalar, failed): the ascending ends of the images (of a
+    stopped row, its interval where it stopped), the number of end steps
+    that took endpoint_jet, and the error that stopped each stopped row.
     """
     u = np.array(u, dtype=float)
     v = np.array(v, dtype=float)
     ends = np.array([(br.a, br.b) for br in m.branches])
-    scalar, jets = 0, {}        # jets: endpoint_jet by (branch, x, side)
+    scalar, jets, failed = 0, {}, {}  # jets by (branch, x, side)
+    stopped = np.zeros(u.shape, dtype=bool)
     for col in np.asarray(itin).T:
-        live = np.flatnonzero(col >= 0)
+        ids = np.array(col)
+        pos = np.flatnonzero((ids == POSITIONAL) & ~stopped)
+        if pos.size:
+            ids[pos] = i = _vec.branch_indices(m, 0.5 * (u[pos] + v[pos]))
+            for r in pos[(u[pos] < ends[i, 0] - 1e-12)
+                         | (v[pos] > ends[i, 1] + 1e-12)].tolist():
+                failed[r] = NotDiffeomorphismError(
+                    f"interval ({u[r].item()!r}, {v[r].item()!r}) straddles "
+                    "a branch boundary")
+                stopped[r] = True
+        live = np.flatnonzero((ids != -1) & ~stopped)
         if not live.size:
             break
-        n, ids = live.size, np.tile(col[live], 2)
+        n, ids = live.size, np.tile(ids[live], 2)
         lo, hi = ends[ids, 0], ends[ids, 1]
         x = np.concatenate((u[live], v[live]))
-        # max(u, a) and min(v, b) as end_orbits takes them, NaN included
+        # max(u, a) and min(v, b) as Python takes them, NaN included
         x[:n] = np.where(lo[:n] > x[:n], lo[:n], x[:n])
         x[n:] = np.where(hi[n:] < x[n:], hi[n:], x[n:])
         y, d1 = _vec.step_values(m, x, 1, ids)
@@ -153,16 +142,32 @@ def array_end_orbits(m, itin, u, v, visit):
                               | ~(np.isfinite(y) & np.isfinite(d1)))
         for k in redo.tolist():
             key = (int(ids[k]), float(x[k]), "+" if k < n else "-")
-            if key not in jets:
-                jets[key] = m.endpoint_jet(*key)
-            y[k], d1[k] = jets[key].value, jets[key].d1
+            try:
+                if key not in jets:
+                    jets[key] = m.endpoint_jet(*key)
+            except ValueError as err:
+                failed.setdefault(int(live[k % n]), err)
+                stopped[live[k % n]] = True
+            else:
+                y[k], d1[k] = jets[key].value, jets[key].d1
         scalar += redo.size
+        ok = ~stopped[live]
+        if not ok.all():
+            live, ids, x, y, d1 = (live[ok], *(a[np.tile(ok, 2)]
+                                               for a in (ids, x, y, d1)))
+            n = live.size
         d1 = np.abs(d1)
         visit(live, ids[:n], x[:n], x[n:], d1[:n], d1[n:])
         swap = ~(y[:n] <= y[n:])
         u[live] = np.where(swap, y[n:], y[:n])
         v[live] = np.where(swap, y[:n], y[n:])
-    return u, v, scalar
+    return u, v, scalar, failed
+
+
+def raise_first(failed) -> None:
+    """Raise what stopped the first stopped row of array_end_orbits."""
+    if failed:
+        raise failed[min(failed)]
 
 
 def abs_df_extrema(m, ids, u, v, du, dv):
@@ -187,26 +192,42 @@ def abs_df_extrema(m, ids, u, v, du, dv):
     return lo, hi
 
 
-def step_sup_inf(m, step) -> tuple:
-    """(sup, inf) of |Df| over one step interval of end_orbits: a one-row
-    abs_df_extrema."""
-    u, v, i, left, right = step
-    lo, hi = abs_df_extrema(m, [i], [u], [v], [abs(left.d1)],
-                            [abs(right.d1)])
-    return float(hi[0]), float(lo[0])
+def orbit_extrema(m, itin, u, v):
+    """array_end_orbits with the |Df| extrema of every step: (steps, image,
+    failed), steps the (rows, steps) arrays u, v, sup and inf of the step
+    intervals, NaN past a row's last step."""
+    itin = np.asarray(itin)
+    steps = np.full((4,) + itin.shape, np.nan)
+    count = np.zeros(itin.shape[0], dtype=np.int64)
+
+    def visit(live, ids, u, v, du, dv):
+        inf, sup = abs_df_extrema(m, ids, u, v, du, dv)
+        steps[:, live, count[live]] = u, v, sup, inf
+        count[live] += 1
+
+    u, v, _scalar, failed = array_end_orbits(m, itin, u, v, visit)
+    return steps, (u, v), failed
+
+
+def _interval_steps(m, interval, n: int):
+    """The n positional steps of one interval: lists of the u, v, sup |Df|
+    and inf |Df| of its step intervals, and its image; raises what stops
+    it."""
+    lo, hi = sorted((float(interval[0]), float(interval[1])))
+    steps, (u, v), failed = orbit_extrema(m, np.full((1, n), POSITIONAL),
+                                          [lo], [hi])
+    raise_first(failed)
+    return [row[0].tolist() for row in steps], (float(u[0]), float(v[0]))
 
 
 def sup_inf_abs_df(m, interval) -> tuple:
-    """(sup, inf) of |Df| over an interval inside one branch.
-
-    One step of end_orbits: an endpoint touching a singular location
-    contributes an inf sentinel.
-    """
-    u, v = float(interval[0]), float(interval[1])
-    if not u < v:
+    """(sup, inf) of |Df| over an interval inside one branch: the one step
+    of generalized_distortion with n = 1.  An endpoint touching a singular
+    location contributes an inf sentinel."""
+    if not float(interval[0]) < float(interval[1]):
         raise ValueError("empty interval")
-    (step,), _ = end_orbits(m, (u, v), 1)
-    return step_sup_inf(m, step)
+    g = generalized_distortion(m, interval, 1)
+    return g.sup_df[0], g.inf_df[0]
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +265,7 @@ def generalized_distortion(m, interval, n: int) -> DistortionResult:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    steps, final = end_orbits(m, interval, n)
-    bounds = [step_sup_inf(m, step) for step in steps]
-    sups = [s for s, _i in bounds]
-    infs = [i for _s, i in bounds]
+    (_u, _v, sups, infs), final = _interval_steps(m, interval, n)
     ratios = [s / i if i > 0 else math.inf for s, i in zip(sups, infs)]
     value = 1.0
     for r in ratios:
@@ -309,17 +327,16 @@ def variation_bound(m, interval, l: int) -> float:
         raise ValueError("l must be >= 0")
     if l == 0:
         return 0.0
-    steps, _ = end_orbits(m, interval, l)
+    steps, _ = _interval_steps(m, interval, l)
     dist = 1.0
     inf_total = 1.0
     acc = 0.0
-    for step in steps:
-        sup_df, inf_df = step_sup_inf(m, step)
+    for u, v, sup_df, inf_df in zip(*steps):
         if inf_df <= 0.0:
             raise InfiniteIntegralError("derivative infimum vanishes on a step")
         dist *= sup_df / inf_df
         inf_total *= inf_df
-        acc += _inv_distance_integral(m, step[0], step[1])
+        acc += _inv_distance_integral(m, u, v)
     return (dist / inf_total) * acc
 
 
@@ -367,7 +384,8 @@ def variation_exact(m, interval, l: int, epsabs: float = VAR_EPSABS,
     if l == 0:
         return 0.0
     u, v = sorted((float(interval[0]), float(interval[1])))
-    _containing_branch(m, u, v)
+    raise_first(array_end_orbits(m, [[POSITIONAL]], [u], [v],
+                                 lambda *step: None)[3])
 
     def integrand(x):
         _, P, S = _chain_jet(m, x, l)
@@ -652,17 +670,18 @@ def summability_report(m, partition, epsilon: float = 1e-4,
     omegas = [v + 2.0 / br.inf_df for v, br in zip(var_int, branches)]
 
     # empirical sup over free branches of the inverse-distance step sum
-    d_hat = 0.0
-    free_tau_len = 0.0
-    for br in branches:
-        if br.kind != "free":
-            continue
-        free_tau_len += br.tau * (br.b - br.a)
-        steps, _ = end_orbits(m, (br.a, br.b), br.tau, br.itinerary)
-        acc = 0.0
-        for u, v, *_jets in steps:
-            acc += _inv_distance_integral(m, u, v)
-        d_hat = max(d_hat, acc)
+    free = [br for br in branches if br.kind == "free"]
+    free_tau_len = sum(br.tau * (br.b - br.a) for br in free)
+    acc = np.zeros(len(free))
+
+    def visit(live, _ids, u, v, _du, _dv):
+        acc[live] += [_inv_distance_integral(m, a, b)
+                      for a, b in zip(u.tolist(), v.tolist())]
+
+    raise_first(array_end_orbits(
+        m, _vec.itinerary_matrix([br.itinerary for br in free]),
+        [br.a for br in free], [br.b for br in free], visit)[3])
+    d_hat = max([0.0] + acc.tolist())
 
     def gap_term(br) -> float:
         if br.kind != "bound" or br.p0 is None or br.p0 < 2:

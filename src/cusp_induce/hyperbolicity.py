@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _vec
 from .critical_orbit import orbit_records
-from .distortion import end_orbits, step_sup_inf
+from .distortion import POSITIONAL, orbit_extrema, raise_first
 from .inducing import binding_periods
 from .map_model import MapValidationError, _check_delta
 
@@ -312,21 +312,20 @@ def choose_delta(m, candidates, margin: float = 10.0,
 def _neighborhood_defect(m, delta: float):
     """None if every neighborhood image avoids the union and |Df| >= 2 on
     every singular neighborhood (a one-step bound piece), else a reason."""
-    spans = []
-    for cp in m.critical_points:
-        c = cp.location
-        lo, hi = (c, c + delta) if cp.side == "+" else (c - delta, c)
-        (step,), image = end_orbits(m, (lo, hi), 1)
-        spans.append((lo, hi, cp, step, image))
-    for _lo, _hi, cp, _step, (img_lo, img_hi) in spans:
-        for lo2, hi2, cp2, _s, _i in spans:
-            if img_lo < hi2 and lo2 < img_hi:
+    cps = m.critical_points
+    lo = [c.location if c.side == "+" else c.location - delta for c in cps]
+    hi = [c.location + delta if c.side == "+" else c.location for c in cps]
+    (_u, _v, _sup, inf), (img_lo, img_hi), failed = orbit_extrema(
+        m, np.full((len(cps), 1), POSITIONAL), lo, hi)
+    raise_first(failed)
+    for cp, a, b in zip(cps, img_lo.tolist(), img_hi.tolist()):
+        for cp2, lo2, hi2 in zip(cps, lo, hi):
+            if a < hi2 and lo2 < b:
                 return (f"image of the neighborhood at ({cp.location}, "
                         f"{cp.side}) meets the neighborhood at "
                         f"({cp2.location}, {cp2.side})")
-    for _lo, _hi, cp, step, _image in spans:
-        inf_df = step_sup_inf(m, step)[1] if cp.order < 1.0 else 2.0
-        if inf_df < 2.0:
+    for cp, inf_df in zip(cps, inf[:, 0].tolist()):
+        if cp.order < 1.0 and inf_df < 2.0:
             return (f"expansion: inf |Df| = {inf_df!r} < 2 on the "
                     f"neighborhood at ({cp.location}, {cp.side})")
     return None

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import _vec
 from .critical_orbit import compute_orbit, orbit_records
-from .distortion import (abs_df_extrema, array_end_orbits, end_orbits,
-                         generalized_distortion)
+from .distortion import (POSITIONAL, abs_df_extrema, array_end_orbits,
+                         orbit_extrema, raise_first)
 from .map_model import _check_delta, critical_distance, evaluate
 
 _EDGE_EPS = 1e-14
@@ -403,7 +403,8 @@ def _bounds_pass(m, itin, a, b, k: int):
             arr[flip] = arr[flip, ::-1]
         pos[live], log_inf[live], log_sup[live] = p, li, ls
 
-    u, v, scalar = array_end_orbits(m, itin, a, b, visit)
+    u, v, scalar, failed = array_end_orbits(m, itin, a, b, visit)
+    raise_first(failed)
     return (u, v), np.exp(log_inf.min(axis=1)), \
         np.exp(log_sup.max(axis=1)), scalar
 
@@ -463,40 +464,6 @@ def _free_breakpoints(m, delta: float, q0: int) -> np.ndarray:
     return cuts
 
 
-def _endpoint_images(m, itin, u, v):
-    """Images of the cell ends u (from the right) and v (from the left)
-    along the itinerary rows of their cells, by one forced pass.
-
-    A row whose orbit sits exactly on an end of its step's branch, or turns
-    non-finite, is redone with the scalar one-sided end_orbits, whose limits
-    the array evaluation may miss there.  Returns (f^l(u+), f^l(v-), rows
-    redone), l being each row's itinerary length.
-    """
-    n = u.size
-    owner = np.concatenate((np.arange(n), np.arange(n)))
-    x0 = np.concatenate((u, v))
-    ends = np.array([(br.a, br.b) for br in m.branches])
-    redo = np.zeros(2 * n, dtype=bool)
-    columns = iter(itin.T)
-
-    def visit(live, pos):
-        ids = next(columns)[owner[live]]
-        x = pos[live]
-        redo[live] |= ((x == ends[ids, 0]) | (x == ends[ids, 1])
-                       | ~np.isfinite(x))
-
-    y = _vec.forced_forward(m, itin, owner, x0, visit=visit)
-    redo |= ~np.isfinite(y)
-    for c in np.unique(owner[redo]).tolist():
-        path = itin[c][itin[c] >= 0].tolist()
-        ends = end_orbits(m, (u[c], v[c]), len(path), path)[1]
-        if math.prod(m.monotone_signs[i] for i in path) < 0:
-            ends = ends[::-1]                   # (f^l(u+), f^l(v-))
-        rows = [c, c + n]
-        y[rows] = np.where(redo[rows], ends, y[rows])
-    return y[:n], y[n:], int(redo.sum())
-
-
 def _piece_lookup(table, y):
     """Row of table = [(lo, hi, payload)] (sorted) holding each y, else -1;
     tries the searchsorted row kk, then kk + 1 and kk - 1."""
@@ -521,11 +488,12 @@ def _classify_cells(m, cuts, delta: float, q0: int, piece_tables):
     Every cell follows its midpoint's itinerary.  Cells that never enter a
     neighborhood within q0 - 1 steps are free.  A bound cell entering at
     step l0 is pushed forward by f^l0 onto the piece table of the side it
-    enters; the piece and gap edges strictly inside its image are pulled
-    back through the same itinerary and cut it into sub-cells, each
-    classified by where its midpoint lands.  All cells, targets and
-    sub-cells move together, one forced pass per stage.  Cells whose
-    midpoint orbit lands exactly on an interior boundary (or turns
+    enters, its image coming from its ends' one-sided orbits, clamped onto
+    each step's branch (array_end_orbits); the piece and gap edges strictly
+    inside the image are pulled back through the same itinerary and cut the
+    cell into sub-cells, each classified by where its midpoint lands.  All
+    cells, targets and sub-cells move together, one pass per stage.  Cells
+    whose midpoint orbit lands exactly on an interior boundary (or turns
     non-finite) before entry are left unresolved.
 
     Returns (raw, unresolved, counts): raw rows (a, b, kind, l0, p0, key)
@@ -576,12 +544,12 @@ def _classify_cells(m, cuts, delta: float, q0: int, piece_tables):
     it = itin[cells]
     u, v = cuts[cells], cuts[cells + 1]
 
-    # images of the cells under f^l0
+    # images of the cells under f^l0, by their ends' one-sided orbits
     j_lo, j_hi = u.copy(), v.copy()
     moved = np.flatnonzero(l0 > 0)
-    ja, jb, n_fallback = _endpoint_images(m, it[moved], u[moved], v[moved])
-    j_lo[moved] = np.where(jb < ja, jb, ja)
-    j_hi[moved] = np.where(jb > ja, jb, ja)
+    j_lo[moved], j_hi[moved], n_fallback, failed = array_end_orbits(
+        m, it[moved], u[moved], v[moved], lambda *step: None)
+    raise_first(failed)
 
     # piece and gap edges strictly inside each image
     t_owner, t_val = [np.empty(0, dtype=np.int64)], [np.empty(0)]
@@ -673,17 +641,16 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
     of the branch endpoints and neighborhood endpoints; inside each
     neighborhood, constant-binding pieces come from a grid scan with jump
     bisection.  First-entry classification of the cells between the
-    breakpoints runs as batched forced passes over all cells at once (see
-    _classify_cells); only cell ends whose orbit sits exactly on a branch
-    end, or turns non-finite, take the scalar one-sided jets.  Adjacent
-    cells with the same itinerary and binding merge into one branch.  The
-    images and |Df-hat| bounds of all branches come from one batched pass
-    along their itineraries (_branch_bounds), with the same scalar fallback
-    for branch ends.  Cells whose classification cannot be pinned down at
-    the requested resolution land in the unresolved set with a reason.  The
-    stage counts (stage 4: the scalar end jets and the branches finishing at
-    each refinement level) and the unresolved measure per reason are logged
-    at INFO.
+    breakpoints runs as batched passes over all cells at once (see
+    _classify_cells).  Adjacent cells with the same itinerary and binding
+    merge into one branch.  The images and |Df-hat| bounds of all branches
+    come from one batched pass along their itineraries (_branch_bounds).
+    Both follow interval ends by array_end_orbits.  Cells whose
+    classification cannot be pinned down at the requested resolution land
+    in the unresolved set with a reason.  The stage counts (the end steps
+    that took the scalar endpoint_jet in stages 2 and 4, and the branches
+    finishing at each refinement level) and the unresolved measure per
+    reason are logged at INFO.
     """
     delta = m.delta if delta is None else float(delta)
     if q0 is None:
@@ -860,13 +827,12 @@ def verify_binding_lemmas(m, partition: InducedPartition,
         records = orbit_records(m, partition.p_max + 1)
     rng = np.random.default_rng(seed)
     delta = partition.delta
-    witnesses = []
+    side_witnesses = []     # per critical side, in the order found
+    segments = []           # first bound segments: (side, x, p, lo, hi)
 
     crit = [cp for cp in m.critical_points if cp.order > 1.0]
     ratio_max = 0.0
-    gamma_hat = 1.0
-    gamma_finite = True
-    n_segments = n_distortions = 0
+    n_segments = 0
     margin_ratio, n_margins = math.inf, 0
     per = max(1, n_samples // len(crit)) if crit else 0
     sides = []
@@ -893,11 +859,11 @@ def verify_binding_lemmas(m, partition: InducedPartition,
         run = np.maximum.accumulate(np.concatenate(([ratio_max], r)))
         ratio_max = run[-1]
         new_max = np.flatnonzero((r > run[:-1]) & (r > 1.0 + 1e-9))
-        witnesses.extend(["segment-ratio", float(xs[k // steps]),
-                          k % steps + 1, float(r[k])]
-                         for k in new_max.tolist())
+        side_witnesses.append([["segment-ratio", float(xs[k // steps]),
+                                k % steps + 1, float(r[k])]
+                               for k in new_max.tolist()])
 
-        # first-segment distortion, one binding with p >= 2 at a time
+        # the first bound segment of each binding with p >= 2
         n_checks = 0
         for k in np.flatnonzero(bound & (b.p >= 2)).tolist():
             x, p = float(xs[k]), int(b.p[k])
@@ -905,15 +871,7 @@ def verify_binding_lemmas(m, partition: InducedPartition,
             seg = (min(fx, rec.c[0]), max(fx, rec.c[0]))
             if seg[1] - seg[0] > 0:
                 n_checks += 1
-                try:
-                    g = generalized_distortion(m, seg, p - 1)
-                    gamma_hat = max(gamma_hat, g.value)
-                    if not math.isfinite(g.value):
-                        gamma_finite = False
-                except ValueError as err:
-                    gamma_finite = False
-                    witnesses.append(["distortion", x, p, str(err)])
-        n_distortions += n_checks
+                segments.append((len(sides), x, p) + seg)
 
         # expansion margin |Df^p| / D_(p-1)^(1/(2l-1)) of the bindings
         expo = 1.0 / (2.0 * cp.order - 1.0)
@@ -928,6 +886,28 @@ def verify_binding_lemmas(m, partition: InducedPartition,
                      f"{n_checks} distortion checks")
     _LOG.info("verify_binding_lemmas: samples per critical side of order "
               "> 1: %s", "; ".join(sides) or "none")
+
+    # distortion of f^(p-1) over every first segment, all in one pass: the
+    # product over the steps of sup/inf |Df|, in step order
+    side, seg_x, seg_p, lo, hi = zip(*segments) if segments else ((),) * 5
+    n = np.array(seg_p, dtype=np.int64) - 1
+    (_u, _v, sup, inf), _image, failed = orbit_extrema(m, np.where(
+        np.arange(n.max(initial=0)) < n[:, None], POSITIONAL, -1), lo, hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(inf > 0, sup / inf, np.inf)
+    value = np.ones(n.size)
+    for j, col in enumerate(ratio.T):
+        value *= np.where(j < n, col, 1.0)
+    gamma_hat, gamma_finite = 1.0, True
+    for k, (s, x, p, g) in enumerate(zip(side, seg_x, seg_p,
+                                         value.tolist())):
+        if k in failed:
+            gamma_finite = False
+            side_witnesses[s].append(["distortion", x, p, str(failed[k])])
+        else:
+            gamma_hat = max(gamma_hat, g)
+            gamma_finite &= math.isfinite(g)
+    witnesses = [w for found in side_witnesses for w in found]
 
     # sandwich constants over the level-0 constant-binding pieces
     sandwich_rows = []
@@ -977,7 +957,7 @@ def verify_binding_lemmas(m, partition: InducedPartition,
         min_inf_df=float(min_inf),
         checks={
             "segment_ratio": _status(n_segments, ratio_max <= 1.0 + 1e-9),
-            "distortion": _status(n_distortions, gamma_finite),
+            "distortion": _status(len(segments), gamma_finite),
             "sandwich": _status(len(sandwich_rows), sandwich_ok),
             "expansion": "passed" if expansion_ok else "failed",
         },

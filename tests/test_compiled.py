@@ -254,14 +254,25 @@ def test_missing_parameter_raises_when_evaluated():
 
 
 def jet_outcome(fn, *args):
-    """The bytes of the Jet2 that fn returns, or the type and message of
-    what it raises."""
+    """The bytes of the Jet2 that fn returns, every NaN made the one NaN
+    (the sign bit of a NaN is not part of the contract), or the type and
+    message of what it raises."""
     try:
         j = fn(*args)
     except (ex.ExprError, ArithmeticError) as err:
         return type(err), str(err)
     assert isinstance(j, ex.Jet2)
-    return np.array([j.value, j.d1, j.d2]).tobytes()
+    parts = np.array([j.value, j.d1, j.d2])
+    parts[np.isnan(parts)] = np.nan
+    return parts.tobytes()
+
+
+def test_jet_outcome_drops_only_the_sign_of_a_nan():
+    def outcome(value):
+        return jet_outcome(lambda: ex.Jet2(value, 1.0, 0.0))
+
+    assert outcome(np.copysign(np.nan, -1.0)) == outcome(np.nan)
+    assert outcome(-0.0) != outcome(0.0)
 
 
 @pytest.mark.parametrize("name", sorted(MAPS))

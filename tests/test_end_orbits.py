@@ -1,15 +1,16 @@
 """One tracker for the one-sided orbits of interval ends.
 
-distortion.end_orbits and abs_df_extrema replaced two trackers: a
-positional one with per-step |Df| extrema (behind generalized_distortion,
-variation_bound and sup_inf_abs_df) and an unclamped one along a known
-itinerary (behind stage 4 of build_partition).  Their bodies are kept below
-as references.  The positional callers must reproduce them bit for bit;
-stage 4 may differ only where the unclamped end orbit crossed the cusp.
-Stage 4 now runs batched (array_end_orbits, the row form of
-abs_df_extrema); the per-branch loop it replaced, on the scalar
-end_orbits, is kept as a reference too, and the batched stage must match it
-bit for bit.
+distortion.array_end_orbits follows the ends of many intervals at once,
+each along a fixed itinerary or positionally (each step on the branch
+holding the step interval).  It replaced three trackers: a positional one
+with per-step |Df| extrema (behind generalized_distortion, variation_bound
+and sup_inf_abs_df), an unclamped one along a known itinerary (behind stage
+4 of build_partition), and the scalar end_orbits that first joined the
+two.  Their bodies are kept as references, the first two below and
+end_orbits in reference_end_orbits.  The positional callers must reproduce
+them bit for bit; stage 4 may differ from the unclamped tracker only where
+its end orbit crossed the cusp, and must match the per-branch loop on the
+scalar end_orbits, kept below too, bit for bit.
 """
 
 import math
@@ -18,8 +19,10 @@ import numpy as np
 import pytest
 
 from cusp_induce import distortion as di
+from cusp_induce import expr as ex
 from cusp_induce import inducing as ind
 from cusp_induce import map_model as mm
+from reference_end_orbits import containing_branch, end_orbits
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +33,7 @@ def ref_sup_inf_abs_df(m, interval):
     u, v = float(interval[0]), float(interval[1])
     if not u < v:
         raise ValueError("empty interval")
-    i = di._containing_branch(m, u, v)
+    i = containing_branch(m, u, v)
     br = m.branches[i]
     uu, vv = max(u, br.a), min(v, br.b)
     cands = [
@@ -49,7 +52,7 @@ def ref_interval_orbit(m, interval, n):
     su, sv = 1.0, -1.0
     steps = []
     for _ in range(n):
-        i = di._containing_branch(m, u, v)
+        i = containing_branch(m, u, v)
         sup_df, inf_df = ref_sup_inf_abs_df(m, (u, v))
         steps.append((u, v, i, sup_df, inf_df))
         br = m.branches[i]
@@ -184,7 +187,7 @@ def per_branch_stage4(m, a, b, itinerary, refine_below, k_cap=512):
     """The per-branch loop batched stage 4 replaced: clamped one-sided end
     orbits (end_orbits), inner edges by plain evaluation, k eightfold until
     the infimum bound clears refine_below or reaches k_cap."""
-    steps, image = di.end_orbits(m, (a, b), len(itinerary), itinerary)
+    steps, image = end_orbits(m, (a, b), len(itinerary), itinerary)
     orient = math.prod(m.monotone_signs[i] for i in itinerary)
     k = 1
     while True:
@@ -235,6 +238,12 @@ def random_cases(m, n, seed):
         w = float(10.0 ** rng.uniform(-5.0, -0.5) * (m.hi - m.lo) / 2.0)
         x = float(rng.uniform(m.lo, m.hi - w))
         yield (x, x + w), steps
+
+
+def positional_itinerary(n):
+    """Itinerary matrix whose row k takes n[k] positional steps."""
+    return np.where(np.arange(max(n, default=0)) < np.array(n)[:, None],
+                    di.POSITIONAL, -1)
 
 
 def outcome(f, *args):
@@ -328,22 +337,127 @@ def test_stage4_differs_only_where_an_end_orbit_crossed_the_cusp(
     assert changed > 0 and crossed >= changed
 
 
+def steps_seen(rows):
+    """A visit for array_end_orbits, and the steps it records per row:
+    (branch, u, v, |Df(u)|, |Df(v)|)."""
+    seen = [[] for _ in range(rows)]
+
+    def visit(live, ids, u, v, du, dv):
+        for row in zip(live.tolist(), ids.tolist(), u.tolist(), v.tolist(),
+                       du.tolist(), dv.tolist()):
+            seen[row[0]].append(row[1:])
+
+    return visit, seen
+
+
+def reference_steps(steps):
+    return [(i, x, y, abs(left.d1), abs(right.d1))
+            for x, y, i, left, right in steps]
+
+
 def test_every_branch_is_followed_along_its_itinerary(lorenz_cusp_partition):
     m, part = lorenz_cusp_partition
-    for br in part.branches:
-        steps, image = di.end_orbits(m, (br.a, br.b), br.tau, br.itinerary)
-        assert [s[2] for s in steps] == list(br.itinerary)
-        for u, v, i, _left, _right in steps:
-            assert m.branches[i].a <= u <= v <= m.branches[i].b
+    visit, seen = steps_seen(len(part.branches))
+    u, v, _scalar, failed = di.array_end_orbits(
+        m, ind._vec.itinerary_matrix([br.itinerary for br in part.branches]),
+        [br.a for br in part.branches], [br.b for br in part.branches], visit)
+    assert failed == {}
+    for br, steps, image in zip(part.branches, seen, zip(u.tolist(),
+                                                         v.tolist())):
+        assert [s[0] for s in steps] == list(br.itinerary)
+        for i, lo, hi, _du, _dv in steps:
+            assert m.branches[i].a <= lo <= hi <= m.branches[i].b
         assert image == br.image
 
 
 def test_without_an_itinerary_a_straddling_step_raises(cheb):
+    visit, seen = steps_seen(2)
+    u, v, _scalar, failed = di.array_end_orbits(
+        cheb, positional_itinerary([1, 2]), [-0.1, 0.2], [0.1, 0.3],
+        visit)
+    assert list(failed) == [0] and seen[0] == []
     with pytest.raises(di.NotDiffeomorphismError):
-        di.end_orbits(cheb, (-0.1, 0.1), 1)
-    steps, image = di.end_orbits(cheb, (0.2, 0.3), 2)
-    assert [s[2] for s in steps] == [1, 1]
-    assert image == pytest.approx((-0.6928, -0.3448), rel=1e-12)
+        di.raise_first(failed)
+    with pytest.raises(di.NotDiffeomorphismError):
+        di.generalized_distortion(cheb, (-0.1, 0.1), 1)
+    assert [s[0] for s in seen[1]] == [1, 1]
+    assert (u[1], v[1]) == pytest.approx((-0.6928, -0.3448), rel=1e-12)
+
+
+def positional_rows(m, seed):
+    """(interval, steps) rows for one positional batch: random intervals
+    with 0 to 6 steps, intervals that start on a branch end or a domain
+    end, and intervals that reach past an interior boundary by 5e-11 (they
+    straddle it) or by 5e-13 (within the 1e-12 tolerance)."""
+    rows = list(random_cases(m, 400, seed))
+    ends = sorted({m.lo, m.hi, *m.interior_boundaries.tolist()})
+    for k, e in enumerate(ends):
+        w = 0.3 * (m.hi - m.lo) / len(ends)
+        if e > m.lo:
+            rows.append(((e - w, e), 1 + k % 5))
+        if e < m.hi:
+            rows.append(((e, e + w), 2 + k % 5))
+        if m.lo < e < m.hi:
+            rows += [((e - w, e + 5e-11), 2), ((e - 5e-11, e + w), 2),
+                     ((e - w, e + 5e-13), 2), ((e - 5e-13, e + w), 2)]
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_positional_rows_match_the_scalar_reference(name):
+    m = MAPS[name]()
+    rows = positional_rows(m, seed=11)
+    n = [steps for _interval, steps in rows]
+    a, b = np.array([sorted(interval) for interval, _n in rows]).T
+    visit, seen = steps_seen(len(rows))
+    u, v, _scalar, failed = di.array_end_orbits(
+        m, positional_itinerary(n), a, b, visit)
+    stopped_at = []
+    for k, ((interval, steps), got) in enumerate(zip(rows, seen)):
+        if k not in failed:
+            ref, image = end_orbits(m, interval, steps)
+            assert got == reference_steps(ref), interval
+            assert (u[k], v[k]) == image, interval
+            continue
+        # the row stopped where the reference raises, after the same steps
+        j = len(got)
+        assert got == reference_steps(end_orbits(m, interval, j)[0])
+        with pytest.raises(type(failed[k])) as err:
+            end_orbits(m, interval, j + 1)
+        assert str(err.value) == str(failed[k])
+        stopped_at.append(j)
+    assert 0 in stopped_at and max(stopped_at) > 0
+    assert len(set(n)) > 5
+    on_an_end = [k for k, (interval, _n) in enumerate(rows)
+                 if set(interval) & {m.lo, m.hi,
+                                     *m.interior_boundaries.tolist()}]
+    assert any(k not in failed and seen[k] for k in on_an_end)
+
+
+def test_a_row_whose_one_sided_jet_raises_stops_alone(monkeypatch):
+    m = mm.chebyshev_map()
+    one_sided = m.endpoint_jet
+
+    def endpoint_jet(i, x, side):
+        if (x, side) == (0.0, "+"):
+            raise ex.EvalDomainError("no jet at 0+")
+        return one_sided(i, x, side)
+
+    monkeypatch.setattr(m, "endpoint_jet", endpoint_jet)
+    intervals = [(0.2, 0.3), (0.0, 0.3), (-0.3, 0.0), (0.0, 0.3)]
+    visit, seen = steps_seen(4)
+    u, v, _scalar, failed = di.array_end_orbits(
+        m, np.array([[di.POSITIONAL] * 2, [di.POSITIONAL] * 2, [0, -1],
+                     [1, -1]]), *np.array(intervals).T, visit)
+    assert list(failed) == [1, 3] and seen[1] == seen[3] == []
+    with pytest.raises(ex.EvalDomainError) as err:
+        end_orbits(m, intervals[1], 1)
+    assert str(failed[1]) == str(failed[3]) == str(err.value)
+    with pytest.raises(ex.EvalDomainError):
+        di.raise_first(failed)
+    for k, n in ((0, 2), (2, 1)):
+        ref, image = end_orbits(m, intervals[k], n)
+        assert seen[k] == reference_steps(ref) and (u[k], v[k]) == image
 
 
 @pytest.mark.parametrize("name", ["lorenz", "lorenz(1.9,0.4)"]
@@ -375,19 +489,13 @@ def test_array_end_orbits_step_as_end_orbits(lorenz_cusp_partition):
     a = np.array([br.a for br in part.branches])
     b = np.array([br.b for br in part.branches])
     itin = ind._vec.itinerary_matrix([br.itinerary for br in part.branches])
-    seen = [[] for _ in part.branches]
-
-    def visit(live, ids, u, v, du, dv):
-        for row in zip(live.tolist(), ids.tolist(), u.tolist(), v.tolist(),
-                       du.tolist(), dv.tolist()):
-            seen[row[0]].append(row[1:])
-
-    u, v, scalar = di.array_end_orbits(m, itin, a, b, visit)
+    visit, seen = steps_seen(len(part.branches))
+    u, v, scalar, failed = di.array_end_orbits(m, itin, a, b, visit)
+    assert failed == {}
     for br, lo, hi, steps in zip(part.branches, u.tolist(), v.tolist(), seen):
-        ref, image = di.end_orbits(m, (br.a, br.b), br.tau, br.itinerary)
+        ref, image = end_orbits(m, (br.a, br.b), br.tau, br.itinerary)
         assert (lo, hi) == image == br.image
-        assert steps == [(i, x, y, abs(left.d1), abs(right.d1))
-                         for x, y, i, left, right in ref]
+        assert steps == reference_steps(ref)
     # the end orbits that crossed the cusp sit on it, clamped, and take the
     # scalar one-sided jets there
     assert scalar > 0
@@ -412,13 +520,13 @@ def test_array_end_orbits_take_the_scalar_jets_where_the_array_cannot():
     intervals = [(-0.5, 0.0), (0.0, 0.5), (0.3, 0.6)]
     itin = np.array([[0], [1], [1]])
     seen = []
-    u, v, scalar = di.array_end_orbits(
+    u, v, scalar, failed = di.array_end_orbits(
         m, itin, *np.array(intervals).T,
         lambda live, ids, u, v, du, dv: seen.extend(zip(u, v, du, dv)))
-    assert scalar == 3
+    assert scalar == 3 and failed == {}
     for (a, b), row, got, lo, hi in zip(intervals, itin.tolist(), seen,
                                         u.tolist(), v.tolist()):
-        (step,), image = di.end_orbits(m, (a, b), 1, row)
+        (step,), image = end_orbits(m, (a, b), 1, row)
         assert got == (step[0], step[1], abs(step[3].d1), abs(step[4].d1))
         assert (lo, hi) == image
     assert [d for _u, _v, du, dv in seen for d in (du, dv)][:4] == \

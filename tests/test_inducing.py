@@ -2,7 +2,8 @@
 
 binding_period is the one-point case of the batched binding_periods.  A
 scalar loop, one jet per step, is kept below as the reference, with a
-recursive jump bisection for the piece tables and a per-sample lemma replay.
+recursive jump bisection for the piece tables and a per-sample lemma replay
+on the scalar end_orbits (reference_end_orbits).
 """
 
 import dataclasses
@@ -17,8 +18,8 @@ from cusp_induce import _vec
 from cusp_induce import inducing as ind
 from cusp_induce import map_model as mm
 from cusp_induce.critical_orbit import compute_orbit, orbit_records
-from cusp_induce.distortion import generalized_distortion
 from cusp_induce.map_model import critical_distance, evaluate
+from reference_end_orbits import generalized_distortion
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +277,18 @@ def test_an_orbit_within_1e_9_past_the_domain_is_clamped(cheb, cheb_records):
 
 
 def reference_lemma_replay(m, delta, p_max, records, n_samples=1000, seed=0):
-    """(ratio_max, gamma_hat, margin_ratio, segments, distortion checks)
-    of verify_binding_lemmas' sample replay, one scalar binding per sample."""
+    """(ratio_max, gamma_hat, margin_ratio, segments, distortion checks,
+    witnesses) of verify_binding_lemmas' sample replay, one scalar binding
+    and one scalar distortion product per sample; each critical side lists
+    its segment-ratio witnesses, then its distortion witnesses."""
     rng = np.random.default_rng(seed)
     crit = [cp for cp in m.critical_points if cp.order > 1.0]
     ratio_max, gamma_hat, margin = 0.0, 1.0, math.inf
     n_segments = n_distortions = 0
+    witnesses = []
     per = max(1, n_samples // len(crit))
     for cp in crit:
+        side_ratio, side_distortion = [], []
         rec = records[(cp.location, cp.side)]
         sgn = 1.0 if cp.side == "+" else -1.0
         dists = np.concatenate([
@@ -301,17 +306,24 @@ def reference_lemma_replay(m, delta, p_max, records, n_samples=1000, seed=0):
             n_segments += len(rows)
             for j, sep, _tube, seg_d in rows:
                 r = (sep / seg_d) / (2.0 * rec.gamma[j - 1])
+                if r > ratio_max and r > 1.0 + 1e-9:
+                    side_ratio.append(["segment-ratio", x, j, r])
                 ratio_max = max(ratio_max, r)
             if truncated:
                 continue
             fx = evaluate(m, x).value
             if p >= 2 and fx != rec.c[0]:
                 n_distortions += 1
-                g = generalized_distortion(
-                    m, (min(fx, rec.c[0]), max(fx, rec.c[0])), p - 1)
-                gamma_hat = max(gamma_hat, g.value)
+                try:
+                    g = generalized_distortion(
+                        m, (min(fx, rec.c[0]), max(fx, rec.c[0])), p - 1)
+                    gamma_hat = max(gamma_hat, g.value)
+                except ValueError as err:
+                    side_distortion.append(["distortion", x, p, str(err)])
             margin = min(margin, df_p / rec.D_at(p - 1) ** expo)
-    return ratio_max, gamma_hat, margin, n_segments, n_distortions
+        witnesses += side_ratio + side_distortion
+    return (ratio_max, gamma_hat, margin, n_segments, n_distortions,
+            witnesses)
 
 
 def test_binding_lemma_replay_matches_the_per_sample_reference(
@@ -319,16 +331,40 @@ def test_binding_lemma_replay_matches_the_per_sample_reference(
     with caplog.at_level(logging.INFO, logger="cusp_induce.inducing"):
         rep = ind.verify_binding_lemmas(cheb, cheb_partition, n_samples=300,
                                         records=cheb_records)
-    ratio_max, gamma_hat, margin, n_segments, n_distortions = \
+    ratio_max, gamma_hat, margin, n_segments, n_distortions, witnesses = \
         reference_lemma_replay(cheb, cheb_partition.delta,
                                cheb_partition.p_max, cheb_records, 300)
     assert (rep.ratio_max, rep.gamma_hat, rep.margin_ratio) == (
         ratio_max, gamma_hat, margin)
+    assert rep.witnesses == witnesses == []
     assert n_segments > 0 and n_distortions > 0
     msg, = [r.getMessage() for r in caplog.records
             if r.name == "cusp_induce.inducing"]
     checks = re.findall(r"(\d+) distortion checks", msg)
     assert len(checks) == 2 and sum(map(int, checks)) == n_distortions
+
+
+def test_binding_lemma_witnesses_match_the_per_sample_reference(
+        cheb, cheb_partition, cheb_records):
+    # A critical value moved from 1 to 0.7 keeps the bindings going, but
+    # the first segment [0.7, f(x)] maps over the turning point at its
+    # second step, so f^(p-1) is no diffeomorphism on it when p >= 3.
+    records = {key: dataclasses.replace(rec, c=np.concatenate(([0.7],
+                                                               rec.c[1:])))
+               for key, rec in cheb_records.items()}
+    rep = ind.verify_binding_lemmas(cheb, cheb_partition, n_samples=300,
+                                    records=records)
+    ref = reference_lemma_replay(cheb, cheb_partition.delta,
+                                 cheb_partition.p_max, records, 300)
+    assert (rep.ratio_max, rep.gamma_hat, rep.margin_ratio) == ref[:3]
+    assert rep.witnesses == ref[5]
+    assert rep.checks["distortion"] == "failed"
+    assert {w[0] for w in rep.witnesses} == {"distortion"}
+    # both critical sides find witnesses, listed side by side in the
+    # declared order, each side's in the order of its samples
+    sides = [cp.side for cp in cheb.critical_points]
+    found = ["+" if w[1] > 0 else "-" for w in rep.witnesses]
+    assert found == sorted(found, key=sides.index) and len(set(found)) == 2
 
 
 STAGE2_CONFIGS = {

@@ -2,8 +2,9 @@
 
 The batched classifier must reproduce, cell for cell, the per-cell loop it
 replaced.  That loop is kept below as the reference: a scalar itinerary per
-cell, scalar one-sided endpoint tracks, a chain of branch inversions per
-cell, and a scalar forward walk per sub-cell.
+cell, scalar one-sided endpoint tracks clamped onto each step's branch, a
+chain of branch inversions per cell, and a scalar forward walk per
+sub-cell.
 """
 
 import ast
@@ -37,10 +38,15 @@ def _scalar_itinerary(m, x, steps):
 
 
 def _scalar_endpoint_track(m, x, approach, itinerary):
+    """One-sided jets of one cell end along the itinerary, each step's end
+    clamped onto that step's branch: a lower end (approached from the
+    right) onto [a, ...), an upper end onto (..., b]."""
     ys = []
     y = float(x)
     s = approach
     for i in itinerary:
+        br = m.branches[i]
+        y = max(y, br.a) if s > 0 else min(y, br.b)
         jet = m.endpoint_jet(i, y, "+" if s > 0 else "-")
         ys.append(jet)
         y = jet.value
