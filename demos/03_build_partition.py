@@ -34,7 +34,7 @@ def anatomy(m, delta, q0):
     print(f"  partition: {s['n_branches']} branches "
           f"({s['n_free']} free, {s['n_bound']} bound), "
           f"unresolved measure {s['unresolved_measure']:.2e}")
-    print(f"  certified min |Df-hat| = {s['min_inf_df']:.3f}")
+    print(f"  min |Df-hat| bound (rounded to nearest) = {s['min_inf_df']:.3f}")
     print("  inducing-time histogram (tau: count):")
     for tau, count in sorted(s["tau_histogram"].items(), key=lambda kv: int(kv[0])):
         print(f"    {int(tau):>3d}: {count}")

@@ -54,7 +54,8 @@ def binding_replay(m):
     print(f"  first-segment distortion : {rep.gamma_hat:.4f} (finite)")
     print(f"  sandwich constants       : [{rep.sandwich_c1:.3f}, "
           f"{rep.sandwich_c2:.3f}]")
-    print(f"  certified min |Df-hat|   : {rep.min_inf_df:.3f} (needs >= 2)")
+    print(f"  min |Df-hat| bound       : {rep.min_inf_df:.3f} (rounded to "
+          "nearest, needs >= 2)")
     print(f"  verdict: {'pass' if rep.passed else rep.witnesses}")
 
 

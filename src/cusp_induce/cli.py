@@ -246,6 +246,16 @@ def cmd_summability(args) -> int:
     return 0 if rep.passed else 1
 
 
+def _birkhoff_check(m, est, args) -> float:
+    """L1 distance between the density estimate and the histogram of an
+    args.birkhoff-step Birkhoff orbit, which goes to birkhoff.csv."""
+    h_b = density.birkhoff_histogram(m, n_steps=args.birkhoff,
+                                     m_cells=args.m, seed=args.seed)
+    _write_csv(args, "birkhoff.csv", "cell_center,density",
+               zip(est.cell_centers(), h_b))
+    return density.l1_distance(est.h_map, h_b, (m.hi - m.lo) / args.m)
+
+
 def cmd_density(args) -> int:
     m = _get_map(args)
     delta, q0, _ = _inducing_scales(m, args)
@@ -256,13 +266,7 @@ def cmd_density(args) -> int:
     report = {"map": m.name, "partition": part.summary(),
               "density": est.to_dict()}
     if args.birkhoff:
-        h_b = density.birkhoff_histogram(m, n_steps=args.birkhoff,
-                                         m_cells=args.m, seed=args.seed)
-        cw = (m.hi - m.lo) / args.m
-        report["birkhoff_l1_distance"] = density.l1_distance(
-            est.h_map, h_b, cw)
-        _write_csv(args, "birkhoff.csv", "cell_center,density",
-                   zip(est.cell_centers(), h_b))
+        report["birkhoff_l1_distance"] = _birkhoff_check(m, est, args)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         est.write_csv(os.path.join(args.out, "density.csv"))
@@ -351,13 +355,8 @@ def cmd_pipeline(args) -> int:
     if args.out:
         est.write_csv(os.path.join(args.out, "density.csv"))
     if args.birkhoff:
-        h_b = density.birkhoff_histogram(m, n_steps=args.birkhoff,
-                                         m_cells=args.m, seed=args.seed)
-        cw = (m.hi - m.lo) / args.m
-        stages["density"]["birkhoff_l1_distance"] = density.l1_distance(
-            est.h_map, h_b, cw)
-        _write_csv(args, "birkhoff.csv", "cell_center,density",
-                   zip(est.cell_centers(), h_b))
+        stages["density"]["birkhoff_l1_distance"] = _birkhoff_check(
+            m, est, args)
     return finish(None)
 
 

@@ -3,29 +3,30 @@
 The central objects are the generalized distortion of an iterate over an
 interval whose step images each stay inside a single smooth branch, upper
 bounds for the variation of 1/|Df^l| driven by inverse-distance integrals,
-quadrature evaluation of that variation, and the bookkeeping that decides
+the quadrature of that variation, and the bookkeeping that decides
 whether the induced-map variation and inducing-time series look summable
 over the computed horizon.
 
 One tracker, array_end_orbits, follows the one-sided orbits of interval
 ends here and in the partition builder, many intervals at once, each step
-on a fixed itinerary's branch or on the branch holding the step interval;
-the one-interval functions are its one-row calls.
+on a fixed itinerary's branch or on the branch holding the step interval.
+One globally adaptive G7/K15 rule, _batched_variation, takes the
+variation along itineraries.  The one-interval functions are one-row calls
+of the two.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import _vec
 from . import expr as ex
 from .critical_orbit import orbit_records
-from .map_model import evaluate
 
 _LOG = logging.getLogger(__name__)
 
@@ -285,33 +286,36 @@ def generalized_distortion(m, interval, n: int) -> DistortionResult:
 # variation of 1/|Df^l|
 
 
-def _inv_distance_integral(m, u: float, v: float) -> float:
-    """Closed form of the integral of dx over distance-to-critical-set.
+def _inv_distance_integral(m, u, v) -> np.ndarray:
+    """Closed form of the integral of dx over distance-to-critical-set on
+    each interval [u[k], v[k]] (arrays, u <= v).
 
-    The interval is split at midpoints between consecutive critical
+    Each interval is split at the midpoints between consecutive critical
     locations; on each piece the nearest location is constant and the
-    antiderivative is a logarithm.
+    antiderivative is a logarithm, taken by math.log.  The pieces are
+    summed from left to right.  The first interval that meets a critical
+    location raises InfiniteIntegralError.
     """
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     locs = m.critical_locations
+    total = np.zeros(u.shape)
     if locs.size == 0:
-        return 0.0
-    if np.any((locs >= u) & (locs <= v)):
+        return total
+    meets = ((locs >= u[:, None]) & (locs <= v[:, None])).any(axis=1)
+    if meets.any():
+        k = int(meets.argmax())
         raise InfiniteIntegralError(
-            f"interval ({u!r}, {v!r}) meets a critical location"
-        )
-    cuts = [u, v]
-    for a, b in zip(locs[:-1], locs[1:]):
-        mid = 0.5 * (a + b)
-        if u < mid < v:
-            cuts.append(float(mid))
-    cuts.sort()
-    total = 0.0
-    for uu, vv in zip(cuts[:-1], cuts[1:]):
-        if vv <= uu:
-            continue
-        k = int(np.argmin(np.abs(locs - 0.5 * (uu + vv))))
-        c = float(locs[k])
-        total += abs(math.log(abs(vv - c)) - math.log(abs(uu - c)))
+            f"interval ({u[k].item()!r}, {v[k].item()!r}) meets a critical "
+            "location")
+    # cut points [u, midpoints, v]; a midpoint outside (u, v) is clamped
+    # onto the nearer end and leaves an empty piece
+    mids = np.clip(0.5 * (locs[:-1] + locs[1:]), u[:, None], v[:, None])
+    cuts = np.column_stack((u, mids, v))
+    for uu, vv in zip(cuts.T[:-1], cuts.T[1:]):
+        c = locs[np.argmin(np.abs(locs - 0.5 * (uu + vv)[:, None]), axis=1)]
+        logs = [abs(math.log(abs(b - x)) - math.log(abs(a - x)))
+                for a, b, x in zip(uu.tolist(), vv.tolist(), c.tolist())]
+        total += np.where(vv > uu, logs, 0.0)
     return total
 
 
@@ -321,37 +325,29 @@ def variation_bound(m, interval, l: int) -> float:
     The bound is the generalized distortion divided by a lower bound for
     inf |Df^l| (the product of per-step infima, rounded to nearest), times
     the sum of inverse-distance integrals over the step images.
-    Substituting the product lower bound only enlarges the bound.
+    Substituting the product lower bound only enlarges the bound.  The
+    first step with a vanishing infimum raises, after the integrals of the
+    steps before it.
     """
     if l < 0:
         raise ValueError("l must be >= 0")
     if l == 0:
         return 0.0
-    steps, _ = _interval_steps(m, interval, l)
-    dist = 1.0
-    inf_total = 1.0
+    (u, v, sups, infs), _ = _interval_steps(m, interval, l)
+    n = next((j for j, inf_df in enumerate(infs) if inf_df <= 0.0), l)
+    integrals = _inv_distance_integral(m, u[:n], v[:n]).tolist()
+    if n < l:
+        raise InfiniteIntegralError("derivative infimum vanishes on a step")
+    dist = inf_total = 1.0
     acc = 0.0
-    for u, v, sup_df, inf_df in zip(*steps):
-        if inf_df <= 0.0:
-            raise InfiniteIntegralError("derivative infimum vanishes on a step")
+    for sup_df, inf_df, integral in zip(sups, infs, integrals):
         dist *= sup_df / inf_df
         inf_total *= inf_df
-        acc += _inv_distance_integral(m, u, v)
+        acc += integral
     return (dist / inf_total) * acc
 
 
-def _chain_jet(m, x: float, l: int):
-    """(f^l(x), Df^l(x), D2f^l(x)) by forward jet composition."""
-    v, P, S = float(x), 1.0, 0.0
-    for _ in range(l):
-        j = evaluate(m, v)
-        S = j.d2 * P * P + j.d1 * S
-        P = j.d1 * P
-        v = j.value
-    return v, P, S
-
-
-# Tolerances and leaf budget shared by variation_exact and the batched rule.
+# Tolerances and leaf budget of the batched rule.
 VAR_EPSABS = 1e-12
 VAR_EPSREL = 1e-9
 VAR_LIMIT = 400
@@ -367,43 +363,28 @@ def _accepted(val, err):
     return np.isfinite(val) & (err <= np.maximum(1e-8, 1e-3 * np.abs(val)))
 
 
-def variation_exact(m, interval, l: int, epsabs: float = VAR_EPSABS,
-                    epsrel: float = VAR_EPSREL) -> float:
-    """Variation of 1/|Df^l| over the interval by adaptive quadrature.
-
-    On an interval where f^l is a diffeomorphism the variation equals the
-    integral of |D2f^l| / (Df^l)^2; endpoint blowups of integrable order
-    (singular touch) are left to the adaptive rule.  A divergent integral
-    (an endpoint orbit landing on a critical point of order > 1) raises
-    RuntimeError.
-    """
-    from scipy import integrate   # imported here: it slows every CLI start
-
+def variation_exact(m, interval, l: int) -> float:
+    """Variation of 1/|Df^l| over the interval, the integral of |D2f^l| /
+    (Df^l)^2 where f^l is a diffeomorphism: the one-row _batched_variation
+    along the itinerary of an l-step positional array_end_orbits pass,
+    which raises what stops it (NotDiffeomorphismError where a step
+    interval straddles a branch boundary).  A divergent integral (an end
+    orbit landing on a critical point of order > 1) fails the acceptance
+    test and raises RuntimeError."""
     if l < 0:
         raise ValueError("l must be >= 0")
     if l == 0:
         return 0.0
     u, v = sorted((float(interval[0]), float(interval[1])))
-    raise_first(array_end_orbits(m, [[POSITIONAL]], [u], [v],
-                                 lambda *step: None)[3])
+    itinerary = []
 
-    def integrand(x):
-        _, P, S = _chain_jet(m, x, l)
-        return abs(S) / (P * P)
+    def visit(_live, ids, *_ends):
+        itinerary.extend(ids.tolist())
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        val, err, _info, *msg = integrate.quad(
-            integrand, u, v, epsabs=epsabs, epsrel=epsrel, limit=VAR_LIMIT,
-            full_output=1)
-    # QUADPACK's ier = 5 comes back only as its message
-    if msg and "divergent" in msg[0]:
-        raise RuntimeError(
-            f"variation quadrature diverges: value={val!r} err={err!r}")
-    if val < 0.0 or not _accepted(val, err):
-        raise RuntimeError("variation quadrature did not converge: "
-                           f"value={val!r} err={err!r}")
-    return val
+    raise_first(array_end_orbits(m, np.full((1, l), POSITIONAL), [u], [v],
+                                 visit)[3])
+    row = SimpleNamespace(a=u, b=v, tau=l, itinerary=tuple(itinerary))
+    return float(_batched_variation(m, [row])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -466,20 +447,20 @@ def _gk15(m, itin, owner, lo, hi):
 def _batched_variation(m, branches, stats=None):
     """Variation of 1/|Df^tau| over every branch, with its error estimate.
 
-    Globally adaptive G7/K15 bisection for all branches at once, with
-    variation_exact's tolerances and leaf budget.  Each round takes, in
-    every unconverged branch, its largest-error leaves until the rest would
-    meet the tolerance, bisects them, and evaluates only the new leaves in
-    one forced jet pass along their itineraries.  Leaves at a branch end
-    carry an Aitken tail for an integrable endpoint singularity (a singular
-    touch).  A leaf at most 100 ulps wide, or whose children are not
-    finite, is frozen.  A branch whose error estimate VAR_FLOOR_ROUNDS
-    rounds of splits in a row did not lower has reached the rounding floor
-    of its integrand and is refined no further.  Returns (values, error
-    estimates); a branch that fails variation_exact's acceptance test
-    raises RuntimeError.  stats, when given, gets the leaves evaluated
-    ("leaves") and the indices of the branches stopped short of the
-    tolerance at the floor ("floored").
+    Globally adaptive G7/K15 bisection for all branches at once, with the
+    tolerances VAR_EPSABS and VAR_EPSREL and VAR_LIMIT leaves per branch.
+    Each round takes, in every unconverged branch, its largest-error leaves
+    until the rest would meet the tolerance, bisects them, and evaluates
+    only the new leaves in one forced jet pass along their itineraries.
+    Leaves at a branch end carry an Aitken tail for an integrable endpoint
+    singularity (a singular touch).  A leaf at most 100 ulps wide, or whose
+    children are not finite, is frozen.  A branch whose error estimate
+    VAR_FLOOR_ROUNDS rounds of splits in a row did not lower has reached
+    the rounding floor of its integrand and is refined no further.  Returns
+    (values, error estimates); a branch that fails the acceptance test
+    (_accepted) raises RuntimeError.  stats, when given, gets the leaves
+    evaluated ("leaves") and the indices of the branches stopped short of
+    the tolerance at the floor ("floored").
     """
     B = len(branches)
     itin = _vec.itinerary_matrix([br.itinerary for br in branches])
@@ -675,8 +656,7 @@ def summability_report(m, partition, epsilon: float = 1e-4,
     acc = np.zeros(len(free))
 
     def visit(live, _ids, u, v, _du, _dv):
-        acc[live] += [_inv_distance_integral(m, a, b)
-                      for a, b in zip(u.tolist(), v.tolist())]
+        acc[live] += _inv_distance_integral(m, u, v)
 
     raise_first(array_end_orbits(
         m, _vec.itinerary_matrix([br.itinerary for br in free]),

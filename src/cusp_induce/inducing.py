@@ -23,7 +23,8 @@ from . import _vec
 from .critical_orbit import compute_orbit, orbit_records
 from .distortion import (POSITIONAL, abs_df_extrema, array_end_orbits,
                          orbit_extrema, raise_first)
-from .map_model import _check_delta, critical_distance, evaluate
+from .expr import EvalDomainError
+from .map_model import _IMAGE_TOL, _check_delta, critical_distance, evaluate
 
 _EDGE_EPS = 1e-14
 _LOG = logging.getLogger(__name__)
@@ -144,21 +145,57 @@ def binding_period(m, x, delta=None, records=None, p_max: int = 60
 # first entry and inducing time
 
 
-def _free_orbit(m, x, delta, q0: int):
-    """(l, f^l(x)) for l = first_entry(m, x, delta, q0), or (None, f^q0(x));
-    each step is clamped to the domain."""
-    y = float(x)
-    for l in range(int(q0)):
-        if any(cp.contains(y, delta) for cp in m.critical_points):
-            return l, y
-        y = evaluate(m, y).value
-        y = min(max(y, m.lo), m.hi)
-    return None, y
+def _positional_walk(m, x, steps, delta=None):
+    """Orbits of the points x, each step on the branch holding the point
+    (branch_indices, ties to the right) and clamped to the domain.
+
+    Point k takes steps[k] steps (steps broadcasts) or, with delta given,
+    stops at its first position inside a neighborhood.  Returns (pos, itin,
+    entry, landed): the last positions, the branch ids per step (-1 past
+    the end), the entry step (-1 for none), and whether a point stood on
+    an interior boundary, or stepped to a non-finite value, before it.
+    """
+    pos = np.array(x, dtype=float)
+    steps = np.broadcast_to(steps, pos.shape)
+    itin = np.full((pos.size, int(steps.max(initial=0))), -1, dtype=np.int64)
+    entry = np.full(pos.size, -1, dtype=np.int64)
+    landed = np.zeros(pos.size, dtype=bool)
+    if delta is not None:
+        entry[_vec.in_delta(m, pos, delta)] = 0
+    for j in range(itin.shape[1]):
+        live = np.flatnonzero((entry < 0) & (steps > j))
+        if not live.size:
+            break
+        y = pos[live]
+        ids = itin[live, j] = _vec.branch_indices(m, y)
+        v = _vec.step_values(m, y, ids=ids)
+        landed[live] |= np.isin(y, m.interior_boundaries) | ~np.isfinite(v)
+        pos[live] = v = np.clip(v, m.lo, m.hi)
+        if delta is not None:
+            entry[live[_vec.in_delta(m, v, delta)]] = j + 1
+    return pos, itin, entry, landed
+
+
+def _entry(m, x, delta, q0: int):
+    """(l, f^l(x)) for the first entry l < q0 of x into a neighborhood, else
+    (None, None), by a one-point _positional_walk.  Raises EvalDomainError
+    for x outside the domain and where the walk landed before entry."""
+    x, q0 = float(x), int(q0)
+    if not m.lo - _IMAGE_TOL <= x <= m.hi + _IMAGE_TOL:
+        raise EvalDomainError(f"x={x!r} outside the domain [{m.lo}, {m.hi}]")
+    pos, _itin, entry, landed = _positional_walk(
+        m, [min(max(x, m.lo), m.hi)], q0, delta)
+    if landed[0]:
+        raise EvalDomainError(f"the orbit of x={x!r} meets a branch boundary "
+                              "or a fault before its entry")
+    l = int(entry[0])
+    return (l, float(pos[0])) if 0 <= l < q0 else (None, None)
 
 
 def first_entry(m, x, delta, q0: int):
-    """Smallest l in [0, q0) with f^l(x) inside a neighborhood, else None."""
-    return _free_orbit(m, x, delta, q0)[0]
+    """Smallest l in [0, q0) with f^l(x) inside a neighborhood, else None;
+    an orbit that lands on an interior boundary first raises (_entry)."""
+    return _entry(m, x, delta, q0)[0]
 
 
 def inducing_time(m, x, delta=None, q0: int = None, records=None,
@@ -171,7 +208,7 @@ def inducing_time(m, x, delta=None, q0: int = None, records=None,
     delta = m.delta if delta is None else float(delta)
     if q0 is None:
         raise ValueError("q0 is required")
-    l0, y = _free_orbit(m, x, delta, q0)
+    l0, y = _entry(m, x, delta, q0)
     if l0 is None:
         return int(q0)
     return l0 + binding_period(m, y, delta, records, p_max).p
@@ -499,24 +536,9 @@ def _classify_cells(m, cuts, delta: float, q0: int, piece_tables):
     Returns (raw, unresolved, counts): raw rows (a, b, kind, l0, p0, key)
     in no particular order, unresolved rows (a, b, reason) and stage counts.
     """
-    mids = 0.5 * (cuts[:-1] + cuts[1:])
-    n_cells = mids.size
-    entry = np.full(n_cells, -1, dtype=np.int64)
-    itin = np.full((n_cells, max(q0 - 1, 0)), -1, dtype=np.int64)
-    landed = np.zeros(n_cells, dtype=bool)
-    pos = mids.copy()
-    entry[_vec.in_delta(m, pos, delta)] = 0
-    for j in range(1, q0):
-        live = np.nonzero(entry < 0)[0]
-        if live.size == 0:
-            break
-        x = pos[live]
-        ids = itin[live, j - 1] = _vec.branch_indices(m, x)
-        y = _vec.step_values(m, x, ids=ids)
-        landed[live] |= np.isin(x, m.interior_boundaries) | ~np.isfinite(y)
-        stepped = np.clip(y, m.lo, m.hi)
-        pos[live] = stepped
-        entry[live[_vec.in_delta(m, stepped, delta)]] = j
+    n_cells = cuts.size - 1
+    pos, itin, entry, landed = _positional_walk(
+        m, 0.5 * (cuts[:-1] + cuts[1:]), q0 - 1, delta)
 
     free = np.flatnonzero(entry < 0)
     raw = [(a, b, "free", None, None, None)
@@ -674,14 +696,8 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
     # stage 3: itineraries, then merge of adjacent identical cells
     r_tau = np.array([q0 if r[2] == "free" else r[3] + r[4] for r in raw],
                      dtype=np.int64)
-    it_mat = np.full((len(raw), int(r_tau.max(initial=0))), -1,
-                     dtype=np.int64)
-    posr = np.array([0.5 * (r[0] + r[1]) for r in raw])
-    for j in range(it_mat.shape[1]):
-        live = np.nonzero(r_tau > j)[0]
-        x = posr[live]
-        ids = it_mat[live, j] = _vec.branch_indices(m, x)
-        posr[live] = np.clip(_vec.step_values(m, x, ids=ids), m.lo, m.hi)
+    it_mat = _positional_walk(m, [0.5 * (r[0] + r[1]) for r in raw],
+                              r_tau)[1]
     merged = _merge_cells(raw, it_mat)
 
     # stage 4: images and derivative bounds of all branches at once
@@ -740,15 +756,12 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
 
 
 def eval_induced(m, partition: InducedPartition, x: float):
-    """(f-hat(x), |Df-hat(x)|, tau) on the branch containing x."""
+    """(f-hat(x), |Df-hat(x)|, tau) on the branch containing x: one order-1
+    forced pass along the branch's itinerary (_vec.forced_forward)."""
     br = partition.locate(x)
-    y = float(x)
-    prod = 1.0
-    for _ in range(br.tau):
-        jet = evaluate(m, y)
-        prod *= jet.d1
-        y = jet.value
-    return y, abs(prod), br.tau
+    y, d1 = _vec.forced_forward(m, _vec.itinerary_matrix([br.itinerary]),
+                                [0], [float(x)], order=1)
+    return float(y[0]), abs(float(d1[0])), br.tau
 
 
 def write_partition_csv(partition: InducedPartition, path) -> None:
@@ -865,9 +878,10 @@ def verify_binding_lemmas(m, partition: InducedPartition,
 
         # the first bound segment of each binding with p >= 2
         n_checks = 0
-        for k in np.flatnonzero(bound & (b.p >= 2)).tolist():
+        first = np.flatnonzero(bound & (b.p >= 2))
+        for k, fx in zip(first.tolist(),
+                         _vec.step_values(m, xs[first]).tolist()):
             x, p = float(xs[k]), int(b.p[k])
-            fx = evaluate(m, x).value
             seg = (min(fx, rec.c[0]), max(fx, rec.c[0]))
             if seg[1] - seg[0] > 0:
                 n_checks += 1

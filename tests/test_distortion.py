@@ -1,4 +1,8 @@
-"""Generalized distortion, variation bounds, partition-level summability."""
+"""Generalized distortion, variation bounds, partition-level summability.
+
+The QUADPACK variation rule and the scalar inverse-distance integral that
+the batched ones replaced are the reference here (reference_variation).
+"""
 
 import logging
 import math
@@ -9,6 +13,7 @@ import pytest
 
 from cusp_induce import distortion as di
 from cusp_induce import map_model as mm
+import reference_variation as ref
 
 
 # |Df| = 4|x| away from the turning point, so sup/inf sit at interval
@@ -89,10 +94,57 @@ def test_batched_variation_matches_variation_exact(cheb, cheb_partition,
              if br.kind == "free" and br.tau == 7][::8]
     for m, branches in ((lorenz, lorenz_partition.branches), (cheb, free7)):
         vals, errs = di._batched_variation(m, branches)
-        exact = np.array([di.variation_exact(m, (br.a, br.b), br.tau)
+        exact = np.array([ref.variation_exact(m, (br.a, br.b), br.tau)
                           for br in branches])
         np.testing.assert_allclose(vals, exact, rtol=1e-6, atol=0.0)
         assert np.all((errs > 0.0) & (errs <= 1e-6 * vals))
+
+
+def test_variation_exact_matches_the_quadpack_reference(cheb, lorenz):
+    # the intervals of the tests here and cases of variation_constant,
+    # several with a singular touch on lorenz
+    cases = [(cheb, iv, l) for iv in [(0.2, 0.3), (0.45, 0.5), (0.62, 0.7)]
+             for l in (1, 2, 3)]
+    for m in (cheb, lorenz):
+        cases += [(m, iv, l) for iv, l in
+                  di.variation_constant(m, n_cases=20, seed=1)[1]]
+    for m, interval, l in cases:
+        assert di.variation_exact(m, interval, l) == pytest.approx(
+            ref.variation_exact(m, interval, l), rel=1e-6, abs=0.0)
+
+
+def test_variation_exact_rejects_a_straddle_at_a_later_step(cheb):
+    # step 1 maps (0.6, 0.8) onto (-0.28, 0.28), across the turning point
+    with pytest.raises(di.NotDiffeomorphismError, match="straddles"):
+        di.variation_exact(cheb, (0.6, 0.8), 2)
+    assert di.variation_exact(cheb, (0.6, 0.8), 1) > 0.0
+
+
+def test_inv_distance_integrals_match_the_scalar_reference(singular):
+    # three critical locations, so intervals are cut at both midpoints;
+    # rows that meet a location raise for the first of them
+    assert singular.critical_locations.size == 3
+    rng = np.random.default_rng(11)
+    w = 10.0 ** rng.uniform(-6.0, 0.0, 4000) * (singular.hi - singular.lo)
+    u = rng.uniform(singular.lo, singular.hi, w.size)
+    v = np.minimum(u + w, singular.hi)
+    meets = ((singular.critical_locations >= u[:, None])
+             & (singular.critical_locations <= v[:, None])).any(axis=1)
+    free = ~meets
+    got = di._inv_distance_integral(singular, u[free], v[free])
+    want = [ref.inv_distance_integral(singular, a, b)
+            for a, b in zip(u[free].tolist(), v[free].tolist())]
+    assert got.tolist() == want
+    mids = 0.5 * (singular.critical_locations[:-1]
+                  + singular.critical_locations[1:])
+    assert ((u[free, None] < mids) & (mids < v[free, None])).any(axis=1).sum()
+    assert di._inv_distance_integral(singular, [], []).shape == (0,)
+    first = np.flatnonzero(meets)[0]
+    with pytest.raises(di.InfiniteIntegralError) as got_err:
+        di._inv_distance_integral(singular, u, v)
+    with pytest.raises(di.InfiniteIntegralError) as want_err:
+        ref.inv_distance_integral(singular, u[first].item(), v[first].item())
+    assert str(got_err.value) == str(want_err.value)
 
 
 def test_batched_variation_stops_at_the_rounding_floor(monkeypatch, cheb,

@@ -23,6 +23,7 @@ from cusp_induce import expr as ex
 from cusp_induce import inducing as ind
 from cusp_induce import map_model as mm
 from reference_end_orbits import containing_branch, end_orbits
+from reference_variation import inv_distance_integral
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +100,7 @@ def ref_variation_bound(m, interval, l):
                 "derivative infimum vanishes on a step")
         dist *= sup_df / inf_df
         inf_total *= inf_df
-        acc += di._inv_distance_integral(m, u, v)
+        acc += inv_distance_integral(m, u, v)
     return (dist / inf_total) * acc
 
 

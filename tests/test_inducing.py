@@ -3,7 +3,9 @@
 binding_period is the one-point case of the batched binding_periods.  A
 scalar loop, one jet per step, is kept below as the reference, with a
 recursive jump bisection for the piece tables and a per-sample lemma replay
-on the scalar end_orbits (reference_end_orbits).
+on the scalar end_orbits (reference_end_orbits).  The scalar first-entry
+walk and induced-map loop are the reference of the positional walk and of
+eval_induced (reference_orbit_walks).
 """
 
 import dataclasses
@@ -18,8 +20,10 @@ from cusp_induce import _vec
 from cusp_induce import inducing as ind
 from cusp_induce import map_model as mm
 from cusp_induce.critical_orbit import compute_orbit, orbit_records
+from cusp_induce.expr import EvalDomainError
 from cusp_induce.map_model import critical_distance, evaluate
 from reference_end_orbits import generalized_distortion
+import reference_orbit_walks as ref_walks
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +484,62 @@ def test_inducing_time_free_and_bound(cheb, cheb_records):
     # a point already inside binds immediately: tau = 0 + p
     assert ind.inducing_time(cheb, 0.1, 0.2, q0,
                              records=cheb_records) == 4
+
+
+def branch_samples(partition, stride, seed):
+    """Midpoint and one random interior point of every stride-th branch."""
+    rng = np.random.default_rng(seed)
+    return [br.a + (br.b - br.a) * t for br in partition.branches[::stride]
+            for t in (0.5, rng.uniform(0.01, 0.99))]
+
+
+def test_the_batched_walk_matches_the_scalar_walk_on_every_branch(
+        cheb, cheb_partition, lorenz, lorenz_partition):
+    # q0 steps, or up to the entry: the last position is f^l(x) at an
+    # entry l < q0 and f^q0(x) without one, as the scalar walk returns
+    for m, part in ((cheb, cheb_partition), (lorenz, lorenz_partition)):
+        delta, q0 = part.delta, part.q0
+        xs = branch_samples(part, 1, 5)
+        pos, itin, entry, landed = ind._positional_walk(m, xs, q0, delta)
+        want = [ref_walks.free_orbit(m, x, delta, q0) for x in xs]
+        assert not landed.any()
+        assert [None if e in (-1, q0) else e for e in entry.tolist()] == \
+            [w[0] for w in want]
+        assert pos.tolist() == [w[1] for w in want]
+        assert ((itin >= 0).sum(axis=1) == np.where(entry < 0, q0, entry)
+                ).all()
+
+
+def test_one_point_walks_match_the_scalar_reference(
+        cheb, cheb_partition, cheb_records, lorenz, lorenz_partition,
+        lorenz_records):
+    # bit for bit, at a random point of every lorenz branch and of every
+    # 8th chebyshev one (the batched walk above covers them all)
+    for m, part, records, stride in (
+            (cheb, cheb_partition, cheb_records, 8),
+            (lorenz, lorenz_partition, lorenz_records, 1)):
+        delta, q0 = part.delta, part.q0
+        for x in branch_samples(part, stride, 6)[1::2]:
+            assert ind.first_entry(m, x, delta, q0) == \
+                ref_walks.first_entry(m, x, delta, q0)
+            assert ind.inducing_time(m, x, delta, q0, records) == \
+                ref_walks.inducing_time(m, x, delta, q0, records)
+            assert ind.eval_induced(m, part, x) == \
+                ref_walks.eval_induced(m, part, x)
+
+
+def test_an_orbit_on_a_boundary_before_entry_raises():
+    m = mm.lorenz_map(1.8, 0.5, 0.1)
+    x = 0.30864197530864196           # 1.8 * x^0.5 - 1 is exactly 0.0
+    for f in (ref_walks.first_entry, ind.first_entry):
+        with pytest.raises(EvalDomainError):
+            f(m, x, 0.1, 5)
+    with pytest.raises(EvalDomainError):
+        ind.inducing_time(m, x, 0.1, 5)
+    # one step is not enough to stand on the boundary
+    assert ind.first_entry(m, x, 0.1, 1) is None
+    with pytest.raises(EvalDomainError, match="outside the domain"):
+        ind.first_entry(m, 1.5, 0.1, 5)
 
 
 def test_induced_value_matches_iterated_map(cheb, cheb_records):
