@@ -1,16 +1,18 @@
 """Vectorized map kernels shared by the sampling and partition machinery.
 
-One forward pass (_forced_pass) runs on step plans, and two inverses run
-on it: a bisection (_bisect) for branch_inverse and a Chandrupatla root
-finder (_chandrupatla) for forced_inverse, the preimages of the Ulam
-assembly.  Forced plans (_dispatch) follow fixed itineraries, so a point on
-a branch boundary keeps its itinerary.  One-step plans apply branch ids[k]
-to point k, with ids from positional dispatch (branch_indices: comparisons
-against the interior boundaries, ties to the right-hand branch, as
-MapSpec.branch_index) or from the caller; on a map whose branches share one
-formula, step_values skips the ids and evaluates the whole array at once,
-and branch_inverse orders its targets so that each formula group is one
-contiguous slice.
+One forward pass (_forced_pass) pushes points through step plans, per step
+the (branch, points) pairs of its formula groups; interval ends, the
+pullback's pieces among them, follow distortion.array_end_orbits instead.
+Two inverses run on the pass: a bisection (_bisect) for branch_inverse and
+a Chandrupatla root finder (_chandrupatla) for forced_inverse, the
+preimages of the Ulam assembly.  Forced plans (_dispatch) follow fixed
+itineraries, so a point on a branch boundary keeps its itinerary.  One-step
+plans apply branch ids[k] to point k, with ids from positional dispatch
+(branch_indices: comparisons against the interior boundaries, ties to the
+right-hand branch, as MapSpec.branch_index) or from the caller; on a map
+whose branches share one formula, step_values skips the ids and evaluates
+the whole array at once, and branch_inverse orders its targets so that
+each formula group is one contiguous slice.
 Each formula group makes one Branch.values call per step: the value alone,
 or with derivative order 1 or 2 the value and its derivatives from one
 array jet, which the pass chains into Df and D2f of the composition.
@@ -24,7 +26,7 @@ import numpy as np
 
 # Points one forced pass over a group of induced branches may hold at once.
 # Groups keep the per-step Python overhead off tiny arrays while bounding the
-# working arrays of the Ulam assembly and the pullback (peak memory).
+# working arrays of the Ulam assembly (peak memory).
 CHUNK_POINTS = 1 << 14
 
 # Halvings of a whole-branch bracket in branch_inverse: 60 take any
@@ -64,11 +66,6 @@ def _formula_parts(m, g) -> list:
     return [p for p in parts if p[1].size]
 
 
-def _one_step_plan(m, ids) -> list:
-    """Plan of one step that applies branch ids[k] to point k."""
-    return [(None, _formula_parts(m, m.formula_groups[0][ids]))]
-
-
 def step_values(m, x: np.ndarray, order: int = 0, ids=None):
     """f(x) elementwise, or with derivative order 1 or 2 the tuple of f(x)
     and its first (and second) derivatives, as _forced_pass.  Point k takes
@@ -79,10 +76,11 @@ def step_values(m, x: np.ndarray, order: int = 0, ids=None):
     x = np.asarray(x, dtype=float)
     firsts = m.formula_groups[1]
     if len(firsts) == 1 and x.size:
-        return _forced_pass([(None, [(firsts[0], ...)])], x, order)
+        return _forced_pass([[(firsts[0], ...)]], x, order)
     if ids is None:
         ids = branch_indices(m, x)
-    return _forced_pass(_one_step_plan(m, ids), x, order)
+    return _forced_pass([_formula_parts(m, m.formula_groups[0][ids])], x,
+                        order)
 
 
 def in_delta(m, x, delta: float) -> np.ndarray:
@@ -109,8 +107,8 @@ def branch_inverse(m, ids, targets) -> np.ndarray:
     groups = group_of[np.asarray(ids, dtype=np.int64)]
     order = np.argsort(groups, kind="stable")
     cuts = np.searchsorted(groups[order], np.arange(len(firsts) + 1))
-    plan = [(None, [(br, slice(a, b)) for br, a, b
-                    in zip(firsts, cuts[:-1], cuts[1:]) if b > a])]
+    plan = [[(br, slice(a, b)) for br, a, b
+             in zip(firsts, cuts[:-1], cuts[1:]) if b > a]]
     ids = np.asarray(ids, dtype=np.int64)[order]
     ends = np.array([(br.a, br.b) for br in m.branches])[ids]
     images = np.array(m.branch_images)[ids]
@@ -160,18 +158,15 @@ def chunk_ranges(sizes) -> list:
 
 def _dispatch(m, itin, owner) -> list:
     """Per step of a forced pass of the points owned by itin rows owner:
-    the live mask and the (branch, points) pairs of _formula_parts.  Passes
-    over the same points (the steps of forced_inverse's root finder, until
-    it compacts its working set) share one dispatch."""
-    plan = []
-    for col in m.formula_groups[0][itin].T:
-        groups = col[owner]
-        plan.append((groups >= 0, _formula_parts(m, groups)))
-    return plan
+    the (branch, points) pairs of _formula_parts.  Passes over the same
+    points (the steps of forced_inverse's root finder, until it compacts
+    its working set) share one dispatch."""
+    return [_formula_parts(m, col[owner])
+            for col in m.formula_groups[0][itin].T]
 
 
-def _forced_pass(plan, x, order: int = 0, visit=None):
-    """Push x through a plan (from _dispatch or _one_step_plan).
+def _forced_pass(plan, x, order: int = 0):
+    """Push x through a plan (from _dispatch, or of one step).
 
     Returns the image, or with derivative order 1 or 2 the tuple of the
     image and its first (and second) derivatives.
@@ -180,9 +175,7 @@ def _forced_pass(plan, x, order: int = 0, visit=None):
     P = np.ones_like(pos) if order else None
     S = np.zeros_like(pos) if order > 1 else None
     with np.errstate(all="ignore"):
-        for live, parts in plan:
-            if visit is not None:
-                visit(live, pos)
+        for parts in plan:
             for br, sel in parts:
                 out = br.values(pos[sel], order)
                 if order:
@@ -195,16 +188,15 @@ def _forced_pass(plan, x, order: int = 0, visit=None):
     return (pos, P, S)[:order + 1] if order else pos
 
 
-def forced_forward(m, itin, owner, x, order: int = 0, visit=None):
+def forced_forward(m, itin, owner, x, order: int = 0):
     """Push points along fixed itineraries: point k follows row owner[k].
 
     Step j applies branch itin[owner, j] wherever the point sits, so a point
     on a branch boundary keeps its itinerary; a -1 entry ends the orbit.
-    visit(live, pos), when given, sees the positions before every step.
     Returns f^tau(x), or with derivative order 1 or 2 the tuple of f^tau
     and its first (and second) derivatives, as _forced_pass.
     """
-    return _forced_pass(_dispatch(m, itin, owner), x, order, visit)
+    return _forced_pass(_dispatch(m, itin, owner), x, order)
 
 
 def _bisect(plan, lo, hi, t, up, steps):

@@ -1,10 +1,10 @@
 """Invariant density estimation through the induced map.
 
 The induced map gets a sparse transfer (Ulam) matrix whose stationary vector
-approximates the induced invariant density; pulling that measure back along
-the pre-inducing orbit segments yields the absolutely continuous invariant
-density of the original map.  Long-orbit Birkhoff histograms provide an
-independent cross-check.
+approximates the induced invariant measure nu; pushing nu along the
+pre-inducing steps (mu = sum_k f^k_*(nu on {tau > k})) yields the
+absolutely continuous invariant density of the original map.  Long-orbit
+Birkhoff histograms provide an independent cross-check.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ import numpy as np
 from scipy import sparse
 
 from . import _fastmap, _vec
+from .distortion import abs_df_extrema, array_end_orbits, raise_first
 
 _LOG = logging.getLogger(__name__)
 
-# Most midpoint chunks pull_back gives one branch.
-PULL_BACK_CAP = 8192
+# Pieces pull_back splits each source-grid piece of a branch into.
+PULL_BACK_SPLITS = 4
 
 
 def l1_distance(h1, h2, cell_width: float) -> float:
@@ -249,56 +250,61 @@ def stationary_density(table: UlamTable, tol: float = 1e-10,
 
 def pull_back(m, partition, h_induced: np.ndarray, m_cells: int = 4096
               ) -> np.ndarray:
-    """Push the induced invariant measure through the pre-inducing steps.
+    """Push the induced measure nu (density h_induced) along the
+    pre-inducing steps: mu = sum_k f^k_*(nu on {tau > k}), normalized.
 
-    Each resolved branch contributes its measure at every orbit step before
-    the inducing time.  Masses ride on midpoint chunks sized against the
-    branch's sup |Df-hat| bound (rounded to nearest, capped) so image
-    binning stays near cell scale; mass on the unresolved set is dropped.  The total is
-    normalized to a density on a uniform grid.
+    Branches are cut at the edges of h_induced's grid (_pieces) and each
+    piece, where nu has constant density, in PULL_BACK_SPLITS; one
+    array_end_orbits pass follows all ends, and before each step a piece
+    spreads its mass uniformly between them.  Unresolved mass is dropped.
+    RuntimeError unless the deposited total is finite and equals the
+    integral of tau d nu (piece masses times tau) to 1e-12 relative.
     """
-    h_induced = np.asarray(h_induced, dtype=float)
-    lo, hi = partition.lo, partition.hi
+    lo, hi, branches = partition.lo, partition.hi, partition.branches
+    B, n_in, k = len(branches), np.size(h_induced), PULL_BACK_SPLITS
     cw = (hi - lo) / m_cells
-    cw_in = (hi - lo) / h_induced.size
-    out = np.zeros(m_cells)
-    branches = partition.branches
+    owner, mids, widths, _col = _pieces(
+        np.linspace(lo, hi, n_in + 1), [br.a for br in branches],
+        [br.b for br in branches], [np.empty(0)] * B, [True] * B, [0] * B)
+    src = np.minimum(((mids - lo) / (hi - lo) * n_in).astype(int), n_in - 1)
+    owner, step = np.repeat(owner, k), np.repeat(widths / k, k)
+    left = ((mids - 0.5 * widths)[:, None]
+            + (widths / k)[:, None] * np.arange(k)).ravel()
+    mass = np.repeat(np.asarray(h_induced, dtype=float)[src], k) * step
+    tau = np.array([br.tau for br in branches])[owner]
+    out, diff = np.zeros(m_cells), np.zeros(m_cells + 1)
+    worst, unbounded = 1.0, 0
 
-    def chunk_count(br):
-        sup = br.sup_df if np.isfinite(br.sup_df) else 1e7
-        return int(np.clip(4.0 * br.width * min(sup, 1e7) / cw, 16,
-                           PULL_BACK_CAP))
+    def deposit(live, ids, u, v, du, dv):
+        nonlocal out, diff, worst, unbounded
+        inf, sup = abs_df_extrema(m, ids, u, v, du, dv)
+        ok = (inf > 0) & np.isfinite(sup)    # sup / inf is bounded
+        unbounded += ok.size - int(ok.sum())
+        worst = max(worst, float((sup[ok] / inf[ok]).max(initial=1.0)))
+        # cell coordinates of the ends, clamped so the mass stays on the grid
+        u, v = np.clip((np.stack((u, v)) - lo) / cw, 0.0, m_cells)
+        cu, cv = np.minimum(u, v), np.maximum(u, v)
+        iu, iv = np.minimum((cu, cv), m_cells - 1).astype(np.int64)
+        w, one = mass[live], iu == iv
+        d = w / np.where(one, 1.0, cv - cu)
+        out += np.bincount(iu, np.where(one, w, d * (iu + 1 - cu)), m_cells)
+        out += np.bincount(iv, np.where(one, 0.0, d * (cv - iv)), m_cells)
+        full = iv > iu + 1
+        diff += np.bincount(iu[full] + 1, d[full], m_cells + 1)
+        diff -= np.bincount(iv[full], d[full], m_cells + 1)
 
-    sizes = [chunk_count(br) for br in branches]
-    steps = np.array([len(br.itinerary) for br in branches]) * sizes
-    unbounded = np.array([not np.isfinite(br.sup_df) for br in branches])
-    _LOG.info("pull_back: %d branches, %d points, %d point-steps, %d "
-              "branches at the %d-chunk cap, %.3f of the point-steps on "
-              "branches with unbounded sup |Df-hat|", len(branches),
-              sum(sizes), steps.sum(), sizes.count(PULL_BACK_CAP),
-              PULL_BACK_CAP, steps[unbounded].sum() / max(steps.sum(), 1))
-    for s, e in _vec.chunk_ranges(sizes):
-        group = branches[s:e]
-        K = sizes[s:e]
-        xs = np.concatenate([br.a + (np.arange(k) + 0.5) * (br.width / k)
-                             for br, k in zip(group, K)])
-        src = np.clip(((xs - lo) / cw_in).astype(np.int64),
-                      0, h_induced.size - 1)
-        chunk_w = np.repeat([br.width / k for br, k in zip(group, K)], K)
-        mass = h_induced[src] * chunk_w
-
-        def bin_mass(live, pos):
-            nonlocal out
-            idx = np.clip(((pos[live] - lo) / cw).astype(np.int64),
-                          0, m_cells - 1)
-            out += np.bincount(idx, weights=mass[live], minlength=m_cells)
-
-        _vec.forced_forward(
-            m, _vec.itinerary_matrix([br.itinerary for br in group]),
-            np.repeat(np.arange(len(group)), K), xs, visit=bin_mass)
-    total = out.sum()
-    if total <= 0:
-        raise RuntimeError("pullback produced no mass")
+    raise_first(array_end_orbits(
+        m, _vec.itinerary_matrix([br.itinerary for br in branches])[owner],
+        left, left + step, deposit)[3])
+    out += np.cumsum(diff[:-1])
+    total, kac = out.sum(), float(np.dot(mass, tau))
+    _LOG.info("pull_back: %d branches, %d pieces, %d piece-steps, raw total "
+              "%.6g (integral of tau d nu), worst per-step sup/inf |Df| on a "
+              "piece %.4g, %d piece-steps with it unbounded", B,
+              owner.size, tau.sum(), total, worst, unbounded)
+    if not (total > 0 and abs(total - kac) <= 1e-12 * kac):
+        raise RuntimeError(f"pull_back deposited {float(total)!r}, but "
+                           f"the piece masses times tau sum to {kac!r}")
     return out / (total * cw)
 
 

@@ -454,20 +454,20 @@ def test_forced_pass_matches_step_by_step_branch_calls(family, some_dead):
     owner = np.repeat(np.arange(len(rows)), 40)
     x = rng.uniform(m.lo, m.hi, owner.size)
     x[:3] = [0.0, m.lo, m.hi]
-    seen = []
-    y, d1, d2 = _vec.forced_forward(
-        m, itin, owner, x, order=2,
-        visit=lambda live, pos: seen.append((live.copy(), pos.copy())))
-    assert len(seen) == itin.shape[1]
+    y, d1, d2 = _vec.forced_forward(m, itin, owner, x, order=2)
     assert same_bits(_vec.forced_forward(m, itin, owner, x), y)
+    # the position before step j is the image along the first j columns
+    seen = [_vec.forced_forward(m, itin[:, :j], owner, x)
+            for j in range(itin.shape[1])]
     for k in range(x.size):
         want = step_by_step(m, rows[owner[k]], x[k])
         got = (y[k], d1[k], d2[k])
         assert np.array(got).tobytes() == np.array(want[:3]).tobytes()
-        for (live, at), pos in zip(seen, want[3]):
-            assert live[k] and at[k:k + 1].tobytes() == \
-                np.array([pos]).tobytes()
-        assert not any(live[k] for live, _ in seen[len(want[3]):])
+        for at, pos in zip(seen, want[3]):
+            assert at[k:k + 1].tobytes() == np.array([pos]).tobytes()
+        # past the end of its row the point no longer moves
+        assert all(same_bits(at[k:k + 1], y[k:k + 1])
+                   for at in seen[len(want[3]):])
     mixed = np.concatenate([x, x[::-1]])
     for got, want in ((_vec.step_values(m, mixed), "values"),
                       (_vec.step_values(m, mixed, 1)[1], "d1_values")):

@@ -8,6 +8,9 @@ from scipy import sparse
 
 from cusp_induce import _fastmap, _vec, map_model
 from cusp_induce import density as de
+from cusp_induce import inducing as ind
+
+from reference_pull_back import affine_pull_back
 
 EPS4 = 4.0 * np.finfo(float).eps
 
@@ -160,21 +163,78 @@ def test_pull_back_produces_probability_density(lorenz, lorenz_partition):
     assert h_map.sum() * w == pytest.approx(1.0, rel=1e-9)
 
 
-def test_pull_back_logs_its_chunk_totals(caplog, lorenz, lorenz_partition):
-    branches = lorenz_partition.branches
+def pull_back_record(caplog, m, partition, h, m_cells):
+    """pull_back's result and the args of its one INFO record."""
     with caplog.at_level(logging.INFO, logger=de.__name__):
-        de.pull_back(lorenz, lorenz_partition, np.ones(512), m_cells=512)
-    (record,) = caplog.records
-    _n, points, point_steps, capped, cap, share = record.args
+        out = de.pull_back(m, partition, h, m_cells)
+    (record,) = [r for r in caplog.records if r.name == de.__name__]
+    assert "escapes" not in record.getMessage()
+    return out, record
+
+
+def test_pull_back_logs_its_pieces_and_distortion(caplog, lorenz,
+                                                  lorenz_partition):
+    branches = lorenz_partition.branches
+    _out, record = pull_back_record(caplog, lorenz, lorenz_partition,
+                                    np.ones(512), 512)
+    n, pieces, piece_steps, total, worst, unbounded = record.args
     assert record.getMessage() == (
-        f"pull_back: {len(branches)} branches, {points} points, "
-        f"{point_steps} point-steps, {capped} branches at the {cap}-chunk "
-        f"cap, {share:.3f} of the point-steps on branches with unbounded "
-        f"sup |Df-hat|")
-    assert cap == de.PULL_BACK_CAP
-    assert 16 * len(branches) <= points <= cap * len(branches)
-    assert points <= point_steps <= points * max(br.tau for br in branches)
-    assert 0 <= capped <= len(branches) and 0.0 <= share <= 1.0
+        f"pull_back: {n} branches, {pieces} pieces, {piece_steps} "
+        f"piece-steps, raw total {total:.6g} (integral of tau d nu), worst "
+        f"per-step sup/inf |Df| on a piece {worst:.4g}, {unbounded} "
+        f"piece-steps with it unbounded")
+    # one piece per source cell a branch meets, each split in four
+    edges = np.linspace(lorenz_partition.lo, lorenz_partition.hi, 513)
+    cells = np.array([np.sum((br.a < edges) & (edges < br.b)) + 1
+                      for br in branches])
+    tau = np.array([br.tau for br in branches])
+    assert n == len(branches)
+    assert pieces == de.PULL_BACK_SPLITS * cells.sum()
+    assert piece_steps == de.PULL_BACK_SPLITS * np.dot(cells, tau)
+    assert worst >= 1.0 and 0 <= unbounded <= piece_steps
+
+
+def test_pull_back_deposits_the_integral_of_tau(caplog, lorenz,
+                                                lorenz_partition):
+    # Kac: the raw total is sum over branches B of nu(B) tau_B
+    h = np.random.default_rng(7).uniform(0.5, 1.5, 512)
+    _out, record = pull_back_record(caplog, lorenz, lorenz_partition, h, 512)
+    edges = np.linspace(lorenz_partition.lo, lorenz_partition.hi, 513)
+    H = np.concatenate(([0.0], np.cumsum(h * np.diff(edges))))
+    a, b, tau = np.array([(br.a, br.b, br.tau)
+                          for br in lorenz_partition.branches]).T
+    nu = np.interp(b, edges, H) - np.interp(a, edges, H)
+    assert record.args[3] == pytest.approx(np.dot(nu, tau), rel=1e-12)
+
+
+def test_pull_back_raises_on_a_non_finite_induced_density(lorenz,
+                                                          lorenz_partition):
+    h = np.ones(512)
+    br = lorenz_partition.branches[0]
+    h[int((0.5 * (br.a + br.b) - lorenz_partition.lo)
+          / (lorenz_partition.hi - lorenz_partition.lo) * 512)] = np.nan
+    with pytest.raises(RuntimeError, match="deposited nan"):
+        de.pull_back(lorenz, lorenz_partition, h, m_cells=512)
+
+
+def doubling_map():
+    return map_model.build_map({
+        "name": "doubling", "domain": [-1.0, 1.0], "delta": 0.05,
+        "branches": [{"interval": [-1.0, 0.0], "expr": "2*x + 1"},
+                     {"interval": [0.0, 1.0], "expr": "2*x - 1"}],
+        "critical_points": [{"location": 0.0, "side": side, "order": 1.0}
+                            for side in "-+"]})
+
+
+def test_pull_back_spreads_pieces_over_their_exact_affine_images(caplog):
+    m = doubling_map()
+    part = ind.build_partition(m, delta=0.05, q0=3)
+    assert len(part.branches) == 22
+    h = np.random.default_rng(5).uniform(0.5, 1.5, 50)
+    got, record = pull_back_record(caplog, m, part, h, 64)
+    assert record.args[4] == 1.0 and record.args[5] == 0
+    want = affine_pull_back(part, [(2.0, 1.0), (2.0, -1.0)], h, 64)
+    assert de.l1_distance(got, want, 2.0 / 64) <= 1e-12
 
 
 def test_invariance_residual_detects_the_right_density(cheb):
@@ -274,7 +334,8 @@ def _step_ensemble_reference(m, starts, pools, burn_in, n_counted, hist):
     for k in range(burn_in + n_counted):
         ids = np.minimum(np.searchsorted(m.interior_boundaries, x,
                                          side="right"), len(m.branches) - 1)
-        v = _vec._forced_pass(_vec._one_step_plan(m, ids), x)
+        v = _vec._forced_pass(
+            [_vec._formula_parts(m, m.formula_groups[0][ids])], x)
         escaped = ~((v >= lo - 1e-9) & (v <= hi + 1e-9))
         np.clip(v, lo, hi, out=v)
         hit = np.isin(v, crit) & ~escaped

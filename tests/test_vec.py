@@ -349,7 +349,7 @@ def _root_finder(branch, t, x1, x2, stats=None):
     t, x1, x2 = (np.asarray(v, dtype=float) for v in (t, x1, x2))
     f1, f2 = branch.values(x1) - t, branch.values(x2) - t
     none = np.full(t.size, np.nan)
-    return _vec._chandrupatla(lambda sel: [(None, [(branch, ...)])], t, x1,
+    return _vec._chandrupatla(lambda sel: [[(branch, ...)]], t, x1,
                               x2, none, f1, f2, none, np.full(t.size, 1e-18),
                               stats)
 
