@@ -2,7 +2,8 @@
 
 One forward pass (_forced_pass) pushes points through step plans, per step
 the (branch, points) pairs of its formula groups; interval ends, the
-pullback's pieces among them, follow distortion.array_end_orbits instead.
+pullback's pieces and stage 4's sub-intervals among them, follow
+distortion.array_end_orbits instead, by forced_forward's owner index.
 Two inverses run on the pass: a bisection (_bisect) for branch_inverse and
 a Chandrupatla root finder (_chandrupatla) for forced_inverse, the
 preimages of the Ulam assembly.  Forced plans (_dispatch) follow fixed

@@ -294,8 +294,8 @@ def pull_back(m, partition, h_induced: np.ndarray, m_cells: int = 4096
         diff -= np.bincount(iv[full], d[full], m_cells + 1)
 
     raise_first(array_end_orbits(
-        m, _vec.itinerary_matrix([br.itinerary for br in branches])[owner],
-        left, left + step, deposit)[3])
+        m, _vec.itinerary_matrix([br.itinerary for br in branches]),
+        left, left + step, deposit, owner)[3])
     out += np.cumsum(diff[:-1])
     total, kac = out.sum(), float(np.dot(mass, tau))
     _LOG.info("pull_back: %d branches, %d pieces, %d piece-steps, raw total "

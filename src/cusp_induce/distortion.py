@@ -8,8 +8,9 @@ whether the induced-map variation and inducing-time series look summable
 over the computed horizon.
 
 One tracker, array_end_orbits, follows the one-sided orbits of interval
-ends here and in the partition builder, many intervals at once, each step
-on a fixed itinerary's branch or on the branch holding the step interval.
+ends here, in the partition builder and in the pull-back, many intervals
+at once (stage 4's refinement sub-intervals among them), each step on a
+fixed itinerary's branch or on the branch holding the step interval.
 One globally adaptive G7/K15 rule, _batched_variation, takes the
 variation along itineraries.  The one-interval functions are one-row calls
 of the two.
@@ -43,7 +44,11 @@ class InfiniteIntegralError(ValueError):
 # per-branch derivative extrema
 
 
-def branch_d2_zeros(m, i: int, grid: int = 1024) -> tuple:
+# Samples of branch_d2_zeros' sign scan of a branch.
+D2_ZERO_GRID = 1024
+
+
+def branch_d2_zeros(m, i: int) -> tuple:
     """Interior zeros of D2f on branch i (sign scan plus bisection).
 
     A sign change between adjacent samples is bisected.  A run of samples
@@ -58,7 +63,7 @@ def branch_d2_zeros(m, i: int, grid: int = 1024) -> tuple:
         return cache[i]
     br = m.branches[i]
     w = br.b - br.a
-    xs = np.linspace(br.a + 1e-9 * w, br.b - 1e-9 * w, grid)
+    xs = np.linspace(br.a + 1e-9 * w, br.b - 1e-9 * w, D2_ZERO_GRID)
     with np.errstate(all="ignore"):
         d2 = br.d2_values(xs)
     d2 = np.where(np.isfinite(d2), d2, np.nan)
@@ -94,11 +99,12 @@ def branch_d2_zeros(m, i: int, grid: int = 1024) -> tuple:
 POSITIONAL = -2
 
 
-def array_end_orbits(m, itin, u, v, visit):
+def array_end_orbits(m, itin, u, v, visit, owner=None):
     """The one-sided orbits of the ends of intervals u[k] <= v[k], all
-    rows together: step j of row k applies branch itin[k, j] or, where that
-    is POSITIONAL, the branch of the step interval's midpoint (ties to the
-    right, as MapSpec.branch_index); -1 pads a row past its last step.
+    rows together: step j of row k applies branch itin[owner[k], j]
+    (owner the identity by default) or, where that is POSITIONAL, the
+    branch of the step interval's midpoint (ties to the right, as
+    MapSpec.branch_index); -1 pads a row past its last step.
 
     Each step clamps both ends onto its branch and takes them as limits
     from inside the interval, pushing all rows by one order-1 evaluation
@@ -118,8 +124,9 @@ def array_end_orbits(m, itin, u, v, visit):
     ends = np.array([(br.a, br.b) for br in m.branches])
     scalar, jets, failed = 0, {}, {}  # jets by (branch, x, side)
     stopped = np.zeros(u.shape, dtype=bool)
+    owner = np.arange(u.size) if owner is None else owner
     for col in np.asarray(itin).T:
-        ids = np.array(col)
+        ids = col[owner]
         pos = np.flatnonzero((ids == POSITIONAL) & ~stopped)
         if pos.size:
             ids[pos] = i = _vec.branch_indices(m, 0.5 * (u[pos] + v[pos]))
@@ -177,17 +184,24 @@ def abs_df_extrema(m, ids, u, v, du, dv):
 
     The extrema take in the interior zeros of D2f (branch_d2_zeros)
     strictly between u and v, so they are exact for the declared
-    expression.
+    expression.  The zeros and |Df| at them are cached on the map, as
+    (i, [(z, |Df(z)|), ...]) for each branch i that has any.
     """
     ids, u, v = np.asarray(ids), np.asarray(u), np.asarray(v)
     lo = np.fmin(du, dv)
     hi = np.fmax(du, dv)
     left, right = np.fmin(u, v), np.fmax(u, v)
-    for i in np.unique(ids).tolist():
-        for z in branch_d2_zeros(m, i):
-            hit = (ids == i) & (left < z) & (z < right)
+    table = m.__dict__.get("_d2_zero_extrema")
+    if table is None:
+        table = m.__dict__["_d2_zero_extrema"] = [
+            (i, [(z, abs(m.branches[i].jet(z).d1)) for z in zeros])
+            for i in range(len(m.branches))
+            if (zeros := branch_d2_zeros(m, i))]
+    for i, zeros in table:
+        on = ids == i
+        for z, dz in zeros:
+            hit = on & (left < z) & (z < right)
             if hit.any():
-                dz = abs(m.branches[i].jet(z).d1)
                 lo[hit] = np.fmin(lo[hit], dz)
                 hi[hit] = np.fmax(hi[hit], dz)
     return lo, hi

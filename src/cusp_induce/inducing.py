@@ -404,76 +404,56 @@ class InducedPartition:
         return d
 
 
-def _bounds_pass(m, itin, a, b, k: int):
-    """One stage-4 pass with k sub-intervals per branch, the branch from
-    a[r] to b[r] following itinerary row r of itin.
-
-    The k + 1 edges move along the itinerary: the branch ends by their
-    one-sided orbits (array_end_orbits), the inner edges by plain
-    evaluation.  Each sub-interval sums, in step order, the logs of the
-    per-step |Df| extrema between its edges (abs_df_extrema).  Returns
-    (image ends, inf, sup, scalar end jets): inf and sup are exp of the
-    least and largest log sum.
-    """
-    signs = np.array(m.monotone_signs)
-    # edge positions at the current step, ascending; a decreasing step
-    # reverses them together with the log sums
-    pos = np.linspace(a, b, k + 1, axis=1)
-    log_inf, log_sup = np.zeros((2, a.size, k))
-
-    def visit(live, ids, u, v, du, dv):
-        p, d = pos[live], np.empty((live.size, k + 1))
-        p[:, 0], p[:, -1], d[:, 0], d[:, -1] = u, v, du, dv
-        if k > 1:
-            nxt, d1 = _vec.step_values(m, p[:, 1:-1].ravel(), 1,
-                                       np.repeat(ids, k - 1))
-            d[:, 1:-1] = np.abs(d1).reshape(-1, k - 1)
-        lo, hi = abs_df_extrema(m, ids[:, None], p[:, :-1], p[:, 1:],
-                                d[:, :-1], d[:, 1:])
-        with np.errstate(divide="ignore"):
-            li = log_inf[live] + np.log(lo)
-            ls = log_sup[live] + np.log(hi)
-        if k > 1:
-            p[:, 1:-1] = nxt.reshape(-1, k - 1)
-        flip = signs[ids] < 0
-        for arr in (p, li, ls):
-            arr[flip] = arr[flip, ::-1]
-        pos[live], log_inf[live], log_sup[live] = p, li, ls
-
-    u, v, scalar, failed = array_end_orbits(m, itin, a, b, visit)
-    raise_first(failed)
-    return (u, v), np.exp(log_inf.min(axis=1)), \
-        np.exp(log_sup.max(axis=1)), scalar
+# Stage 4 cuts a branch whose |Df-hat| infimum bound is below REFINE_BELOW
+# into eightfold more sub-intervals, until there are K_CAP of them.
+REFINE_BELOW = 4.0
+K_CAP = 512
 
 
-def _branch_bounds(m, a, b, itin, refine_below: float, k_cap: int = 512):
+def _branch_bounds(m, a, b, itin):
     """Stage 4: image, orientation and |Df-hat| bounds of every branch, the
     branch from a[r] to b[r] following itinerary row r of itin.
 
-    All branches take one pass (_bounds_pass) with k = 1; those whose
-    infimum bound is below refine_below go again with k eightfold, all of
-    one k together in runs of about _vec.CHUNK_POINTS edges, until k
-    reaches k_cap.  The products are rounded to nearest, not outward, so
-    they are estimates rather than enclosures.  Returns (image ends,
+    A pass cuts each branch into k equal sub-intervals, each an
+    array_end_orbits row on the branch's itinerary, all of one k together
+    in runs of about _vec.CHUNK_POINTS ends.  A row sums, in step order,
+    the logs of its per-step |Df| extrema (abs_df_extrema); inf and sup
+    are exp of the least and largest of a branch's k sums.  k = 1 gives
+    the images; branches whose inf is below REFINE_BELOW go again with k
+    eightfold, up to K_CAP.  The products are rounded to nearest, not
+    outward: estimates, not enclosures.  Returns (image ends,
     orientations, inf, sup, stats): stats counts the end steps that took
-    the scalar endpoint_jet ("scalar") and the branches finishing at each k
-    ("levels").
+    the scalar endpoint_jet ("scalar") and the branches finishing at each
+    k ("levels").
     """
     signs = np.array(m.monotone_signs)
     orient = np.where(itin >= 0, signs[itin], 1).prod(axis=1)
     image = np.empty((2, a.size))
     inf_df, sup_df = np.empty(a.size), np.empty(a.size)
     stats = {"scalar": 0, "levels": {}}
+
+    def visit(live, ids, u, v, du, dv):     # into the current run's sums
+        lo, hi = abs_df_extrema(m, ids, u, v, du, dv)
+        with np.errstate(divide="ignore"):
+            log_inf[live] += np.log(lo)
+            log_sup[live] += np.log(hi)
+
     todo, k = np.arange(a.size), 1
     while todo.size:
-        for s, e in _vec.chunk_ranges([k + 1] * todo.size):
+        for s, e in _vec.chunk_ranges([2 * k] * todo.size):
             rows = todo[s:e]
-            ends, inf_df[rows], sup_df[rows], scalar = _bounds_pass(
-                m, itin[rows], a[rows], b[rows], k)
+            edges = np.linspace(a[rows], b[rows], k + 1, axis=1)
+            log_inf, log_sup = np.zeros((2, rows.size * k))
+            u, v, scalar, failed = array_end_orbits(
+                m, itin, edges[:, :-1].ravel(), edges[:, 1:].ravel(), visit,
+                np.repeat(rows, k))
+            raise_first(failed)
             stats["scalar"] += scalar
+            inf_df[rows] = np.exp(log_inf.reshape(-1, k).min(axis=1))
+            sup_df[rows] = np.exp(log_sup.reshape(-1, k).max(axis=1))
             if k == 1:
-                image[:, rows] = ends
-        done = (inf_df[todo] >= refine_below) | (k >= k_cap)
+                image[:, rows] = u, v
+        done = (inf_df[todo] >= REFINE_BELOW) | (k >= K_CAP)
         stats["levels"][k] = int(done.sum())
         todo, k = todo[~done], 8 * k
     return image.T, orient, inf_df, sup_df, stats
@@ -666,8 +646,9 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
     breakpoints runs as batched passes over all cells at once (see
     _classify_cells).  Adjacent cells with the same itinerary and binding
     merge into one branch.  The images and |Df-hat| bounds of all branches
-    come from one batched pass along their itineraries (_branch_bounds).
-    Both follow interval ends by array_end_orbits.  Cells whose
+    come from batched passes along their itineraries, each refinement
+    sub-interval its own row (_branch_bounds).  Both stages follow
+    interval ends by array_end_orbits.  Cells whose
     classification cannot be pinned down at the requested resolution land
     in the unresolved set with a reason.  The stage counts (the end steps
     that took the scalar endpoint_jet in stages 2 and 4, and the branches
@@ -704,7 +685,7 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
     image, orient, inf_df, sup_df, geo = _branch_bounds(
         m, np.array([rec[0] for rec, _it in merged]),
         np.array([rec[1] for rec, _it in merged]),
-        _vec.itinerary_matrix([it for _rec, it in merged]), refine_below=4.0)
+        _vec.itinerary_matrix([it for _rec, it in merged]))
     branches = [InducedBranch(
         a=a, b=b, kind=kind, l0=l0, p0=p0,
         tau=q0 if kind == "free" else l0 + p0, critical_point=key,

@@ -261,13 +261,28 @@ def _undefined_end_lorenz():
     return mm.build_map(cfg)
 
 
-# the stage-2 configs besides chebyshev, as (map, delta, q0); "lorenz" is
-# the session fixture's map at its pipeline scales
+def _cubic():
+    """x^3 - 0.75 x has D2f = 6x, zero inside its branch: the partition
+    branch (-0.5, 0.45) has inf |Df-hat| 0, so stage 4 refines it to
+    k = 512, and its sup takes |Df(0)| = 0.75 at the zero."""
+    return mm.build_map({
+        "name": "cubic", "domain": [-0.5, 1.0], "delta": 0.05,
+        "branches": [{"interval": [-0.5, 0.5], "expr": "x^3 - 0.75*x"},
+                     {"interval": [0.5, 1.0], "expr": "x - 0.75"}],
+        "critical_points": [{"location": 0.5, "side": "-", "order": 2.0},
+                            {"location": 0.5, "side": "+", "order": 1.0}]})
+
+
+# the stage-2 configs besides chebyshev, and a map with an interior D2f
+# zero, as (map, delta, q0); "lorenz" is the session fixture's map at its
+# pipeline scales
 STAGE2_CONFIGS = {
     "lorenz(1.8,0.5)": lambda: (mm.lorenz_map(1.8, 0.5, 0.1), 0.1, 10),
     "lorenz(1.8,0.5) undefined end": lambda: (_undefined_end_lorenz(), 0.1,
                                               10),
     "singular_unimodal": lambda: (mm.singular_unimodal_map(), 0.02, 8),
+    "cubic q0=2": lambda: (_cubic(), 0.05, 2),
+    "cubic q0=4": lambda: (_cubic(), 0.05, 4),
 }
 
 
