@@ -84,16 +84,20 @@ def step_values(m, x: np.ndarray, order: int = 0, ids=None):
                         order)
 
 
+def in_side(x, c: float, side: str, delta: float):
+    """Membership in the open one-sided neighborhood of c: c < x < c + delta
+    on side "+", c - delta < x < c on side "-"; a bool at a float x."""
+    if side == "+":
+        return (x > c) & (x < c + delta)
+    return (x > c - delta) & (x < c)
+
+
 def in_delta(m, x, delta: float) -> np.ndarray:
-    """Membership in the union of the one-sided neighborhoods (open)."""
+    """Membership in the union of the one-sided neighborhoods (in_side)."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape, dtype=bool)
     for cp in m.critical_points:
-        c = cp.location
-        if cp.side == "+":
-            out |= (x > c) & (x < c + delta)
-        else:
-            out |= (x > c - delta) & (x < c)
+        out |= in_side(x, cp.location, cp.side, delta)
     return out
 
 

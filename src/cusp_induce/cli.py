@@ -460,7 +460,11 @@ def cmd_selftest(args) -> int:
     residual = float(m.branches[0].value(sol[0]))
     inv_ok = ids[:1].tolist() == [0] and abs(residual) < 1e-10
     checks["branch_inversion"] = {"passed": inv_ok, "residual": residual}
-    passed = bv.passed and jets_ok and inv_ok
+    # chebyshev's 1/|Df| = 1/(4x) falls from 1 to 1/3 over (1/4, 3/4)
+    var = distortion.variation_exact(m, (0.25, 0.75), 1)
+    var_ok = abs(var - 2.0 / 3.0) < 1e-12
+    checks["variation_exact"] = {"passed": var_ok, "value": var}
+    passed = bv.passed and jets_ok and inv_ok and var_ok
     _emit({"passed": passed, "checks": checks}, args, "selftest.json")
     return 0 if passed else 1
 

@@ -2,16 +2,17 @@
 
 Orbit segments that stay outside the union of one-sided neighborhoods until
 they first re-enter carry a derivative product; their minimum is the
-expansion floor kappa.  A lower log-linear envelope of the same sweep gives
-the (c, lambda) pair that fixes q0, the free-orbit length, and the delta
-selector walks a descending candidate list until the geometric and
-growth-margin conditions all hold.
+expansion floor kappa.  One walk serves a whole candidate list; a lower
+log-linear envelope of it gives the (c, lambda) pair that fixes q0, the
+free-orbit length, and the delta selector tries its candidates from the
+largest down until the geometric and growth-margin conditions all hold.
 """
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -21,9 +22,11 @@ from .distortion import POSITIONAL, orbit_extrema, raise_first
 from .inducing import binding_periods
 from .map_model import MapValidationError, _check_delta
 
+_LOG = logging.getLogger(__name__)
+
 
 class ExpansionFailure(RuntimeError):
-    """The sweep produced no usable expansion data (or a flat/negative fit)."""
+    """The walk produced no usable expansion data (or a flat/negative fit)."""
 
 
 class DeltaSelectionError(RuntimeError):
@@ -67,14 +70,7 @@ class ExpansionReport:
     horizon: int
 
     def to_dict(self) -> dict:
-        return {
-            "delta": self.delta, "kappa_hat": self.kappa_hat,
-            "c_hat": self.c_hat, "lambda_hat": self.lambda_hat,
-            "h_delta": self.h_delta, "q0": self.q0, "margin": self.margin,
-            "margin_check": dict(self.margin_check),
-            "samples": self.samples, "n_max": self.n_max,
-            "horizon": self.horizon,
-        }
+        return asdict(self)
 
 
 def _sample_points(m, n_samples: int, seed: int) -> np.ndarray:
@@ -85,40 +81,64 @@ def _sample_points(m, n_samples: int, seed: int) -> np.ndarray:
     return np.concatenate([grid, rand])
 
 
-def _expansion_sweep(m, delta: float, xs: np.ndarray, n_max: int):
-    """Derivative products along orbits until first entry into the union.
+def _depth(m, deltas, x: np.ndarray) -> np.ndarray:
+    """How many of the descending deltas have a union holding each x.  The
+    unions nest, so each delta tests only the points inside the one before."""
+    depth = np.zeros(x.size, dtype=np.intp)
+    idx = np.arange(x.size)
+    for d in deltas:
+        idx = idx[_vec.in_delta(m, x[idx], d)]
+        depth[idx] += 1
+    return depth
 
-    Returns (m_of_n, kappa_log, segments): m_of_n[n-1] is the minimum of
-    log|Df^n| over points still outside through step n-1, and kappa_log is
-    the minimum over completed first-entry products.
+
+def _kappa_ladder(m, deltas, n_samples: int, n_max: int, seed: int) -> list:
+    """estimate_kappa for each of the descending deltas, from one walk.
+
+    Until its first entry an orbit does not depend on delta, and a smaller
+    delta's union lies in a larger one's, so each point carries its level:
+    the number of leading deltas whose union it has entered.  At step n the
+    envelope of deltas[k] takes the minimum of log|Df^n| over the finite,
+    in-range points of level <= k, and a point whose level rises from a to
+    b ends a first-entry segment for deltas[a:b].  A point leaves the walk
+    once it lies in the union of the smallest delta.
     """
-    alive = ~_vec.in_delta(m, xs, delta)
-    pos = xs[alive].copy()
+    xs = _sample_points(m, n_samples, seed)
+    k_all = len(deltas)
+    level = _depth(m, deltas, xs)
+    pos, level = xs[level < k_all], level[level < k_all]
     logp = np.zeros(pos.shape)
-    m_of_n = []
-    kappa_log = math.inf
-    segments = 0
-    for _n in range(1, n_max + 1):
-        if pos.size == 0:
-            break
+    envelopes = [[] for _ in deltas]
+    kappa_log, segments = [math.inf] * k_all, [0] * k_all
+    for _n in range(n_max):
         v, d1 = _vec.step_values(m, pos, 1)
         with np.errstate(all="ignore"):
             step = np.log(np.abs(d1))
         good = np.isfinite(v) & np.isfinite(step)
         good &= (v >= m.lo - 1e-9) & (v <= m.hi + 1e-9)
-        pos, logp, v = pos[good], logp[good], np.clip(
-            v[good], m.lo, m.hi)
-        logp = logp + step[good]
-        if logp.size == 0:
+        level, v = level[good], np.clip(v[good], m.lo, m.hi)
+        logp = logp[good] + step[good]
+        if not logp.size:
             break
-        m_of_n.append(float(np.min(logp)))
-        entered = _vec.in_delta(m, v, delta)
-        if entered.any():
-            kappa_log = min(kappa_log, float(np.min(logp[entered])))
-            segments += int(entered.sum())
-        pos = v[~entered]
-        logp = logp[~entered]
-    return m_of_n, kappa_log, segments
+        # envelopes: the least log|Df^n|, then the least below its level
+        lp, lv, top = logp, level, k_all
+        while lp.size:
+            i = lp.argmin()
+            for env in envelopes[lv[i]:top]:
+                env.append(float(lp[i]))
+            top = lv[i]
+            lp, lv = lp[lv < top], lv[lv < top]
+        depth = np.maximum(level, _depth(m, deltas, v))
+        for k in range(int(depth.max())):
+            seg = logp[(level <= k) & (depth > k)]
+            kappa_log[k] = min(kappa_log[k], float(seg.min(initial=math.inf)))
+            segments[k] += seg.size
+        stay = depth < k_all
+        pos, logp, level = v[stay], logp[stay], depth[stay]
+    return [KappaEstimate(value=math.exp(kl) if n > 0 else math.nan,
+                          segments=n, n_samples=int(n_samples),
+                          n_max=int(n_max), envelope=env)
+            for env, kl, n in zip(envelopes, kappa_log, segments)]
 
 
 def estimate_kappa(m, delta, n_samples: int = 10000, n_max: int = 64,
@@ -127,15 +147,10 @@ def estimate_kappa(m, delta, n_samples: int = 10000, n_max: int = 64,
 
     Segments start outside the union of neighborhoods and end at the first
     step that lands inside; a sample set producing no such segment yields a
-    NaN value flagged non-applicable rather than an error.  The sweep's
-    envelope is kept for the expansion fit.
+    NaN value flagged non-applicable rather than an error.  The one-delta
+    call of _kappa_ladder, whose envelope is kept for the expansion fit.
     """
-    xs = _sample_points(m, n_samples, seed)
-    m_of_n, kappa_log, segments = _expansion_sweep(m, delta, xs, n_max)
-    value = math.exp(kappa_log) if segments > 0 else math.nan
-    return KappaEstimate(value=value, segments=segments,
-                         n_samples=int(n_samples), n_max=int(n_max),
-                         envelope=m_of_n)
+    return _kappa_ladder(m, [delta], n_samples, n_max, seed)[0]
 
 
 def estimate_expansion(m, delta, n_samples: int = 10000, n_max: int = 64,
@@ -228,90 +243,50 @@ def choose_delta(m, candidates, margin: float = 10.0,
     diagnostics = {}
 
     # shared expansion floor: the weakest kappa over the candidate list
-    kappa_by_delta = {}
-    for d in cands:
-        kappa_by_delta[d] = estimate_kappa(m, d, n_samples, n_max, seed)
+    kappa_by_delta = dict(zip(cands, _kappa_ladder(m, cands, n_samples,
+                                                   n_max, seed)))
     finite = [k.value for k in kappa_by_delta.values()
               if k.applicable and math.isfinite(k.value) and k.value > 0]
     kappa_proxy = min(finite) if finite else math.nan
 
+    report = None
     for d in cands:
-        try:
-            _check_delta(m, d)
-        except MapValidationError as err:
-            diagnostics[d] = f"geometry: {err}"
-            continue
-        defect = _neighborhood_defect(m, d)
-        if defect is not None:
-            diagnostics[d] = defect
-            continue
-        try:
-            h = compute_h_delta(m, d, grid=grid, p_max=p_max,
-                                records=records)
-        except RuntimeError as err:
-            diagnostics[d] = f"binding: {err}"
-            continue
-        gamma_ok = True
-        growth_ok = True
-        why = None
-        for key, rec in records.items():
-            if rec.order <= 1.0:
-                continue
-            if rec.hit_critical_at is not None:
-                gamma_ok = False
-                why = (f"critical orbit of {key} hits the critical set at "
-                       f"step {rec.hit_critical_at}")
-                break
-            tail = rec.gamma[h - 1:rec.n_filled]
-            if not np.all(tail < 0.5):
-                gamma_ok = False
-                why = f"gamma reaches 1/2 beyond h for {key}"
-                break
-            if math.isnan(kappa_proxy):
-                growth_ok = False
-                why = "no admissible expansion segments for kappa"
-                break
-            expo = 1.0 / (2.0 * rec.order - 1.0)
-            log_d_prev = np.concatenate(
-                ([0.0], rec.log_D[:rec.n_filled - 1]))
-            need = math.log(2.0 * margin / kappa_proxy)
-            if not np.all(expo * log_d_prev[h - 1:] >= need):
-                growth_ok = False
-                why = f"derivative growth misses the margin for {key}"
-                break
-        if not gamma_ok or not growth_ok:
+        why, h = _delta_defect(m, d, records, kappa_proxy, margin, grid,
+                               p_max)
+        if why is not None:
             diagnostics[d] = why
             continue
         kap = kappa_by_delta[d]
-        c_hat, lam = _fit_expansion(kap)    # from the same sweep
-        q0 = choose_q0(c_hat, lam)
+        c_hat, lam = _fit_expansion(kap)    # from the same walk
         report = ExpansionReport(
-            delta=d,
-            kappa_hat=kappa_proxy,
-            c_hat=c_hat,
-            lambda_hat=lam,
-            h_delta=h,
-            q0=q0,
-            margin=margin,
-            margin_check={
-                "neighborhoods_and_images_disjoint": True,
-                "gamma_below_half_beyond_h": True,
-                "derivative_growth_dominates_2_over_kappa": True,
-                "kappa_segments": kap.segments,
-            },
-            samples=int(n_samples),
-            n_max=int(n_max),
-            horizon=int(horizon),
-        )
-        return d, report
-    raise DeltaSelectionError(
-        "no candidate delta satisfied the fixing conditions",
-        diagnostics={repr(k): v for k, v in diagnostics.items()})
+            delta=d, kappa_hat=kappa_proxy, c_hat=c_hat, lambda_hat=lam,
+            h_delta=h, q0=choose_q0(c_hat, lam), margin=margin,
+            margin_check={"neighborhoods_and_images_disjoint": True,
+                          "gamma_below_half_beyond_h": True,
+                          "derivative_growth_dominates_2_over_kappa": True,
+                          "kappa_segments": kap.segments},
+            samples=int(n_samples), n_max=int(n_max), horizon=int(horizon))
+        break
+    _LOG.info("choose_delta: kappa/segments/envelope steps %s; rejected %s; "
+              "chosen delta %r, q0 %r", ", ".join(
+                  f"{k!r}: {e.value:.6g}/{e.segments}/{len(e.envelope)}"
+                  for k, e in kappa_by_delta.items()),
+              "; ".join(f"{k!r} ({v})" for k, v in diagnostics.items())
+              or "none", report and report.delta, report and report.q0)
+    if report is None:
+        raise DeltaSelectionError(
+            "no candidate delta satisfied the fixing conditions",
+            diagnostics={repr(k): v for k, v in diagnostics.items()})
+    return report.delta, report
 
 
-def _neighborhood_defect(m, delta: float):
-    """None if every neighborhood image avoids the union and |Df| >= 2 on
-    every singular neighborhood (a one-step bound piece), else a reason."""
+def _delta_defect(m, delta, records, kappa, margin, grid, p_max):
+    """(reason, h): why delta fails conditions (1)-(4) of choose_delta,
+    None when it passes, and h(delta) once it is known."""
+    try:
+        _check_delta(m, delta)
+    except MapValidationError as err:
+        return f"geometry: {err}", None
     cps = m.critical_points
     lo = [c.location if c.side == "+" else c.location - delta for c in cps]
     hi = [c.location + delta if c.side == "+" else c.location for c in cps]
@@ -323,9 +298,29 @@ def _neighborhood_defect(m, delta: float):
             if a < hi2 and lo2 < b:
                 return (f"image of the neighborhood at ({cp.location}, "
                         f"{cp.side}) meets the neighborhood at "
-                        f"({cp2.location}, {cp2.side})")
+                        f"({cp2.location}, {cp2.side})"), None
     for cp, inf_df in zip(cps, inf[:, 0].tolist()):
         if cp.order < 1.0 and inf_df < 2.0:
             return (f"expansion: inf |Df| = {inf_df!r} < 2 on the "
-                    f"neighborhood at ({cp.location}, {cp.side})")
-    return None
+                    f"neighborhood at ({cp.location}, {cp.side})"), None
+    try:
+        h = compute_h_delta(m, delta, grid=grid, p_max=p_max,
+                            records=records)
+    except RuntimeError as err:
+        return f"binding: {err}", None
+    for key, rec in records.items():
+        if rec.order <= 1.0:
+            continue
+        if rec.hit_critical_at is not None:
+            return (f"critical orbit of {key} hits the critical set at "
+                    f"step {rec.hit_critical_at}"), h
+        if not np.all(rec.gamma[h - 1:rec.n_filled] < 0.5):
+            return f"gamma reaches 1/2 beyond h for {key}", h
+        if math.isnan(kappa):
+            return "no admissible expansion segments for kappa", h
+        expo = 1.0 / (2.0 * rec.order - 1.0)
+        log_d_prev = np.concatenate(([0.0], rec.log_D[:rec.n_filled - 1]))
+        need = math.log(2.0 * margin / kappa)
+        if not np.all(expo * log_d_prev[h - 1:] >= need):
+            return f"derivative growth misses the margin for {key}", h
+    return None, h

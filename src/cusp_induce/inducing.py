@@ -74,9 +74,7 @@ def binding_periods(m, cp, xs, delta=None, records=None, p_max: int = 60
     if rec is None or rec.N < p_max:
         rec = compute_orbit(m, cp, p_max + 1)
     x = np.array(xs, dtype=float)
-    c = cp.location
-    inside = ((x > c) & (x < c + delta) if cp.side == "+"
-              else (x > c - delta) & (x < c))
+    inside = _vec.in_side(x, cp.location, cp.side, delta)
     p = np.where(inside, p_max, OUTSIDE)
     steps = min(p_max, rec.n_filled)
     tube = rec.gamma[:steps] * rec.d[:steps]
@@ -535,9 +533,7 @@ def _classify_cells(m, cuts, delta: float, q0: int, piece_tables):
     entered = np.full(bound.size, -1, dtype=np.int64)
     y_mid = pos[bound]
     for s, (c, sgn) in enumerate(keys):
-        inside = ((y_mid > c) & (y_mid < c + delta) if sgn == "+"
-                  else (y_mid > c - delta) & (y_mid < c))
-        entered[(entered < 0) & inside] = s
+        entered[(entered < 0) & _vec.in_side(y_mid, c, sgn, delta)] = s
     lost = landed[bound] | (entered < 0)
     unresolved = [(a, b, "boundary-unlocated") for a, b in zip(
         cuts[bound[lost]].tolist(), cuts[bound[lost] + 1].tolist())]

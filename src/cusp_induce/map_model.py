@@ -21,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _vec
 from . import expr as ex
 
 __all__ = [
@@ -77,9 +78,7 @@ class CriticalPoint:
 
     def contains(self, x: float, delta: float) -> bool:
         """Whether x lies in the one-sided neighborhood Delta(c, delta)."""
-        if self.side == "+":
-            return self.location < x < self.location + delta
-        return self.location - delta < x < self.location
+        return bool(_vec.in_side(x, self.location, self.side, delta))
 
 
 @dataclass(frozen=True)

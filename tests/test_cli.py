@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from cusp_induce import cli
+from cusp_induce import distortion as di
 from cusp_induce import expr as ex
 from cusp_induce.map_model import family_config
 
@@ -177,6 +178,20 @@ def test_selftest_passes():
     assert code == 0 and doc["passed"] is True
     jets = doc["checks"]["jets_vs_finite_differences"]
     assert jets["passed"] is True and jets["worst_rel_error"] < 1e-4
+    assert doc["checks"]["variation_exact"]["passed"] is True
+
+
+def test_selftest_fails_on_a_variation_rule_off_its_closed_form(monkeypatch):
+    batched = di._batched_variation
+
+    def doubled(m, branches, stats=None):
+        values, errors = batched(m, branches, stats)
+        return 2.0 * values, errors
+
+    monkeypatch.setattr(di, "_batched_variation", doubled)
+    code, doc = run_json("selftest")
+    assert code == 1 and doc["passed"] is False
+    assert doc["checks"]["variation_exact"]["passed"] is False
 
 
 def test_selftest_fails_on_a_product_rule_without_its_cross_term(
@@ -246,7 +261,7 @@ def test_progress_log_leaves_stdout_and_artifacts_unchanged(tmp_path):
         assert proc.returncode == 0
         runs.append((proc, out))
     (quiet, out1), (logged, out2) = runs
-    for stage in ("build_partition:", "scalar end jets",
+    for stage in ("choose_delta:", "build_partition:", "scalar end jets",
                   "verify_binding_lemmas:", "ulam_matrix:",
                   "stationary_density:"):
         assert stage not in quiet.stderr

@@ -2,12 +2,25 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from cusp_induce import hyperbolicity as hy
 from cusp_induce import inducing as ind
 from cusp_induce import map_model as mm
 from cusp_induce.critical_orbit import orbit_records
+from reference_expansion_sweep import _expansion_sweep
+
+# From 0.9, where most samples start inside, down to 1e-9, where none enters
+LADDER = [0.9, 0.5, 0.2, 0.1, 0.02, 0.005, 1e-3, 1e-5, 1e-9]
+
+FAMILIES = {"chebyshev": mm.chebyshev_map, "lorenz": mm.lorenz_map,
+            "unimodal": mm.unimodal_map,
+            "singular_unimodal": mm.singular_unimodal_map}
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
 
 
 def brute_q0(c_hat, lambda_hat):
@@ -34,6 +47,45 @@ def test_kappa_estimate_positive(cheb):
     assert kap.segments > 0
     assert set(kap.to_dict()) == {
         "value", "segments", "n_samples", "n_max", "applicable"}
+
+
+@pytest.mark.parametrize("n_samples", [0, 10000])
+@pytest.mark.parametrize("n_max", [1, 3, 64])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_ladder_walk_matches_the_per_delta_sweep(family, n_max, n_samples):
+    m = FAMILIES[family]()
+    xs = hy._sample_points(m, n_samples, 0)
+    got = hy._kappa_ladder(m, LADDER, n_samples, n_max, 0)
+    assert len(got) == len(LADDER)
+    for delta, kap in zip(LADDER, got):
+        envelope, kappa_log, segments = _expansion_sweep(m, delta, xs, n_max)
+        value = math.exp(kappa_log) if segments > 0 else math.nan
+        assert bits(kap.envelope) == bits(envelope), delta
+        assert bits(kap.value) == bits(value), delta
+        assert kap.segments == segments, delta
+    assert got[0].segments < got[1].segments      # 0.9 starts most inside
+    assert got[-1].segments == 0 and math.isnan(got[-1].value)
+
+
+def test_kappa_hat_is_the_weakest_estimate_over_every_candidate():
+    # one critical point at -1/2: delta 0.6 overhangs the left branch, and
+    # (0.1, 1] stays outside its union
+    m = mm.build_map({"domain": [-1.0, 1.0], "delta": 0.05, "branches": [
+        {"interval": [-1.0, -0.5], "expr": "1 - 8*(x + 0.5)^2"},
+        {"interval": [-0.5, 1.0], "expr": "1 - 2*((x + 0.5)/1.5)^2"}],
+        "critical_points": [{"location": -0.5, "side": "-", "order": 2.0},
+                            {"location": -0.5, "side": "+", "order": 2.0}]})
+    cands = [0.6, 0.02, 0.01]
+    with pytest.raises(mm.MapValidationError):
+        mm._check_delta(m, 0.6)
+    delta, report = hy.choose_delta(m, cands, margin=1.0)
+    assert delta == 0.02
+    ladder = hy._kappa_ladder(m, cands, 10000, 64, 0)
+    for d, kap in zip(cands, ladder):
+        one = hy.estimate_kappa(m, d)
+        assert (bits(one.envelope), bits(one.value), one.segments) == (
+            bits(kap.envelope), bits(kap.value), kap.segments)
+    assert report.kappa_hat == min(k.value for k in ladder) == ladder[0].value
 
 
 def test_expansion_estimate_positive(cheb):
