@@ -6,8 +6,10 @@ pullback's pieces and stage 4's sub-intervals among them, follow
 distortion.array_end_orbits instead, by forced_forward's owner index.
 Two inverses run on the pass: a bisection (_bisect) for branch_inverse and
 a Chandrupatla root finder (_chandrupatla) for forced_inverse, the
-preimages of the Ulam assembly.  Forced plans (_dispatch) follow fixed
-itineraries, so a point on a branch boundary keeps its itinerary.  One-step
+preimages of the Ulam assembly: one working set, ordered by itinerary
+length and topped up from lazily seeded groups of rows, steps every target
+of all branches.  Forced plans (_dispatch) follow fixed itineraries, so a
+point on a branch boundary keeps its itinerary.  One-step
 plans apply branch ids[k] to point k, with ids from positional dispatch
 (branch_indices: comparisons against the interior boundaries, ties to the
 right-hand branch, as MapSpec.branch_index) or from the caller; on a map
@@ -25,9 +27,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# Points one forced pass over a group of induced branches may hold at once.
-# Groups keep the per-step Python overhead off tiny arrays while bounding the
-# working arrays of the Ulam assembly (peak memory).
+# Points one forced pass over a group of induced branches may hold at once,
+# and targets in the root finder's working set.  Groups keep the per-step
+# Python overhead off tiny arrays while bounding the working arrays of the
+# Ulam assembly (peak memory).
 CHUNK_POINTS = 1 << 14
 
 # Halvings of a whole-branch bracket in branch_inverse: 60 take any
@@ -162,12 +165,23 @@ def chunk_ranges(sizes) -> list:
 
 
 def _dispatch(m, itin, owner) -> list:
-    """Per step of a forced pass of the points owned by itin rows owner:
-    the (branch, points) pairs of _formula_parts.  Passes over the same
-    points (the steps of forced_inverse's root finder, until it compacts
-    its working set) share one dispatch."""
-    return [_formula_parts(m, col[owner])
-            for col in m.formula_groups[0][itin].T]
+    """The plan of a forced pass of the points owned by itin rows owner:
+    per step, the (branch, points) pairs of _formula_parts over the prefix
+    of points that ends with the last one still running.  Points ordered
+    by itinerary length, longest first (forced_inverse's working set),
+    leave no finished point in a prefix, so on a one-formula map each step
+    is one slice, with no gather."""
+    group_of, firsts = m.formula_groups
+    tau = (itin >= 0).sum(1)[owner]
+    # step j: the prefix ends at stops[j]; running[j] points have tau > j
+    reach = np.maximum.accumulate(tau[::-1])[::-1]
+    stops = np.searchsorted(-reach, -np.arange(reach.max(initial=0)))
+    running = tau.size - np.cumsum(np.bincount(tau))
+    return [[(br, np.s_[:stop] if sel is ... else sel) for br, sel in
+             ([(firsts[0], ...)] if len(firsts) == 1 and run == stop
+              else _formula_parts(m, col[owner[:stop]]))]
+            for col, stop, run in zip(group_of[itin].T, stops.tolist(),
+                                      running.tolist())]
 
 
 def _forced_pass(plan, x, order: int = 0):
@@ -230,34 +244,45 @@ def _step(x1, x2, x3, f1, f2, f3, tol, gap):
     return np.maximum(np.minimum(np.where(ok, iqi, 0.5), 1.0 - tl), tl)
 
 
-def _chandrupatla(plan_of, t, x1, x2, x3, f1, f2, f3, xatol, stats=None):
-    """Roots of F(x) = t on the brackets [x1, x2], with residuals f1, f2
-    and a third point x3 beyond x1 (residual f3, or NaN for none).
+def _chandrupatla(plan_of, seeds, n, stats=None):
+    """Roots of F(x) = t for n targets fed by seeds in batches of arrays
+    (index, row, t, x1, x2, x3, f1, f2, f3, xatol): out[index] gets the
+    root, F is the forced pass of plan_of(rows), [x1, x2] brackets the
+    root with residuals f1 and f2, and x3 lies beyond x1 (residual f3, or
+    NaN for none).  Each step is Chandrupatla's (Adv. Eng. Software 28, 1997;
+    _step).  gap is twice the last run of equal residuals seen: where F is
+    flat at the rounding floor, a step next to the flat end would land on
+    it again.  A target stops at the bracket end of smaller finite
+    |residual| once that residual is zero, the bracket is narrower than
+    tol = 4 eps |x| + xatol, or the other residual is not finite or has
+    the same sign.
 
-    F is the forced pass of plan_of(sel), the plan of the points sel.
-    Each step is Chandrupatla's (Adv. Eng. Software 28, 1997; _step).  gap
-    is twice the last run of equal residuals seen: where F is flat at the
-    rounding floor, a step next to the flat end would land on it again.
-    A point stops at the bracket end of smaller finite |residual| once
-    that residual is zero, the bracket is narrower than tol = 4 eps |x| +
-    xatol, or the other residual is not finite or has the same sign.
-    Finished points idle until half the working set has finished; then
-    the set is compacted and its plan rebuilt.  More than ROOT_STEPS steps
-    raise RuntimeError.  stats, when given, gains the evaluations, the
-    targets, the largest step count ("max_steps") and the points stopped
-    on a non-finite residual ("nonfinite").
+    One working set of at most CHUNK_POINTS targets steps.  Finished
+    targets idle until half the set has finished; then the set is
+    compacted, topped up from the batches (newcomers are stop-tested
+    before they step) and its plan rebuilt.  Batches that come in order of
+    itinerary length, longest first, keep the set in that order, so that
+    each step of the plan covers a prefix of it (_dispatch).  A target
+    running after ROOT_STEPS steps of its own raises RuntimeError.  stats,
+    when given, is updated with the evaluations, the targets, the most
+    steps ("max_steps"), the stops on a non-finite residual ("nonfinite"),
+    the forced passes ("passes"), the compactions and the largest working
+    set ("largest_set").
     """
-    n = t.size
     out = np.empty(n)
-    steps = np.zeros(n, dtype=np.int64)
-    nonfinite = 0
+    c = dict.fromkeys(("evaluations", "max_steps", "nonfinite", "passes",
+                       "compactions", "largest_set"), 0)
     eps4 = 4.0 * np.finfo(float).eps
-    state = (np.arange(n), t, x1, x2, x3, f1, f2, f3, xatol, np.zeros(n))
-    done = np.zeros(n, dtype=bool)
-    plan = None
+
+    # each target with its gap and step count
+    feed = ((*v, np.zeros(v[0].size), np.zeros(v[0].size, dtype=np.int64))
+            for v in seeds)
+    pending = next(feed, None)
+    state = tuple(v[:0] for v in pending) if pending else ()
+    done = np.zeros(0, dtype=bool)
     with np.errstate(all="ignore"):
-        for k in range(ROOT_STEPS + 1):
-            work, t, x1, x2, x3, f1, f2, f3, xatol, gap = state
+        while state:
+            index, row, t, x1, x2, x3, f1, f2, f3, xatol, gap, age = state
             a1, a2 = np.abs(f1), np.abs(f2)
             small = np.fmin(a1, a2)
             xmin = np.where(a1 == small, x1, x2)
@@ -266,34 +291,41 @@ def _chandrupatla(plan_of, t, x1, x2, x3, f1, f2, f3, xatol, stats=None):
             stop = ~done & ((small == 0.0) | (np.abs(x2 - x1) < tol)
                             | ~finite | ((f1 < 0) == (f2 < 0)))
             if stop.any():
-                out[work[stop]] = xmin[stop]
-                steps[work[stop]] = k
-                nonfinite += int((stop & ~finite).sum())
+                out[index[stop]] = xmin[stop]
+                c["evaluations"] += int(age[stop].sum())
+                c["max_steps"] = max(c["max_steps"], int(age[stop].max()))
+                c["nonfinite"] += int((stop & ~finite).sum())
                 done |= stop
-            if plan is None or 2 * done.sum() >= done.size:
-                state = tuple(v[~done] for v in state)
-                tol, done = tol[~done], done[~done]
-                if not done.size:
+            if 2 * done.sum() >= done.size:
+                c["compactions"] += done.size > 0
+                room = CHUNK_POINTS - done.size + int(done.sum())
+                while pending[0].size < room and (
+                        more := next(feed, None)) is not None:
+                    pending = tuple(map(np.concatenate, zip(pending, more)))
+                state = tuple(np.concatenate((v[~done], p[:room]))
+                              for v, p in zip(state, pending))
+                pending = tuple(p[room:] for p in pending)
+                if not state[0].size:
                     break
-                plan = plan_of(state[0])
-                work, t, x1, x2, x3, f1, f2, f3, xatol, gap = state
-            if k == ROOT_STEPS:
+                done = np.zeros(state[0].size, dtype=bool)
+                c["largest_set"] = max(c["largest_set"], done.size)
+                plan = plan_of(state[1])
+                continue
+            late = ~done & (age >= ROOT_STEPS)
+            if late.any():
                 raise RuntimeError(
-                    f"root finder did not converge on {done.size - done.sum()}"
+                    f"root finder did not converge on {late.sum()}"
                     f" target(s) in {ROOT_STEPS} steps")
             x = x1 + _step(x1, x2, x3, f1, f2, f3, tol, gap) * (x2 - x1)
             f = _forced_pass(plan, x) - t
+            c["passes"] += 1
             same = (f < 0) == (f1 < 0)
             x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
             x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
             gap = np.where(f == f3, 2.0 * np.abs(x - x3), gap)
-            state = (work, t, x, x2, x3, f, f2, f3, xatol, gap)
+            state = (index, row, t, x, x2, x3, f, f2, f3, xatol, gap, age + 1)
     if stats is not None:
-        for key, v in (("evaluations", int(steps.sum())), ("targets", n),
-                       ("nonfinite", nonfinite)):
-            stats[key] = stats.get(key, 0) + v
-        stats["max_steps"] = max(stats.get("max_steps", 0),
-                                 int(steps.max(initial=0)))
+        stats.update(c, targets=n)
     return out
 
 
@@ -303,36 +335,47 @@ def forced_inverse(m, itin, a, b, increasing, targets, stats=None) -> list:
     Row k is monotone on [a[k], b[k]] in the sense increasing[k], and
     targets[k] is ascending.  A forward grid of max(16, n) cells per row
     seeds brackets one cell wide, with the residuals at both ends and at
-    the node beyond one end; _chandrupatla polishes each preimage to within
-    4 eps |x| plus 2**-31 of the row's grid cell, no looser than thirty
-    halvings.  stats, when
-    given, gains the root finder's counts (_chandrupatla).
+    the node beyond one end, one chunk_ranges group of rows at a time, the
+    longest itineraries first, as _chandrupatla's one working set takes
+    them in.  It polishes each preimage to within 4 eps |x| plus 2**-31 of
+    the row's grid cell, no looser than thirty halvings.  stats, when
+    given, is updated with the root finder's counts (_chandrupatla).
     """
-    grids = [np.linspace(u, v, max(16, t.size) + 1)
-             for u, v, t in zip(a, b, targets)]
-    sizes = np.array([g.size for g in grids])
-    starts = np.cumsum(sizes) - sizes
-    xs = np.concatenate(grids)
-    ys = forced_forward(m, itin, np.repeat(np.arange(len(grids)), sizes), xs)
-    pos = [np.searchsorted(y if inc else y[::-1], t)
-           for y, t, inc in zip(np.split(ys, starts[1:]), targets,
-                                increasing)]
-    counts = [t.size for t in targets]
-    owner = np.repeat(np.arange(len(targets)), counts)
-    size, start = sizes[owner], starts[owner]
-    pos = np.clip(np.concatenate(pos), 1, size - 1)
-    up = np.asarray(increasing, dtype=bool)[owner]
-    t = np.concatenate(targets)
+    counts = np.array([t.size for t in targets], dtype=np.int64)
+    sizes = np.maximum(16, counts) + 1
+    up = np.asarray(increasing, dtype=bool)
+    first = np.cumsum(counts) - counts
+    # longest first: each step of a pass, on the grid or in the working
+    # set, is a prefix
+    rank = np.argsort(-(itin >= 0).sum(1), kind="stable")
 
-    def node(i):
-        """Node i of the row in its order of increasing image."""
-        return start + np.where(up, i, size - 1 - i)
+    def seeds():
+        for s, e in chunk_ranges(sizes[rank]):
+            rows = rank[s:e]
+            xs = np.concatenate([np.linspace(a[k], b[k], sizes[k])
+                                 for k in rows.tolist()])
+            starts = np.cumsum(sizes[rows]) - sizes[rows]
+            ys = forced_forward(m, itin, np.repeat(rows, sizes[rows]), xs)
+            pos = np.concatenate([
+                np.searchsorted(y if up[k] else y[::-1], targets[k])
+                for y, k in zip(np.split(ys, starts[1:]), rows.tolist())])
+            local = np.repeat(np.arange(rows.size), counts[rows])
+            row = rows[local]
+            # target j of a row goes to out[first[row] + j]
+            index = first[row] + np.arange(row.size) - (
+                np.cumsum(counts[rows]) - counts[rows])[local]
+            size, start, inc = sizes[row], starts[local], up[row]
+            pos = np.clip(pos, 1, size - 1)
+            t = np.concatenate([targets[k] for k in rows.tolist()])
+            # x1 and x2 bracket the target, x3 is the node beyond x1, if
+            # any: nodes of the row in its order of increasing image
+            i1, i2, i3 = (start + np.where(inc, i, size - 1 - i) for i in
+                          (pos - 1, pos, np.maximum(pos - 2, 0)))
+            none = np.where(pos > 1, 0.0, np.nan)
+            yield (index, row, t, xs[i1], xs[i2], xs[i3] + none, ys[i1] - t,
+                   ys[i2] - t, ys[i3] - t + none,
+                   (xs[start + 1] - xs[start]) * 2.0 ** -31)
 
-    # x1 and x2 bracket the target; x3 is the node beyond x1, if any
-    i1, i2, i3 = node(pos - 1), node(pos), node(np.maximum(pos - 2, 0))
-    none = np.where(pos > 1, 0.0, np.nan)
-    x = _chandrupatla(lambda sel: _dispatch(m, itin, owner[sel]), t,
-                      xs[i1], xs[i2], xs[i3] + none, ys[i1] - t, ys[i2] - t,
-                      ys[i3] - t + none,
-                      (xs[start + 1] - xs[start]) * 2.0 ** -31, stats)
+    x = _chandrupatla(lambda rows: _dispatch(m, itin, rows), seeds(),
+                      int(counts.sum()), stats)
     return np.split(x, np.cumsum(counts)[:-1])

@@ -127,8 +127,9 @@ def _transfer_matrix(edges: np.ndarray, groups, n_pieces: int):
     """
     lo, m_cells = edges[0], edges.size - 1
     cw = (edges[-1] - lo) / m_cells
-    rows = np.empty(n_pieces, dtype=np.int64)
-    cols = np.empty(n_pieces, dtype=np.int64)
+    # int32: the COO matrix would copy int64 indices into int32 anyway
+    rows = np.empty(n_pieces, dtype=np.int32)
+    cols = np.empty(n_pieces, dtype=np.int32)
     mass = np.empty(n_pieces)
     n = 0
     for group in groups:
@@ -139,6 +140,7 @@ def _transfer_matrix(edges: np.ndarray, groups, n_pieces: int):
         cols[n:k] = col
         mass[n:k] = widths
         n = k
+    group = None        # its preimage views hold the whole preimage array
     rows, cols, mass = rows[:n], cols[:n], mass[:n]
     coverage = np.bincount(rows, weights=mass, minlength=m_cells) / cw
     mat = sparse.coo_matrix((mass / cw, (rows, cols)),
@@ -154,8 +156,8 @@ def ulam_matrix(m, partition, m_cells: int = 4096) -> UlamTable:
 
     Entry (i, j) holds the fraction of cell i carried into cell j by the
     induced map, assembled from preimages of the cell boundaries, found by
-    _vec.forced_inverse's root finder along the branch itineraries a group
-    of branches at a time.  Rows overlapping the unresolved set are
+    _vec.forced_inverse's root finder along the branch itineraries, one
+    working set for all branches.  Rows overlapping the unresolved set are
     renormalized and flagged; rows with no resolved mass at all fall back
     to a uniform distribution and are reported as dead.
     """
@@ -175,15 +177,13 @@ def ulam_matrix(m, partition, m_cells: int = 4096) -> UlamTable:
     stats = {}
 
     def groups():
-        # the grid pass of forced_inverse holds n + 17 points for n targets
-        for s, e in _vec.chunk_ranges(17 + counts):
-            group = branches[s:e]
-            up = [br.orientation > 0 for br in group]
-            targets = [edges[j:j + n] for j, n in zip(first[s:e],
-                                                      counts[s:e])]
-            yield a[s:e], b[s:e], _vec.forced_inverse(
-                m, _vec.itinerary_matrix([br.itinerary for br in group]),
-                a[s:e], b[s:e], up, targets, stats), up, first[s:e]
+        # one root finder for all branches; _pieces takes a group at a time
+        up = np.array([br.orientation > 0 for br in branches], dtype=bool)
+        pre = _vec.forced_inverse(
+            m, _vec.itinerary_matrix([br.itinerary for br in branches]), a,
+            b, up, [edges[j:j + n] for j, n in zip(first, counts)], stats)
+        for s, e in _vec.chunk_ranges(1 + counts):
+            yield a[s:e], b[s:e], pre[s:e], up[s:e], first[s:e]
 
     mat, coverage, dead = _transfer_matrix(edges, groups(), n_pieces)
     dead_idx = np.nonzero(dead)[0]
@@ -200,10 +200,12 @@ def ulam_matrix(m, partition, m_cells: int = 4096) -> UlamTable:
     _LOG.info("ulam_matrix: %d branches, %d targets inverted, %d nonzeros, "
               "%d dead rows, %d flagged rows; root finder: %d evaluations "
               "(%.2f per target), at most %d steps, %d stopped on a "
-              "non-finite residual", len(branches), n_targets, mat.nnz,
+              "non-finite residual, %d forced passes, %d compactions, "
+              "largest working set %d", len(branches), n_targets, mat.nnz,
               dead_idx.size, int(flagged.sum()), stats.get("evaluations", 0),
               stats.get("evaluations", 0) / max(n_targets, 1),
-              stats.get("max_steps", 0), stats.get("nonfinite", 0))
+              *(stats.get(k, 0) for k in ("max_steps", "nonfinite", "passes",
+                                          "compactions", "largest_set")))
     return UlamTable(matrix=mat, m=m_cells, edges=edges, cell_width=cw,
                      coverage=coverage, flagged_rows=flagged, dead_rows=dead)
 

@@ -58,16 +58,23 @@ def test_ulam_and_stationary_vector_log_their_counts(caplog, lorenz,
     d = table.to_dict()
     assert ulam.startswith(
         f"ulam_matrix: {len(lorenz_partition.branches)} branches, ")
-    n_targets, evaluations, per_target, max_steps, nonfinite = \
-        caplog.records[0].args[1], *caplog.records[0].args[5:]
+    n_targets, (evaluations, per_target, max_steps, nonfinite, passes,
+                compactions, largest) = \
+        caplog.records[0].args[1], caplog.records[0].args[5:]
     assert ulam.endswith(
         f"targets inverted, {d['nnz']} nonzeros, {d['dead_rows']} dead rows, "
         f"{d['flagged_rows']} flagged rows; root finder: {evaluations} "
         f"evaluations ({per_target:.2f} per target), at most {max_steps} "
-        f"steps, {nonfinite} stopped on a non-finite residual")
+        f"steps, {nonfinite} stopped on a non-finite residual, {passes} "
+        f"forced passes, {compactions} compactions, largest working set "
+        f"{largest}")
     assert 0 < evaluations <= max_steps * n_targets
     assert per_target == evaluations / n_targets
     assert 1 < max_steps <= _vec.ROOT_STEPS and nonfinite == 0
+    # one working set of at most CHUNK_POINTS targets takes every step
+    assert largest == min(n_targets, _vec.CHUNK_POINTS)
+    assert max_steps <= passes and evaluations <= passes * largest
+    assert 0 < compactions < passes
     assert "iterations, final L1 step" in stationary
     assert stationary.endswith("period-2 averaging not needed")
     # the benchmark reads "escapes" lines with two arguments as orbit counts
@@ -152,6 +159,20 @@ def test_ulam_columns_follow_the_order_of_the_preimages(request, which):
     off = np.flatnonzero(cols != fwd)
     assert np.all(widths[off] <= tol[off])
     assert off.size <= 1e-4 * mids.size
+
+
+@pytest.mark.parametrize("which", ["cheb", "lorenz"])
+def test_ulam_matrix_does_not_depend_on_the_working_set_size(
+        request, monkeypatch, which):
+    # a working set of 257 targets tops up many times from many seeded
+    # groups; every preimage, and with it the matrix, stays the same bits
+    m = request.getfixturevalue(which)
+    part = request.getfixturevalue(which + "_partition")
+    want = de.ulam_matrix(m, part, m_cells=256).matrix
+    monkeypatch.setattr(_vec, "CHUNK_POINTS", 257)
+    got = de.ulam_matrix(m, part, m_cells=256).matrix
+    for key in ("data", "indices", "indptr"):
+        assert getattr(got, key).tobytes() == getattr(want, key).tobytes()
 
 
 def test_pull_back_produces_probability_density(lorenz, lorenz_partition):

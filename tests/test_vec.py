@@ -349,9 +349,10 @@ def _root_finder(branch, t, x1, x2, stats=None):
     t, x1, x2 = (np.asarray(v, dtype=float) for v in (t, x1, x2))
     f1, f2 = branch.values(x1) - t, branch.values(x2) - t
     none = np.full(t.size, np.nan)
-    return _vec._chandrupatla(lambda sel: [[(branch, ...)]], t, x1,
-                              x2, none, f1, f2, none, np.full(t.size, 1e-18),
-                              stats)
+    seed = (np.arange(t.size), np.zeros(t.size, dtype=np.int64), t, x1, x2,
+            none, f1, f2, none, np.full(t.size, 1e-18))
+    return _vec._chandrupatla(lambda rows: [[(branch, ...)]], iter([seed]),
+                              t.size, stats)
 
 
 def test_a_non_finite_residual_stops_inside_the_bracket():
@@ -377,6 +378,29 @@ def test_root_finder_raises_at_its_step_cap(monkeypatch, map_and_branches):
     with pytest.raises(RuntimeError, match="did not converge"):
         _vec.forced_inverse(m, *_inverse_args(branches),
                             _ulam_targets(branches))
+
+
+def test_step_cap_counts_each_targets_own_steps(monkeypatch,
+                                                map_and_branches):
+    # with a working set of 64 targets most targets join after more
+    # passes than ROOT_STEPS; they hit the cap only on their own steps
+    m, branches = map_and_branches
+    args, targets = _inverse_args(branches), _ulam_targets(branches)
+    stats = {}
+    want = np.concatenate(_vec.forced_inverse(m, *args, targets, stats))
+    monkeypatch.setattr(_vec, "CHUNK_POINTS", 64)
+    monkeypatch.setattr(_vec, "ROOT_STEPS", stats["max_steps"])
+    small = {}
+    got = np.concatenate(_vec.forced_inverse(m, *args, targets, small))
+    assert got.tobytes() == want.tobytes()
+    assert small["passes"] > 10 * _vec.ROOT_STEPS
+    assert small["largest_set"] == 64
+    for key in ("evaluations", "targets", "max_steps", "nonfinite"):
+        assert small[key] == stats[key]
+    # a target that needs one step more than the cap still raises
+    monkeypatch.setattr(_vec, "ROOT_STEPS", stats["max_steps"] - 1)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        _vec.forced_inverse(m, *args, targets)
 
 
 def test_chunk_ranges_close_runs_at_the_budget():
