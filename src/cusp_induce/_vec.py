@@ -8,7 +8,7 @@ Two inverses run on the pass: a bisection (_bisect) for branch_inverse and
 a Chandrupatla root finder (_chandrupatla) for forced_inverse, the
 preimages of the Ulam assembly: one working set, ordered by itinerary
 length and topped up from lazily seeded groups of rows, steps every target
-of all branches.  Forced plans (_dispatch) follow fixed itineraries, so a
+of all branches.  Forced plans (_planner) follow fixed itineraries, so a
 point on a branch boundary keeps its itinerary.  One-step
 plans apply branch ids[k] to point k, with ids from positional dispatch
 (branch_indices: comparisons against the interior boundaries, ties to the
@@ -164,28 +164,33 @@ def chunk_ranges(sizes) -> list:
     return runs
 
 
-def _dispatch(m, itin, owner) -> list:
-    """The plan of a forced pass of the points owned by itin rows owner:
-    per step, the (branch, points) pairs of _formula_parts over the prefix
-    of points that ends with the last one still running.  Points ordered
-    by itinerary length, longest first (forced_inverse's working set),
-    leave no finished point in a prefix, so on a one-formula map each step
-    is one slice, with no gather."""
+def _planner(m, itin):
+    """plan_of(owner): the plan of a forced pass of the points owned by
+    itin rows owner: per step, the (branch, points) pairs of _formula_parts
+    over the prefix of points that ends with the last one still running.
+    Points ordered by itinerary length, longest first (forced_inverse's
+    working set), leave no finished point in a prefix, so on a
+    one-formula map each step is one slice, with no gather."""
     group_of, firsts = m.formula_groups
-    tau = (itin >= 0).sum(1)[owner]
-    # step j: the prefix ends at stops[j]; running[j] points have tau > j
-    reach = np.maximum.accumulate(tau[::-1])[::-1]
-    stops = np.searchsorted(-reach, -np.arange(reach.max(initial=0)))
-    running = tau.size - np.cumsum(np.bincount(tau))
-    return [[(br, np.s_[:stop] if sel is ... else sel) for br, sel in
-             ([(firsts[0], ...)] if len(firsts) == 1 and run == stop
-              else _formula_parts(m, col[owner[:stop]]))]
-            for col, stop, run in zip(group_of[itin].T, stops.tolist(),
-                                      running.tolist())]
+    lengths, columns = (itin >= 0).sum(1), group_of[itin].T
+
+    def plan_of(owner) -> list:
+        tau = lengths[owner]
+        # step j: the prefix ends at stops[j]; running[j] points have
+        # tau > j
+        reach = np.maximum.accumulate(tau[::-1])[::-1]
+        stops = np.searchsorted(-reach, -np.arange(reach.max(initial=0)))
+        running = tau.size - np.cumsum(np.bincount(tau))
+        return [[(br, np.s_[:stop] if sel is ... else sel) for br, sel in
+                 ([(firsts[0], ...)] if len(firsts) == 1 and run == stop
+                  else _formula_parts(m, col[owner[:stop]]))]
+                for col, stop, run in zip(columns, stops.tolist(),
+                                          running.tolist())]
+    return plan_of
 
 
 def _forced_pass(plan, x, order: int = 0):
-    """Push x through a plan (from _dispatch, or of one step).
+    """Push x through a plan (from _planner, or of one step).
 
     Returns the image, or with derivative order 1 or 2 the tuple of the
     image and its first (and second) derivatives.
@@ -215,7 +220,7 @@ def forced_forward(m, itin, owner, x, order: int = 0):
     Returns f^tau(x), or with derivative order 1 or 2 the tuple of f^tau
     and its first (and second) derivatives, as _forced_pass.
     """
-    return _forced_pass(_dispatch(m, itin, owner), x, order)
+    return _forced_pass(_planner(m, itin)(owner), x, order)
 
 
 def _bisect(plan, lo, hi, t, up, steps):
@@ -262,7 +267,7 @@ def _chandrupatla(plan_of, seeds, n, stats=None):
     compacted, topped up from the batches (newcomers are stop-tested
     before they step) and its plan rebuilt.  Batches that come in order of
     itinerary length, longest first, keep the set in that order, so that
-    each step of the plan covers a prefix of it (_dispatch).  A target
+    each step of the plan covers a prefix of it (_planner).  A target
     running after ROOT_STEPS steps of its own raises RuntimeError.  stats,
     when given, is updated with the evaluations, the targets, the most
     steps ("max_steps"), the stops on a non-finite residual ("nonfinite"),
@@ -343,8 +348,13 @@ def forced_inverse(m, itin, a, b, increasing, targets, stats=None) -> list:
     """
     counts = np.array([t.size for t in targets], dtype=np.int64)
     sizes = np.maximum(16, counts) + 1
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    # np.linspace(a[k], b[k], sizes[k]): node i is i * step[k] + a[k], the
+    # last node b[k]
+    step = (b - a) / (sizes - 1)
     up = np.asarray(increasing, dtype=bool)
     first = np.cumsum(counts) - counts
+    plan_of = _planner(m, itin)
     # longest first: each step of a pass, on the grid or in the working
     # set, is a prefix
     rank = np.argsort(-(itin >= 0).sum(1), kind="stable")
@@ -352,13 +362,18 @@ def forced_inverse(m, itin, a, b, increasing, targets, stats=None) -> list:
     def seeds():
         for s, e in chunk_ranges(sizes[rank]):
             rows = rank[s:e]
-            xs = np.concatenate([np.linspace(a[k], b[k], sizes[k])
-                                 for k in rows.tolist()])
-            starts = np.cumsum(sizes[rows]) - sizes[rows]
-            ys = forced_forward(m, itin, np.repeat(rows, sizes[rows]), xs)
+            ends = np.cumsum(sizes[rows])
+            starts = ends - sizes[rows]
+            node_row = np.repeat(rows, sizes[rows])
+            xs = ((np.arange(ends[-1]) - np.repeat(starts, sizes[rows]))
+                  * step[node_row] + a[node_row])
+            xs[ends - 1] = b[rows]
+            ys = _forced_pass(plan_of(node_row), xs)
             pos = np.concatenate([
-                np.searchsorted(y if up[k] else y[::-1], targets[k])
-                for y, k in zip(np.split(ys, starts[1:]), rows.tolist())])
+                np.searchsorted(ys[i:j] if up[k] else ys[i:j][::-1],
+                                targets[k])
+                for i, j, k in zip(starts.tolist(), ends.tolist(),
+                                   rows.tolist())])
             local = np.repeat(np.arange(rows.size), counts[rows])
             row = rows[local]
             # target j of a row goes to out[first[row] + j]
@@ -376,6 +391,5 @@ def forced_inverse(m, itin, a, b, increasing, targets, stats=None) -> list:
                    ys[i2] - t, ys[i3] - t + none,
                    (xs[start + 1] - xs[start]) * 2.0 ** -31)
 
-    x = _chandrupatla(lambda rows: _dispatch(m, itin, rows), seeds(),
-                      int(counts.sum()), stats)
+    x = _chandrupatla(plan_of, seeds(), int(counts.sum()), stats)
     return np.split(x, np.cumsum(counts)[:-1])

@@ -19,7 +19,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -422,6 +421,9 @@ def cmd_scan(args) -> int:
         combos = []
     tasks = [(args.family, combo, args.nmax) for combo in combos]
     if args.jobs > 1 and len(tasks) > 1:
+        # imported here: the other commands would pay for it at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_scan_row, tasks))
     else:

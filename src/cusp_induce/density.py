@@ -13,7 +13,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from . import _fastmap, _vec
 from .distortion import abs_df_extrema, array_end_orbits, raise_first
@@ -37,9 +36,63 @@ def l1_distance(h1, h2, cell_width: float) -> float:
 # transfer matrix of the induced map
 
 
+class Csr:
+    """A sparse matrix in compressed sparse rows: row i holds the entries
+    data[indptr[i]:indptr[i + 1]] in the ascending int32 columns
+    indices[indptr[i]:indptr[i + 1]].  v @ P adds each entry's product
+    into its column in storage order, as scipy's csr matrices do."""
+
+    __array_ufunc__ = None      # ndarray @ Csr defers to __rmatmul__
+
+    def __init__(self, data, indices, indptr, shape):
+        self.data, self.indices, self.indptr = data, indices, indptr
+        self.shape = shape
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def entry_row(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    @classmethod
+    def from_entries(cls, key, vals, shape, row_scale=None):
+        """Entries vals at row key // n_cols, column key % n_cols: duplicates
+        summed in input order, then times row_scale[row] if given; zero
+        sums are dropped.  Sorts key and vals in place, and reuses the
+        sort order's memory: the Ulam assembly's entries are its largest
+        arrays."""
+        n_cols = shape[1]
+        order = np.argsort(key, kind="stable")
+        vals[:] = vals[order]
+        key[:] = key[order]
+        new = np.ones(key.size, dtype=bool)
+        new[1:] = key[1:] != key[:-1]
+        seg = np.cumsum(new, out=order)
+        seg -= 1
+        # bincount adds in input order; np.add.reduceat sums pairwise
+        data = np.bincount(seg, vals)
+        order = seg = None
+        key = key[new]
+        row = key // n_cols
+        if row_scale is not None:
+            data *= row_scale[row]
+        keep = data != 0
+        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row[keep], minlength=shape[0]),
+                  out=indptr[1:])
+        return cls(data[keep], (key[keep] % n_cols).astype(np.int32),
+                   indptr, shape)
+
+    def __rmatmul__(self, v) -> np.ndarray:
+        v = np.repeat(np.asarray(v, dtype=float), np.diff(self.indptr))
+        return np.bincount(self.indices, self.data * v, self.shape[1])
+
+
 @dataclass
 class UlamTable:
-    matrix: object              # csr, row stochastic
+    matrix: Csr                 # row stochastic
     m: int
     edges: np.ndarray
     cell_width: float
@@ -122,33 +175,33 @@ def _transfer_matrix(edges: np.ndarray, groups, n_pieces: int):
     groups yields the arguments of _pieces, one group of branches at a
     time; n_pieces bounds their total piece count.  Each piece carries its
     width from the cell of its midpoint into the cell of its image.  Rows
-    without resolved mass are dead and stay zero.  Returns (csr matrix,
+    without resolved mass are dead and stay empty.  Returns (Csr,
     coverage, dead mask).
     """
     lo, m_cells = edges[0], edges.size - 1
     cw = (edges[-1] - lo) / m_cells
-    # int32: the COO matrix would copy int64 indices into int32 anyway
-    rows = np.empty(n_pieces, dtype=np.int32)
-    cols = np.empty(n_pieces, dtype=np.int32)
+    # key = row * m_cells + column; int32 where it holds every key halves
+    # the largest arrays of the assembly
+    key = np.empty(n_pieces, dtype=np.int32 if m_cells**2 <= 2**31
+                   else np.int64)
     mass = np.empty(n_pieces)
     n = 0
     for group in groups:
         _owner, mids, widths, col = _pieces(edges, *group)
         k = n + mids.size
-        rows[n:k] = np.clip(((mids - lo) / cw).astype(np.int64),
-                            0, m_cells - 1)
-        cols[n:k] = col
+        key[n:k] = np.clip(((mids - lo) / cw).astype(np.int64), 0,
+                           m_cells - 1) * m_cells + col
         mass[n:k] = widths
         n = k
     group = None        # its preimage views hold the whole preimage array
-    rows, cols, mass = rows[:n], cols[:n], mass[:n]
-    coverage = np.bincount(rows, weights=mass, minlength=m_cells) / cw
-    mat = sparse.coo_matrix((mass / cw, (rows, cols)),
-                            shape=(m_cells, m_cells)).tocsr()
+    key, mass = key[:n], mass[:n]
+    coverage = np.bincount(key // m_cells, mass, m_cells) / cw
     dead = coverage <= 1e-12
     scale = np.zeros(m_cells)
     scale[~dead] = 1.0 / coverage[~dead]
-    return (sparse.diags(scale) @ mat).tocsr(), coverage, dead
+    mass /= cw
+    mat = Csr.from_entries(key, mass, (m_cells, m_cells), scale)
+    return mat, coverage, dead
 
 
 def ulam_matrix(m, partition, m_cells: int = 4096) -> UlamTable:
@@ -188,11 +241,13 @@ def ulam_matrix(m, partition, m_cells: int = 4096) -> UlamTable:
     mat, coverage, dead = _transfer_matrix(edges, groups(), n_pieces)
     dead_idx = np.nonzero(dead)[0]
     if dead_idx.size:
-        r2 = np.repeat(dead_idx, m_cells)
-        c2 = np.tile(np.arange(m_cells), dead_idx.size)
-        v2 = np.full(r2.size, 1.0 / m_cells)
-        mat = (mat + sparse.coo_matrix(
-            (v2, (r2, c2)), shape=(m_cells, m_cells)).tocsr()).tocsr()
+        mat = Csr.from_entries(
+            np.concatenate((mat.entry_row() * m_cells + mat.indices,
+                            (dead_idx[:, None] * m_cells
+                             + np.arange(m_cells)).ravel())),
+            np.concatenate((mat.data, np.full(dead_idx.size * m_cells,
+                                              1.0 / m_cells))),
+            mat.shape)
         _LOG.warning("ulam matrix has %d dead rows (unresolved cells)",
                      dead_idx.size)
     flagged = (~dead) & (np.abs(coverage - 1.0) > 1e-12)
@@ -223,7 +278,7 @@ def stationary_density(table: UlamTable, tol: float = 1e-10,
     prev = None
     averaged = False
     for it in range(1, int(max_iters) + 1):
-        w = np.asarray(v @ P).ravel()
+        w = v @ P
         s = w.sum()
         if s <= 0:
             raise RuntimeError("transfer matrix lost all mass")
@@ -334,7 +389,7 @@ def invariance_residual(m, h_map: np.ndarray, m_cells: int | None = None
     if tot <= 0:
         raise ValueError("density has no mass")
     p = p / tot
-    q = np.asarray(p @ P).ravel()
+    q = p @ P
     return float(np.abs(q - p).sum())
 
 

@@ -274,6 +274,24 @@ def test_progress_log_leaves_stdout_and_artifacts_unchanged(tmp_path):
     assert mismatch == [] and errors == []
 
 
+def test_runtime_loads_no_scipy(tmp_path):
+    # scipy is a test dependency only: neither the import nor a whole
+    # pipeline run loads it
+    script = (
+        "import sys\n"
+        "def scipy_modules():\n"
+        "    return [k for k in sys.modules if k.split('.')[0] == 'scipy']\n"
+        "import cusp_induce.cli as cli\n"
+        "loaded = scipy_modules()\n"
+        "code = cli.main(['pipeline', '--family', 'lorenz', '--m', '256',\n"
+        "                 '--out', sys.argv[1]])\n"
+        "print(repr((loaded, code, scipy_modules())), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "([], 0, [])"
+
+
 def test_pipeline_reports_failed_stage():
     code, doc = run_json("pipeline", "--family", "singular_unimodal",
                          "--m", "128")

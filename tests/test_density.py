@@ -1,10 +1,10 @@
 """Transfer-operator discretization, stationary densities, orbit histograms."""
 
+import dataclasses
 import logging
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from cusp_induce import _fastmap, _vec, map_model
 from cusp_induce import density as de
@@ -32,9 +32,10 @@ def test_l1_distance_basics():
 def test_ulam_table_is_row_stochastic(lorenz, lorenz_partition):
     table = de.ulam_matrix(lorenz, lorenz_partition, m_cells=512)
     assert table.m == 512
-    sums = np.asarray(table.matrix.sum(axis=1)).ravel()
+    P = table.matrix
+    sums = np.bincount(P.entry_row(), P.data, P.shape[0])
     assert np.allclose(sums, 1.0, atol=1e-12)
-    assert table.matrix.min() >= 0
+    assert P.data.min() >= 0
     assert np.all(table.coverage >= 0)
 
 
@@ -84,7 +85,7 @@ def test_ulam_and_stationary_vector_log_their_counts(caplog, lorenz,
 def test_stationary_vector_logs_period_2_averaging(caplog):
     # cells 0 and 1 swap and cell 2 empties into 0: from the uniform start
     # the vector oscillates between (2, 1, 0)/3 and (1, 2, 0)/3
-    P = sparse.csr_matrix(np.array([[0, 1, 0], [1, 0, 0], [1, 0, 0]], float))
+    P = de.Csr.from_entries(np.array([1, 3, 6]), np.ones(3), (3, 3))
     table = de.UlamTable(matrix=P, m=3, edges=np.linspace(0, 3, 4),
                          cell_width=1.0, coverage=np.ones(3),
                          flagged_rows=np.zeros(3, bool),
@@ -95,6 +96,104 @@ def test_stationary_vector_logs_period_2_averaging(caplog):
     assert caplog.records[-1].getMessage().startswith(
         "stationary_density: 4 iterations")
     assert caplog.records[-1].getMessage().endswith("averaging ran")
+
+
+def _scipy_reference(rows, cols, vals, shape, scale):
+    """The Ulam assembly's scipy form: COO -> CSR, rows scaled, columns
+    sorted."""
+    from scipy import sparse
+
+    mat = (sparse.diags(scale) @ sparse.coo_matrix(
+        (vals, (rows, cols)), shape=shape).tocsr()).tocsr()
+    mat.sort_indices()
+    return mat
+
+
+def test_csr_matches_its_scipy_reference():
+    # duplicates (40,000 entries on 150 x 120 cells), exact zeros and
+    # cancelling pairs, rows without entries and rows scaled by zero; the
+    # values are multiples of 2**-10, so every order of summing them is exact
+    rng = np.random.default_rng(3)
+    shape, n = (150, 120), 40000
+    rows = rng.integers(0, shape[0], n).astype(np.int32)
+    rows[np.isin(rows, (5, 70, 149))] = 6
+    cols = rng.integers(0, shape[1], n).astype(np.int32)
+    vals = rng.integers(1, 2**20, n) * 2.0**-10
+    vals[::97] = 0.0
+    rows[-200:], cols[-200:] = rows[:200], cols[:200]
+    vals[-200:] = -vals[:200]
+    scale = 1.0 / rng.uniform(0.5, 2.0, shape[0])
+    scale[[6, 33]] = 0.0
+    want = _scipy_reference(rows, cols, vals, shape, scale)
+    got = de.Csr.from_entries(rows * shape[1] + cols, vals.copy(), shape,
+                              scale)
+    assert got.shape == want.shape and got.nnz == want.nnz
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.indices.dtype == np.int32
+    assert np.all(np.abs(got.data - want.data)
+                  <= np.abs(np.spacing(want.data)))
+    assert np.all(got.data != 0.0)
+    empty = np.diff(got.indptr) == 0
+    assert empty[[5, 6, 33, 70, 149]].all()
+    v = rng.uniform(0.0, 1.0, shape[0])
+    assert (v @ got).tobytes() == np.asarray(v @ want).tobytes()
+    assert np.array_equal(got.entry_row(),
+                          np.repeat(np.arange(shape[0]), np.diff(got.indptr)))
+
+
+def test_csr_sums_duplicates_in_input_order():
+    # (1e16 + 1) + 1 rounds to 1e16 twice; 1e16 + (1 + 1) would not
+    for vals, want in (([1e16, 5.0, 1.0, 1.0], 1e16),
+                       ([1.0, 5.0, 1.0, 1e16], 1e16 + 2.0)):
+        key = np.array([1, 0, 1, 1])
+        P = de.Csr.from_entries(key, np.array(vals), (1, 2))
+        assert P.data.tolist() == [5.0, want]
+        # from_entries sorts its arguments in place
+        assert key.tolist() == [0, 1, 1, 1]
+
+
+@pytest.mark.parametrize("which", ["cheb", "lorenz"])
+def test_ulam_products_match_scipy_bit_for_bit(request, which):
+    # on the benchmark grid of 4096 cells, v @ P adds in scipy's order
+    from scipy import sparse
+
+    m = request.getfixturevalue(which)
+    table = de.ulam_matrix(m, request.getfixturevalue(which + "_partition"),
+                           m_cells=4096)
+    P = table.matrix
+    ref = sparse.csr_matrix((P.data, P.indices, P.indptr), shape=P.shape)
+    h = de.stationary_density(table)
+    for v in (h / h.sum(), np.random.default_rng(11).uniform(0, 1, 4096)):
+        assert (v @ P).tobytes() == np.asarray(v @ ref).tobytes()
+
+
+def test_ulam_matrix_fills_dead_rows_uniformly(caplog, lorenz,
+                                               lorenz_partition):
+    # without the branches that meet cells 100-103, those cells carry no
+    # resolved mass: their rows become uniform and are reported
+    edges = np.linspace(lorenz_partition.lo, lorenz_partition.hi, 257)
+    gap = (edges[100], edges[104])
+    part = dataclasses.replace(lorenz_partition, branches=[
+        br for br in lorenz_partition.branches
+        if br.b <= gap[0] or br.a >= gap[1]])
+    assert len(part.branches) < len(lorenz_partition.branches)
+    with caplog.at_level(logging.WARNING, logger=de.__name__):
+        table = de.ulam_matrix(lorenz, part, m_cells=256)
+    dead = np.flatnonzero(table.dead_rows)
+    assert set(range(100, 104)) <= set(dead.tolist())
+    P = table.matrix
+    for i in dead:
+        row = np.s_[P.indptr[i]:P.indptr[i + 1]]
+        assert np.array_equal(P.indices[row], np.arange(256))
+        assert np.all(P.data[row] == 1.0 / 256)
+    sums = np.bincount(P.entry_row(), P.data, P.shape[0])
+    assert np.allclose(sums, 1.0, atol=1e-12)
+    assert not table.flagged_rows[dead].any()
+    assert [r.getMessage() for r in caplog.records
+            if r.levelno == logging.WARNING] == [
+        f"ulam matrix has {dead.size} dead rows (unresolved cells)"]
+    assert table.to_dict()["dead_rows"] == dead.size
 
 
 def _forward_columns(m, itin, edges, owner, mids):

@@ -70,7 +70,7 @@ def ref_forced_inverse(m, itin, a, b, increasing, targets):
     counts = [t.size for t in targets]
     owner = np.repeat(np.arange(len(targets)), counts)
     up = np.asarray(increasing, dtype=bool)[owner]
-    plan = _vec._dispatch(m, itin, owner)
+    plan = _vec._planner(m, itin)(owner)
     lo, hi = np.concatenate(lo), np.concatenate(hi)
     t = np.concatenate(targets)
     with np.errstate(all="ignore"):
