@@ -3,7 +3,9 @@
 Every seed stream contributes WALKERS orbits (fewer when the counted steps
 are fewer), and the orbits of all streams step together through
 `_vec.step_values`: positional dispatch, ties to the right-hand branch, and
-one evaluation of the whole array on a map with one formula.  Each walker
+one evaluation of the whole array per step, which on a map with several
+formulas evaluates their shared subtrees once and selects each walker's
+formula (one comparison against 0 on lorenz).  Each walker
 takes its burn-in steps unbinned, then bins every counted step.  Around the
 map evaluation a step does only a few whole-array operations: the escape
 test, the clip (np.maximum and np.minimum in place, as np.clip), one

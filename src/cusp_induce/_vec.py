@@ -1,29 +1,31 @@
 """Vectorized map kernels shared by the sampling and partition machinery.
 
-One forward pass (_forced_pass) pushes points through step plans, per step
-the (branch, points) pairs of its formula groups; interval ends, the
-pullback's pieces and stage 4's sub-intervals among them, follow
+One forward pass (_forced_pass) pushes points through step plans; interval
+ends, the pullback's pieces and stage 4's sub-intervals among them, follow
 distortion.array_end_orbits instead, by forced_forward's owner index.
 Two inverses run on the pass: a bisection (_bisect) for branch_inverse and
 a Chandrupatla root finder (_chandrupatla) for forced_inverse, the
 preimages of the Ulam assembly: one working set, ordered by itinerary
 length and topped up from lazily seeded groups of rows, steps every target
 of all branches.  Forced plans (_planner) follow fixed itineraries, so a
-point on a branch boundary keeps its itinerary.  One-step
-plans apply branch ids[k] to point k, with ids from positional dispatch
-(branch_indices: comparisons against the interior boundaries, ties to the
-right-hand branch, as MapSpec.branch_index) or from the caller; on a map
-whose branches share one formula, step_values skips the ids and evaluates
-the whole array at once, and branch_inverse orders its targets so that
-each formula group is one contiguous slice.
-Each formula group makes one Branch.values call per step: the value alone,
-or with derivative order 1 or 2 the value and its derivatives from one
-array jet, which the pass chains into Df and D2f of the composition.
-Expression evaluation never raises here; exact landings on kinks or blowup
-points come back as non-finite entries for the caller to mask out.
+point on a branch boundary keeps its itinerary.  A one-step plan applies
+branch ids[k] to point k, with ids from the caller or from positional
+dispatch (ties to the right-hand branch, as MapSpec.branch_index), which
+step_values reads as formula groups straight off the group boundaries
+(group_indices).
+Each step makes one MapSpec.group_values call over its whole prefix: the
+subtrees the formula groups share are evaluated once, and a select picks
+each point's group (_apply); a map with one formula needs no select.  The
+value comes alone, or with derivative order 1 or 2 with its derivatives
+from one array jet, which the pass chains into Df and D2f of the
+composition.  Expression evaluation never raises here; exact landings on
+kinks or blowup points come back as non-finite entries for the caller to
+mask out.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -54,37 +56,61 @@ def branch_indices(m, x: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _formula_parts(m, g) -> list:
-    """(evaluating branch, points) per formula group, from group ids g.
+def group_indices(m, x: np.ndarray) -> np.ndarray:
+    """The formula group of the branch holding each x, with the ties of
+    branch_indices.  Where one boundary parts two groups (lorenz,
+    singular_unimodal: MapSpec.group_cuts) that is one comparison, whose
+    bool is the id."""
+    cuts = m.group_cuts
+    if cuts.size == 1:
+        return ~(x < cuts[0])
+    return m.formula_groups[0][branch_indices(m, x)]
 
-    Branches with one formula form a group (m.formula_groups) and share
-    one evaluation; the points are ``...`` when one group holds them all,
-    so the caller works on whole arrays with no fancy-index gather and
-    scatter.  Id -1 (a finished itinerary) belongs to no group.
-    """
-    firsts = m.formula_groups[1]
-    first = g.flat[0] if g.size else -1
-    if first >= 0 and (g == first).all():
-        return [(firsts[first], ...)]
-    parts = [(br, (g == k).nonzero()[0]) for k, br in enumerate(firsts)]
-    return [p for p in parts if p[1].size]
+
+def _pick(g, parts):
+    """parts[g[k]] at each k.  Two parts are blended bit by bit under a
+    mask of all ones or all zeros per point: np.where branches on each
+    point, and on an orbit ensemble's masks, in random order, it took
+    twice as long.  The blend works in place, as each new array of a
+    forced pass's size costs fresh pages."""
+    if len(parts) == 2:
+        a, b = (p.view(np.int64) for p in parts)
+        mask = g.astype(np.int64)
+        np.negative(mask, out=mask)
+        out = a ^ b
+        out &= mask
+        out ^= a
+        return out.view(float)
+    out = parts[-1]
+    for k in range(len(parts) - 2, -1, -1):
+        out = np.where(g == k, parts[k], out)
+    return out
+
+
+def _apply(m, g, x: np.ndarray, order: int = 0):
+    """f at x, point k by formula group g[k], or with derivative order 1
+    or 2 the tuple of f and its derivatives: one MapSpec.group_values call
+    over all of x and a select, or the one group's parts where g is None.
+    Runs under the caller's np.errstate."""
+    out = m.group_values(x, order)
+    if g is None:
+        return out[0]
+    if order:
+        return tuple(_pick(g, p) for p in zip(*out))
+    return _pick(g, out)
 
 
 def step_values(m, x: np.ndarray, order: int = 0, ids=None):
-    """f(x) elementwise, or with derivative order 1 or 2 the tuple of f(x)
-    and its first (and second) derivatives, as _forced_pass.  Point k takes
-    branch ids[k], by default the branch holding it (branch_indices).  On a
-    map whose branches share one formula the ids change nothing, so none
-    are computed: one Branch.values call takes the whole array (none an
-    empty one, as with ids)."""
+    """f(x) elementwise over a 1-d x, or with derivative order 1 or 2 the
+    tuple of f(x) and its first (and second) derivatives, as _forced_pass.
+    Point k takes branch ids[k], by default the branch holding it, whose
+    group comes straight from the group boundaries (group_indices); a map
+    with one formula needs no ids."""
     x = np.asarray(x, dtype=float)
-    firsts = m.formula_groups[1]
-    if len(firsts) == 1 and x.size:
-        return _forced_pass([[(firsts[0], ...)]], x, order)
-    if ids is None:
-        ids = branch_indices(m, x)
-    return _forced_pass([_formula_parts(m, m.formula_groups[0][ids])], x,
-                        order)
+    g = None
+    if len(m.formula_groups[1]) > 1:
+        g = group_indices(m, x) if ids is None else m.formula_groups[0][ids]
+    return _forced_pass(m, [(x.size, g)], x, order)
 
 
 def in_side(x, c: float, side: str, delta: float):
@@ -106,27 +132,15 @@ def in_delta(m, x, delta: float) -> np.ndarray:
 
 def branch_inverse(m, ids, targets) -> np.ndarray:
     """Preimage of targets[k] under branch ids[k], each target clamped onto
-    the branch image first: BISECTION_STEPS halvings of the whole branch.
-
-    The targets are ordered by formula group, so that each group's
-    evaluation takes a contiguous slice, and the preimages are returned
-    in the order given."""
-    group_of, firsts = m.formula_groups
-    groups = group_of[np.asarray(ids, dtype=np.int64)]
-    order = np.argsort(groups, kind="stable")
-    cuts = np.searchsorted(groups[order], np.arange(len(firsts) + 1))
-    plan = [[(br, slice(a, b)) for br, a, b
-             in zip(firsts, cuts[:-1], cuts[1:]) if b > a]]
-    ids = np.asarray(ids, dtype=np.int64)[order]
+    the branch image first: BISECTION_STEPS halvings of the whole branch."""
+    ids = np.asarray(ids, dtype=np.int64)
+    g = None if len(m.formula_groups[1]) == 1 else m.formula_groups[0][ids]
     ends = np.array([(br.a, br.b) for br in m.branches])[ids]
     images = np.array(m.branch_images)[ids]
-    t = np.clip(np.asarray(targets, dtype=float)[order], images[:, 0],
+    t = np.clip(np.asarray(targets, dtype=float), images[:, 0],
                 images[:, 1])
     up = np.array(m.monotone_signs)[ids] > 0
-    out = np.empty(ids.size)
-    out[order] = _bisect(plan, ends[:, 0], ends[:, 1], t, up,
-                         BISECTION_STEPS)
-    return out
+    return _bisect(m, g, ends[:, 0], ends[:, 1], t, up, BISECTION_STEPS)
 
 
 def preimages(m, targets):
@@ -166,31 +180,25 @@ def chunk_ranges(sizes) -> list:
 
 def _planner(m, itin):
     """plan_of(owner): the plan of a forced pass of the points owned by
-    itin rows owner: per step, the (branch, points) pairs of _formula_parts
-    over the prefix of points that ends with the last one still running.
-    Points ordered by itinerary length, longest first (forced_inverse's
-    working set), leave no finished point in a prefix, so on a
-    one-formula map each step is one slice, with no gather."""
+    itin rows owner, ordered by itinerary length, longest first.  Step j
+    is (stop, g): it moves the prefix of the stop points still running,
+    and g holds the formula group of each (None on a one-formula map)."""
     group_of, firsts = m.formula_groups
     lengths, columns = (itin >= 0).sum(1), group_of[itin].T
+    one = len(firsts) == 1
 
     def plan_of(owner) -> list:
+        # running[j] points have tau > j
         tau = lengths[owner]
-        # step j: the prefix ends at stops[j]; running[j] points have
-        # tau > j
-        reach = np.maximum.accumulate(tau[::-1])[::-1]
-        stops = np.searchsorted(-reach, -np.arange(reach.max(initial=0)))
         running = tau.size - np.cumsum(np.bincount(tau))
-        return [[(br, np.s_[:stop] if sel is ... else sel) for br, sel in
-                 ([(firsts[0], ...)] if len(firsts) == 1 and run == stop
-                  else _formula_parts(m, col[owner[:stop]]))]
-                for col, stop, run in zip(columns, stops.tolist(),
-                                          running.tolist())]
+        return [(stop, None if one else col[owner[:stop]])
+                for col, stop in zip(columns, running[:-1].tolist())]
     return plan_of
 
 
-def _forced_pass(plan, x, order: int = 0):
-    """Push x through a plan (from _planner, or of one step).
+def _forced_pass(m, plan, x, order: int = 0):
+    """Push x through a plan (from _planner, or of one step): step
+    (stop, g) moves x[:stop], point k by formula group g[k] (_apply).
 
     Returns the image, or with derivative order 1 or 2 the tuple of the
     image and its first (and second) derivatives.
@@ -199,16 +207,15 @@ def _forced_pass(plan, x, order: int = 0):
     P = np.ones_like(pos) if order else None
     S = np.zeros_like(pos) if order > 1 else None
     with np.errstate(all="ignore"):
-        for parts in plan:
-            for br, sel in parts:
-                out = br.values(pos[sel], order)
-                if order:
-                    Pv = P[sel]
-                    if order > 1:
-                        S[sel] = out[2] * Pv ** 2 + out[1] * S[sel]
-                    P[sel] = out[1] * Pv
-                    out = out[0]
-                pos[sel] = out
+        for stop, g in plan:
+            out = _apply(m, g, pos[:stop], order)
+            if order:
+                Pv = P[:stop]
+                if order > 1:
+                    S[:stop] = out[2] * Pv ** 2 + out[1] * S[:stop]
+                P[:stop] = out[1] * Pv
+                out = out[0]
+            pos[:stop] = out
     return (pos, P, S)[:order + 1] if order else pos
 
 
@@ -217,21 +224,34 @@ def forced_forward(m, itin, owner, x, order: int = 0):
 
     Step j applies branch itin[owner, j] wherever the point sits, so a point
     on a branch boundary keeps its itinerary; a -1 entry ends the orbit.
-    Returns f^tau(x), or with derivative order 1 or 2 the tuple of f^tau
-    and its first (and second) derivatives, as _forced_pass.
+    The pass takes the points longest itinerary first, so that a finished
+    point leaves every later step.  Returns f^tau(x), or with derivative
+    order 1 or 2 the tuple of f^tau and its first (and second) derivatives,
+    as _forced_pass.
     """
-    return _forced_pass(_planner(m, itin)(owner), x, order)
+    owner = np.asarray(owner)
+    rank = np.argsort(-(itin >= 0).sum(1)[owner], kind="stable")
+    parts = _forced_pass(m, _planner(m, itin)(owner[rank]),
+                         np.asarray(x, dtype=float)[rank], order)
+
+    def back(p):
+        out = np.empty_like(p)
+        out[rank] = p
+        return out
+    return tuple(map(back, parts)) if order else back(parts)
 
 
-def _bisect(plan, lo, hi, t, up, steps):
+def _bisect(m, g, lo, hi, t, up, steps):
     """Midpoints of [lo, hi] after steps halvings toward the preimages of t
-    under the plan, increasing where up is set and decreasing elsewhere."""
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        v = _forced_pass(plan, mid)
-        go_up = np.where(up, v < t, v > t)
-        lo = np.where(go_up, mid, lo)
-        hi = np.where(go_up, hi, mid)
+    under one step of formula groups g (_apply), increasing where up is set
+    and decreasing elsewhere."""
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            v = _apply(m, g, mid)
+            go_up = np.where(up, v < t, v > t)
+            lo = np.where(go_up, mid, lo)
+            hi = np.where(go_up, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -249,30 +269,29 @@ def _step(x1, x2, x3, f1, f2, f3, tol, gap):
     return np.maximum(np.minimum(np.where(ok, iqi, 0.5), 1.0 - tl), tl)
 
 
-def _chandrupatla(plan_of, seeds, n, stats=None):
+def _chandrupatla(pass_of, seeds, n, stats=None):
     """Roots of F(x) = t for n targets fed by seeds in batches of arrays
     (index, row, t, x1, x2, x3, f1, f2, f3, xatol): out[index] gets the
-    root, F is the forced pass of plan_of(rows), [x1, x2] brackets the
-    root with residuals f1 and f2, and x3 lies beyond x1 (residual f3, or
-    NaN for none).  Each step is Chandrupatla's (Adv. Eng. Software 28, 1997;
-    _step).  gap is twice the last run of equal residuals seen: where F is
-    flat at the rounding floor, a step next to the flat end would land on
-    it again.  A target stops at the bracket end of smaller finite
-    |residual| once that residual is zero, the bracket is narrower than
-    tol = 4 eps |x| + xatol, or the other residual is not finite or has
-    the same sign.
+    root, F is pass_of(rows), the forced pass of the set's rows, [x1, x2]
+    brackets the root with residuals f1 and f2, and x3 lies beyond x1
+    (residual f3, or NaN for none).  Each step is Chandrupatla's (Adv.
+    Eng. Software 28, 1997; _step).  gap is twice the last run of equal
+    residuals seen: where F is flat at the rounding floor, a step next to
+    the flat end would land on it again.  A target stops at the bracket end
+    of smaller finite |residual| once that residual is zero, the bracket
+    is narrower than tol = 4 eps |x| + xatol, or the other residual is not
+    finite or has the same sign.
 
     One working set of at most CHUNK_POINTS targets steps.  Finished
     targets idle until half the set has finished; then the set is
     compacted, topped up from the batches (newcomers are stop-tested
-    before they step) and its plan rebuilt.  Batches that come in order of
-    itinerary length, longest first, keep the set in that order, so that
-    each step of the plan covers a prefix of it (_planner).  A target
-    running after ROOT_STEPS steps of its own raises RuntimeError.  stats,
-    when given, is updated with the evaluations, the targets, the most
-    steps ("max_steps"), the stops on a non-finite residual ("nonfinite"),
-    the forced passes ("passes"), the compactions and the largest working
-    set ("largest_set").
+    before they step) and its pass rebuilt.  Batches that come in order of
+    itinerary length, longest first, keep the set in the order _planner
+    takes.  A target running after ROOT_STEPS steps of its own raises
+    RuntimeError.  stats, when given, is updated with the evaluations, the
+    targets, the most steps ("max_steps"), the stops on a non-finite
+    residual ("nonfinite"), the forced passes ("passes"), the compactions
+    and the largest working set ("largest_set").
     """
     out = np.empty(n)
     c = dict.fromkeys(("evaluations", "max_steps", "nonfinite", "passes",
@@ -314,7 +333,7 @@ def _chandrupatla(plan_of, seeds, n, stats=None):
                     break
                 done = np.zeros(state[0].size, dtype=bool)
                 c["largest_set"] = max(c["largest_set"], done.size)
-                plan = plan_of(state[1])
+                forward = pass_of(state[1])
                 continue
             late = ~done & (age >= ROOT_STEPS)
             if late.any():
@@ -322,7 +341,7 @@ def _chandrupatla(plan_of, seeds, n, stats=None):
                     f"root finder did not converge on {late.sum()}"
                     f" target(s) in {ROOT_STEPS} steps")
             x = x1 + _step(x1, x2, x3, f1, f2, f3, tol, gap) * (x2 - x1)
-            f = _forced_pass(plan, x) - t
+            f = forward(x) - t
             c["passes"] += 1
             same = (f < 0) == (f1 < 0)
             x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
@@ -368,7 +387,7 @@ def forced_inverse(m, itin, a, b, increasing, targets, stats=None) -> list:
             xs = ((np.arange(ends[-1]) - np.repeat(starts, sizes[rows]))
                   * step[node_row] + a[node_row])
             xs[ends - 1] = b[rows]
-            ys = _forced_pass(plan_of(node_row), xs)
+            ys = _forced_pass(m, plan_of(node_row), xs)
             pos = np.concatenate([
                 np.searchsorted(ys[i:j] if up[k] else ys[i:j][::-1],
                                 targets[k])
@@ -391,5 +410,6 @@ def forced_inverse(m, itin, a, b, increasing, targets, stats=None) -> list:
                    ys[i2] - t, ys[i3] - t + none,
                    (xs[start + 1] - xs[start]) * 2.0 ** -31)
 
-    x = _chandrupatla(plan_of, seeds(), int(counts.sum()), stats)
+    x = _chandrupatla(lambda rows: functools.partial(
+        _forced_pass, m, plan_of(rows)), seeds(), int(counts.sum()), stats)
     return np.split(x, np.cumsum(counts)[:-1])

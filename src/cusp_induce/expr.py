@@ -60,6 +60,8 @@ __all__ = [
     "to_source",
     "Compiled",
     "compile",
+    "shared_subtrees",
+    "compile_groups",
 ]
 
 
@@ -160,16 +162,25 @@ class Sign:
 _FUNCTIONS = ("abs", "sign")
 
 
-def contains_var(e) -> bool:
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, (Const, Param)):
-        return False
+def _children(e) -> tuple:
+    if isinstance(e, (Const, Var, Param)):
+        return ()
     if isinstance(e, (Neg, Abs, Sign)):
-        return contains_var(e.arg)
+        return (e.arg,)
     if isinstance(e, Pow):
-        return contains_var(e.base) or contains_var(e.exponent)
-    return contains_var(e.left) or contains_var(e.right)
+        return (e.base, e.exponent)
+    return (e.left, e.right)
+
+
+def _subtrees(e):
+    """e and every subtree below it, parents first."""
+    yield e
+    for c in _children(e):
+        yield from _subtrees(c)
+
+
+def contains_var(e) -> bool:
+    return isinstance(e, Var) or any(map(contains_var, _children(e)))
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +485,45 @@ def compile(e, params=None) -> Compiled:
                     lambda x: float(at_point(x, 0)))
 
 
+def shared_subtrees(trees) -> list:
+    """The (subtree, params) pairs that more than one of the trees, given
+    as (tree, params) pairs, hold with equal params: x-dependent subtrees
+    other than x itself, the largest only (none inside another one)."""
+    holders = {}
+    for k, (tree, params) in enumerate(trees):
+        for sub in _subtrees(tree):
+            if contains_var(sub) and not isinstance(sub, Var):
+                key = (sub, tuple(sorted((params or {}).items())))
+                holders.setdefault(key, (params, set()))[1].add(k)
+    shared = [(sub, key, params) for (sub, key), (params, held)
+              in holders.items() if len(held) > 1]
+    return [(sub, params) for sub, key, params in shared
+            if not any(key == k2 and sub != s2 and sub in _subtrees(s2)
+                       for s2, k2, _ in shared)]
+
+
+def compile_groups(trees) -> Callable:
+    """One plain evaluator of several trees, given as (tree, params) pairs:
+    evaluate(x, order=0) is the list of each tree's ``Compiled.array(x,
+    order)``, bit for bit.  Each shared subtree (shared_subtrees) is
+    evaluated once per call over all of x, and every tree reads it through
+    a let-slot leaf, so each node rule gets the operands it gets in the
+    tree's own compile.  The call enters no ``np.errstate``: it runs under
+    the caller's."""
+    shared = shared_subtrees(trees)
+    lets = [_array_jet(sub, params) for sub, params in shared]
+    var = _array_jet(Var(), None)
+    # slot 0 holds x itself, slot i the parts of shared subtree i - 1
+    fs = [_array_jet(tree, params, {Var(): 0, **{
+        sub: i for i, (sub, p) in enumerate(shared, 1) if p == params}})
+        for tree, params in trees]
+
+    def evaluate(x, order=0):
+        env = [var(x, order, None)] + [f(x, order, None) for f in lets]
+        return [_shaped(f(env, order, None), x, order) for f in fs]
+    return evaluate
+
+
 def _shaped(out, x, order):
     """The parts of out as arrays of x's shape."""
     def filled(p):
@@ -675,8 +725,13 @@ def _fold(f):
     return _leaf(*outcomes)
 
 
-def _array_jet(e, params):
-    """The closure of e, with its x-free subtrees folded into leaves."""
+def _array_jet(e, params, slots=None):
+    """The closure of e, with its x-free subtrees folded into leaves.  With
+    slots, a subtree found there is a let-slot leaf: it reads
+    x[slots[subtree]], from a list of parts that the caller fills."""
+    if slots and e in slots:
+        i = slots[e]
+        return lambda env, k, check: env[i]
     if isinstance(e, Var):
         return lambda x, k, check: ((x, _ONE, None) if check is None else
                                     (x, 1.0, 0.0))[:k + 1] if k else x
@@ -689,7 +744,8 @@ def _array_jet(e, params):
         return _leaf(np.float64(c), c, (c, 0.0, 0.0))
     rule = _rule(e)
     if isinstance(e, Pow):
-        g, h = _array_jet(e.base, params), _array_jet(e.exponent, params)
+        g, h = (_array_jet(e.base, params, slots),
+                _array_jet(e.exponent, params))
         try:
             r = float(h(0.0, 0, None))
         except ExprError:           # a parameter without a value
@@ -701,10 +757,11 @@ def _array_jet(e, params):
                 h(x, 0, check)
             return _pow_rule(u, k, r, check)
     elif isinstance(e, (Neg, Abs, Sign)):
-        g = _array_jet(e.arg, params)
+        g = _array_jet(e.arg, params, slots)
         f = lambda x, k, check: rule(g(x, k, check), k, check)
     elif rule is not None:
-        g, h = _array_jet(e.left, params), _array_jet(e.right, params)
+        g, h = (_array_jet(e.left, params, slots),
+                _array_jet(e.right, params, slots))
         f = lambda x, k, check: rule(g(x, k, check), h(x, k, check), k, check)
     else:
         raise TypeError(f"not an expression node: {e!r}")

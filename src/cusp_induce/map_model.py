@@ -137,7 +137,7 @@ class MapSpec:
 
         Returns (group id of each branch, with a trailing -1 so that an
         itinerary's -1 padding maps to -1; the first branch of each group).
-        The first branch evaluates for its whole group at once.
+        The first branch's formula evaluates for its whole group.
         """
         ids, firsts = [], []
         for br in self.branches:
@@ -148,6 +148,21 @@ class MapSpec:
                 firsts.append(br)
             ids.append(g)
         return np.array(ids + [-1], dtype=np.int64), tuple(firsts)
+
+    @cached_property
+    def group_values(self):
+        """evaluate(x, order=0): the list of each formula group's
+        ``Branch.values(x, order)``, bit for bit, from one
+        ``expr.compile_groups`` call, which evaluates the subtrees the
+        groups share once; it runs under the caller's ``np.errstate``."""
+        return ex.compile_groups([(br.tree, br.params)
+                                  for br in self.formula_groups[1]])
+
+    @cached_property
+    def group_cuts(self) -> np.ndarray:
+        """The interior boundaries where the formula group changes."""
+        g = self.formula_groups[0][:-1]
+        return self.interior_boundaries[g[1:] != g[:-1]]
 
     @cached_property
     def monotone_signs(self) -> tuple:

@@ -5,8 +5,9 @@ orders 0, 1 and 2, NaN and inf positions included.  Calls at one point
 must return the Jet2 or value that the scalar walks of reference_walk
 return, bit for bit, or raise the same exception with the same message,
 and the checked form must mark exactly the points where they raise.
-Forced passes that let branches with one formula share an evaluation must
-match step-by-step Branch calls.
+Forced passes, which evaluate a map's formulas together (the subtrees they
+share once) and select each point's formula, must match step-by-step
+Branch calls.
 """
 
 import math
@@ -404,28 +405,93 @@ def test_checked_form_is_the_one_point_calls_over_an_array(order):
 # shared evaluations in the vectorized kernels
 
 
+def per_branch(m, ids, x):
+    """Point k stepped by branch ids[k], one Branch.values call of its own
+    per point; an id of -1 keeps its point."""
+    with np.errstate(all="ignore"):
+        return np.array([x[k] if i < 0 else
+                         m.branches[i].values(np.array([x[k]]))[0]
+                         for k, i in enumerate(ids)])
+
+
+def twins_map():
+    """Two branches of one tree, 1 - a*abs(x)^2, with different params."""
+    return mm.MapSpec("twins", -1.0, 1.0, 0.05, tuple(
+        mm.Branch(a, b, "1 - a*abs(x)^2", ex.parse("1 - a*abs(x)^2", {"a"}),
+                  {"a": a_val})
+        for a, b, a_val in ((-1.0, 0.0, 2.0), (0.0, 1.0, 1.5))), ())
+
+
+def cubic_map():
+    """Two formulas that share no subtree: x^3 - 0.75*x and x - 0.75."""
+    return mm.build_map({
+        "name": "cubic", "domain": [-0.5, 1.0], "delta": 0.05,
+        "branches": [{"interval": [-0.5, 0.5], "expr": "x^3 - 0.75*x"},
+                     {"interval": [0.5, 1.0], "expr": "x - 0.75"}],
+        "critical_points": [{"location": 0.5, "side": "-", "order": 2.0},
+                            {"location": 0.5, "side": "+", "order": 1.0}]})
+
+
 def test_formula_groups_share_equal_formulas_only():
     cheb, lorenz = mm.chebyshev_map(), mm.lorenz_map()
     sing = mm.singular_unimodal_map()
     assert cheb.formula_groups[0].tolist() == [0, 0, -1]
     assert lorenz.formula_groups[0].tolist() == [0, 1, -1]
     assert sing.formula_groups[0].tolist() == [0, 0, 1, 1, -1]
+    x = np.array([-0.7, 0.3, -0.2, 0.9])
 
-    def parts(m, ids):
-        return _vec._formula_parts(m, m.formula_groups[0][np.array(ids)])
+    def stepped(m, ids):
+        return _vec.step_values(m, x, ids=np.array(ids))
 
-    assert parts(cheb, [0, 1, 1, 0]) == [(cheb.branches[0], ...)]
-    split = parts(lorenz, [0, 1, 1, 0])
-    assert [br for br, _ in split] == list(lorenz.branches)
-    assert [p.tolist() for _, p in split] == [[0, 3], [1, 2]]
-    dead = parts(cheb, [0, -1, 1])
-    assert len(dead) == 1 and dead[0][1].tolist() == [0, 2]
-    assert parts(sing, [3, 2, 2]) == [(sing.branches[2], ...)]
-    twins = mm.MapSpec("twins", -1.0, 1.0, 0.05, tuple(
-        mm.Branch(a, b, "1 - a*abs(x)^2", ex.parse("1 - a*abs(x)^2", {"a"}),
-                  {"a": a_val})
-        for a, b, a_val in ((-1.0, 0.0, 2.0), (0.0, 1.0, 1.5))), ())
-    assert twins.formula_groups[0].tolist() == [0, 1, -1]
+    # one evaluation serves both chebyshev branches
+    assert len(cheb.group_values(x)) == 1
+    assert stepped(cheb, [0, 1, 1, 0]).tobytes() == \
+        cheb.branches[0].values(x).tobytes()
+    split = stepped(lorenz, [0, 1, 1, 0])
+    assert list(lorenz.formula_groups[1]) == list(lorenz.branches)
+    assert split.tobytes() == per_branch(lorenz, [0, 1, 1, 0], x).tobytes()
+    assert split[[0, 3]].tobytes() == \
+        lorenz.branches[0].values(x[[0, 3]]).tobytes()
+    assert split[[1, 2]].tobytes() == \
+        lorenz.branches[1].values(x[[1, 2]]).tobytes()
+    # a finished row (-1) keeps its point
+    dead = _vec.forced_forward(cheb, _vec.itinerary_matrix([(0,), (), (1,)]),
+                               np.arange(3), x[:3])
+    assert dead.tobytes() == per_branch(cheb, [0, -1, 1], x[:3]).tobytes()
+    assert dead[1] == x[1]
+    assert stepped(sing, [3, 2, 2, 2]).tobytes() == \
+        sing.branches[2].values(x).tobytes()
+    assert twins_map().formula_groups[0].tolist() == [0, 1, -1]
+
+
+def test_shared_subtrees_are_the_largest_common_ones():
+    def shared(m):
+        return [sub for sub, _params in ex.shared_subtrees(
+            [(br.tree, br.params) for br in m.formula_groups[1]])]
+
+    assert shared(mm.lorenz_map()) == [ex.parse("a*abs(x)^s", "as")]
+    assert shared(mm.singular_unimodal_map()) == [
+        ex.parse("A*abs(x)^s*(1 - B*abs(x))", "AsB")]
+    # equal trees under other params, or nothing in common but x: none
+    assert shared(twins_map()) == []
+    assert shared(cubic_map()) == []
+    assert shared(mm.chebyshev_map()) == []
+
+
+def test_one_lorenz_step_evaluates_the_shared_power_once(monkeypatch):
+    m = mm.lorenz_map()
+    x = np.linspace(-1.0, 1.0, 5120)
+    _vec.step_values(m, x)          # compiles on first use
+    calls = []
+    pow_rule, values = ex._pow_rule, mm.Branch.values
+    monkeypatch.setattr(ex, "_pow_rule",
+                        lambda *a: calls.append("pow") or pow_rule(*a))
+    monkeypatch.setattr(mm.Branch, "values",
+                        lambda *a: calls.append("values") or values(*a))
+    _vec.step_values(m, x)
+    assert calls == ["pow"]
+    _vec.step_values(m, x, 1)
+    assert calls == ["pow", "pow"]
 
 
 def step_by_step(m, row, x):
@@ -442,18 +508,35 @@ def step_by_step(m, row, x):
     return x[0], P[0], S[0], seen
 
 
-@pytest.mark.parametrize("family", ["chebyshev", "lorenz"])
+FORCED_PASS_MAPS = {
+    "chebyshev": mm.chebyshev_map,
+    "lorenz": mm.lorenz_map,
+    "singular_unimodal": mm.singular_unimodal_map,
+    "cubic": cubic_map,
+}
+
+
+@pytest.mark.parametrize("family", sorted(FORCED_PASS_MAPS))
 @pytest.mark.parametrize("some_dead", [False, True])
 def test_forced_pass_matches_step_by_step_branch_calls(family, some_dead):
-    m = mm.chebyshev_map() if family == "chebyshev" else mm.lorenz_map()
-    rows = [(0, 1, 1, 0, 1), (1, 1, 0, 0, 0), (1, 0, 1, 0, 1)]
+    m = FORCED_PASS_MAPS[family]()
+    n = len(m.branches)
+    rows = [(0, 1, 3, 0, 2), (1, 3, 0, 2, 0), (2, 0, 1, 3, 1)]
     if some_dead:
-        rows += [(0, 1), (1,), (0, 0, 1)]
+        # the short rows come after the long ones, so that their points
+        # finish inside the prefixes of later steps
+        rows += [(0, 1), (3,), (0, 2, 1)]
+    rows = [tuple(i % n for i in row) for row in rows]
     itin = _vec.itinerary_matrix(rows)
     rng = np.random.default_rng(3)
     owner = np.repeat(np.arange(len(rows)), 40)
     x = rng.uniform(m.lo, m.hi, owner.size)
-    x[:3] = [0.0, m.lo, m.hi]
+    # points exactly on the branch boundaries and the domain ends
+    ends = np.concatenate((m.interior_boundaries, [0.0, m.lo, m.hi]))
+    x[:ends.size] = x[-ends.size:] = ends
+    # the points of finished rows leave the later steps of a pass
+    stops = [stop for stop, _g in _vec._planner(m, itin)(owner)]
+    assert some_dead == (stops[-1] < owner.size)
     y, d1, d2 = _vec.forced_forward(m, itin, owner, x, order=2)
     assert same_bits(_vec.forced_forward(m, itin, owner, x), y)
     # the position before step j is the image along the first j columns

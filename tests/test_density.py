@@ -420,6 +420,16 @@ def _birkhoff_reference(m, seed_count, n_steps, m_cells, burn_in, seed):
     return hist / (hist.sum() * ((m.hi - m.lo) / m_cells)), escapes, restarts
 
 
+def _scale_values(monkeypatch, m, gain):
+    """Scale every order-0 evaluation of m's branches by gain: the
+    references' Branch.values calls and the steppers' m.group_values."""
+    values, group_values = map_model.Branch.values, m.group_values
+    monkeypatch.setattr(map_model.Branch, "values",
+                        lambda br, x, order=0: gain * values(br, x))
+    monkeypatch.setattr(m, "group_values", lambda x, order=0: [
+        gain * v for v in group_values(x)])
+
+
 @pytest.mark.parametrize("gain", [1.0, 1.01])
 def test_birkhoff_histogram_matches_scalar_reference(caplog, monkeypatch,
                                                       gain):
@@ -427,9 +437,7 @@ def test_birkhoff_histogram_matches_scalar_reference(caplog, monkeypatch,
     # scaled by 1.01 its values leave [-1, 1] about once in 100 steps
     tent = map_model.unimodal_map(a=2.0, ell=1.0)
     if gain != 1.0:
-        values = map_model.Branch.values
-        monkeypatch.setattr(map_model.Branch, "values",
-                            lambda br, x, order=0: gain * values(br, x))
+        _scale_values(monkeypatch, tent, gain)
     kw = dict(seed_count=2, n_steps=5000, m_cells=256, burn_in=100, seed=0)
     with caplog.at_level(logging.INFO, logger=de.__name__):
         h = de.birkhoff_histogram(tent, **kw)
@@ -454,8 +462,11 @@ def _step_ensemble_reference(m, starts, pools, burn_in, n_counted, hist):
     for k in range(burn_in + n_counted):
         ids = np.minimum(np.searchsorted(m.interior_boundaries, x,
                                          side="right"), len(m.branches) - 1)
-        v = _vec._forced_pass(
-            [_vec._formula_parts(m, m.formula_groups[0][ids])], x)
+        v = np.empty_like(x)
+        with np.errstate(all="ignore"):
+            for i, br in enumerate(m.branches):
+                sel = np.flatnonzero(ids == i)
+                v[sel] = br.values(x[sel])
         escaped = ~((v >= lo - 1e-9) & (v <= hi + 1e-9))
         np.clip(v, lo, hi, out=v)
         hit = np.isin(v, crit) & ~escaped
@@ -485,9 +496,7 @@ def test_ensemble_step_matches_its_reference(monkeypatch, family, gain):
     m = (map_model.unimodal_map(a=2.0, ell=1.0) if family == "tent"
          else map_model.build_map({"family": family}))
     if gain != 1.0:
-        values = map_model.Branch.values
-        monkeypatch.setattr(map_model.Branch, "values",
-                            lambda br, x, order=0: gain * values(br, x))
+        _scale_values(monkeypatch, m, gain)
     rng = np.random.default_rng(17)
     starts = rng.uniform(m.lo, m.hi, (3, 512))
     pools = rng.uniform(m.lo, m.hi, (3, _fastmap.POOL))

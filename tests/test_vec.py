@@ -39,16 +39,36 @@ def ref_invert_branch(m, i, targets):
     return out, ok
 
 
+def ref_branch_ids(m, x):
+    """The branch holding each x, as MapSpec.branch_index."""
+    return np.minimum(np.searchsorted(m.interior_boundaries, x,
+                                      side="right"), len(m.branches) - 1)
+
+
 def ref_per_branch(m, x, evaluators):
     x = np.asarray(x, dtype=float)
     outs = [np.empty(x.shape, dtype=float) for _ in evaluators]
-    groups = m.formula_groups[0][_vec.branch_indices(m, x)]
+    ids = ref_branch_ids(m, x)
     with np.errstate(all="ignore"):
-        for br, sel in _vec._formula_parts(m, groups):
-            xv = x[sel]
+        for i, br in enumerate(m.branches):
+            sel = np.flatnonzero(ids == i)
             for out, name in zip(outs, evaluators):
-                out[sel] = getattr(br, name)(xv)
+                out[sel] = getattr(br, name)(x[sel])
     return outs
+
+
+def ref_forward(m, itin, owner, x):
+    """The composition along row owner[k] at x[k]: one Branch.values call
+    per row and step."""
+    y = np.array(x, dtype=float)
+    with np.errstate(all="ignore"):
+        for r, row in enumerate(itin.tolist()):
+            sel = np.flatnonzero(owner == r)
+            for i in row:
+                if i < 0:
+                    break
+                y[sel] = m.branches[i].values(y[sel])
+    return y
 
 
 def ref_forced_inverse(m, itin, a, b, increasing, targets):
@@ -57,8 +77,8 @@ def ref_forced_inverse(m, itin, a, b, increasing, targets):
     grids = [np.linspace(u, v, max(16, 2 * t.size) + 1)
              for u, v, t in zip(a, b, targets)]
     sizes = [g.size for g in grids]
-    ys = _vec.forced_forward(m, itin, np.repeat(np.arange(len(grids)), sizes),
-                             np.concatenate(grids))
+    ys = ref_forward(m, itin, np.repeat(np.arange(len(grids)), sizes),
+                     np.concatenate(grids))
     lo, hi = [], []
     for xs, y, t, inc in zip(grids, np.split(ys, np.cumsum(sizes)[:-1]),
                              targets, increasing):
@@ -70,16 +90,14 @@ def ref_forced_inverse(m, itin, a, b, increasing, targets):
     counts = [t.size for t in targets]
     owner = np.repeat(np.arange(len(targets)), counts)
     up = np.asarray(increasing, dtype=bool)[owner]
-    plan = _vec._planner(m, itin)(owner)
     lo, hi = np.concatenate(lo), np.concatenate(hi)
     t = np.concatenate(targets)
-    with np.errstate(all="ignore"):
-        for _ in range(30):
-            mid = 0.5 * (lo + hi)
-            v = _vec._forced_pass(plan, mid)
-            go_up = np.where(up, v < t, v > t)
-            lo = np.where(go_up, mid, lo)
-            hi = np.where(go_up, hi, mid)
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        v = ref_forward(m, itin, owner, mid)
+        go_up = np.where(up, v < t, v > t)
+        lo = np.where(go_up, mid, lo)
+        hi = np.where(go_up, hi, mid)
     cell = np.repeat([(v - u) / (g.size - 1) for u, v, g in
                       zip(a, b, grids)], counts)
     return 0.5 * (lo + hi), cell
@@ -351,7 +369,7 @@ def _root_finder(branch, t, x1, x2, stats=None):
     none = np.full(t.size, np.nan)
     seed = (np.arange(t.size), np.zeros(t.size, dtype=np.int64), t, x1, x2,
             none, f1, f2, none, np.full(t.size, 1e-18))
-    return _vec._chandrupatla(lambda rows: [[(branch, ...)]], iter([seed]),
+    return _vec._chandrupatla(lambda rows: branch.values, iter([seed]),
                               t.size, stats)
 
 
