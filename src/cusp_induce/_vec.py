@@ -7,12 +7,16 @@ Two inverses run on the pass: a bisection (_bisect) for branch_inverse and
 a Chandrupatla root finder (_chandrupatla) for forced_inverse, the
 preimages of the Ulam assembly: one working set, ordered by itinerary
 length and topped up from lazily seeded groups of rows, steps every target
-of all branches.  Forced plans (_planner) follow fixed itineraries, so a
-point on a branch boundary keeps its itinerary.  A one-step plan applies
-branch ids[k] to point k, with ids from the caller or from positional
-dispatch (ties to the right-hand branch, as MapSpec.branch_index), which
-step_values reads as formula groups straight off the group boundaries
-(group_indices).
+of its rows.  forced_inverse deals the rows round-robin to this process
+and to children of os.fork, one per CPU it may use up to MAX_WORKERS
+(_worker_count), which write their preimages into one shared buffer and
+send their counts back through a pipe (_fork_join); each preimage
+depends on its own row only, so the split leaves every bit as it is.
+Forced plans (_planner) follow fixed itineraries, so a point on a branch
+boundary keeps its itinerary.  A one-step plan applies branch ids[k] to
+point k, with ids from the caller or from positional dispatch (ties to
+the right-hand branch, as MapSpec.branch_index), which step_values reads
+as formula groups straight off the group boundaries (group_indices).
 Each step makes one MapSpec.group_values call over its whole prefix: the
 subtrees the formula groups share are evaluated once, and a select picks
 each point's group (_apply); a map with one formula needs no select.  The
@@ -26,6 +30,9 @@ mask out.
 from __future__ import annotations
 
 import functools
+import mmap
+import os
+import pickle
 
 import numpy as np
 
@@ -43,6 +50,11 @@ BISECTION_STEPS = 60
 # where the composition is flat at the rounding floor take the most: 23 on
 # the lorenz(1.9, 0.4) benchmark partition, 37 on the chebyshev one.
 ROOT_STEPS = 200
+
+# Most processes forced_inverse splits its rows across (_worker_count).  Two
+# were measured, on two CPUs; each process past the first holds about 50 MB
+# resident, 8-12 MB of it its own, and costs CPU time of its own.
+MAX_WORKERS = 2
 
 
 def branch_indices(m, x: np.ndarray) -> np.ndarray:
@@ -166,13 +178,15 @@ def itinerary_matrix(itineraries) -> np.ndarray:
     return out
 
 
-def chunk_ranges(sizes) -> list:
+def chunk_ranges(sizes, budget=None) -> list:
     """(start, stop) runs of consecutive items that together hold about
-    CHUNK_POINTS points: a run closes once its sizes reach the budget."""
+    budget points, by default CHUNK_POINTS: a run closes once its sizes
+    reach the budget."""
+    budget = CHUNK_POINTS if budget is None else budget
     runs, start, total = [], 0, 0
     for k, size in enumerate(sizes, 1):
         total += size
-        if total >= CHUNK_POINTS or k == len(sizes):
+        if total >= budget or k == len(sizes):
             runs.append((start, k))
             start, total = k, 0
     return runs
@@ -269,8 +283,8 @@ def _step(x1, x2, x3, f1, f2, f3, tol, gap):
     return np.maximum(np.minimum(np.where(ok, iqi, 0.5), 1.0 - tl), tl)
 
 
-def _chandrupatla(pass_of, seeds, n, stats=None):
-    """Roots of F(x) = t for n targets fed by seeds in batches of arrays
+def _chandrupatla(pass_of, seeds, out, stats=None, budget=None):
+    """Roots of F(x) = t for the targets fed by seeds in batches of arrays
     (index, row, t, x1, x2, x3, f1, f2, f3, xatol): out[index] gets the
     root, F is pass_of(rows), the forced pass of the set's rows, [x1, x2]
     brackets the root with residuals f1 and f2, and x3 lies beyond x1
@@ -282,7 +296,8 @@ def _chandrupatla(pass_of, seeds, n, stats=None):
     is narrower than tol = 4 eps |x| + xatol, or the other residual is not
     finite or has the same sign.
 
-    One working set of at most CHUNK_POINTS targets steps.  Finished
+    One working set of at most budget targets, by default CHUNK_POINTS,
+    steps.  Finished
     targets idle until half the set has finished; then the set is
     compacted, topped up from the batches (newcomers are stop-tested
     before they step) and its pass rebuilt.  Batches that come in order of
@@ -291,12 +306,12 @@ def _chandrupatla(pass_of, seeds, n, stats=None):
     RuntimeError.  stats, when given, is updated with the evaluations, the
     targets, the most steps ("max_steps"), the stops on a non-finite
     residual ("nonfinite"), the forced passes ("passes"), the compactions
-    and the largest working set ("largest_set").
+    and the largest working set ("largest_set").  Returns out.
     """
-    out = np.empty(n)
-    c = dict.fromkeys(("evaluations", "max_steps", "nonfinite", "passes",
-                       "compactions", "largest_set"), 0)
+    c = dict.fromkeys(("evaluations", "targets", "max_steps", "nonfinite",
+                       "passes", "compactions", "largest_set"), 0)
     eps4 = 4.0 * np.finfo(float).eps
+    budget = CHUNK_POINTS if budget is None else budget
 
     # each target with its gap and step count
     feed = ((*v, np.zeros(v[0].size), np.zeros(v[0].size, dtype=np.int64))
@@ -317,12 +332,13 @@ def _chandrupatla(pass_of, seeds, n, stats=None):
             if stop.any():
                 out[index[stop]] = xmin[stop]
                 c["evaluations"] += int(age[stop].sum())
+                c["targets"] += int(stop.sum())
                 c["max_steps"] = max(c["max_steps"], int(age[stop].max()))
                 c["nonfinite"] += int((stop & ~finite).sum())
                 done |= stop
             if 2 * done.sum() >= done.size:
                 c["compactions"] += done.size > 0
-                room = CHUNK_POINTS - done.size + int(done.sum())
+                room = budget - done.size + int(done.sum())
                 while pending[0].size < room and (
                         more := next(feed, None)) is not None:
                     pending = tuple(map(np.concatenate, zip(pending, more)))
@@ -349,8 +365,93 @@ def _chandrupatla(pass_of, seeds, n, stats=None):
             gap = np.where(f == f3, 2.0 * np.abs(x - x3), gap)
             state = (index, row, t, x, x2, x3, f, f2, f3, xatol, gap, age + 1)
     if stats is not None:
-        stats.update(c, targets=n)
+        stats.update(c)
     return out
+
+
+def _worker_count(n: int) -> int:
+    """Processes forced_inverse splits n targets across: one per CPU in
+    this process's affinity mask (so taskset restricts it), at most
+    MAX_WORKERS and at most one per CHUNK_POINTS targets, and 1 where the
+    platform cannot fork or tell the mask.  A CPU quota of the process's
+    cgroup does not show in the mask.  Two processes start to pay at
+    about 20,000 targets, below the 2 * CHUNK_POINTS a second one needs:
+    on the lorenz(1.9, 0.4) benchmark partition, on two CPUs, they took 0.68-0.83 of the serial time at 32,884
+    targets, 0.84-0.89 at 22,558 and 1.02-1.09 at 15,046 (medians of 11
+    calls)."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(MAX_WORKERS, len(os.sched_getaffinity(0)),
+                      n // CHUNK_POINTS))
+
+
+def _spawn(run, share):
+    """A child of os.fork that sends run(share), or the exception it
+    raised, back pickled through a pipe and ends with os._exit: its pid
+    and the read end of the pipe, or None where the pipe or the child
+    cannot be made (OSError, as at a limit on processes or open files)."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        try:
+            os.close(r)
+            try:
+                reply = run(share)
+            except BaseException as err:    # raised in the parent
+                reply = err
+            with open(w, "wb") as fh:
+                fh.write(pickle.dumps(reply))
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, r
+
+
+def _fork_join(run, shares) -> tuple[list, int]:
+    """[run(share) for share in shares] and the processes that ran them:
+    share 0 in this process, each other share in a child (_spawn), and
+    from the first child that cannot be made on, the shares left here
+    too.  Every child is read and reaped, also when a share here raises;
+    then a child's exception is raised here, type and message unchanged.
+    Whatever else a child makes must go to memory it shares with this
+    process.
+
+    Only the forking thread lives on in a child, and NumPy's BLAS thread
+    pool already runs when it forks, so run must not need a thread pool:
+    elementwise NumPy only, no @.  For the same pool, Python 3.12 and
+    later warn on each fork that the process is multi-threaded
+    (DeprecationWarning, which is hidden outside __main__ by default).
+    """
+    results, children, here = [None] * len(shares), [], [0]
+    try:
+        for k in range(1, len(shares)):
+            child = _spawn(run, shares[k])
+            if child is None:
+                here += range(k, len(shares))
+                break
+            children.append((k, *child))
+        for k in here:
+            results[k] = run(shares[k])
+    finally:
+        replies = []
+        for k, pid, r in children:
+            with open(r, "rb") as fh:
+                replies.append((k, pid, fh.read(), os.waitpid(pid, 0)[1]))
+    for k, pid, data, status in replies:
+        reply = pickle.loads(data) if data else RuntimeError(
+            f"worker {pid} ended with wait status {status} and no result")
+        if isinstance(reply, BaseException):
+            raise reply
+        results[k] = reply
+    return results, 1 + len(children)
 
 
 def forced_inverse(m, itin, a, b, increasing, targets, stats=None) -> list:
@@ -362,8 +463,21 @@ def forced_inverse(m, itin, a, b, increasing, targets, stats=None) -> list:
     the node beyond one end, one chunk_ranges group of rows at a time, the
     longest itineraries first, as _chandrupatla's one working set takes
     them in.  It polishes each preimage to within 4 eps |x| plus 2**-31 of
-    the row's grid cell, no looser than thirty halvings.  stats, when
-    given, is updated with the root finder's counts (_chandrupatla).
+    the row's grid cell, no looser than thirty halvings.
+
+    The rows are split across w = _worker_count(targets) processes: share
+    i takes rows i::w of the longest-first order, this process runs share
+    0 and a forked child each other share (_fork_join), and all write into
+    one array of preimages, shared with the children.  Each share's
+    groups of rows and working set hold CHUNK_POINTS // w points, so the
+    processes together hold the memory of one: a child's own pages come
+    from its working set and from the pages either side writes after the
+    fork.  A preimage depends on its own row only, so it is the same bits
+    for every w and every working set size.  stats, when
+    given, is updated with the root finder's counts (_chandrupatla) summed
+    over the shares, max_steps and largest_set their maximum, and with
+    "workers", the processes that ran them: w, or fewer where a child
+    could not be made and this process ran its share.
     """
     counts = np.array([t.size for t in targets], dtype=np.int64)
     sizes = np.maximum(16, counts) + 1
@@ -377,10 +491,14 @@ def forced_inverse(m, itin, a, b, increasing, targets, stats=None) -> list:
     # longest first: each step of a pass, on the grid or in the working
     # set, is a prefix
     rank = np.argsort(-(itin >= 0).sum(1), kind="stable")
+    n = int(counts.sum())
+    w = _worker_count(n)
+    budget = max(1, CHUNK_POINTS // w)
+    out = np.empty(n) if w == 1 else np.frombuffer(mmap.mmap(-1, 8 * n))
 
-    def seeds():
-        for s, e in chunk_ranges(sizes[rank]):
-            rows = rank[s:e]
+    def seeds(order):
+        for s, e in chunk_ranges(sizes[order], budget):
+            rows = order[s:e]
             ends = np.cumsum(sizes[rows])
             starts = ends - sizes[rows]
             node_row = np.repeat(rows, sizes[rows])
@@ -410,6 +528,16 @@ def forced_inverse(m, itin, a, b, increasing, targets, stats=None) -> list:
                    ys[i2] - t, ys[i3] - t + none,
                    (xs[start + 1] - xs[start]) * 2.0 ** -31)
 
-    x = _chandrupatla(lambda rows: functools.partial(
-        _forced_pass, m, plan_of(rows)), seeds(), int(counts.sum()), stats)
-    return np.split(x, np.cumsum(counts)[:-1])
+    def run(order) -> dict:
+        c = {}
+        _chandrupatla(lambda rows: functools.partial(
+            _forced_pass, m, plan_of(rows)), seeds(order), out, c, budget)
+        return c
+
+    parts, procs = _fork_join(run, [rank[i::w] for i in range(w)])
+    if stats is not None:
+        stats.update({k: sum(c[k] for c in parts) for k in parts[0]},
+                     workers=procs)
+        stats.update({k: max(c[k] for c in parts)
+                      for k in ("max_steps", "largest_set")})
+    return np.split(out, np.cumsum(counts)[:-1])

@@ -210,7 +210,8 @@ def ulam_matrix(m, partition, m_cells: int = 4096) -> UlamTable:
     Entry (i, j) holds the fraction of cell i carried into cell j by the
     induced map, assembled from preimages of the cell boundaries, found by
     _vec.forced_inverse's root finder along the branch itineraries, one
-    working set for all branches.  Rows overlapping the unresolved set are
+    working set for all branches in each of the processes it splits the
+    branches across.  Rows overlapping the unresolved set are
     renormalized and flagged; rows with no resolved mass at all fall back
     to a uniform distribution and are reported as dead.
     """
@@ -256,11 +257,13 @@ def ulam_matrix(m, partition, m_cells: int = 4096) -> UlamTable:
               "%d dead rows, %d flagged rows; root finder: %d evaluations "
               "(%.2f per target), at most %d steps, %d stopped on a "
               "non-finite residual, %d forced passes, %d compactions, "
-              "largest working set %d", len(branches), n_targets, mat.nnz,
-              dead_idx.size, int(flagged.sum()), stats.get("evaluations", 0),
+              "largest working set %d, worker processes %d", len(branches),
+              n_targets, mat.nnz, dead_idx.size, int(flagged.sum()),
+              stats.get("evaluations", 0),
               stats.get("evaluations", 0) / max(n_targets, 1),
               *(stats.get(k, 0) for k in ("max_steps", "nonfinite", "passes",
-                                          "compactions", "largest_set")))
+                                          "compactions", "largest_set")),
+              stats.get("workers", 1))
     return UlamTable(matrix=mat, m=m_cells, edges=edges, cell_width=cw,
                      coverage=coverage, flagged_rows=flagged, dead_rows=dead)
 

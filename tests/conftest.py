@@ -24,6 +24,19 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
     os.environ.get("PYTHONPATH"))))
 
 
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fail a test that leaves a child process unreaped: running, or ended
+    and not waited for (the Ulam root finder's workers, scan's pool)."""
+    yield
+    try:
+        pid, _status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    state = "still running" if pid == 0 else f"pid {pid} ended, unreaped"
+    pytest.fail(f"the test left a child process behind: {state}")
+
+
 @pytest.fixture(scope="session")
 def cheb():
     return mm.chebyshev_map()

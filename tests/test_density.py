@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import os
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ def test_ulam_and_stationary_vector_log_their_counts(caplog, lorenz,
     assert ulam.startswith(
         f"ulam_matrix: {len(lorenz_partition.branches)} branches, ")
     n_targets, (evaluations, per_target, max_steps, nonfinite, passes,
-                compactions, largest) = \
+                compactions, largest, workers) = \
         caplog.records[0].args[1], caplog.records[0].args[5:]
     assert ulam.endswith(
         f"targets inverted, {d['nnz']} nonzeros, {d['dead_rows']} dead rows, "
@@ -68,7 +69,9 @@ def test_ulam_and_stationary_vector_log_their_counts(caplog, lorenz,
         f"evaluations ({per_target:.2f} per target), at most {max_steps} "
         f"steps, {nonfinite} stopped on a non-finite residual, {passes} "
         f"forced passes, {compactions} compactions, largest working set "
-        f"{largest}")
+        f"{largest}, worker processes {workers}")
+    # fewer targets than CHUNK_POINTS: one process, whatever the CPUs
+    assert n_targets < _vec.CHUNK_POINTS and workers == 1
     assert 0 < evaluations <= max_steps * n_targets
     assert per_target == evaluations / n_targets
     assert 1 < max_steps <= _vec.ROOT_STEPS and nonfinite == 0
@@ -272,6 +275,36 @@ def test_ulam_matrix_does_not_depend_on_the_working_set_size(
     got = de.ulam_matrix(m, part, m_cells=256).matrix
     for key in ("data", "indices", "indptr"):
         assert getattr(got, key).tobytes() == getattr(want, key).tobytes()
+
+
+@pytest.mark.parametrize("which", ["cheb", "lorenz"])
+def test_ulam_matrix_does_not_depend_on_the_worker_count(
+        request, monkeypatch, which):
+    # 1, 2 and 3 processes split the rows; every preimage, and with it the
+    # matrix, stays the same bits, and the merged counts are the same
+    m = request.getfixturevalue(which)
+    part = request.getfixturevalue(which + "_partition")
+    monkeypatch.setattr(_vec, "CHUNK_POINTS", 8192)
+    monkeypatch.setattr(_vec, "MAX_WORKERS", 3)
+    forced_inverse, seen = _vec.forced_inverse, []
+
+    def spy(*args):
+        seen.append(args[-1])
+        return forced_inverse(*args)
+
+    monkeypatch.setattr(_vec, "forced_inverse", spy)
+    tables = []
+    for w in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, w=w: set(range(w)))
+        tables.append(de.ulam_matrix(m, part, m_cells=4096).matrix)
+    assert [s["workers"] for s in seen] == [1, 2, 3]
+    for got, stats in zip(tables[1:], seen[1:]):
+        for key in ("data", "indices", "indptr"):
+            assert getattr(got, key).tobytes() == \
+                getattr(tables[0], key).tobytes()
+        for key in ("evaluations", "targets", "max_steps", "nonfinite"):
+            assert stats[key] == seen[0][key]
 
 
 def test_pull_back_produces_probability_density(lorenz, lorenz_partition):

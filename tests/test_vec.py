@@ -6,6 +6,10 @@ bit for bit.  The grid-seeded bisection that forced_inverse ran before its
 root finder is kept as the reference for the preimage tolerance.
 """
 
+import errno
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -370,7 +374,7 @@ def _root_finder(branch, t, x1, x2, stats=None):
     seed = (np.arange(t.size), np.zeros(t.size, dtype=np.int64), t, x1, x2,
             none, f1, f2, none, np.full(t.size, 1e-18))
     return _vec._chandrupatla(lambda rows: branch.values, iter([seed]),
-                              t.size, stats)
+                              np.empty(t.size), stats)
 
 
 def test_a_non_finite_residual_stops_inside_the_bracket():
@@ -400,8 +404,9 @@ def test_root_finder_raises_at_its_step_cap(monkeypatch, map_and_branches):
 
 def test_step_cap_counts_each_targets_own_steps(monkeypatch,
                                                 map_and_branches):
-    # with a working set of 64 targets most targets join after more
-    # passes than ROOT_STEPS; they hit the cap only on their own steps
+    # with a working set of 64 targets (split across the worker
+    # processes) most targets join after more passes than ROOT_STEPS; they
+    # hit the cap only on their own steps
     m, branches = map_and_branches
     args, targets = _inverse_args(branches), _ulam_targets(branches)
     stats = {}
@@ -412,13 +417,114 @@ def test_step_cap_counts_each_targets_own_steps(monkeypatch,
     got = np.concatenate(_vec.forced_inverse(m, *args, targets, small))
     assert got.tobytes() == want.tobytes()
     assert small["passes"] > 10 * _vec.ROOT_STEPS
-    assert small["largest_set"] == 64
+    assert small["largest_set"] == 64 // small["workers"]
     for key in ("evaluations", "targets", "max_steps", "nonfinite"):
         assert small[key] == stats[key]
     # a target that needs one step more than the cap still raises
     monkeypatch.setattr(_vec, "ROOT_STEPS", stats["max_steps"] - 1)
     with pytest.raises(RuntimeError, match="did not converge"):
         _vec.forced_inverse(m, *args, targets)
+
+
+def test_worker_count_follows_the_affinity_mask(monkeypatch):
+    # one process per CPU it may use, at most MAX_WORKERS and at most one
+    # per CHUNK_POINTS targets, and one where the platform cannot tell its
+    # CPUs
+    n = _vec.CHUNK_POINTS
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert _vec.MAX_WORKERS == 2
+    assert [_vec._worker_count(k * n) for k in (0, 1, 2, 3, 9)] == [
+        1, 1, 2, 2, 2]
+    monkeypatch.setattr(_vec, "MAX_WORKERS", 3)
+    assert [_vec._worker_count(k * n) for k in (0, 1, 2, 3, 9)] == [
+        1, 1, 2, 3, 3]
+    assert _vec._worker_count(2 * n - 1) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _vec._worker_count(9 * n) == 1
+
+
+@pytest.mark.parametrize("failing", ["child", "parent"])
+def test_a_share_that_does_not_converge_raises_here(monkeypatch, failing,
+                                                    map_and_branches):
+    # two workers, of which one gives up after ROOT_STEPS = 2: the error
+    # reaches the caller unchanged, and no child is left behind
+    m, branches = map_and_branches
+    monkeypatch.setattr(_vec, "CHUNK_POINTS", 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    steps, chandrupatla = _vec.ROOT_STEPS, _vec._chandrupatla
+    monkeypatch.setattr(_vec, "ROOT_STEPS", 2)
+    parent, stats = os.getpid(), {}
+    finished = []       # the shares this process finished
+
+    def one_share_capped(*args):
+        if (os.getpid() == parent) != (failing == "parent"):
+            monkeypatch.setattr(_vec, "ROOT_STEPS", steps)
+        out = chandrupatla(*args)
+        finished.append(os.getpid())
+        return out
+
+    monkeypatch.setattr(_vec, "_chandrupatla", one_share_capped)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        _vec.forced_inverse(m, *_inverse_args(branches),
+                            _ulam_targets(branches), stats)
+    # a failing child raises once this process's share is done
+    assert finished == ([parent] if failing == "child" else [])
+    assert stats == {}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("call, made", [("pipe", 0), ("fork", 0),
+                                         ("fork", 1)])
+def test_a_child_that_cannot_be_made_leaves_its_share_here(
+        monkeypatch, map_and_branches, call, made):
+    # three workers, and from call number `made` on, os.pipe or os.fork
+    # fails as at a process or file limit: this process runs the shares
+    # left, the preimages keep their bits, and no descriptor or child is
+    # left behind
+    m, branches = map_and_branches
+    args = _inverse_args(branches), _ulam_targets(branches)
+    want = np.concatenate(_vec.forced_inverse(m, *args[0], args[1]))
+    monkeypatch.setattr(_vec, "CHUNK_POINTS", 64)
+    monkeypatch.setattr(_vec, "MAX_WORKERS", 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    real, calls = getattr(os, call), []
+
+    def limited(*a):
+        calls.append(os.getpid())
+        if len(calls) > made:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real(*a)
+
+    monkeypatch.setattr(os, call, limited)
+    fds, stats = os.listdir("/proc/self/fd"), {}
+    got = _vec.forced_inverse(m, *args[0], args[1], stats)
+    assert np.concatenate(got).tobytes() == want.tobytes()
+    assert stats["workers"] == 1 + made
+    assert stats["targets"] == want.size
+    assert sorted(os.listdir("/proc/self/fd")) == sorted(fds)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_child_that_dies_without_a_result_raises_here(monkeypatch,
+                                                        map_and_branches):
+    m, branches = map_and_branches
+    monkeypatch.setattr(_vec, "CHUNK_POINTS", 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent, chandrupatla = os.getpid(), _vec._chandrupatla
+
+    def killed_in_the_child(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return chandrupatla(*args)
+
+    monkeypatch.setattr(_vec, "_chandrupatla", killed_in_the_child)
+    with pytest.raises(RuntimeError, match="wait status 9 and no result"):
+        _vec.forced_inverse(m, *_inverse_args(branches),
+                            _ulam_targets(branches))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_chunk_ranges_close_runs_at_the_budget():
