@@ -79,7 +79,6 @@ from .distortion import (
     variation_bound,
     variation_exact,
     summability_report,
-    bv_selftest,
 )
 from .density import (
     UlamTable,

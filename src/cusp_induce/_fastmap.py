@@ -27,6 +27,7 @@ import functools
 import numpy as np
 
 from . import _vec
+from .map_model import _IMAGE_TOL
 
 # Orbits per seed stream.  Enough to keep the per-step dispatch overhead off
 # small arrays; with more, each walker's burn-in weighs on fewer counted steps.
@@ -52,7 +53,7 @@ def _step_ensemble(m, starts, pools, burn_in, n_counted, hist):
     escapes = restarts = 0
     for k in range(burn_in + n_counted):
         v = _vec.step_values(m, x)
-        escaped = ~((v >= lo - 1e-9) & (v <= hi + 1e-9))
+        escaped = ~((v >= lo - _IMAGE_TOL) & (v <= hi + _IMAGE_TOL))
         # np.clip(v, lo, hi): with the bound first, a tie keeps v's zero sign
         np.maximum(lo, v, out=v)
         np.minimum(hi, v, out=v)

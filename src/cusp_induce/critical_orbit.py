@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .map_model import MapSpec, CriticalPoint, critical_distance, evaluate
+from .map_model import (_IMAGE_TOL, MapSpec, CriticalPoint, critical_distance,
+                        evaluate)
 
 __all__ = [
     "OrbitEscapeError",
@@ -116,7 +117,7 @@ def compute_orbit(m: MapSpec, cp: CriticalPoint, N: int) -> OrbitRecord:
     x = evaluate(m, cp.location, cp.side).value
     running_logD = 0.0
     for n in range(1, N + 1):
-        if x < m.lo - 1e-9 or x > m.hi + 1e-9:
+        if x < m.lo - _IMAGE_TOL or x > m.hi + _IMAGE_TOL:
             raise OrbitEscapeError(n, x)
         x = min(max(x, m.lo), m.hi)
         dist = critical_distance(m, x)

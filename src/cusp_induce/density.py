@@ -21,6 +21,8 @@ _LOG = logging.getLogger(__name__)
 
 # Pieces pull_back splits each source-grid piece of a branch into.
 PULL_BACK_SPLITS = 4
+POWER_TOL = 1e-10       # stationary_density stops at an L1 step below this
+POWER_STEPS = 100000    # or raises after this many steps
 
 
 def l1_distance(h1, h2, cell_width: float) -> float:
@@ -268,31 +270,31 @@ def ulam_matrix(m, partition, m_cells: int = 4096) -> UlamTable:
                      coverage=coverage, flagged_rows=flagged, dead_rows=dead)
 
 
-def stationary_density(table: UlamTable, tol: float = 1e-10,
-                       max_iters: int = 100000) -> np.ndarray:
+def stationary_density(table: UlamTable) -> np.ndarray:
     """Stationary density of the transfer matrix by power iteration.
 
     Starts from the uniform vector (a table that merely permutes cells
-    therefore returns uniform immediately).  A detected period-2
-    oscillation is averaged away once; a second detection raises.
+    therefore returns uniform immediately) and stops at the first L1 step
+    below POWER_TOL.  A detected period-2 oscillation is averaged away
+    once; a second detection raises.
     """
     P = table.matrix
     v = np.full(table.m, 1.0 / table.m)
     prev = None
     averaged = False
-    for it in range(1, int(max_iters) + 1):
+    for it in range(1, POWER_STEPS + 1):
         w = v @ P
         s = w.sum()
         if s <= 0:
             raise RuntimeError("transfer matrix lost all mass")
         w /= s
         step = np.abs(w - v).sum()
-        if step < tol:
+        if step < POWER_TOL:
             _LOG.info("stationary_density: %d iterations, final L1 step "
                       "%.3g, period-2 averaging %s", it, step,
                       "ran" if averaged else "not needed")
             return w / table.cell_width
-        if prev is not None and np.abs(w - prev).sum() < tol:
+        if prev is not None and np.abs(w - prev).sum() < POWER_TOL:
             if averaged:
                 raise RuntimeError(
                     "power iteration oscillates after averaging")
@@ -301,7 +303,7 @@ def stationary_density(table: UlamTable, tol: float = 1e-10,
         prev = v
         v = w
     raise RuntimeError(
-        f"power iteration did not converge in {int(max_iters)} steps")
+        f"power iteration did not converge in {POWER_STEPS} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -368,20 +370,16 @@ def pull_back(m, partition, h_induced: np.ndarray, m_cells: int = 4096
     return out / (total * cw)
 
 
-def invariance_residual(m, h_map: np.ndarray, m_cells: int | None = None
-                        ) -> float:
+def invariance_residual(m, h_map: np.ndarray) -> float:
     """L1 defect of a density under one exact transfer step of the map.
 
-    Builds a one-step transfer matrix for the map itself (cell edges
-    inverted per monotone branch by bisection) and returns the L1 distance,
-    on the probability scale, between the pushed-forward vector and the
-    input.
+    Builds a one-step transfer matrix for the map itself on the density's
+    own grid of equal cells (cell edges inverted per monotone branch by
+    bisection) and returns the L1 distance, on the probability scale,
+    between the pushed-forward vector and the input.
     """
     h_map = np.asarray(h_map, dtype=float)
-    if m_cells is None:
-        m_cells = h_map.size
-    if m_cells != h_map.size:
-        raise ValueError("grid size does not match density")
+    m_cells = h_map.size
     lo, hi = m.lo, m.hi
     edges = np.linspace(lo, hi, m_cells + 1)
     cw = (hi - lo) / m_cells
@@ -475,13 +473,12 @@ class DensityEstimate:
 
 
 def density_pipeline(m, partition, m_cells: int = 4096,
-                     m_induced: int | None = None, tol: float = 1e-10,
-                     max_iters: int = 100000) -> DensityEstimate:
+                     m_induced: int | None = None) -> DensityEstimate:
     """Ulam matrix, stationary vector, pullback, and residual in one call."""
     if m_induced is None:
         m_induced = m_cells
     table = ulam_matrix(m, partition, m_induced)
-    h_ind = stationary_density(table, tol=tol, max_iters=max_iters)
+    h_ind = stationary_density(table)
     h_map = pull_back(m, partition, h_ind, m_cells)
     residual = invariance_residual(m, h_map)
     width = partition.hi - partition.lo
@@ -492,7 +489,7 @@ def density_pipeline(m, partition, m_cells: int = 4096,
         h_map=h_map,
         invariance_residual=residual,
         unresolved_mass=float(partition.unresolved_measure / width),
-        params={"m_induced": int(m_induced), "tol": tol,
+        params={"m_induced": int(m_induced), "tol": POWER_TOL,
                 "dead_rows": int(table.dead_rows.sum()),
                 "flagged_rows": int(table.flagged_rows.sum())},
     )

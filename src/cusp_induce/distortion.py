@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,6 +30,8 @@ from . import expr as ex
 from .critical_orbit import orbit_records
 
 _LOG = logging.getLogger(__name__)
+UNRESOLVED_BUDGET = 1e-3    # largest unresolved share of the domain
+L_MAX = 6                   # variation_constant's longest iterate
 
 
 class NotDiffeomorphismError(ValueError):
@@ -640,16 +642,15 @@ class SummabilityReport:
 
 
 def summability_report(m, partition, epsilon: float = 1e-4,
-                       unresolved_budget: float = 1e-3,
                        records=None) -> SummabilityReport:
     """Accumulate variation and inducing-time series over the partition.
 
     Branches are grouped by inducing time; the verdicts compare the summed
     increments over the last ten tau values of the computed horizon
     (q0 + p_max) against epsilon times the running totals, and require the
-    unresolved measure to stay within its budget.  Per-tau rows also carry
-    the a-priori gap-term bound evaluated from the critical orbit data;
-    total_var_error sums the quadrature error estimates of the variations.
+    unresolved measure to stay within UNRESOLVED_BUDGET of the domain length.
+    Per-tau rows also carry the a-priori gap-term bound from the critical
+    orbit data; total_var_error sums the variations' quadrature errors.
     """
     branches = sorted(partition.branches, key=lambda br: (br.tau, br.a))
     if records is None:
@@ -710,7 +711,7 @@ def summability_report(m, partition, epsilon: float = 1e-4,
     tail_len = float(sum(r["sum_tau_len"] for r in rows
                          if r["tau"] > horizon - 10))
     unres = partition.unresolved_measure
-    budget_ok = unres <= unresolved_budget * domain_length
+    budget_ok = unres <= UNRESOLVED_BUDGET * domain_length
 
     def verdict(tail, total):
         if total <= 0.0 or not math.isfinite(total):
@@ -723,7 +724,7 @@ def summability_report(m, partition, epsilon: float = 1e-4,
         rows=rows,
         horizon=horizon,
         epsilon=epsilon,
-        unresolved_budget=unresolved_budget,
+        unresolved_budget=UNRESOLVED_BUDGET,
         unresolved_measure=unres,
         domain_length=domain_length,
         total_var=total_var,
@@ -739,100 +740,10 @@ def summability_report(m, partition, epsilon: float = 1e-4,
 
 
 # ---------------------------------------------------------------------------
-# bounded-variation facts selftest
-
-
-def _sup_sum_variation(f, u, v, knots=(), n=4096) -> float:
-    xs = np.linspace(u, v, n + 1)
-    if knots:
-        xs = np.unique(np.concatenate([xs, np.asarray(knots, dtype=float)]))
-    ys = np.array([f(x) for x in xs])
-    return float(np.sum(np.abs(np.diff(ys))))
-
-
-@dataclass
-class BVCheck:
-    name: str
-    lhs: float
-    rhs: float
-    ok: bool
-
-
-@dataclass
-class BVReport:
-    checks: list
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "checks": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs,
-                        "ok": c.ok} for c in self.checks],
-        }
-
-
-def bv_selftest(tolerance: float = 1e-6) -> BVReport:
-    """Numeric confirmation of the bounded-variation toolbox facts.
-
-    Sup-sums run over fine grids refined by the known extremum points, so
-    smooth monotone pieces telescope exactly and the comparisons are tight.
-    """
-    tol = tolerance
-    checks = []
-
-    def leq(name, lhs, rhs):
-        checks.append(BVCheck(name, float(lhs), float(rhs),
-                              lhs <= rhs + tol))
-
-    def close(name, lhs, rhs):
-        checks.append(BVCheck(name, float(lhs), float(rhs),
-                              abs(lhs - rhs) <= tol))
-
-    phi = lambda x: x - 0.5
-    leq("abs-composition", _sup_sum_variation(lambda x: abs(phi(x)), 0, 1,
-                                              knots=(0.5,)),
-        _sup_sum_variation(phi, 0, 1))
-    close("abs-composition-kink", _sup_sum_variation(
-        lambda x: abs(x - 0.5), 0, 1, knots=(0.5,)), 1.0)
-
-    f1 = lambda x: x * x
-    f2 = lambda x: math.sin(3.0 * x)
-    ext2 = (math.pi / 6, math.pi / 2, 5 * math.pi / 6)
-    leq("subadditivity", _sup_sum_variation(lambda x: f1(x) + f2(x), 0, 1),
-        _sup_sum_variation(f1, 0, 1) + _sup_sum_variation(f2, 0, 1) + tol)
-
-    sup1 = 1.0
-    sup2 = 1.0
-    leq("product-rule", _sup_sum_variation(lambda x: f1(x) * f2(x), 0, 1),
-        sup1 * _sup_sum_variation(f2, 0, 1)
-        + sup2 * _sup_sum_variation(f1, 0, 1))
-    close("product-with-one", _sup_sum_variation(lambda x: f1(x) * 1.0, 0, 1),
-          _sup_sum_variation(f1, 0, 1))
-
-    close("monotone-reparametrization",
-          _sup_sum_variation(lambda y: f1(y ** 3), 0, 1),
-          _sup_sum_variation(f1, 0, 1))
-
-    close("derivative-integral-square", _sup_sum_variation(f1, 0, 1), 1.0)
-    close("derivative-integral-sine",
-          _sup_sum_variation(f2, 0, math.pi, knots=ext2), 6.0)
-
-    leq("mean-bound", 1.0 / 3.0,
-        0.0 + _sup_sum_variation(f1, 0, 1))
-    return BVReport(checks=checks, tolerance=tol)
-
-
-# ---------------------------------------------------------------------------
 # empirical variation constant
 
 
-def variation_constant(m, n_cases: int = 100, seed: int = 12345,
-                       l_max: int = 6):
+def variation_constant(m, n_cases: int = 100, seed: int = 12345):
     """Max of variation_exact / variation_bound over random admissible cases.
 
     Cases whose step images meet the critical set (either bound raises) are
@@ -844,7 +755,7 @@ def variation_constant(m, n_cases: int = 100, seed: int = 12345,
     attempts = 0
     while len(cases) < n_cases and attempts < 200 * n_cases:
         attempts += 1
-        l = int(rng.integers(1, l_max + 1))
+        l = int(rng.integers(1, L_MAX + 1))
         w = float(10.0 ** rng.uniform(-4.0, -1.0) * (m.hi - m.lo) / 2.0)
         x = float(rng.uniform(m.lo, m.hi - w))
         interval = (x, x + w)

@@ -20,9 +20,10 @@ from . import _vec
 from .critical_orbit import orbit_records
 from .distortion import POSITIONAL, orbit_extrema, raise_first
 from .inducing import binding_periods
-from .map_model import MapValidationError, _check_delta
+from .map_model import _IMAGE_TOL, MapValidationError, _check_delta
 
 _LOG = logging.getLogger(__name__)
+ORBIT_HORIZON = 200     # critical-orbit steps of choose_delta's checks
 
 
 class ExpansionFailure(RuntimeError):
@@ -115,7 +116,7 @@ def _kappa_ladder(m, deltas, n_samples: int, n_max: int, seed: int) -> list:
         with np.errstate(all="ignore"):
             step = np.log(np.abs(d1))
         good = np.isfinite(v) & np.isfinite(step)
-        good &= (v >= m.lo - 1e-9) & (v <= m.hi + 1e-9)
+        good &= (v >= m.lo - _IMAGE_TOL) & (v <= m.hi + _IMAGE_TOL)
         level, v = level[good], np.clip(v[good], m.lo, m.hi)
         logp = logp[good] + step[good]
         if not logp.size:
@@ -221,25 +222,24 @@ def compute_h_delta(m, delta, grid: int = 64, p_max: int = 60,
 
 
 def choose_delta(m, candidates, margin: float = 10.0,
-                 n_samples: int = 10000, n_max: int = 64,
-                 horizon: int = 200, p_max: int = 60, grid: int = 64,
+                 n_samples: int = 10000, n_max: int = 64, p_max: int = 60,
                  seed: int = 0):
     """Largest candidate neighborhood size passing the fixing conditions.
 
     Conditions, per candidate delta: (1) the one-sided neighborhoods are
     pairwise disjoint and their images stay clear of the union; (2) |Df|
     stays at least 2 on the neighborhoods of singular points, whose bound
-    pieces are single steps; (3) gamma_n stays strictly below 1/2 from
-    h(delta) on; (4) the derivative growth D_(n-1)^(1/(2l-1)) clears
-    margin * 2/kappa from h(delta) on, with kappa taken as the most
-    pessimistic estimate across all candidates.  Returns
+    pieces are single steps; (3) gamma_n stays strictly below 1/2 and (4)
+    the derivative growth D_(n-1)^(1/(2l-1)) clears margin * 2/kappa from
+    n = h(delta) to the critical orbits' end at ORBIT_HORIZON, with kappa
+    taken as the most pessimistic estimate across all candidates.  Returns
     (delta, ExpansionReport); raises DeltaSelectionError with per-candidate
     diagnostics when nothing passes.
     """
     cands = sorted({float(d) for d in candidates}, reverse=True)
     if not cands:
         raise DeltaSelectionError("no candidate deltas supplied")
-    records = orbit_records(m, horizon)
+    records = orbit_records(m, ORBIT_HORIZON)
     diagnostics = {}
 
     # shared expansion floor: the weakest kappa over the candidate list
@@ -251,8 +251,7 @@ def choose_delta(m, candidates, margin: float = 10.0,
 
     report = None
     for d in cands:
-        why, h = _delta_defect(m, d, records, kappa_proxy, margin, grid,
-                               p_max)
+        why, h = _delta_defect(m, d, records, kappa_proxy, margin, p_max)
         if why is not None:
             diagnostics[d] = why
             continue
@@ -265,7 +264,7 @@ def choose_delta(m, candidates, margin: float = 10.0,
                           "gamma_below_half_beyond_h": True,
                           "derivative_growth_dominates_2_over_kappa": True,
                           "kappa_segments": kap.segments},
-            samples=int(n_samples), n_max=int(n_max), horizon=int(horizon))
+            samples=int(n_samples), n_max=int(n_max), horizon=ORBIT_HORIZON)
         break
     _LOG.info("choose_delta: kappa/segments/envelope steps %s; rejected %s; "
               "chosen delta %r, q0 %r", ", ".join(
@@ -280,7 +279,7 @@ def choose_delta(m, candidates, margin: float = 10.0,
     return report.delta, report
 
 
-def _delta_defect(m, delta, records, kappa, margin, grid, p_max):
+def _delta_defect(m, delta, records, kappa, margin, p_max):
     """(reason, h): why delta fails conditions (1)-(4) of choose_delta,
     None when it passes, and h(delta) once it is known."""
     try:
@@ -304,8 +303,7 @@ def _delta_defect(m, delta, records, kappa, margin, grid, p_max):
             return (f"expansion: inf |Df| = {inf_df!r} < 2 on the "
                     f"neighborhood at ({cp.location}, {cp.side})"), None
     try:
-        h = compute_h_delta(m, delta, grid=grid, p_max=p_max,
-                            records=records)
+        h = compute_h_delta(m, delta, p_max=p_max, records=records)
     except RuntimeError as err:
         return f"binding: {err}", None
     for key, rec in records.items():

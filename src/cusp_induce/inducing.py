@@ -89,8 +89,8 @@ def binding_periods(m, cp, xs, delta=None, records=None, p_max: int = 60
         # Df = 0, an escape, then the end of the critical record.  No step
         # starts on a branch boundary: boundaries are critical locations,
         # which a bound point keeps d(c_j) / 2 away from while d(c_j) > 0.
-        fail = np.where((v < m.lo - 1e-9) | (v > m.hi + 1e-9), ESCAPED,
-                        RECORD_SHORT if j > rec.n_filled else 0)
+        fail = np.where((v < m.lo - _IMAGE_TOL) | (v > m.hi + _IMAGE_TOL),
+                        ESCAPED, RECORD_SHORT if j > rec.n_filled else 0)
         fail[a == 0.0] = FLAT
         fail[~np.isfinite(v + a)] = UNDEFINED
         ok = fail == 0

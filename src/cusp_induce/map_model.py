@@ -48,6 +48,8 @@ log = logging.getLogger("cusp_induce.map_model")
 _ETAS = (1e-6, 1e-7, 1e-8)  # offsets for one-sided limit extrapolation
 _BOUNDARY_TOL = 1e-12
 _IMAGE_TOL = 1e-9
+ND_STEPS = 64       # verify_nondegeneracy's most halvings of delta
+ND_BOUND = 100.0    # and the largest max/min of a ratio family
 
 
 class MapConfigError(ValueError):
@@ -647,7 +649,7 @@ class NondegeneracyReport:
     """Sampled min/max of the order-law ratios at every critical point."""
 
     per_point: list = field(default_factory=list)
-    bound: float = 100.0
+    bound: float = ND_BOUND
     passed: bool = True
     failures: list = field(default_factory=list)
 
@@ -660,25 +662,23 @@ class NondegeneracyReport:
         }
 
 
-def verify_nondegeneracy(m: MapSpec, grid_size: int = 64,
-                         bound: float = 100.0) -> NondegeneracyReport:
+def verify_nondegeneracy(m: MapSpec) -> NondegeneracyReport:
     """Check |f(x)-f(c)| ~ d^ell, |Df| ~ d^(ell-1), |D2f| ~ d^(ell-2).
 
-    Samples a geometric grid at distances delta*2^-k from each one-sided
-    critical point.  Distances are floored at 1e-6: below that the f(x)-f(c)
-    difference is double-precision cancellation noise, not geometry.  Also
+    Samples a geometric grid at distances delta*2^-k, k < ND_STEPS, from
+    each one-sided critical point.  Distances are floored at 1e-6: below
+    that the f(x)-f(c) difference is double-precision cancellation noise,
+    not geometry.  Also
     reports min/max of d(x)*|D2f(x)|/|Df(x)| on the same grid.  A point
     passes when every ratio family is finite, positive, and has
-    max/min <= bound.
+    max/min <= ND_BOUND.
     """
-    if grid_size < 64:
-        raise ValueError("grid_size must be >= 64")
-    report = NondegeneracyReport(bound=bound)
+    report = NondegeneracyReport()
     for cp in m.critical_points:
         sgn = 1.0 if cp.side == "+" else -1.0
         fc = evaluate(m, cp.location, cp.side).value
         rows = {"f": [], "df": [], "d2f": [], "derdist": []}
-        for k in range(grid_size):
+        for k in range(ND_STEPS):
             d = m.delta * 2.0 ** (-k)
             if d < 1e-6:
                 break
@@ -704,13 +704,13 @@ def verify_nondegeneracy(m: MapSpec, grid_size: int = 64,
             ok = (
                 math.isfinite(vmax)
                 and vmin > 0.0
-                and vmax / vmin <= bound
+                and vmax / vmin <= ND_BOUND
             )
             if not ok:
                 point_ok = False
                 report.failures.append(
                     f"{cp.location!r}{cp.side}: ratio {key} in "
-                    f"[{vmin:.6g}, {vmax:.6g}] violates bound {bound}"
+                    f"[{vmin:.6g}, {vmax:.6g}] violates bound {ND_BOUND}"
                 )
         entry["passed"] = point_ok
         report.per_point.append(entry)

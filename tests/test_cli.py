@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from cusp_induce import cli
+from cusp_induce import _vec, cli
 from cusp_induce import distortion as di
 from cusp_induce import expr as ex
 from cusp_induce.map_model import family_config
@@ -173,12 +173,30 @@ def test_scan_csv_format(capsys):
     assert len(lines) == 2
 
 
+def test_scan_jobs_2_matches_jobs_1(tmp_path):
+    args = ("scan", "--family", "unimodal", "--grid", "a=1.76,1.9,2.0")
+    runs = [run(*args, "--jobs", jobs, "--out", str(tmp_path / jobs))
+            for jobs in ("1", "2")]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    csvs = [tmp_path / jobs / "scan.csv" for jobs in ("1", "2")]
+    assert filecmp.cmp(*csvs, shallow=False)
+
+
 def test_selftest_passes():
     code, doc = run_json("selftest")
     assert code == 0 and doc["passed"] is True
     jets = doc["checks"]["jets_vs_finite_differences"]
     assert jets["passed"] is True and jets["worst_rel_error"] < 1e-4
     assert doc["checks"]["variation_exact"]["passed"] is True
+
+
+def test_selftest_fails_on_a_wrong_branch_inverse(monkeypatch):
+    # one halving leaves chebyshev's preimage of 0 at the branch midpoint
+    monkeypatch.setattr(_vec, "BISECTION_STEPS", 1)
+    code, doc = run_json("selftest")
+    assert code == 1 and doc["passed"] is False
+    inv = doc["checks"]["branch_inversion"]
+    assert inv["passed"] is False and inv["residual"] == -0.125
 
 
 def test_selftest_fails_on_a_variation_rule_off_its_closed_form(monkeypatch):

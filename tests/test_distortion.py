@@ -188,13 +188,6 @@ def test_variation_bound_regression_value(cheb):
         0.7602470777028076, rel=1e-9)
 
 
-def test_bounded_variation_inequality_selftest():
-    rep = di.bv_selftest()
-    assert rep.passed
-    assert len(rep.checks) == 9
-    assert all(c.ok for c in rep.checks)
-
-
 def test_no_second_derivative_zeros_on_quadratic_branches(cheb):
     for i in range(len(cheb.branches)):
         assert di.branch_d2_zeros(cheb, i) == ()
