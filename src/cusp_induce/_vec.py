@@ -9,9 +9,10 @@ preimages of the Ulam assembly: one working set, ordered by itinerary
 length and topped up from lazily seeded groups of rows, steps every target
 of its rows.  forced_inverse deals the rows round-robin to this process
 and to children of os.fork, one per CPU it may use up to MAX_WORKERS
-(_worker_count), which write their preimages into one shared buffer and
-send their counts back through a pipe (_fork_join); each preimage
-depends on its own row only, so the split leaves every bit as it is.
+(_worker_count), which write their preimages and counts into one shared
+buffer and report by their exit status alone; a share no child finished
+runs here (_fork_join).  Each preimage depends on its own row only, so
+the split leaves every bit as it is.
 Forced plans (_planner) follow fixed itineraries, so a point on a branch
 boundary keeps its itinerary.  A one-step plan applies branch ids[k] to
 point k, with ids from the caller or from positional dispatch (ties to
@@ -32,7 +33,6 @@ from __future__ import annotations
 import functools
 import mmap
 import os
-import pickle
 
 import numpy as np
 
@@ -55,6 +55,11 @@ ROOT_STEPS = 200
 # were measured, on two CPUs; each process past the first holds about 50 MB
 # resident, 8-12 MB of it its own, and costs CPU time of its own.
 MAX_WORKERS = 2
+
+# The root finder's counts (_chandrupatla), in the order a share writes
+# them to forced_inverse's shared buffer.
+COUNTS = ("evaluations", "targets", "max_steps", "nonfinite", "passes",
+          "compactions", "largest_set")
 
 
 def branch_indices(m, x: np.ndarray) -> np.ndarray:
@@ -308,8 +313,7 @@ def _chandrupatla(pass_of, seeds, out, stats=None, budget=None):
     residual ("nonfinite"), the forced passes ("passes"), the compactions
     and the largest working set ("largest_set").  Returns out.
     """
-    c = dict.fromkeys(("evaluations", "targets", "max_steps", "nonfinite",
-                       "passes", "compactions", "largest_set"), 0)
+    c = dict.fromkeys(COUNTS, 0)
     eps4 = 4.0 * np.finfo(float).eps
     budget = CHUNK_POINTS if budget is None else budget
 
@@ -376,82 +380,55 @@ def _worker_count(n: int) -> int:
     platform cannot fork or tell the mask.  A CPU quota of the process's
     cgroup does not show in the mask.  Two processes start to pay at
     about 20,000 targets, below the 2 * CHUNK_POINTS a second one needs:
-    on the lorenz(1.9, 0.4) benchmark partition, on two CPUs, they took 0.68-0.83 of the serial time at 32,884
-    targets, 0.84-0.89 at 22,558 and 1.02-1.09 at 15,046 (medians of 11
-    calls)."""
+    on the lorenz(1.9, 0.4) benchmark partition, on two CPUs, they took
+    0.68-0.83 of the serial time at 32,884 targets, 0.84-0.89 at 22,558
+    and 1.02-1.09 at 15,046 (medians of 11 calls)."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return max(1, min(MAX_WORKERS, len(os.sched_getaffinity(0)),
                       n // CHUNK_POINTS))
 
 
-def _spawn(run, share):
-    """A child of os.fork that sends run(share), or the exception it
-    raised, back pickled through a pipe and ends with os._exit: its pid
-    and the read end of the pipe, or None where the pipe or the child
-    cannot be made (OSError, as at a limit on processes or open files)."""
-    try:
-        r, w = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        try:
-            os.close(r)
-            try:
-                reply = run(share)
-            except BaseException as err:    # raised in the parent
-                reply = err
-            with open(w, "wb") as fh:
-                fh.write(pickle.dumps(reply))
-        finally:
-            os._exit(0)
-    os.close(w)
-    return pid, r
-
-
-def _fork_join(run, shares) -> tuple[list, int]:
-    """[run(share) for share in shares] and the processes that ran them:
-    share 0 in this process, each other share in a child (_spawn), and
-    from the first child that cannot be made on, the shares left here
-    too.  Every child is read and reaped, also when a share here raises;
-    then a child's exception is raised here, type and message unchanged.
-    Whatever else a child makes must go to memory it shares with this
-    process.
+def _fork_join(run, w: int) -> list:
+    """run(k) for every share k < w: share 0 in this process, each other
+    share in a child of os.fork that ends with os._exit(0), or
+    os._exit(1) where run raised.  Every child is reaped, also when share
+    0 raises; then each share whose child could not be made (OSError, as
+    at a limit on processes) or did not exit 0 runs here, so its error, if
+    any, is raised here, type and message unchanged.  run must write what
+    it makes to memory it shares with this process.  Returns the shares
+    the children finished.
 
     Only the forking thread lives on in a child, and NumPy's BLAS thread
     pool already runs when it forks, so run must not need a thread pool:
     elementwise NumPy only, no @.  For the same pool, Python 3.12 and
-    later warn on each fork that the process is multi-threaded
-    (DeprecationWarning, which is hidden outside __main__ by default).
+    later are documented to warn on each fork that the process is
+    multi-threaded (DeprecationWarning, hidden outside __main__ by
+    default); this code has run on Python 3.11 only, so that is untested.
     """
-    results, children, here = [None] * len(shares), [], [0]
+    children = {}
+    for k in range(1, w):
+        try:
+            pid = os.fork()
+        except OSError:
+            break
+        if pid == 0:
+            code = 1
+            try:
+                run(k)
+                code = 0
+            finally:
+                os._exit(code)
+        children[k] = pid
     try:
-        for k in range(1, len(shares)):
-            child = _spawn(run, shares[k])
-            if child is None:
-                here += range(k, len(shares))
-                break
-            children.append((k, *child))
-        for k in here:
-            results[k] = run(shares[k])
+        run(0)
     finally:
-        replies = []
-        for k, pid, r in children:
-            with open(r, "rb") as fh:
-                replies.append((k, pid, fh.read(), os.waitpid(pid, 0)[1]))
-    for k, pid, data, status in replies:
-        reply = pickle.loads(data) if data else RuntimeError(
-            f"worker {pid} ended with wait status {status} and no result")
-        if isinstance(reply, BaseException):
-            raise reply
-        results[k] = reply
-    return results, 1 + len(children)
+        done = [k for k, pid in children.items()
+                if os.waitpid(pid, 0)[1] == 0]
+    for k in range(1, w):
+        if k not in done:
+            run(k)
+    return done
 
 
 def forced_inverse(m, itin, a, b, increasing, targets, stats=None) -> list:
@@ -467,17 +444,19 @@ def forced_inverse(m, itin, a, b, increasing, targets, stats=None) -> list:
 
     The rows are split across w = _worker_count(targets) processes: share
     i takes rows i::w of the longest-first order, this process runs share
-    0 and a forked child each other share (_fork_join), and all write into
-    one array of preimages, shared with the children.  Each share's
-    groups of rows and working set hold CHUNK_POINTS // w points, so the
-    processes together hold the memory of one: a child's own pages come
-    from its working set and from the pages either side writes after the
-    fork.  A preimage depends on its own row only, so it is the same bits
-    for every w and every working set size.  stats, when
-    given, is updated with the root finder's counts (_chandrupatla) summed
-    over the shares, max_steps and largest_set their maximum, and with
-    "workers", the processes that ran them: w, or fewer where a child
-    could not be made and this process ran its share.
+    0 and a forked child each other share (_fork_join).  Every share
+    writes its preimages, and its root finder's counts as row i of a
+    (w, len(COUNTS)) block, into one anonymous shared mmap; a share whose
+    child could not be made or did not exit 0 runs again here, with the
+    same bits.  Each share's groups of rows and working set hold
+    CHUNK_POINTS // w points, so the processes together hold the memory
+    of one: a child's own pages come from its working set and from the
+    pages either side writes after the fork.  A preimage depends on its
+    own row only, so it is the same bits for every w and every working
+    set size.  stats, when given, is updated with the counts
+    (_chandrupatla) summed over the shares, max_steps and largest_set
+    their maximum, and with "workers", the processes that finished
+    shares: w, or fewer where a child did not.
     """
     counts = np.array([t.size for t in targets], dtype=np.int64)
     sizes = np.maximum(16, counts) + 1
@@ -494,7 +473,10 @@ def forced_inverse(m, itin, a, b, increasing, targets, stats=None) -> list:
     n = int(counts.sum())
     w = _worker_count(n)
     budget = max(1, CHUNK_POINTS // w)
-    out = np.empty(n) if w == 1 else np.frombuffer(mmap.mmap(-1, 8 * n))
+    shared = mmap.mmap(-1, 8 * (n + w * len(COUNTS)))
+    out = np.frombuffer(shared, count=n)
+    block = np.frombuffer(shared, dtype=np.int64, offset=8 * n).reshape(
+        w, len(COUNTS))
 
     def seeds(order):
         for s, e in chunk_ranges(sizes[order], budget):
@@ -528,16 +510,17 @@ def forced_inverse(m, itin, a, b, increasing, targets, stats=None) -> list:
                    ys[i2] - t, ys[i3] - t + none,
                    (xs[start + 1] - xs[start]) * 2.0 ** -31)
 
-    def run(order) -> dict:
+    def run(i):
         c = {}
         _chandrupatla(lambda rows: functools.partial(
-            _forced_pass, m, plan_of(rows)), seeds(order), out, c, budget)
-        return c
+            _forced_pass, m, plan_of(rows)), seeds(rank[i::w]), out, c,
+            budget)
+        block[i] = [c[k] for k in COUNTS]
 
-    parts, procs = _fork_join(run, [rank[i::w] for i in range(w)])
+    done = _fork_join(run, w)
     if stats is not None:
-        stats.update({k: sum(c[k] for c in parts) for k in parts[0]},
-                     workers=procs)
-        stats.update({k: max(c[k] for c in parts)
-                      for k in ("max_steps", "largest_set")})
+        most = dict(zip(COUNTS, block.max(0).tolist()))
+        stats.update(zip(COUNTS, block.sum(0).tolist()),
+                     workers=1 + len(done), max_steps=most["max_steps"],
+                     largest_set=most["largest_set"])
     return np.split(out, np.cumsum(counts)[:-1])

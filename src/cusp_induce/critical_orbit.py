@@ -129,12 +129,7 @@ def compute_orbit(m: MapSpec, cp: CriticalPoint, N: int) -> OrbitRecord:
             logD.append(math.nan)
             hit_at = n
             break
-        if x == m.lo:
-            j = evaluate(m, x, "+")
-        elif x == m.hi:
-            j = evaluate(m, x, "-")
-        else:
-            j = evaluate(m, x)
+        j = evaluate(m, x)
         df_vals.append(abs(j.d1))
         running_logD += math.log(abs(j.d1))
         logD.append(running_logD)

@@ -443,11 +443,12 @@ def test_worker_count_follows_the_affinity_mask(monkeypatch):
     assert _vec._worker_count(9 * n) == 1
 
 
-@pytest.mark.parametrize("failing", ["child", "parent"])
-def test_a_share_that_does_not_converge_raises_here(monkeypatch, failing,
+@pytest.mark.parametrize("capped", ["parent", "every"])
+def test_a_share_that_does_not_converge_raises_here(monkeypatch, capped,
                                                     map_and_branches):
-    # two workers, of which one gives up after ROOT_STEPS = 2: the error
-    # reaches the caller unchanged, and no child is left behind
+    # two workers, and ROOT_STEPS = 2 in this process alone or in every
+    # process: the error reaches the caller unchanged, no counts are
+    # written, and no child is left behind
     m, branches = map_and_branches
     monkeypatch.setattr(_vec, "CHUNK_POINTS", 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -456,47 +457,77 @@ def test_a_share_that_does_not_converge_raises_here(monkeypatch, failing,
     parent, stats = os.getpid(), {}
     finished = []       # the shares this process finished
 
-    def one_share_capped(*args):
-        if (os.getpid() == parent) != (failing == "parent"):
+    def capped_here(*args):
+        if capped == "parent" and os.getpid() != parent:
             monkeypatch.setattr(_vec, "ROOT_STEPS", steps)
         out = chandrupatla(*args)
         finished.append(os.getpid())
         return out
 
-    monkeypatch.setattr(_vec, "_chandrupatla", one_share_capped)
+    monkeypatch.setattr(_vec, "_chandrupatla", capped_here)
     with pytest.raises(RuntimeError, match="did not converge"):
         _vec.forced_inverse(m, *_inverse_args(branches),
                             _ulam_targets(branches), stats)
-    # a failing child raises once this process's share is done
-    assert finished == ([parent] if failing == "child" else [])
+    assert finished == []
     assert stats == {}
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("call, made", [("pipe", 0), ("fork", 0),
-                                         ("fork", 1)])
+def test_a_share_that_does_not_converge_in_its_child_alone_runs_here(
+        monkeypatch, map_and_branches):
+    # two workers, and ROOT_STEPS = 2 in the child alone: the child exits
+    # 1, this process runs its share again, and the preimages and counts
+    # are those of one process
+    m, branches = map_and_branches
+    args = *_inverse_args(branches), _ulam_targets(branches)
+    monkeypatch.setattr(_vec, "CHUNK_POINTS", 64)
+    want = {}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    pre = np.concatenate(_vec.forced_inverse(m, *args, want))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    steps, chandrupatla = _vec.ROOT_STEPS, _vec._chandrupatla
+    parent, finished, stats = os.getpid(), [], {}
+
+    def capped_in_the_child(*a):
+        monkeypatch.setattr(_vec, "ROOT_STEPS",
+                            steps if os.getpid() == parent else 2)
+        out = chandrupatla(*a)
+        finished.append(os.getpid())
+        return out
+
+    monkeypatch.setattr(_vec, "_chandrupatla", capped_in_the_child)
+    got = np.concatenate(_vec.forced_inverse(m, *args, stats))
+    assert got.tobytes() == pre.tobytes()
+    assert finished == [parent, parent]
+    assert want["workers"] == stats["workers"] == 1
+    for key in ("evaluations", "targets", "max_steps", "nonfinite"):
+        assert stats[key] == want[key]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("made", [0, 1], ids=["fork-0", "fork-1"])
 def test_a_child_that_cannot_be_made_leaves_its_share_here(
-        monkeypatch, map_and_branches, call, made):
-    # three workers, and from call number `made` on, os.pipe or os.fork
-    # fails as at a process or file limit: this process runs the shares
-    # left, the preimages keep their bits, and no descriptor or child is
-    # left behind
+        monkeypatch, map_and_branches, made):
+    # three workers, and from call number `made` on, os.fork fails as at a
+    # process limit: this process runs the shares left, the preimages keep
+    # their bits, and no descriptor or child is left behind
     m, branches = map_and_branches
     args = _inverse_args(branches), _ulam_targets(branches)
     want = np.concatenate(_vec.forced_inverse(m, *args[0], args[1]))
     monkeypatch.setattr(_vec, "CHUNK_POINTS", 64)
     monkeypatch.setattr(_vec, "MAX_WORKERS", 3)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    real, calls = getattr(os, call), []
+    real, calls = os.fork, []
 
-    def limited(*a):
+    def limited():
         calls.append(os.getpid())
         if len(calls) > made:
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-        return real(*a)
+        return real()
 
-    monkeypatch.setattr(os, call, limited)
+    monkeypatch.setattr(os, "fork", limited)
     fds, stats = os.listdir("/proc/self/fd"), {}
     got = _vec.forced_inverse(m, *args[0], args[1], stats)
     assert np.concatenate(got).tobytes() == want.tobytes()
@@ -507,22 +538,27 @@ def test_a_child_that_cannot_be_made_leaves_its_share_here(
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_child_that_dies_without_a_result_raises_here(monkeypatch,
-                                                        map_and_branches):
+def test_a_child_that_dies_leaves_its_share_here(monkeypatch,
+                                                map_and_branches):
+    # the child is killed before it writes anything: this process runs its
+    # share, and the preimages keep their bits
     m, branches = map_and_branches
+    args = *_inverse_args(branches), _ulam_targets(branches)
+    want = np.concatenate(_vec.forced_inverse(m, *args))
     monkeypatch.setattr(_vec, "CHUNK_POINTS", 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     parent, chandrupatla = os.getpid(), _vec._chandrupatla
 
-    def killed_in_the_child(*args):
+    def killed_in_the_child(*a):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return chandrupatla(*args)
+        return chandrupatla(*a)
 
     monkeypatch.setattr(_vec, "_chandrupatla", killed_in_the_child)
-    with pytest.raises(RuntimeError, match="wait status 9 and no result"):
-        _vec.forced_inverse(m, *_inverse_args(branches),
-                            _ulam_targets(branches))
+    stats = {}
+    got = np.concatenate(_vec.forced_inverse(m, *args, stats))
+    assert got.tobytes() == want.tobytes()
+    assert stats["workers"] == 1 and stats["targets"] == want.size
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
