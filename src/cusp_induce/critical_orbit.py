@@ -280,7 +280,7 @@ def write_orbit_csv(record: OrbitRecord, path: str):
     star = record.star_terms
     partial = np.nancumsum(star) if len(star) else star
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["n", "c_n", "d", "ell_n", "Dn", "gamma_n",
                     "star_term", "star_partial"])
         for i in range(record.n_filled):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -262,15 +262,7 @@ class DistortionResult:
     image: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "interval": list(self.interval),
-            "n": self.n,
-            "sup_df": list(self.sup_df),
-            "inf_df": list(self.inf_df),
-            "ratios": list(self.ratios),
-            "value": self.value,
-            "image": list(self.image),
-        }
+        return asdict(self)
 
 
 def generalized_distortion(m, interval, n: int) -> DistortionResult:
@@ -595,24 +587,7 @@ class SummabilityReport:
                 and self.verdict_inducing == "summable-so-far")
 
     def to_dict(self) -> dict:
-        return {
-            "rows": [dict(r) for r in self.rows],
-            "horizon": self.horizon,
-            "epsilon": self.epsilon,
-            "unresolved_budget": self.unresolved_budget,
-            "unresolved_measure": self.unresolved_measure,
-            "domain_length": self.domain_length,
-            "total_var": self.total_var,
-            "total_var_error": self.total_var_error,
-            "total_tau_len": self.total_tau_len,
-            "tail_var": self.tail_var,
-            "tail_tau_len": self.tail_tau_len,
-            "d_hat": self.d_hat,
-            "free_tau_len": self.free_tau_len,
-            "verdict_variation": self.verdict_variation,
-            "verdict_inducing": self.verdict_inducing,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:

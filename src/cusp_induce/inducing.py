@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter, namedtuple
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -331,16 +331,7 @@ class InducedBranch:
         return self.b - self.a
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a, "b": self.b, "kind": self.kind,
-            "l0": self.l0, "p0": self.p0, "tau": self.tau,
-            "critical_point": (list(self.critical_point)
-                               if self.critical_point else None),
-            "itinerary": list(self.itinerary),
-            "image": list(self.image),
-            "inf_df": self.inf_df, "sup_df": self.sup_df,
-            "orientation": self.orientation,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -779,16 +770,7 @@ class BindingLemmaReport:
         return "failed" not in self.checks.values()
 
     def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "ratio_max": self.ratio_max, "gamma_hat": self.gamma_hat,
-            "margin_ratio": self.margin_ratio,
-            "sandwich_c1": self.sandwich_c1, "sandwich_c2": self.sandwich_c2,
-            "sandwich_rows": [list(r) for r in self.sandwich_rows],
-            "empty_piece_p": list(self.empty_piece_p),
-            "min_inf_df": self.min_inf_df, "checks": dict(self.checks),
-            "witnesses": list(self.witnesses), "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _status(checked: int, ok: bool) -> str:

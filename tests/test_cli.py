@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from cusp_induce import _vec, cli
+from cusp_induce import _vec, cli, hyperbolicity, map_model
 from cusp_induce import distortion as di
 from cusp_induce import expr as ex
 from cusp_induce.map_model import family_config
@@ -128,10 +128,14 @@ def test_hyperbolicity_rejects_fixed_singular_point():
 
 
 def test_induce_writes_partition(tmp_path):
+    # without --q0 the expansion fit at the given delta chooses it
     out = str(tmp_path / "induce_run")
     code, doc = run_json("induce", "--family", "lorenz", "--delta", "0.2",
-                         "--q0", "5", "--out", out)
+                         "--out", out)
     assert code == 0
+    m = map_model.build_map(family_config("lorenz"))
+    q0 = hyperbolicity.choose_q0(*hyperbolicity.estimate_expansion(m, 0.2))
+    assert doc["partition"]["q0"] == q0 == 5
     assert doc["partition"]["n_branches"] == 40
     assert doc["partition"]["min_inf_df"] >= 2.0
     assert os.path.exists(os.path.join(out, "partition.csv"))

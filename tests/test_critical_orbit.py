@@ -130,3 +130,4 @@ def test_write_orbit_csv_round_trip(tmp_path, cheb_records):
     assert len(rows) == rec.N
     assert float(rows[0]["c_n"]) == rec.c[0]
     assert float(rows[19]["Dn"]) == pytest.approx(4.0**20, rel=1e-12)
+    assert b"\r" not in path.read_bytes()

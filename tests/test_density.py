@@ -398,6 +398,27 @@ def test_invariance_residual_detects_the_right_density(cheb):
     assert bad > 0.3
 
 
+def test_invariance_residual_with_int64_keys(cheb, monkeypatch):
+    # past m_cells**2 = 2**31 the entry keys row * m_cells + column need
+    # int64; one cell fewer still fits int32, and both give one residual
+    dtypes = []
+    from_entries = de.Csr.from_entries
+
+    def spy(key, *args):
+        dtypes.append(key.dtype)
+        return from_entries(key, *args)
+
+    monkeypatch.setattr(de.Csr, "from_entries", spy)
+    got = []
+    for n in (46341, 46340):
+        edges = np.linspace(-1.0, 1.0, n + 1)
+        exact = np.diff(np.arcsin(edges)) / (np.pi * (2.0 / n))
+        got.append(de.invariance_residual(cheb, exact))
+    assert dtypes == [np.int64, np.int32]
+    assert got[0] == pytest.approx(got[1], rel=1e-4)
+    assert got[0] < 0.004
+
+
 def test_birkhoff_histogram_statistics(cheb):
     w = 2.0 / 256
     b1 = de.birkhoff_histogram(cheb, seed_count=2, n_steps=2 * 10**5,

@@ -42,6 +42,11 @@ def test_unknown_config_key_rejected():
     cfg["bogus"] = 1
     with pytest.raises(mm.MapConfigError):
         mm.build_map(cfg)
+    # a side is spelled "+" or "-", nothing else
+    cfg = mm.family_config("chebyshev")
+    cfg["critical_points"][1]["side"] = "plus"
+    with pytest.raises(mm.MapConfigError, match="expected '\\+' or '-'"):
+        mm.build_map(cfg)
 
 
 def test_branch_gap_rejected():
@@ -90,10 +95,24 @@ def test_evaluate_interior_and_boundary(cheb):
 
 
 def test_endpoint_jet_keeps_exact_value_at_kink(cheb):
-    j = cheb.endpoint_jet(1, 0.0, "+")
-    assert j.value == 1.0
-    assert j.d1 == 0.0
-    assert j.d2 == pytest.approx(-4.0, rel=1e-6)
+    # (map, branch, side, value, d1, d2) at the kink x = 0; beside the
+    # steep powers s = 0.3 the sample at eta = 1e-8 lies more than 1e-3
+    # from the formula's own value, which must still be kept
+    lorenz = mm.lorenz_map(a=1.9, s=0.3)
+    singular = mm.singular_unimodal_map(s=0.3)
+    cases = [
+        (cheb, 1, "+", 1.0, 0.0, -4.0),
+        (mm.unimodal_map(ell=1.5), 1, "+", 1.0, 0.0, -math.inf),
+        (lorenz, 0, "-", 1.0, math.inf, math.inf),
+        (lorenz, 1, "+", -1.0, math.inf, -math.inf),
+        (singular, 1, "-", 0.0, math.inf, math.inf),
+        (singular, 2, "+", 0.0, math.inf, -math.inf),
+    ]
+    for m, i, side, value, d1, d2 in cases:
+        j = m.endpoint_jet(i, 0.0, side)
+        assert j.value == value, (m.name, side)
+        assert j.d1 == d1
+        assert j.d2 == pytest.approx(d2, rel=1e-6)
 
 
 def test_endpoint_jet_one_sided_blowup(lorenz):
