@@ -58,29 +58,19 @@ def _dumps(obj) -> str:
     return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
+def _out(args, filename: str) -> str:
+    """The path of an artifact in the --out directory, made if absent."""
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, filename)
+
+
 def _emit(report, args, filename: str):
     text = _dumps(report)
     sys.stdout.write(text)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, filename), "w") as fh:
+        with open(_out(args, filename), "w", newline="\n",
+                  encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _write_csv(args, filename: str, header: str, rows) -> None:
-    if not args.out:
-        return
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, filename), "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_field(v) for v in row) + "\n")
-
-
-def _csv_field(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
 
 
 def _fail(code: int, **diag) -> int:
@@ -108,32 +98,36 @@ def _parse_params(pairs):
 
 
 def _get_map(args) -> map_model.MapSpec:
-    if getattr(args, "config", None):
+    if args.config:
         for flag in ("family", "param"):
-            if getattr(args, flag, None):
+            if getattr(args, flag):
                 raise map_model.MapConfigError(
                     f"--config and --{flag} are mutually exclusive")
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    elif getattr(args, "family", None):
+    elif args.family:
         cfg = {"family": args.family, "params": _parse_params(args.param)}
     else:
         raise map_model.MapConfigError("need --config FILE or --family NAME")
-    if getattr(args, "delta", None) is not None and isinstance(cfg, dict):
+    if args.delta is not None and isinstance(cfg, dict):
         cfg["delta"] = args.delta
     return map_model.build_map(cfg)
 
 
-def _inducing_scales(m, args):
-    """(delta, q0) from flags, selecting automatically when absent."""
-    delta = getattr(args, "delta", None)
-    q0 = getattr(args, "q0", None)
-    report = None
+def _choose_delta(m, args, cands):
+    return hyperbolicity.choose_delta(
+        m, cands, margin=args.margin, n_samples=args.samples,
+        n_max=args.nmax, p_max=args.p_max, seed=args.seed)
+
+
+def _partition(m, args, records=None):
+    """(induced partition, choose_delta report) at --delta and --q0, each
+    selected automatically when absent; the report is None when --delta
+    is given."""
+    delta, q0, report = args.delta, args.q0, None
     if delta is None:
-        cands = args.delta_candidates or _DELTA_LADDER
-        delta, report = hyperbolicity.choose_delta(
-            m, cands, margin=args.margin, n_samples=args.samples,
-            n_max=args.nmax, p_max=args.p_max, seed=args.seed)
+        delta, report = _choose_delta(
+            m, args, args.delta_candidates or _DELTA_LADDER)
         if q0 is None:
             q0 = report.q0
     if q0 is None:
@@ -141,7 +135,17 @@ def _inducing_scales(m, args):
             m, delta, n_samples=args.samples, n_max=args.nmax,
             seed=args.seed)
         q0 = hyperbolicity.choose_q0(c_hat, lam)
-    return float(delta), int(q0), report
+    part = inducing.build_partition(m, delta=delta, q0=q0, p_max=args.p_max,
+                                    resolution=args.resolution,
+                                    records=records)
+    return part, report
+
+
+def _write_orbits(m, records, args) -> None:
+    if args.out:
+        for i, cp in enumerate(m.critical_points):
+            critical_orbit.write_orbit_csv(records[(cp.location, cp.side)],
+                                           _out(args, f"orbit_{i}.csv"))
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +171,7 @@ def cmd_orbit(args) -> int:
             "n_filled": rec.n_filled, "hit_critical_at": rec.hit_critical_at,
             "c": rec.c, "d": rec.d, "D": rec.D, "gamma": rec.gamma,
         }
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            critical_orbit.write_orbit_csv(
-                rec, os.path.join(args.out, f"orbit_{i}.csv"))
+    _write_orbits(m, recs, args)
     _emit(report, args, "orbit.json")
     return 0
 
@@ -204,9 +205,7 @@ def cmd_hyperbolicity(args) -> int:
     else:
         cands = args.delta_candidates or _DELTA_LADDER
     try:
-        delta, rep = hyperbolicity.choose_delta(
-            m, cands, margin=args.margin, n_samples=args.samples,
-            n_max=args.nmax, p_max=args.p_max, seed=args.seed)
+        delta, rep = _choose_delta(m, args, cands)
     except hyperbolicity.DeltaSelectionError as err:
         _emit({"map": m.name, "passed": False,
                "candidates": list(cands), "diagnostics": err.diagnostics},
@@ -219,13 +218,9 @@ def cmd_hyperbolicity(args) -> int:
 
 def cmd_induce(args) -> int:
     m = _get_map(args)
-    delta, q0, _ = _inducing_scales(m, args)
-    part = inducing.build_partition(m, delta=delta, q0=q0, p_max=args.p_max,
-                                    resolution=args.resolution)
+    part, _ = _partition(m, args)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        inducing.write_partition_csv(
-            part, os.path.join(args.out, "partition.csv"))
+        inducing.write_partition_csv(part, _out(args, "partition.csv"))
     _emit({"map": m.name, "partition": part.summary()}, args,
           "partition.json")
     return 0
@@ -233,13 +228,10 @@ def cmd_induce(args) -> int:
 
 def cmd_summability(args) -> int:
     m = _get_map(args)
-    delta, q0, _ = _inducing_scales(m, args)
-    part = inducing.build_partition(m, delta=delta, q0=q0, p_max=args.p_max,
-                                    resolution=args.resolution)
+    part, _ = _partition(m, args)
     rep = distortion.summability_report(m, part, epsilon=args.epsilon)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        rep.write_csv(os.path.join(args.out, "summability.csv"))
+        rep.write_csv(_out(args, "summability.csv"))
     _emit({"map": m.name, "partition": part.summary(),
            "summability": rep.to_dict()}, args, "summability.json")
     return 0 if rep.passed else 1
@@ -250,16 +242,17 @@ def _birkhoff_check(m, est, args) -> float:
     args.birkhoff-step Birkhoff orbit, which goes to birkhoff.csv."""
     h_b = density.birkhoff_histogram(m, n_steps=args.birkhoff,
                                      m_cells=args.m, seed=args.seed)
-    _write_csv(args, "birkhoff.csv", "cell_center,density",
-               zip(est.cell_centers(), h_b))
+    if args.out:
+        critical_orbit.write_csv(_out(args, "birkhoff.csv"),
+                                 "cell_center,density",
+                                 zip(est.cell_centers().tolist(),
+                                     h_b.tolist()))
     return density.l1_distance(est.h_map, h_b, (m.hi - m.lo) / args.m)
 
 
 def cmd_density(args) -> int:
     m = _get_map(args)
-    delta, q0, _ = _inducing_scales(m, args)
-    part = inducing.build_partition(m, delta=delta, q0=q0, p_max=args.p_max,
-                                    resolution=args.resolution)
+    part, _ = _partition(m, args)
     est = density.density_pipeline(m, part, m_cells=args.m,
                                    m_induced=args.m_induced)
     report = {"map": m.name, "partition": part.summary(),
@@ -267,8 +260,7 @@ def cmd_density(args) -> int:
     if args.birkhoff:
         report["birkhoff_l1_distance"] = _birkhoff_check(m, est, args)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        est.write_csv(os.path.join(args.out, "density.csv"))
+        est.write_csv(_out(args, "density.csv"))
     _emit(report, args, "density.json")
     return 0
 
@@ -297,12 +289,7 @@ def cmd_pipeline(args) -> int:
                  "hit_critical_at":
                      records[(cp.location, cp.side)].hit_critical_at}
         for i, cp in enumerate(m.critical_points)}
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for i, cp in enumerate(m.critical_points):
-            critical_orbit.write_orbit_csv(
-                records[(cp.location, cp.side)],
-                os.path.join(args.out, f"orbit_{i}.csv"))
+    _write_orbits(m, records, args)
 
     stars = {}
     star_fail = False
@@ -316,7 +303,7 @@ def cmd_pipeline(args) -> int:
         return finish("star")
 
     try:
-        delta, q0, hrep = _inducing_scales(m, args)
+        part, hrep = _partition(m, args, records)
     except (hyperbolicity.DeltaSelectionError,
             hyperbolicity.ExpansionFailure) as err:
         stages["hyperbolicity"] = {
@@ -324,16 +311,11 @@ def cmd_pipeline(args) -> int:
             "diagnostics": getattr(err, "diagnostics", str(err))}
         return finish("hyperbolicity")
     stages["hyperbolicity"] = {
-        "passed": True, "delta": delta, "q0": q0,
+        "passed": True, "delta": part.delta, "q0": part.q0,
         "report": hrep.to_dict() if hrep is not None else None}
-
-    part = inducing.build_partition(m, delta=delta, q0=q0, p_max=args.p_max,
-                                    resolution=args.resolution,
-                                    records=records)
     stages["induce"] = part.summary()
     if args.out:
-        inducing.write_partition_csv(
-            part, os.path.join(args.out, "partition.csv"))
+        inducing.write_partition_csv(part, _out(args, "partition.csv"))
 
     lem = inducing.verify_binding_lemmas(m, part, n_samples=args.samples_lemma,
                                          seed=args.seed, records=records)
@@ -344,7 +326,7 @@ def cmd_pipeline(args) -> int:
     summ = distortion.summability_report(m, part, records=records)
     stages["summability"] = summ.to_dict()
     if args.out:
-        summ.write_csv(os.path.join(args.out, "summability.csv"))
+        summ.write_csv(_out(args, "summability.csv"))
     if not summ.passed:
         return finish("summability")
 
@@ -352,7 +334,7 @@ def cmd_pipeline(args) -> int:
                                    m_induced=args.m_induced)
     stages["density"] = est.to_dict()
     if args.out:
-        est.write_csv(os.path.join(args.out, "density.csv"))
+        est.write_csv(_out(args, "density.csv"))
     if args.birkhoff:
         stages["density"]["birkhoff_l1_distance"] = _birkhoff_check(
             m, est, args)
@@ -437,14 +419,12 @@ def cmd_scan(args) -> int:
                    r["kappa_hat"], r["h_delta"], r["flag"],
                    r["error"].replace(",", ";")]
                 for r in rows]
+    if args.out:
+        critical_orbit.write_csv(_out(args, "scan.csv"), header, csv_rows)
     if args.format == "csv":
         sys.stdout.write(header + "\n")
-        for row in csv_rows:
-            sys.stdout.write(",".join(_csv_field(v) for v in row) + "\n")
-        if args.out:
-            _write_csv(args, "scan.csv", header, csv_rows)
+        sys.stdout.writelines(map(critical_orbit.csv_line, csv_rows))
         return 0
-    _write_csv(args, "scan.csv", header, csv_rows)
     _emit({"family": args.family, "N": args.nmax, "rows": rows}, args,
           "scan.json")
     return 0
@@ -509,24 +489,33 @@ def _add_map_flags(sp):
     sp.add_argument("--family", help="built-in family name")
     sp.add_argument("--param", action="append", metavar="KEY=VALUE",
                     help="family parameter (repeatable)")
-
-
-def _add_common_flags(sp):
-    sp.add_argument("--out", help="directory for artifacts")
-
-
-def _add_scale_flags(sp):
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--delta", type=float, default=None,
-                    help="neighborhood radius (chosen automatically if absent)")
-    sp.add_argument("--q0", type=int, default=None,
-                    help="free inducing time (chosen automatically if absent)")
+                    help="neighborhood radius, in place of the map's own; "
+                    "hyperbolicity tries only this value, and the stages "
+                    "that induce choose one when it is absent")
+
+
+def _add_delta_flags(sp):
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--delta-candidates", type=float, nargs="*", default=None)
     sp.add_argument("--margin", type=float, default=10.0)
     sp.add_argument("--samples", type=int, default=10000)
     sp.add_argument("--nmax", type=int, default=64)
     sp.add_argument("--p-max", dest="p_max", type=int, default=60)
+
+
+def _add_scale_flags(sp):
+    _add_delta_flags(sp)
+    sp.add_argument("--q0", type=int, default=None,
+                    help="free inducing time (chosen automatically if absent)")
     sp.add_argument("--resolution", type=float, default=1e-10)
+
+
+def _add_density_flags(sp):
+    sp.add_argument("--m", type=int, default=4096, help="output grid cells")
+    sp.add_argument("--m-induced", dest="m_induced", type=int, default=None)
+    sp.add_argument("--birkhoff", type=int, default=0,
+                    help="cross-check orbit length (0 disables)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -537,96 +526,47 @@ def build_parser() -> argparse.ArgumentParser:
                     "singular points.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("validate", help="build a map and check "
-                        "nondegeneracy of the declared points")
-    _add_map_flags(sp)
-    _add_common_flags(sp)
-    sp.add_argument("--delta", type=float, default=None)
-    sp.set_defaults(func=cmd_validate)
+    def command(name, func, help, *groups):
+        sp = sub.add_parser(name, help=help)
+        for add_flags in groups:
+            add_flags(sp)
+        sp.add_argument("--out", help="directory for artifacts")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("orbit", help="critical-orbit ledger (c_n, d, D_n, "
-                        "gamma_n)")
-    _add_map_flags(sp)
-    _add_common_flags(sp)
-    sp.add_argument("--delta", type=float, default=None)
+    command("validate", cmd_validate, "build a map and check nondegeneracy "
+            "of the declared points", _add_map_flags)
+    sp = command("orbit", cmd_orbit, "critical-orbit ledger (c_n, d, D_n, "
+                 "gamma_n)", _add_map_flags)
     sp.add_argument("--nmax", type=int, default=40)
-    sp.set_defaults(func=cmd_orbit)
-
-    sp = sub.add_parser("star-check", help="summability series verdict per "
-                        "critical point")
-    _add_map_flags(sp)
-    _add_common_flags(sp)
-    sp.add_argument("--delta", type=float, default=None)
+    sp = command("star-check", cmd_star_check, "summability series verdict "
+                 "per critical point", _add_map_flags)
     sp.add_argument("--nmax", type=int, default=40)
     sp.add_argument("--epsilon", type=float, default=1e-6)
-    sp.set_defaults(func=cmd_star_check)
-
-    sp = sub.add_parser("hyperbolicity", help="expansion estimates and "
-                        "neighborhood-radius selection")
-    _add_map_flags(sp)
-    _add_common_flags(sp)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--delta-candidates", type=float, nargs="*", default=None)
-    sp.add_argument("--delta", type=float, default=None,
-                    help="restrict the candidate list to this value")
-    sp.add_argument("--margin", type=float, default=10.0)
-    sp.add_argument("--samples", type=int, default=10000)
-    sp.add_argument("--nmax", type=int, default=64)
-    sp.add_argument("--p-max", dest="p_max", type=int, default=60)
-    sp.set_defaults(func=cmd_hyperbolicity)
-
-    sp = sub.add_parser("induce", help="build the induced-map partition")
-    _add_map_flags(sp)
-    _add_common_flags(sp)
-    _add_scale_flags(sp)
-    sp.set_defaults(func=cmd_induce)
-
-    sp = sub.add_parser("summability", help="variation/length sums over the "
-                        "partition")
-    _add_map_flags(sp)
-    _add_common_flags(sp)
-    _add_scale_flags(sp)
+    command("hyperbolicity", cmd_hyperbolicity, "expansion estimates and "
+            "neighborhood-radius selection", _add_map_flags, _add_delta_flags)
+    command("induce", cmd_induce, "build the induced-map partition",
+            _add_map_flags, _add_scale_flags)
+    sp = command("summability", cmd_summability, "variation/length sums "
+                 "over the partition", _add_map_flags, _add_scale_flags)
     sp.add_argument("--epsilon", type=float, default=1e-4)
-    sp.set_defaults(func=cmd_summability)
-
-    sp = sub.add_parser("density", help="invariant density through the "
-                        "induced map")
-    _add_map_flags(sp)
-    _add_common_flags(sp)
-    _add_scale_flags(sp)
-    sp.add_argument("--m", type=int, default=4096, help="output grid cells")
-    sp.add_argument("--m-induced", dest="m_induced", type=int, default=None)
-    sp.add_argument("--birkhoff", type=int, default=0,
-                    help="cross-check orbit length (0 disables)")
-    sp.set_defaults(func=cmd_density)
-
-    sp = sub.add_parser("pipeline", help="all stages in order with artifacts")
-    _add_map_flags(sp)
-    _add_common_flags(sp)
-    _add_scale_flags(sp)
-    sp.add_argument("--m", type=int, default=4096)
-    sp.add_argument("--m-induced", dest="m_induced", type=int, default=None)
-    sp.add_argument("--birkhoff", type=int, default=0)
+    command("density", cmd_density, "invariant density through the induced "
+            "map", _add_map_flags, _add_scale_flags, _add_density_flags)
+    sp = command("pipeline", cmd_pipeline, "all stages in order with "
+                 "artifacts", _add_map_flags, _add_scale_flags,
+                 _add_density_flags)
     sp.add_argument("--samples-lemma", dest="samples_lemma", type=int,
                     default=1000)
-    sp.set_defaults(func=cmd_pipeline)
-
-    sp = sub.add_parser("scan", help="cheap-stage survey over a parameter "
-                        "grid")
-    _add_common_flags(sp)
+    sp = command("scan", cmd_scan, "cheap-stage survey over a parameter grid")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--family", required=True)
     sp.add_argument("--grid", action="append", metavar="KEY=V1,V2,...",
                     help="parameter axis (repeatable; cartesian product)")
     sp.add_argument("--nmax", type=int, default=40)
-    sp.set_defaults(func=cmd_scan)
-
-    sp = sub.add_parser("selftest", help="numeric selftests (jets, bounded "
-                        "variation, inversion)")
-    _add_common_flags(sp)
+    sp = command("selftest", cmd_selftest, "numeric selftests (jets against "
+                 "finite differences, branch inversion, exact variation)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_selftest)
     return ap
 
 

@@ -19,7 +19,6 @@ gate.  All verdicts are finite-horizon statements "up to N terms".
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -276,21 +275,30 @@ def growth_fit(record: OrbitRecord) -> GrowthFit:
     return GrowthFit(lam, alpha, margin, n_eff)
 
 
+def _csv_field(v) -> str:
+    if v is None:
+        return ""
+    return repr(float(v)) if isinstance(v, float) else str(v)
+
+
+def csv_line(row) -> str:
+    """One artifact CSV line: fields joined by commas, floats (NumPy's too)
+    by repr, None as empty, anything else by str, and an LF ending."""
+    return ",".join(map(_csv_field, row)) + "\n"
+
+
+def write_csv(path, header: str, rows) -> None:
+    """An artifact CSV file: the header line, then csv_line of each row."""
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(map(csv_line, rows))
+
+
 def write_orbit_csv(record: OrbitRecord, path: str):
     star = record.star_terms
     partial = np.nancumsum(star) if len(star) else star
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["n", "c_n", "d", "ell_n", "Dn", "gamma_n",
-                    "star_term", "star_partial"])
-        for i in range(record.n_filled):
-            w.writerow([
-                i + 1,
-                repr(float(record.c[i])),
-                repr(float(record.d[i])),
-                repr(float(record.ell_n[i])),
-                repr(float(record.D[i])),
-                repr(float(record.gamma[i])),
-                repr(float(star[i])),
-                repr(float(partial[i])),
-            ])
+    n = record.n_filled
+    write_csv(path, "n,c_n,d,ell_n,Dn,gamma_n,star_term,star_partial",
+              zip(range(1, n + 1), *(v[:n].tolist() for v in (
+                  record.c, record.d, record.ell_n, record.D, record.gamma,
+                  star, partial))))

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _fastmap, _vec
+from .critical_orbit import write_csv
 from .distortion import abs_df_extrema, array_end_orbits, raise_first
 
 _LOG = logging.getLogger(__name__)
@@ -177,8 +178,8 @@ def _transfer_matrix(edges: np.ndarray, groups, n_pieces: int):
     groups yields the arguments of _pieces, one group of branches at a
     time; n_pieces bounds their total piece count.  Each piece carries its
     width from the cell of its midpoint into the cell of its image.  Rows
-    without resolved mass are dead and stay empty.  Returns (Csr,
-    coverage, dead mask).
+    without resolved mass are dead and spread uniformly over every cell.
+    Returns (Csr, coverage, dead mask).
     """
     lo, m_cells = edges[0], edges.size - 1
     cw = (edges[-1] - lo) / m_cells
@@ -199,9 +200,18 @@ def _transfer_matrix(edges: np.ndarray, groups, n_pieces: int):
     key, mass = key[:n], mass[:n]
     coverage = np.bincount(key // m_cells, mass, m_cells) / cw
     dead = coverage <= 1e-12
-    scale = np.zeros(m_cells)
+    scale = np.ones(m_cells)
     scale[~dead] = 1.0 / coverage[~dead]
     mass /= cw
+    dead_idx = np.flatnonzero(dead)
+    if dead_idx.size:
+        # a dead row's own pieces drop out; it takes 1/m in every column
+        mass[dead[key // m_cells]] = 0.0
+        key = np.concatenate((key, (dead_idx[:, None] * m_cells
+                                    + np.arange(m_cells)).ravel()
+                              .astype(key.dtype)))
+        mass = np.concatenate((mass, np.full(dead_idx.size * m_cells,
+                                             1.0 / m_cells)))
     mat = Csr.from_entries(key, mass, (m_cells, m_cells), scale)
     return mat, coverage, dead
 
@@ -242,17 +252,10 @@ def ulam_matrix(m, partition, m_cells: int = 4096) -> UlamTable:
             yield a[s:e], b[s:e], pre[s:e], up[s:e], first[s:e]
 
     mat, coverage, dead = _transfer_matrix(edges, groups(), n_pieces)
-    dead_idx = np.nonzero(dead)[0]
-    if dead_idx.size:
-        mat = Csr.from_entries(
-            np.concatenate((mat.entry_row() * m_cells + mat.indices,
-                            (dead_idx[:, None] * m_cells
-                             + np.arange(m_cells)).ravel())),
-            np.concatenate((mat.data, np.full(dead_idx.size * m_cells,
-                                              1.0 / m_cells))),
-            mat.shape)
+    n_dead = int(dead.sum())
+    if n_dead:
         _LOG.warning("ulam matrix has %d dead rows (unresolved cells)",
-                     dead_idx.size)
+                     n_dead)
     flagged = (~dead) & (np.abs(coverage - 1.0) > 1e-12)
     n_targets = int(counts.sum())
     _LOG.info("ulam_matrix: %d branches, %d targets inverted, %d nonzeros, "
@@ -260,7 +263,7 @@ def ulam_matrix(m, partition, m_cells: int = 4096) -> UlamTable:
               "(%.2f per target), at most %d steps, %d stopped on a "
               "non-finite residual, %d forced passes, %d compactions, "
               "largest working set %d, worker processes %d", len(branches),
-              n_targets, mat.nnz, dead_idx.size, int(flagged.sum()),
+              n_targets, mat.nnz, n_dead, int(flagged.sum()),
               stats.get("evaluations", 0),
               stats.get("evaluations", 0) / max(n_targets, 1),
               *(stats.get(k, 0) for k in ("max_steps", "nonfinite", "passes",
@@ -465,11 +468,8 @@ class DensityEstimate:
         }
 
     def write_csv(self, path) -> None:
-        centers = self.cell_centers()
-        with open(path, "w") as fh:
-            fh.write("cell_center,density\n")
-            for c, d in zip(centers, self.h_map):
-                fh.write(f"{float(c)!r},{float(d)!r}\n")
+        write_csv(path, "cell_center,density",
+                  zip(self.cell_centers().tolist(), self.h_map.tolist()))
 
 
 def density_pipeline(m, partition, m_cells: int = 4096,

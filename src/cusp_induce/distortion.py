@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _vec
 from . import expr as ex
-from .critical_orbit import orbit_records
+from .critical_orbit import orbit_records, write_csv
 
 _LOG = logging.getLogger(__name__)
 UNRESOLVED_BUDGET = 1e-3    # largest unresolved share of the domain
@@ -590,14 +590,10 @@ class SummabilityReport:
         return {**asdict(self), "passed": self.passed}
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("tau,count,sum_var_omega,sum_tau_len,bound_gap_term\n")
-            for r in self.rows:
-                fh.write("%d,%d,%s,%s,%s\n" % (
-                    r["tau"], r["count"],
-                    repr(float(r["sum_var_omega"])),
-                    repr(float(r["sum_tau_len"])),
-                    repr(float(r["bound_gap_term"]))))
+        keys = ("tau", "count", "sum_var_omega", "sum_tau_len",
+                "bound_gap_term")
+        write_csv(path, ",".join(keys),
+                  ([r[k] for k in keys] for r in self.rows))
 
     def describe(self) -> str:
         lines = [

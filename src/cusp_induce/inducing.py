@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _vec
-from .critical_orbit import compute_orbit, orbit_records
+from .critical_orbit import compute_orbit, orbit_records, write_csv
 from .distortion import (POSITIONAL, abs_df_extrema, array_end_orbits,
                          orbit_extrema, raise_first)
 from .expr import EvalDomainError
@@ -734,14 +734,9 @@ def eval_induced(m, partition: InducedPartition, x: float):
 
 def write_partition_csv(partition: InducedPartition, path) -> None:
     """Branch table as CSV: a,b,class,l0,p0,tau,inf_df,sup_df."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("a,b,class,l0,p0,tau,inf_df,sup_df\n")
-        for br in partition.branches:
-            l0 = "" if br.l0 is None else str(br.l0)
-            p0 = "" if br.p0 is None else str(br.p0)
-            fh.write("%s,%s,%s,%s,%s,%d,%s,%s\n" % (
-                repr(br.a), repr(br.b), br.kind, l0, p0, br.tau,
-                repr(br.inf_df), repr(br.sup_df)))
+    write_csv(path, "a,b,class,l0,p0,tau,inf_df,sup_df",
+              ((br.a, br.b, br.kind, br.l0, br.p0, br.tau, br.inf_df,
+                br.sup_df) for br in partition.branches))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ measured numbers inline.
 import filecmp
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -296,10 +297,15 @@ def test_criterion_9_pipeline_determinism(capsys, tmp_path):
     names2 = sorted(os.listdir(dir2))
     match, mismatch, errors = filecmp.cmpfiles(dir1, dir2, names1,
                                                shallow=False)
+    # every artifact and stdout uses LF line ends only
+    texts = [stdout1, stdout2] + [
+        pathlib.Path(d, name).read_bytes()
+        for d, names in ((dir1, names1), (dir2, names2)) for name in names]
+    lf = all(b"\r" not in t and t.endswith(b"\n") for t in texts)
     ok = (code1 == code2 == 0 and stdout1 == stdout2 and names1 == names2
-          and mismatch == [] and errors == [])
+          and mismatch == [] and errors == [] and lf)
     report(capsys, 9, "repeated pipeline runs byte-identical", ok,
            f"exit codes ({code1},{code2}), stdout equal: "
            f"{stdout1 == stdout2}, {len(match)} artifacts compared, "
-           f"mismatches {mismatch}, errors {errors}")
+           f"mismatches {mismatch}, errors {errors}, LF-only: {lf}")
     assert ok

@@ -79,7 +79,7 @@ def test_delta_applies_to_a_config_map_as_to_a_family_map(tmp_path):
 
 def test_orbit_writes_artifacts(tmp_path):
     out = str(tmp_path / "orbit_run")
-    code, doc = run_json("orbit", "--family", "chebyshev", "--n", "25",
+    code, doc = run_json("orbit", "--family", "chebyshev", "--nmax", "25",
                          "--out", out)
     assert code == 0
     assert os.path.exists(os.path.join(out, "orbit.json"))

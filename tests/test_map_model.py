@@ -37,16 +37,74 @@ def test_singular_unimodal_structure(singular):
     assert kinds == {"critical", "singular"}
 
 
-def test_unknown_config_key_rejected():
-    cfg = mm.family_config("chebyshev")
-    cfg["bogus"] = 1
-    with pytest.raises(mm.MapConfigError):
-        mm.build_map(cfg)
+_DROP = object()
+
+
+def _edit(*path, to):
+    """A change to a chebyshev config: the value at path set to `to`, or
+    deleted when `to` is _DROP."""
+    def change(cfg):
+        *outer, last = path
+        obj = cfg
+        for key in outer:
+            obj = obj[key]
+        if to is _DROP:
+            del obj[last]
+        else:
+            obj[last] = to
+        return cfg
+    return change
+
+
+def _replace(cfg):
+    return lambda _: cfg
+
+
+@pytest.mark.parametrize("change, message", [
+    (_edit("bogus", to=1), "config: unknown keys ['bogus']"),
     # a side is spelled "+" or "-", nothing else
-    cfg = mm.family_config("chebyshev")
-    cfg["critical_points"][1]["side"] = "plus"
-    with pytest.raises(mm.MapConfigError, match="expected '\\+' or '-'"):
-        mm.build_map(cfg)
+    (_edit("critical_points", 1, "side", to="plus"),
+     "config.critical_points[1].side: expected '+' or '-'"),
+    (_replace([]), "config must be a dict"),
+    (_edit("delta", to=_DROP), "config: missing required key 'delta'"),
+    (_edit("name", to=3), "config.name: expected a string"),
+    (_edit("domain", to=[-1.0]), "config.domain: expected [lo, hi]"),
+    (_edit("domain", to=[1.0, 1.0]), "config.domain: lo must be < hi"),
+    (_edit("delta", to=True), "config.delta: expected a number, got True"),
+    (_edit("delta", to=0.0), "config.delta: must be > 0"),
+    (_edit("branches", to=[]), "config.branches: expected a non-empty list"),
+    (_edit("branches", 0, "expr", to=_DROP),
+     "config.branches[0]: needs 'interval' and 'expr'"),
+    (_edit("branches", 0, "interval", to=[0.0, -1.0]),
+     "config.branches[0].interval: a must be < b"),
+    (_edit("branches", 0, "expr", to=2),
+     "config.branches[0].expr: expected a string"),
+    (_edit("branches", 0, "params", to=[1.0]),
+     "config.branches[0].params: expected an object"),
+    (_edit("branches", 0, "expr", to="1 - 2*x^"),
+     "config.branches[0].expr: expected a number, name or '(' (at offset 8)"),
+    (_edit("critical_points", to={}),
+     "config.critical_points: expected a list"),
+    (_edit("critical_points", 0, "order", to=_DROP),
+     "config.critical_points[0]: missing 'order'"),
+    (_edit("critical_points", 0, "order", to=0.0),
+     "config.critical_points[0].order: must be > 0"),
+    (_replace({"family": "unimodal", "params": {"b": 1.0}}),
+     "unimodal: unknown params ['b']"),
+    (_replace({"family": "lorenz", "params": {"b": 1.0}}),
+     "lorenz: unknown params ['b']"),
+    (_replace({"family": "singular_unimodal", "params": {"b": 1.0}}),
+     "singular_unimodal: unknown params ['b']"),
+], ids=["unknown-key", "side", "not-an-object", "no-delta", "name",
+        "one-element-domain", "empty-domain", "bool-number", "delta-zero",
+        "no-branches", "branch-without-expr", "reversed-interval",
+        "expr-not-a-string", "params-not-an-object", "expr-syntax",
+        "critical-points-not-a-list", "point-without-order", "order-zero",
+        "unimodal-param", "lorenz-param", "singular-unimodal-param"])
+def test_unknown_config_key_rejected(change, message):
+    with pytest.raises(mm.MapConfigError) as err:
+        mm.build_map(change(mm.family_config("chebyshev")))
+    assert str(err.value) == message
 
 
 def test_branch_gap_rejected():

@@ -46,7 +46,10 @@ def _pipeline(*args):
      r"ratio f in \[.*\] violates bound 100\.0"),
     (("--family", "chebyshev", "--delta-candidates", "0.9"), "hyperbolicity",
      r"image of the neighborhood at .* meets"),
-], ids=["nondegeneracy-order", "neighborhood-image"])
+    # p_max 5 leaves an unresolved measure of 0.098, over the 0.002 budget
+    (("--family", "chebyshev", "--delta", "0.01", "--q0", "7", "--p-max",
+      "5"), "summability", r"^variation fail, inducing times fail$"),
+], ids=["nondegeneracy-order", "neighborhood-image", "summability"])
 def test_pipeline_verdict_fails(tmp_path, args, stage, reason):
     config = tmp_path / "map.json"
     config.write_text(json.dumps(MISDECLARED_ORDER))
@@ -54,8 +57,13 @@ def test_pipeline_verdict_fails(tmp_path, args, stage, reason):
     assert code == 1
     assert doc["passed"] is False and doc["failed_stage"] == stage
     found = doc["stages"][stage]
-    lines = (found["failures"] if stage == "validate"
-             else found["diagnostics"].values())
+    if stage == "validate":
+        lines = found["failures"]
+    elif stage == "summability":    # this stage has no diagnostics
+        lines = [f"variation {found['verdict_variation']}, inducing times "
+                 f"{found['verdict_inducing']}"]
+    else:
+        lines = found["diagnostics"].values()
     assert any(re.search(reason, line) for line in lines)
 
 
