@@ -11,8 +11,9 @@ of its rows.  forced_inverse deals the rows round-robin to this process
 and to children of os.fork, one per CPU it may use up to MAX_WORKERS
 (_worker_count), which write their preimages and counts into one shared
 buffer and report by their exit status alone; a share no child finished
-runs here (_fork_join).  Each preimage depends on its own row only, so
-the split leaves every bit as it is.
+runs here (_fork_join, which _fastmap's Birkhoff ensemble also splits
+its seed streams through).  Each preimage depends on its own row only,
+so the split leaves every bit as it is.
 Forced plans (_planner) follow fixed itineraries, so a point on a branch
 boundary keeps its itinerary.  A one-step plan applies branch ids[k] to
 point k, with ids from the caller or from positional dispatch (ties to
@@ -51,9 +52,10 @@ BISECTION_STEPS = 60
 # the lorenz(1.9, 0.4) benchmark partition, 37 on the chebyshev one.
 ROOT_STEPS = 200
 
-# Most processes forced_inverse splits its rows across (_worker_count).  Two
-# were measured, on two CPUs; each process past the first holds about 50 MB
-# resident, 8-12 MB of it its own, and costs CPU time of its own.
+# Most processes forced_inverse and the Birkhoff ensemble split across
+# (_worker_count).  Two were measured, on two CPUs; each process past the
+# first holds about 50 MB resident, 8-12 MB of it its own, and costs CPU
+# time of its own.
 MAX_WORKERS = 2
 
 # The root finder's counts (_chandrupatla), in the order a share writes
@@ -373,20 +375,30 @@ def _chandrupatla(pass_of, seeds, out, stats=None, budget=None):
     return out
 
 
-def _worker_count(n: int) -> int:
-    """Processes forced_inverse splits n targets across: one per CPU in
-    this process's affinity mask (so taskset restricts it), at most
-    MAX_WORKERS and at most one per CHUNK_POINTS targets, and 1 where the
+def _worker_count(n: int, per: int | None = None) -> int:
+    """Processes a split of n points takes: one per CPU in this process's
+    affinity mask (so taskset restricts it), at most MAX_WORKERS and at
+    most one per `per` points, by default CHUNK_POINTS, and 1 where the
     platform cannot fork or tell the mask.  A CPU quota of the process's
-    cgroup does not show in the mask.  Two processes start to pay at
-    about 20,000 targets, below the 2 * CHUNK_POINTS a second one needs:
-    on the lorenz(1.9, 0.4) benchmark partition, on two CPUs, they took
-    0.68-0.83 of the serial time at 32,884 targets, 0.84-0.89 at 22,558
-    and 1.02-1.09 at 15,046 (medians of 11 calls)."""
+    cgroup does not show in the mask.  Measured on two CPUs, as two
+    processes' time over one's:
+
+    - forced_inverse's targets, at the default: two start to pay at about
+      20,000 targets, below the 2 * CHUNK_POINTS a second one needs.  On
+      the lorenz(1.9, 0.4) benchmark partition they took 0.68-0.83 at
+      32,884 targets, 0.84-0.89 at 22,558 and 1.02-1.09 at 15,046 (medians
+      of 11 calls).
+    - the Birkhoff ensemble's walkers, at per = _fastmap.SHARE_POINTS
+      (1,280), so that two take five streams of 512 or more.  On lorenz,
+      at 10^5 and 10^6 steps a stream (medians of 21 and 9 alternating
+      calls), they took 1.15 and 1.07 at 2 streams, 1.14 and 0.96 at 3,
+      0.97 and 0.88 at 4 (quartiles up to 1.44 at 10^5), 0.92 and 0.98
+      at 5, 0.88 and 0.81 at 6, and 0.80 and 0.74 at 10.
+    """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return max(1, min(MAX_WORKERS, len(os.sched_getaffinity(0)),
-                      n // CHUNK_POINTS))
+    per = CHUNK_POINTS if per is None else per
+    return max(1, min(MAX_WORKERS, len(os.sched_getaffinity(0)), n // per))
 
 
 def _fork_join(run, w: int) -> list:
@@ -396,15 +408,18 @@ def _fork_join(run, w: int) -> list:
     0 raises; then each share whose child could not be made (OSError, as
     at a limit on processes) or did not exit 0 runs here, so its error, if
     any, is raised here, type and message unchanged.  run must write what
-    it makes to memory it shares with this process.  Returns the shares
-    the children finished.
+    it makes to memory it shares with this process, and a share run twice
+    must give the same bits.  Returns the shares the children finished.
+    The callers: forced_inverse (rows of the Ulam assembly) and
+    _fastmap._step_ensemble (seed streams of the Birkhoff ensemble).
 
     Only the forking thread lives on in a child, and NumPy's BLAS thread
     pool already runs when it forks, so run must not need a thread pool:
-    elementwise NumPy only, no @.  For the same pool, Python 3.12 and
-    later are documented to warn on each fork that the process is
-    multi-threaded (DeprecationWarning, hidden outside __main__ by
-    default); this code has run on Python 3.11 only, so that is untested.
+    elementwise NumPy only, no @.  For the same pool, Python 3.12 warns on
+    each fork that the process is multi-threaded: a DeprecationWarning,
+    hidden outside __main__ by the default filters.  On CPython 3.12.1 the
+    fork still returns the pid under -W error::DeprecationWarning, and the
+    child runs on (checked without NumPy, with one live thread).
     """
     children = {}
     for k in range(1, w):

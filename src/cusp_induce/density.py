@@ -412,8 +412,11 @@ def birkhoff_histogram(m, seed_count: int = 10, n_steps: int = 10**7,
     unbinned steps, then ceil((n_steps - burn_in) / W) binned ones, so a
     stream bins about n_steps - burn_in points.  A walker restarts from its
     stream's pool on escape or on an exact hit of a critical location, and
-    the restarted point is not binned.  Raises if burn_in leaves no step to
-    bin or every binned step was a restart.
+    the restarted point is not binned.  The streams are dealt whole to one
+    process per CPU, up to _vec.MAX_WORKERS and at most one per
+    _fastmap.SHARE_POINTS walkers (_fastmap); the histogram and the logged
+    counts are the same bits for every number of processes.  Raises if
+    burn_in leaves no step to bin or every binned step was a restart.
     """
     counted = int(n_steps) - int(burn_in)
     if counted <= 0:

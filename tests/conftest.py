@@ -27,7 +27,8 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
 @pytest.fixture(autouse=True)
 def no_child_left_behind():
     """Fail a test that leaves a child process unreaped: running, or ended
-    and not waited for (the Ulam root finder's workers, scan's pool)."""
+    and not waited for (the Ulam root finder's and the Birkhoff ensemble's
+    workers, scan's pool)."""
     yield
     try:
         pid, _status = os.waitpid(-1, os.WNOHANG)

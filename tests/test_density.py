@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -554,19 +555,155 @@ def test_ensemble_step_matches_its_reference(monkeypatch, family, gain):
     rng = np.random.default_rng(17)
     starts = rng.uniform(m.lo, m.hi, (3, 512))
     pools = rng.uniform(m.lo, m.hi, (3, _fastmap.POOL))
-    got, want = np.zeros((2, 300), dtype=np.int64)
-    counts = _fastmap.get_stepper(m)(starts, pools, 50, 40, got)
-    assert counts == _step_ensemble_reference(m, starts, pools, 50, 40, want)
-    assert np.array_equal(got, want)
+    want = np.zeros(300, dtype=np.int64)
+    counts = _step_ensemble_reference(m, starts, pools, 50, 40, want)
     if family == "tent":
         assert counts[gain == 1.0] > 0   # restarts at gain 1, escapes above
     else:
-        assert counts == (0, 0) and got.sum() == 3 * 512 * 40
+        assert counts == (0, 0) and want.sum() == 3 * 512 * 40
+    # in one process, and split in two
+    monkeypatch.setattr(_fastmap, "SHARE_POINTS", 1)
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        got = np.zeros(300, dtype=np.int64)
+        assert _fastmap.get_stepper(m)(starts, pools, 50, 40, got) == counts
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("odd", ["nan", "near-miss"])
+def test_ensemble_step_escapes_nan_and_clips_near_misses(monkeypatch, odd):
+    # the tent map's values read NaN on (0.5, 0.6), an escape; or 1 + 8e-10
+    # on (0.2, 0.3) and -1 - 8e-10 on (0.35, 0.45), inside the tolerance:
+    # clipped onto the domain, their orbits then stay at -1, where unclipped
+    # they would escape
+    m = map_model.unimodal_map(a=2.0, ell=1.0)
+    values, group_values = map_model.Branch.values, m.group_values
+
+    def patched(x, v):
+        if odd == "nan":
+            return np.where((x > 0.5) & (x < 0.6), np.nan, v)
+        v = np.where((x > 0.2) & (x < 0.3), 1.0 + 8e-10, v)
+        return np.where((x > 0.35) & (x < 0.45), -1.0 - 8e-10, v)
+
+    monkeypatch.setattr(map_model.Branch, "values", lambda br, x, order=0:
+                        patched(x, values(br, x)))
+    monkeypatch.setattr(m, "group_values", lambda x, order=0: [
+        patched(x, v) for v in group_values(x)])
+    rng = np.random.default_rng(5)
+    starts = rng.uniform(m.lo, m.hi, (2, 512))
+    pools = rng.uniform(m.lo, m.hi, (2, _fastmap.POOL))
+    got, want = np.zeros((2, 128), dtype=np.int64)
+    counts = _fastmap.get_stepper(m)(starts, pools, 10, 20, got)
+    assert counts == _step_ensemble_reference(m, starts, pools, 10, 20, want)
+    assert np.array_equal(got, want)
+    assert counts[0] > 0 if odd == "nan" else got[0] > 0
+
+
+def _ensemble_map(monkeypatch, family, gain):
+    m = (map_model.unimodal_map(a=2.0, ell=1.0) if family == "tent"
+         else map_model.build_map({"family": family}))
+    if gain != 1.0:
+        _scale_values(monkeypatch, m, gain)
+    return m
+
+
+def _ensemble_run(m, streams, seed=3):
+    """One stepper call on streams seed streams: (histogram, counts)."""
+    rng = np.random.default_rng(seed)
+    starts = rng.uniform(m.lo, m.hi, (streams, 512))
+    pools = rng.uniform(m.lo, m.hi, (streams, _fastmap.POOL))
+    hist = np.zeros(256, dtype=np.int64)
+    counts = _fastmap.get_stepper(m)(starts, pools, 30, 30, hist)
+    return hist, counts
+
+
+@pytest.mark.parametrize("family, gain, streams", [
+    ("chebyshev", 1.0, 3), ("lorenz", 1.0, 3), ("tent", 1.0, 3),
+    ("tent", 1.01, 3), ("lorenz", 1.0, 5)])
+def test_ensemble_does_not_depend_on_the_worker_count(
+        caplog, monkeypatch, family, gain, streams):
+    # 1, 2 and 3 processes take whole streams; the histogram and the
+    # escape and restart counts stay the same bits, with restarts on the
+    # tent map, escapes on it scaled by 1.01, and 5 streams dealt 3 + 2
+    # and 2 + 2 + 1
+    m = _ensemble_map(monkeypatch, family, gain)
+    monkeypatch.setattr(_fastmap, "SHARE_POINTS", 512)
+    monkeypatch.setattr(_vec, "MAX_WORKERS", 3)
+    runs = []
+    for w in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, w=w: set(range(w)))
+        with caplog.at_level(logging.INFO, logger=_fastmap.__name__):
+            runs.append(_ensemble_run(m, streams))
+    assert [r.args for r in caplog.records
+            if r.name == _fastmap.__name__] == [
+        (streams, w, w - 1) for w in (1, 2, 3)]
+    hist, counts = runs[0]
+    if family == "tent":
+        assert counts[gain == 1.0] > 0
+    else:
+        assert counts == (0, 0) and hist.sum() == streams * 512 * 30
+    for got, got_counts in runs[1:]:
+        assert got.tobytes() == hist.tobytes()
+        assert got_counts == counts
+
+
+@pytest.mark.parametrize("fault", ["killed", "raises"])
+def test_an_ensemble_share_that_fails_in_its_child_runs_here(
+        monkeypatch, fault):
+    # the child is killed before it writes anything, or raises after: this
+    # process runs its share again, and the histogram and counts are
+    # those of one process
+    m = _ensemble_map(monkeypatch, "tent", 1.0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    want = _ensemble_run(m, 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(_fastmap, "SHARE_POINTS", 512)
+    parent, walk, finished = os.getpid(), _fastmap._walk, []
+
+    def fails_in_the_child(*args):
+        if os.getpid() == parent:
+            finished.append(len(args[1]))
+        elif fault == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        else:   # after the share has written its histogram
+            walk(*args)
+            raise RuntimeError("share failed")
+        return walk(*args)
+
+    monkeypatch.setattr(_fastmap, "_walk", fails_in_the_child)
+    got, counts = _ensemble_run(m, 4)
+    assert finished == [2, 2]
+    assert got.tobytes() == want[0].tobytes() and counts == want[1]
+
+
+def test_an_ensemble_share_that_raises_everywhere_reaches_the_caller(
+        monkeypatch):
+    # every share raises, in the child and in this process: the error
+    # reaches the caller unchanged
+    m = _ensemble_map(monkeypatch, "chebyshev", 1.0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(_fastmap, "SHARE_POINTS", 512)
+    calls = []
+
+    def raises(*args):
+        calls.append(os.getpid())
+        raise ValueError("share failed")
+
+    monkeypatch.setattr(_fastmap, "_walk", raises)
+    with pytest.raises(ValueError, match="^share failed$"):
+        _ensemble_run(m, 4)
+    assert calls == [os.getpid()]
 
 
 def test_birkhoff_histogram_rejects_burn_in_past_the_orbit(cheb):
     with pytest.raises(RuntimeError):
         de.birkhoff_histogram(cheb, seed_count=2, n_steps=500, burn_in=500)
+
+
+def test_birkhoff_histogram_without_streams_bins_nothing(cheb):
+    with pytest.raises(RuntimeError, match="all orbit points"):
+        de.birkhoff_histogram(cheb, seed_count=0, n_steps=2000)
 
 
 def test_density_pipeline_end_to_end(lorenz, lorenz_partition):

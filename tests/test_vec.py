@@ -13,7 +13,7 @@ import signal
 import numpy as np
 import pytest
 
-from cusp_induce import _vec
+from cusp_induce import _fastmap, _vec
 from cusp_induce import map_model as mm
 
 
@@ -428,8 +428,8 @@ def test_step_cap_counts_each_targets_own_steps(monkeypatch,
 
 def test_worker_count_follows_the_affinity_mask(monkeypatch):
     # one process per CPU it may use, at most MAX_WORKERS and at most one
-    # per CHUNK_POINTS targets, and one where the platform cannot tell its
-    # CPUs
+    # per CHUNK_POINTS targets (or per the caller's count), and one where
+    # the platform cannot tell its CPUs
     n = _vec.CHUNK_POINTS
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     assert _vec.MAX_WORKERS == 2
@@ -439,8 +439,17 @@ def test_worker_count_follows_the_affinity_mask(monkeypatch):
     assert [_vec._worker_count(k * n) for k in (0, 1, 2, 3, 9)] == [
         1, 1, 2, 3, 3]
     assert _vec._worker_count(2 * n - 1) == 1
+    # the Birkhoff ensemble's rule: at most one process per SHARE_POINTS
+    # walkers, so that its seed streams of WALKERS split from five on
+    share = _fastmap.SHARE_POINTS
+    assert [_vec._worker_count(k * share, share) for k in (0, 1, 2, 3)] == [
+        1, 1, 2, 3]
+    monkeypatch.setattr(_vec, "MAX_WORKERS", 2)
+    assert [_vec._worker_count(k * _fastmap.WALKERS, share)
+            for k in range(1, 11)] == [1, 1, 1, 1, 2, 2, 2, 2, 2, 2]
     monkeypatch.delattr(os, "sched_getaffinity")
     assert _vec._worker_count(9 * n) == 1
+    assert _vec._worker_count(9 * share, share) == 1
 
 
 @pytest.mark.parametrize("capped", ["parent", "every"])
