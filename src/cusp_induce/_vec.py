@@ -3,17 +3,6 @@
 One forward pass (_forced_pass) pushes points through step plans; interval
 ends, the pullback's pieces and stage 4's sub-intervals among them, follow
 distortion.array_end_orbits instead, by forced_forward's owner index.
-Two inverses run on the pass: a bisection (_bisect) for branch_inverse and
-a Chandrupatla root finder (_chandrupatla) for forced_inverse, the
-preimages of the Ulam assembly: one working set, ordered by itinerary
-length and topped up from lazily seeded groups of rows, steps every target
-of its rows.  forced_inverse deals the rows round-robin to this process
-and to children of os.fork, one per CPU it may use up to MAX_WORKERS
-(_worker_count), which write their preimages and counts into one shared
-buffer and report by their exit status alone; a share no child finished
-runs here (_fork_join, which _fastmap's Birkhoff ensemble also splits
-its seed streams through).  Each preimage depends on its own row only,
-so the split leaves every bit as it is.
 Forced plans (_planner) follow fixed itineraries, so a point on a branch
 boundary keeps its itinerary.  A one-step plan applies branch ids[k] to
 point k, with ids from the caller or from positional dispatch (ties to
@@ -27,41 +16,35 @@ from one array jet, which the pass chains into Df and D2f of the
 composition.  Expression evaluation never raises here; exact landings on
 kinks or blowup points come back as non-finite entries for the caller to
 mask out.
+
+One inverse serves every caller: branch_inverse, one step back through
+each formula group's closed form (MapSpec.group_inverses), or through a
+bisection for a group that has none.  forced_inverse, the preimages of
+the Ulam assembly and of stage 2's cell cuts, chains it backward along
+the itineraries, last step first.  _fork_join splits the Birkhoff
+ensemble's seed streams (_fastmap) across forked processes.
 """
 
 from __future__ import annotations
 
-import functools
-import mmap
 import os
 
 import numpy as np
 
-# Points one forced pass over a group of induced branches may hold at once,
-# and targets in the root finder's working set.  Groups keep the per-step
-# Python overhead off tiny arrays while bounding the working arrays of the
-# Ulam assembly (peak memory).
+# Points one forced pass over a group of induced branches, or one chunk of
+# forced_inverse's targets, holds at once.  Groups keep the per-step Python
+# overhead off tiny arrays while bounding the working arrays of the Ulam
+# assembly (peak memory).
 CHUNK_POINTS = 1 << 14
 
-# Halvings of a whole-branch bracket in branch_inverse: 60 take any
-# double-width branch down to its last bits.
+# Halvings of a whole-branch bracket in branch_inverse's fallback: 60 take
+# any double-width branch down to its last bits.
 BISECTION_STEPS = 60
 
-# Steps of the root finder of forced_inverse before it gives up.  Targets
-# where the composition is flat at the rounding floor take the most: 23 on
-# the lorenz(1.9, 0.4) benchmark partition, 37 on the chebyshev one.
-ROOT_STEPS = 200
-
-# Most processes forced_inverse and the Birkhoff ensemble split across
-# (_worker_count).  Two were measured, on two CPUs; each process past the
-# first holds about 50 MB resident, 8-12 MB of it its own, and costs CPU
-# time of its own.
+# Most processes the Birkhoff ensemble splits across (_worker_count).  Two
+# were measured, on two CPUs; each process past the first holds about 50 MB
+# resident, 8-12 MB of it its own, and costs CPU time of its own.
 MAX_WORKERS = 2
-
-# The root finder's counts (_chandrupatla), in the order a share writes
-# them to forced_inverse's shared buffer.
-COUNTS = ("evaluations", "targets", "max_steps", "nonfinite", "passes",
-          "compactions", "largest_set")
 
 
 def branch_indices(m, x: np.ndarray) -> np.ndarray:
@@ -149,17 +132,39 @@ def in_delta(m, x, delta: float) -> np.ndarray:
     return out
 
 
-def branch_inverse(m, ids, targets) -> np.ndarray:
+def branch_inverse(m, ids, targets, clamped=None) -> np.ndarray:
     """Preimage of targets[k] under branch ids[k], each target clamped onto
-    the branch image first: BISECTION_STEPS halvings of the whole branch."""
-    ids = np.asarray(ids, dtype=np.int64)
+    the branch image first: each formula group's closed form (one
+    evaluation over all the points, then a select, as _apply), clipped to
+    the branch ends, or BISECTION_STEPS halvings of the whole branch for a
+    group without one.  clamped, a bool array like targets, is set where a
+    target was clamped onto the image or its preimage onto a branch end."""
+    ids = np.asarray(ids, dtype=np.intp)
+    ends = np.array([(br.a, br.b, *img) for br, img in
+                     zip(m.branches, m.branch_images)]).T
+    a, b, t_lo, t_hi = (row[ids] for row in ends)
+    t = np.asarray(targets, dtype=float)
+    tc = np.clip(t, t_lo, t_hi)
     g = None if len(m.formula_groups[1]) == 1 else m.formula_groups[0][ids]
-    ends = np.array([(br.a, br.b) for br in m.branches])[ids]
-    images = np.array(m.branch_images)[ids]
-    t = np.clip(np.asarray(targets, dtype=float), images[:, 0],
-                images[:, 1])
-    up = np.array(m.monotone_signs)[ids] > 0
-    return _bisect(m, g, ends[:, 0], ends[:, 1], t, up, BISECTION_STEPS)
+    inverses = m.group_inverses
+    with np.errstate(all="ignore"):
+        parts = [inv and inv[0](tc, [s[ids] for s in inv[1]])
+                 for inv in inverses]
+        if not all(inverses):
+            lo, hi, up = a, b, np.array(m.monotone_signs)[ids] > 0
+            for _ in range(BISECTION_STEPS):
+                mid = 0.5 * (lo + hi)
+                v = _apply(m, g, mid)
+                go_up = np.where(up, v < tc, v > tc)
+                lo = np.where(go_up, mid, lo)
+                hi = np.where(go_up, hi, mid)
+            x = 0.5 * (lo + hi)
+            parts = [p if inv else x for p, inv in zip(parts, inverses)]
+    x = parts[0] if g is None else _pick(g, parts)
+    out = np.clip(x, a, b)
+    if clamped is not None:
+        clamped |= (tc != t) | (out != x)
+    return out
 
 
 def preimages(m, targets):
@@ -185,15 +190,13 @@ def itinerary_matrix(itineraries) -> np.ndarray:
     return out
 
 
-def chunk_ranges(sizes, budget=None) -> list:
+def chunk_ranges(sizes) -> list:
     """(start, stop) runs of consecutive items that together hold about
-    budget points, by default CHUNK_POINTS: a run closes once its sizes
-    reach the budget."""
-    budget = CHUNK_POINTS if budget is None else budget
+    CHUNK_POINTS points: a run closes once its sizes reach it."""
     runs, start, total = [], 0, 0
     for k, size in enumerate(sizes, 1):
         total += size
-        if total >= budget or k == len(sizes):
+        if total >= CHUNK_POINTS or k == len(sizes):
             runs.append((start, k))
             start, total = k, 0
     return runs
@@ -262,142 +265,56 @@ def forced_forward(m, itin, owner, x, order: int = 0):
     return tuple(map(back, parts)) if order else back(parts)
 
 
-def _bisect(m, g, lo, hi, t, up, steps):
-    """Midpoints of [lo, hi] after steps halvings toward the preimages of t
-    under one step of formula groups g (_apply), increasing where up is set
-    and decreasing elsewhere."""
-    with np.errstate(all="ignore"):
-        for _ in range(steps):
-            mid = 0.5 * (lo + hi)
-            v = _apply(m, g, mid)
-            go_up = np.where(up, v < t, v > t)
-            lo = np.where(go_up, mid, lo)
-            hi = np.where(go_up, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def _step(x1, x2, x3, f1, f2, f3, tol, gap):
-    """Chandrupatla's step as a fraction of x2 - x1: inverse quadratic
-    through the three points where the xi/phi test passes (x3 lies beyond
-    x1), a halving elsewhere, kept max(tol / 2, gap) inside the bracket."""
-    span = x2 - x1
-    d12, d32 = f1 - f2, f3 - f2
-    xi = span / (x2 - x3)
-    phi = d12 / d32
-    iqi = f1 / d32 * (f3 / d12 + (x3 - x1) / span * f2 / (f3 - f1))
-    ok = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-    tl = np.minimum(np.maximum(0.5 * tol, gap) / np.abs(span), 0.5)
-    return np.maximum(np.minimum(np.where(ok, iqi, 0.5), 1.0 - tl), tl)
-
-
-def _chandrupatla(pass_of, seeds, out, stats=None, budget=None):
-    """Roots of F(x) = t for the targets fed by seeds in batches of arrays
-    (index, row, t, x1, x2, x3, f1, f2, f3, xatol): out[index] gets the
-    root, F is pass_of(rows), the forced pass of the set's rows, [x1, x2]
-    brackets the root with residuals f1 and f2, and x3 lies beyond x1
-    (residual f3, or NaN for none).  Each step is Chandrupatla's (Adv.
-    Eng. Software 28, 1997; _step).  gap is twice the last run of equal
-    residuals seen: where F is flat at the rounding floor, a step next to
-    the flat end would land on it again.  A target stops at the bracket end
-    of smaller finite |residual| once that residual is zero, the bracket
-    is narrower than tol = 4 eps |x| + xatol, or the other residual is not
-    finite or has the same sign.
-
-    One working set of at most budget targets, by default CHUNK_POINTS,
-    steps.  Finished
-    targets idle until half the set has finished; then the set is
-    compacted, topped up from the batches (newcomers are stop-tested
-    before they step) and its pass rebuilt.  Batches that come in order of
-    itinerary length, longest first, keep the set in the order _planner
-    takes.  A target running after ROOT_STEPS steps of its own raises
-    RuntimeError.  stats, when given, is updated with the evaluations, the
-    targets, the most steps ("max_steps"), the stops on a non-finite
-    residual ("nonfinite"), the forced passes ("passes"), the compactions
-    and the largest working set ("largest_set").  Returns out.
+def forced_inverse(m, itin, a, b, owner, targets, clamped=None):
+    """Preimages of targets[k] under the forced composition of itin row
+    owner[k] on [a[owner[k]], b[owner[k]]], the inverse of forced_forward:
+    each target is pulled back through branch_inverse, last step first,
+    and clamped onto each step's branch image and branch; the preimage is
+    then clipped to [a, b] of its row.  The targets go longest itinerary
+    first, CHUNK_POINTS at a time, so that each step moves a prefix of a
+    chunk, whose branch ids are one gather from a contiguous column of the
+    itineraries.  clamped, a bool array like targets, is set where a target
+    was clamped at some step or its preimage clipped to [a, b].
     """
-    c = dict.fromkeys(COUNTS, 0)
-    eps4 = 4.0 * np.finfo(float).eps
-    budget = CHUNK_POINTS if budget is None else budget
-
-    # each target with its gap and step count
-    feed = ((*v, np.zeros(v[0].size), np.zeros(v[0].size, dtype=np.int64))
-            for v in seeds)
-    pending = next(feed, None)
-    state = tuple(v[:0] for v in pending) if pending else ()
-    done = np.zeros(0, dtype=bool)
-    with np.errstate(all="ignore"):
-        while state:
-            index, row, t, x1, x2, x3, f1, f2, f3, xatol, gap, age = state
-            a1, a2 = np.abs(f1), np.abs(f2)
-            small = np.fmin(a1, a2)
-            xmin = np.where(a1 == small, x1, x2)
-            tol = eps4 * np.abs(xmin) + xatol
-            finite = np.isfinite(a1 + a2)
-            stop = ~done & ((small == 0.0) | (np.abs(x2 - x1) < tol)
-                            | ~finite | ((f1 < 0) == (f2 < 0)))
-            if stop.any():
-                out[index[stop]] = xmin[stop]
-                c["evaluations"] += int(age[stop].sum())
-                c["targets"] += int(stop.sum())
-                c["max_steps"] = max(c["max_steps"], int(age[stop].max()))
-                c["nonfinite"] += int((stop & ~finite).sum())
-                done |= stop
-            if 2 * done.sum() >= done.size:
-                c["compactions"] += done.size > 0
-                room = budget - done.size + int(done.sum())
-                while pending[0].size < room and (
-                        more := next(feed, None)) is not None:
-                    pending = tuple(map(np.concatenate, zip(pending, more)))
-                state = tuple(np.concatenate((v[~done], p[:room]))
-                              for v, p in zip(state, pending))
-                pending = tuple(p[room:] for p in pending)
-                if not state[0].size:
-                    break
-                done = np.zeros(state[0].size, dtype=bool)
-                c["largest_set"] = max(c["largest_set"], done.size)
-                forward = pass_of(state[1])
-                continue
-            late = ~done & (age >= ROOT_STEPS)
-            if late.any():
-                raise RuntimeError(
-                    f"root finder did not converge on {late.sum()}"
-                    f" target(s) in {ROOT_STEPS} steps")
-            x = x1 + _step(x1, x2, x3, f1, f2, f3, tol, gap) * (x2 - x1)
-            f = forward(x) - t
-            c["passes"] += 1
-            same = (f < 0) == (f1 < 0)
-            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-            gap = np.where(f == f3, 2.0 * np.abs(x - x3), gap)
-            state = (index, row, t, x, x2, x3, f, f2, f3, xatol, gap, age + 1)
-    if stats is not None:
-        stats.update(c)
-    return out
+    owner = np.asarray(owner)
+    lengths = (itin >= 0).sum(1)
+    rank = np.argsort(-lengths[owner], kind="stable")
+    columns = np.ascontiguousarray(itin.T)
+    x = np.asarray(targets, dtype=float)[rank]
+    hit = np.zeros(x.size, dtype=bool)
+    for s in range(0, x.size, CHUNK_POINTS):
+        rows = owner[rank[s:s + CHUNK_POINTS]]
+        tau = lengths[rows]
+        # running[j] points have tau > j
+        running = tau.size - np.cumsum(np.bincount(tau))
+        for j in range(tau[0] - 1, -1, -1):
+            part = slice(s, s + running[j])
+            x[part] = branch_inverse(m, columns[j][rows[:running[j]]],
+                                     x[part], hit[part])
+    out = np.empty_like(x)
+    out[rank] = x
+    pre = np.clip(out, np.asarray(a)[owner], np.asarray(b)[owner])
+    if clamped is not None:
+        clamped[rank] |= hit
+        clamped |= pre != out
+    return pre
 
 
-def _worker_count(n: int, per: int | None = None) -> int:
+def _worker_count(n: int, per: int) -> int:
     """Processes a split of n points takes: one per CPU in this process's
     affinity mask (so taskset restricts it), at most MAX_WORKERS and at
-    most one per `per` points, by default CHUNK_POINTS, and 1 where the
-    platform cannot fork or tell the mask.  A CPU quota of the process's
-    cgroup does not show in the mask.  Measured on two CPUs, as two
-    processes' time over one's:
-
-    - forced_inverse's targets, at the default: two start to pay at about
-      20,000 targets, below the 2 * CHUNK_POINTS a second one needs.  On
-      the lorenz(1.9, 0.4) benchmark partition they took 0.68-0.83 at
-      32,884 targets, 0.84-0.89 at 22,558 and 1.02-1.09 at 15,046 (medians
-      of 11 calls).
-    - the Birkhoff ensemble's walkers, at per = _fastmap.SHARE_POINTS
-      (1,280), so that two take five streams of 512 or more.  On lorenz,
-      at 10^5 and 10^6 steps a stream (medians of 21 and 9 alternating
-      calls), they took 1.15 and 1.07 at 2 streams, 1.14 and 0.96 at 3,
-      0.97 and 0.88 at 4 (quartiles up to 1.44 at 10^5), 0.92 and 0.98
-      at 5, 0.88 and 0.81 at 6, and 0.80 and 0.74 at 10.
+    most one per `per` points, and 1 where the platform cannot fork or tell
+    the mask.  A CPU quota of the process's cgroup does not show in the
+    mask.  The Birkhoff ensemble's walkers split at per =
+    _fastmap.SHARE_POINTS (1,280), so that two processes take five streams
+    of 512 or more.  Measured on lorenz, two processes' time over one's, at
+    10^5 and 10^6 steps a stream (medians of 21 and 9 alternating calls):
+    1.15 and 1.07 at 2 streams, 1.14 and 0.96 at 3, 0.97 and 0.88 at 4
+    (quartiles up to 1.44 at 10^5), 0.92 and 0.98 at 5, 0.88 and 0.81 at
+    6, and 0.80 and 0.74 at 10.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    per = CHUNK_POINTS if per is None else per
     return max(1, min(MAX_WORKERS, len(os.sched_getaffinity(0)), n // per))
 
 
@@ -410,8 +327,8 @@ def _fork_join(run, w: int) -> list:
     any, is raised here, type and message unchanged.  run must write what
     it makes to memory it shares with this process, and a share run twice
     must give the same bits.  Returns the shares the children finished.
-    The callers: forced_inverse (rows of the Ulam assembly) and
-    _fastmap._step_ensemble (seed streams of the Birkhoff ensemble).
+    The caller: _fastmap._step_ensemble (seed streams of the Birkhoff
+    ensemble).
 
     Only the forking thread lives on in a child, and NumPy's BLAS thread
     pool already runs when it forks, so run must not need a thread pool:
@@ -444,98 +361,3 @@ def _fork_join(run, w: int) -> list:
         if k not in done:
             run(k)
     return done
-
-
-def forced_inverse(m, itin, a, b, increasing, targets, stats=None) -> list:
-    """Preimages of targets[k] under the forced composition of itin row k.
-
-    Row k is monotone on [a[k], b[k]] in the sense increasing[k], and
-    targets[k] is ascending.  A forward grid of max(16, n) cells per row
-    seeds brackets one cell wide, with the residuals at both ends and at
-    the node beyond one end, one chunk_ranges group of rows at a time, the
-    longest itineraries first, as _chandrupatla's one working set takes
-    them in.  It polishes each preimage to within 4 eps |x| plus 2**-31 of
-    the row's grid cell, no looser than thirty halvings.
-
-    The rows are split across w = _worker_count(targets) processes: share
-    i takes rows i::w of the longest-first order, this process runs share
-    0 and a forked child each other share (_fork_join).  Every share
-    writes its preimages, and its root finder's counts as row i of a
-    (w, len(COUNTS)) block, into one anonymous shared mmap; a share whose
-    child could not be made or did not exit 0 runs again here, with the
-    same bits.  Each share's groups of rows and working set hold
-    CHUNK_POINTS // w points, so the processes together hold the memory
-    of one: a child's own pages come from its working set and from the
-    pages either side writes after the fork.  A preimage depends on its
-    own row only, so it is the same bits for every w and every working
-    set size.  stats, when given, is updated with the counts
-    (_chandrupatla) summed over the shares, max_steps and largest_set
-    their maximum, and with "workers", the processes that finished
-    shares: w, or fewer where a child did not.
-    """
-    counts = np.array([t.size for t in targets], dtype=np.int64)
-    sizes = np.maximum(16, counts) + 1
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    # np.linspace(a[k], b[k], sizes[k]): node i is i * step[k] + a[k], the
-    # last node b[k]
-    step = (b - a) / (sizes - 1)
-    up = np.asarray(increasing, dtype=bool)
-    first = np.cumsum(counts) - counts
-    plan_of = _planner(m, itin)
-    # longest first: each step of a pass, on the grid or in the working
-    # set, is a prefix
-    rank = np.argsort(-(itin >= 0).sum(1), kind="stable")
-    n = int(counts.sum())
-    w = _worker_count(n)
-    budget = max(1, CHUNK_POINTS // w)
-    shared = mmap.mmap(-1, 8 * (n + w * len(COUNTS)))
-    out = np.frombuffer(shared, count=n)
-    block = np.frombuffer(shared, dtype=np.int64, offset=8 * n).reshape(
-        w, len(COUNTS))
-
-    def seeds(order):
-        for s, e in chunk_ranges(sizes[order], budget):
-            rows = order[s:e]
-            ends = np.cumsum(sizes[rows])
-            starts = ends - sizes[rows]
-            node_row = np.repeat(rows, sizes[rows])
-            xs = ((np.arange(ends[-1]) - np.repeat(starts, sizes[rows]))
-                  * step[node_row] + a[node_row])
-            xs[ends - 1] = b[rows]
-            ys = _forced_pass(m, plan_of(node_row), xs)
-            pos = np.concatenate([
-                np.searchsorted(ys[i:j] if up[k] else ys[i:j][::-1],
-                                targets[k])
-                for i, j, k in zip(starts.tolist(), ends.tolist(),
-                                   rows.tolist())])
-            local = np.repeat(np.arange(rows.size), counts[rows])
-            row = rows[local]
-            # target j of a row goes to out[first[row] + j]
-            index = first[row] + np.arange(row.size) - (
-                np.cumsum(counts[rows]) - counts[rows])[local]
-            size, start, inc = sizes[row], starts[local], up[row]
-            pos = np.clip(pos, 1, size - 1)
-            t = np.concatenate([targets[k] for k in rows.tolist()])
-            # x1 and x2 bracket the target, x3 is the node beyond x1, if
-            # any: nodes of the row in its order of increasing image
-            i1, i2, i3 = (start + np.where(inc, i, size - 1 - i) for i in
-                          (pos - 1, pos, np.maximum(pos - 2, 0)))
-            none = np.where(pos > 1, 0.0, np.nan)
-            yield (index, row, t, xs[i1], xs[i2], xs[i3] + none, ys[i1] - t,
-                   ys[i2] - t, ys[i3] - t + none,
-                   (xs[start + 1] - xs[start]) * 2.0 ** -31)
-
-    def run(i):
-        c = {}
-        _chandrupatla(lambda rows: functools.partial(
-            _forced_pass, m, plan_of(rows)), seeds(rank[i::w]), out, c,
-            budget)
-        block[i] = [c[k] for k in COUNTS]
-
-    done = _fork_join(run, w)
-    if stats is not None:
-        most = dict(zip(COUNTS, block.max(0).tolist()))
-        stats.update(zip(COUNTS, block.sum(0).tolist()),
-                     workers=1 + len(done), max_steps=most["max_steps"],
-                     largest_set=most["largest_set"])
-    return np.split(out, np.cumsum(counts)[:-1])

@@ -435,11 +435,19 @@ def cmd_selftest(args) -> int:
     jets_ok, worst = _jet_selftest(seed=args.seed)
     checks["jets_vs_finite_differences"] = {"passed": jets_ok,
                                             "worst_rel_error": worst}
-    m = map_model.build_map({"family": "chebyshev"})
-    ids, sol = _vec.preimages(m, np.array([0.0]))
-    residual = float(m.branches[0].value(sol[0]))
-    inv_ok = ids[:1].tolist() == [0] and abs(residual) < 1e-10
-    checks["branch_inversion"] = {"passed": inv_ok, "residual": residual}
+    # chebyshev's preimage of 0 on its left branch, through the bisection
+    # of 1 - 2*x*x and the closed-form inverse of 1 - 2*x^2
+    residuals = {}
+    for spelling in ("1 - 2*x*x", "1 - 2*x^2"):
+        m = map_model.build_map({
+            **map_model.family_config("chebyshev"),
+            "branches": [{"interval": iv, "expr": spelling}
+                         for iv in ([-1, 0], [0, 1])]})
+        ids, sol = _vec.preimages(m, np.array([0.0]))
+        residuals[spelling] = (float(m.branches[0].value(sol[0]))
+                               if ids[:1].tolist() == [0] else math.nan)
+    inv_ok = all(abs(r) < 1e-10 for r in residuals.values())
+    checks["branch_inversion"] = {"passed": inv_ok, "residual": residuals}
     # chebyshev's 1/|Df| = 1/(4x) falls from 1 to 1/3 over (1/4, 3/4)
     var = distortion.variation_exact(m, (0.25, 0.75), 1)
     var_ok = abs(var - 2.0 / 3.0) < 1e-12

@@ -159,44 +159,56 @@ def _piece_bound(edges, a, b, n_targets) -> int:
     return int((np.asarray(n_targets) + 1 + np.maximum(inside, 0)).sum())
 
 
-def _map_group(m, edges):
-    """The arguments of _pieces for the branches of the map itself, and
-    their piece bound.  A branch takes the edges within 1e-12 of its image
-    (_vec.preimages), a run starting at edges[first]."""
-    ids, pre = _vec.preimages(m, edges)
-    a = np.array([br.a for br in m.branches])
-    b = np.array([br.b for br in m.branches])
-    first = np.searchsorted(edges, np.array(m.branch_images)[:, 0] - 1e-12)
-    pre = [pre[ids == i] for i in range(len(m.branches))]
-    group = (a, b, pre, np.array(m.monotone_signs) > 0, first)
-    return group, _piece_bound(edges, a, b, [p.size for p in pre])
-
-
-def _transfer_matrix(edges: np.ndarray, groups, n_pieces: int):
+def _edge_matrix(m, edges, a, b, images, itineraries, up):
     """Row-normalized transfer matrix of branches cut at edge preimages.
 
-    groups yields the arguments of _pieces, one group of branches at a
-    time; n_pieces bounds their total piece count.  Each piece carries its
-    width from the cell of its midpoint into the cell of its image.  Rows
-    without resolved mass are dead and spread uniformly over every cell.
-    Returns (Csr, coverage, dead mask).
+    Branch k runs over [a[k], b[k]], monotone in the sense up[k], and maps
+    onto images[k] along itineraries[k].  _vec.forced_inverse pulls the
+    edges strictly inside each image back onto its branch, one chunk_ranges
+    group of branches at a time, in this process.  Each piece (_pieces)
+    carries its width from the cell of its midpoint into the cell of its
+    image.  Rows without resolved mass are dead and spread uniformly over
+    every cell.  Returns (Csr, coverage, dead mask, counts): counts
+    are the targets, the point-steps back, the targets clamped and the
+    point-steps through a formula group with no closed-form inverse.
     """
     lo, m_cells = edges[0], edges.size - 1
     cw = (edges[-1] - lo) / m_cells
+    first = np.searchsorted(edges, images[:, 0], side="right")
+    counts = np.maximum(np.searchsorted(edges, images[:, 1]) - first, 0)
+    n_pieces = _piece_bound(edges, a, b, counts)
+    itin = _vec.itinerary_matrix(itineraries)
+    bisected = np.array([inv is None for inv in m.group_inverses] + [False])[
+        m.formula_groups[0][itin]].sum(1)
+    stats = [int(counts.sum()), int(counts @ (itin >= 0).sum(1)), 0,
+             int(counts @ bisected)]
     # key = row * m_cells + column; int32 where it holds every key halves
     # the largest arrays of the assembly
     key = np.empty(n_pieces, dtype=np.int32 if m_cells**2 <= 2**31
                    else np.int64)
     mass = np.empty(n_pieces)
     n = 0
-    for group in groups:
-        _owner, mids, widths, col = _pieces(edges, *group)
+    for s, e in _vec.chunk_ranges(1 + counts):
+        owner = np.repeat(np.arange(e - s), counts[s:e])
+        local = np.cumsum(counts[s:e])
+        # target j of branch k is edges[first[k] + j]
+        start = first[s:e] - local + counts[s:e]
+        clamped = np.zeros(owner.size, dtype=bool)
+        pre = _vec.forced_inverse(
+            m, itin[s:e], a[s:e], b[s:e], owner,
+            edges[start[owner] + np.arange(owner.size)], clamped)
+        stats[2] += int(np.count_nonzero(clamped))
+        _owner, mids, widths, col = _pieces(
+            edges, a[s:e], b[s:e], np.split(pre, local[:-1]), up[s:e],
+            first[s:e])
         k = n + mids.size
         key[n:k] = np.clip(((mids - lo) / cw).astype(np.int64), 0,
                            m_cells - 1) * m_cells + col
         mass[n:k] = widths
         n = k
-    group = None        # its preimage views hold the whole preimage array
+    # the sort below sets the assembly's peak memory: drop the pull-back's
+    # arrays first
+    itin = owner = pre = clamped = _owner = mids = widths = col = None
     key, mass = key[:n], mass[:n]
     coverage = np.bincount(key // m_cells, mass, m_cells) / cw
     dead = coverage <= 1e-12
@@ -213,19 +225,18 @@ def _transfer_matrix(edges: np.ndarray, groups, n_pieces: int):
         mass = np.concatenate((mass, np.full(dead_idx.size * m_cells,
                                              1.0 / m_cells)))
     mat = Csr.from_entries(key, mass, (m_cells, m_cells), scale)
-    return mat, coverage, dead
+    return mat, coverage, dead, stats
 
 
 def ulam_matrix(m, partition, m_cells: int = 4096) -> UlamTable:
     """Row-stochastic transfer matrix of the induced map on a uniform grid.
 
     Entry (i, j) holds the fraction of cell i carried into cell j by the
-    induced map, assembled from preimages of the cell boundaries, found by
-    _vec.forced_inverse's root finder along the branch itineraries, one
-    working set for all branches in each of the processes it splits the
-    branches across.  Rows overlapping the unresolved set are
-    renormalized and flagged; rows with no resolved mass at all fall back
-    to a uniform distribution and are reported as dead.
+    induced map, assembled from preimages of the cell boundaries pulled
+    back along the branch itineraries (_edge_matrix).  Rows overlapping
+    the unresolved set are renormalized and flagged; rows with no resolved
+    mass at all fall back to a uniform distribution and are reported as
+    dead.
     """
     if m_cells < 1:
         raise ValueError("m_cells must be >= 1")
@@ -233,42 +244,20 @@ def ulam_matrix(m, partition, m_cells: int = 4096) -> UlamTable:
     edges = np.linspace(lo, hi, m_cells + 1)
     cw = (hi - lo) / m_cells
     branches = partition.branches
-    a = np.array([br.a for br in branches])
-    b = np.array([br.b for br in branches])
-    images = np.array([br.image for br in branches]).reshape(-1, 2)
-    # targets: the edges strictly inside each image, from edges[first] on
-    first = np.searchsorted(edges, images[:, 0], side="right")
-    counts = np.maximum(np.searchsorted(edges, images[:, 1]) - first, 0)
-    n_pieces = _piece_bound(edges, a, b, counts)
-    stats = {}
-
-    def groups():
-        # one root finder for all branches; _pieces takes a group at a time
-        up = np.array([br.orientation > 0 for br in branches], dtype=bool)
-        pre = _vec.forced_inverse(
-            m, _vec.itinerary_matrix([br.itinerary for br in branches]), a,
-            b, up, [edges[j:j + n] for j, n in zip(first, counts)], stats)
-        for s, e in _vec.chunk_ranges(1 + counts):
-            yield a[s:e], b[s:e], pre[s:e], up[s:e], first[s:e]
-
-    mat, coverage, dead = _transfer_matrix(edges, groups(), n_pieces)
+    mat, coverage, dead, counts = _edge_matrix(
+        m, edges, np.array([br.a for br in branches]),
+        np.array([br.b for br in branches]),
+        np.array([br.image for br in branches]).reshape(-1, 2),
+        [br.itinerary for br in branches], np.array([br.orientation > 0 for br in branches], dtype=bool))
     n_dead = int(dead.sum())
     if n_dead:
         _LOG.warning("ulam matrix has %d dead rows (unresolved cells)",
                      n_dead)
     flagged = (~dead) & (np.abs(coverage - 1.0) > 1e-12)
-    n_targets = int(counts.sum())
     _LOG.info("ulam_matrix: %d branches, %d targets inverted, %d nonzeros, "
-              "%d dead rows, %d flagged rows; root finder: %d evaluations "
-              "(%.2f per target), at most %d steps, %d stopped on a "
-              "non-finite residual, %d forced passes, %d compactions, "
-              "largest working set %d, worker processes %d", len(branches),
-              n_targets, mat.nnz, n_dead, int(flagged.sum()),
-              stats.get("evaluations", 0),
-              stats.get("evaluations", 0) / max(n_targets, 1),
-              *(stats.get(k, 0) for k in ("max_steps", "nonfinite", "passes",
-                                          "compactions", "largest_set")),
-              stats.get("workers", 1))
+              "%d dead rows, %d flagged rows; %d point-steps back, %d "
+              "targets clamped, %d point-steps bisected", len(branches),
+              counts[0], mat.nnz, n_dead, int(flagged.sum()), *counts[1:])
     return UlamTable(matrix=mat, m=m_cells, edges=edges, cell_width=cw,
                      coverage=coverage, flagged_rows=flagged, dead_rows=dead)
 
@@ -377,8 +366,8 @@ def invariance_residual(m, h_map: np.ndarray) -> float:
     """L1 defect of a density under one exact transfer step of the map.
 
     Builds a one-step transfer matrix for the map itself on the density's
-    own grid of equal cells (cell edges inverted per monotone branch by
-    bisection) and returns the L1 distance, on the probability scale,
+    own grid of equal cells (_edge_matrix, each branch a one-step
+    itinerary) and returns the L1 distance, on the probability scale,
     between the pushed-forward vector and the input.
     """
     h_map = np.asarray(h_map, dtype=float)
@@ -386,8 +375,11 @@ def invariance_residual(m, h_map: np.ndarray) -> float:
     lo, hi = m.lo, m.hi
     edges = np.linspace(lo, hi, m_cells + 1)
     cw = (hi - lo) / m_cells
-    group, n_pieces = _map_group(m, edges)
-    P, _coverage, _dead = _transfer_matrix(edges, [group], n_pieces)
+    P = _edge_matrix(m, edges, np.array([br.a for br in m.branches]),
+                     np.array([br.b for br in m.branches]),
+                     np.array(m.branch_images),
+                     [(i,) for i in range(len(m.branches))],
+                     np.array(m.monotone_signs) > 0)[0]
     p = h_map * cw
     tot = p.sum()
     if tot <= 0:

@@ -62,6 +62,7 @@ __all__ = [
     "compile",
     "shared_subtrees",
     "compile_groups",
+    "inverse",
 ]
 
 
@@ -483,6 +484,63 @@ def compile(e, params=None) -> Compiled:
     return Compiled(array, checked,
                     lambda x: Jet2(*map(float, at_point(x, 2))),
                     lambda x: float(at_point(x, 0)))
+
+
+# y = node(u) solved for u, the node's other side the constant c: by node
+# type and whether u is its left side
+_SOLVE = {(Add, True): np.subtract, (Add, False): np.subtract,
+          (Sub, True): np.add, (Sub, False): lambda w, c: c - w,
+          (Mul, True): np.divide, (Mul, False): np.divide,
+          (Div, True): np.multiply, (Div, False): lambda w, c: c / w}
+
+
+def inverse(e, params=None):
+    """The closed-form inverse in x of a tree that holds x once, as (sites,
+    solve), or None where x occurs twice or ``sign`` lies on the path to x.
+
+    The path from the root to x may pass ``Neg``, ``Add``/``Sub``/``Mul``/
+    ``Div`` with an x-free side, ``Pow`` with an x-free exponent and
+    ``Abs``.  solve(y, signs) is the x with e(x) = y over an array y, under
+    the caller's ``np.errstate``; signs[k] holds the sign of sites[k] at
+    each point.  The sites are the argument of each ``Abs`` and the base of
+    each even power on the path: on a monotone branch each keeps one sign.
+    The base of an odd power has the sign of its value, and that of any
+    other power is nonnegative.
+    """
+    if sum(isinstance(s, Var) for s in _subtrees(e)) != 1:
+        return None
+    sites, steps = [], []
+    while not isinstance(e, Var):
+        if isinstance(e, Sign):
+            return None
+        if isinstance(e, Neg):
+            steps.append(lambda w, s: -w)
+        elif isinstance(e, (Abs, Pow)):
+            r = 1.0 if isinstance(e, Abs) else const_value(e.exponent, params)
+            if r == 0.0:
+                return None
+            root = (np.sqrt if r == 2.0 else np.positive if r == 1.0 else
+                    lambda w, q=1.0 / r: w ** q)
+            if isinstance(e, Abs) or r % 2.0 == 0.0:
+                steps.append(lambda w, s, k=len(sites), root=root:
+                             s[k] * root(abs(w)))
+                sites.append(_children(e)[0])
+            elif r % 2.0 == 1.0:
+                steps.append(lambda w, s, root=root:
+                             np.copysign(root(abs(w)), w))
+            else:
+                steps.append(lambda w, s, root=root: root(abs(w)))
+        else:
+            left = contains_var(e.left)
+            c = np.float64(const_value(e.right if left else e.left, params))
+            steps.append(lambda w, s, f=_SOLVE[type(e), left], c=c: f(w, c))
+        e = next(filter(contains_var, _children(e)))
+
+    def solve(y, signs=()):
+        for step in steps:
+            y = step(y, signs)
+        return y
+    return tuple(sites), solve
 
 
 def shared_subtrees(trees) -> list:

@@ -556,14 +556,8 @@ def _classify_cells(m, cuts, delta: float, q0: int, piece_tables):
         t_val.append(edges[starts + np.arange(starts.size)])
     t_owner, xs = np.concatenate(t_owner), np.concatenate(t_val)
 
-    # pull the targets back through the itinerary, last step first
-    t_l0 = l0[t_owner]
-    for j in range(int(t_l0.max(initial=0)) - 1, -1, -1):
-        ids = it[t_owner, j]
-        live = ids >= 0
-        xs[live] = _vec.branch_inverse(m, ids[live], xs[live])
-    back = t_l0 > 0
-    xs[back] = np.clip(xs[back], u[t_owner[back]], v[t_owner[back]])
+    # pull the targets back through the itinerary onto their cells
+    xs = _vec.forced_inverse(m, it, u, v, t_owner, xs)
 
     # sub-cells between the sorted distinct cuts of each cell
     k_cells = np.arange(cells.size)
@@ -597,7 +591,8 @@ def _classify_cells(m, cuts, delta: float, q0: int, piece_tables):
 
     counts = {"cells": n_cells, "free": free.size, "bound": bound.size,
               "boundary_landed": int(landed[bound].sum()),
-              "targets_inverted": int(back.sum()), "sub_cells": len(su),
+              "targets_inverted": int(np.count_nonzero(l0[t_owner])),
+              "sub_cells": len(su),
               "endpoint_fallbacks": n_fallback}
     return raw, unresolved, counts
 

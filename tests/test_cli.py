@@ -195,12 +195,30 @@ def test_selftest_passes():
 
 
 def test_selftest_fails_on_a_wrong_branch_inverse(monkeypatch):
-    # one halving leaves chebyshev's preimage of 0 at the branch midpoint
-    monkeypatch.setattr(_vec, "BISECTION_STEPS", 1)
+    # each path broken in turn.  One halving leaves the bisection's
+    # preimage of 0 at the branch midpoint -0.5
+    with monkeypatch.context() as patch:
+        patch.setattr(_vec, "BISECTION_STEPS", 1)
+        code, doc = run_json("selftest")
+    assert code == 1 and doc["passed"] is False
+    inv = doc["checks"]["branch_inversion"]
+    assert inv["passed"] is False and inv["residual"]["1 - 2*x*x"] == -0.125
+    assert abs(inv["residual"]["1 - 2*x^2"]) < 1e-15
+    # a closed form that takes the other branch's sign lands on the other
+    # branch and is clipped to this one's end 0, where f is 1
+    inverse = ex.inverse
+
+    def wrong_sign(tree, params=None):
+        inv = inverse(tree, params)
+        return inv and (inv[0], lambda y, signs=(): inv[1](
+            y, [-s for s in signs]))
+
+    monkeypatch.setattr(ex, "inverse", wrong_sign)
     code, doc = run_json("selftest")
     assert code == 1 and doc["passed"] is False
     inv = doc["checks"]["branch_inversion"]
-    assert inv["passed"] is False and inv["residual"] == -0.125
+    assert inv["passed"] is False and inv["residual"]["1 - 2*x^2"] == 1.0
+    assert abs(inv["residual"]["1 - 2*x*x"]) < 1e-15
 
 
 def test_selftest_fails_on_a_variation_rule_off_its_closed_form(monkeypatch):

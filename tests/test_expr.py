@@ -130,3 +130,54 @@ def test_const_value_folds_numbers():
         ex.const_value(ex.parse("1/(2 - 2)"))
     assert ex.contains_var(ex.parse("x + 1"))
     assert not ex.contains_var(ex.parse("4 - 2"))
+
+
+# (source, params, [lo, hi] of one monotone piece, sites): each node kind
+# on the path to x, constants on either side, even, odd, fractional and
+# negative exponents, abs of either sign
+INVERTIBLE = [
+    ("-x", {}, (-2.0, 3.0), 0),
+    ("x + 3", {}, (-2.0, 3.0), 0),
+    ("3 + x", {}, (-2.0, 3.0), 0),
+    ("x - 3", {}, (-2.0, 3.0), 0),
+    ("3 - x", {}, (-2.0, 3.0), 0),
+    ("2*x", {}, (-2.0, 3.0), 0),
+    ("x*2", {}, (-2.0, 3.0), 0),
+    ("x/4", {}, (-2.0, 3.0), 0),
+    ("4/x", {}, (0.5, 3.0), 0),
+    ("4/x", {}, (-3.0, -0.5), 0),
+    ("x^2", {}, (0.25, 2.0), 1),
+    ("x^2", {}, (-2.0, -0.25), 1),
+    ("x^3", {}, (-2.0, 1.9), 0),
+    ("x^-1", {}, (-3.0, -0.5), 0),
+    ("x^-2", {}, (-3.0, -0.5), 1),
+    ("x^0.5", {}, (0.25, 4.0), 0),
+    ("abs(x)", {}, (-3.0, -0.5), 1),
+    ("abs(x)", {}, (0.5, 3.0), 1),
+    ("1 - a*abs(x)^l", {"a": 2.0, "l": 2.5}, (-1.0, -0.01), 1),
+    ("1 - a*abs(x)^l", {"a": 2.0, "l": 2.5}, (0.01, 1.0), 1),
+    ("a*(x - c)^2 + 1", {"a": 0.5, "c": 1.0}, (-1.0, 0.9), 1),
+    ("-(2*abs(x - 1)^3)/5", {}, (1.2, 4.0), 1),
+]
+
+
+@pytest.mark.parametrize("source, params, ends, n_sites", INVERTIBLE)
+def test_inverse_solves_each_node_kind(source, params, ends, n_sites):
+    tree = ex.parse(source, params)
+    sites, solve = ex.inverse(tree, params)
+    assert len(sites) == n_sites
+    x = np.linspace(*ends, 101)
+    signs = [np.sign(ex.compile(s, params).array(x)) for s in sites]
+    y, d1 = ex.compile(tree, params).array(x, 1)
+    with np.errstate(all="raise"):
+        got = solve(y, signs)
+    # within a few ulps of x, and of the rounding of y carried back to x
+    eps4 = 4.0 * np.finfo(float).eps
+    assert np.all(np.abs(got - x) <= eps4 * (np.abs(x) + np.abs(y / d1)))
+
+
+@pytest.mark.parametrize("source", [
+    "sign(x)", "2*sign(x - 1) + x^0.5", "x*x", "1 - 2*x*x", "x + x",
+    "abs(x)*x", "x^0", "3"])
+def test_inverse_declines_sign_and_x_twice(source):
+    assert ex.inverse(ex.parse(source)) is None

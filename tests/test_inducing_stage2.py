@@ -3,7 +3,8 @@
 The batched classifier must reproduce, cell for cell, the per-cell loop it
 replaced.  That loop is kept below as the reference: a scalar itinerary per
 cell, scalar one-sided endpoint tracks clamped onto each step's branch, a
-chain of branch inversions per cell, and a scalar forward walk per
+chain of one-step inversions per cell (_vec.branch_inverse, which
+tests/test_vec.py checks on its own), and a scalar forward walk per
 sub-cell.
 """
 
@@ -52,28 +53,6 @@ def _scalar_endpoint_track(m, x, approach, itinerary):
         y = jet.value
         s *= m.monotone_signs[i]
     return ys
-
-
-def _invert_branch(m, i, targets):
-    """Preimages under branch i: 60 halvings of the whole branch."""
-    br = m.branches[i]
-    img_lo, img_hi = m.branch_images[i]
-    t = np.asarray(targets, dtype=float)
-    ok = (t >= img_lo - 1e-12) & (t <= img_hi + 1e-12)
-    tt = np.clip(t[ok], img_lo, img_hi)
-    lo = np.full(tt.shape, br.a, dtype=float)
-    hi = np.full(tt.shape, br.b, dtype=float)
-    increasing = m.monotone_signs[i] > 0
-    with np.errstate(all="ignore"):
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            v = br.values(mid)
-            up = (v < tt) if increasing else (v > tt)
-            lo = np.where(up, mid, lo)
-            hi = np.where(up, hi, mid)
-    out = np.full(t.shape, np.nan)
-    out[ok] = 0.5 * (lo + hi)
-    return out, ok
 
 
 def per_cell_stage2(m, cuts, delta, q0, piece_tables):
@@ -135,9 +114,7 @@ def per_cell_stage2(m, cuts, delta, q0, piece_tables):
         if targets and l0 > 0:
             xs = np.asarray(targets, dtype=float)
             for i in reversed(itin):
-                img_lo, img_hi = m.branch_images[i]
-                xs, _ok = _invert_branch(
-                    m, i, np.clip(xs, img_lo, img_hi))
+                xs = _vec.branch_inverse(m, np.full(xs.size, i), xs)
             xs = np.clip(np.sort(xs), u, v)
         elif targets:
             xs = np.asarray(targets, dtype=float)

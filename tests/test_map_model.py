@@ -207,6 +207,26 @@ def test_nondegeneracy_passes_on_all_families(cheb, lorenz, unimodal2, singular)
         assert rep.passed, rep.failures
 
 
+@pytest.mark.parametrize("ell", [2.9, 3.0, 4.0])
+def test_nondegeneracy_passes_on_high_orders(ell):
+    # 1 - 2|x|^ell rounds to f(c) = 1 near the critical point from about
+    # ell = 2.85 on; those samples leave the f ratio, not the verdict
+    rep = mm.verify_nondegeneracy(mm.unimodal_map(a=2.0, ell=ell))
+    assert rep.passed, rep.failures
+    assert all(p["f_max"] / p["f_min"] < 2.0 for p in rep.per_point)
+
+
+def test_nondegeneracy_fails_where_the_f_ratio_keeps_too_few_samples():
+    # at ell = 12, 2 d^12 lies within 4 ulps of 1 on the whole grid: the
+    # f ratio has no sample and reads failed, with its own message
+    rep = mm.verify_nondegeneracy(mm.unimodal_map(a=2.0, ell=12.0))
+    assert not rep.passed
+    assert rep.failures == [
+        f"0.0{side}: ratio f has 0 sample(s) clear of the rounding of f(c)"
+        for side in "-+"]
+    assert all(math.isnan(p["f_min"]) for p in rep.per_point)
+
+
 def test_branch_vectorized_values_match_scalar(cheb):
     br = cheb.branches[1]
     xs = np.linspace(0.05, 0.95, 41)

@@ -1,12 +1,16 @@
 """One-step and forced passes of _vec against step-by-step references.
 
 The per-branch bisection and the positional dispatch that the one-step
-plans replaced are kept below as references; the plans must match them
-bit for bit.  The grid-seeded bisection that forced_inverse ran before its
-root finder is kept as the reference for the preimage tolerance.
+plans replaced are kept below as references.  Where a branch's formula has
+no closed-form inverse, branch_inverse bisects and must match the bisection
+bit for bit; elsewhere its preimages must lie no farther from the true
+preimages than the bisection's do, by reference_inverse's long-double
+yardstick.  The grid-seeded bisection of the forced composition is kept as
+the reference for forced_inverse's preimages, by the same yardstick.
 """
 
 import errno
+import logging
 import os
 import signal
 
@@ -15,6 +19,8 @@ import pytest
 
 from cusp_induce import _fastmap, _vec
 from cusp_induce import map_model as mm
+
+from reference_inverse import distance_to_preimage, one_step_distance
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +82,8 @@ def ref_forward(m, itin, owner, x):
 
 
 def ref_forced_inverse(m, itin, a, b, increasing, targets):
-    """forced_inverse as a grid of max(16, 2 n) cells per row and thirty
-    halvings of each bracket, with the row's grid cell per preimage."""
+    """Preimages under the forced compositions: a grid of max(16, 2 n)
+    cells per row and thirty halvings of each bracket."""
     grids = [np.linspace(u, v, max(16, 2 * t.size) + 1)
              for u, v, t in zip(a, b, targets)]
     sizes = [g.size for g in grids]
@@ -102,9 +108,7 @@ def ref_forced_inverse(m, itin, a, b, increasing, targets):
         go_up = np.where(up, v < t, v > t)
         lo = np.where(go_up, mid, lo)
         hi = np.where(go_up, hi, mid)
-    cell = np.repeat([(v - u) / (g.size - 1) for u, v, g in
-                      zip(a, b, grids)], counts)
-    return 0.5 * (lo + hi), cell
+    return 0.5 * (lo + hi)
 
 
 def four_lines():
@@ -142,6 +146,27 @@ def _image_end_targets(m):
     return np.array(out)
 
 
+def assert_one_step_preimages(m, ids, t, got, want):
+    """Where the formula group of branch ids[k] has no closed-form inverse,
+    got[k] is the bisection's want[k] bit for bit.  Every preimage lies on
+    its branch, and the closed forms' lie no farther from the true
+    preimages of the targets clamped onto the images than the bisection's
+    farthest."""
+    bisected = np.array([inv is None for inv in m.group_inverses])[
+        m.formula_groups[0][ids]]
+    assert got[bisected].tobytes() == want[bisected].tobytes()
+    ends = np.array([(br.a, br.b) for br in m.branches])[ids]
+    assert np.all((ends[:, 0] <= got) & (got <= ends[:, 1]))
+    images = np.array(m.branch_images)[ids]
+    closed = np.flatnonzero(~bisected)
+    t = np.clip(t, images[:, 0], images[:, 1])[closed]
+    dist = one_step_distance(m, ids[closed], got[closed], t)
+    assert np.all(np.isfinite(dist))
+    if closed.size:
+        assert dist.max() <= one_step_distance(m, ids[closed], want[closed],
+                                               t).max()
+
+
 def test_preimages_match_per_branch_bisection(one_step_map):
     m = one_step_map
     rng = np.random.default_rng(11)
@@ -153,7 +178,8 @@ def test_preimages_match_per_branch_bisection(one_step_map):
                                for i, (_sol, ok) in enumerate(ref)])
     want = np.concatenate([sol[ok] for sol, ok in ref])
     assert np.asarray(ids, dtype=np.int64).tobytes() == want_ids.tobytes()
-    assert pre.tobytes() == want.tobytes()
+    targets = np.concatenate([t[ok] for _sol, ok in ref])
+    assert_one_step_preimages(m, want_ids, targets, pre, want)
 
 
 def test_branch_inverse_matches_per_branch_bisection_on_mixed_ids(
@@ -165,13 +191,25 @@ def test_branch_inverse_matches_per_branch_bisection_on_mixed_ids(
     t = np.concatenate((rng.uniform(m.lo, m.hi, 3000), ends))
     ids = np.concatenate((rng.integers(0, n, 3000),
                           np.repeat(np.arange(n), 6)))
-    got = _vec.branch_inverse(m, ids, t)
+    clamped = np.zeros(t.size, dtype=bool)
+    got = _vec.branch_inverse(m, ids, t, clamped)
     want = np.empty_like(t)
     for i in range(n):
         sel = np.flatnonzero(ids == i)
         lo, hi = m.branch_images[i]
         want[sel] = ref_invert_branch(m, i, np.clip(t[sel], lo, hi))[0]
-    assert got.tobytes() == want.tobytes()
+    assert_one_step_preimages(m, ids, t, got, want)
+    # clamped marks every target outside its image, and none well inside
+    images = np.array(m.branch_images)[ids]
+    assert np.all(clamped[(t < images[:, 0]) | (t > images[:, 1])])
+    assert not clamped[(t > images[:, 0] + 1e-9)
+                       & (t < images[:, 1] - 1e-9)].any()
+
+
+def test_singular_unimodal_inverts_by_bisection_alone():
+    # its formulas hold x twice, so the one-step tests above check every
+    # one of its preimages against the bisection bit for bit
+    assert mm.singular_unimodal_map().group_inverses == (None, None)
 
 
 def test_branch_indices_match_searchsorted(one_step_map):
@@ -255,28 +293,6 @@ def test_forced_forward_keeps_the_itinerary_on_a_branch_boundary(lorenz):
     assert y.tolist() == [1.0, -1.0]
 
 
-def test_forced_inverse_brackets_targets_within_1e_12(map_and_branches):
-    # the error bound is on the preimage: one ulp of x can move the image
-    # of a narrow high-tau branch by far more than 1e-12
-    m, branches = map_and_branches
-    edges = np.linspace(m.lo, m.hi, 4097)
-    targets = [edges[(edges > br.image[0]) & (edges < br.image[1])]
-               for br in branches]
-    itin = _vec.itinerary_matrix([br.itinerary for br in branches])
-    sols = np.concatenate(_vec.forced_inverse(
-        m, itin, [br.a for br in branches], [br.b for br in branches],
-        [br.orientation > 0 for br in branches], targets))
-    owner = np.repeat(np.arange(len(branches)), [t.size for t in targets])
-    t = np.concatenate(targets)
-    assert t.size > len(branches)
-    a = np.array([br.a for br in branches])[owner]
-    b = np.array([br.b for br in branches])[owner]
-    assert np.all((a <= sols) & (sols <= b))
-    y_lo = _vec.forced_forward(m, itin, owner, sols - 1e-12)
-    y_hi = _vec.forced_forward(m, itin, owner, sols + 1e-12)
-    assert np.all((np.fmin(y_lo, y_hi) <= t) & (t <= np.fmax(y_lo, y_hi)))
-
-
 def _ulam_targets(branches, m_cells=4096):
     edges = np.linspace(-1.0, 1.0, m_cells + 1)
     return [edges[(edges > br.image[0]) & (edges < br.image[1])]
@@ -285,29 +301,48 @@ def _ulam_targets(branches, m_cells=4096):
 
 def _inverse_args(branches):
     return (_vec.itinerary_matrix([br.itinerary for br in branches]),
-            [br.a for br in branches], [br.b for br in branches],
+            np.array([br.a for br in branches]),
+            np.array([br.b for br in branches]),
             [br.orientation > 0 for br in branches])
 
 
-def _check_against_reference(m, branches):
-    # both brackets hold the sign change of the residual: the root finder's
-    # to within 4 eps |x| + 2**-31 of its grid cell (max(16, n) cells per
-    # row), the reference's to within 2**-31 of its twice finer cell
+def _forced_preimages(m, branches):
+    """(itin, a, b, up, owner, targets, preimages) of the Ulam targets."""
     targets = _ulam_targets(branches)
-    args = _inverse_args(branches)
-    stats = {}
-    got = np.concatenate(_vec.forced_inverse(m, *args, targets, stats))
-    want, ref_cell = ref_forced_inverse(m, *args, targets)
-    counts = [t.size for t in targets]
-    owner = np.repeat(np.arange(len(branches)), counts)
-    a, b = np.array(args[1])[owner], np.array(args[2])[owner]
-    assert np.all((a <= got) & (got <= b))
-    tol = (4.0 * np.finfo(float).eps * np.abs(got)
-           + (b - a) / np.maximum(16, np.array(counts))[owner] * 2.0 ** -31)
-    assert np.all(np.abs(got - want) <= tol + ref_cell * 2.0 ** -31)
-    assert stats["targets"] == got.size
-    assert 0 < stats["evaluations"] <= _vec.ROOT_STEPS * got.size
-    assert stats["nonfinite"] == 0
+    itin, a, b, up = _inverse_args(branches)
+    owner = np.repeat(np.arange(len(branches)), [t.size for t in targets])
+    t = np.concatenate(targets)
+    return (itin, a, b, up, owner, targets,
+            _vec.forced_inverse(m, itin, a, b, owner, t))
+
+
+def test_forced_inverse_brackets_targets_within_1e_12(map_and_branches):
+    # the error bound is on the preimage: one ulp of x can move the image
+    # of a narrow high-tau branch by far more than 1e-12
+    m, branches = map_and_branches
+    itin, a, b, _up, owner, targets, sols = _forced_preimages(m, branches)
+    t = np.concatenate(targets)
+    assert t.size > len(branches)
+    assert np.all((a[owner] <= sols) & (sols <= b[owner]))
+    y_lo = _vec.forced_forward(m, itin, owner, sols - 1e-12)
+    y_hi = _vec.forced_forward(m, itin, owner, sols + 1e-12)
+    assert np.all((np.fmin(y_lo, y_hi) <= t) & (t <= np.fmax(y_lo, y_hi)))
+    # and within 1e-12 of the true preimage (reference_inverse)
+    dist = distance_to_preimage(m, itin, owner, sols, t)
+    assert np.all(np.isfinite(dist)) and dist.max() <= 1e-12
+
+
+def _check_against_reference(m, branches):
+    # forced_inverse finds the roots of f^tau(x) - t along each itinerary:
+    # on its branch, and no farther from the true roots than the halving
+    # reference's farthest
+    itin, a, b, up, owner, targets, got = _forced_preimages(m, branches)
+    want = ref_forced_inverse(m, itin, a, b, up, targets)
+    t = np.concatenate(targets)
+    assert np.all((a[owner] <= got) & (got <= b[owner]))
+    dist = distance_to_preimage(m, itin, owner, got, t)
+    assert np.all(np.isfinite(dist))
+    assert dist.max() <= distance_to_preimage(m, itin, owner, want, t).max()
 
 
 def test_root_finder_matches_the_halving_reference(map_and_branches):
@@ -324,208 +359,67 @@ def test_root_finder_on_decreasing_branches(cheb, cheb_partition):
     _check_against_reference(cheb, [by_tau[t] for t in sorted(by_tau)])
 
 
-def test_flat_residuals_take_fewer_steps_than_the_halvings(cheb,
-                                                          cheb_partition):
-    # near the turning point 1 - 2 x^2 rounds to the same value over runs
-    # of x far wider than the tolerance; a step next to such a run's end
-    # lands on it again, and without the gap rule the tau = 9 preimages
-    # take up to 60 steps
-    branches = [br for br in cheb_partition.branches if br.tau == 9]
-    stats = {}
-    _vec.forced_inverse(cheb, *_inverse_args(branches),
-                        _ulam_targets(branches), stats)
-    assert stats["targets"] > 10000
-    assert stats["max_steps"] < 30
-
-
-def test_a_target_on_a_grid_node_returns_that_node(map_and_branches):
-    # the images of a row's interior grid nodes, as targets, have a zero
-    # residual on the seeding grid of 16 cells
+def test_forced_inverse_does_not_depend_on_the_chunk_size(monkeypatch,
+                                                         map_and_branches):
+    # chunks of 64 targets, each with its own prefix steps: every preimage
+    # and clamp keeps its bits
     m, branches = map_and_branches
-    args = _inverse_args(branches)
-    grids = [np.linspace(br.a, br.b, 17)[1:-1] for br in branches]
-    images = [_vec.forced_forward(m, args[0][k:k + 1],
-                                  np.zeros(g.size, dtype=np.int64), g)
-              for k, g in enumerate(grids)]
-    targets = [y if up else y[::-1] for y, up in zip(images, args[3])]
-    got = _vec.forced_inverse(m, *args, targets)
-    for g, x, up in zip(grids, got, args[3]):
-        assert (x if up else x[::-1]).tobytes() == g.tobytes()
-
-
-class _NanOn:
-    """A one-step branch x -> x that is not finite on open intervals."""
-
-    def __init__(self, *intervals):
-        self.intervals = intervals
-
-    def values(self, x, order=0):
-        assert order == 0
-        off = np.zeros(x.shape, dtype=bool)
-        for lo, hi in self.intervals:
-            off |= (lo < x) & (x < hi)
-        return np.where(off, np.nan, x)
-
-
-def _root_finder(branch, t, x1, x2, stats=None):
-    t, x1, x2 = (np.asarray(v, dtype=float) for v in (t, x1, x2))
-    f1, f2 = branch.values(x1) - t, branch.values(x2) - t
-    none = np.full(t.size, np.nan)
-    seed = (np.arange(t.size), np.zeros(t.size, dtype=np.int64), t, x1, x2,
-            none, f1, f2, none, np.full(t.size, 1e-18))
-    return _vec._chandrupatla(lambda rows: branch.values, iter([seed]),
-                              np.empty(t.size), stats)
-
-
-def test_a_non_finite_residual_stops_inside_the_bracket():
-    # point 0: the seeding bracket's upper end is not finite; point 1: the
-    # first step, a halving, lands on (0.2, 0.3); point 2: no residual is
-    # finite
-    stats = {}
-    x1, x2 = np.array([0.0, 0.0, 0.95]), np.array([1.0, 0.5, 1.0])
-    got = _root_finder(_NanOn((0.2, 0.3), (0.9, 2.0)), [0.3, 0.4, 0.97],
-                       x1, x2, stats)
-    assert np.all((x1 <= got) & (got <= x2))
-    assert got[:2].tolist() == [0.0, 0.0]
-    assert stats["nonfinite"] == 3
-    assert stats["evaluations"] == 1 and stats["max_steps"] == 1
-    # a bracket clear of them converges to the root
-    assert _root_finder(_NanOn((0.2, 0.3)), [0.6], [0.5], [1.0]) == \
-        pytest.approx(0.6, abs=1e-15)
-
-
-def test_root_finder_raises_at_its_step_cap(monkeypatch, map_and_branches):
-    m, branches = map_and_branches
-    monkeypatch.setattr(_vec, "ROOT_STEPS", 2)
-    with pytest.raises(RuntimeError, match="did not converge"):
-        _vec.forced_inverse(m, *_inverse_args(branches),
-                            _ulam_targets(branches))
-
-
-def test_step_cap_counts_each_targets_own_steps(monkeypatch,
-                                                map_and_branches):
-    # with a working set of 64 targets (split across the worker
-    # processes) most targets join after more passes than ROOT_STEPS; they
-    # hit the cap only on their own steps
-    m, branches = map_and_branches
-    args, targets = _inverse_args(branches), _ulam_targets(branches)
-    stats = {}
-    want = np.concatenate(_vec.forced_inverse(m, *args, targets, stats))
+    itin, a, b, _up, owner, targets, want = _forced_preimages(m, branches)
+    t = np.concatenate(targets)
+    clamped = [np.zeros(t.size, dtype=bool) for _ in range(2)]
+    assert _vec.forced_inverse(m, itin, a, b, owner, t, clamped[0]).tobytes() \
+        == want.tobytes()
     monkeypatch.setattr(_vec, "CHUNK_POINTS", 64)
-    monkeypatch.setattr(_vec, "ROOT_STEPS", stats["max_steps"])
-    small = {}
-    got = np.concatenate(_vec.forced_inverse(m, *args, targets, small))
+    got = _vec.forced_inverse(m, itin, a, b, owner, t, clamped[1])
     assert got.tobytes() == want.tobytes()
-    assert small["passes"] > 10 * _vec.ROOT_STEPS
-    assert small["largest_set"] == 64 // small["workers"]
-    for key in ("evaluations", "targets", "max_steps", "nonfinite"):
-        assert small[key] == stats[key]
-    # a target that needs one step more than the cap still raises
-    monkeypatch.setattr(_vec, "ROOT_STEPS", stats["max_steps"] - 1)
-    with pytest.raises(RuntimeError, match="did not converge"):
-        _vec.forced_inverse(m, *args, targets)
+    assert np.array_equal(*clamped)
 
 
 def test_worker_count_follows_the_affinity_mask(monkeypatch):
     # one process per CPU it may use, at most MAX_WORKERS and at most one
-    # per CHUNK_POINTS targets (or per the caller's count), and one where
-    # the platform cannot tell its CPUs
-    n = _vec.CHUNK_POINTS
+    # per SHARE_POINTS walkers, so that the Birkhoff ensemble's seed
+    # streams of WALKERS split from five on; one where the platform cannot
+    # tell its CPUs
+    share = _fastmap.SHARE_POINTS
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     assert _vec.MAX_WORKERS == 2
-    assert [_vec._worker_count(k * n) for k in (0, 1, 2, 3, 9)] == [
-        1, 1, 2, 2, 2]
-    monkeypatch.setattr(_vec, "MAX_WORKERS", 3)
-    assert [_vec._worker_count(k * n) for k in (0, 1, 2, 3, 9)] == [
-        1, 1, 2, 3, 3]
-    assert _vec._worker_count(2 * n - 1) == 1
-    # the Birkhoff ensemble's rule: at most one process per SHARE_POINTS
-    # walkers, so that its seed streams of WALKERS split from five on
-    share = _fastmap.SHARE_POINTS
-    assert [_vec._worker_count(k * share, share) for k in (0, 1, 2, 3)] == [
-        1, 1, 2, 3]
-    monkeypatch.setattr(_vec, "MAX_WORKERS", 2)
     assert [_vec._worker_count(k * _fastmap.WALKERS, share)
             for k in range(1, 11)] == [1, 1, 1, 1, 2, 2, 2, 2, 2, 2]
+    monkeypatch.setattr(_vec, "MAX_WORKERS", 3)
+    assert [_vec._worker_count(k * share, share) for k in (0, 1, 2, 3)] == [
+        1, 1, 2, 3]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _vec._worker_count(9 * share, share) == 1
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert _vec._worker_count(9 * n) == 1
     assert _vec._worker_count(9 * share, share) == 1
 
 
-@pytest.mark.parametrize("capped", ["parent", "every"])
-def test_a_share_that_does_not_converge_raises_here(monkeypatch, capped,
-                                                    map_and_branches):
-    # two workers, and ROOT_STEPS = 2 in this process alone or in every
-    # process: the error reaches the caller unchanged, no counts are
-    # written, and no child is left behind
-    m, branches = map_and_branches
-    monkeypatch.setattr(_vec, "CHUNK_POINTS", 64)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    steps, chandrupatla = _vec.ROOT_STEPS, _vec._chandrupatla
-    monkeypatch.setattr(_vec, "ROOT_STEPS", 2)
-    parent, stats = os.getpid(), {}
-    finished = []       # the shares this process finished
-
-    def capped_here(*args):
-        if capped == "parent" and os.getpid() != parent:
-            monkeypatch.setattr(_vec, "ROOT_STEPS", steps)
-        out = chandrupatla(*args)
-        finished.append(os.getpid())
-        return out
-
-    monkeypatch.setattr(_vec, "_chandrupatla", capped_here)
-    with pytest.raises(RuntimeError, match="did not converge"):
-        _vec.forced_inverse(m, *_inverse_args(branches),
-                            _ulam_targets(branches), stats)
-    assert finished == []
-    assert stats == {}
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+@pytest.fixture(params=["cheb", "lorenz"])
+def ensemble_map(request):
+    return request.getfixturevalue(request.param)
 
 
-def test_a_share_that_does_not_converge_in_its_child_alone_runs_here(
-        monkeypatch, map_and_branches):
-    # two workers, and ROOT_STEPS = 2 in the child alone: the child exits
-    # 1, this process runs its share again, and the preimages and counts
-    # are those of one process
-    m, branches = map_and_branches
-    args = *_inverse_args(branches), _ulam_targets(branches)
-    monkeypatch.setattr(_vec, "CHUNK_POINTS", 64)
-    want = {}
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    pre = np.concatenate(_vec.forced_inverse(m, *args, want))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    steps, chandrupatla = _vec.ROOT_STEPS, _vec._chandrupatla
-    parent, finished, stats = os.getpid(), [], {}
-
-    def capped_in_the_child(*a):
-        monkeypatch.setattr(_vec, "ROOT_STEPS",
-                            steps if os.getpid() == parent else 2)
-        out = chandrupatla(*a)
-        finished.append(os.getpid())
-        return out
-
-    monkeypatch.setattr(_vec, "_chandrupatla", capped_in_the_child)
-    got = np.concatenate(_vec.forced_inverse(m, *args, stats))
-    assert got.tobytes() == pre.tobytes()
-    assert finished == [parent, parent]
-    assert want["workers"] == stats["workers"] == 1
-    for key in ("evaluations", "targets", "max_steps", "nonfinite"):
-        assert stats[key] == want[key]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def _ensemble(m, streams=3):
+    """One Birkhoff ensemble stepper call: (histogram, counts)."""
+    rng = np.random.default_rng(3)
+    starts = rng.uniform(m.lo, m.hi, (streams, _fastmap.WALKERS))
+    pools = rng.uniform(m.lo, m.hi, (streams, _fastmap.POOL))
+    hist = np.zeros(256, dtype=np.int64)
+    counts = _fastmap.get_stepper(m)(starts, pools, 30, 30, hist)
+    return hist, counts
 
 
 @pytest.mark.parametrize("made", [0, 1], ids=["fork-0", "fork-1"])
 def test_a_child_that_cannot_be_made_leaves_its_share_here(
-        monkeypatch, map_and_branches, made):
-    # three workers, and from call number `made` on, os.fork fails as at a
-    # process limit: this process runs the shares left, the preimages keep
-    # their bits, and no descriptor or child is left behind
-    m, branches = map_and_branches
-    args = _inverse_args(branches), _ulam_targets(branches)
-    want = np.concatenate(_vec.forced_inverse(m, *args[0], args[1]))
-    monkeypatch.setattr(_vec, "CHUNK_POINTS", 64)
+        caplog, monkeypatch, ensemble_map, made):
+    # the Birkhoff ensemble on three workers, and from call number `made`
+    # on, os.fork fails as at a process limit: this process runs the
+    # shares left, the histogram and counts keep their bits, and no
+    # descriptor or child is left behind
+    m = ensemble_map
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    want = _ensemble(m)
+    monkeypatch.setattr(_fastmap, "SHARE_POINTS", _fastmap.WALKERS)
     monkeypatch.setattr(_vec, "MAX_WORKERS", 3)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     real, calls = os.fork, []
@@ -537,37 +431,93 @@ def test_a_child_that_cannot_be_made_leaves_its_share_here(
         return real()
 
     monkeypatch.setattr(os, "fork", limited)
-    fds, stats = os.listdir("/proc/self/fd"), {}
-    got = _vec.forced_inverse(m, *args[0], args[1], stats)
-    assert np.concatenate(got).tobytes() == want.tobytes()
-    assert stats["workers"] == 1 + made
-    assert stats["targets"] == want.size
+    fds = os.listdir("/proc/self/fd")
+    with caplog.at_level(logging.INFO, logger=_fastmap.__name__):
+        hist, counts = _ensemble(m)
+    assert hist.tobytes() == want[0].tobytes() and counts == want[1]
+    assert len(calls) == made + 1
+    # three seed streams in three shares, `made` of them finished by children
+    assert [r.args for r in caplog.records
+            if r.name == _fastmap.__name__] == [(3, 3, made)]
     assert sorted(os.listdir("/proc/self/fd")) == sorted(fds)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_child_that_dies_leaves_its_share_here(monkeypatch,
-                                                map_and_branches):
-    # the child is killed before it writes anything: this process runs its
-    # share, and the preimages keep their bits
-    m, branches = map_and_branches
-    args = *_inverse_args(branches), _ulam_targets(branches)
-    want = np.concatenate(_vec.forced_inverse(m, *args))
-    monkeypatch.setattr(_vec, "CHUNK_POINTS", 64)
+def test_a_child_that_dies_leaves_its_share_here(monkeypatch, ensemble_map):
+    # the Birkhoff ensemble on two workers, and the child is killed before
+    # it writes anything: this process runs its share, and the histogram
+    # and counts keep their bits
+    m = ensemble_map
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    want = _ensemble(m)
+    monkeypatch.setattr(_fastmap, "SHARE_POINTS", _fastmap.WALKERS)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    parent, chandrupatla = os.getpid(), _vec._chandrupatla
+    parent, walk, finished = os.getpid(), _fastmap._walk, []
 
-    def killed_in_the_child(*a):
+    def killed_in_the_child(*args):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return chandrupatla(*a)
+        finished.append(len(args[1]))
+        return walk(*args)
 
-    monkeypatch.setattr(_vec, "_chandrupatla", killed_in_the_child)
-    stats = {}
-    got = np.concatenate(_vec.forced_inverse(m, *args, stats))
-    assert got.tobytes() == want.tobytes()
-    assert stats["workers"] == 1 and stats["targets"] == want.size
+    monkeypatch.setattr(_fastmap, "_walk", killed_in_the_child)
+    hist, counts = _ensemble(m)
+    assert finished == [2, 1]
+    assert hist.tobytes() == want[0].tobytes() and counts == want[1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("capped", ["parent", "every"])
+def test_a_share_that_does_not_converge_raises_here(monkeypatch, capped,
+                                                    ensemble_map):
+    # the Birkhoff ensemble on two workers, and a share raises in this
+    # process alone, while the child finishes its share, or in every
+    # process: the error reaches the caller unchanged, and no child is
+    # left behind
+    m = ensemble_map
+    monkeypatch.setattr(_fastmap, "SHARE_POINTS", _fastmap.WALKERS)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent, walk, calls = os.getpid(), _fastmap._walk, []
+
+    def capped_here(*args):
+        calls.append(os.getpid())
+        if capped == "every" or os.getpid() == parent:
+            raise RuntimeError("share did not converge")
+        return walk(*args)
+
+    monkeypatch.setattr(_fastmap, "_walk", capped_here)
+    with pytest.raises(RuntimeError, match="^share did not converge$"):
+        _ensemble(m, 4)
+    assert calls == [parent]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_share_that_does_not_converge_in_its_child_alone_runs_here(
+        monkeypatch, ensemble_map):
+    # the Birkhoff ensemble on two workers, and the child raises after its
+    # share has written its histogram: it exits 1, this process runs its
+    # share again, and the histogram and counts are those of one process
+    m = ensemble_map
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    want = _ensemble(m, 4)
+    monkeypatch.setattr(_fastmap, "SHARE_POINTS", _fastmap.WALKERS)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent, walk, finished = os.getpid(), _fastmap._walk, []
+
+    def capped_in_the_child(*args):
+        out = walk(*args)
+        if os.getpid() != parent:
+            raise RuntimeError("share did not converge")
+        finished.append(len(args[1]))
+        return out
+
+    monkeypatch.setattr(_fastmap, "_walk", capped_in_the_child)
+    hist, counts = _ensemble(m, 4)
+    assert finished == [2, 2]
+    assert hist.tobytes() == want[0].tobytes() and counts == want[1]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
