@@ -164,43 +164,41 @@ def _edge_matrix(m, edges, a, b, images, itineraries, up):
 
     Branch k runs over [a[k], b[k]], monotone in the sense up[k], and maps
     onto images[k] along itineraries[k].  _vec.forced_inverse pulls the
-    edges strictly inside each image back onto its branch, one chunk_ranges
-    group of branches at a time, in this process.  Each piece (_pieces)
-    carries its width from the cell of its midpoint into the cell of its
-    image.  Rows without resolved mass are dead and spread uniformly over
-    every cell.  Returns (Csr, coverage, dead mask, counts): counts
-    are the targets, the point-steps back, the targets clamped and the
-    point-steps through a formula group with no closed-form inverse.
+    edges strictly inside each image back onto its branch in one pass, in
+    this process, whose steps branches ending in the same itinerary suffix
+    share.  Each piece (_pieces), cut one chunk_ranges group of branches at
+    a time, carries its width from the cell of its midpoint into the cell
+    of its image.  Rows without resolved mass are dead and spread uniformly
+    over every cell.  Returns (Csr, coverage, dead mask, counts): counts
+    are the targets, their point-steps back, the targets clamped, the
+    point-steps through a formula group with no closed-form inverse, and
+    the point-steps of the shared pass, all and bisected.
     """
     lo, m_cells = edges[0], edges.size - 1
     cw = (edges[-1] - lo) / m_cells
     first = np.searchsorted(edges, images[:, 0], side="right")
     counts = np.maximum(np.searchsorted(edges, images[:, 1]) - first, 0)
-    n_pieces = _piece_bound(edges, a, b, counts)
     itin = _vec.itinerary_matrix(itineraries)
     bisected = np.array([inv is None for inv in m.group_inverses] + [False])[
         m.formula_groups[0][itin]].sum(1)
-    stats = [int(counts.sum()), int(counts @ (itin >= 0).sum(1)), 0,
-             int(counts @ bisected)]
+    clamped = np.zeros(int(counts.sum()), dtype=bool)
+    shared = [0, 0]
+    pre = _vec.forced_inverse(m, itin, a, b, edges, first, counts, clamped,
+                              shared)
+    stats = [clamped.size, int(counts @ (itin >= 0).sum(1)),
+             int(np.count_nonzero(clamped)), int(counts @ bisected), *shared]
+    itin = clamped = None
+    pre = np.split(pre, np.cumsum(counts)[:-1])
     # key = row * m_cells + column; int32 where it holds every key halves
     # the largest arrays of the assembly
+    n_pieces = _piece_bound(edges, a, b, counts)
     key = np.empty(n_pieces, dtype=np.int32 if m_cells**2 <= 2**31
                    else np.int64)
     mass = np.empty(n_pieces)
     n = 0
     for s, e in _vec.chunk_ranges(1 + counts):
-        owner = np.repeat(np.arange(e - s), counts[s:e])
-        local = np.cumsum(counts[s:e])
-        # target j of branch k is edges[first[k] + j]
-        start = first[s:e] - local + counts[s:e]
-        clamped = np.zeros(owner.size, dtype=bool)
-        pre = _vec.forced_inverse(
-            m, itin[s:e], a[s:e], b[s:e], owner,
-            edges[start[owner] + np.arange(owner.size)], clamped)
-        stats[2] += int(np.count_nonzero(clamped))
         _owner, mids, widths, col = _pieces(
-            edges, a[s:e], b[s:e], np.split(pre, local[:-1]), up[s:e],
-            first[s:e])
+            edges, a[s:e], b[s:e], pre[s:e], up[s:e], first[s:e])
         k = n + mids.size
         key[n:k] = np.clip(((mids - lo) / cw).astype(np.int64), 0,
                            m_cells - 1) * m_cells + col
@@ -208,7 +206,7 @@ def _edge_matrix(m, edges, a, b, images, itineraries, up):
         n = k
     # the sort below sets the assembly's peak memory: drop the pull-back's
     # arrays first
-    itin = owner = pre = clamped = _owner = mids = widths = col = None
+    pre = _owner = mids = widths = col = None
     key, mass = key[:n], mass[:n]
     coverage = np.bincount(key // m_cells, mass, m_cells) / cw
     dead = coverage <= 1e-12
@@ -256,7 +254,9 @@ def ulam_matrix(m, partition, m_cells: int = 4096) -> UlamTable:
     flagged = (~dead) & (np.abs(coverage - 1.0) > 1e-12)
     _LOG.info("ulam_matrix: %d branches, %d targets inverted, %d nonzeros, "
               "%d dead rows, %d flagged rows; %d point-steps back, %d "
-              "targets clamped, %d point-steps bisected", len(branches),
+              "targets clamped, %d point-steps bisected; once per shared "
+              "itinerary suffix %d point-steps back, %d bisected",
+              len(branches),
               counts[0], mat.nnz, n_dead, int(flagged.sum()), *counts[1:])
     return UlamTable(matrix=mat, m=m_cells, edges=edges, cell_width=cw,
                      coverage=coverage, flagged_rows=flagged, dead_rows=dead)

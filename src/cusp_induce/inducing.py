@@ -540,24 +540,27 @@ def _classify_cells(m, cuts, delta: float, q0: int, piece_tables):
         m, it[moved], u[moved], v[moved], lambda *step: None)
     raise_first(failed)
 
-    # piece and gap edges strictly inside each image
-    t_owner, t_val = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for s, table in enumerate(tables):
-        edges = np.unique([t for row in table for t in row[:2]])
+    # piece and gap edges strictly inside each image: cell k's targets are
+    # root[first[k]:first[k] + count[k]], root holding every table's edges
+    tab_edges = [np.unique([t for row in table for t in row[:2]])
+                 for table in tables]
+    offset = np.cumsum([0] + [e.size for e in tab_edges])
+    first = np.zeros(cells.size, dtype=np.intp)
+    count = np.zeros(cells.size, dtype=np.intp)
+    for s, edges in enumerate(tab_edges):
         sel = np.flatnonzero(entered == s)
         a, b = j_lo[sel], j_hi[sel]
         above = a + _EDGE_EPS * np.maximum(1.0, np.abs(a))
         below = b - _EDGE_EPS * np.maximum(1.0, np.abs(b))
-        first = np.searchsorted(edges, above, side="right")
-        count = np.searchsorted(edges, below, side="left") - first
-        count[(count < 0) | np.isnan(above) | np.isnan(below)] = 0
-        starts = np.repeat(first - np.cumsum(count) + count, count)
-        t_owner.append(np.repeat(sel, count))
-        t_val.append(edges[starts + np.arange(starts.size)])
-    t_owner, xs = np.concatenate(t_owner), np.concatenate(t_val)
+        f = np.searchsorted(edges, above, side="right")
+        n = np.searchsorted(edges, below, side="left") - f
+        n[(n < 0) | np.isnan(above) | np.isnan(below)] = 0
+        first[sel], count[sel] = offset[s] + f, n
 
     # pull the targets back through the itinerary onto their cells
-    xs = _vec.forced_inverse(m, it, u, v, t_owner, xs)
+    xs = _vec.forced_inverse(m, it, u, v, np.concatenate([[], *tab_edges]),
+                             first, count)
+    t_owner = np.repeat(np.arange(cells.size), count)
 
     # sub-cells between the sorted distinct cuts of each cell
     k_cells = np.arange(cells.size)

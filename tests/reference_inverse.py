@@ -6,11 +6,30 @@ exact preimage of t along the itinerary.  It is evaluated in long double
 rounding of the double-precision forward pass does not decide it: a
 bracket on the double residual rates a preimage by the flat runs of the
 rounded map instead.
+
+per_row_inverse is the bit-for-bit reference of _vec.forced_inverse: the
+same one-step inverse chained one row at a time, with no steps shared.
 """
 
 import numpy as np
 
-from cusp_induce import expr
+from cusp_induce import _vec, expr
+
+
+def per_row_inverse(m, itin, a, b, edges, first, count):
+    """edges[first[k]:first[k] + count[k]] pulled back along itin row k
+    through _vec.branch_inverse, last step first, one row at a time, and
+    clipped to [a[k], b[k]].  Returns (preimages, clamped), row after row;
+    clamped marks a target clamped at some step or its preimage clipped."""
+    pre, clamped = [], []
+    for k, (j, n) in enumerate(zip(first, count)):
+        x = np.array(edges[j:j + n], dtype=float)
+        hit = np.zeros(x.size, dtype=bool)
+        for i in itin[k][itin[k] >= 0][::-1].tolist():
+            x = _vec.branch_inverse(m, np.full(x.size, i), x, hit)
+        pre.append(np.clip(x, a[k], b[k]))
+        clamped.append(hit | (pre[-1] != x))
+    return np.concatenate(pre), np.concatenate(clamped)
 
 
 def long_double_images(m, itin, owner, x, derivative=False):

@@ -54,12 +54,23 @@ def test_stationary_density_is_fixed_point(lorenz, lorenz_partition):
 
 
 def _expected_ulam_counts(partition, edges):
-    """(targets, point-steps back) of the Ulam assembly: the edges strictly
-    inside each branch image, pulled back through its itinerary."""
-    counts = [np.count_nonzero((edges > br.image[0]) & (edges < br.image[1]))
-              for br in partition.branches]
-    return sum(counts), sum(n * len(br.itinerary)
-                            for n, br in zip(counts, partition.branches))
+    """(targets, point-steps back, point-steps once per shared suffix) of
+    the Ulam assembly: the edges strictly inside each branch image, pulled
+    back through its itinerary, and the edges of the hull of the images of
+    the branches ending in each itinerary suffix."""
+    counts, hulls = [], {}
+    for br in partition.branches:
+        inside = np.flatnonzero((edges > br.image[0])
+                                & (edges < br.image[1]))
+        counts.append(inside.size)
+        for d in range(1, len(br.itinerary) + 1 if inside.size else 0):
+            lo, hi = hulls.get(br.itinerary[-d:], (inside[0], inside[-1]))
+            hulls[br.itinerary[-d:]] = (min(lo, inside[0]),
+                                        max(hi, inside[-1]))
+    steps = sum(n * len(br.itinerary)
+                for n, br in zip(counts, partition.branches))
+    return sum(counts), steps, sum(int(hi - lo) + 1
+                                   for lo, hi in hulls.values())
 
 
 def test_ulam_and_stationary_vector_log_their_counts(caplog, lorenz,
@@ -69,16 +80,18 @@ def test_ulam_and_stationary_vector_log_their_counts(caplog, lorenz,
         de.stationary_density(table)
     ulam, stationary = [r.getMessage() for r in caplog.records]
     d = table.to_dict()
-    n_targets, steps = _expected_ulam_counts(lorenz_partition, table.edges)
-    clamped = caplog.records[0].args[-2]
+    n_targets, steps, shared = _expected_ulam_counts(lorenz_partition,
+                                                     table.edges)
+    clamped = caplog.records[0].args[-4]
     # lorenz's formulas invert in closed form: no step bisects
     assert ulam == (
         f"ulam_matrix: {len(lorenz_partition.branches)} branches, "
         f"{n_targets} targets inverted, {d['nnz']} nonzeros, "
         f"{d['dead_rows']} dead rows, {d['flagged_rows']} flagged rows; "
         f"{steps} point-steps back, {clamped} targets clamped, 0 "
-        f"point-steps bisected")
-    assert n_targets < steps and 0 <= clamped <= n_targets
+        f"point-steps bisected; once per shared itinerary suffix {shared} "
+        f"point-steps back, 0 bisected")
+    assert n_targets < shared < steps and 0 <= clamped <= n_targets
     assert "iterations, final L1 step" in stationary
     assert stationary.endswith("period-2 averaging not needed")
     # the benchmark reads "escapes" lines with two arguments as orbit counts
@@ -106,11 +119,14 @@ def test_ulam_matrix_through_the_closed_form_and_the_bisection_agree(
         with caplog.at_level(logging.INFO, logger=de.__name__):
             table = de.ulam_matrix(m, parts[-1], m_cells=256)
         tables.append(table.matrix)
-        steps = _expected_ulam_counts(parts[-1], table.edges)[1]
-        # point-steps back, and those that bisected
+        _n, steps, shared = _expected_ulam_counts(parts[-1], table.edges)
+        # point-steps back, and those that bisected, per branch and once
+        # per shared itinerary suffix
         args = caplog.records[-1].args
-        assert args[-3] == steps
-        assert args[-1] == (0 if spelling.endswith("^2") else steps)
+        assert args[-5] == steps and args[-2] == shared < steps
+        inverts = spelling.endswith("^2")
+        assert args[-3] == (0 if inverts else steps)
+        assert args[-1] == (0 if inverts else shared)
     closed, bisected = parts
     assert len(closed.branches) == len(bisected.branches) > 1000
     assert [(br.kind, br.l0, br.p0, br.tau, br.itinerary)
@@ -304,7 +320,7 @@ def test_ulam_columns_follow_the_order_of_the_preimages(request, which):
     up = [br.orientation > 0 for br in branches]
     owner = np.repeat(np.arange(len(branches)), counts)
     t = np.concatenate([edges[j:j + n] for j, n in zip(first, counts)])
-    x = _vec.forced_inverse(m, itin, a, b, owner, t)
+    x = _vec.forced_inverse(m, itin, a, b, edges, first, counts)
     pre = np.split(x, np.cumsum(counts)[:-1])
     owner_p, mids, widths, cols = de._pieces(edges, a, b, pre, up, first)
     assert mids.size <= de._piece_bound(edges, a, b, counts)

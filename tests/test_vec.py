@@ -6,7 +6,8 @@ no closed-form inverse, branch_inverse bisects and must match the bisection
 bit for bit; elsewhere its preimages must lie no farther from the true
 preimages than the bisection's do, by reference_inverse's long-double
 yardstick.  The grid-seeded bisection of the forced composition is kept as
-the reference for forced_inverse's preimages, by the same yardstick.
+the reference for forced_inverse's preimages, by the same yardstick, and
+reference_inverse's per-row chain of branch_inverse for their bits.
 """
 
 import errno
@@ -18,9 +19,11 @@ import numpy as np
 import pytest
 
 from cusp_induce import _fastmap, _vec
+from cusp_induce import inducing as ind
 from cusp_induce import map_model as mm
 
-from reference_inverse import distance_to_preimage, one_step_distance
+from reference_inverse import (distance_to_preimage, one_step_distance,
+                               per_row_inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +297,12 @@ def test_forced_forward_keeps_the_itinerary_on_a_branch_boundary(lorenz):
 
 
 def _ulam_targets(branches, m_cells=4096):
+    """(edges, first, count): the Ulam targets of branch k, the edges
+    strictly inside its image, are edges[first[k]:first[k] + count[k]]."""
     edges = np.linspace(-1.0, 1.0, m_cells + 1)
-    return [edges[(edges > br.image[0]) & (edges < br.image[1])]
-            for br in branches]
+    images = np.array([br.image for br in branches])
+    first = np.searchsorted(edges, images[:, 0], side="right")
+    return edges, first, np.searchsorted(edges, images[:, 1]) - first
 
 
 def _inverse_args(branches):
@@ -308,12 +314,12 @@ def _inverse_args(branches):
 
 def _forced_preimages(m, branches):
     """(itin, a, b, up, owner, targets, preimages) of the Ulam targets."""
-    targets = _ulam_targets(branches)
+    edges, first, count = _ulam_targets(branches)
     itin, a, b, up = _inverse_args(branches)
-    owner = np.repeat(np.arange(len(branches)), [t.size for t in targets])
-    t = np.concatenate(targets)
+    owner = np.repeat(np.arange(len(branches)), count)
+    targets = [edges[j:j + n] for j, n in zip(first, count)]
     return (itin, a, b, up, owner, targets,
-            _vec.forced_inverse(m, itin, a, b, owner, t))
+            _vec.forced_inverse(m, itin, a, b, edges, first, count))
 
 
 def test_forced_inverse_brackets_targets_within_1e_12(map_and_branches):
@@ -345,11 +351,11 @@ def _check_against_reference(m, branches):
     assert dist.max() <= distance_to_preimage(m, itin, owner, want, t).max()
 
 
-def test_root_finder_matches_the_halving_reference(map_and_branches):
+def test_forced_inverse_matches_the_halving_reference(map_and_branches):
     _check_against_reference(*map_and_branches)
 
 
-def test_root_finder_on_decreasing_branches(cheb, cheb_partition):
+def test_forced_inverse_on_decreasing_branches(cheb, cheb_partition):
     # the lorenz compositions all increase; chebyshev has both orientations
     by_tau = {}
     for br in cheb_partition.branches:
@@ -364,15 +370,67 @@ def test_forced_inverse_does_not_depend_on_the_chunk_size(monkeypatch,
     # chunks of 64 targets, each with its own prefix steps: every preimage
     # and clamp keeps its bits
     m, branches = map_and_branches
-    itin, a, b, _up, owner, targets, want = _forced_preimages(m, branches)
-    t = np.concatenate(targets)
-    clamped = [np.zeros(t.size, dtype=bool) for _ in range(2)]
-    assert _vec.forced_inverse(m, itin, a, b, owner, t, clamped[0]).tobytes() \
-        == want.tobytes()
+    itin, a, b, _up, _owner, _targets, want = _forced_preimages(m, branches)
+    args = (m, itin, a, b, *_ulam_targets(branches))
+    clamped = [np.zeros(want.size, dtype=bool) for _ in range(2)]
+    assert _vec.forced_inverse(*args, clamped[0]).tobytes() == want.tobytes()
     monkeypatch.setattr(_vec, "CHUNK_POINTS", 64)
-    got = _vec.forced_inverse(m, itin, a, b, owner, t, clamped[1])
+    got = _vec.forced_inverse(*args, clamped[1])
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(*clamped)
+
+
+@pytest.mark.parametrize("which", ["cheb", "lorenz", "singular"])
+def test_forced_inverse_matches_the_per_row_chain(request, monkeypatch,
+                                                  which):
+    # every preimage and clamp flag keeps the bits of branch_inverse
+    # chained one row at a time (reference_inverse), and the shared pass
+    # counts one point-step per itinerary suffix and edge of its hull, on
+    # the cheb and lorenz fixtures and on singular_unimodal, whose formulas
+    # invert by bisection alone.  Chunks of 64 points end inside a depth.
+    # Two rows are added: a copy of the widest row with tau > 1 whose edge
+    # range reaches 8 edges past its image on each side, so that clamped
+    # points pass through the nodes it shares with that row, and a row with
+    # an empty itinerary, which keeps its edges
+    m = request.getfixturevalue(which)
+    if which == "singular":
+        branches = ind.build_partition(m, delta=0.1, q0=5).branches
+    else:
+        branches = request.getfixturevalue(which + "_partition").branches
+    edges, first, count = _ulam_targets(branches, 512)
+    itin, a, b, _up = _inverse_args(branches)
+    tau = (itin >= 0).sum(1)
+    k = int(np.argmax(np.where(tau > 1, count, -1)))
+    j = max(first[k] - 8, 0)
+    itin = np.vstack((itin, itin[k], np.full(itin.shape[1], -1)))
+    a, b = np.append(a, [a[k], -0.1]), np.append(b, [b[k], 0.1])
+    first = np.append(first, [j, 200])
+    count = np.append(count, [min(first[k] + count[k] + 8, edges.size) - j,
+                              100])
+    want, want_clamped = per_row_inverse(m, itin, a, b, edges, first, count)
+    monkeypatch.setattr(_vec, "CHUNK_POINTS", 64)
+    clamped, steps = np.zeros(want.size, dtype=bool), [0, 0]
+    got = _vec.forced_inverse(m, itin, a, b, edges, first, count, clamped,
+                              steps)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(clamped, want_clamped)
+    past = slice(-count[-1] - count[-2], -count[-1])
+    assert 0 < clamped[past].sum() < count[-2]
+    assert np.array_equal(got[-100:], np.clip(edges[200:300], -0.1, 0.1))
+    # the hull of the rows sharing each suffix, in edge numbers
+    hulls, bisects = {}, [inv is None for inv in m.group_inverses]
+    for row, j, n in zip(itin.tolist(), first.tolist(), count.tolist()):
+        row = [i for i in row if i >= 0]
+        for d in range(1, len(row) + 1 if n else 0):
+            lo, hi = hulls.get(tuple(row[-d:]), (j, j + n))
+            hulls[tuple(row[-d:])] = (min(lo, j), max(hi, j + n))
+    assert steps == [
+        sum(hi - lo for lo, hi in hulls.values()),
+        sum(hi - lo for s, (lo, hi) in hulls.items()
+            if bisects[m.formula_groups[0][s[0]]])]
+    assert steps[0] < count @ (itin >= 0).sum(1)
+    if which == "singular":
+        assert steps[1] == steps[0]
 
 
 def test_worker_count_follows_the_affinity_mask(monkeypatch):
