@@ -113,23 +113,23 @@ class UlamTable:
         }
 
 
-def _pieces(edges, a, b, preimages, increasing, first):
+def _pieces(edges, a, b, preimages, n_pre, increasing, first):
     """The pieces of branches cut at edge preimages and at the edges.
 
     Branch k runs over [a[k], b[k]], monotone in the sense increasing[k],
-    and preimages[k] holds the points it maps onto the consecutive cell
-    edges from edges[first[k]] upwards.  A piece between consecutive cuts
-    maps into the cell read from the number s of preimages at or left of
-    its left cut: first - 1 + s for an increasing branch and
-    first - 1 + n - s for a decreasing one, n the branch's preimage count.
+    and owns the next n_pre[k] of the flat preimages: the points it maps
+    onto the consecutive cell edges from edges[first[k]] upwards.  A piece
+    between consecutive cuts maps into the cell read from the number s of
+    preimages at or left of its left cut: first - 1 + s for an increasing
+    branch and first - 1 + n - s for a decreasing one, n = n_pre[k].
     Returns (owner, midpoint, width, column) per piece.
     """
     B = len(a)
-    n_pre = np.array([p.size for p in preimages], dtype=np.int64)
+    n_pre = np.asarray(n_pre, dtype=np.int64)
     e_lo = np.searchsorted(edges, a, side="right")
     n_edge = np.maximum(np.searchsorted(edges, b, side="left") - e_lo, 0)
     starts = np.repeat(e_lo - np.cumsum(n_edge) + n_edge, n_edge)
-    x = np.concatenate([a, b, *preimages,
+    x = np.concatenate([a, b, preimages,
                         edges[starts + np.arange(starts.size)]])
     rows = np.arange(B)
     owner = np.concatenate([rows, rows, np.repeat(rows, n_pre),
@@ -188,7 +188,7 @@ def _edge_matrix(m, edges, a, b, images, itineraries, up):
     stats = [clamped.size, int(counts @ (itin >= 0).sum(1)),
              int(np.count_nonzero(clamped)), int(counts @ bisected), *shared]
     itin = clamped = None
-    pre = np.split(pre, np.cumsum(counts)[:-1])
+    start = np.concatenate(([0], np.cumsum(counts)))
     # key = row * m_cells + column; int32 where it holds every key halves
     # the largest arrays of the assembly
     n_pieces = _piece_bound(edges, a, b, counts)
@@ -198,7 +198,8 @@ def _edge_matrix(m, edges, a, b, images, itineraries, up):
     n = 0
     for s, e in _vec.chunk_ranges(1 + counts):
         _owner, mids, widths, col = _pieces(
-            edges, a[s:e], b[s:e], pre[s:e], up[s:e], first[s:e])
+            edges, a[s:e], b[s:e], pre[start[s]:start[e]], counts[s:e],
+            up[s:e], first[s:e])
         k = n + mids.size
         key[n:k] = np.clip(((mids - lo) / cw).astype(np.int64), 0,
                            m_cells - 1) * m_cells + col
@@ -319,7 +320,7 @@ def pull_back(m, partition, h_induced: np.ndarray, m_cells: int = 4096
     cw = (hi - lo) / m_cells
     owner, mids, widths, _col = _pieces(
         np.linspace(lo, hi, n_in + 1), [br.a for br in branches],
-        [br.b for br in branches], [np.empty(0)] * B, [True] * B, [0] * B)
+        [br.b for br in branches], np.empty(0), [0] * B, [True] * B, [0] * B)
     src = np.minimum(((mids - lo) / (hi - lo) * n_in).astype(int), n_in - 1)
     owner, step = np.repeat(owner, k), np.repeat(widths / k, k)
     left = ((mids - 0.5 * widths)[:, None]

@@ -450,7 +450,10 @@ def _branch_bounds(m, a, b, itin):
 
 def _free_breakpoints(m, delta: float, q0: int) -> np.ndarray:
     """Stage 1: branch and neighborhood endpoints with their pullbacks
-    through fewer than q0 steps, sorted, deduplicated, spanning [lo, hi]."""
+    through fewer than q0 steps, sorted, deduplicated, spanning [lo, hi].
+    A preimage strictly inside a neighborhood (in_delta, stage 2's entry
+    test) goes with all its descendants: a cut on an orbit that has already
+    entered changes neither its entry nor its binding period."""
     seeds = {m.lo, m.hi}
     seeds.update(float(t) for t in m.interior_boundaries)
     for cp in m.critical_points:
@@ -459,6 +462,7 @@ def _free_breakpoints(m, delta: float, q0: int) -> np.ndarray:
     collected = [level]
     for _ in range(1, q0):
         level = _vec.preimages(m, level)[1]
+        level = level[~_vec.in_delta(m, level, delta)]
         collected.append(level)
     cuts = np.concatenate(collected)
     cuts = cuts[(cuts >= m.lo) & (cuts <= m.hi)]
@@ -500,7 +504,8 @@ def _classify_cells(m, cuts, delta: float, q0: int, piece_tables):
     cell into sub-cells, each classified by where its midpoint lands.  All
     cells, targets and sub-cells move together, one pass per stage.  Cells
     whose midpoint orbit lands exactly on an interior boundary (or turns
-    non-finite) before entry are left unresolved.
+    non-finite) before entry are left unresolved.  On _free_breakpoints'
+    cuts every raw row is a maximal branch.
 
     Returns (raw, unresolved, counts): raw rows (a, b, kind, l0, p0, key)
     in no particular order, unresolved rows (a, b, reason) and stage counts.
@@ -600,43 +605,25 @@ def _classify_cells(m, cuts, delta: float, q0: int, piece_tables):
     return raw, unresolved, counts
 
 
-def _merge_cells(raw, it_mat) -> list:
-    """Stage 3: merge runs of adjacent raw cells whose records agree past
-    (a, b) and whose itinerary rows of it_mat (padded with -1 past their
-    end) are equal.  Rows compare as arrays; itinerary tuples are built for
-    the merged runs only.  Returns (record, itinerary) per run."""
-    same_itin = np.ones(len(raw), dtype=bool)
-    same_itin[1:] = (it_mat[1:] == it_mat[:-1]).all(axis=1)
-    runs = []       # (first raw index of the run, merged record)
-    for k, rec in enumerate(raw):
-        if runs and same_itin[k]:
-            prev = runs[-1][1]
-            if prev[1] == rec[0] and prev[2:] == rec[2:]:
-                runs[-1] = (runs[-1][0], (prev[0], rec[1]) + prev[2:])
-                continue
-        runs.append((k, rec))
-    return [(rec, tuple(t for t in it_mat[k].tolist() if t >= 0))
-            for k, rec in runs]
-
-
 def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
                     resolution: float = 1e-10, records=None
                     ) -> InducedPartition:
     """Partition the domain into maximal induced-map branches.
 
     Free-region breakpoints are the pullbacks (through fewer than q0 steps)
-    of the branch endpoints and neighborhood endpoints; inside each
-    neighborhood, constant-binding pieces come from a grid scan with jump
-    bisection.  First-entry classification of the cells between the
-    breakpoints runs as batched passes over all cells at once (see
-    _classify_cells).  Adjacent cells with the same itinerary and binding
-    merge into one branch.  The images and |Df-hat| bounds of all branches
-    come from batched passes along their itineraries, each refinement
-    sub-interval its own row (_branch_bounds).  Both stages follow
-    interval ends by array_end_orbits.  Cells whose
-    classification cannot be pinned down at the requested resolution land
-    in the unresolved set with a reason.  The stage counts (the end steps
-    that took the scalar endpoint_jet in stages 2 and 4, and the branches
+    of the branch endpoints and neighborhood endpoints, outside the
+    neighborhoods (_free_breakpoints); inside each neighborhood,
+    constant-binding pieces come from a grid scan with jump bisection.
+    First-entry classification of the cells between the breakpoints runs
+    as batched passes over all cells at once (see _classify_cells); each
+    cell it returns is a branch, and two that touch differ in class, entry,
+    side, binding period or itinerary.  The images and |Df-hat| bounds of
+    all branches come from batched passes along their itineraries, each
+    refinement sub-interval its own row (_branch_bounds).  Both stages
+    follow interval ends by array_end_orbits.  Cells whose classification
+    cannot be pinned down at the requested resolution land in the
+    unresolved set with a reason.  The stage counts (the end steps that
+    took the scalar endpoint_jet in stages 2 and 4, and the branches
     finishing at each refinement level) and the unresolved measure per
     reason are logged at INFO.
     """
@@ -659,26 +646,23 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
                                               piece_tables)
     raw.sort(key=lambda r: r[0])
 
-    # stage 3: itineraries, then merge of adjacent identical cells
+    # stage 3: the itinerary of every cell, tau steps of its midpoint
     r_tau = np.array([q0 if r[2] == "free" else r[3] + r[4] for r in raw],
                      dtype=np.int64)
     it_mat = _positional_walk(m, [0.5 * (r[0] + r[1]) for r in raw],
                               r_tau)[1]
-    merged = _merge_cells(raw, it_mat)
 
     # stage 4: images and derivative bounds of all branches at once
     image, orient, inf_df, sup_df, geo = _branch_bounds(
-        m, np.array([rec[0] for rec, _it in merged]),
-        np.array([rec[1] for rec, _it in merged]),
-        _vec.itinerary_matrix([it for _rec, it in merged]))
+        m, np.array([r[0] for r in raw]), np.array([r[1] for r in raw]),
+        it_mat)
     branches = [InducedBranch(
-        a=a, b=b, kind=kind, l0=l0, p0=p0,
-        tau=q0 if kind == "free" else l0 + p0, critical_point=key,
-        itinerary=itin, image=tuple(img), inf_df=lo, sup_df=hi,
-        orientation=o)
-        for ((a, b, kind, l0, p0, key), itin), img, o, lo, hi in zip(
-            merged, image.tolist(), orient.tolist(), inf_df.tolist(),
-            sup_df.tolist())]
+        a=a, b=b, kind=kind, l0=l0, p0=p0, tau=tau, critical_point=key,
+        itinerary=tuple(itin[:tau].tolist()), image=tuple(img), inf_df=lo,
+        sup_df=hi, orientation=o)
+        for (a, b, kind, l0, p0, key), tau, itin, img, o, lo, hi in zip(
+            raw, r_tau.tolist(), it_mat, image.tolist(),
+            orient.tolist(), inf_df.tolist(), sup_df.tolist())]
 
     unresolved.sort()
     merged_unres = []

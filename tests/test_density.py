@@ -287,8 +287,9 @@ def test_one_step_columns_follow_the_order_of_the_preimages(monkeypatch,
 
     monkeypatch.setattr(de, "_pieces", spy)
     de.invariance_residual(m, np.ones(4096))
-    [((_edges, a, b, pre, _up, _first), (owner, mids, widths, cols))] = seen
-    assert mids.size <= de._piece_bound(edges, a, b, [p.size for p in pre])
+    [((_edges, a, b, _pre, n_pre, _up, _first),
+      (owner, mids, widths, cols))] = seen
+    assert mids.size <= de._piece_bound(edges, a, b, n_pre)
     itin = _vec.itinerary_matrix([(i,) for i in range(len(m.branches))])
     fwd = _forward_columns(m, itin, edges, owner, mids)
     _y, d1 = _vec.step_values(m, mids, 1)
@@ -321,8 +322,8 @@ def test_ulam_columns_follow_the_order_of_the_preimages(request, which):
     owner = np.repeat(np.arange(len(branches)), counts)
     t = np.concatenate([edges[j:j + n] for j, n in zip(first, counts)])
     x = _vec.forced_inverse(m, itin, a, b, edges, first, counts)
-    pre = np.split(x, np.cumsum(counts)[:-1])
-    owner_p, mids, widths, cols = de._pieces(edges, a, b, pre, up, first)
+    owner_p, mids, widths, cols = de._pieces(edges, a, b, x, counts, up,
+                                             first)
     assert mids.size <= de._piece_bound(edges, a, b, counts)
     y = long_double_images(m, itin, owner_p, mids)
     fwd = np.clip(((y - edges[0]) / (edges[1] - edges[0])).astype(np.int64),

@@ -719,22 +719,60 @@ def test_write_partition_csv(tmp_path, lorenz_partition):
     assert float(rows[0]["a"]) == lorenz_partition.branches[0].a
 
 
-def test_merge_cells_joins_adjacent_cells_with_one_class_and_itinerary():
-    key = (0.0, "+")
-    raw = [(0.0, 0.1, "free", None, None, None),
-           (0.1, 0.2, "free", None, None, None),      # joins the first
-           (0.2, 0.3, "free", None, None, None),      # other itinerary
-           (0.35, 0.4, "free", None, None, None),     # not adjacent
-           (0.4, 0.5, "bound", 1, 2, key),            # other class
-           (0.5, 0.6, "bound", 1, 2, key)]            # joins the fifth
-    it_mat = np.array([[0, 1, 1], [0, 1, 1], [0, 1, 0], [0, 1, 0],
-                       [1, 1, 0], [1, 1, 0]])
-    it_mat[4:, 2] = -1
-    merged = ind._merge_cells(raw, it_mat)
-    assert merged == [
-        ((0.0, 0.2, "free", None, None, None), (0, 1, 1)),
-        ((0.2, 0.3, "free", None, None, None), (0, 1, 0)),
-        ((0.35, 0.4, "free", None, None, None), (0, 1, 0)),
-        ((0.4, 0.6, "bound", 1, 2, key), (1, 1))]
-    assert all(type(t) is int for _, it in merged for t in it)
-    assert ind._merge_cells([], np.empty((0, 0), dtype=np.int64)) == []
+# ---------------------------------------------------------------------------
+# stage 1 cuts only orbits that have not entered, so cells are branches
+
+
+def test_stage1_cuts_nothing_strictly_inside_a_neighborhood():
+    # A cut inside a neighborhood splits an orbit after its first entry,
+    # which changes neither the entry nor the binding period; the edges
+    # c +- delta and the critical points themselves stay cut.
+    m = mm.lorenz_map(1.9, 0.4, 0.1)
+    cuts = ind._free_breakpoints(m, 0.1, 13)
+    assert not _vec.in_delta(m, cuts, 0.1).any()
+    for cp in m.critical_points:
+        edge = cp.location + (0.1 if cp.side == "+" else -0.1)
+        assert cp.location in cuts and edge in cuts
+
+
+@pytest.mark.parametrize("delta, q0", [(0.02, 8), (0.005, 14)])
+def test_singular_unimodal_boundaries_end_branches(singular, delta, q0):
+    # Stage 1's 1e-12 dedup keeps the leftmost cut of a cluster, so no
+    # preimage inside (-delta, 0) may displace the singular point 0 itself
+    # (one lay 9.5e-17 left of it at (0.02, 8)).  Each interior boundary is
+    # a branch end or lies in the unresolved set (both sides of -x* and x*
+    # are gaps).
+    part = ind.build_partition(singular, delta=delta, q0=q0)
+    ends = {x for br in part.branches for x in (br.a, br.b)}
+    for t in singular.interior_boundaries.tolist():
+        assert not any(br.a < t < br.b for br in part.branches)
+        assert t in ends or any(a <= t <= b for a, b, _r in part.unresolved)
+    assert sum(0.0 in (br.a, br.b) for br in part.branches) == 2
+
+
+MAXIMAL_CONFIGS = {
+    "lorenz(1.9, 0.4)": lambda: (mm.lorenz_map(1.9, 0.4, 0.1), 0.1, 13),
+    "lorenz(1.8, 0.5)": lambda: (mm.lorenz_map(1.8, 0.5, 0.1), 0.1, 6),
+    "singular_unimodal": lambda: (mm.singular_unimodal_map(), 0.02, 8),
+}
+
+
+@pytest.mark.parametrize("name", ["chebyshev"] + sorted(MAXIMAL_CONFIGS))
+def test_adjacent_branches_differ_in_class_or_itinerary(name, cheb_partition):
+    # Branches are maximal: two that touch differ in their class, entry,
+    # binding period, side entered or itinerary.
+    if name == "chebyshev":
+        part = cheb_partition
+        assert (part.delta, part.q0) == (0.01, 7)
+    else:
+        m, delta, q0 = MAXIMAL_CONFIGS[name]()
+        part = ind.build_partition(m, delta=delta, q0=q0)
+
+    def record(br):
+        return br.kind, br.l0, br.p0, br.critical_point, br.itinerary
+
+    touching = [(left, right) for left, right
+                in zip(part.branches, part.branches[1:]) if left.b == right.a]
+    assert touching
+    for left, right in touching:
+        assert record(left) != record(right), (left.a, left.b, right.b)
