@@ -19,10 +19,12 @@ mask out.
 
 One inverse serves every caller: branch_inverse, one step back through
 each formula group's closed form (MapSpec.group_inverses), or through a
-bisection for a group that has none.  forced_inverse, the preimages of
-the Ulam assembly and of stage 2's cell cuts, chains it backward along
-the itineraries, last step first, in one pass over the trie of reversed
-itineraries: rows that end in the same suffix pull each edge back once.
+bisection for a group that has none.  preimages applies it on every
+branch, level by level for the cuts of build_partition's stage 1.
+forced_inverse, the preimages of the transfer matrices (the Ulam assembly
+and the invariance residual), chains it backward along the itineraries,
+last step first, in one pass over the trie of reversed itineraries: rows
+that end in the same suffix pull each edge back once.
 _fork_join splits the Birkhoff ensemble's seed streams (_fastmap) across
 forked processes.
 """
@@ -270,10 +272,11 @@ def forced_forward(m, itin, owner, x, order: int = 0):
 def forced_inverse(m, itin, a, b, edges, first, count, clamped=None,
                    steps=None):
     """Preimages of the targets edges[first[k]:first[k] + count[k]] under
-    the forced composition of itin row k on [a[k], b[k]], the inverse of
-    forced_forward, row after row: each target is pulled back through
-    branch_inverse, last step first, and clamped onto each step's branch
-    image and branch; the preimage is then clipped to [a, b] of its row.
+    the forced composition of itin row k on [a[k], b[k]] (the cell edges of
+    density's transfer matrices), the inverse of forced_forward, row after
+    row: each target is pulled back through branch_inverse, last step
+    first, and clamped onto each step's branch image and branch; the
+    preimage is then clipped to [a, b] of its row.
 
     Rows whose itineraries end alike share the steps of that suffix: one
     backward pass over the trie of reversed itineraries.  Depth j's nodes

@@ -26,7 +26,6 @@ from .distortion import (POSITIONAL, abs_df_extrema, array_end_orbits,
 from .expr import EvalDomainError
 from .map_model import _IMAGE_TOL, _check_delta, critical_distance, evaluate
 
-_EDGE_EPS = 1e-14
 _LOG = logging.getLogger(__name__)
 
 
@@ -307,6 +306,18 @@ def _binding_piece_table(m, cp, delta: float, records, p_max: int,
     return oriented(pieces), oriented(gaps)
 
 
+def _side_tables(m, delta: float, records, p_max: int, resolution: float):
+    """Per critical point in declared order, its side's piece table as one
+    sorted list of (lo, hi, ("piece", p)) and (lo, hi, ("gap", reason))."""
+    tables = []
+    for cp in m.critical_points:
+        pieces, gaps = _binding_piece_table(m, cp, delta, records, p_max,
+                                            resolution)
+        tables.append(sorted([(lo, hi, ("piece", p)) for lo, hi, p in pieces]
+                             + [(lo, hi, ("gap", r)) for lo, hi, r in gaps]))
+    return tables
+
+
 # ---------------------------------------------------------------------------
 # branch records and partition
 
@@ -448,160 +459,93 @@ def _branch_bounds(m, a, b, itin):
     return image.T, orient, inf_df, sup_df, stats
 
 
-def _free_breakpoints(m, delta: float, q0: int) -> np.ndarray:
-    """Stage 1: branch and neighborhood endpoints with their pullbacks
-    through fewer than q0 steps, sorted, deduplicated, spanning [lo, hi].
-    A preimage strictly inside a neighborhood (in_delta, stage 2's entry
-    test) goes with all its descendants: a cut on an orbit that has already
-    entered changes neither its entry nor its binding period."""
-    seeds = {m.lo, m.hi}
-    seeds.update(float(t) for t in m.interior_boundaries)
-    for cp in m.critical_points:
-        seeds.add(cp.location + (delta if cp.side == "+" else -delta))
-    level = np.array(sorted(seeds))
+def _table_edges(tables) -> np.ndarray:
+    """The distinct edges of the rows of the per-side piece tables."""
+    return np.unique([t for table in tables for row in table for t in row[:2]])
+
+
+def _free_breakpoints(m, delta: float, q0: int, tables) -> np.ndarray:
+    """Stage 1: the branch ends and every piece-table edge (_side_tables;
+    the neighborhood ends among them), with their pullbacks through fewer
+    than q0 steps, sorted and distinct, from lo to hi.  A preimage strictly
+    inside a neighborhood (in_delta, stage 2's entry test) goes with all
+    its descendants: a cut on an orbit that has already entered changes
+    neither its entry nor its binding period.  So a kept level-l pullback
+    of a piece edge is a point whose orbit first enters at step l exactly
+    on that edge, and the orbit of every cell between two cuts that enters
+    does so inside one row of its side's table."""
+    level = np.union1d(_table_edges(tables),
+                       [m.lo, m.hi, *m.interior_boundaries.tolist()])
     collected = [level]
     for _ in range(1, q0):
         level = _vec.preimages(m, level)[1]
         level = level[~_vec.in_delta(m, level, delta)]
         collected.append(level)
     cuts = np.concatenate(collected)
-    cuts = cuts[(cuts >= m.lo) & (cuts <= m.hi)]
-    cuts.sort()
-    keep = np.concatenate(([True], np.diff(cuts) > 1e-12))
-    cuts = cuts[keep]
-    cuts[0] = m.lo
-    cuts[-1] = m.hi
-    return cuts
+    return np.unique(cuts[(cuts >= m.lo) & (cuts <= m.hi)])
 
 
 def _piece_lookup(table, y):
     """Row of table = [(lo, hi, payload)] (sorted) holding each y, else -1;
-    tries the searchsorted row kk, then kk + 1 and kk - 1."""
+    tries the last row kk with lo <= y (searchsorted), then kk - 1."""
     hit = np.full(y.shape, -1, dtype=np.int64)
     if not table:
         return hit
     lows = np.array([t[0] for t in table])
     highs = np.array([t[1] for t in table])
     kk = np.searchsorted(lows, y, side="right") - 1
-    for cand in (kk, kk + 1, kk - 1):
+    for cand in (kk, kk - 1):
         row = np.clip(cand, 0, len(table) - 1)
-        ok = ((hit < 0) & (cand >= 0) & (cand < len(table))
-              & (lows[row] <= y) & (y <= highs[row]))
+        ok = (hit < 0) & (cand >= 0) & (lows[row] <= y) & (y <= highs[row])
         hit[ok] = cand[ok]
     return hit
 
 
-def _classify_cells(m, cuts, delta: float, q0: int, piece_tables):
-    """Stage 2: first-entry classification of the cells between the
-    (strictly increasing) cuts.
+def _classify_cells(m, cuts, delta: float, q0: int, tables):
+    """Stage 2: first-entry classification of the cells between the cuts,
+    which must come from _free_breakpoints on the same tables: then a cell
+    that enters a neighborhood does so at one step, inside one row of the
+    table of the side it enters.
 
-    Every cell follows its midpoint's itinerary.  Cells that never enter a
-    neighborhood within q0 - 1 steps are free.  A bound cell entering at
-    step l0 is pushed forward by f^l0 onto the piece table of the side it
-    enters, its image coming from its ends' one-sided orbits, clamped onto
-    each step's branch (array_end_orbits); the piece and gap edges strictly
-    inside the image are pulled back through the same itinerary and cut the
-    cell into sub-cells, each classified by where its midpoint lands.  All
-    cells, targets and sub-cells move together, one pass per stage.  Cells
-    whose midpoint orbit lands exactly on an interior boundary (or turns
-    non-finite) before entry are left unresolved.  On _free_breakpoints'
-    cuts every raw row is a maximal branch.
+    Every cell follows its midpoint's itinerary.  A cell that never enters
+    within q0 - 1 steps is free; one that enters at step l0 takes the row
+    of its side's table (_side_tables) holding its midpoint's entry
+    position: bound with that piece's binding period, or unresolved with
+    the gap's reason.  A cell whose midpoint orbit lands exactly on an
+    interior boundary (or turns non-finite) before entry, or enters in no
+    row, is unresolved ("boundary-unlocated").
 
     Returns (raw, unresolved, counts): raw rows (a, b, kind, l0, p0, key)
-    in no particular order, unresolved rows (a, b, reason) and stage counts.
+    in no particular order, unresolved rows (a, b, reason), and the counts
+    of free, bound and boundary-landed cells.
     """
-    n_cells = cuts.size - 1
-    pos, itin, entry, landed = _positional_walk(
+    pos, _itin, entry, landed = _positional_walk(
         m, 0.5 * (cuts[:-1] + cuts[1:]), q0 - 1, delta)
 
     free = np.flatnonzero(entry < 0)
     raw = [(a, b, "free", None, None, None)
            for a, b in zip(cuts[free].tolist(), cuts[free + 1].tolist())]
-
-    # the neighborhood each bound cell enters (first declared match), and
-    # its piece table: (lo, hi, ("piece", p) or ("gap", reason)) rows
     bound = np.flatnonzero(entry >= 0)
-    keys = [(cp.location, cp.side) for cp in m.critical_points]
-    tables = [sorted(
-        [(lo_t, hi_t, ("piece", pl)) for lo_t, hi_t, pl in pieces]
-        + [(lo_t, hi_t, ("gap", r)) for lo_t, hi_t, r in gaps])
-        for pieces, gaps in (piece_tables[key] for key in keys)]
-    entered = np.full(bound.size, -1, dtype=np.int64)
-    y_mid = pos[bound]
-    for s, (c, sgn) in enumerate(keys):
-        entered[(entered < 0) & _vec.in_side(y_mid, c, sgn, delta)] = s
-    lost = landed[bound] | (entered < 0)
+    lost = bound[landed[bound]]
     unresolved = [(a, b, "boundary-unlocated") for a, b in zip(
-        cuts[bound[lost]].tolist(), cuts[bound[lost] + 1].tolist())]
-    cells, entered = bound[~lost], entered[~lost]
-    l0 = entry[cells]
-    it = itin[cells]
-    u, v = cuts[cells], cuts[cells + 1]
-
-    # images of the cells under f^l0, by their ends' one-sided orbits
-    j_lo, j_hi = u.copy(), v.copy()
-    moved = np.flatnonzero(l0 > 0)
-    j_lo[moved], j_hi[moved], n_fallback, failed = array_end_orbits(
-        m, it[moved], u[moved], v[moved], lambda *step: None)
-    raise_first(failed)
-
-    # piece and gap edges strictly inside each image: cell k's targets are
-    # root[first[k]:first[k] + count[k]], root holding every table's edges
-    tab_edges = [np.unique([t for row in table for t in row[:2]])
-                 for table in tables]
-    offset = np.cumsum([0] + [e.size for e in tab_edges])
-    first = np.zeros(cells.size, dtype=np.intp)
-    count = np.zeros(cells.size, dtype=np.intp)
-    for s, edges in enumerate(tab_edges):
-        sel = np.flatnonzero(entered == s)
-        a, b = j_lo[sel], j_hi[sel]
-        above = a + _EDGE_EPS * np.maximum(1.0, np.abs(a))
-        below = b - _EDGE_EPS * np.maximum(1.0, np.abs(b))
-        f = np.searchsorted(edges, above, side="right")
-        n = np.searchsorted(edges, below, side="left") - f
-        n[(n < 0) | np.isnan(above) | np.isnan(below)] = 0
-        first[sel], count[sel] = offset[s] + f, n
-
-    # pull the targets back through the itinerary onto their cells
-    xs = _vec.forced_inverse(m, it, u, v, np.concatenate([[], *tab_edges]),
-                             first, count)
-    t_owner = np.repeat(np.arange(cells.size), count)
-
-    # sub-cells between the sorted distinct cuts of each cell
-    k_cells = np.arange(cells.size)
-    c_owner = np.concatenate((k_cells, t_owner, k_cells))
-    c_val = np.concatenate((u, xs, v))
-    order = np.lexsort((c_val, c_owner))
-    c_owner, c_val = c_owner[order], c_val[order]
-    keep = np.ones(c_val.size, dtype=bool)
-    keep[1:] = (c_owner[1:] != c_owner[:-1]) | (c_val[1:] != c_val[:-1])
-    c_owner, c_val = c_owner[keep], c_val[keep]
-    su, sv = c_val[:-1], c_val[1:]
-    pair = (c_owner[1:] == c_owner[:-1]) & (sv - su > 0.0)
-    su, sv, s_owner = su[pair], sv[pair], c_owner[:-1][pair]
-    ym = _vec.forced_forward(m, it, s_owner, 0.5 * (su + sv))
-
-    su, sv = su.tolist(), sv.tolist()
-    s_l0 = l0[s_owner].tolist()
-    for s, (key, table) in enumerate(zip(keys, tables)):
-        sel = np.flatnonzero(entered[s_owner] == s)
-        for k, row in zip(sel.tolist(),
-                          _piece_lookup(table, ym[sel]).tolist()):
-            if row < 0:
-                unresolved.append((su[k], sv[k], "boundary-unlocated"))
-                continue
-            kind, payload = table[row][2]
+        cuts[lost].tolist(), cuts[lost + 1].tolist())]
+    cells = bound[~landed[bound]]
+    y = pos[cells]
+    u, v = cuts[cells].tolist(), cuts[cells + 1].tolist()
+    l0 = entry[cells].tolist()
+    for cp, table in zip(m.critical_points, tables):
+        key = (cp.location, cp.side)
+        sel = np.flatnonzero(_vec.in_side(y, cp.location, cp.side, delta))
+        for k, row in zip(sel.tolist(), _piece_lookup(table, y[sel]).tolist()):
+            kind, payload = table[row][2] if row >= 0 else (
+                "gap", "boundary-unlocated")
             if kind == "gap":
-                unresolved.append((su[k], sv[k], payload))
+                unresolved.append((u[k], v[k], payload))
             else:
-                raw.append((su[k], sv[k], "bound", s_l0[k], int(payload),
-                            key))
+                raw.append((u[k], v[k], "bound", l0[k], payload, key))
 
-    counts = {"cells": n_cells, "free": free.size, "bound": bound.size,
-              "boundary_landed": int(landed[bound].sum()),
-              "targets_inverted": int(np.count_nonzero(l0[t_owner])),
-              "sub_cells": len(su),
-              "endpoint_fallbacks": n_fallback}
+    counts = {"free": free.size, "bound": bound.size,
+              "boundary_landed": lost.size}
     return raw, unresolved, counts
 
 
@@ -610,22 +554,22 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
                     ) -> InducedPartition:
     """Partition the domain into maximal induced-map branches.
 
-    Free-region breakpoints are the pullbacks (through fewer than q0 steps)
-    of the branch endpoints and neighborhood endpoints, outside the
-    neighborhoods (_free_breakpoints); inside each neighborhood,
-    constant-binding pieces come from a grid scan with jump bisection.
-    First-entry classification of the cells between the breakpoints runs
-    as batched passes over all cells at once (see _classify_cells); each
-    cell it returns is a branch, and two that touch differ in class, entry,
-    side, binding period or itinerary.  The images and |Df-hat| bounds of
-    all branches come from batched passes along their itineraries, each
-    refinement sub-interval its own row (_branch_bounds).  Both stages
-    follow interval ends by array_end_orbits.  Cells whose classification
-    cannot be pinned down at the requested resolution land in the
-    unresolved set with a reason.  The stage counts (the end steps that
-    took the scalar endpoint_jet in stages 2 and 4, and the branches
-    finishing at each refinement level) and the unresolved measure per
-    reason are logged at INFO.
+    Inside each neighborhood, constant-binding pieces come from a grid
+    scan with jump bisection (_binding_piece_table).  The cuts are the
+    pullbacks, through fewer than q0 steps and outside the neighborhoods,
+    of the branch ends and of every piece and gap edge (_free_breakpoints).
+    First-entry classification of the cells between them runs as one
+    positional walk of all their midpoints (_classify_cells); each cell it
+    returns is a branch, and two that touch differ in class, entry, side,
+    binding period or itinerary.  The images and |Df-hat| bounds of all
+    branches come from batched passes of array_end_orbits along their
+    itineraries, each refinement sub-interval its own row (_branch_bounds).
+    Cells whose classification cannot be pinned down at the requested
+    resolution land in the unresolved set with a reason.  The stage counts
+    (the cuts and the piece-table edges among them, the cells by class, the
+    end steps that took the scalar endpoint_jet in stage 4, and the
+    branches finishing at each refinement level) and the unresolved
+    measure per reason are logged at INFO.
     """
     delta = m.delta if delta is None else float(delta)
     if q0 is None:
@@ -637,13 +581,9 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
     if records is None:
         records = orbit_records(m, p_max + 1)
 
-    piece_tables = {}
-    for cp in m.critical_points:
-        piece_tables[(cp.location, cp.side)] = _binding_piece_table(
-            m, cp, delta, records, p_max, resolution)
-    cuts = _free_breakpoints(m, delta, q0)
-    raw, unresolved, counts = _classify_cells(m, cuts, delta, q0,
-                                              piece_tables)
+    tables = _side_tables(m, delta, records, p_max, resolution)
+    cuts = _free_breakpoints(m, delta, q0, tables)
+    raw, unresolved, counts = _classify_cells(m, cuts, delta, q0, tables)
     raw.sort(key=lambda r: r[0])
 
     # stage 3: the itinerary of every cell, tau steps of its midpoint
@@ -677,14 +617,12 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
     for a, b, reason in merged_unres:
         by_reason[reason] = by_reason.get(reason, 0.0) + (b - a)
     _LOG.info(
-        "build_partition: %d cells (%d free, %d bound, %d boundary-landed), "
-        "%d targets inverted, %d sub-cells, %d scalar endpoint fallbacks, "
-        "%d raw cells -> %d branches (%d with unbounded sup |Df-hat|), "
-        "stage 4: %d scalar end jets, branches finishing per refinement k "
-        "%s, unresolved measure by reason %s",
-        counts["cells"], counts["free"], counts["bound"],
-        counts["boundary_landed"], counts["targets_inverted"],
-        counts["sub_cells"], counts["endpoint_fallbacks"], len(raw),
+        "build_partition: %d stage-1 cuts (%d piece-table edges), %d cells "
+        "(%d free, %d bound, %d boundary-landed), %d branches (%d with "
+        "unbounded sup |Df-hat|), stage 4: %d scalar end jets, branches "
+        "finishing per refinement k %s, unresolved measure by reason %s",
+        cuts.size, np.isin(cuts, _table_edges(tables)).sum(), cuts.size - 1,
+        counts["free"], counts["bound"], counts["boundary_landed"],
         len(branches), sum(br.sup_df == math.inf for br in branches),
         geo["scalar"], geo["levels"],
         {r: by_reason[r] for r in sorted(by_reason)})

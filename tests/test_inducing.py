@@ -723,24 +723,43 @@ def test_write_partition_csv(tmp_path, lorenz_partition):
 # stage 1 cuts only orbits that have not entered, so cells are branches
 
 
+def stage1_cuts(m, delta, q0):
+    """Stage 1's cuts, and the per-side piece tables they were seeded with."""
+    tables = ind._side_tables(m, delta, orbit_records(m, 61), 60, 1e-10)
+    return ind._free_breakpoints(m, delta, q0, tables), tables
+
+
 def test_stage1_cuts_nothing_strictly_inside_a_neighborhood():
     # A cut inside a neighborhood splits an orbit after its first entry,
     # which changes neither the entry nor the binding period; the edges
-    # c +- delta and the critical points themselves stay cut.
+    # c +- delta and the critical points themselves stay cut.  The singular
+    # sides of this map have one piece each, with no edge inside.
     m = mm.lorenz_map(1.9, 0.4, 0.1)
-    cuts = ind._free_breakpoints(m, 0.1, 13)
+    cuts = stage1_cuts(m, 0.1, 13)[0]
     assert not _vec.in_delta(m, cuts, 0.1).any()
     for cp in m.critical_points:
         edge = cp.location + (0.1 if cp.side == "+" else -0.1)
         assert cp.location in cuts and edge in cuts
 
 
+def test_stage1_cuts_at_every_piece_edge_and_inside_only_there(cheb):
+    # Every piece and gap edge is a seed, so a cell that enters does so
+    # inside one row of its side's table; the pullbacks past level 0 lie
+    # outside the neighborhoods, so a cut strictly inside one is a seed.
+    cuts, tables = stage1_cuts(cheb, 0.01, 7)
+    edges = ind._table_edges(tables)
+    assert np.isin(edges, cuts).all()
+    inside = cuts[_vec.in_delta(cheb, cuts, 0.01)]
+    assert inside.size == 34
+    assert inside.tolist() == edges[_vec.in_delta(cheb, edges, 0.01)].tolist()
+
+
 @pytest.mark.parametrize("delta, q0", [(0.02, 8), (0.005, 14)])
 def test_singular_unimodal_boundaries_end_branches(singular, delta, q0):
-    # Stage 1's 1e-12 dedup keeps the leftmost cut of a cluster, so no
-    # preimage inside (-delta, 0) may displace the singular point 0 itself
-    # (one lay 9.5e-17 left of it at (0.02, 8)).  Each interior boundary is
-    # a branch end or lies in the unresolved set (both sides of -x* and x*
+    # Stage 1 prunes the preimages inside (-delta, 0) and keeps every
+    # distinct cut, so none displaces the singular point 0 (a pullback
+    # lands 9.5e-17 left of it at (0.02, 8)).  Each interior boundary is a
+    # branch end or lies in the unresolved set (both sides of -x* and x*
     # are gaps).
     part = ind.build_partition(singular, delta=delta, q0=q0)
     ends = {x for br in part.branches for x in (br.a, br.b)}

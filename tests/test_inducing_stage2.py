@@ -1,11 +1,14 @@
-"""Stage 2 of build_partition (first-entry classification of the cells).
+"""Stages 1 and 2 of build_partition (the cuts, and the first-entry
+classification of the cells between them).
 
-The batched classifier must reproduce, cell for cell, the per-cell loop it
-replaced.  That loop is kept below as the reference: a scalar itinerary per
-cell, scalar one-sided endpoint tracks clamped onto each step's branch, a
-chain of one-step inversions per cell (_vec.branch_inverse, which
-tests/test_vec.py checks on its own), and a scalar forward walk per
-sub-cell.
+The partition must match the design these two stages replaced, kept below
+as the reference.  Its stage 1 seeds only the branch and neighborhood ends
+and drops cuts within 1e-12 of a smaller one (reference_stage1).  Its stage
+2 is a per-cell loop (per_cell_stage2): a scalar itinerary per cell, scalar
+one-sided endpoint tracks clamped onto each step's branch, the piece edges
+inside each cell's image pulled back by a chain of one-step inversions
+(_vec.branch_inverse, which tests/test_vec.py checks on its own), and a
+scalar forward walk per sub-cell.
 """
 
 import ast
@@ -25,7 +28,31 @@ from cusp_induce.map_model import evaluate
 
 
 # ---------------------------------------------------------------------------
-# reference: the per-cell loop
+# reference: stage 1 without the piece edges, and the per-cell loop
+
+
+def reference_stage1(m, delta, q0):
+    """Branch and neighborhood ends with their pullbacks through fewer than
+    q0 steps, none strictly inside a neighborhood, sorted, a cut within
+    1e-12 of a smaller one dropped."""
+    seeds = {m.lo, m.hi}
+    seeds.update(float(t) for t in m.interior_boundaries)
+    for cp in m.critical_points:
+        seeds.add(cp.location + (delta if cp.side == "+" else -delta))
+    level = np.array(sorted(seeds))
+    collected = [level]
+    for _ in range(1, q0):
+        level = _vec.preimages(m, level)[1]
+        level = level[~_vec.in_delta(m, level, delta)]
+        collected.append(level)
+    cuts = np.concatenate(collected)
+    cuts = cuts[(cuts >= m.lo) & (cuts <= m.hi)]
+    cuts.sort()
+    keep = np.concatenate(([True], np.diff(cuts) > 1e-12))
+    cuts = cuts[keep]
+    cuts[0] = m.lo
+    cuts[-1] = m.hi
+    return cuts
 
 
 def _scalar_itinerary(m, x, steps):
@@ -154,10 +181,16 @@ def per_cell_stage2(m, cuts, delta, q0, piece_tables):
 
 
 def piece_tables(m, delta, p_max=60, resolution=1e-10):
-    records = orbit_records(m, p_max + 1)
-    return {(cp.location, cp.side): ind._binding_piece_table(
-        m, cp, delta, records, p_max, resolution)
-        for cp in m.critical_points}
+    return ind._side_tables(m, delta, orbit_records(m, p_max + 1), p_max,
+                            resolution)
+
+
+def untagged(m, tables):
+    """The (pieces, gaps) per side that per_cell_stage2 takes."""
+    return {(cp.location, cp.side): tuple(
+        [(lo, hi, payload) for lo, hi, (kind, payload) in table
+         if kind == want] for want in ("piece", "gap"))
+        for cp, table in zip(m.critical_points, tables)}
 
 
 def assert_same_stage2(batched, reference):
@@ -192,7 +225,7 @@ def test_batched_stage2_matches_the_per_cell_reference(partition_case,
     seen = []
 
     def reference(m, cuts, delta, q0, tables):
-        ref = per_cell_stage2(m, cuts, delta, q0, tables)
+        ref = per_cell_stage2(m, cuts, delta, q0, untagged(m, tables))
         seen.append((batched(m, cuts, delta, q0, tables), ref))
         return ref + (seen[-1][0][2],)
 
@@ -204,51 +237,57 @@ def test_batched_stage2_matches_the_per_cell_reference(partition_case,
     assert part.unresolved == ref_part.unresolved
 
 
+REFERENCE_CONFIGS = {
+    "cheb(0.01, 7)": (mm.chebyshev_map, 0.01, 7),
+    "cheb(0.02, 7)": (mm.chebyshev_map, 0.02, 7),
+    "cheb(0.05, 5)": (mm.chebyshev_map, 0.05, 5),
+    "cheb(0.01, 9)": (mm.chebyshev_map, 0.01, 9),
+    "lorenz(1.9, 0.4)": (lambda: mm.lorenz_map(1.9, 0.4, 0.1), 0.1, 13),
+    "unimodal(2, 2.3)": (lambda: mm.unimodal_map(2.0, 2.3), 0.02, 8),
+    "unimodal(2, 1.5)": (lambda: mm.unimodal_map(2.0, 1.5), 0.005, 5),
+    "singular_unimodal": (mm.singular_unimodal_map, 0.005, 14),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+def test_partition_matches_the_two_stage_reference(name, monkeypatch):
+    # Stage 1 cuts at the piece edges' pullbacks that the reference's stage
+    # 2 found one cell at a time; its dedup must be exact, as a 1e-12 one
+    # moves branch ends.
+    family, delta, q0 = REFERENCE_CONFIGS[name]
+    m = family()
+    part = ind.build_partition(m, delta=delta, q0=q0)
+    monkeypatch.setattr(ind, "_free_breakpoints",
+                        lambda m, delta, q0, tables: reference_stage1(
+                            m, delta, q0))
+    monkeypatch.setattr(ind, "_classify_cells",
+                        lambda m, cuts, delta, q0, tables: per_cell_stage2(
+                            m, cuts, delta, q0, untagged(m, tables))
+                        + ({"free": 0, "bound": 0, "boundary_landed": 0},))
+    assert part.to_dict() == ind.build_partition(m, delta=delta,
+                                                 q0=q0).to_dict()
+
+
 def test_a_midpoint_orbit_landing_on_a_boundary_is_unlocated():
     # No partition cell has such a midpoint (the cuts include every
-    # preimage of the boundary), so hand-made cuts reach this path.
+    # preimage of the boundary), so the cut at x (an ulp off, here) gives
+    # way to x - h and x + h: every other cell lies inside a stage-1 cell,
+    # as stage 2 requires.
     m = mm.lorenz_map(1.8, 0.5, 0.1)
     x = 0.30864197530864196           # 1.8 * x^0.5 - 1 is exactly 0.0
     assert m.branches[1].value(x) == 0.0
     assert m.branches[1].values(np.array([x]))[0] == 0.0
     h = 2.0 ** -30
-    grid = np.linspace(-1.0, 1.0, 129)
-    assert not np.any(np.abs(grid - x) <= h)
-    cuts = np.union1d(grid, [x - h, x + h])
     tables = piece_tables(m, 0.1)
+    cuts = ind._free_breakpoints(m, 0.1, 10, tables)
+    near = np.abs(cuts - x) <= h
+    assert near.sum() == 1
+    cuts = np.union1d(cuts[~near], [x - h, x + h])
     got = ind._classify_cells(m, cuts, 0.1, 10, tables)
     assert got[2]["boundary_landed"] == 1
     assert (x - h, x + h, "boundary-unlocated") in got[1]
-    assert_same_stage2(got, per_cell_stage2(m, cuts, 0.1, 10, tables))
-
-
-def _positional_itinerary(m, x, steps):
-    out = []
-    for _ in range(steps):
-        out.append(m.branch_index(x))
-        x = m.branches[out[-1]].value(x)
-    return out
-
-
-def test_sub_cells_follow_their_cells_midpoint_itinerary():
-    # Coarse cuts leave preimages of 0 inside cells, so some sub-cell
-    # midpoints sit across a boundary from their cell's midpoint orbit.
-    # They still follow the cell's itinerary, not positional dispatch.
-    m = mm.lorenz_map(1.9, 0.4, 0.1)
-    cuts = np.linspace(-1.0, 1.0, 9)
-    tables = piece_tables(m, 0.1)
-    got = ind._classify_cells(m, cuts, 0.1, 13, tables)
-    ref = per_cell_stage2(m, cuts, 0.1, 13, tables)
-    assert_same_stage2(got, ref)
-    crossing = []
-    for a, b, kind, l0, _p0, _key in ref[0]:
-        if kind == "bound":
-            k = int(np.searchsorted(cuts, a, side="right")) - 1
-            cell_mid = 0.5 * (cuts[k] + cuts[k + 1])
-            if _positional_itinerary(m, 0.5 * (a + b), l0) != \
-                    _positional_itinerary(m, cell_mid, l0):
-                crossing.append((a, b))
-    assert crossing
+    assert_same_stage2(got, per_cell_stage2(m, cuts, 0.1, 10,
+                                            untagged(m, tables)))
 
 
 def test_cell_ends_where_the_expression_is_undefined_take_one_sided_limits():
@@ -260,11 +299,20 @@ def test_cell_ends_where_the_expression_is_undefined_take_one_sided_limits():
     with np.errstate(invalid="ignore"):
         assert np.isnan(m.branches[0].values(np.array([-1.0]))[0])
     assert m.endpoint_jet(0, -1.0, "+").value == pytest.approx(-0.8)
-    cuts = ind._free_breakpoints(m, 0.1, 10)
     tables = piece_tables(m, 0.1)
-    got = ind._classify_cells(m, cuts, 0.1, 10, tables)
-    assert got[2]["endpoint_fallbacks"] >= 1
-    assert_same_stage2(got, per_cell_stage2(m, cuts, 0.1, 10, tables))
+    cuts = ind._free_breakpoints(m, 0.1, 10, tables)
+    assert_same_stage2(ind._classify_cells(m, cuts, 0.1, 10, tables),
+                       per_cell_stage2(m, cuts, 0.1, 10, untagged(m, tables)))
+    # stage 4 takes the scalar one-sided jet at -1, and every image is finite
+    part = ind.build_partition(m, delta=0.1, q0=10)
+    assert part.branches[0].a == -1.0
+    image, _orient, _inf, _sup, stats = ind._branch_bounds(
+        m, np.array([br.a for br in part.branches]),
+        np.array([br.b for br in part.branches]),
+        _vec.itinerary_matrix([br.itinerary for br in part.branches]))
+    assert stats["scalar"] >= 1
+    assert np.isfinite(image).all()
+    assert image.tolist() == [list(br.image) for br in part.branches]
 
 
 def test_build_partition_logs_its_stage_counts(singular, caplog):
@@ -274,10 +322,22 @@ def test_build_partition_logs_its_stage_counts(singular, caplog):
             if r.name == "cusp_induce.inducing"]
     assert len(msgs) == 1
     msg = msgs[0]
-    assert "boundary-landed" in msg and "scalar endpoint fallbacks" in msg
-    unbounded = sum(br.sup_df == math.inf for br in part.branches)
-    assert (f"-> {len(part.branches)} branches ({unbounded} with unbounded "
-            "sup |Df-hat|)") in msg
+    # stages 1 and 2: the cuts and the piece-table edges among them, the
+    # cells between the cuts by class
+    tables = piece_tables(singular, 0.02)
+    cuts = ind._free_breakpoints(singular, 0.02, 8, tables)
+    counts = re.match(r"build_partition: (\d+) stage-1 cuts \((\d+) "
+                      r"piece-table edges\), (\d+) cells \((\d+) free, "
+                      r"(\d+) bound, (\d+) boundary-landed\), (\d+) "
+                      r"branches \((\d+) with unbounded sup \|Df-hat\|\)",
+                      msg)
+    cells, free, bound = map(int, counts.group(3, 4, 5))
+    assert int(counts[1]) == cuts.size == cells + 1 == free + bound + 1
+    assert int(counts[2]) == ind._table_edges(tables).size > 0
+    assert free > 0 and bound > 0 and counts[6] == "0"
+    assert int(counts[7]) == len(part.branches)
+    assert int(counts[8]) == sum(br.sup_df == math.inf
+                                 for br in part.branches)
     for reason in part.summary()["unresolved_reasons"]:
         assert repr(reason) in msg
     assert part.unresolved_measure > 0.0
