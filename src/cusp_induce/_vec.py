@@ -25,8 +25,9 @@ forced_inverse, the preimages of the transfer matrices (the Ulam assembly
 and the invariance residual), chains it backward along the itineraries,
 last step first, in one pass over the trie of reversed itineraries: rows
 that end in the same suffix pull each edge back once.
-_fork_join splits the Birkhoff ensemble's seed streams (_fastmap) across
-forked processes.
+_fork_join runs shares of work in forked processes: the Birkhoff
+ensemble's seed streams (_fastmap), and the pipeline's density stage beside
+its lemma replay and summability (cli.cmd_pipeline).
 """
 
 from __future__ import annotations
@@ -362,7 +363,8 @@ def _worker_count(n: int, per: int) -> int:
     affinity mask (so taskset restricts it), at most MAX_WORKERS and at
     most one per `per` points, and 1 where the platform cannot fork or tell
     the mask.  A CPU quota of the process's cgroup does not show in the
-    mask.  The Birkhoff ensemble's walkers split at per =
+    mask.  The pipeline's two shares (n = 2, per = 1) fork wherever two
+    CPUs are in the mask.  The Birkhoff ensemble's walkers split at per =
     _fastmap.SHARE_POINTS (1,280), so that two processes take five streams
     of 512 or more.  Measured on lorenz, two processes' time over one's, at
     10^5 and 10^6 steps a stream (medians of 21 and 9 alternating calls):
@@ -384,8 +386,9 @@ def _fork_join(run, w: int) -> list:
     any, is raised here, type and message unchanged.  run must write what
     it makes to memory it shares with this process, and a share run twice
     must give the same bits.  Returns the shares the children finished.
-    The caller: _fastmap._step_ensemble (seed streams of the Birkhoff
-    ensemble).
+    The callers: _fastmap._step_ensemble (seed streams of the Birkhoff
+    ensemble) and cli.cmd_pipeline (share 0 the lemma replay and
+    summability, share 1 the density stage).
 
     Only the forking thread lives on in a child, and NumPy's BLAS thread
     pool already runs when it forks, so run must not need a thread pool:

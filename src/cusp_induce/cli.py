@@ -17,6 +17,7 @@ import itertools
 import json
 import logging
 import math
+import mmap
 import os
 import sys
 
@@ -317,21 +318,49 @@ def cmd_pipeline(args) -> int:
     if args.out:
         inducing.write_partition_csv(part, _out(args, "partition.csv"))
 
-    lem = inducing.verify_binding_lemmas(m, part, n_samples=args.samples_lemma,
-                                         seed=args.seed, records=records)
-    stages["lemmas"] = lem.to_dict()
-    if not lem.passed:
-        return finish("lemmas")
+    def replay():
+        """The lemmas and summability: the failed stage, or None."""
+        lem = inducing.verify_binding_lemmas(
+            m, part, n_samples=args.samples_lemma, seed=args.seed,
+            records=records)
+        stages["lemmas"] = lem.to_dict()
+        if not lem.passed:
+            return "lemmas"
+        summ = distortion.summability_report(m, part, records=records)
+        stages["summability"] = summ.to_dict()
+        if args.out:
+            summ.write_csv(_out(args, "summability.csv"))
+        return None if summ.passed else "summability"
 
-    summ = distortion.summability_report(m, part, records=records)
-    stages["summability"] = summ.to_dict()
-    if args.out:
-        summ.write_csv(_out(args, "summability.csv"))
-    if not summ.passed:
-        return finish("summability")
+    # Density reads the partition alone.  With two CPUs in the affinity
+    # mask a forked child (_vec._fork_join) runs it while this process
+    # runs replay; its results come back through one shared buffer:
+    # residual, dead and flagged rows, h_induced, h_map.  This process
+    # runs density only where replay passed, after a child that could
+    # not be made or failed, or with one CPU.
+    n_ind = args.m if args.m_induced is None else args.m_induced
+    buf = np.frombuffer(mmap.mmap(-1, 8 * (3 + max(n_ind, 0)
+                                           + max(args.m, 0))))
+    gate = {}
 
-    est = density.density_pipeline(m, part, m_cells=args.m,
-                                   m_induced=args.m_induced)
+    def run(k):
+        if k == 0:
+            gate["failed"] = replay()
+        elif gate.get("failed") is None:
+            est = density.density_pipeline(m, part, m_cells=args.m,
+                                           m_induced=args.m_induced)
+            buf[:] = np.concatenate((
+                [est.invariance_residual, est.params["dead_rows"],
+                 est.params["flagged_rows"]], est.h_induced, est.h_map))
+
+    w = _vec._worker_count(2, 1)
+    _vec._fork_join(run, w)
+    if gate["failed"] is not None:
+        return finish(gate["failed"])
+    if w == 1:
+        run(1)
+    est = density.density_estimate(part, buf[3:3 + n_ind], buf[3 + n_ind:],
+                                   float(buf[0]), int(buf[1]), int(buf[2]))
     stages["density"] = est.to_dict()
     if args.out:
         est.write_csv(_out(args, "density.csv"))

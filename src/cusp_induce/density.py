@@ -352,7 +352,8 @@ def pull_back(m, partition, h_induced: np.ndarray, m_cells: int = 4096
         m, _vec.itinerary_matrix([br.itinerary for br in branches]),
         left, left + step, deposit, owner)[3])
     out += np.cumsum(diff[:-1])
-    total, kac = out.sum(), float(np.dot(mass, tau))
+    # elementwise: np.dot would call BLAS, which a forked child must not
+    total, kac = out.sum(), float((mass * tau).sum())
     _LOG.info("pull_back: %d branches, %d pieces, %d piece-steps, raw total "
               "%.6g (integral of tau d nu), worst per-step sup/inf |Df| on a "
               "piece %.4g, %d piece-steps with it unbounded", B,
@@ -476,16 +477,24 @@ def density_pipeline(m, partition, m_cells: int = 4096,
     table = ulam_matrix(m, partition, m_induced)
     h_ind = stationary_density(table)
     h_map = pull_back(m, partition, h_ind, m_cells)
-    residual = invariance_residual(m, h_map)
-    width = partition.hi - partition.lo
+    return density_estimate(partition, h_ind, h_map,
+                            invariance_residual(m, h_map),
+                            int(table.dead_rows.sum()),
+                            int(table.flagged_rows.sum()))
+
+
+def density_estimate(partition, h_induced, h_map, residual: float,
+                     dead_rows: int, flagged_rows: int) -> DensityEstimate:
+    """density_pipeline's estimate from its results; the grids' sizes are
+    those of h_induced and h_map, and the rest comes from partition."""
     return DensityEstimate(
-        m=m_cells,
-        edges=np.linspace(partition.lo, partition.hi, m_cells + 1),
-        h_induced=h_ind,
+        m=h_map.size,
+        edges=np.linspace(partition.lo, partition.hi, h_map.size + 1),
+        h_induced=h_induced,
         h_map=h_map,
         invariance_residual=residual,
-        unresolved_mass=float(partition.unresolved_measure / width),
-        params={"m_induced": int(m_induced), "tol": POWER_TOL,
-                "dead_rows": int(table.dead_rows.sum()),
-                "flagged_rows": int(table.flagged_rows.sum())},
+        unresolved_mass=float(partition.unresolved_measure
+                              / (partition.hi - partition.lo)),
+        params={"m_induced": h_induced.size, "tol": POWER_TOL,
+                "dead_rows": dead_rows, "flagged_rows": flagged_rows},
     )

@@ -2,15 +2,17 @@
 
 import io
 import contextlib
+import errno
 import filecmp
 import json
 import os
+import signal
 import subprocess
 import sys
 
 import pytest
 
-from cusp_induce import _vec, cli, hyperbolicity, map_model
+from cusp_induce import _vec, cli, density, hyperbolicity, map_model
 from cusp_induce import distortion as di
 from cusp_induce import expr as ex
 from cusp_induce.map_model import family_config
@@ -361,3 +363,122 @@ def test_seed_rejected_where_unused(command):
     with pytest.raises(SystemExit) as exc:
         run(command, "--family", "chebyshev", "--seed", "1")
     assert exc.value.code == 2
+
+
+# The density stage runs in a forked child (_vec._fork_join) while this
+# process replays the lemmas and summability.
+CHEB_SMALL = ("--family", "chebyshev", "--delta", "0.05", "--q0", "5",
+              "--m", "256")
+# test_verdicts' summability row: p_max 5 leaves too much unresolved
+SUMMABILITY_FAILS = ("--family", "chebyshev", "--delta", "0.01", "--q0",
+                     "7", "--p-max", "5", "--m", "128")
+
+
+def _pipeline_bytes(out, args):
+    """(exit code, stdout, {artifact: bytes}) of one pipeline run, which
+    must leave no descriptor open and no child behind."""
+    fds = sorted(os.listdir("/proc/self/fd"))
+    code, text = run("pipeline", *args, "--out", str(out))
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return code, text, {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def _density_spy(monkeypatch, in_child=None, error=None):
+    """The pids that ran density_pipeline in this process.  A forked
+    child calls in_child first, if given; error, if given, is raised
+    wherever density runs."""
+    parent, real, calls = os.getpid(), density.density_pipeline, []
+
+    def spy(*args, **kwargs):
+        if in_child is not None and os.getpid() != parent:
+            in_child()
+        calls.append(os.getpid())
+        if error is not None:
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(density, "density_pipeline", spy)
+    return calls
+
+
+def _cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+
+
+def test_density_in_a_child_keeps_the_bytes_of_one_process(monkeypatch,
+                                                            tmp_path):
+    # one CPU runs density here and forks nothing; two run it in one
+    # child, and stdout and every artifact keep their bytes
+    real, forks = os.fork, []
+
+    def fork():
+        forks.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    calls = _density_spy(monkeypatch)
+    _cpus(monkeypatch, {0})
+    want = _pipeline_bytes(tmp_path / "one", CHEB_SMALL)
+    assert want[0] == 0 and "density.csv" in want[2]
+    assert forks == [] and calls == [os.getpid()]
+    _cpus(monkeypatch, {0, 1})
+    assert _pipeline_bytes(tmp_path / "two", CHEB_SMALL) == want
+    assert forks == [os.getpid()] and calls == [os.getpid()]
+
+
+@pytest.mark.parametrize("fault", ["fork-fails", "child-killed"])
+def test_a_density_child_that_does_not_finish_leaves_density_here(
+        monkeypatch, tmp_path, fault):
+    # os.fork fails as at a process limit, or the child is killed before
+    # it writes anything: this process runs density after the summability,
+    # and the bytes do not change
+    _cpus(monkeypatch, {0})
+    want = _pipeline_bytes(tmp_path / "one", CHEB_SMALL)
+    _cpus(monkeypatch, {0, 1})
+    if fault == "fork-fails":
+        def fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        calls = _density_spy(monkeypatch)
+    else:
+        calls = _density_spy(
+            monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    assert _pipeline_bytes(tmp_path / "two", CHEB_SMALL) == want
+    assert calls == [os.getpid()]
+
+
+def test_a_failed_summability_keeps_its_report_and_writes_no_density(
+        monkeypatch, tmp_path):
+    # density raises in the child: pipeline.json and stdout still report
+    # the failed summability alone, no density.csv is written, and this
+    # process never runs density
+    calls = _density_spy(monkeypatch, error=RuntimeError("density failed"))
+    _cpus(monkeypatch, {0})
+    want = _pipeline_bytes(tmp_path / "one", SUMMABILITY_FAILS)
+    assert want[0] == 1 and "density.csv" not in want[2]
+    assert json.loads(want[1])["failed_stage"] == "summability"
+    assert want[2]["pipeline.json"] == want[1].encode()
+    _cpus(monkeypatch, {0, 1})
+    assert _pipeline_bytes(tmp_path / "two", SUMMABILITY_FAILS) == want
+    assert calls == []
+
+
+def test_a_density_error_reaches_the_caller_unchanged(monkeypatch,
+                                                      tmp_path):
+    # density raises wherever it runs, after the summability passed: the
+    # child exits 1, this process runs density again, and its error is
+    # reported as in one process
+    calls = _density_spy(monkeypatch, error=RuntimeError(
+        f"power iteration did not converge in {density.POWER_STEPS} steps"))
+    _cpus(monkeypatch, {0})
+    want = _pipeline_bytes(tmp_path / "one", CHEB_SMALL)
+    assert want[0] == 1 and json.loads(want[1]) == {"error": {
+        "kind": "RuntimeError", "message": "power iteration did not "
+        f"converge in {density.POWER_STEPS} steps"}}
+    assert "density.csv" not in want[2] and "pipeline.json" not in want[2]
+    _cpus(monkeypatch, {0, 1})
+    assert _pipeline_bytes(tmp_path / "two", CHEB_SMALL) == want
+    assert calls == [os.getpid()] * 2
