@@ -100,20 +100,24 @@ def _kappa_ladder(m, deltas, n_samples: int, n_max: int, seed: int) -> list:
     delta's union lies in a larger one's, so each point carries its level:
     the number of leading deltas whose union it has entered.  At step n the
     envelope of deltas[k] takes the minimum of log|Df^n| over the finite,
-    in-range points of level <= k, and a point whose level rises from a to
-    b ends a first-entry segment for deltas[a:b].  A point leaves the walk
-    once it lies in the union of the smallest delta.
+    in-range points of level <= k (a scatter-minimum per level, then a
+    running minimum over the levels), and a point whose level rises from a
+    to b ends a first-entry segment for deltas[a:b].  Each step is one
+    _vec._apply on the points' formula groups; only the points inside the
+    largest delta's union can rise, and only those that rose end segments.
+    A point leaves the walk once it lies in the union of the smallest delta.
     """
     xs = _sample_points(m, n_samples, seed)
     k_all = len(deltas)
     level = _depth(m, deltas, xs)
     pos, level = xs[level < k_all], level[level < k_all]
     logp = np.zeros(pos.shape)
-    envelopes = [[] for _ in deltas]
-    kappa_log, segments = [math.inf] * k_all, [0] * k_all
+    one = len(m.formula_groups[1]) == 1
+    rows, kappa_log, segments = [], [math.inf] * k_all, [0] * k_all
     for _n in range(n_max):
-        v, d1 = _vec.step_values(m, pos, 1)
         with np.errstate(all="ignore"):
+            v, d1 = _vec._apply(m, None if one else _vec.group_indices(m, pos),
+                                pos, 1)
             step = np.log(np.abs(d1))
         good = np.isfinite(v) & np.isfinite(step)
         good &= (v >= m.lo - _IMAGE_TOL) & (v <= m.hi + _IMAGE_TOL)
@@ -121,24 +125,26 @@ def _kappa_ladder(m, deltas, n_samples: int, n_max: int, seed: int) -> list:
         logp = logp[good] + step[good]
         if not logp.size:
             break
-        # envelopes: the least log|Df^n|, then the least below its level
-        lp, lv, top = logp, level, k_all
-        while lp.size:
-            i = lp.argmin()
-            for env in envelopes[lv[i]:top]:
-                env.append(float(lp[i]))
-            top = lv[i]
-            lp, lv = lp[lv < top], lv[lv < top]
-        depth = np.maximum(level, _depth(m, deltas, v))
-        for k in range(int(depth.max())):
-            seg = logp[(level <= k) & (depth > k)]
+        low = np.full(k_all, math.inf)
+        np.minimum.at(low, level, logp)
+        rows.append(np.minimum.accumulate(low))
+        depth = level.copy()
+        inside = np.flatnonzero(_vec.in_delta(m, v, deltas[0]))
+        depth[inside] = np.maximum(level[inside],
+                                   1 + _depth(m, deltas[1:], v[inside]))
+        rose = np.flatnonzero(depth > level)
+        lv, dp, lp = level[rose], depth[rose], logp[rose]
+        for k in range(int(dp.max(initial=0))):
+            seg = lp[(lv <= k) & (dp > k)]
             kappa_log[k] = min(kappa_log[k], float(seg.min(initial=math.inf)))
             segments[k] += seg.size
         stay = depth < k_all
         pos, logp, level = v[stay], logp[stay], depth[stay]
+    envelopes = np.array(rows).reshape(-1, k_all).T
     return [KappaEstimate(value=math.exp(kl) if n > 0 else math.nan,
                           segments=n, n_samples=int(n_samples),
-                          n_max=int(n_max), envelope=env)
+                          n_max=int(n_max),
+                          envelope=env[env < math.inf].tolist())
             for env, kl, n in zip(envelopes, kappa_log, segments)]
 
 

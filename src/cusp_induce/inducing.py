@@ -215,95 +215,64 @@ def inducing_time(m, x, delta=None, q0: int = None, records=None,
 # constant-binding piece tables inside the neighborhoods
 
 
-# Points per binding_periods call of a piece table: its rows take 2 x 8 x
-# p_max bytes a point, which the tables never read.
-_PERIOD_POINTS = 1024
-
-
 def _binding_piece_table(m, cp, delta: float, records, p_max: int,
                          resolution: float):
     """Tile one one-sided neighborhood by constant-binding pieces.
 
-    Returns (pieces, gaps): pieces are (lo, hi, p) ascending with p < p_max;
-    gaps are (lo, hi, reason) slivers surrendered to the unresolved set.
-    Jumps of p between samples are bisected in distance space down to 1e-12.
+    A bound f^i(x) stays within gamma_i * d(c_i) <= d(c_i) / 2 of c_i, on
+    c_i's branch, so f^j along c's itinerary is monotone on [c, x]: the
+    points still bound after step j lie within R_j of c, R_0 = delta and
+    R_j = min(R_(j-1), r_j), and p = j on (R_j, R_(j-1)].  r_j is how far
+    from c the tube end c_j + s_j * gamma_j * d(c_j) pulls back along the
+    itinerary (s_j: the side's sign times the monotone signs passed); all
+    ends are pulled back together, one branch_inverse call per step.
+
+    The table ends at the first row j it cannot resolve, and the rest of
+    the side, within R_(j-1) of c, is one gap: "rounding-floor" where tube
+    end j (not c_j itself) pulls back to c_1 at step 1, as f rounds every
+    point left to c_1; "boundary-unlocated" where its pullback is not
+    finite; "below-resolution" where R_(j-1) <= resolution; past the last
+    end, "p_max-exceeded", or "record-short" where the critical record ends
+    first.  A singular side (order <= 1) is one piece, p = 1.  Returns
+    (pieces, gaps): (lo, hi, p) and (lo, hi, reason) rows, ascending.
     """
     c = cp.location
     sgn = 1.0 if cp.side == "+" else -1.0
     if cp.order <= 1.0:
         lo, hi = (c, c + delta) if sgn > 0 else (c - delta, c)
         return [(lo, hi, 1)], []
+    rec = records.get((c, cp.side))
+    if rec is None or rec.N < p_max:
+        rec = compute_orbit(m, cp, p_max + 1)
+    n = min(p_max - 1, rec.n_filled)
+    first = np.searchsorted(m.interior_boundaries, c,
+                            side="right" if sgn > 0 else "left")
+    ids = np.append(first, _vec.branch_indices(m, rec.c[:n]))[:n]
+    s = sgn * np.cumprod(np.array(m.monotone_signs)[ids])
+    targets = rec.c[:n] + s * (rec.gamma[:n] * rec.d[:n])
+    x = targets.copy()
+    for k in range(n - 1, 0, -1):
+        x[k:] = _vec.branch_inverse(m, np.full(n - k, ids[k]), x[k:])
+    at_c1 = (x == rec.c[0]) & (targets != rec.c[:n])
+    r = np.abs(_vec.branch_inverse(m, np.full(n, first), x) - c)
+    R = np.minimum.accumulate(np.append(delta, r)).tolist()
 
-    def periods(ds):                    # -1 for every failure
-        xs = c + sgn * np.asarray(ds, dtype=float)
-        p = [binding_periods(m, cp, xs[s:s + _PERIOD_POINTS], delta, records,
-                             p_max).p
-             for s in range(0, xs.size, _PERIOD_POINTS)]
-        return np.maximum(np.concatenate(p or [[]]), -1).tolist()
-
-    floor = max(resolution, 1e-13)
-    grid = delta * np.arange(4095, 0, -1) / 4096.0
-    samples = [delta * (1.0 - 1e-9)]
-    samples.extend(float(d) for d in grid)
-    d = delta / 8192.0
-    while d > floor:
-        samples.append(d)
-        d *= 0.5
-
-    # scan outward-in, stopping at a failure or once p_max is reached
-    svals = []
-    stop_reason = "boundary-unlocated"  # also when the floor is reached
-    for dcur, p in zip(samples, periods(samples)):
-        if p < 0:
+    end = n + 1
+    reason = "p_max-exceeded" if rec.n_filled >= p_max else "record-short"
+    for j, stops in enumerate(zip(at_c1, ~np.isfinite(r),
+                                  np.array(R[:-1]) <= resolution), 1):
+        if any(stops):
+            end, reason = j, ("rounding-floor", "boundary-unlocated",
+                              "below-resolution")[stops.index(True)]
             break
-        svals.append((dcur, p))
-        if p >= p_max:
-            stop_reason = "p_max-exceeded"
-            break
-    inner_d = svals[-1][0] if svals else delta
-
-    # bisect every jump of p between neighboring samples, one level of all
-    # open jumps per pass; a jump to a failure or narrower than 1e-12 cuts
-    # at its midpoint
-    cuts = []
-    jumps = [(d_in, p_in, d_out, p_out) for (d_out, p_out), (d_in, p_in)
-             in zip(svals[:-1], svals[1:]) if p_in != p_out]
-    while jumps:
-        split = []
-        for d_in, p_in, d_out, p_out in jumps:
-            if p_in < 0 or p_out < 0 or d_out - d_in <= 1e-12:
-                cuts.append(0.5 * (d_in + d_out))
-            else:
-                split.append((d_in, p_in, 0.5 * (d_in + d_out), d_out, p_out))
-        jumps = [half for (d_in, p_in, dm, d_out, p_out), pm in
-                 zip(split, periods([s[2] for s in split]))
-                 for half in ((dm, pm, d_out, p_out), (d_in, p_in, dm, pm))
-                 if half[1] != half[3]]
-    cuts.sort()
-
-    pieces, gaps = [], []
-    bounds = [inner_d] + cuts + [delta]
-    spans = [(d_lo, d_hi) for d_lo, d_hi in zip(bounds[:-1], bounds[1:])
-             if d_hi - d_lo > 0.0]
-    for (d_lo, d_hi), p in zip(
-            spans, periods([0.5 * (d_lo + d_hi) for d_lo, d_hi in spans])):
-        if p < 0:
-            gaps.append((d_lo, d_hi, "boundary-unlocated"))
-        elif p >= p_max:
-            gaps.append((d_lo, d_hi, "p_max-exceeded"))
-        else:
-            pieces.append((d_lo, d_hi, p))
-    if inner_d > 0.0:
-        gaps.append((0.0, inner_d, stop_reason))
+    rows = [(R[j], R[j - 1], j) for j in range(1, end) if R[j] < R[j - 1]]
+    gaps = [(0.0, R[end - 1], reason)] if R[end - 1] > 0.0 else []
 
     def oriented(items):
-        out = []
-        for lo_d, hi_d, payload in items:
-            x0, x1 = sorted((c + sgn * lo_d, c + sgn * hi_d))
-            out.append((x0, x1, payload))
-        return sorted(out)
+        return sorted((*sorted((c + sgn * lo_d, c + sgn * hi_d)), payload)
+                      for lo_d, hi_d, payload in items)
 
-    return oriented(pieces), oriented(gaps)
+    return oriented(rows), oriented(gaps)
 
 
 def _side_tables(m, delta: float, records, p_max: int, resolution: float):
@@ -466,8 +435,9 @@ def _table_edges(tables) -> np.ndarray:
 
 def _free_breakpoints(m, delta: float, q0: int, tables) -> np.ndarray:
     """Stage 1: the branch ends and every piece-table edge (_side_tables;
-    the neighborhood ends among them), with their pullbacks through fewer
-    than q0 steps, sorted and distinct, from lo to hi.  A preimage strictly
+    the neighborhood ends, the critical points and the outer edge of each
+    side's inner gap among them), with their pullbacks through fewer than
+    q0 steps, sorted and distinct, from lo to hi.  A preimage strictly
     inside a neighborhood (in_delta, stage 2's entry test) goes with all
     its descendants: a cut on an orbit that has already entered changes
     neither its entry nor its binding period.  So a kept level-l pullback
@@ -511,9 +481,11 @@ def _classify_cells(m, cuts, delta: float, q0: int, tables):
     within q0 - 1 steps is free; one that enters at step l0 takes the row
     of its side's table (_side_tables) holding its midpoint's entry
     position: bound with that piece's binding period, or unresolved with
-    the gap's reason.  A cell whose midpoint orbit lands exactly on an
-    interior boundary (or turns non-finite) before entry, or enters in no
-    row, is unresolved ("boundary-unlocated").
+    the reason of the side's inner gap (rounding-floor, p_max-exceeded,
+    record-short, below-resolution or boundary-unlocated).  A cell whose
+    midpoint orbit lands exactly on an interior boundary (or turns
+    non-finite) before entry, or enters in no row, is unresolved
+    ("boundary-unlocated").
 
     Returns (raw, unresolved, counts): raw rows (a, b, kind, l0, p0, key)
     in no particular order, unresolved rows (a, b, reason), and the counts
@@ -554,10 +526,13 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
                     ) -> InducedPartition:
     """Partition the domain into maximal induced-map branches.
 
-    Inside each neighborhood, constant-binding pieces come from a grid
-    scan with jump bisection (_binding_piece_table).  The cuts are the
-    pullbacks, through fewer than q0 steps and outside the neighborhoods,
-    of the branch ends and of every piece and gap edge (_free_breakpoints).
+    Inside each neighborhood, constant-binding pieces come from one
+    backward pull of the binding tubes' ends along the critical orbit; the
+    part of the side no piece resolves, near c, is one gap with its reason,
+    and resolution bounds the pieces from below (_binding_piece_table).
+    The cuts are the pullbacks, through fewer than q0 steps and outside the
+    neighborhoods, of the branch ends and of every piece and gap edge
+    (_free_breakpoints).
     First-entry classification of the cells between them runs as one
     positional walk of all their midpoints (_classify_cells); each cell it
     returns is a branch, and two that touch differ in class, entry, side,
@@ -568,8 +543,9 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
     resolution land in the unresolved set with a reason.  The stage counts
     (the cuts and the piece-table edges among them, the cells by class, the
     end steps that took the scalar endpoint_jet in stage 4, and the
-    branches finishing at each refinement level) and the unresolved
-    measure per reason are logged at INFO.
+    branches finishing at each refinement level), the unresolved measure
+    per reason, and per critical side the pieces, the deepest period and
+    the width of the rounding-floor gap are logged at INFO.
     """
     delta = m.delta if delta is None else float(delta)
     if q0 is None:
@@ -616,16 +592,24 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
     by_reason = {}
     for a, b, reason in merged_unres:
         by_reason[reason] = by_reason.get(reason, 0.0) + (b - a)
+    sides = []
+    for cp, table in zip(m.critical_points, tables):
+        ps = [p for *_, (kind, p) in table if kind == "piece"]
+        floor = sum(hi - lo for lo, hi, row in table
+                    if row == ("gap", "rounding-floor"))
+        sides.append(f"({cp.location!r}, {cp.side!r}) {len(ps)} pieces to "
+                     f"p {max(ps, default=0)}, floor {floor:.4g}")
     _LOG.info(
         "build_partition: %d stage-1 cuts (%d piece-table edges), %d cells "
         "(%d free, %d bound, %d boundary-landed), %d branches (%d with "
         "unbounded sup |Df-hat|), stage 4: %d scalar end jets, branches "
-        "finishing per refinement k %s, unresolved measure by reason %s",
+        "finishing per refinement k %s, unresolved measure by reason %s, "
+        "piece tables per critical side: %s",
         cuts.size, np.isin(cuts, _table_edges(tables)).sum(), cuts.size - 1,
         counts["free"], counts["bound"], counts["boundary_landed"],
         len(branches), sum(br.sup_df == math.inf for br in branches),
         geo["scalar"], geo["levels"],
-        {r: by_reason[r] for r in sorted(by_reason)})
+        {r: by_reason[r] for r in sorted(by_reason)}, "; ".join(sides))
 
     covered = sum(br.width for br in branches) + unres_measure
     if abs(covered - (m.hi - m.lo)) > 1e-9:

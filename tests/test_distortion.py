@@ -151,16 +151,23 @@ def test_batched_variation_stops_at_the_rounding_floor(monkeypatch, cheb,
                                                       cheb_partition):
     # narrow tau >= 19 chebyshev branches have integrands of rounding noise
     # and never reach the 1e-9 tolerance; the reference refines them until
-    # the leaf budget or the small-leaf test stops it
+    # the leaf budget or the small-leaf test stops it.  The floor spends
+    # the same leaves on every other branch, and on the floored ones at
+    # most a quarter of the reference's.
     branches = sorted(cheb_partition.branches, key=lambda br: (br.tau, br.a))
-    stats, ref_stats = {}, {}
+    stats, ref_stats, sub, ref_sub = {}, {}, {}, {}
     vals, errs = di._batched_variation(cheb, branches, stats)
-    monkeypatch.setattr(di, "VAR_FLOOR_ROUNDS", di.VAR_LIMIT + 1)
-    ref, _ref_errs = di._batched_variation(cheb, branches, ref_stats)
-    assert ref_stats["floored"].size == 0
-    assert stats["leaves"] <= 0.75 * ref_stats["leaves"]
     floored = stats["floored"]
     assert floored.size > 0
+    di._batched_variation(cheb, [branches[k] for k in floored], sub)
+    monkeypatch.setattr(di, "VAR_FLOOR_ROUNDS", di.VAR_LIMIT + 1)
+    ref, _ref_errs = di._batched_variation(cheb, branches, ref_stats)
+    di._batched_variation(cheb, [branches[k] for k in floored], ref_sub)
+    assert ref_stats["floored"].size == 0
+    assert sub["floored"].size == floored.size
+    assert stats["leaves"] - sub["leaves"] == \
+        ref_stats["leaves"] - ref_sub["leaves"]
+    assert sub["leaves"] <= 0.25 * ref_sub["leaves"]
     assert all(branches[k].tau >= 19 for k in floored)
     assert np.all(di._accepted(vals[floored], errs[floored]))
     assert np.all(errs[floored] > di.VAR_EPSREL * vals[floored])

@@ -8,8 +8,10 @@ import pytest
 from cusp_induce import hyperbolicity as hy
 from cusp_induce import inducing as ind
 from cusp_induce import map_model as mm
+from cusp_induce.cli import _DELTA_LADDER
 from cusp_induce.critical_orbit import orbit_records
 from reference_expansion_sweep import _expansion_sweep
+from reference_kappa_ladder import reference_kappa_ladder
 
 # From 0.9, where most samples start inside, down to 1e-9, where none enters
 LADDER = [0.9, 0.5, 0.2, 0.1, 0.02, 0.005, 1e-3, 1e-5, 1e-9]
@@ -65,6 +67,18 @@ def test_ladder_walk_matches_the_per_delta_sweep(family, n_max, n_samples):
         assert kap.segments == segments, delta
     assert got[0].segments < got[1].segments      # 0.9 starts most inside
     assert got[-1].segments == 0 and math.isnan(got[-1].value)
+
+
+@pytest.mark.parametrize("ladder", [_DELTA_LADDER, [0.05], [0.2, 0.01]],
+                         ids=["cli", "one", "two"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_ladder_walk_matches_the_per_step_reference(family, ladder):
+    # the walk before its envelopes came from one scatter-minimum a step
+    m = FAMILIES[family]()
+    got = hy._kappa_ladder(m, ladder, 10000, 64, 0)
+    want = reference_kappa_ladder(m, ladder, 10000, 64, 0)
+    assert [(bits(k.envelope), bits(k.value), k.segments) for k in got] == [
+        (bits(k.envelope), bits(k.value), k.segments) for k in want]
 
 
 def test_kappa_hat_is_the_weakest_estimate_over_every_candidate():

@@ -1,9 +1,11 @@
 """Binding periods, first-entry times, and the induced partition.
 
 binding_period is the one-point case of the batched binding_periods.  A
-scalar loop, one jet per step, is kept below as the reference, with a
-recursive jump bisection for the piece tables and a per-sample lemma replay
-on the scalar end_orbits (reference_end_orbits).  The scalar first-entry
+scalar loop, one jet per step, is kept below as the reference, with the
+forward scan and recursive jump bisection that the piece tables' backward
+pull replaced, and a per-sample lemma replay on the scalar end_orbits
+(reference_end_orbits).  The piece tables are also rated against the
+binding rule in long double (reference_binding).  The scalar first-entry
 walk and induced-map loop are the reference of the positional walk and of
 eval_induced (reference_orbit_walks).
 """
@@ -22,12 +24,14 @@ from cusp_induce import map_model as mm
 from cusp_induce.critical_orbit import compute_orbit, orbit_records
 from cusp_induce.expr import EvalDomainError
 from cusp_induce.map_model import critical_distance, evaluate
+from reference_binding import long_double_edges, long_double_periods
 from reference_end_orbits import generalized_distortion
 import reference_orbit_walks as ref_walks
 
 
 # ---------------------------------------------------------------------------
-# reference: the scalar binding loop and the recursive piece-table refine
+# reference: the scalar binding loop, and the forward piece-table scan with
+# a recursive refine of each jump that the backward pull replaced
 
 
 def scalar_binding_period(m, x, delta, records, p_max=60):
@@ -66,8 +70,11 @@ def scalar_binding_period(m, x, delta, records, p_max=60):
 
 
 def recursive_piece_table(m, cp, delta, records, p_max=60, resolution=1e-10):
-    """_binding_piece_table with a recursive bisection of each jump, whose
-    probes take the scalar reference."""
+    """The forward piece table: a scan of 4,095 points and dyadic steps down
+    to max(resolution, 1e-13), stopping at a failure or at p_max, with a
+    recursive bisection of each jump of p, whose probes take the scalar
+    reference.  Its inner gap reads p_max-exceeded, or boundary-unlocated
+    where the scan stopped for another reason."""
     c = cp.location
     sgn = 1.0 if cp.side == "+" else -1.0
     if cp.order <= 1.0:
@@ -189,34 +196,29 @@ REFERENCE_MAPS = {
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_MAPS))
-def test_binding_periods_match_the_scalar_reference(name, monkeypatch):
+def test_binding_periods_match_the_scalar_reference(name):
     m, delta = REFERENCE_MAPS[name]()
     records = orbit_records(m, 61)
     rng = np.random.default_rng(11)
-    batched = ind.binding_periods
-    calls = []
-
-    def recording(m, cp, xs, *args):
-        calls.append(np.array(xs, dtype=float))
-        return batched(m, cp, xs, *args)
-
     sides = 0
     for cp in m.critical_points:
         if cp.order <= 1.0:
             continue
-        # every third point the piece table probes next to the jumps of p:
-        # its batched calls after the first, the sample scan (in one call)
-        calls.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(ind, "binding_periods", recording)
-            patch.setattr(ind, "_PERIOD_POINTS", 1 << 30)
-            ind._binding_piece_table(m, cp, delta, records, 60, 1e-10)
+        # next to the jumps of p: every piece and gap edge of the side's
+        # table and the points 1 to 8 ulps to each side of it, those inside
+        # the neighborhood
+        pieces, gaps = ind._binding_piece_table(m, cp, delta, records, 60,
+                                                1e-10)
+        edges = np.unique([t for row in pieces + gaps for t in row[:2]])
+        ulps = np.arange(-8, 9)
+        near = (edges[:, None] + ulps * np.spacing(edges)[:, None]).ravel()
+        near = near[_vec.in_side(near, cp.location, cp.side, delta)]
         sgn = 1.0 if cp.side == "+" else -1.0
         grid = cp.location + sgn * np.concatenate(
             [delta * np.arange(1, 32) / 32.0, rng.uniform(0.0, delta, 16),
              delta * 2.0 ** -rng.uniform(0.0, 40.0, 16)])
-        xs = np.concatenate([grid] + [x[::3] for x in calls[1:]])
-        assert_matches_scalar_reference(m, cp, xs, delta, records)
+        assert_matches_scalar_reference(m, cp, np.concatenate([grid, near]),
+                                        delta, records)
         sides += 1
     assert sides >= 2
 
@@ -387,32 +389,171 @@ def _undefined_end_lorenz():
     return mm.build_map(cfg)
 
 
+def _merged(rows):
+    """Rows (lo, hi, payload) with each run of touching rows of one payload
+    merged into one."""
+    out = []
+    for lo, hi, payload in rows:
+        if out and out[-1][2] == payload and out[-1][1] == lo:
+            out[-1] = (out[-1][0], hi, payload)
+        else:
+            out.append((lo, hi, payload))
+    return out
+
+
+def _rounding_bound(m, rec, x, d):
+    """How far the rounding of f near c_1 = rec.c[0] moves an edge x at
+    distance d from c: d * ulp(c_1) / |f(x) - c_1|, the edge's distance
+    times the ulps of c_1 over the ulps of its image's offset, plus 4 ulps
+    of d."""
+    off = abs(_vec.step_values(m, np.array([x]))[0] - rec.c[0])
+    return d * np.spacing(abs(rec.c[0])) / off + 4 * np.spacing(d)
+
+
 @pytest.mark.parametrize("name", sorted(STAGE2_CONFIGS))
 def test_piece_tables_match_the_recursive_refine(name):
+    # Singular sides are one piece on both routes.  Otherwise both find
+    # the same periods in the same order above the rounding floor, the
+    # refine's inner p_max-exceeded gap lies inside the pull's floor, and
+    # both put each edge within the rounding of f near c_1 of the edge of
+    # the binding rule in long double (the refine's also within its 1e-12
+    # bisection bracket).
     m, delta = STAGE2_CONFIGS[name]()
     records = orbit_records(m, 61)
     for cp in m.critical_points:
         got = ind._binding_piece_table(m, cp, delta, records, 60, 1e-10)
-        assert got == recursive_piece_table(m, cp, delta, records)
+        ref = recursive_piece_table(m, cp, delta, records)
+        if cp.order <= 1.0:
+            assert got == ref
+            continue
+        got_gaps, ref_gaps = _merged(got[1]), _merged(ref[1])
+        assert [p for *_, p in got[0]] == [p for *_, p in ref[0]]
+        assert len(got_gaps) == len(ref_gaps) == 1
+        if got[0]:
+            assert got_gaps[0][2] == "rounding-floor"
+            assert ref_gaps[0][2] == "p_max-exceeded"
+            width = [hi - lo for lo, hi, _r in got_gaps + ref_gaps]
+            assert width[0] >= width[1]
+        else:           # stays bound for p_max steps: one gap on both
+            assert got_gaps == ref_gaps
+        c, sgn = cp.location, (1.0 if cp.side == "+" else -1.0)
+        edges = long_double_edges(m, cp, records, delta)
+        rec = records[(c, cp.side)]
+        for (*g, p), (*r, _p) in zip(got[0], ref[0]):
+            inner = [min(abs(t - c) for t in ends) for ends in (g, r)]
+            bound = _rounding_bound(m, rec, c + sgn * edges[p - 1],
+                                    edges[p - 1])
+            assert abs(inner[0] - edges[p - 1]) <= bound, p
+            assert abs(inner[1] - edges[p - 1]) <= bound + 1e-12, p
 
 
-def test_piece_tables_call_binding_periods_in_chunks(monkeypatch):
+def test_piece_tables_pull_back_once_per_step(monkeypatch):
+    # One branch_inverse call per step of the critical itinerary, deepest
+    # first, each on every target that deep or deeper, and no forward
+    # binding_periods call.
     m, delta = STAGE2_CONFIGS["chebyshev"]()
     records = orbit_records(m, 61)
-    cp = m.critical_points[0]
     sizes = []
-    batched = ind.binding_periods
+    inverse = _vec.branch_inverse
 
-    def recording(m, cp, xs, *args):
-        sizes.append(len(xs))
-        return batched(m, cp, xs, *args)
+    def recording(m, ids, targets, *args):
+        sizes.append(len(targets))
+        return inverse(m, ids, targets, *args)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(ind, "binding_periods", recording)
-        got = ind._binding_piece_table(m, cp, delta, records, 60, 1e-10)
-    assert max(sizes) == ind._PERIOD_POINTS and sum(sizes) > 4096
-    monkeypatch.setattr(ind, "_PERIOD_POINTS", 1 << 30)
-    assert got == ind._binding_piece_table(m, cp, delta, records, 60, 1e-10)
+    def forward(*args):
+        raise AssertionError("binding_periods called")
+
+    monkeypatch.setattr(_vec, "branch_inverse", recording)
+    monkeypatch.setattr(ind, "binding_periods", forward)
+    for cp in m.critical_points:
+        sizes.clear()
+        ind._binding_piece_table(m, cp, delta, records, 60, 1e-10)
+        assert sizes == list(range(1, 60))
+        sizes.clear()
+        ind._binding_piece_table(m, cp, delta, records, 15, 1e-10)
+        assert sizes == list(range(1, 15))
+
+
+def _floor_width(m, cp, rec, delta):
+    """The largest distance d in (0, delta) from c at which f(c +- d)
+    still rounds to c_1, by bisection in double."""
+    sgn = 1.0 if cp.side == "+" else -1.0
+    lo, hi = 0.0, delta
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        y = _vec.step_values(m, np.array([cp.location + sgn * mid]))[0]
+        lo, hi = (mid, hi) if y == rec.c[0] else (lo, mid)
+
+
+FLOOR_CONFIGS = {
+    "chebyshev": (mm.chebyshev_map, 0.01),
+    "unimodal(2, 2.3)": (lambda: mm.unimodal_map(2.0, 2.3), 0.02),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOOR_CONFIGS))
+def test_piece_tables_end_at_the_rounding_floor(name):
+    # Near c, f rounds to c_1 itself, and no double orbit separates from
+    # the critical one: the side's inner gap reads rounding-floor, not
+    # p_max-exceeded, no piece edge lies within the floor, and each piece's
+    # period is that of the binding rule in long double at its midpoint.
+    family, delta = FLOOR_CONFIGS[name]
+    m = family()
+    records = orbit_records(m, 61)
+    tables = ind._side_tables(m, delta, records, 60, 1e-10)
+    for cp, table in zip(m.critical_points, tables):
+        c, rec = cp.location, records[(cp.location, cp.side)]
+        inner = min(table, key=lambda row: min(abs(t - c) for t in row[:2]))
+        assert inner[2] == ("gap", "rounding-floor")
+        assert [row[2][0] for row in table].count("gap") == 1
+        pieces = [row for row in table if row[2][0] == "piece"]
+        floor = _floor_width(m, cp, rec, delta)
+        assert 0.0 < floor < inner[1] - inner[0]
+        assert min(abs(t - c) for row in pieces for t in row[:2]) > floor
+        mids = np.array([abs(0.5 * (lo + hi) - c) for lo, hi, _ in pieces],
+                        dtype=np.longdouble)
+        assert long_double_periods(m, cp, records, mids).tolist() == [
+            p for *_, (_k, p) in pieces]
+
+
+@pytest.mark.parametrize("p_max, resolution, reason", [
+    (15, 1e-10, "p_max-exceeded"), (60, 1e-6, "below-resolution")])
+def test_piece_tables_end_above_the_floor(cheb, p_max, resolution, reason):
+    # A table that reaches p_max, or a row whose outer edge is within the
+    # resolution, before the rounding floor ends there, under that reason.
+    records = orbit_records(cheb, p_max + 1)
+    for table in ind._side_tables(cheb, 0.01, records, p_max, resolution):
+        inner = min(table, key=lambda row: min(map(abs, row[:2])))
+        assert inner[2] == ("gap", reason)
+        width = inner[1] - inner[0]
+        deepest = max(p for *_, (kind, p) in table if kind == "piece")
+        if reason == "p_max-exceeded":
+            assert deepest == p_max - 1
+            assert width > 1e-6
+        else:
+            assert width <= resolution < 2.6 * width
+
+
+def test_piece_tables_map_a_short_record_to_its_gap():
+    # c_2 = 1 - a = -1e-14 lies within 1e-13 of the critical point 0, so
+    # the record ends at step 2, with a tube of d(c_2) / 2.  Points still
+    # bound after it are record-short in binding_periods, and the table's
+    # inner gap says so; its pieces and gap agree with binding_periods at
+    # their midpoints.
+    m = mm.unimodal_map(1.0 + 1e-14, 2.0, 0.05)
+    records = orbit_records(m, 61)
+    for cp, table in zip(m.critical_points,
+                         ind._side_tables(m, 0.05, records, 60, 1e-10)):
+        assert records[(cp.location, cp.side)].n_filled == 2
+        mids = [0.5 * (lo + hi) for lo, hi, _ in table]
+        p = ind.binding_periods(m, cp, mids, 0.05, records).p.tolist()
+        want = [ind.RECORD_SHORT if kind == "gap" else q
+                for *_, (kind, q) in table]
+        assert p == want
+        assert [row[2] for row in table if row[2][0] == "gap"] == [
+            ("gap", "record-short")]
 
 
 def quad(x):
@@ -750,7 +891,7 @@ def test_stage1_cuts_at_every_piece_edge_and_inside_only_there(cheb):
     edges = ind._table_edges(tables)
     assert np.isin(edges, cuts).all()
     inside = cuts[_vec.in_delta(cheb, cuts, 0.01)]
-    assert inside.size == 34
+    assert inside.size == 32
     assert inside.tolist() == edges[_vec.in_delta(cheb, edges, 0.01)].tolist()
 
 
@@ -795,3 +936,37 @@ def test_adjacent_branches_differ_in_class_or_itinerary(name, cheb_partition):
     assert touching
     for left, right in touching:
         assert record(left) != record(right), (left.a, left.b, right.b)
+
+
+def test_build_partition_logs_each_side_table(caplog):
+    # per critical side: its pieces, the deepest period, and the width of
+    # its rounding-floor gap (0 where the table ends above the floor)
+    cheb = mm.chebyshev_map(0.01)
+    for p_max, floor in ((60, 2.0 ** -27), (15, 0.0)):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="cusp_induce.inducing"):
+            ind.build_partition(cheb, delta=0.01, q0=3, p_max=p_max)
+        msg, = [r.getMessage() for r in caplog.records
+                if r.name == "cusp_induce.inducing"]
+        deepest = 21 if p_max == 60 else 14
+        sides = "; ".join(f"(0.0, {side!r}) {deepest - 5} pieces to p "
+                          f"{deepest}, floor {floor:.4g}" for side in "-+")
+        assert msg.endswith(", piece tables per critical side: " + sides)
+
+
+def test_piece_tables_end_where_a_pullback_is_not_finite(cheb, monkeypatch):
+    # a target whose pullback turns non-finite (here every target past the
+    # 19th, at every step) ends the table at its row
+    inverse = _vec.branch_inverse
+
+    def broken(m, ids, targets, *args):
+        out = inverse(m, ids, targets, *args)
+        out[19:] = np.nan
+        return out
+
+    monkeypatch.setattr(_vec, "branch_inverse", broken)
+    for table in ind._side_tables(cheb, 0.01, orbit_records(cheb, 61), 60,
+                                  1e-10):
+        inner = min(table, key=lambda row: min(map(abs, row[:2])))
+        assert inner[2] == ("gap", "boundary-unlocated")
+        assert max(p for *_, (kind, p) in table if kind == "piece") == 19
