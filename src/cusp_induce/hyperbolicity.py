@@ -101,23 +101,19 @@ def _kappa_ladder(m, deltas, n_samples: int, n_max: int, seed: int) -> list:
     the number of leading deltas whose union it has entered.  At step n the
     envelope of deltas[k] takes the minimum of log|Df^n| over the finite,
     in-range points of level <= k (a scatter-minimum per level, then a
-    running minimum over the levels), and a point whose level rises from a
-    to b ends a first-entry segment for deltas[a:b].  Each step is one
-    _vec._apply on the points' formula groups; only the points inside the
-    largest delta's union can rise, and only those that rose end segments.
-    A point leaves the walk once it lies in the union of the smallest delta.
+    running one over the levels), and a point whose level rises from a to
+    b (only one inside deltas[0]'s union can) ends a first-entry segment
+    for deltas[a:b].  It leaves the walk at level len(deltas).
     """
     xs = _sample_points(m, n_samples, seed)
     k_all = len(deltas)
     level = _depth(m, deltas, xs)
     pos, level = xs[level < k_all], level[level < k_all]
     logp = np.zeros(pos.shape)
-    one = len(m.formula_groups[1]) == 1
     rows, kappa_log, segments = [], [math.inf] * k_all, [0] * k_all
     for _n in range(n_max):
+        v, d1 = _vec.step_values(m, pos, 1)
         with np.errstate(all="ignore"):
-            v, d1 = _vec._apply(m, None if one else _vec.group_indices(m, pos),
-                                pos, 1)
             step = np.log(np.abs(d1))
         good = np.isfinite(v) & np.isfinite(step)
         good &= (v >= m.lo - _IMAGE_TOL) & (v <= m.hi + _IMAGE_TOL)

@@ -227,51 +227,63 @@ def _binding_piece_table(m, cp, delta: float, records, p_max: int,
     itinerary (s_j: the side's sign times the monotone signs passed); all
     ends are pulled back together, one branch_inverse call per step.
 
-    The table ends at the first row j it cannot resolve, and the rest of
-    the side, within R_(j-1) of c, is one gap: "rounding-floor" where tube
-    end j (not c_j itself) pulls back to c_1 at step 1, as f rounds every
-    point left to c_1; "boundary-unlocated" where its pullback is not
-    finite; "below-resolution" where R_(j-1) <= resolution; past the last
-    end, "p_max-exceeded", or "record-short" where the critical record ends
+    Within the rounding floor w, the largest distance at which f, monotone
+    on the side, still rounds to c_1 (searched over the doubles in [0,
+    delta] 64 at a time, by their bit patterns), no orbit leaves c's, and
+    binding_periods gives the period P of the first one beyond w.  So R_j
+    >= w and R_P = w, however the pull rounds there.  The table ends at row
+    P, or at the first row j it cannot resolve, and the rest of the side,
+    within R_(j-1) of c, is one gap: "rounding-floor" past P;
+    "boundary-unlocated" where the pullback of tube end j is not finite;
+    "below-resolution" where R_(j-1) <= resolution; past the last end,
+    "p_max-exceeded", or "record-short" where the critical record ends
     first.  A singular side (order <= 1) is one piece, p = 1.  Returns
     (pieces, gaps): (lo, hi, p) and (lo, hi, reason) rows, ascending.
     """
     c = cp.location
     sgn = 1.0 if cp.side == "+" else -1.0
-    if cp.order <= 1.0:
-        lo, hi = (c, c + delta) if sgn > 0 else (c - delta, c)
-        return [(lo, hi, 1)], []
-    rec = records.get((c, cp.side))
-    if rec is None or rec.N < p_max:
-        rec = compute_orbit(m, cp, p_max + 1)
-    n = min(p_max - 1, rec.n_filled)
-    first = np.searchsorted(m.interior_boundaries, c,
-                            side="right" if sgn > 0 else "left")
-    ids = np.append(first, _vec.branch_indices(m, rec.c[:n]))[:n]
-    s = sgn * np.cumprod(np.array(m.monotone_signs)[ids])
-    targets = rec.c[:n] + s * (rec.gamma[:n] * rec.d[:n])
-    x = targets.copy()
-    for k in range(n - 1, 0, -1):
-        x[k:] = _vec.branch_inverse(m, np.full(n - k, ids[k]), x[k:])
-    at_c1 = (x == rec.c[0]) & (targets != rec.c[:n])
-    r = np.abs(_vec.branch_inverse(m, np.full(n, first), x) - c)
-    R = np.minimum.accumulate(np.append(delta, r)).tolist()
-
-    end = n + 1
-    reason = "p_max-exceeded" if rec.n_filled >= p_max else "record-short"
-    for j, stops in enumerate(zip(at_c1, ~np.isfinite(r),
-                                  np.array(R[:-1]) <= resolution), 1):
-        if any(stops):
-            end, reason = j, ("rounding-floor", "boundary-unlocated",
-                              "below-resolution")[stops.index(True)]
-            break
-    rows = [(R[j], R[j - 1], j) for j in range(1, end) if R[j] < R[j - 1]]
-    gaps = [(0.0, R[end - 1], reason)] if R[end - 1] > 0.0 else []
 
     def oriented(items):
         return sorted((*sorted((c + sgn * lo_d, c + sgn * hi_d)), payload)
                       for lo_d, hi_d, payload in items)
 
+    if cp.order <= 1.0:
+        return oriented([(0.0, delta, 1)]), []
+    rec = records.get((c, cp.side))
+    if rec is None or rec.N < p_max:
+        rec = compute_orbit(m, cp, p_max + 1)
+    first = np.searchsorted(m.interior_boundaries, c,
+                            side="right" if sgn > 0 else "left")
+    lo, hi = 0, int(np.float64(delta).view(np.int64))
+    while hi - lo > 1:
+        bits = np.array([lo + (hi - lo) * k // 65 for k in range(1, 65)])
+        y = _vec.step_values(m, c + sgn * bits.view(float),
+                             ids=np.full(64, first))
+        k = int(np.searchsorted(y != rec.c[0], True))
+        lo, hi = (bits[k - 1] if k else lo), (bits[k] if k < 64 else hi)
+    w, beyond = np.array([lo, hi]).view(float).tolist()
+    P = int(binding_periods(m, cp, [c + sgn * beyond], delta,
+                            {(c, cp.side): rec}, p_max).p[0])
+    P = P if P > 0 else p_max
+    n = min(p_max - 1, rec.n_filled, P)
+    ids = np.append(first, _vec.branch_indices(m, rec.c[:n]))[:n]
+    s = sgn * np.cumprod(np.array(m.monotone_signs)[ids])
+    x = rec.c[:n] + s * (rec.gamma[:n] * rec.d[:n])
+    for k in range(n - 1, 0, -1):
+        x[k:] = _vec.branch_inverse(m, np.full(n - k, ids[k]), x[k:])
+    r = np.abs(_vec.branch_inverse(m, np.full(n, first), x) - c)
+    R = np.maximum(np.minimum.accumulate(np.append(delta, r)), w)
+    R[P:] = w
+    end, reason = n + 1, ("rounding-floor" if n == P else "p_max-exceeded"
+                          if rec.n_filled >= p_max else "record-short")
+    for j, stops in enumerate(zip(~np.isfinite(r), R[:-1] <= resolution), 1):
+        if any(stops):
+            end, reason = j, ("boundary-unlocated",
+                              "below-resolution")[stops.index(True)]
+            break
+    R = R.tolist()
+    rows = [(R[j], R[j - 1], j) for j in range(1, end) if R[j] < R[j - 1]]
+    gaps = [(0.0, R[end - 1], reason)] if R[end - 1] > 0.0 else []
     return oriented(rows), oriented(gaps)
 
 

@@ -111,16 +111,11 @@ def test_ulam_matrix_through_the_closed_form_and_the_bisection_agree(
     # through the bisection fallback; the partitions keep their records
     # and the Ulam entries move less than one piece whose two ends move by
     # 9.0e-10, the largest preimage move between the closed form and the
-    # root finder it replaced on the chebyshev benchmark partition.  The
-    # piece tables come from the same inverses, and at the rounding floor
-    # the bisection's last halving can land on c_1 one row before the
-    # closed form does (the floor then takes piece 21), so the tables stop
-    # at a resolution of 1e-7, above the rows where the two can part
+    # root finder it replaced on the chebyshev benchmark partition
     tables, parts = [], []
     for spelling in ("1 - 2*x^2", "1 - 2*x*x"):
         m = _chebyshev_spelled(spelling, 0.05)
-        parts.append(ind.build_partition(m, delta=0.05, q0=5,
-                                         resolution=1e-7))
+        parts.append(ind.build_partition(m, delta=0.05, q0=5))
         with caplog.at_level(logging.INFO, logger=de.__name__):
             table = de.ulam_matrix(m, parts[-1], m_cells=256)
         tables.append(table.matrix)

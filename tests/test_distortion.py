@@ -152,8 +152,10 @@ def test_batched_variation_stops_at_the_rounding_floor(monkeypatch, cheb,
     # narrow tau >= 19 chebyshev branches have integrands of rounding noise
     # and never reach the 1e-9 tolerance; the reference refines them until
     # the leaf budget or the small-leaf test stops it.  The floor spends
-    # the same leaves on every other branch, and on the floored ones at
-    # most a quarter of the reference's.
+    # the same leaves on every other branch, on the floored ones at most a
+    # third of the reference's, and on the whole partition at most 85% (on
+    # this partition, whose p = 21 pieces reach the rounding floor of f at
+    # c_1: 0.31 and 0.83)
     branches = sorted(cheb_partition.branches, key=lambda br: (br.tau, br.a))
     stats, ref_stats, sub, ref_sub = {}, {}, {}, {}
     vals, errs = di._batched_variation(cheb, branches, stats)
@@ -167,7 +169,8 @@ def test_batched_variation_stops_at_the_rounding_floor(monkeypatch, cheb,
     assert sub["floored"].size == floored.size
     assert stats["leaves"] - sub["leaves"] == \
         ref_stats["leaves"] - ref_sub["leaves"]
-    assert sub["leaves"] <= 0.25 * ref_sub["leaves"]
+    assert sub["leaves"] <= ref_sub["leaves"] / 3
+    assert stats["leaves"] <= 0.85 * ref_stats["leaves"]
     assert all(branches[k].tau >= 19 for k in floored)
     assert np.all(di._accepted(vals[floored], errs[floored]))
     assert np.all(errs[floored] > di.VAR_EPSREL * vals[floored])

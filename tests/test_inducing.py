@@ -448,30 +448,36 @@ def test_piece_tables_match_the_recursive_refine(name):
 
 
 def test_piece_tables_pull_back_once_per_step(monkeypatch):
-    # One branch_inverse call per step of the critical itinerary, deepest
-    # first, each on every target that deep or deeper, and no forward
-    # binding_periods call.
+    # One forward binding_periods call, on the one point just beyond the
+    # rounding floor, whose period (21 here) ends the table; then one
+    # branch_inverse call per step of the critical itinerary up to it, or
+    # to p_max - 1, deepest first, each on every target that deep or
+    # deeper.
     m, delta = STAGE2_CONFIGS["chebyshev"]()
     records = orbit_records(m, 61)
-    sizes = []
-    inverse = _vec.branch_inverse
+    sizes, probes = [], []
+    inverse, forward = _vec.branch_inverse, ind.binding_periods
 
     def recording(m, ids, targets, *args):
         sizes.append(len(targets))
         return inverse(m, ids, targets, *args)
 
-    def forward(*args):
-        raise AssertionError("binding_periods called")
+    def probing(m, cp, xs, *args):
+        probes.append(list(xs))
+        return forward(m, cp, xs, *args)
 
     monkeypatch.setattr(_vec, "branch_inverse", recording)
-    monkeypatch.setattr(ind, "binding_periods", forward)
+    monkeypatch.setattr(ind, "binding_periods", probing)
     for cp in m.critical_points:
-        sizes.clear()
-        ind._binding_piece_table(m, cp, delta, records, 60, 1e-10)
-        assert sizes == list(range(1, 60))
-        sizes.clear()
-        ind._binding_piece_table(m, cp, delta, records, 15, 1e-10)
-        assert sizes == list(range(1, 15))
+        rec = records[(cp.location, cp.side)]
+        sgn = 1.0 if cp.side == "+" else -1.0
+        beyond = cp.location + sgn * np.nextafter(
+            _floor_width(m, cp, rec, delta), delta)
+        for p_max, rows in ((60, 21), (15, 14)):
+            sizes.clear(), probes.clear()
+            ind._binding_piece_table(m, cp, delta, records, p_max, 1e-10)
+            assert probes == [[beyond]]
+            assert sizes == list(range(1, rows + 1))
 
 
 def _floor_width(m, cp, rec, delta):
@@ -487,8 +493,17 @@ def _floor_width(m, cp, rec, delta):
         lo, hi = (mid, hi) if y == rec.c[0] else (lo, mid)
 
 
+def _chebyshev_without_inverse():
+    """chebyshev spelled 1 - 2*x*x, which branch_inverse bisects."""
+    cfg = mm.family_config("chebyshev", delta=0.01)
+    for br in cfg["branches"]:
+        br["expr"] = "1 - 2*x*x"
+    return mm.build_map(cfg)
+
+
 FLOOR_CONFIGS = {
     "chebyshev": (mm.chebyshev_map, 0.01),
+    "chebyshev, bisected": (_chebyshev_without_inverse, 0.01),
     "unimodal(2, 2.3)": (lambda: mm.unimodal_map(2.0, 2.3), 0.02),
 }
 
@@ -497,8 +512,8 @@ FLOOR_CONFIGS = {
 def test_piece_tables_end_at_the_rounding_floor(name):
     # Near c, f rounds to c_1 itself, and no double orbit separates from
     # the critical one: the side's inner gap reads rounding-floor, not
-    # p_max-exceeded, no piece edge lies within the floor, and each piece's
-    # period is that of the binding rule in long double at its midpoint.
+    # p_max-exceeded, it is that floor, and each piece's period is that of
+    # the binding rule in long double at its midpoint.
     family, delta = FLOOR_CONFIGS[name]
     m = family()
     records = orbit_records(m, 61)
@@ -510,8 +525,10 @@ def test_piece_tables_end_at_the_rounding_floor(name):
         assert [row[2][0] for row in table].count("gap") == 1
         pieces = [row for row in table if row[2][0] == "piece"]
         floor = _floor_width(m, cp, rec, delta)
-        assert 0.0 < floor < inner[1] - inner[0]
-        assert min(abs(t - c) for row in pieces for t in row[:2]) > floor
+        sgn = 1.0 if cp.side == "+" else -1.0
+        assert floor > 0.0
+        assert list(inner[:2]) == sorted((c, c + sgn * floor))
+        assert min(abs(t - c) for row in pieces for t in row[:2]) == floor
         mids = np.array([abs(0.5 * (lo + hi) - c) for lo, hi, _ in pieces],
                         dtype=np.longdouble)
         assert long_double_periods(m, cp, records, mids).tolist() == [
@@ -942,7 +959,10 @@ def test_build_partition_logs_each_side_table(caplog):
     # per critical side: its pieces, the deepest period, and the width of
     # its rounding-floor gap (0 where the table ends above the floor)
     cheb = mm.chebyshev_map(0.01)
-    for p_max, floor in ((60, 2.0 ** -27), (15, 0.0)):
+    cp = cheb.critical_points[0]
+    width = _floor_width(cheb, cp, compute_orbit(cheb, cp, 61), 0.01)
+    assert f"{width:.4g}" == "5.268e-09"         # about 2^-27.5
+    for p_max, floor in ((60, width), (15, 0.0)):
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="cusp_induce.inducing"):
             ind.build_partition(cheb, delta=0.01, q0=3, p_max=p_max)
