@@ -32,6 +32,7 @@ its lemma replay and summability (cli.cmd_pipeline).
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
@@ -109,15 +110,22 @@ def _apply(m, g, x: np.ndarray, order: int = 0):
 
 def step_values(m, x: np.ndarray, order: int = 0, ids=None):
     """f(x) elementwise over a 1-d x, or with derivative order 1 or 2 the
-    tuple of f(x) and its first (and second) derivatives, as _forced_pass.
-    Point k takes branch ids[k], by default the branch holding it, whose
-    group comes straight from the group boundaries (group_indices); a map
-    with one formula needs no ids."""
+    tuple of f(x) and its first (and second) derivatives, as _forced_pass,
+    in new arrays.  Point k takes branch ids[k], by default the branch
+    holding it, whose group comes straight from the group boundaries
+    (group_indices); a map with one formula needs no ids.  Only order 2
+    needs the pass: its chain rule makes D2f NaN where Df is infinite."""
     x = np.asarray(x, dtype=float)
     g = None
     if len(m.formula_groups[1]) > 1:
         g = group_indices(m, x) if ids is None else m.formula_groups[0][ids]
-    return _forced_pass(m, [(x.size, g)], x, order)
+    if order > 1:
+        return _forced_pass(m, [(x.size, g)], x, order)
+    with np.errstate(all="ignore"):
+        out = _apply(m, g, x, order)
+    parts = [p.copy() if np.may_share_memory(p, x) else p
+             for p in (out if order else [out])]
+    return tuple(parts) if order else parts[0]
 
 
 def in_side(x, c: float, side: str, delta: float):
@@ -188,10 +196,10 @@ def preimages(m, targets):
 
 def itinerary_matrix(itineraries) -> np.ndarray:
     """Itineraries as the rows of one matrix, padded with -1 past their end."""
-    width = max((len(it) for it in itineraries), default=0)
-    out = np.full((len(itineraries), width), -1, dtype=np.int64)
-    for k, it in enumerate(itineraries):
-        out[k, :len(it)] = it
+    lengths = np.fromiter(map(len, itineraries), np.intp, len(itineraries))
+    out = np.full((lengths.size, lengths.max(initial=0)), -1, dtype=np.int64)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(itineraries), np.int64, lengths.sum())
     return out
 
 

@@ -315,11 +315,11 @@ def cmd_pipeline(args) -> int:
         "passed": True, "delta": part.delta, "q0": part.q0,
         "report": hrep.to_dict() if hrep is not None else None}
     stages["induce"] = part.summary()
-    if args.out:
-        inducing.write_partition_csv(part, _out(args, "partition.csv"))
 
     def replay():
-        """The lemmas and summability: the failed stage, or None."""
+        """partition.csv, lemmas, summability: the failed stage or None."""
+        if args.out:
+            inducing.write_partition_csv(part, _out(args, "partition.csv"))
         lem = inducing.verify_binding_lemmas(
             m, part, n_samples=args.samples_lemma, seed=args.seed,
             records=records)

@@ -359,10 +359,10 @@ def variation_bound(m, interval, l: int) -> float:
 VAR_EPSABS = 1e-12
 VAR_EPSREL = 1e-9
 VAR_LIMIT = 400
-# Rounds of splits in a row that leave a branch's error estimate no lower
-# before the batched rule stops refining it: its integrand is then rounding
-# noise.  One such round also happens on the way to the tolerance.
-VAR_FLOOR_ROUNDS = 3
+# Splits of a branch failing QUADPACK's roundoff test (dqage, ier = 2) that
+# stop it: halves that move their leaf's value by at most 1e-5 relative and
+# keep 0.99 of its error (before any Aitken tail) show rounding noise.
+VAR_ROUNDOFF_SPLITS = 6
 
 
 def _accepted(val, err):
@@ -462,9 +462,9 @@ def _batched_variation(m, branches, stats=None):
     only the new leaves in one forced jet pass along their itineraries.
     Leaves at a branch end carry an Aitken tail for an integrable endpoint
     singularity (a singular touch).  A leaf at most 100 ulps wide, or whose
-    children are not finite, is frozen.  A branch whose error estimate
-    VAR_FLOOR_ROUNDS rounds of splits in a row did not lower has reached
-    the rounding floor of its integrand and is refined no further.  Returns
+    children are not finite, is frozen.  A branch with VAR_ROUNDOFF_SPLITS
+    splits that failed QUADPACK's roundoff test has reached the rounding
+    floor of its integrand and is refined no further.  Returns
     (values, error estimates); a branch that fails the acceptance test
     (_accepted) raises RuntimeError.  stats, when given, gets the leaves
     evaluated ("leaves") and the indices of the branches stopped short of
@@ -480,19 +480,14 @@ def _batched_variation(m, branches, stats=None):
     frozen = ~np.isfinite(val + err)
     tail = np.zeros(B)
     gain = np.full(B, np.nan)
-    last_err = np.full(B, np.inf)
-    flat_rounds = np.zeros(B, dtype=np.int64)
-    refined = np.zeros(B, dtype=bool)
+    roundoff = np.zeros(B, dtype=np.int64)
     while True:
         total = np.bincount(owner, val + tail, minlength=B)
         total_err = np.bincount(owner, err, minlength=B)
         tol = np.maximum(VAR_EPSABS, VAR_EPSREL * np.abs(total))
         room = VAR_LIMIT - np.bincount(owner, minlength=B)
         stuck = np.bincount(owner, np.where(frozen, err, 0.0), minlength=B)
-        flat_rounds = np.where(refined, np.where(
-            total_err >= last_err, flat_rounds + 1, 0), flat_rounds)
-        last_err = total_err
-        floored = flat_rounds >= VAR_FLOOR_ROUNDS
+        floored = roundoff >= VAR_ROUNDOFF_SPLITS
         active = ((total_err > tol) & (room > 0) & ~(stuck > tol)
                   & ~floored)
         cand = np.flatnonzero(active[owner] & ~frozen)
@@ -520,13 +515,16 @@ def _batched_variation(m, branches, stats=None):
         left = np.flatnonzero(np.isfinite(v2 + e2).all(0))
         frozen[np.delete(sel, left)] = True
         sel, mid, v2, e2 = sel[left], mid[left], v2[:, left], e2[:, left]
-        refined = np.bincount(owner[sel], minlength=B) > 0
+        area = v2.sum(0)
+        flat = ((np.abs(val[sel] - area) <= 1e-5 * np.abs(area))
+                & (e2.sum(0) >= 0.99 * err[sel]))
+        roundoff += np.bincount(owner[sel[flat]], minlength=B)
         # A child at a branch end continues its parent's halving chain
         # there.  An integrable endpoint singularity makes the gains of
         # that chain geometric, so an Aitken tail extrapolates the rest;
         # the change of the extrapolated value over the parent's interval
         # is its error, used where it beats the Kronrod estimate.
-        g = v2.sum(0) - val[sel]
+        g = area - val[sel]
         at_end = np.stack([lo[sel] == a[owner[sel]], hi[sel] == b[owner[sel]]])
         with np.errstate(all="ignore"):
             r = g / gain[sel]

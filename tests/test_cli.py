@@ -2,6 +2,7 @@
 
 import io
 import contextlib
+import dataclasses
 import errno
 import filecmp
 import json
@@ -12,7 +13,7 @@ import sys
 
 import pytest
 
-from cusp_induce import _vec, cli, density, hyperbolicity, map_model
+from cusp_induce import _vec, cli, density, hyperbolicity, inducing, map_model
 from cusp_induce import distortion as di
 from cusp_induce import expr as ex
 from cusp_induce.map_model import family_config
@@ -453,17 +454,46 @@ def test_a_density_child_that_does_not_finish_leaves_density_here(
 def test_a_failed_summability_keeps_its_report_and_writes_no_density(
         monkeypatch, tmp_path):
     # density raises in the child: pipeline.json and stdout still report
-    # the failed summability alone, no density.csv is written, and this
-    # process never runs density
+    # the failed summability alone, partition.csv but no density.csv is
+    # written, and this process never runs density
     calls = _density_spy(monkeypatch, error=RuntimeError("density failed"))
     _cpus(monkeypatch, {0})
     want = _pipeline_bytes(tmp_path / "one", SUMMABILITY_FAILS)
     assert want[0] == 1 and "density.csv" not in want[2]
+    assert "partition.csv" in want[2]
     assert json.loads(want[1])["failed_stage"] == "summability"
     assert want[2]["pipeline.json"] == want[1].encode()
     _cpus(monkeypatch, {0, 1})
     assert _pipeline_bytes(tmp_path / "two", SUMMABILITY_FAILS) == want
     assert calls == []
+
+
+def test_a_failed_lemma_replay_keeps_the_partition_csv(monkeypatch,
+                                                       tmp_path):
+    # partition.csv is written by the replay's share before the lemmas
+    # run, so a failed lemma check leaves it, the same bytes on one CPU,
+    # on two and where the fork fails
+    real = inducing.verify_binding_lemmas
+
+    def failing(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        return dataclasses.replace(rep, checks={**rep.checks,
+                                                "expansion": "failed"})
+
+    monkeypatch.setattr(inducing, "verify_binding_lemmas", failing)
+    _cpus(monkeypatch, {0})
+    want = _pipeline_bytes(tmp_path / "one", CHEB_SMALL)
+    assert want[0] == 1 and json.loads(want[1])["failed_stage"] == "lemmas"
+    assert "partition.csv" in want[2]
+    assert not {"summability.csv", "density.csv"} & set(want[2])
+    _cpus(monkeypatch, {0, 1})
+    assert _pipeline_bytes(tmp_path / "two", CHEB_SMALL) == want
+
+    def fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert _pipeline_bytes(tmp_path / "three", CHEB_SMALL) == want
 
 
 def test_a_density_error_reaches_the_caller_unchanged(monkeypatch,

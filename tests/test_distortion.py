@@ -147,34 +147,79 @@ def test_inv_distance_integrals_match_the_scalar_reference(singular):
     assert str(got_err.value) == str(want_err.value)
 
 
-def test_batched_variation_stops_at_the_rounding_floor(monkeypatch, cheb,
-                                                      cheb_partition):
+def _variation_runs(m, part):
+    """The batched variation over part's branches, sorted as the
+    summability report sorts them, as (branches, values, errors, stats),
+    with QUADPACK's roundoff test and, second, without it."""
+    branches = sorted(part.branches, key=lambda br: (br.tau, br.a))
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        for splits in (di.VAR_ROUNDOFF_SPLITS, di.VAR_LIMIT + 1):
+            mp.setattr(di, "VAR_ROUNDOFF_SPLITS", splits)
+            stats = {}
+            runs.append((branches, *di._batched_variation(m, branches, stats),
+                         stats))
+    return runs
+
+
+@pytest.fixture(scope="module")
+def cheb_variation_runs(cheb, cheb_partition):
+    return _variation_runs(cheb, cheb_partition)
+
+
+def test_batched_variation_stops_at_the_rounding_floor(
+        monkeypatch, cheb, cheb_variation_runs):
     # narrow tau >= 19 chebyshev branches have integrands of rounding noise
     # and never reach the 1e-9 tolerance; the reference refines them until
     # the leaf budget or the small-leaf test stops it.  The floor spends
     # the same leaves on every other branch, on the floored ones at most a
-    # third of the reference's, and on the whole partition at most 85% (on
+    # third of the reference's, and on the whole partition at most 60% (on
     # this partition, whose p = 21 pieces reach the rounding floor of f at
-    # c_1: 0.31 and 0.83)
-    branches = sorted(cheb_partition.branches, key=lambda br: (br.tau, br.a))
-    stats, ref_stats, sub, ref_sub = {}, {}, {}, {}
-    vals, errs = di._batched_variation(cheb, branches, stats)
+    # c_1: 0.19 and 0.45)
+    (branches, vals, errs, stats), (_, ref, _ref_errs, ref_stats) = \
+        cheb_variation_runs
+    sub, ref_sub = {}, {}
     floored = stats["floored"]
     assert floored.size > 0
     di._batched_variation(cheb, [branches[k] for k in floored], sub)
-    monkeypatch.setattr(di, "VAR_FLOOR_ROUNDS", di.VAR_LIMIT + 1)
-    ref, _ref_errs = di._batched_variation(cheb, branches, ref_stats)
+    monkeypatch.setattr(di, "VAR_ROUNDOFF_SPLITS", di.VAR_LIMIT + 1)
     di._batched_variation(cheb, [branches[k] for k in floored], ref_sub)
     assert ref_stats["floored"].size == 0
     assert sub["floored"].size == floored.size
     assert stats["leaves"] - sub["leaves"] == \
         ref_stats["leaves"] - ref_sub["leaves"]
     assert sub["leaves"] <= ref_sub["leaves"] / 3
-    assert stats["leaves"] <= 0.85 * ref_stats["leaves"]
+    assert stats["leaves"] <= 0.6 * ref_stats["leaves"]
     assert all(branches[k].tau >= 19 for k in floored)
     assert np.all(di._accepted(vals[floored], errs[floored]))
     assert np.all(errs[floored] > di.VAR_EPSREL * vals[floored])
     assert np.all(np.abs(vals - ref) < errs)
+
+
+def test_floored_branches_keep_the_unfloored_value_within_their_error(
+        cheb_variation_runs):
+    # the roundoff test moves only the branches it floors, each by less
+    # than its own error estimate; every other branch keeps its bits
+    (_, vals, errs, stats), (_, ref, ref_errs, _) = cheb_variation_runs
+    floored = stats["floored"]
+    assert floored.size > 0
+    assert np.all(np.abs(vals[floored] - ref[floored]) <= errs[floored])
+    for got, want in ((vals, ref), (errs, ref_errs)):
+        assert np.delete(got, floored).tobytes() == \
+            np.delete(want, floored).tobytes()
+
+
+def test_the_roundoff_test_never_fires_on_the_lorenz_partition(
+        lorenz, lorenz_partition):
+    # every lorenz branch converges before six of its splits fail the
+    # roundoff test: leaves, values and errors are those of a run without
+    # the test
+    (_, vals, errs, stats), (_, ref, ref_errs, ref_stats) = \
+        _variation_runs(lorenz, lorenz_partition)
+    assert stats["floored"].size == 0
+    assert stats["leaves"] == ref_stats["leaves"]
+    assert vals.tobytes() == ref.tobytes()
+    assert errs.tobytes() == ref_errs.tobytes()
 
 
 def test_batched_variation_raises_on_divergent_integral(cheb):

@@ -252,6 +252,40 @@ def test_positional_steps_match_per_branch_dispatch(one_step_map):
                 == right.d1_values(np.array([b])).tobytes()
 
 
+@pytest.mark.parametrize("m", [
+    mm.chebyshev_map(), mm.unimodal_map(), mm.lorenz_map(1.9, 0.4),
+    mm.singular_unimodal_map(),
+    mm.build_map({"name": "identity", "domain": [0.0, 1.0], "delta": 0.05,
+                  "branches": [{"interval": [0.0, 1.0], "expr": "x"}],
+                  "critical_points": []})], ids=lambda m: m.name)
+def test_one_steps_match_the_forced_pass(m):
+    # orders 0 and 1 skip the one-step pass; they give its bits, also at
+    # the critical points (lorenz's cusp: Df not finite) and on non-finite
+    # inputs, in arrays that share no memory with x or with each other
+    # (array_end_orbits writes into them); the identity map's formula
+    # returns x itself
+    x = np.concatenate((
+        np.random.default_rng(15).uniform(m.lo, m.hi, 2000),
+        m.interior_boundaries,
+        [cp.location for cp in m.critical_points],
+        [m.lo, m.hi, -0.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf]))
+    ids = np.random.default_rng(16).integers(0, len(m.branches), x.size)
+    for ids_ in (None, ids):
+        g = None
+        if len(m.formula_groups[1]) > 1:
+            g = (_vec.group_indices(m, x) if ids_ is None
+                 else m.formula_groups[0][ids_])
+        for order in (0, 1):
+            want = _vec._forced_pass(m, [(x.size, g)], x, order)
+            got = _vec.step_values(m, x, order, ids_)
+            if not order:
+                want, got = (want,), (got,)
+            assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+            assert all(p.shape == x.shape for p in got)
+            assert not any(np.may_share_memory(p, q)
+                           for p in got for q in (x, *got) if p is not q)
+
+
 @pytest.fixture(params=["cheb", "lorenz"])
 def map_and_branches(request):
     m = request.getfixturevalue(request.param)
@@ -578,6 +612,16 @@ def test_a_share_that_does_not_converge_in_its_child_alone_runs_here(
     assert hist.tobytes() == want[0].tobytes() and counts == want[1]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_itinerary_matrix_matches_the_row_loop(cheb_partition):
+    rows = [br.itinerary for br in cheb_partition.branches] + [()]
+    want = np.full((len(rows), max(map(len, rows))), -1, dtype=np.int64)
+    for k, it in enumerate(rows):
+        want[k, :len(it)] = it
+    got = _vec.itinerary_matrix(rows)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert _vec.itinerary_matrix([]).shape == (0, 0)
 
 
 def test_chunk_ranges_close_runs_at_the_budget():
