@@ -15,7 +15,6 @@ from .expr import (
     EvalDomainError,
     Jet2,
     parse,
-    to_source,
 )
 from .map_model import (
     MapConfigError,

@@ -109,18 +109,15 @@ def _apply(m, g, x: np.ndarray, order: int = 0):
 
 
 def step_values(m, x: np.ndarray, order: int = 0, ids=None):
-    """f(x) elementwise over a 1-d x, or with derivative order 1 or 2 the
-    tuple of f(x) and its first (and second) derivatives, as _forced_pass,
-    in new arrays.  Point k takes branch ids[k], by default the branch
-    holding it, whose group comes straight from the group boundaries
-    (group_indices); a map with one formula needs no ids.  Only order 2
-    needs the pass: its chain rule makes D2f NaN where Df is infinite."""
+    """f(x) elementwise over a 1-d x, or with order 1 the pair of f(x) and
+    Df(x), as a one-step _forced_pass gives them, in new arrays.  Point k
+    takes branch ids[k], by default the branch holding it, whose group
+    comes straight from the group boundaries (group_indices); a map with
+    one formula needs no ids."""
     x = np.asarray(x, dtype=float)
     g = None
     if len(m.formula_groups[1]) > 1:
         g = group_indices(m, x) if ids is None else m.formula_groups[0][ids]
-    if order > 1:
-        return _forced_pass(m, [(x.size, g)], x, order)
     with np.errstate(all="ignore"):
         out = _apply(m, g, x, order)
     parts = [p.copy() if np.may_share_memory(p, x) else p

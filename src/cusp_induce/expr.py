@@ -57,7 +57,6 @@ __all__ = [
     "Abs",
     "Sign",
     "parse",
-    "to_source",
     "Compiled",
     "compile",
     "shared_subtrees",
@@ -345,68 +344,6 @@ def parse(source: str, params=()) :
     :class:`UnknownIdentifierError` with the character offset.
     """
     return _Parser(source, params).parse()
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
-
-def _level(e) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _LEVEL_ADD
-    if isinstance(e, (Mul, Div)):
-        return _LEVEL_MUL
-    if isinstance(e, Neg):
-        return _LEVEL_UNARY
-    if isinstance(e, Pow):
-        return _LEVEL_POW
-    return _LEVEL_ATOM
-
-
-def to_source(e) -> str:
-    """Serialize a tree to a string that re-parses to the identical tree."""
-    return _print(e)
-
-
-def _wrap(e, min_level: int) -> str:
-    text = _print(e)
-    if _level(e) < min_level:
-        return f"({text})"
-    return text
-
-
-def _print(e) -> str:
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return "x"
-    if isinstance(e, Param):
-        return e.name
-    if isinstance(e, Neg):
-        return "-" + _wrap(e.arg, _LEVEL_UNARY)
-    if isinstance(e, Add):
-        return f"{_wrap(e.left, _LEVEL_ADD)} + {_wrap(e.right, _LEVEL_ADD + 1)}"
-    if isinstance(e, Sub):
-        return f"{_wrap(e.left, _LEVEL_ADD)} - {_wrap(e.right, _LEVEL_ADD + 1)}"
-    if isinstance(e, Mul):
-        return f"{_wrap(e.left, _LEVEL_MUL)}*{_wrap(e.right, _LEVEL_MUL + 1)}"
-    if isinstance(e, Div):
-        return f"{_wrap(e.left, _LEVEL_MUL)}/{_wrap(e.right, _LEVEL_MUL + 1)}"
-    if isinstance(e, Pow):
-        base = _wrap(e.base, _LEVEL_POW)
-        exp = e.exponent
-        if isinstance(exp, Neg) and _level(exp.arg) == _LEVEL_ATOM:
-            return f"{base}^-{_print(exp.arg)}"
-        if _level(exp) == _LEVEL_ATOM:
-            return f"{base}^{_print(exp)}"
-        return f"{base}^({_print(exp)})"
-    if isinstance(e, Abs):
-        return f"abs({_print(e.arg)})"
-    if isinstance(e, Sign):
-        return f"sign({_print(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 # ---------------------------------------------------------------------------

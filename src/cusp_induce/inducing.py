@@ -217,38 +217,37 @@ def inducing_time(m, x, delta=None, q0: int = None, records=None,
 
 def _binding_piece_table(m, cp, delta: float, records, p_max: int,
                          resolution: float):
-    """Tile one one-sided neighborhood by constant-binding pieces.
+    """One one-sided neighborhood's constant-binding pieces, as its radii.
 
     A bound f^i(x) stays within gamma_i * d(c_i) <= d(c_i) / 2 of c_i, on
     c_i's branch, so f^j along c's itinerary is monotone on [c, x]: the
     points still bound after step j lie within R_j of c, R_0 = delta and
-    R_j = min(R_(j-1), r_j), and p = j on (R_j, R_(j-1)].  r_j is how far
-    from c the tube end c_j + s_j * gamma_j * d(c_j) pulls back along the
-    itinerary (s_j: the side's sign times the monotone signs passed); all
-    ends are pulled back together, one branch_inverse call per step.
+    R_j = min(R_(j-1), r_j), and p = j on the distances (R_j, R_(j-1)]
+    from c.  r_j is how far from c the tube end c_j + s_j * gamma_j *
+    d(c_j) pulls back along the itinerary (s_j: the side's sign times the
+    monotone signs passed); all ends are pulled back together, one
+    branch_inverse call per step.
 
     Within the rounding floor w, the largest distance at which f, monotone
     on the side, still rounds to c_1 (searched over the doubles in [0,
     delta] 64 at a time, by their bit patterns), no orbit leaves c's, and
-    binding_periods gives the period P of the first one beyond w.  So R_j
-    >= w and R_P = w, however the pull rounds there.  The table ends at row
-    P, or at the first row j it cannot resolve, and the rest of the side,
-    within R_(j-1) of c, is one gap: "rounding-floor" past P;
-    "boundary-unlocated" where the pullback of tube end j is not finite;
-    "below-resolution" where R_(j-1) <= resolution; past the last end,
-    "p_max-exceeded", or "record-short" where the critical record ends
-    first.  A singular side (order <= 1) is one piece, p = 1.  Returns
-    (pieces, gaps): (lo, hi, p) and (lo, hi, reason) rows, ascending.
+    binding_periods gives the period P of the first point beyond w, in one
+    call with the side's outermost point.  So R_j >= w and R_P = w, however
+    the pull rounds there.  The radii end at R_P, or at R_(j-1) for the
+    first j the pull cannot resolve, and the distances within the last one
+    are one gap: "rounding-floor" past P; "boundary-unlocated" where the
+    pullback of tube end j is not finite; "below-resolution" where R_(j-1)
+    <= resolution; past the last end, "p_max-exceeded", or "record-short"
+    where the critical record ends first.  An outermost point still bound
+    after p_max steps leaves no row to pull: the side is one p_max-exceeded
+    gap.  A singular side (order <= 1) is one piece, p = 1.  Returns (R,
+    reason): R_0 = delta >= R_1 >= ... as an array, and the gap's reason
+    ([delta, 0] and None on a singular side).
     """
     c = cp.location
     sgn = 1.0 if cp.side == "+" else -1.0
-
-    def oriented(items):
-        return sorted((*sorted((c + sgn * lo_d, c + sgn * hi_d)), payload)
-                      for lo_d, hi_d, payload in items)
-
     if cp.order <= 1.0:
-        return oriented([(0.0, delta, 1)]), []
+        return np.array([delta, 0.0]), None
     rec = records.get((c, cp.side))
     if rec is None or rec.N < p_max:
         rec = compute_orbit(m, cp, p_max + 1)
@@ -262,16 +261,18 @@ def _binding_piece_table(m, cp, delta: float, records, p_max: int,
         k = int(np.searchsorted(y != rec.c[0], True))
         lo, hi = (bits[k - 1] if k else lo), (bits[k] if k < 64 else hi)
     w, beyond = np.array([lo, hi]).view(float).tolist()
-    P = int(binding_periods(m, cp, [c + sgn * beyond], delta,
-                            {(c, cp.side): rec}, p_max).p[0])
+    probe = binding_periods(m, cp, [c + sgn * beyond,
+                                    np.nextafter(c + sgn * delta, c)],
+                            delta, {(c, cp.side): rec}, p_max)
+    P = int(probe.p[0])
     P = P if P > 0 else p_max
-    n = min(p_max - 1, rec.n_filled, P)
+    n = 0 if probe.truncated[1] else min(p_max - 1, rec.n_filled, P)
     ids = np.append(first, _vec.branch_indices(m, rec.c[:n]))[:n]
     s = sgn * np.cumprod(np.array(m.monotone_signs)[ids])
     x = rec.c[:n] + s * (rec.gamma[:n] * rec.d[:n])
-    for k in range(n - 1, 0, -1):
+    for k in range(n - 1, -1, -1):
         x[k:] = _vec.branch_inverse(m, np.full(n - k, ids[k]), x[k:])
-    r = np.abs(_vec.branch_inverse(m, np.full(n, first), x) - c)
+    r = np.abs(x - c)
     R = np.maximum(np.minimum.accumulate(np.append(delta, r)), w)
     R[P:] = w
     end, reason = n + 1, ("rounding-floor" if n == P else "p_max-exceeded"
@@ -281,22 +282,12 @@ def _binding_piece_table(m, cp, delta: float, records, p_max: int,
             end, reason = j, ("boundary-unlocated",
                               "below-resolution")[stops.index(True)]
             break
-    R = R.tolist()
-    rows = [(R[j], R[j - 1], j) for j in range(1, end) if R[j] < R[j - 1]]
-    gaps = [(0.0, R[end - 1], reason)] if R[end - 1] > 0.0 else []
-    return oriented(rows), oriented(gaps)
+    return R[:end], reason
 
 
-def _side_tables(m, delta: float, records, p_max: int, resolution: float):
-    """Per critical point in declared order, its side's piece table as one
-    sorted list of (lo, hi, ("piece", p)) and (lo, hi, ("gap", reason))."""
-    tables = []
-    for cp in m.critical_points:
-        pieces, gaps = _binding_piece_table(m, cp, delta, records, p_max,
-                                            resolution)
-        tables.append(sorted([(lo, hi, ("piece", p)) for lo, hi, p in pieces]
-                             + [(lo, hi, ("gap", r)) for lo, hi, r in gaps]))
-    return tables
+def _side_edges(cp, R):
+    """The edges c +- R of one side's table, from c + delta inward."""
+    return cp.location + (R if cp.side == "+" else -R)
 
 
 # ---------------------------------------------------------------------------
@@ -440,23 +431,26 @@ def _branch_bounds(m, a, b, itin):
     return image.T, orient, inf_df, sup_df, stats
 
 
-def _table_edges(tables) -> np.ndarray:
-    """The distinct edges of the rows of the per-side piece tables."""
-    return np.unique([t for table in tables for row in table for t in row[:2]])
+def _table_edges(m, tables) -> np.ndarray:
+    """The distinct edges c +- R_j of the per-side piece tables, and each
+    critical point c."""
+    return np.unique([e for cp, (R, _reason) in zip(m.critical_points, tables)
+                      for e in [cp.location, *_side_edges(cp, R).tolist()]])
 
 
 def _free_breakpoints(m, delta: float, q0: int, tables) -> np.ndarray:
-    """Stage 1: the branch ends and every piece-table edge (_side_tables;
-    the neighborhood ends, the critical points and the outer edge of each
-    side's inner gap among them), with their pullbacks through fewer than
-    q0 steps, sorted and distinct, from lo to hi.  A preimage strictly
-    inside a neighborhood (in_delta, stage 2's entry test) goes with all
-    its descendants: a cut on an orbit that has already entered changes
-    neither its entry nor its binding period.  So a kept level-l pullback
-    of a piece edge is a point whose orbit first enters at step l exactly
-    on that edge, and the orbit of every cell between two cuts that enters
-    does so inside one row of its side's table."""
-    level = np.union1d(_table_edges(tables),
+    """Stage 1: the branch ends and every piece-table edge (_table_edges:
+    the neighborhood ends c +- delta, the critical points and the edges c
+    +- R_j within, the outer edge of each side's inner gap among them),
+    with their pullbacks through fewer than q0 steps, sorted and distinct,
+    from lo to hi.  A preimage strictly inside a neighborhood (in_delta,
+    stage 2's entry test) goes with all its descendants: a cut on an orbit
+    that has already entered changes neither its entry nor its binding
+    period.  So a kept level-l pullback of a piece edge is a point whose
+    orbit first enters at step l exactly on that edge, and the orbit of
+    every cell between two cuts that enters does so between two adjacent
+    edges of its side's table."""
+    level = np.union1d(_table_edges(m, tables),
                        [m.lo, m.hi, *m.interior_boundaries.tolist()])
     collected = [level]
     for _ in range(1, q0):
@@ -467,37 +461,23 @@ def _free_breakpoints(m, delta: float, q0: int, tables) -> np.ndarray:
     return np.unique(cuts[(cuts >= m.lo) & (cuts <= m.hi)])
 
 
-def _piece_lookup(table, y):
-    """Row of table = [(lo, hi, payload)] (sorted) holding each y, else -1;
-    tries the last row kk with lo <= y (searchsorted), then kk - 1."""
-    hit = np.full(y.shape, -1, dtype=np.int64)
-    if not table:
-        return hit
-    lows = np.array([t[0] for t in table])
-    highs = np.array([t[1] for t in table])
-    kk = np.searchsorted(lows, y, side="right") - 1
-    for cand in (kk, kk - 1):
-        row = np.clip(cand, 0, len(table) - 1)
-        ok = (hit < 0) & (cand >= 0) & (lows[row] <= y) & (y <= highs[row])
-        hit[ok] = cand[ok]
-    return hit
-
-
 def _classify_cells(m, cuts, delta: float, q0: int, tables):
     """Stage 2: first-entry classification of the cells between the cuts,
     which must come from _free_breakpoints on the same tables: then a cell
-    that enters a neighborhood does so at one step, inside one row of the
-    table of the side it enters.
+    that enters a neighborhood does so at one step, between two adjacent
+    edges of the table of the side it enters.
 
     Every cell follows its midpoint's itinerary.  A cell that never enters
-    within q0 - 1 steps is free; one that enters at step l0 takes the row
-    of its side's table (_side_tables) holding its midpoint's entry
-    position: bound with that piece's binding period, or unresolved with
-    the reason of the side's inner gap (rounding-floor, p_max-exceeded,
-    record-short, below-resolution or boundary-unlocated).  A cell whose
-    midpoint orbit lands exactly on an interior boundary (or turns
-    non-finite) before entry, or enters in no row, is unresolved
-    ("boundary-unlocated").
+    within q0 - 1 steps is free.  One that enters at step l0 counts the
+    edges c +- R_j of its side's table (_binding_piece_table) that its
+    midpoint's entry position y lies within (y <= c + R_j on a + side, y >=
+    c - R_j on a - side): k of them make it bound with period k, all of
+    them unresolved with the reason of the side's inner gap
+    (rounding-floor, p_max-exceeded, record-short, below-resolution or
+    boundary-unlocated).  So an entry exactly on an edge takes the piece,
+    or the gap, inside it on both sides.  A cell whose midpoint orbit
+    lands exactly on an interior boundary (or turns non-finite) before
+    entry is unresolved ("boundary-unlocated").
 
     Returns (raw, unresolved, counts): raw rows (a, b, kind, l0, p0, key)
     in no particular order, unresolved rows (a, b, reason), and the counts
@@ -517,16 +497,17 @@ def _classify_cells(m, cuts, delta: float, q0: int, tables):
     y = pos[cells]
     u, v = cuts[cells].tolist(), cuts[cells + 1].tolist()
     l0 = entry[cells].tolist()
-    for cp, table in zip(m.critical_points, tables):
+    for cp, (R, reason) in zip(m.critical_points, tables):
         key = (cp.location, cp.side)
         sel = np.flatnonzero(_vec.in_side(y, cp.location, cp.side, delta))
-        for k, row in zip(sel.tolist(), _piece_lookup(table, y[sel]).tolist()):
-            kind, payload = table[row][2] if row >= 0 else (
-                "gap", "boundary-unlocated")
-            if kind == "gap":
-                unresolved.append((u[k], v[k], payload))
+        edges = _side_edges(cp, R)
+        within = (y[sel, None] <= edges) if cp.side == "+" else (
+            y[sel, None] >= edges)
+        for k, p in zip(sel.tolist(), within.sum(axis=1).tolist()):
+            if p < R.size:
+                raw.append((u[k], v[k], "bound", l0[k], p, key))
             else:
-                raw.append((u[k], v[k], "bound", l0[k], payload, key))
+                unresolved.append((u[k], v[k], reason))
 
     counts = {"free": free.size, "bound": bound.size,
               "boundary_landed": lost.size}
@@ -539,9 +520,11 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
     """Partition the domain into maximal induced-map branches.
 
     Inside each neighborhood, constant-binding pieces come from one
-    backward pull of the binding tubes' ends along the critical orbit; the
-    part of the side no piece resolves, near c, is one gap with its reason,
-    and resolution bounds the pieces from below (_binding_piece_table).
+    backward pull of the binding tubes' ends along the critical orbit, as
+    the side's radii R_0 = delta >= R_1 >= ...: period j on the distances
+    (R_j, R_(j-1)] from c.  The distances within the last radius, which no
+    piece resolves, are one gap with its reason, and resolution bounds the
+    pieces from below (_binding_piece_table).
     The cuts are the pullbacks, through fewer than q0 steps and outside the
     neighborhoods, of the branch ends and of every piece and gap edge
     (_free_breakpoints).
@@ -569,7 +552,8 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
     if records is None:
         records = orbit_records(m, p_max + 1)
 
-    tables = _side_tables(m, delta, records, p_max, resolution)
+    tables = [_binding_piece_table(m, cp, delta, records, p_max, resolution)
+              for cp in m.critical_points]
     cuts = _free_breakpoints(m, delta, q0, tables)
     raw, unresolved, counts = _classify_cells(m, cuts, delta, q0, tables)
     raw.sort(key=lambda r: r[0])
@@ -605,19 +589,18 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
     for a, b, reason in merged_unres:
         by_reason[reason] = by_reason.get(reason, 0.0) + (b - a)
     sides = []
-    for cp, table in zip(m.critical_points, tables):
-        ps = [p for *_, (kind, p) in table if kind == "piece"]
-        floor = sum(hi - lo for lo, hi, row in table
-                    if row == ("gap", "rounding-floor"))
-        sides.append(f"({cp.location!r}, {cp.side!r}) {len(ps)} pieces to "
-                     f"p {max(ps, default=0)}, floor {floor:.4g}")
+    for cp, (R, reason) in zip(m.critical_points, tables):
+        ps = np.flatnonzero(R[1:] < R[:-1]) + 1
+        floor = R[-1] if reason == "rounding-floor" else 0.0
+        sides.append(f"({cp.location!r}, {cp.side!r}) {ps.size} pieces to "
+                     f"p {ps.max(initial=0)}, floor {floor:.4g}")
     _LOG.info(
         "build_partition: %d stage-1 cuts (%d piece-table edges), %d cells "
         "(%d free, %d bound, %d boundary-landed), %d branches (%d with "
         "unbounded sup |Df-hat|), stage 4: %d scalar end jets, branches "
         "finishing per refinement k %s, unresolved measure by reason %s, "
         "piece tables per critical side: %s",
-        cuts.size, np.isin(cuts, _table_edges(tables)).sum(), cuts.size - 1,
+        cuts.size, np.isin(cuts, _table_edges(m, tables)).sum(), cuts.size - 1,
         counts["free"], counts["bound"], counts["boundary_landed"],
         len(branches), sum(br.sup_df == math.inf for br in branches),
         geo["scalar"], geo["levels"],

@@ -503,71 +503,47 @@ def _check_delta(m: MapSpec, delta: float):
 # ---------------------------------------------------------------------------
 # built-in families
 
+# The two-branch families on [-1, 1], critical at 0 from both sides: the
+# left and right formulas, each param's default and its name in them, and
+# the param that is the critical order (None: order 2).
+_TWO_BRANCH = {
+    "chebyshev": ("1 - 2*x^2", "1 - 2*x^2", {}, None),
+    "unimodal": ("1 - a*abs(x)^l", "1 - a*abs(x)^l",
+                 {"a": (2.0, "a"), "ell": (2.0, "l")}, "l"),
+    "lorenz": ("1 - a*abs(x)^s", "a*abs(x)^s - 1",
+               {"a": (1.9, "a"), "s": (0.6, "s")}, "s"),
+}
+
+
 def family_config(family: str, params=None, delta=None, name=None) -> dict:
     params = dict(params or {})
 
     def take(key, default):
         return float(params.pop(key, default))
 
-    if family == "chebyshev":
+    def no_more():
         if params:
-            raise MapConfigError(f"chebyshev takes no params, got {sorted(params)}")
-        cfg = {
-            "name": name or "chebyshev",
-            "domain": [-1.0, 1.0],
-            "delta": 0.05 if delta is None else delta,
-            "branches": [
-                {"interval": [-1.0, 0.0], "expr": "1 - 2*x^2"},
-                {"interval": [0.0, 1.0], "expr": "1 - 2*x^2"},
-            ],
-            "critical_points": [
-                {"location": 0.0, "side": "-", "order": 2.0},
-                {"location": 0.0, "side": "+", "order": 2.0},
-            ],
-        }
-        return cfg
-    if family == "unimodal":
-        a, ell = take("a", 2.0), take("ell", 2.0)
-        if params:
-            raise MapConfigError(f"unimodal: unknown params {sorted(params)}")
-        p = {"a": a, "l": ell}
+            raise MapConfigError(f"{family}: unknown params {sorted(params)}")
+
+    if family in _TWO_BRANCH:
+        left, right, spec, order = _TWO_BRANCH[family]
+        p = {sym: take(key, default) for key, (default, sym) in spec.items()}
+        no_more()
+        label = ", ".join(f"{key}={p[sym]}" for key, (_d, sym) in spec.items())
+        shared = {"params": p} if p else {}
         return {
-            "name": name or f"unimodal(a={a}, ell={ell})",
+            "name": name or (f"{family}({label})" if p else family),
             "domain": [-1.0, 1.0],
             "delta": 0.05 if delta is None else delta,
-            "branches": [
-                {"interval": [-1.0, 0.0], "expr": "1 - a*abs(x)^l", "params": p},
-                {"interval": [0.0, 1.0], "expr": "1 - a*abs(x)^l", "params": p},
-            ],
+            "branches": [{"interval": [-1.0, 0.0], "expr": left, **shared},
+                         {"interval": [0.0, 1.0], "expr": right, **shared}],
             "critical_points": [
-                {"location": 0.0, "side": "-", "order": ell},
-                {"location": 0.0, "side": "+", "order": ell},
-            ],
-        }
-    if family == "lorenz":
-        a, s = take("a", 1.9), take("s", 0.6)
-        if params:
-            raise MapConfigError(f"lorenz: unknown params {sorted(params)}")
-        p = {"a": a, "s": s}
-        return {
-            "name": name or f"lorenz(a={a}, s={s})",
-            "domain": [-1.0, 1.0],
-            "delta": 0.05 if delta is None else delta,
-            "branches": [
-                {"interval": [-1.0, 0.0], "expr": "1 - a*abs(x)^s", "params": p},
-                {"interval": [0.0, 1.0], "expr": "a*abs(x)^s - 1", "params": p},
-            ],
-            "critical_points": [
-                {"location": 0.0, "side": "-", "order": s},
-                {"location": 0.0, "side": "+", "order": s},
-            ],
+                {"location": 0.0, "side": side, "order": p.get(order, 2.0)}
+                for side in "-+"],
         }
     if family == "singular_unimodal":
         A, s, B = take("A", 2.0), take("s", 0.5), take("B", 1.0)
-        if params:
-            raise MapConfigError(
-                f"singular_unimodal: unknown params {sorted(params)}"
-            )
+        no_more()
         xstar = s / (B * (1.0 + s))
         p = {"A": A, "s": s, "B": B}
         pos = "A*abs(x)^s*(1 - B*abs(x))"

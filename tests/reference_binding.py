@@ -8,6 +8,10 @@ period is decided by the rule, not by the rounding of f near the critical
 value c_1, which in double hides every point within about sqrt(eps) of c
 on a quadratic side.  long_double_edges bisects that rule to each piece
 edge R_j, the largest distance from c still bound after step j.
+
+piece_rows and side_rows turn a side's table (R, reason) from
+inducing._binding_piece_table back into the interval rows that the
+references compare: (lo, hi, p) pieces and (lo, hi, reason) gaps.
 """
 
 import numpy as np
@@ -87,3 +91,33 @@ def long_double_edges(m, cp, records, delta: float, p_max: int = 60
         up = bound(mid)
         lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
     return np.where(top, np.longdouble(delta), lo).astype(float)
+
+
+def piece_rows(cp, table):
+    """(pieces, gaps) of one side's table (R, reason): the (lo, hi, p) row
+    c + sgn * (R_j, R_(j-1)) of each piece j that is not empty and the (lo,
+    hi, reason) row c + sgn * (0, R_last) of the inner gap, where R_last >
+    0, each list ascending."""
+    c, sgn = cp.location, (1.0 if cp.side == "+" else -1.0)
+    R, reason = table[0].tolist(), table[1]
+
+    def oriented(items):
+        return sorted((*sorted((c + sgn * lo_d, c + sgn * hi_d)), payload)
+                      for lo_d, hi_d, payload in items)
+
+    rows = [(R[j], R[j - 1], j) for j in range(1, len(R)) if R[j] < R[j - 1]]
+    gaps = [(0.0, R[-1], reason)] if R[-1] > 0.0 else []
+    return oriented(rows), oriented(gaps)
+
+
+def side_rows(m, delta, records, p_max, resolution):
+    """Per critical point in declared order, piece_rows of its side's table
+    as one sorted list of (lo, hi, ("piece", p)) and (lo, hi, ("gap",
+    reason))."""
+    tables = []
+    for cp in m.critical_points:
+        pieces, gaps = piece_rows(cp, ind._binding_piece_table(
+            m, cp, delta, records, p_max, resolution))
+        tables.append(sorted([(lo, hi, ("piece", p)) for lo, hi, p in pieces]
+                             + [(lo, hi, ("gap", r)) for lo, hi, r in gaps]))
+    return tables

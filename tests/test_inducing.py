@@ -24,7 +24,8 @@ from cusp_induce import map_model as mm
 from cusp_induce.critical_orbit import compute_orbit, orbit_records
 from cusp_induce.expr import EvalDomainError
 from cusp_induce.map_model import critical_distance, evaluate
-from reference_binding import long_double_edges, long_double_periods
+from reference_binding import (long_double_edges, long_double_periods,
+                               piece_rows, side_rows)
 from reference_end_orbits import generalized_distortion
 import reference_orbit_walks as ref_walks
 
@@ -207,8 +208,8 @@ def test_binding_periods_match_the_scalar_reference(name):
         # next to the jumps of p: every piece and gap edge of the side's
         # table and the points 1 to 8 ulps to each side of it, those inside
         # the neighborhood
-        pieces, gaps = ind._binding_piece_table(m, cp, delta, records, 60,
-                                                1e-10)
+        pieces, gaps = piece_rows(cp, ind._binding_piece_table(
+            m, cp, delta, records, 60, 1e-10))
         edges = np.unique([t for row in pieces + gaps for t in row[:2]])
         ulps = np.arange(-8, 9)
         near = (edges[:, None] + ulps * np.spacing(edges)[:, None]).ravel()
@@ -421,7 +422,8 @@ def test_piece_tables_match_the_recursive_refine(name):
     m, delta = STAGE2_CONFIGS[name]()
     records = orbit_records(m, 61)
     for cp in m.critical_points:
-        got = ind._binding_piece_table(m, cp, delta, records, 60, 1e-10)
+        got = piece_rows(cp, ind._binding_piece_table(m, cp, delta, records,
+                                                      60, 1e-10))
         ref = recursive_piece_table(m, cp, delta, records)
         if cp.order <= 1.0:
             assert got == ref
@@ -448,11 +450,12 @@ def test_piece_tables_match_the_recursive_refine(name):
 
 
 def test_piece_tables_pull_back_once_per_step(monkeypatch):
-    # One forward binding_periods call, on the one point just beyond the
-    # rounding floor, whose period (21 here) ends the table; then one
-    # branch_inverse call per step of the critical itinerary up to it, or
-    # to p_max - 1, deepest first, each on every target that deep or
-    # deeper.
+    # One forward binding_periods call, on the point just beyond the
+    # rounding floor, whose period (21 here) ends the table, and on the
+    # side's outermost point, which leaves before p_max; then one
+    # branch_inverse call per step of the critical itinerary up to the
+    # floor's period, or to p_max - 1, deepest first, each on every target
+    # that deep or deeper.
     m, delta = STAGE2_CONFIGS["chebyshev"]()
     records = orbit_records(m, 61)
     sizes, probes = [], []
@@ -473,10 +476,11 @@ def test_piece_tables_pull_back_once_per_step(monkeypatch):
         sgn = 1.0 if cp.side == "+" else -1.0
         beyond = cp.location + sgn * np.nextafter(
             _floor_width(m, cp, rec, delta), delta)
+        outer = np.nextafter(cp.location + sgn * delta, cp.location)
         for p_max, rows in ((60, 21), (15, 14)):
             sizes.clear(), probes.clear()
             ind._binding_piece_table(m, cp, delta, records, p_max, 1e-10)
-            assert probes == [[beyond]]
+            assert probes == [[beyond, outer]]
             assert sizes == list(range(1, rows + 1))
 
 
@@ -517,7 +521,7 @@ def test_piece_tables_end_at_the_rounding_floor(name):
     family, delta = FLOOR_CONFIGS[name]
     m = family()
     records = orbit_records(m, 61)
-    tables = ind._side_tables(m, delta, records, 60, 1e-10)
+    tables = side_rows(m, delta, records, 60, 1e-10)
     for cp, table in zip(m.critical_points, tables):
         c, rec = cp.location, records[(cp.location, cp.side)]
         inner = min(table, key=lambda row: min(abs(t - c) for t in row[:2]))
@@ -541,7 +545,7 @@ def test_piece_tables_end_above_the_floor(cheb, p_max, resolution, reason):
     # A table that reaches p_max, or a row whose outer edge is within the
     # resolution, before the rounding floor ends there, under that reason.
     records = orbit_records(cheb, p_max + 1)
-    for table in ind._side_tables(cheb, 0.01, records, p_max, resolution):
+    for table in side_rows(cheb, 0.01, records, p_max, resolution):
         inner = min(table, key=lambda row: min(map(abs, row[:2])))
         assert inner[2] == ("gap", reason)
         width = inner[1] - inner[0]
@@ -562,7 +566,7 @@ def test_piece_tables_map_a_short_record_to_its_gap():
     m = mm.unimodal_map(1.0 + 1e-14, 2.0, 0.05)
     records = orbit_records(m, 61)
     for cp, table in zip(m.critical_points,
-                         ind._side_tables(m, 0.05, records, 60, 1e-10)):
+                         side_rows(m, 0.05, records, 60, 1e-10)):
         assert records[(cp.location, cp.side)].n_filled == 2
         mids = [0.5 * (lo + hi) for lo, hi, _ in table]
         p = ind.binding_periods(m, cp, mids, 0.05, records).p.tolist()
@@ -571,6 +575,62 @@ def test_piece_tables_map_a_short_record_to_its_gap():
         assert p == want
         assert [row[2] for row in table if row[2][0] == "gap"] == [
             ("gap", "record-short")]
+
+
+def test_an_entry_on_a_table_edge_reads_the_inner_piece_on_both_sides(
+        cheb, cheb_records):
+    # One half-open rule on both sides: an entry exactly at c +- R_j lies
+    # within the edges c +- R_0, ..., c +- R_j, so it reads period j + 1,
+    # and at c +- w (w = R_21, the rounding floor) within all of them: the
+    # gap.  Each edge strictly inside the neighborhood is the midpoint of a
+    # cell two ulps wide, which enters at step 0.
+    tables = [ind._binding_piece_table(cheb, cp, 0.01, cheb_records, 60,
+                                       1e-10) for cp in cheb.critical_points]
+    want, cuts = {}, []
+    for cp, (R, reason) in zip(cheb.critical_points, tables):
+        inside = np.flatnonzero(R < 0.01)
+        assert reason == "rounding-floor" and inside[-1] == R.size - 1 == 21
+        assert (np.diff(R[inside]) < 0).all()
+        for j, e in zip(inside.tolist(),
+                        ind._side_edges(cp, R[inside]).tolist()):
+            h = abs(float(np.spacing(e)))
+            cuts += [e - h, e + h]
+            want[e] = ("bound", j + 1) if j < 21 else ("gap", "rounding-floor")
+    raw, unresolved, _counts = ind._classify_cells(cheb, np.sort(cuts), 0.01,
+                                                   1, tables)
+    got = {0.5 * (a + b): ("bound", p0) for a, b, kind, _l0, p0, _key in raw
+           if kind == "bound"}
+    got.update({0.5 * (a + b): ("gap", r) for a, b, r in unresolved})
+    assert {e: got[e] for e in want} == want
+    assert len(want) == 2 * 16
+
+
+@pytest.mark.parametrize("delta", [0.005, 0.02])
+def test_singular_unimodal_order_2_sides_pull_nothing_back(singular, delta,
+                                                           monkeypatch):
+    # The outermost point of each order-2 side is still bound after p_max
+    # steps, in double and under the binding rule in long double, so the
+    # whole side is one p_max-exceeded gap and no tube end is pulled back.
+    records = orbit_records(singular, 61)
+    calls = []
+    inverse = _vec.branch_inverse
+
+    def recording(*args):
+        calls.append(args)
+        return inverse(*args)
+
+    monkeypatch.setattr(_vec, "branch_inverse", recording)
+    sides = [cp for cp in singular.critical_points if cp.order > 1.0]
+    for cp in sides:
+        R, reason = ind._binding_piece_table(singular, cp, delta, records, 60,
+                                             1e-10)
+        assert (R.tolist(), reason) == ([delta], "p_max-exceeded")
+        sgn = 1.0 if cp.side == "+" else -1.0
+        outer = np.nextafter(cp.location + sgn * delta, cp.location)
+        d = abs(np.longdouble(outer) - np.longdouble(cp.location))
+        assert long_double_periods(singular, cp, None, [d],
+                                   p_max=61).tolist() == [61]
+    assert len(sides) == 4 and calls == []
 
 
 def quad(x):
@@ -883,7 +943,9 @@ def test_write_partition_csv(tmp_path, lorenz_partition):
 
 def stage1_cuts(m, delta, q0):
     """Stage 1's cuts, and the per-side piece tables they were seeded with."""
-    tables = ind._side_tables(m, delta, orbit_records(m, 61), 60, 1e-10)
+    records = orbit_records(m, 61)
+    tables = [ind._binding_piece_table(m, cp, delta, records, 60, 1e-10)
+              for cp in m.critical_points]
     return ind._free_breakpoints(m, delta, q0, tables), tables
 
 
@@ -905,7 +967,7 @@ def test_stage1_cuts_at_every_piece_edge_and_inside_only_there(cheb):
     # inside one row of its side's table; the pullbacks past level 0 lie
     # outside the neighborhoods, so a cut strictly inside one is a seed.
     cuts, tables = stage1_cuts(cheb, 0.01, 7)
-    edges = ind._table_edges(tables)
+    edges = ind._table_edges(cheb, tables)
     assert np.isin(edges, cuts).all()
     inside = cuts[_vec.in_delta(cheb, cuts, 0.01)]
     assert inside.size == 32
@@ -985,8 +1047,7 @@ def test_piece_tables_end_where_a_pullback_is_not_finite(cheb, monkeypatch):
         return out
 
     monkeypatch.setattr(_vec, "branch_inverse", broken)
-    for table in ind._side_tables(cheb, 0.01, orbit_records(cheb, 61), 60,
-                                  1e-10):
+    for table in side_rows(cheb, 0.01, orbit_records(cheb, 61), 60, 1e-10):
         inner = min(table, key=lambda row: min(map(abs, row[:2])))
         assert inner[2] == ("gap", "boundary-unlocated")
         assert max(p for *_, (kind, p) in table if kind == "piece") == 19

@@ -25,6 +25,7 @@ from cusp_induce import inducing as ind
 from cusp_induce import map_model as mm
 from cusp_induce.critical_orbit import orbit_records
 from cusp_induce.map_model import evaluate
+from reference_binding import piece_rows
 
 
 # ---------------------------------------------------------------------------
@@ -181,16 +182,15 @@ def per_cell_stage2(m, cuts, delta, q0, piece_tables):
 
 
 def piece_tables(m, delta, p_max=60, resolution=1e-10):
-    return ind._side_tables(m, delta, orbit_records(m, p_max + 1), p_max,
-                            resolution)
+    records = orbit_records(m, p_max + 1)
+    return [ind._binding_piece_table(m, cp, delta, records, p_max, resolution)
+            for cp in m.critical_points]
 
 
 def untagged(m, tables):
     """The (pieces, gaps) per side that per_cell_stage2 takes."""
-    return {(cp.location, cp.side): tuple(
-        [(lo, hi, payload) for lo, hi, (kind, payload) in table
-         if kind == want] for want in ("piece", "gap"))
-        for cp, table in zip(m.critical_points, tables)}
+    return {(cp.location, cp.side): piece_rows(cp, table)
+            for cp, table in zip(m.critical_points, tables)}
 
 
 def assert_same_stage2(batched, reference):
@@ -333,7 +333,7 @@ def test_build_partition_logs_its_stage_counts(singular, caplog):
                       msg)
     cells, free, bound = map(int, counts.group(3, 4, 5))
     assert int(counts[1]) == cuts.size == cells + 1 == free + bound + 1
-    assert int(counts[2]) == ind._table_edges(tables).size > 0
+    assert int(counts[2]) == ind._table_edges(singular, tables).size > 0
     assert free > 0 and bound > 0 and counts[6] == "0"
     assert int(counts[7]) == len(part.branches)
     assert int(counts[8]) == sum(br.sup_df == math.inf
