@@ -66,7 +66,7 @@ class Csr:
         sums are dropped.  Sorts key and vals in place, and reuses the
         sort order's memory: the Ulam assembly's entries are its largest
         arrays."""
-        n_cols = shape[1]
+        n_rows, n_cols = shape
         order = np.argsort(key, kind="stable")
         vals[:] = vals[order]
         key[:] = key[order]
@@ -78,15 +78,15 @@ class Csr:
         data = np.bincount(seg, vals)
         order = seg = None
         key = key[new]
-        row = key // n_cols
+        starts = np.arange(n_rows + 1, dtype=np.int64) * n_cols
+        indptr = np.searchsorted(key, starts)
         if row_scale is not None:
-            data *= row_scale[row]
-        keep = data != 0
-        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row[keep], minlength=shape[0]),
-                  out=indptr[1:])
-        return cls(data[keep], (key[keep] % n_cols).astype(np.int32),
-                   indptr, shape)
+            data *= np.repeat(row_scale, np.diff(indptr))
+        if not data.all():
+            data, key = data[data != 0], key[data != 0]
+            indptr = np.searchsorted(key, starts)
+        key -= np.repeat(starts[:-1], np.diff(indptr)).astype(key.dtype)
+        return cls(data, key.astype(np.int32), indptr, shape)
 
     def __rmatmul__(self, v) -> np.ndarray:
         v = np.repeat(np.asarray(v, dtype=float), np.diff(self.indptr))
@@ -159,26 +159,26 @@ def _piece_bound(edges, a, b, n_targets) -> int:
     return int((np.asarray(n_targets) + 1 + np.maximum(inside, 0)).sum())
 
 
-def _edge_matrix(m, edges, a, b, images, itineraries, up):
+def _edge_matrix(m, edges, a, b, images, itin, up):
     """Row-normalized transfer matrix of branches cut at edge preimages.
 
     Branch k runs over [a[k], b[k]], monotone in the sense up[k], and maps
-    onto images[k] along itineraries[k].  _vec.forced_inverse pulls the
-    edges strictly inside each image back onto its branch in one pass, in
-    this process, whose steps branches ending in the same itinerary suffix
-    share.  Each piece (_pieces), cut one chunk_ranges group of branches at
-    a time, carries its width from the cell of its midpoint into the cell
-    of its image.  Rows without resolved mass are dead and spread uniformly
-    over every cell.  Returns (Csr, coverage, dead mask, counts): counts
-    are the targets, their point-steps back, the targets clamped, the
-    point-steps through a formula group with no closed-form inverse, and
-    the point-steps of the shared pass, all and bisected.
+    onto images[k] along itinerary row k of itin (-1 past its end).
+    _vec.forced_inverse pulls the edges strictly inside each image back
+    onto its branch in one pass, in this process, whose steps branches
+    ending in the same itinerary suffix share.  Each piece (_pieces), cut
+    one chunk_ranges group of branches at a time, carries its width from
+    the cell of its midpoint into the cell of its image.  Rows without
+    resolved mass are dead and spread uniformly over every cell.  Returns
+    (Csr, coverage, dead mask, counts): counts are the targets, their
+    point-steps back, the targets clamped, the point-steps through a
+    formula group with no closed-form inverse, and the point-steps of the
+    shared pass, all and bisected.
     """
     lo, m_cells = edges[0], edges.size - 1
     cw = (edges[-1] - lo) / m_cells
     first = np.searchsorted(edges, images[:, 0], side="right")
     counts = np.maximum(np.searchsorted(edges, images[:, 1]) - first, 0)
-    itin = _vec.itinerary_matrix(itineraries)
     bisected = np.array([inv is None for inv in m.group_inverses] + [False])[
         m.formula_groups[0][itin]].sum(1)
     clamped = np.zeros(int(counts.sum()), dtype=bool)
@@ -187,7 +187,7 @@ def _edge_matrix(m, edges, a, b, images, itineraries, up):
                               shared)
     stats = [clamped.size, int(counts @ (itin >= 0).sum(1)),
              int(np.count_nonzero(clamped)), int(counts @ bisected), *shared]
-    itin = clamped = None
+    clamped = None
     start = np.concatenate(([0], np.cumsum(counts)))
     # key = row * m_cells + column; int32 where it holds every key halves
     # the largest arrays of the assembly
@@ -232,22 +232,19 @@ def ulam_matrix(m, partition, m_cells: int = 4096) -> UlamTable:
 
     Entry (i, j) holds the fraction of cell i carried into cell j by the
     induced map, assembled from preimages of the cell boundaries pulled
-    back along the branch itineraries (_edge_matrix).  Rows overlapping
-    the unresolved set are renormalized and flagged; rows with no resolved
-    mass at all fall back to a uniform distribution and are reported as
-    dead.
+    back along the partition's itinerary matrix (_edge_matrix).  Rows
+    overlapping the unresolved set are renormalized and flagged; rows with
+    no resolved mass at all fall back to a uniform distribution and are
+    reported as dead.
     """
     if m_cells < 1:
         raise ValueError("m_cells must be >= 1")
     lo, hi = partition.lo, partition.hi
     edges = np.linspace(lo, hi, m_cells + 1)
     cw = (hi - lo) / m_cells
-    branches = partition.branches
     mat, coverage, dead, counts = _edge_matrix(
-        m, edges, np.array([br.a for br in branches]),
-        np.array([br.b for br in branches]),
-        np.array([br.image for br in branches]).reshape(-1, 2),
-        [br.itinerary for br in branches], np.array([br.orientation > 0 for br in branches], dtype=bool))
+        m, edges, partition.a, partition.b, partition.image, partition.itin,
+        partition.orientation > 0)
     n_dead = int(dead.sum())
     if n_dead:
         _LOG.warning("ulam matrix has %d dead rows (unresolved cells)",
@@ -257,8 +254,8 @@ def ulam_matrix(m, partition, m_cells: int = 4096) -> UlamTable:
               "%d dead rows, %d flagged rows; %d point-steps back, %d "
               "targets clamped, %d point-steps bisected; once per shared "
               "itinerary suffix %d point-steps back, %d bisected",
-              len(branches),
-              counts[0], mat.nnz, n_dead, int(flagged.sum()), *counts[1:])
+              partition.a.size, counts[0], mat.nnz, n_dead,
+              int(flagged.sum()), *counts[1:])
     return UlamTable(matrix=mat, m=m_cells, edges=edges, cell_width=cw,
                      coverage=coverage, flagged_rows=flagged, dead_rows=dead)
 
@@ -272,11 +269,14 @@ def stationary_density(table: UlamTable) -> np.ndarray:
     once; a second detection raises.
     """
     P = table.matrix
+    # v @ P in buffers made once: a step allocates nothing of P's size, which
+    # page-faults afresh on every step wherever malloc trims its heap
+    rows, cols, buf = P.entry_row(), P.indices.astype(np.intp), np.empty(P.nnz)
     v = np.full(table.m, 1.0 / table.m)
-    prev = None
-    averaged = False
+    prev, averaged = None, False
     for it in range(1, POWER_STEPS + 1):
-        w = v @ P
+        np.take(v, rows, out=buf, mode="clip")    # unbuffered; rows are valid
+        w = np.bincount(cols, np.multiply(buf, P.data, out=buf), table.m)
         s = w.sum()
         if s <= 0:
             raise RuntimeError("transfer matrix lost all mass")
@@ -310,23 +310,24 @@ def pull_back(m, partition, h_induced: np.ndarray, m_cells: int = 4096
 
     Branches are cut at the edges of h_induced's grid (_pieces) and each
     piece, where nu has constant density, in PULL_BACK_SPLITS; one
-    array_end_orbits pass follows all ends, and before each step a piece
-    spreads its mass uniformly between them.  Unresolved mass is dropped.
+    array_end_orbits pass along the partition's itinerary matrix follows
+    all ends, and before each step a piece spreads its mass uniformly
+    between them.  Unresolved mass is dropped.
     RuntimeError unless the deposited total is finite and equals the
     integral of tau d nu (piece masses times tau) to 1e-12 relative.
     """
-    lo, hi, branches = partition.lo, partition.hi, partition.branches
-    B, n_in, k = len(branches), np.size(h_induced), PULL_BACK_SPLITS
+    lo, hi = partition.lo, partition.hi
+    B, n_in, k = partition.a.size, np.size(h_induced), PULL_BACK_SPLITS
     cw = (hi - lo) / m_cells
     owner, mids, widths, _col = _pieces(
-        np.linspace(lo, hi, n_in + 1), [br.a for br in branches],
-        [br.b for br in branches], np.empty(0), [0] * B, [True] * B, [0] * B)
+        np.linspace(lo, hi, n_in + 1), partition.a, partition.b, np.empty(0),
+        [0] * B, [True] * B, [0] * B)
     src = np.minimum(((mids - lo) / (hi - lo) * n_in).astype(int), n_in - 1)
     owner, step = np.repeat(owner, k), np.repeat(widths / k, k)
     left = ((mids - 0.5 * widths)[:, None]
             + (widths / k)[:, None] * np.arange(k)).ravel()
     mass = np.repeat(np.asarray(h_induced, dtype=float)[src], k) * step
-    tau = np.array([br.tau for br in branches])[owner]
+    tau = partition.tau[owner]
     out, diff = np.zeros(m_cells), np.zeros(m_cells + 1)
     worst, unbounded = 1.0, 0
 
@@ -348,9 +349,8 @@ def pull_back(m, partition, h_induced: np.ndarray, m_cells: int = 4096
         diff += np.bincount(iu[full] + 1, d[full], m_cells + 1)
         diff -= np.bincount(iv[full], d[full], m_cells + 1)
 
-    raise_first(array_end_orbits(
-        m, _vec.itinerary_matrix([br.itinerary for br in branches]),
-        left, left + step, deposit, owner)[3])
+    raise_first(array_end_orbits(m, partition.itin, left, left + step,
+                                 deposit, owner)[3])
     out += np.cumsum(diff[:-1])
     # elementwise: np.dot would call BLAS, which a forked child must not
     total, kac = out.sum(), float((mass * tau).sum())
@@ -380,7 +380,7 @@ def invariance_residual(m, h_map: np.ndarray) -> float:
     P = _edge_matrix(m, edges, np.array([br.a for br in m.branches]),
                      np.array([br.b for br in m.branches]),
                      np.array(m.branch_images),
-                     [(i,) for i in range(len(m.branches))],
+                     np.arange(len(m.branches))[:, None],
                      np.array(m.monotone_signs) > 0)[0]
     p = h_map * cw
     tot = p.sum()

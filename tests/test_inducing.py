@@ -11,6 +11,7 @@ eval_induced (reference_orbit_walks).
 """
 
 import dataclasses
+import json
 import logging
 import math
 import re
@@ -27,6 +28,8 @@ from cusp_induce.map_model import critical_distance, evaluate
 from reference_binding import (long_double_edges, long_double_periods,
                                piece_rows, side_rows)
 from reference_end_orbits import generalized_distortion
+from reference_records import (partition_of, raw_rows, reference_branches,
+                               reference_dict)
 import reference_orbit_walks as ref_walks
 
 
@@ -596,9 +599,10 @@ def test_an_entry_on_a_table_edge_reads_the_inner_piece_on_both_sides(
             h = abs(float(np.spacing(e)))
             cuts += [e - h, e + h]
             want[e] = ("bound", j + 1) if j < 21 else ("gap", "rounding-floor")
-    raw, unresolved, _counts = ind._classify_cells(cheb, np.sort(cuts), 0.01,
-                                                   1, tables)
-    got = {0.5 * (a + b): ("bound", p0) for a, b, kind, _l0, p0, _key in raw
+    cells, unresolved, _counts = ind._classify_cells(cheb, np.sort(cuts),
+                                                     0.01, 1, tables)
+    got = {0.5 * (a + b): ("bound", p0)
+           for a, b, kind, _l0, p0, _key in raw_rows(cheb, cells)
            if kind == "bound"}
     got.update({0.5 * (a + b): ("gap", r) for a, b, r in unresolved})
     assert {e: got[e] for e in want} == want
@@ -835,8 +839,49 @@ def test_partition_determinism(lorenz, lorenz_scales):
 
 
 def test_lorenz_partition_binds_for_one_step(lorenz_partition):
-    for br in lorenz_partition.bound():
-        assert br.p0 == 1
+    for br in lorenz_partition.branches:
+        if br.kind == "bound":
+            assert br.p0 == 1
+
+
+# the four families, each at two scales
+RECORD_CASES = {
+    "cheb(0.01, 7)": (mm.chebyshev_map, 0.01, 7),
+    "cheb(0.05, 5)": (mm.chebyshev_map, 0.05, 5),
+    "unimodal(2, 2.3)": (lambda: mm.unimodal_map(2.0, 2.3), 0.02, 8),
+    "unimodal(2, 1.5)": (lambda: mm.unimodal_map(2.0, 1.5), 0.005, 5),
+    "lorenz(1.9, 0.6)": (mm.lorenz_map, 0.2, 5),
+    "lorenz(1.9, 0.4)": (lambda: mm.lorenz_map(1.9, 0.4, 0.1), 0.1, 13),
+    "singular_unimodal(0.005, 14)": (mm.singular_unimodal_map, 0.005, 14),
+    "singular_unimodal(0.02, 8)": (mm.singular_unimodal_map, 0.02, 8),
+}
+
+
+def _typed(value):
+    """A field value with the Python type of it and of every item."""
+    if isinstance(value, tuple):
+        return tuple, [_typed(v) for v in value]
+    return type(value), repr(value)
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_CASES))
+def test_records_from_the_columns_equal_the_record_design(name):
+    # the records the partition makes on demand, locate's one record, and
+    # to_dict() are those of the record design, Python types included;
+    # a partition of those records makes them again
+    family, delta, q0 = RECORD_CASES[name]
+    m = family()
+    part = ind.build_partition(m, delta=delta, q0=q0)
+    want = reference_branches(m, delta, q0)
+    assert len(part.branches) == len(want) > 0
+    fields = [f.name for f in dataclasses.fields(ind.InducedBranch)]
+    for got, ref in zip(part.branches, want):
+        assert [_typed(getattr(got, f)) for f in fields] == \
+            [_typed(getattr(ref, f)) for f in fields]
+    assert json.dumps(part.to_dict()) == json.dumps(reference_dict(part, want))
+    for br in want[::max(1, len(want) // 7)]:
+        assert part.locate(0.5 * (br.a + br.b)) == br
+    assert partition_of(want, part).branches == want
 
 
 def test_summary_fields(cheb_partition):

@@ -26,6 +26,7 @@ from cusp_induce import map_model as mm
 from cusp_induce.critical_orbit import orbit_records
 from cusp_induce.map_model import evaluate
 from reference_binding import piece_rows
+from reference_records import cell_columns, raw_rows
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +194,8 @@ def untagged(m, tables):
             for cp, table in zip(m.critical_points, tables)}
 
 
-def assert_same_stage2(batched, reference):
-    raw, unresolved = batched[:2]
+def assert_same_stage2(m, batched, reference):
+    raw, unresolved = raw_rows(m, batched[0]), batched[1]
     ref_raw, ref_unresolved = reference
 
     def start(row):
@@ -227,12 +228,12 @@ def test_batched_stage2_matches_the_per_cell_reference(partition_case,
     def reference(m, cuts, delta, q0, tables):
         ref = per_cell_stage2(m, cuts, delta, q0, untagged(m, tables))
         seen.append((batched(m, cuts, delta, q0, tables), ref))
-        return ref + (seen[-1][0][2],)
+        return cell_columns(m, ref[0]), ref[1], seen[-1][0][2]
 
     monkeypatch.setattr(ind, "_classify_cells", reference)
     ref_part = ind.build_partition(m, delta=delta, q0=q0)
     (got, ref), = seen
-    assert_same_stage2(got, ref)
+    assert_same_stage2(m, got, ref)
     assert part.to_dict() == ref_part.to_dict()
     assert part.unresolved == ref_part.unresolved
 
@@ -260,10 +261,13 @@ def test_partition_matches_the_two_stage_reference(name, monkeypatch):
     monkeypatch.setattr(ind, "_free_breakpoints",
                         lambda m, delta, q0, tables: reference_stage1(
                             m, delta, q0))
-    monkeypatch.setattr(ind, "_classify_cells",
-                        lambda m, cuts, delta, q0, tables: per_cell_stage2(
-                            m, cuts, delta, q0, untagged(m, tables))
-                        + ({"free": 0, "bound": 0, "boundary_landed": 0},))
+    def reference(m, cuts, delta, q0, tables):
+        raw, unresolved = per_cell_stage2(m, cuts, delta, q0,
+                                          untagged(m, tables))
+        return (cell_columns(m, raw), unresolved,
+                {"free": 0, "bound": 0, "boundary_landed": 0})
+
+    monkeypatch.setattr(ind, "_classify_cells", reference)
     assert part.to_dict() == ind.build_partition(m, delta=delta,
                                                  q0=q0).to_dict()
 
@@ -286,8 +290,8 @@ def test_a_midpoint_orbit_landing_on_a_boundary_is_unlocated():
     got = ind._classify_cells(m, cuts, 0.1, 10, tables)
     assert got[2]["boundary_landed"] == 1
     assert (x - h, x + h, "boundary-unlocated") in got[1]
-    assert_same_stage2(got, per_cell_stage2(m, cuts, 0.1, 10,
-                                            untagged(m, tables)))
+    assert_same_stage2(m, got, per_cell_stage2(m, cuts, 0.1, 10,
+                                               untagged(m, tables)))
 
 
 def test_cell_ends_where_the_expression_is_undefined_take_one_sided_limits():
@@ -301,7 +305,7 @@ def test_cell_ends_where_the_expression_is_undefined_take_one_sided_limits():
     assert m.endpoint_jet(0, -1.0, "+").value == pytest.approx(-0.8)
     tables = piece_tables(m, 0.1)
     cuts = ind._free_breakpoints(m, 0.1, 10, tables)
-    assert_same_stage2(ind._classify_cells(m, cuts, 0.1, 10, tables),
+    assert_same_stage2(m, ind._classify_cells(m, cuts, 0.1, 10, tables),
                        per_cell_stage2(m, cuts, 0.1, 10, untagged(m, tables)))
     # stage 4 takes the scalar one-sided jet at -1, and every image is finite
     part = ind.build_partition(m, delta=0.1, q0=10)
